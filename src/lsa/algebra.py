@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .linalg import (
     FractionLike,
@@ -32,6 +32,7 @@ from .linalg import (
     vec_scale,
     vec_sub,
     vstack,
+    zero_vec,
 )
 
 
@@ -102,12 +103,13 @@ class Algebra:
 
     def nonzero_products(self) -> list[tuple[int, int, int, Fraction]]:
         """Sparse 1-based listing, sorted."""
-        out = []
-        for i, j, k in itertools.product(range(self.dim), repeat=3):
-            v = self.c[i][j][k]
-            if v != 0:
-                out.append((i + 1, j + 1, k + 1, v))
-        return out
+        return [
+            (i + 1, j + 1, k + 1, v)
+            for i, plane in enumerate(self.c)
+            for j, row in enumerate(plane)
+            for k, v in enumerate(row)
+            if v != 0
+        ]
 
 
 @dataclass(frozen=True)
@@ -217,27 +219,72 @@ def _basis(a: Algebra) -> list[Vec]:
     return [unit_vec(a.dim, i) for i in range(a.dim)]
 
 
-def check_left_symmetric(a: Algebra) -> IdentityCheck:
-    """Decide (x*y)*z - (y*x)*z = x*(y*z) - y*(x*z) on all basis triples.
+# The trilinear identities, checked on basis triples (i, j, k) by
+# ``first_failure``.  Each row holds the identity's two sides as a function of
+# the product p at (x, y, z) = (e_i, e_j, e_k), and the triples where it can
+# fail.  Every identity changes sign under one swap of arguments (Jacobi, on
+# antisymmetric brackets, under every swap), so it holds where the swapped
+# indices coincide and fails at a triple exactly when it fails at the swapped
+# one; the kept triple is the earlier of the two in product order, so the
+# first failure is the one a scan over all n^3 triples finds.
+IDENTITIES: dict[str, tuple[Callable, Callable[[int, int, int], bool]]] = {
+    # (x*y)*z - (y*x)*z = x*(y*z) - y*(x*z)
+    "left_symmetric": (
+        lambda p, x, y, z: (
+            vec_sub(p(p(x, y), z), p(p(y, x), z)),
+            vec_sub(p(x, p(y, z)), p(y, p(x, z))),
+        ),
+        lambda i, j, k: i < j,
+    ),
+    # N: (x*y)*z = (x*z)*y
+    "N": (lambda p, x, y, z: (p(p(x, y), z), p(p(x, z), y)), lambda i, j, k: j < k),
+    # D: (x*y)*z = (z*y)*x
+    "D": (lambda p, x, y, z: (p(p(x, y), z), p(p(z, y), x)), lambda i, j, k: i < k),
+    # S: [x,y]*z = 0
+    "S": (
+        lambda p, x, y, z: (p(vec_sub(p(x, y), p(y, x)), z), zero_vec(len(z))),
+        lambda i, j, k: i < j,
+    ),
+    # Jacobi, for antisymmetric brackets: [[x,y],z] + [[y,z],x] + [[z,x],y] = 0
+    "jacobi": (
+        lambda p, x, y, z: (
+            vec_add(p(p(x, y), z), vec_add(p(p(y, z), x), p(p(z, x), y))),
+            zero_vec(len(z)),
+        ),
+        lambda i, j, k: i < j < k,
+    ),
+}
 
-    Bilinearity makes the basis check complete.  The identity is
-    antisymmetric in (x, y), so i < j suffices.
+ALL_PASS = "all triples pass"
+
+
+def first_failure(a: Algebra, identity: str) -> IdentityCheck:
+    """First basis triple, in product order, where ``identity`` fails.
+
+    Bilinearity makes the basis check complete; see ``IDENTITIES`` for why
+    the skipped triples cannot fail first.
     """
+    sides, can_fail = IDENTITIES[identity]
     e = _basis(a)
-    for i in range(a.dim):
-        for j in range(i + 1, a.dim):
-            for k in range(a.dim):
-                lhs = vec_sub(
-                    multiply(a, multiply(a, e[i], e[j]), e[k]),
-                    multiply(a, multiply(a, e[j], e[i]), e[k]),
-                )
-                rhs = vec_sub(
-                    multiply(a, e[i], multiply(a, e[j], e[k])),
-                    multiply(a, e[j], multiply(a, e[i], e[k])),
-                )
-                if lhs != rhs:
-                    return IdentityCheck(False, (i + 1, j + 1, k + 1), lhs, rhs)
+    products: dict[tuple[Vec, Vec], Vec] = {}
+
+    def p(x: Vec, y: Vec) -> Vec:
+        xy = products.get((x, y))
+        if xy is None:
+            xy = products[x, y] = multiply(a, x, y)
+        return xy
+
+    for i, j, k in itertools.product(range(a.dim), repeat=3):
+        if can_fail(i, j, k):
+            lhs, rhs = sides(p, e[i], e[j], e[k])
+            if lhs != rhs:
+                return IdentityCheck(False, (i + 1, j + 1, k + 1), lhs, rhs)
     return IdentityCheck(True)
+
+
+def check_left_symmetric(a: Algebra) -> IdentityCheck:
+    """(x*y)*z - (y*x)*z = x*(y*z) - y*(x*z), with the first failing triple."""
+    return first_failure(a, "left_symmetric")
 
 
 def lie_algebra_of(a: Algebra) -> Algebra:
@@ -251,37 +298,18 @@ def lie_algebra_of(a: Algebra) -> Algebra:
         for i in range(n)
     ]
     lie = Algebra(n, tuple(tuple(plane) for plane in b), name=f"Lie({a.name})" if a.name else "", params=a.params)
-    bad = _jacobi_witness(lie)
-    if bad is not None:
-        raise ValueError(f"Jacobi identity fails at basis triple {bad}; input is corrupted or not left-symmetric")
+    bad = first_failure(lie, "jacobi")
+    if not bad.ok:
+        raise ValueError(f"Jacobi identity fails at basis triple {bad.witness}; input is corrupted or not left-symmetric")
     return lie
-
-
-def _jacobi_witness(lie: Algebra) -> tuple[int, int, int] | None:
-    e = _basis(lie)
-    for i in range(lie.dim):
-        for j in range(i + 1, lie.dim):
-            for k in range(j + 1, lie.dim):
-                total = vec_add(
-                    multiply(lie, multiply(lie, e[i], e[j]), e[k]),
-                    vec_add(
-                        multiply(lie, multiply(lie, e[j], e[k]), e[i]),
-                        multiply(lie, multiply(lie, e[k], e[i]), e[j]),
-                    ),
-                )
-                if not vec_is_zero(total):
-                    return (i + 1, j + 1, k + 1)
-    return None
 
 
 def is_lie_algebra(a: Algebra) -> bool:
     n = a.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if a.c[i][j][k] != -a.c[j][i][k]:
-                    return False
-    return _jacobi_witness(a) is None
+    antisymmetric = all(
+        a.c[i][j] == vec_scale(-1, a.c[j][i]) for i in range(n) for j in range(i, n)
+    )
+    return antisymmetric and first_failure(a, "jacobi").ok
 
 
 def _require_lie(a: Algebra) -> None:
@@ -306,85 +334,28 @@ def is_complete(a: Algebra) -> bool:
 
 
 def is_novikov(a: Algebra) -> bool:
-    """(x*y)*z = (x*z)*y on basis triples, cross-checked via [R_x, R_y] = 0."""
-    e = _basis(a)
-    by_identity = True
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k in range(j + 1, a.dim):
-                lhs = multiply(a, multiply(a, e[i], e[j]), e[k])
-                rhs = multiply(a, multiply(a, e[i], e[k]), e[j])
-                if lhs != rhs:
-                    by_identity = False
-                    break
-            if not by_identity:
-                break
-        if not by_identity:
-            break
-    rs = [right_mult(a, e[i]) for i in range(a.dim)]
-    by_commutators = all(
-        (rs[i] @ rs[j] - rs[j] @ rs[i]).is_zero()
-        for i in range(a.dim)
-        for j in range(i + 1, a.dim)
-    )
-    if by_identity != by_commutators:
-        raise RuntimeError("Novikov characterizations disagree; internal bug")
-    return by_identity
+    """N: (x*y)*z = (x*z)*y, i.e. the right multiplications commute."""
+    return first_failure(a, "N").ok
 
 
 def is_derivation_algebra(a: Algebra) -> bool:
-    """(x*y)*z = (z*y)*x on all basis triples."""
-    e = _basis(a)
-    for i in range(a.dim):
-        for k in range(i + 1, a.dim):
-            for j in range(a.dim):
-                lhs = multiply(a, multiply(a, e[i], e[j]), e[k])
-                rhs = multiply(a, multiply(a, e[k], e[j]), e[i])
-                if lhs != rhs:
-                    return False
-    return True
+    """D: (x*y)*z = (z*y)*x."""
+    return first_failure(a, "D").ok
 
 
 def satisfies_s(a: Algebra) -> bool:
-    """[x,y]*z = 0 on all basis triples."""
-    e = _basis(a)
-    for i in range(a.dim):
-        for j in range(i + 1, a.dim):
-            br = vec_sub(multiply(a, e[i], e[j]), multiply(a, e[j], e[i]))
-            for k in range(a.dim):
-                if not vec_is_zero(multiply(a, br, e[k])):
-                    return False
-    return True
-
-
-def ndsflags(a: Algebra) -> tuple[bool, bool, bool]:
-    return (is_novikov(a), is_derivation_algebra(a), satisfies_s(a))
+    """S: [x,y]*z = 0."""
+    return first_failure(a, "S").ok
 
 
 def flag_witnesses(a: Algebra) -> dict[str, tuple[int, int, int] | str]:
-    """For each of N/D/S, a failing basis triple (1-based) or 'all triples pass'."""
-    e = _basis(a)
-    out: dict[str, tuple[int, int, int] | str] = {}
-    novikov = None
-    for i, j, k in itertools.product(range(a.dim), repeat=3):
-        if multiply(a, multiply(a, e[i], e[j]), e[k]) != multiply(a, multiply(a, e[i], e[k]), e[j]):
-            novikov = (i + 1, j + 1, k + 1)
-            break
-    out["N"] = novikov if novikov else "all triples pass"
-    deriv = None
-    for i, j, k in itertools.product(range(a.dim), repeat=3):
-        if multiply(a, multiply(a, e[i], e[j]), e[k]) != multiply(a, multiply(a, e[k], e[j]), e[i]):
-            deriv = (i + 1, j + 1, k + 1)
-            break
-    out["D"] = deriv if deriv else "all triples pass"
-    s_wit = None
-    for i, j, k in itertools.product(range(a.dim), repeat=3):
-        br = vec_sub(multiply(a, e[i], e[j]), multiply(a, e[j], e[i]))
-        if not vec_is_zero(multiply(a, br, e[k])):
-            s_wit = (i + 1, j + 1, k + 1)
-            break
-    out["S"] = s_wit if s_wit else "all triples pass"
-    return out
+    """For each of N/D/S, the first failing basis triple (1-based) or ALL_PASS."""
+    return {flag: first_failure(a, flag).witness or ALL_PASS for flag in "NDS"}
+
+
+def ndsflags(a: Algebra) -> tuple[bool, bool, bool]:
+    """The N/D/S flags, read off ``flag_witnesses``."""
+    return tuple(w == ALL_PASS for w in flag_witnesses(a).values())
 
 
 def center(a: Algebra) -> Subspace:
@@ -474,14 +445,10 @@ def find_ideals_dim_le3(a: Algebra) -> list[Subspace]:
     return found
 
 
-def adjoint(lie: Algebra, x: Vec) -> QMatrix:
-    return left_mult(lie, x)
-
-
 def is_unimodular(lie: Algebra) -> bool:
     _require_lie(lie)
     e = _basis(lie)
-    return all(adjoint(lie, x).trace() == 0 for x in e)
+    return all(left_mult(lie, x).trace() == 0 for x in e)
 
 
 def derived_subspace(lie: Algebra, w: Subspace) -> Subspace:
@@ -517,7 +484,7 @@ def milnor_normal_form(lie: Algebra) -> MilnorForm:
     if not is_solvable(lie):
         raise NotInScopeError("Lie algebra is not solvable")
     e = _basis(lie)
-    trace_row = [adjoint(lie, x).trace() for x in e]
+    trace_row = [left_mult(lie, x).trace() for x in e]
     if all(t == 0 for t in trace_row):
         raise NotInScopeError("Lie algebra is unimodular")
     u_space = Subspace.from_spanning(3, nullspace_basis(QMatrix([trace_row])))
@@ -526,7 +493,7 @@ def milnor_normal_form(lie: Algebra) -> MilnorForm:
     if not vec_is_zero(multiply(lie, u1, u2)):
         raise NotInScopeError("kernel of the trace form is not abelian")
     e1 = next(x for x in e if not u_space.contains(x))
-    tr = adjoint(lie, e1).trace()
+    tr = left_mult(lie, e1).trace()
     e1 = vec_scale(Fraction(2) / tr, e1)
     ubasis_matrix = QMatrix.from_cols([u1, u2])
     cols = []

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .algebra import (
+    ALL_PASS,
     Algebra,
     LieTag,
     Subspace,
@@ -659,9 +660,9 @@ def verify_entry(entry: CatalogEntry, param_samples: Sequence[Mapping[str, Fract
         tag = identify_lie_algebra(lie_algebra_of(a))
         claimed_tag = entry.claimed_tag(params)
         tag_ok = _tag_matches(tag, claimed_tag)
-        flags = ndsflags(a)
-        flags_ok = flags == entry.claimed_flags
         witnesses = flag_witnesses(a)
+        flags = tuple(w == ALL_PASS for w in witnesses.values())
+        flags_ok = flags == entry.claimed_flags
         ideals = find_ideals_dim_le3(a)
         propagation_ok = True
         for ideal in ideals:

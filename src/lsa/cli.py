@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 input error
-(malformed JSON, schema violation, or a parameter constraint violation).
+(malformed JSON, schema violation, a parameter constraint violation, or an
+input the command does not handle, such as a dimension it does not cover).
 Reports go to stdout, errors to stderr; --json switches every report to a
 sorted, byte-stable JSON rendering.
 """
@@ -24,7 +25,7 @@ from .algebra import (
     ndsflags,
 )
 from .affine import FAMILY_DEFAULT_PARAMS
-from .catalog import ParameterError, make_lsa, verify_catalog
+from .catalog import make_lsa, verify_catalog
 from .extensions import ExtensionError, build_extension, h2
 from .jsonio import (
     JsonFormatError,
@@ -82,12 +83,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_lie(args) -> int:
-    a = _load_algebra(args.file)
-    try:
-        lie = lie_algebra_of(a)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+    lie = lie_algebra_of(_load_algebra(args.file))
     tag = identify_lie_algebra(lie)
     brackets = [
         {"i": i, "j": j, "k": k, "num": v.numerator, "den": v.denominator}
@@ -177,11 +173,7 @@ def cmd_ideals(args) -> int:
 
 def cmd_identify(args) -> int:
     a = _load_algebra(args.file)
-    try:
-        lie = lie_algebra_of(a) if check_left_symmetric(a).ok else a
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+    lie = lie_algebra_of(a) if check_left_symmetric(a).ok else a
     try:
         form = milnor_normal_form(lie)
         tag = identify_lie_algebra(lie)
@@ -207,9 +199,6 @@ def cmd_identify(args) -> int:
         else:
             print(f"lie algebra: not_in_scope({err})")
         return EXIT_OK
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 def cmd_catalog_verify(args) -> int:
@@ -370,10 +359,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (JsonFormatError, ParameterError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as err:
+    except (ValueError, FileNotFoundError) as err:  # includes JsonFormatError, ParameterError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -22,6 +22,7 @@ from .algebra import (
     Algebra,
     Subspace,
     center,
+    first_failure,
     is_lie_algebra,
     is_two_sided_ideal,
     left_mult,
@@ -29,7 +30,6 @@ from .algebra import (
     quotient_algebra,
     right_mult,
     check_left_symmetric,
-    _jacobi_witness,
 )
 from .linalg import (
     QMatrix,
@@ -374,10 +374,6 @@ def build_extension(d: ExtensionData) -> Algebra:
     return ext
 
 
-def _flat_index(k_dim: int, v_dim: int, i: int, j: int, m: int) -> int:
-    return (i * k_dim + j) * v_dim + m
-
-
 def _flatten_cocycle(g: Cocycle2) -> Vec:
     out = []
     for row in g.values:
@@ -715,7 +711,7 @@ def build_lie_extension(d: LieExtensionData) -> Algebra:
                 c[i][j][n + idx] = ker[idx]
     ext = Algebra(total, tuple(tuple(tuple(x) for x in plane) for plane in c),
                   name="lie-ext")
-    assert _jacobi_witness(ext) is None, "extended bracket violates Jacobi"
+    assert first_failure(ext, "jacobi").ok, "extended bracket violates Jacobi"
     kernel_block = Subspace.from_spanning(total, [unit_vec(total, n + idx) for idx in range(m)])
     assert is_two_sided_ideal(ext, kernel_block), "kernel block is not a Lie ideal"
     return ext

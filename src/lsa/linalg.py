@@ -6,7 +6,6 @@ exact, with no tolerances anywhere.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -459,9 +458,3 @@ def symmetric_signature(s: QMatrix) -> tuple[int, int, int]:
                     a[k][j] -= factor * a[k][i]
         idx.remove(i)
     return pos, neg, zero
-
-
-def grid_points(n: int, top: int) -> Iterable[Vec]:
-    """Integer grid {0..top}^n as Fraction vectors."""
-    for combo in itertools.product(range(top + 1), repeat=n):
-        yield tuple(Fraction(c) for c in combo)

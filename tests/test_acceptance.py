@@ -3,10 +3,12 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.  All tolerances are
 pinned here; the exact-arithmetic criteria admit no tolerance at all.
 """
+import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 
 from lsa import affine as aff
@@ -226,8 +228,12 @@ def test_criterion_9_special_functions():
 
 def test_criterion_10_determinism():
     cmd = [sys.executable, "-m", "lsa.cli", "catalog-verify", "--json", "--seed", "7"]
-    first = subprocess.run(cmd, capture_output=True, cwd="/", check=True)
-    second = subprocess.run(cmd, capture_output=True, cwd="/", check=True)
+    # cwd="/" breaks a relative PYTHONPATH, so the child gets the absolute src path.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    first = subprocess.run(cmd, capture_output=True, cwd="/", env=env, check=True)
+    second = subprocess.run(cmd, capture_output=True, cwd="/", env=env, check=True)
     assert first.stdout == second.stdout
     assert first.returncode == 0
     report(10, True, f"catalog-verify --json --seed 7 twice: byte-identical ({len(first.stdout)} bytes)")

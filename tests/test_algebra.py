@@ -162,7 +162,8 @@ def test_novikov_characterizations_agree_random():
             key = (rng.randint(1, n), rng.randint(1, n), rng.randint(1, n))
             entries[key] = F(rng.randint(-2, 2))
         a = Algebra.from_entries(n, entries)
-        is_novikov(a)  # raises if the two characterizations disagree
+        rs = [right_mult(a, E(n, i)) for i in range(n)]
+        assert is_novikov(a) == all(commutator(x, y).is_zero() for x in rs for y in rs)
         count += 1
     assert count == 200
 

@@ -139,6 +139,16 @@ def test_identify_out_of_scope(tmp_path, capsys):
     assert "not_in_scope" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, dim", [("lie", 2), ("lie", 4), ("ideals", 4)])
+def test_unsupported_dimension_exit_2(tmp_path, capsys, command, dim):
+    path = tmp_path / f"zero{dim}.json"
+    path.write_text(json.dumps({"dim": dim, "products": []}))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
 def test_affine_sample(capsys):
     assert main(["affine-sample", "--family", "A30", "--at", "1,2,3", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
