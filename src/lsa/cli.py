@@ -350,13 +350,30 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, with_file=False)
     p.add_argument("--family", required=True, choices=aff.FAMILY_NAMES)
     p.add_argument("--params", nargs="*", help="family parameters, e.g. mu=1/2")
-    p.add_argument("--at", nargs="*", help="evaluation points 'a,b,c'")
+    p.add_argument("--at", nargs="*", action="extend", help="evaluation points 'a,b,c'")
     p.set_defaults(fn=cmd_affine_sample)
     return parser
 
 
+def _spell_at_points(argv: list[str]) -> list[str]:
+    """Rewrite each point token after ``--at`` as ``--at=POINT``.
+
+    argparse takes a separate token such as ``-1,2,3`` for an option; in the
+    ``=`` form it is a value, and ``--at`` collects every value it is given.
+    """
+    out: list[str] = []
+    in_points = False
+    for tok in argv:
+        if in_points and (not tok.startswith("-") or tok[1:2].isdigit() or tok[1:2] == "."):
+            out.append(f"--at={tok}")
+            continue
+        in_points = tok == "--at"
+        out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_spell_at_points(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except (ValueError, FileNotFoundError) as err:  # includes JsonFormatError, ParameterError

@@ -19,20 +19,23 @@ class JsonFormatError(ValueError):
     """Input JSON does not match the documented schema."""
 
 
+def _is_int(x: Any) -> bool:
+    """A JSON integer: bool, float and str are not, even when integral."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _rational(num: Any, den: Any, where: str) -> Fraction:
+    if not (_is_int(num) and _is_int(den)) or den == 0:
+        raise JsonFormatError(f"bad rational at {where}: num={num!r}, den={den!r}")
+    return Fraction(num, den)
+
+
 def _frac_from_obj(obj: Any, where: str) -> Fraction:
     if isinstance(obj, dict):
-        try:
-            return Fraction(int(obj["num"]), int(obj.get("den", 1)))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
-            raise JsonFormatError(f"bad rational at {where}: {obj!r}") from err
+        return _rational(obj.get("num"), obj.get("den", 1), where)
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        try:
-            return Fraction(int(obj[0]), int(obj[1]))
-        except (TypeError, ValueError, ZeroDivisionError) as err:
-            raise JsonFormatError(f"bad rational pair at {where}: {obj!r}") from err
-    if isinstance(obj, int):
-        return Fraction(obj)
-    raise JsonFormatError(f"bad rational at {where}: {obj!r}")
+        return _rational(obj[0], obj[1], where)
+    return _rational(obj, 1, where)
 
 
 def _frac_to_obj(f: Fraction) -> dict:
@@ -55,32 +58,33 @@ def algebra_to_dict(a: Algebra) -> dict:
 def algebra_from_dict(data: Any) -> Algebra:
     if not isinstance(data, dict):
         raise JsonFormatError("algebra must be a JSON object")
-    try:
-        dim = int(data["dim"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise JsonFormatError("algebra requires an integer 'dim'") from err
+    dim = data.get("dim")
+    if not _is_int(dim):
+        raise JsonFormatError(f"algebra requires an integer 'dim', got {dim!r}")
     if dim < 1:
         raise JsonFormatError("'dim' must be positive")
+    products = data.get("products", [])
+    if not isinstance(products, list):
+        raise JsonFormatError("'products' must be a list")
     entries: dict[tuple[int, int, int], Fraction] = {}
-    for pos, product in enumerate(data.get("products", [])):
+    for pos, product in enumerate(products):
         if not isinstance(product, dict):
             raise JsonFormatError(f"products[{pos}] must be an object")
-        try:
-            i, j, k = int(product["i"]), int(product["j"]), int(product["k"])
-        except (KeyError, TypeError, ValueError) as err:
-            raise JsonFormatError(f"products[{pos}] requires integer i, j, k") from err
-        try:
-            value = Fraction(int(product.get("num", 0)), int(product.get("den", 1)))
-        except (TypeError, ValueError, ZeroDivisionError) as err:
-            raise JsonFormatError(f"products[{pos}] has a bad num/den") from err
+        i, j, k = (product.get(key) for key in "ijk")
+        if not (_is_int(i) and _is_int(j) and _is_int(k)):
+            raise JsonFormatError(f"products[{pos}] requires integer i, j, k")
+        value = _rational(product.get("num", 0), product.get("den", 1), f"products[{pos}]")
         if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
             raise JsonFormatError(f"products[{pos}] index out of range for dim={dim}")
         entries[(i, j, k)] = entries.get((i, j, k), Fraction(0)) + value
-    params = {
-        key: _frac_from_obj(val, f"params.{key}")
-        for key, val in (data.get("params") or {}).items()
-    }
-    return Algebra.from_entries(dim, entries, name=data.get("name", ""), params=params)
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise JsonFormatError("'params' must be an object")
+    params = {key: _frac_from_obj(val, f"params.{key}") for key, val in params.items()}
+    name = data.get("name", "")
+    if not isinstance(name, str):
+        raise JsonFormatError("'name' must be a string")
+    return Algebra.from_entries(dim, entries, name=name, params=params)
 
 
 def matrix_to_rows(m: QMatrix) -> list:
@@ -88,7 +92,7 @@ def matrix_to_rows(m: QMatrix) -> list:
 
 
 def matrix_from_rows(data: Any, where: str) -> QMatrix:
-    if not isinstance(data, list) or not data:
+    if not isinstance(data, list) or not data or not all(isinstance(row, list) for row in data):
         raise JsonFormatError(f"{where} must be a non-empty list of rows")
     return QMatrix(
         [
@@ -117,6 +121,9 @@ def extension_from_dict(data: Any, require_g: bool = True) -> ExtensionData:
     for key in ("K", "V", "lambda", "rho"):
         if key not in data:
             raise JsonFormatError(f"extension data requires '{key}'")
+    for key in ("lambda", "rho"):
+        if not isinstance(data[key], list):
+            raise JsonFormatError(f"'{key}' must be a list of matrices")
     k = algebra_from_dict(data["K"])
     v = algebra_from_dict(data["V"])
     lam = tuple(

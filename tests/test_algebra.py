@@ -281,33 +281,67 @@ def test_identify_non_square_parameters_flagged():
 
 
 def test_is_complete_grid_decision_vs_random_points():
-    # independent consistency oracle: if the grid says complete, nilpotency
-    # must hold at arbitrary random rational points too; if it says
-    # incomplete, some grid point witnesses a non-nilpotent R_x
+    # independent oracle: the full grid {0..n}^n, exact because each
+    # coefficient of char_poly(R_x) has degree <= n in every coordinate;
+    # complete verdicts are also checked at random rational points
     import itertools
 
     from lsa.linalg import is_nilpotent, random_fraction, vec as mkvec
 
+    def full_grid(a):
+        n = a.dim
+        return all(
+            is_nilpotent(right_mult(a, vec([F(c) for c in pt])))
+            for pt in itertools.product(range(n + 1), repeat=n)
+        )
+
     rng = random.Random(19)
-    for trial in range(60):
-        n = rng.randint(1, 3)
+    verdicts = set()
+    for trial in range(66):
+        n = 4 if trial >= 60 else rng.randint(1, 3)  # 625 grid points in 4D
         entries = {}
         for _ in range(rng.randint(0, 4)):
             key = (rng.randint(1, n), rng.randint(1, n), rng.randint(1, n))
             entries[key] = F(rng.randint(-2, 2))
         a = Algebra.from_entries(n, entries)
         complete = is_complete(a)
+        assert complete == full_grid(a), (trial, entries)
+        verdicts.add(complete)
         if complete:
             for _ in range(50):
                 x = mkvec([random_fraction(rng, 6, 4) for _ in range(n)])
                 assert is_nilpotent(right_mult(a, x)), (trial, x)
-        else:
-            witnesses = [
-                pt
-                for pt in itertools.product(range(n + 1), repeat=n)
-                if not is_nilpotent(right_mult(a, vec([F(c) for c in pt])))
-            ]
-            assert witnesses, trial
+    assert verdicts == {True, False}
+
+
+def _right_traces_vanish(a):
+    return all(right_mult(a, unit_vec(a.dim, i)).trace() == 0 for i in range(a.dim))
+
+
+def test_is_complete_agrees_with_segal_trace_criterion():
+    # Segal: a left-symmetric algebra is complete iff tr R_x = 0 for all x
+    from lsa.catalog import reconstruction_cases
+    from lsa.extensions import build_extension
+
+    lsas = [entry.make(p) for entry in catalog_lsas() for p in entry.default_params]
+    # aff_R is a Lie bracket, not a left-symmetric product
+    lsas += [a for a in fixtures().values() if a.dim == 2 and a.name != "aff_R"]
+    lsas += [build_extension(case.data) for case in reconstruction_cases()]
+    lsas.append(Algebra.from_entries(1, {(1, 1, 1): 1}))  # idempotent, incomplete
+    verdicts = set()
+    for a in lsas:
+        assert check_left_symmetric(a).ok, a.name
+        assert is_complete(a) == _right_traces_vanish(a), a.name
+        verdicts.add(is_complete(a))
+    assert verdicts == {True, False}
+
+
+def test_trace_criterion_fails_off_left_symmetric_algebras():
+    # e1.e1 = e1, e2.e1 = -e2: tr R_x = 0 for every x, but R_e1 = diag(1, -1)
+    a = Algebra.from_entries(2, {(1, 1, 1): 1, (2, 1, 2): -1})
+    assert not check_left_symmetric(a).ok
+    assert _right_traces_vanish(a)
+    assert not is_complete(a)
 
 
 def test_milnor_det_matches_trace_formula():

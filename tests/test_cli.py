@@ -38,7 +38,8 @@ def ext_file(tmp_path):
 def test_json_roundtrip_algebra():
     for name, params in [("N30", {}), ("C3t", {"t": "5/3"}), ("D32", {})]:
         a = make_lsa(name, **params)
-        assert algebra_from_dict(algebra_to_dict(a)).c == a.c
+        b = algebra_from_dict(json.loads(dumps_sorted(algebra_to_dict(a))))
+        assert (b.dim, b.c, b.name, b.params) == (a.dim, a.c, a.name, a.params)
 
 
 def test_json_roundtrip_extension():
@@ -83,6 +84,38 @@ def test_malformed_json_exit_2(tmp_path, capsys):
     assert main(["check", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "line 1" in err and "column" in err
+
+
+GOOD_EXT = extension_to_dict(case1_n2_central(3).data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"dim": 2, "products": 5},
+        {"dim": 2, "params": [1, 2]},
+        {"dim": 2, "products": [{"i": 1, "j": 1, "k": 1, "num": 1e400}]},
+        {"dim": 2, "products": [{"i": 1, "j": 1, "k": 1, "num": 1.5}]},
+        {"dim": 2, "products": [{"i": 1, "j": 1, "k": 1, "num": 1, "den": True}]},
+        {"dim": 2, "products": [{"i": 1.0, "j": 1, "k": 1, "num": 1}]},
+        {"dim": 2, "products": [{"i": 1, "j": "1", "k": 1, "num": 1}]},
+        {"dim": 2, "params": {"t": 0.5}},
+        {"dim": 2, "params": {"t": {"num": 1, "den": 2.0}}},
+        {"dim": True, "products": []},
+        {"dim": 2.0, "products": []},
+        {"dim": 2, "name": [1]},
+        dict(GOOD_EXT, **{"lambda": 5}),
+        dict(GOOD_EXT, rho=[[1]]),
+        dict(GOOD_EXT, K={"dim": "2"}),
+    ],
+)
+def test_malformed_input_exit_2(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["h2" if "K" in data else "check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
 
 
 def test_missing_file_exit_2(tmp_path):
@@ -153,6 +186,25 @@ def test_affine_sample(capsys):
     assert main(["affine-sample", "--family", "A30", "--at", "1,2,3", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["elements"][0]["translation"][0] == 1.0
+
+
+@pytest.mark.parametrize(
+    "at", [["--at", "-1,2,3", "4,-5,6"], ["--at=-1,2,3", "--at=4,-5,6"], ["--at", "-1,2,3", "--at", "4,-5,6"]]
+)
+def test_affine_sample_negative_first_coordinate(capsys, at):
+    assert main(["affine-sample", "--family", "A30", *at, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [e["abc"] for e in data["elements"]] == [[-1.0, 2.0, 3.0], [4.0, -5.0, 6.0]]
+
+
+@pytest.mark.parametrize("at", [["--at", "-1,2"], ["--at=-1,x,3"], ["--at", "-x,2,3"]])
+def test_affine_sample_bad_point_exit_2(capsys, at):
+    try:
+        code = main(["affine-sample", "--family", "A30", *at])
+    except SystemExit as err:  # argparse usage errors
+        code = err.code
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_affine_sample_constraint(capsys):

@@ -10,10 +10,13 @@ from lsa.algebra import (
     check_left_symmetric,
     conjugated,
     first_failure,
+    identify_lie_algebra,
+    is_complete,
+    lie_algebra_of,
     multiply,
     ndsflags,
 )
-from lsa.catalog import catalog_lsas
+from lsa.catalog import catalog_lsas, fingerprint
 from lsa.linalg import random_invertible, unit_vec, vec_add, vec_sub
 
 pytest.importorskip("hypothesis")
@@ -34,8 +37,6 @@ DEFECTS = {
     "jacobi": lambda m, x, y, z: vec_add(vec_add(m(m(x, y), z), m(m(y, z), x)), m(m(z, x), y)),
 }
 
-CATALOG = [entry.make(p) for entry in catalog_lsas() for p in entry.default_params]
-
 
 @st.composite
 def algebras(draw):
@@ -44,6 +45,14 @@ def algebras(draw):
     idx = st.integers(1, n)
     entries = draw(st.dictionaries(st.tuples(idx, idx, idx), st.integers(-2, 2), max_size=6))
     return Algebra.from_entries(n, entries)
+
+
+@st.composite
+def catalog_samples(draw):
+    """A catalog entry at a default or a seeded random parameter."""
+    entry = draw(st.sampled_from(catalog_lsas()))
+    sampled = st.integers(0, 2**32).map(lambda seed: entry.sample_params(random.Random(seed)))
+    return entry.make(draw(st.sampled_from(entry.default_params) | sampled))
 
 
 @st.composite
@@ -95,8 +104,13 @@ def test_jacobi_first_failure_matches_full_scan(lie):
 
 
 @SETTINGS
-@given(st.one_of(algebras(), st.sampled_from(CATALOG)), st.integers(0, 2**32))
+@given(st.one_of(algebras(), catalog_samples()), st.integers(0, 2**32))
 def test_basis_change_keeps_left_symmetry_and_flags(a, seed):
     b = conjugated(a, random_invertible(random.Random(seed), a.dim))
     assert check_left_symmetric(b).ok == check_left_symmetric(a).ok
     assert ndsflags(b) == ndsflags(a)
+    assert is_complete(b) == is_complete(a)
+    if a.name:  # catalog entries are named; their Lie algebras are in scope
+        tag = lambda x: str(identify_lie_algebra(lie_algebra_of(x)))
+        assert tag(b) == tag(a)
+        assert fingerprint(b) == fingerprint(a)
