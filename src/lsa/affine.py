@@ -8,6 +8,12 @@ composition, a nonsingular and injective orbit map with Newton-invertible
 samples, and tangent vectors at the identity matching the exact affine
 representation X -> (L_X, X) of the paired catalog algebra.
 
+Every family is one numpy-broadcasting definition: arrays a, b, c of one
+shape map to linear parts (..., 3, 3) and translations (..., 3).  The
+checks evaluate whole batches (a grid point and its six finite-difference
+neighbours, all closure pairs, all tangent curve points) in one call, and
+``AffineMap3`` validates shape and finiteness once per batch.
+
 The D32 family needs one documented correction: the commonly quoted entry
 (with b f(a) in the first row and a + b^2 g(a) in the translation) is not
 closed under composition; it mirrors the same transcription slip as the
@@ -25,102 +31,101 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import Algebra, left_mult, lie_algebra_of, multiply
-from .linalg import QMatrix, Vec, commutator, unit_vec
+from .catalog import ParameterError, catalog_lsas, validate_params
+from .linalg import QMatrix, Vec, commutator, frac, unit_vec
 
 SERIES_THRESHOLD = 0.25
 SERIES_EPS = 1e-18
 
 
-def series_f(x: float) -> float:
-    total, term, n = 0.0, 1.0, 0
-    while abs(term) >= SERIES_EPS:
-        total += term
-        n += 1
-        term *= x / (n + 1)
-    return total
+def _series(x, first, ratio, chunk: int = 16) -> np.ndarray:
+    """Entrywise sum of the terms t_0 = first, t_n = t_{n-1} ratio(x, n),
+    stopping each entry before its first term below SERIES_EPS.
+
+    A chunk of terms is one cumulative product, and the running total is
+    accumulated in term order (``sum`` would pair terms up), so every entry
+    gets the value of its own term-by-term loop whatever else is in the
+    batch.
+    """
+    x = np.asarray(x, dtype=float)
+    steps = np.arange(1, chunk + 1).reshape((-1,) + (1,) * x.ndim)
+    total = np.zeros(x.shape)
+    term = total + first
+    live = True
+    while True:
+        terms = np.concatenate([term[None], ratio(x, steps)]).cumprod(axis=0)
+        alive = np.logical_and.accumulate(np.abs(terms) >= SERIES_EPS, axis=0) & live
+        total = np.add.accumulate(np.concatenate([total[None], np.where(alive[:-1], terms[:-1], 0.0)]))[-1]
+        term, live = terms[-1], alive[-1]
+        if not live.any():
+            return total
+        steps = steps + chunk
 
 
-def closed_f(x: float) -> float:
-    return (math.exp(x) - 1.0) / x
+def series_f(x):
+    return _series(x, 1.0, lambda x, n: x / (n + 1))
 
 
-def series_g(x: float) -> float:
-    total, term, n = 0.0, 0.5, 0
-    while abs(term) >= SERIES_EPS:
-        total += term
-        n += 1
-        term *= x / (n + 2)
-    return total
+def closed_f(x):
+    return (np.exp(x) - 1.0) / x
 
 
-def closed_g(x: float) -> float:
-    return (math.exp(x) - x - 1.0) / (x * x)
+def series_g(x):
+    return _series(x, 0.5, lambda x, n: x / (n + 2))
 
 
-def series_h(x: float) -> float:
-    total = 0.0
-    term = x**3 / 24.0
-    m = 2
-    while abs(term) >= SERIES_EPS:
-        total += term
-        m += 1
-        term *= -x * x / ((2 * m - 1) * (2 * m))
-    return total
+def closed_g(x):
+    return (np.exp(x) - x - 1.0) / (x * x)
 
 
-def closed_h(x: float) -> float:
-    return (math.cos(x) - 1.0) / x + x / 2.0
+def series_h(x):
+    x = np.asarray(x, dtype=float)
+    return _series(x, np.float_power(x, 3) / 24.0, lambda x, n: -x * x / ((2 * n + 3) * (2 * n + 4)))
 
 
-def series_k(x: float) -> float:
-    total = 0.0
-    term = -x * x / 6.0
-    m = 1
-    while abs(term) >= SERIES_EPS:
-        total += term
-        m += 1
-        term *= -x * x / ((2 * m) * (2 * m + 1))
-    return total
+def closed_h(x):
+    return (np.cos(x) - 1.0) / x + x / 2.0
 
 
-def closed_k(x: float) -> float:
-    return (math.sin(x) - x) / x
+def series_k(x):
+    x = np.asarray(x, dtype=float)
+    return _series(x, -x * x / 6.0, lambda x, n: -x * x / ((2 * n + 2) * (2 * n + 3)))
 
 
-def series_phi(x: float) -> float:
-    total = 0.0
-    term = x / 2.0  # n = 1 term
-    n = 1
-    while abs(term) >= SERIES_EPS:
-        total += term
-        n += 1
-        term *= x * n / ((n - 1) * (n + 1))
-    return total
+def closed_k(x):
+    return (np.sin(x) - x) / x
 
 
-def closed_phi(x: float) -> float:
-    return ((x - 1.0) * math.exp(x) + 1.0) / x
+def series_phi(x):
+    return _series(x, np.asarray(x, dtype=float) / 2.0, lambda x, n: x * (n + 1) / (n * (n + 2)))
 
 
-def _dispatch(series: Callable, closed: Callable) -> Callable[[float], float]:
-    def fn(x: float) -> float:
-        if abs(x) >= SERIES_THRESHOLD:
-            return closed(x)
-        return series(x)
+def closed_phi(x):
+    return ((x - 1.0) * np.exp(x) + 1.0) / x
 
+
+def _branched(series: Callable, closed: Callable, doc: str) -> Callable:
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        small = np.abs(x) < SERIES_THRESHOLD
+        if not small.any():
+            return closed(x)[()]
+        if small.all():
+            return series(x)[()]
+        out = np.empty(x.shape)
+        out[small] = series(x[small])
+        out[~small] = closed(x[~small])
+        return out[()]  # a float for a scalar argument
+
+    fn.__doc__ = doc + " Entrywise on arrays: the series below SERIES_THRESHOLD, the closed form above."
     return fn
 
 
-special_f = _dispatch(series_f, closed_f)
-special_f.__doc__ = "(e^x - 1)/x with f(0) = 1."
-special_g = _dispatch(series_g, closed_g)
-special_g.__doc__ = "(e^x - x - 1)/x^2 with g(0) = 1/2."
-special_h = _dispatch(series_h, closed_h)
-special_h.__doc__ = "(cos x - 1)/x + x/2 with h(0) = 0."
-special_k = _dispatch(series_k, closed_k)
-special_k.__doc__ = "(sin x - x)/x with k(0) = 0."
-special_phi = _dispatch(series_phi, closed_phi)
-special_phi.__doc__ = "sum_{n>=1} n x^n/(n+1)!; closed form ((x-1)e^x + 1)/x."
+special_f = _branched(series_f, closed_f, "(e^x - 1)/x with f(0) = 1.")
+special_g = _branched(series_g, closed_g, "(e^x - x - 1)/x^2 with g(0) = 1/2.")
+special_h = _branched(series_h, closed_h, "(cos x - 1)/x + x/2 with h(0) = 0.")
+special_k = _branched(series_k, closed_k, "(sin x - x)/x with k(0) = 0.")
+special_phi = _branched(series_phi, closed_phi, "sum_{n>=1} n x^n/(n+1)!; closed form ((x-1)e^x + 1)/x.")
 
 SPECIAL_BRANCHES: dict[str, tuple[Callable, Callable]] = {
     "f": (series_f, closed_f),
@@ -163,7 +168,7 @@ def phi_partial_sum(x: float, terms: int = 50) -> float:
     return total
 
 
-SPECIAL_FUNCTIONS: dict[str, Callable[[float], float]] = {
+SPECIAL_FUNCTIONS: dict[str, Callable] = {
     "f": special_f,
     "g": special_g,
     "h": special_h,
@@ -176,38 +181,48 @@ SPECIAL_ZERO_VALUES = {"f": 1.0, "g": 0.5, "h": 0.0, "k": 0.0, "phi": 0.0}
 
 @dataclass
 class AffineMap3:
-    linear: np.ndarray  # 3x3
-    translation: np.ndarray  # 3
+    """The affine map x -> linear x + translation of R^3, or a stack of them:
+    linear (..., 3, 3) with translation (..., 3).  Shape and finiteness are
+    checked once per construction, so a stack is validated once."""
+
+    linear: np.ndarray
+    translation: np.ndarray
 
     def __post_init__(self):
         self.linear = np.asarray(self.linear, dtype=float)
         self.translation = np.asarray(self.translation, dtype=float)
-        assert self.linear.shape == (3, 3) and self.translation.shape == (3,)
-        assert np.all(np.isfinite(self.linear)) and np.all(np.isfinite(self.translation))
+        if self.linear.shape[-2:] != (3, 3) or self.translation.shape != self.linear.shape[:-1]:
+            raise ValueError(
+                f"affine map needs linear (..., 3, 3) and translation (..., 3), "
+                f"got {self.linear.shape} and {self.translation.shape}"
+            )
+        if not (np.isfinite(self.linear).all() and np.isfinite(self.translation).all()):
+            raise ValueError("affine map has a non-finite entry")
 
     @classmethod
     def identity(cls) -> "AffineMap3":
         return cls(np.eye(3), np.zeros(3))
 
-    def apply(self, point: Sequence[float]) -> np.ndarray:
-        return self.linear @ np.asarray(point, dtype=float) + self.translation
-
     def compose(self, other: "AffineMap3") -> "AffineMap3":
-        """self after other: x -> self(other(x))."""
-        return AffineMap3(self.linear @ other.linear, self.linear @ other.translation + self.translation)
+        """self after other: x -> self(other(x)), map by map."""
+        moved = (self.linear @ other.translation[..., None])[..., 0]
+        return AffineMap3(self.linear @ other.linear, moved + self.translation)
 
     def as_homogeneous(self) -> np.ndarray:
-        out = np.eye(4)
-        out[:3, :3] = self.linear
-        out[:3, 3] = self.translation
+        out = np.zeros(self.translation.shape[:-1] + (4, 4))
+        out[..., :3, :3] = self.linear
+        out[..., :3, 3] = self.translation
+        out[..., 3, 3] = 1.0
         return out
 
     def flat(self) -> np.ndarray:
-        return np.concatenate([self.linear.reshape(-1), self.translation])
+        lead = self.translation.shape[:-1]
+        return np.concatenate([self.linear.reshape(lead + (9,)), self.translation], axis=-1)
 
 
-def map_distance(m1: AffineMap3, m2: AffineMap3) -> float:
-    return float(np.max(np.abs(m1.flat() - m2.flat())))
+def map_distance(m1: AffineMap3, m2: AffineMap3):
+    """Max-norm distance of the 12 entries; one per map of a stack."""
+    return np.max(np.abs(m1.flat() - m2.flat()), axis=-1)[()]
 
 
 def expm4(m: np.ndarray) -> np.ndarray:
@@ -216,7 +231,8 @@ def expm4(m: np.ndarray) -> np.ndarray:
     The argument is scaled below 1/4 so the first dropped term is < 1e-16.
     """
     m = np.asarray(m, dtype=float)
-    assert m.shape == (4, 4)
+    if m.shape != (4, 4):
+        raise ValueError(f"expm4 needs a 4x4 matrix, got shape {m.shape}")
     norm = float(np.max(np.sum(np.abs(m), axis=1)))
     squarings = 0
     if norm > 0.25:
@@ -284,248 +300,280 @@ def affine_rep(a: Algebra) -> AffRep:
 # The eleven group families
 # ---------------------------------------------------------------------------
 
+_f, _g, _h, _k, _phi = special_f, special_g, special_h, special_k, special_phi
 
-@dataclass
-class GroupFamily:
-    name: str
+
+_EYE = np.eye(3)
+
+
+def _maps(entries: dict, translation: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Linear parts equal to the identity except at ``entries`` ((i, j) ->
+    values), and the translations, stacked over the shape of the inputs."""
+    shape = np.shape(translation[0])
+    linear = np.empty(shape + (3, 3))
+    linear[...] = _EYE
+    for (i, j), value in entries.items():
+        linear[..., i, j] = value
+    stacked = np.empty(shape + (3,))
+    for i, value in enumerate(translation):
+        stacked[..., i] = value
+    return linear, stacked
+
+
+def _a30(a, b, c):
+    return _maps({(1, 1): np.exp(a)}, (a, b * _f(a), c))
+
+
+def _a30_recover(m):
+    t = m.translation
+    a = t[..., 0]
+    return a, t[..., 1] / _f(a), t[..., 2]
+
+
+def _a31(a, b, c):
+    return _maps({(1, 1): np.exp(a), (2, 0): a}, (a, b * _f(a), c + 0.5 * a * a))
+
+
+def _a31_recover(m):
+    t = m.translation
+    a = t[..., 0]
+    return a, t[..., 1] / _f(a), t[..., 2] - 0.5 * a * a
+
+
+def _a32_a33(sign: float):
+    def maps(a, b, c):
+        return _maps({(1, 1): np.exp(a), (0, 2): sign * c}, (a + sign * 0.5 * c * c, b * _f(a), c))
+
+    def recover(m):
+        t = m.translation
+        c = t[..., 2]
+        a = t[..., 0] - sign * 0.5 * c * c
+        return a, t[..., 1] / _f(a), c
+
+    return maps, recover
+
+
+def _b30(a, b, c):
+    ea, fa = np.exp(a), _f(a)
+    return _maps({(1, 1): ea, (2, 2): ea}, (a, b * fa, c * fa))
+
+
+def _b30_recover(m):
+    t = m.translation
+    a = t[..., 0]
+    return a, t[..., 1] / _f(a), t[..., 2] / _f(a)
+
+
+def _b31(a, b, c):
+    ea, fa = np.exp(a), _f(a)
+    return _maps({(1, 1): ea, (2, 2): ea, (2, 0): b * fa, (2, 1): a * ea}, (a, b * fa, (a * b + c) * fa))
+
+
+def _b31_recover(m):
+    t = m.translation
+    a = t[..., 0]
+    b = t[..., 1] / _f(a)
+    return a, b, t[..., 2] / _f(a) - a * b
+
+
+def _c31(a, b, c):
+    ea, fa = np.exp(a), _f(a)
+    return _maps({(1, 1): ea, (2, 2): ea, (2, 1): a * ea}, (a, b * fa, c * fa + b * _phi(a)))
+
+
+def _c31_recover(m):
+    t = m.translation
+    a = t[..., 0]
+    b = t[..., 1] / _f(a)
+    return a, b, (t[..., 2] - b * _phi(a)) / _f(a)
+
+
+def _c3t(a, b, c, t):
+    ea, fa = np.exp(a), _f(a)
+    return _maps(
+        {(1, 1): ea, (2, 2): ea, (2, 0): (t - 1.0) * b * fa, (2, 1): t * a * ea},
+        (a, b * fa, (t * a * b + c - b) * fa + b),
+    )
+
+
+def _c3t_recover(m, t):
+    tr = m.translation
+    a = tr[..., 0]
+    b = tr[..., 1] / _f(a)
+    return a, b, (tr[..., 2] - b) / _f(a) - t * a * b + b
+
+
+def _d31(a, b, c, mu):
+    return _maps({(1, 1): np.exp(a), (2, 2): np.exp(mu * a)}, (a, b * _f(a), c * _f(mu * a)))
+
+
+def _d31_recover(m, mu):
+    t = m.translation
+    a = t[..., 0]
+    return a, t[..., 1] / _f(a), t[..., 2] / _f(mu * a)
+
+
+def _d32(a, b, c):
+    # derived closed form: linear (2,3) entry c (2 f(a) - f(a/2)) and
+    # translation (a, b f(a) + c^2 f(a/2)^2 / 2, c f(a/2))
+    fa, fh = _f(a), _f(0.5 * a)
+    return _maps(
+        {(1, 1): np.exp(a), (2, 2): np.exp(0.5 * a), (1, 2): c * (2.0 * fa - fh)},
+        (a, b * fa + 0.5 * c * c * fh**2, c * fh),
+    )
+
+
+def _d32_recover(m):
+    t = m.translation
+    a = t[..., 0]
+    fh = _f(0.5 * a)
+    c = t[..., 2] / fh
+    return a, (t[..., 1] - 0.5 * c * c * fh**2) / _f(a), c
+
+
+def _e3_fh(a, zeta):
+    """The translation's rotation-scaling pair (F, H) of the E3 family."""
+    return _f(a) + _k(zeta * a), _h(zeta * a) - zeta * _phi(a)
+
+
+def _e3(a, b, c, zeta):
+    ea = np.exp(a)
+    cz, sz = np.cos(zeta * a), np.sin(zeta * a)
+    big_f, big_h = _e3_fh(a, zeta)
+    return _maps(
+        {(1, 1): ea * cz, (1, 2): -ea * sz, (2, 1): ea * sz, (2, 2): ea * cz},
+        (a, b * big_f + c * big_h, -b * big_h + c * big_f),
+    )
+
+
+def _e3_recover(m, zeta):
+    t = m.translation
+    a = t[..., 0]
+    big_f, big_h = _e3_fh(a, zeta)
+    denom = big_f * big_f + big_h * big_h
+    t1, t2 = t[..., 1], t[..., 2]
+    return a, (big_f * t1 - big_h * t2) / denom, (big_h * t1 + big_f * t2) / denom
+
+
+def _legacy_d32(a, b, c):
+    fa = _f(a)
+    return _maps(
+        {(1, 1): np.exp(a), (2, 2): np.exp(0.5 * a), (0, 1): b * fa},
+        (a + b * b * _g(a), b * fa, c * _f(0.5 * a)),
+    )
+
+
+def _legacy_d32_recover(m):
+    a = np.log(m.linear[..., 1, 1])
+    return a, m.translation[..., 1] / _f(a), m.translation[..., 2] / _f(0.5 * a)
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """One row of the family table.  ``maps(a, b, c, **params)`` takes arrays
+    of one shape to (linear parts, translations); ``recover(m, **params)``
+    is its closed-form inverse on a map or a stack of maps; the family's
+    parameters and their constraint are those of its catalog entry."""
+
     catalog_name: str
-    params: dict[str, float]
-    element: Callable[[float, float, float], AffineMap3]
-    recover: Callable[[AffineMap3], tuple[float, float, float]]
+    maps: Callable[..., tuple[np.ndarray, np.ndarray]]
+    recover: Callable[..., tuple]
     # which group parameter differentiates to which catalog basis vector
     tangent_order: tuple[int, int, int] = (0, 1, 2)
 
+    @property
+    def defaults(self) -> dict[str, Fraction]:
+        """Exact parameters of the catalog entry's first default."""
+        return dict(_CATALOG_DEFAULTS[self.catalog_name])
 
-FAMILY_NAMES = ("A30", "A31", "A32", "A33", "B30", "B31", "C31", "C3t", "D31", "D32", "E3")
 
-FAMILY_TO_CATALOG = {
-    "A30": "N30",
-    "A31": "N31",
-    "A32": "N32",
-    "A33": "N33",
-    "B30": "B30",
-    "B31": "B31",
-    "C31": "C31",
-    "C3t": "C3t",
-    "D31": "D31mu",
-    "D32": "D32",
-    "E3": "E31zeta",  # alias: the E family carries the zeta parameter
+_CATALOG_DEFAULTS = {entry.name: entry.default_params[0] for entry in catalog_lsas()}
+
+FAMILIES: dict[str, FamilySpec] = {
+    "A30": FamilySpec("N30", _a30, _a30_recover),
+    "A31": FamilySpec("N31", _a31, _a31_recover),
+    "A32": FamilySpec("N32", *_a32_a33(1.0)),
+    "A33": FamilySpec("N33", *_a32_a33(-1.0)),
+    "B30": FamilySpec("B30", _b30, _b30_recover),
+    "B31": FamilySpec("B31", _b31, _b31_recover),
+    "C31": FamilySpec("C31", _c31, _c31_recover),
+    "C3t": FamilySpec("C3t", _c3t, _c3t_recover),
+    "D31": FamilySpec("D31mu", _d31, _d31_recover),
+    "D32": FamilySpec("D32", _d32, _d32_recover),
+    "E3": FamilySpec("E31zeta", _e3, _e3_recover),  # the E family carries the zeta parameter
 }
 
-FAMILY_DEFAULT_PARAMS: dict[str, dict] = {
-    "C3t": {"t": Fraction(2)},
-    "D31": {"mu": Fraction(1, 2)},
-    "E3": {"zeta": Fraction(1)},
-}
+FAMILY_NAMES = tuple(FAMILIES)
 
 
-def _validate_family_params(name: str, params: dict[str, float]) -> None:
-    if name == "C3t":
-        if "t" not in params:
-            raise ValueError("family C3t requires parameter t")
-        if abs(params["t"] - 1.0) < 1e-12:
-            raise ValueError("constraint violated for C3t: t != 1")
-    elif name == "D31":
-        if "mu" not in params:
-            raise ValueError("family D31 requires parameter mu")
-        if not 0 < abs(params["mu"]) < 1:
-            raise ValueError("constraint violated for D31: 0 < |mu| < 1")
-    elif name == "E3":
-        if "zeta" not in params:
-            raise ValueError("family E3 requires parameter zeta")
-        if not params["zeta"] > 0:
-            raise ValueError("constraint violated for E3: zeta > 0")
-    elif params:
-        raise ValueError(f"family {name} takes no parameters")
+@dataclass
+class GroupFamily:
+    """A family of affine maps g(a, b, c) at fixed float parameters.
+
+    ``elements`` evaluates arrays a, b, c of one shape in one batch
+    (overflow gives inf or nan, which the validation refuses); ``element``
+    is its one-point view and ``recover`` inverts a map or a stack.
+    """
+
+    name: str
+    catalog_name: str
+    params: dict[str, float]
+    maps: Callable[..., tuple[np.ndarray, np.ndarray]]
+    solve: Callable[..., tuple]
+    tangent_order: tuple[int, int, int] = (0, 1, 2)
+
+    def evaluate(self, a, b, c) -> tuple[np.ndarray, np.ndarray]:
+        """Unvalidated linear parts and translations."""
+        a, b, c = (np.asarray(x, dtype=float) for x in (a, b, c))
+        with np.errstate(all="ignore"):
+            return self.maps(a, b, c, **self.params)
+
+    def elements(self, a, b, c) -> AffineMap3:
+        return AffineMap3(*self.evaluate(a, b, c))
+
+    def element(self, a, b, c) -> AffineMap3:
+        """The map at one point (a, b, c)."""
+        return self.elements(a, b, c)
+
+    def recover(self, m: AffineMap3) -> tuple:
+        """Group parameters (a, b, c) of a map or a stack of maps."""
+        with np.errstate(all="ignore"):
+            return self.solve(m, **self.params)
 
 
-def build_family(name: str, **params: float) -> GroupFamily:
-    """Construct a family by name; parameters are validated."""
-    params = {k: float(v) for k, v in params.items()}
-    _validate_family_params(name, params)
-    f, g, h, k, phi = special_f, special_g, special_h, special_k, special_phi
-
-    if name == "A30":
-        def element(a, b, c):
-            return AffineMap3(np.diag([1.0, math.exp(a), 1.0]), [a, b * f(a), c])
-
-        def recover(m):
-            a = m.translation[0]
-            return a, m.translation[1] / f(a), m.translation[2]
-
-    elif name == "A31":
-        def element(a, b, c):
-            lin = np.diag([1.0, math.exp(a), 1.0])
-            lin[2, 0] = a
-            return AffineMap3(lin, [a, b * f(a), c + 0.5 * a * a])
-
-        def recover(m):
-            a = m.translation[0]
-            return a, m.translation[1] / f(a), m.translation[2] - 0.5 * a * a
-
-    elif name in ("A32", "A33"):
-        sign = 1.0 if name == "A32" else -1.0
-
-        def element(a, b, c):
-            lin = np.diag([1.0, math.exp(a), 1.0])
-            lin[0, 2] = sign * c
-            return AffineMap3(lin, [a + sign * 0.5 * c * c, b * f(a), c])
-
-        def recover(m):
-            c = m.translation[2]
-            a = m.translation[0] - sign * 0.5 * c * c
-            return a, m.translation[1] / f(a), c
-
-    elif name == "B30":
-        def element(a, b, c):
-            return AffineMap3(np.diag([1.0, math.exp(a), math.exp(a)]), [a, b * f(a), c * f(a)])
-
-        def recover(m):
-            a = m.translation[0]
-            return a, m.translation[1] / f(a), m.translation[2] / f(a)
-
-    elif name == "B31":
-        def element(a, b, c):
-            ea = math.exp(a)
-            lin = np.diag([1.0, ea, ea])
-            lin[2, 0] = b * f(a)
-            lin[2, 1] = a * ea
-            return AffineMap3(lin, [a, b * f(a), (a * b + c) * f(a)])
-
-        def recover(m):
-            a = m.translation[0]
-            b = m.translation[1] / f(a)
-            return a, b, m.translation[2] / f(a) - a * b
-
-    elif name == "C31":
-        def element(a, b, c):
-            ea = math.exp(a)
-            lin = np.diag([1.0, ea, ea])
-            lin[2, 1] = a * ea
-            return AffineMap3(lin, [a, b * f(a), c * f(a) + b * phi(a)])
-
-        def recover(m):
-            a = m.translation[0]
-            b = m.translation[1] / f(a)
-            return a, b, (m.translation[2] - b * phi(a)) / f(a)
-
-    elif name == "C3t":
-        t = params["t"]
-
-        def element(a, b, c):
-            ea = math.exp(a)
-            lin = np.diag([1.0, ea, ea])
-            lin[2, 0] = (t - 1.0) * b * f(a)
-            lin[2, 1] = t * a * ea
-            return AffineMap3(lin, [a, b * f(a), (t * a * b + c - b) * f(a) + b])
-
-        def recover(m):
-            a = m.translation[0]
-            b = m.translation[1] / f(a)
-            c = (m.translation[2] - b) / f(a) - t * a * b + b
-            return a, b, c
-
-    elif name == "D31":
-        mu = params["mu"]
-
-        def element(a, b, c):
-            return AffineMap3(
-                np.diag([1.0, math.exp(a), math.exp(mu * a)]),
-                [a, b * f(a), c * f(mu * a)],
-            )
-
-        def recover(m):
-            a = m.translation[0]
-            return a, m.translation[1] / f(a), m.translation[2] / f(mu * a)
-
-    elif name == "D32":
-        # derived closed form: linear (2,3) entry c (2 f(a) - f(a/2)) and
-        # translation (a, b f(a) + c^2 f(a/2)^2 / 2, c f(a/2))
-        def element(a, b, c):
-            lin = np.diag([1.0, math.exp(a), math.exp(0.5 * a)])
-            lin[1, 2] = c * (2.0 * f(a) - f(0.5 * a))
-            return AffineMap3(
-                lin, [a, b * f(a) + 0.5 * c * c * f(0.5 * a) ** 2, c * f(0.5 * a)]
-            )
-
-        def recover(m):
-            a = m.translation[0]
-            c = m.translation[2] / f(0.5 * a)
-            b = (m.translation[1] - 0.5 * c * c * f(0.5 * a) ** 2) / f(a)
-            return a, b, c
-
-    elif name == "E3":
-        zeta = params["zeta"]
-
-        def element(a, b, c):
-            ea = math.exp(a)
-            cz, sz = math.cos(zeta * a), math.sin(zeta * a)
-            lin = np.array(
-                [[1.0, 0.0, 0.0], [0.0, ea * cz, -ea * sz], [0.0, ea * sz, ea * cz]]
-            )
-            big_f = f(a) + k(zeta * a)
-            big_h = h(zeta * a) - zeta * phi(a)
-            return AffineMap3(
-                lin,
-                [a, b * big_f + c * big_h, -b * big_h + c * big_f],
-            )
-
-        def recover(m):
-            a = m.translation[0]
-            big_f = f(a) + k(zeta * a)
-            big_h = h(zeta * a) - zeta * phi(a)
-            denom = big_f * big_f + big_h * big_h
-            t1, t2 = m.translation[1], m.translation[2]
-            b = (big_f * t1 - big_h * t2) / denom
-            c = (big_h * t1 + big_f * t2) / denom
-            return a, b, c
-
-    else:
+def build_family(name: str, **params) -> GroupFamily:
+    """Construct a family by name.  Parameters (ints, floats, Fractions or
+    rational strings) must satisfy the catalog entry's constraint exactly;
+    the family evaluates them as floats."""
+    spec = FAMILIES.get(name)
+    if spec is None:
         raise KeyError(f"unknown family {name!r}")
-
-    return GroupFamily(name, FAMILY_TO_CATALOG[name], params, element, recover)
+    try:
+        exact = {k: frac(v) for k, v in params.items()}
+        validate_params(spec.catalog_name, exact)
+    except (ValueError, OverflowError) as err:  # a constraint, or a NaN or infinite parameter
+        raise ParameterError(f"family {name}: {err}") from err
+    floats = {k: float(v) for k, v in exact.items()}
+    return GroupFamily(name, spec.catalog_name, floats, spec.maps, spec.recover, spec.tangent_order)
 
 
 def legacy_d32_family() -> GroupFamily:
     """The commonly quoted D32 entry; kept as reproducible evidence that it
     is not closed under composition (see check_closure)."""
-    f, g = special_f, special_g
-
-    def element(a, b, c):
-        lin = np.diag([1.0, math.exp(a), math.exp(0.5 * a)])
-        lin[0, 1] = b * f(a)
-        return AffineMap3(lin, [a + b * b * g(a), b * f(a), c * f(0.5 * a)])
-
-    def recover(m):
-        a = math.log(m.linear[1, 1])
-        b = m.translation[1] / f(a)
-        c = m.translation[2] / f(0.5 * a)
-        return a, b, c
-
-    fam = GroupFamily("D32-legacy", "D32", {}, element, recover)
-    return fam
+    return GroupFamily("D32-legacy", "D32", {}, _legacy_d32, _legacy_d32_recover)
 
 
 def default_families() -> list[GroupFamily]:
     """All eleven families at the catalog default parameters."""
-    return [
-        build_family("A30"),
-        build_family("A31"),
-        build_family("A32"),
-        build_family("A33"),
-        build_family("B30"),
-        build_family("B31"),
-        build_family("C31"),
-        build_family("C3t", t=2.0),
-        build_family("D31", mu=0.5),
-        build_family("D32"),
-        build_family("E3", zeta=1.0),
-    ]
+    return [build_family(name, **spec.defaults) for name, spec in FAMILIES.items()]
 
 
 # ---------------------------------------------------------------------------
 # Verification harness
 # ---------------------------------------------------------------------------
+
+# a point and its six neighbours +-e_i, for central differences
+_STENCIL = np.vstack([np.zeros(3), np.eye(3), -np.eye(3)])
 
 
 @dataclass
@@ -547,20 +595,14 @@ def _gauss_newton_match(fam: GroupFamily, target: AffineMap3, start, tol=1e-12, 
     target_flat = target.flat()
     step = 1e-7
     for _ in range(iters):
-        cur = fam.element(*x).flat()
-        resid = cur - target_flat
+        flats = fam.elements(*(x + step * _STENCIL).T).flat()
+        resid = flats[0] - target_flat
         if np.max(np.abs(resid)) < tol:
             return tuple(x), float(np.max(np.abs(resid)))
-        jac = np.zeros((12, 3))
-        for i in range(3):
-            xp, xm = x.copy(), x.copy()
-            xp[i] += step
-            xm[i] -= step
-            jac[:, i] = (fam.element(*xp).flat() - fam.element(*xm).flat()) / (2 * step)
+        jac = (flats[1:4] - flats[4:7]).T / (2 * step)
         delta, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
         x = x + delta
-    cur = fam.element(*x).flat()
-    return tuple(x), float(np.max(np.abs(cur - target_flat)))
+    return tuple(x), float(map_distance(fam.elements(*x), target))
 
 
 def check_closure(fam: GroupFamily, sample_pairs: Sequence[tuple], tol: float = 1e-9) -> ClosureReport:
@@ -569,23 +611,27 @@ def check_closure(fam: GroupFamily, sample_pairs: Sequence[tuple], tol: float = 
     The distinguished coordinate gives a directly; b and c follow by the
     family's closed-form solve, with a Gauss-Newton fallback for coupled
     cases.  The residual is the max-norm difference between the composite
-    and the recovered element.
+    and the recovered element.  All pairs are composed, recovered and
+    re-evaluated in one batch; only pairs that miss ``tol`` go to the
+    fallback.
     """
+    pairs = np.asarray(sample_pairs, dtype=float).reshape(-1, 2, 3)
+    composite = fam.elements(*pairs[:, 0].T).compose(fam.elements(*pairs[:, 1].T))
+    rec = np.stack(fam.recover(composite), axis=-1)
+    linear, translation = fam.evaluate(*rec.T)
+    resids = np.maximum(
+        np.max(np.abs(linear - composite.linear), axis=(-2, -1)),
+        np.max(np.abs(translation - composite.translation), axis=-1),
+    )
     max_residual = 0.0
     fallbacks = 0
     failures = []
-    for p1, p2 in sample_pairs:
-        composite = fam.element(*p1).compose(fam.element(*p2))
-        try:
-            rec = fam.recover(composite)
-            resid = map_distance(fam.element(*rec), composite)
-        except (ValueError, ZeroDivisionError, FloatingPointError):
-            rec, resid = None, math.inf
-        if not (resid < tol):
-            guess = rec if rec is not None and all(map(math.isfinite, rec)) else (
-                p1[0] + p2[0], p1[1] + p2[1], p1[2] + p2[2]
-            )
-            rec, resid = _gauss_newton_match(fam, composite, guess)
+    for i, (p1, p2) in enumerate(sample_pairs):
+        resid = float(resids[i])
+        if not (resid < tol):  # also NaN: the closed-form solve broke down
+            guess = rec[i] if np.isfinite(rec[i]).all() else np.add(p1, p2)
+            target = AffineMap3(composite.linear[i], composite.translation[i])
+            _, resid = _gauss_newton_match(fam, target, guess)
             fallbacks += 1
         max_residual = max(max_residual, resid)
         if not (resid < tol):
@@ -613,46 +659,48 @@ class TransitivityReport:
 
 
 def orbit_map(fam: GroupFamily, p) -> np.ndarray:
-    """Image of the origin: the translation part."""
-    return fam.element(*p).translation
-
-
-def _orbit_jacobian(fam: GroupFamily, p, step: float = 1e-6) -> np.ndarray:
-    jac = np.zeros((3, 3))
+    """Image of the origin, the translation part, at a point (3,) or at
+    every point of a stack (..., 3)."""
     p = np.asarray(p, dtype=float)
-    for i in range(3):
-        dp, dm = p.copy(), p.copy()
-        dp[i] += step
-        dm[i] -= step
-        jac[:, i] = (orbit_map(fam, dp) - orbit_map(fam, dm)) / (2 * step)
-    return jac
+    return fam.elements(p[..., 0], p[..., 1], p[..., 2]).translation
+
+
+def _orbit_jacobians(fam: GroupFamily, points, step: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit images at ``points`` (N, 3) and their central-difference
+    Jacobians (N, 3, 3), from one batch of the 7N stencil points."""
+    images = orbit_map(fam, np.asarray(points, dtype=float) + step * _STENCIL[:, None, :])
+    return images[0], (images[1:4] - images[4:7]).transpose(1, 2, 0) / (2 * step)
 
 
 def newton_invert_orbit(fam: GroupFamily, target, start=(0.0, 0.0, 0.0), tol=1e-10, iters=80):
-    """Solve orbit(p) = target by damped Newton with numeric Jacobian."""
+    """Solve orbit(p) = target by damped Newton with numeric Jacobian.
+
+    Each evaluation takes a point and its six neighbours in one batch, so an
+    accepted trial point already carries the next step's Jacobian.
+    """
     x = np.array(start, dtype=float)
     target = np.asarray(target, dtype=float)
+    image, jac = _orbit_jacobians(fam, x[None])
     for _ in range(iters):
-        resid = orbit_map(fam, x) - target
+        resid = image[0] - target
         err = float(np.max(np.abs(resid)))
         if err < tol:
             return tuple(x), err, True
-        jac = _orbit_jacobian(fam, x)
         try:
-            delta = np.linalg.solve(jac, -resid)
+            delta = np.linalg.solve(jac[0], -resid)
         except np.linalg.LinAlgError:
             return tuple(x), err, False
         scale = 1.0
         for _damp in range(30):
             trial = x + scale * delta
-            trial_err = float(np.max(np.abs(orbit_map(fam, trial) - target)))
-            if trial_err < err:
-                x = trial
+            trial_image, trial_jac = _orbit_jacobians(fam, trial[None])
+            if float(np.max(np.abs(trial_image[0] - target))) < err:
+                x, image, jac = trial, trial_image, trial_jac
                 break
             scale *= 0.5
         else:
             return tuple(x), err, False
-    err = float(np.max(np.abs(orbit_map(fam, x) - target)))
+    err = float(np.max(np.abs(image[0] - target)))
     return tuple(x), err, err < tol
 
 
@@ -670,23 +718,19 @@ def check_simply_transitive(
 
     rng = rng or _random.Random(0)
     ticks = np.arange(grid_lo, grid_hi + grid_step / 2, grid_step)
-    points = [(a, b, c) for a in ticks for b in ticks for c in ticks]
-    min_jac = math.inf
-    min_jac_point = None
-    for p in points:
-        jac = _orbit_jacobian(fam, p)
-        d = abs(float(np.linalg.det(jac)))
-        if d < min_jac:
-            min_jac, min_jac_point = d, p
-    images = np.array([orbit_map(fam, p) for p in points])
+    points = np.stack(np.meshgrid(ticks, ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 3)
+    images, jacobians = _orbit_jacobians(fam, points)
+    dets = np.abs(np.linalg.det(jacobians))
+    first = int(np.argmin(dets))  # the first minimum, as a strict `<` scan keeps it
+    min_jac, min_jac_point = float(dets[first]), tuple(points[first].tolist())
     injectivity_ok, witness = True, None
-    d2 = np.sum((images[:, None, :] - images[None, :, :]) ** 2, axis=-1)
+    d2 = sum((images[:, None, i] - images[None, :, i]) ** 2 for i in range(3))
     np.fill_diagonal(d2, np.inf)
     min_pair = float(np.min(d2)) ** 0.5
     if min_pair < 1e-9:
         injectivity_ok = False
         idx = np.unravel_index(np.argmin(d2), d2.shape)
-        witness = (points[idx[0]], points[idx[1]])
+        witness = (tuple(points[idx[0]].tolist()), tuple(points[idx[1]].tolist()))
     newton_failures = 0
     max_resid = 0.0
     for _ in range(n_targets):
@@ -720,15 +764,8 @@ class TangentReport:
 def check_tangent_algebra(fam: GroupFamily, algebra: Algebra, step: float = 1e-6) -> TangentReport:
     """Differentiate the coordinate curves at the identity and compare with
     the exact representation and the algebra's bracket constants."""
-    xs = []
-    for i in range(3):
-        p_plus = [0.0, 0.0, 0.0]
-        p_minus = [0.0, 0.0, 0.0]
-        p_plus[i] = step
-        p_minus[i] = -step
-        m_plus = fam.element(*p_plus).as_homogeneous()
-        m_minus = fam.element(*p_minus).as_homogeneous()
-        xs.append((m_plus - m_minus) / (2 * step))
+    curve = fam.elements(*(step * _STENCIL[1:]).T).as_homogeneous()  # +-step e_i
+    xs = list((curve[:3] - curve[3:]) / (2 * step))
     rep = affine_rep(algebra).homogeneous_float()
     order = fam.tangent_order
     gen_err = max(
@@ -770,7 +807,7 @@ def verify_family(fam: GroupFamily, algebra: Algebra, rng, closure_samples: int 
     closure = check_closure(fam, pairs)
     transitivity = check_simply_transitive(fam, rng=rng)
     tangent = check_tangent_algebra(fam, algebra)
-    identity_exact = map_distance(fam.element(0.0, 0.0, 0.0), AffineMap3.identity()) == 0.0
+    identity_exact = bool(map_distance(fam.element(0.0, 0.0, 0.0), AffineMap3.identity()) == 0.0)
     return {
         "family": fam.name,
         "catalog_entry": fam.catalog_name,

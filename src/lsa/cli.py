@@ -24,7 +24,6 @@ from .algebra import (
     milnor_normal_form,
     ndsflags,
 )
-from .affine import FAMILY_DEFAULT_PARAMS
 from .catalog import make_lsa, verify_catalog
 from .extensions import ExtensionError, build_extension, h2
 from .jsonio import (
@@ -219,20 +218,15 @@ def cmd_catalog_verify(args) -> int:
     return EXIT_OK if report["ok"] else EXIT_FAIL
 
 
-def _affine_param_pairs(name: str):
-    """(float params for the family, exact params for the catalog entry)."""
-    exact = FAMILY_DEFAULT_PARAMS.get(name, {})
-    return {k: float(v) for k, v in exact.items()}, exact
-
-
 def cmd_affine_verify(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     rng = random.Random(args.seed)
     reports = []
     ok = True
-    for name in aff.FAMILY_NAMES:
-        float_params, exact_params = _affine_param_pairs(name)
-        fam = aff.build_family(name, **float_params)
-        algebra = make_lsa(aff.FAMILY_TO_CATALOG[name], **exact_params)
+    for name, spec in aff.FAMILIES.items():
+        fam = aff.build_family(name, **spec.defaults)
+        algebra = make_lsa(spec.catalog_name, **spec.defaults)
         rep = aff.verify_family(fam, algebra, rng, closure_samples=args.samples)
         reports.append(rep)
         ok = ok and rep["ok"]
@@ -272,12 +266,8 @@ def cmd_affine_sample(args) -> int:
         if "=" not in item:
             raise JsonFormatError(f"--params expects name=value, got {item!r}")
         key, val = item.split("=", 1)
-        params[key] = float(_frac_str(val))
-    try:
-        fam = aff.build_family(args.family, **params)
-    except (ValueError, KeyError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+        params[key] = _frac_str(val)
+    fam = aff.build_family(args.family, **params)
     points = []
     for spec in args.at or ["0.5,0.5,0.5"]:
         try:
@@ -288,7 +278,11 @@ def cmd_affine_sample(args) -> int:
         points.append((a, b, c))
     out = []
     for (a, b, c) in points:
-        m = fam.element(a, b, c)
+        try:
+            m = fam.element(a, b, c)
+        except ValueError as err:  # a non-finite point, or one where the map overflows
+            print(f"error: {args.family} at {a},{b},{c}: {err}", file=sys.stderr)
+            return EXIT_INPUT
         out.append(
             {
                 "abc": [a, b, c],

@@ -189,10 +189,9 @@ def test_criterion_7_milnor_invariant():
 def test_criterion_8_affine_harness():
     rng = random.Random(8)
     results = []
-    for name in aff.FAMILY_NAMES:
-        exact = aff.FAMILY_DEFAULT_PARAMS.get(name, {})
-        fam = aff.build_family(name, **{k: float(v) for k, v in exact.items()})
-        algebra = make_lsa(aff.FAMILY_TO_CATALOG[name], **exact)
+    for name, spec in aff.FAMILIES.items():
+        fam = aff.build_family(name, **spec.defaults)
+        algebra = make_lsa(spec.catalog_name, **spec.defaults)
         pairs = aff.sample_parameter_pairs(rng, 50, -2.0, 2.0)
         closure = aff.check_closure(fam, pairs, tol=1e-9)
         assert closure.ok and closure.max_residual < 1e-9, (name, closure.max_residual)

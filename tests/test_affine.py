@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from lsa.affine import (
     legacy_d32_family,
     map_distance,
     newton_invert_orbit,
+    orbit_map,
     phi_partial_sum,
     sample_parameter_pairs,
     special_f,
@@ -38,6 +41,11 @@ def test_values_at_zero_exact():
     assert special_h(0.0) == 0.0
     assert special_k(0.0) == 0.0
     assert special_phi(0.0) == 0.0
+    from lsa.affine import SPECIAL_FUNCTIONS, SPECIAL_ZERO_VALUES
+
+    xs = np.array([-0.3, 0.0, 1e-6, 0.0, 2.0])
+    for name, fn in SPECIAL_FUNCTIONS.items():
+        assert fn(xs)[1] == fn(xs)[3] == SPECIAL_ZERO_VALUES[name], name
 
 
 def test_f_at_one():
@@ -57,6 +65,37 @@ def test_series_and_closed_branches_agree():
     for name, fn in SPECIAL_FUNCTIONS.items():
         for x in xs:
             assert abs(fn(x) - closed_reference(name, x)) < 1e-12, (name, x)
+        # one array across both sides of the threshold: each entry as if alone
+        batch = fn(np.array(xs))
+        assert batch.tolist() == [fn(x) for x in xs], name
+
+
+def _term_by_term(first, ratio):
+    total, term, n = 0.0, first, 0
+    while abs(term) >= 1e-18:
+        total += term
+        n += 1
+        term *= ratio(n)
+    return total
+
+
+SERIES_LOOPS = {
+    "f": lambda x: _term_by_term(1.0, lambda n: x / (n + 1)),
+    "g": lambda x: _term_by_term(0.5, lambda n: x / (n + 2)),
+    "h": lambda x: _term_by_term(x**3 / 24.0, lambda n: -x * x / ((2 * n + 3) * (2 * n + 4))),
+    "k": lambda x: _term_by_term(-x * x / 6.0, lambda n: -x * x / ((2 * n + 2) * (2 * n + 3))),
+    "phi": lambda x: _term_by_term(x / 2.0, lambda n: x * (n + 1) / (n * (n + 2))),
+}
+
+
+def test_array_series_equal_the_scalar_loops():
+    # each entry stops at its own first term below 1e-18, bit for bit
+    from lsa.affine import SPECIAL_BRANCHES
+
+    rng = random.Random(6)
+    xs = [0.0, 1e-7, -1e-6, 1e-4, 0.25, -0.25] + [rng.uniform(-0.25, 0.25) for _ in range(300)]
+    for name, (series, _) in SPECIAL_BRANCHES.items():
+        assert series(np.array(xs)).tolist() == [SERIES_LOOPS[name](x) for x in xs], name
 
 
 def test_branch_continuity_at_threshold():
@@ -165,6 +204,26 @@ def test_family_param_validation():
         build_family("E3", zeta=-1.0)
     with pytest.raises(ValueError):
         build_family("A30", t=2.0)
+    with pytest.raises(ValueError):
+        build_family("D31")
+    with pytest.raises(ValueError):
+        build_family("E3", zeta=math.nan)
+    # the constraint holds on the exact value, which the float then rounds
+    assert build_family("C3t", t=1 + 1e-13).params == {"t": 1 + 1e-13}
+    assert build_family("D31", mu=Fraction(-1, 3)).params == {"mu": -1 / 3}
+    with pytest.raises(ValueError, match="0 < |mu| < 1"):
+        build_family("D31", mu="-1")
+
+
+def test_family_table_reads_the_catalog():
+    from lsa.affine import FAMILIES
+    from lsa.catalog import catalog_lsas
+
+    entries = {e.name: e for e in catalog_lsas()}
+    for fam, (name, spec) in zip(default_families(), FAMILIES.items()):
+        assert fam.name == name and fam.catalog_name == spec.catalog_name
+        assert spec.defaults == entries[spec.catalog_name].default_params[0]
+        assert fam.params == {k: float(v) for k, v in spec.defaults.items()}
 
 
 # --- closure --------------------------------------------------------------
@@ -202,22 +261,75 @@ def test_legacy_d32_not_closed():
 # --- simple transitivity --------------------------------------------------
 
 
+def _orbit_jacobian_per_point(fam, p, step=1e-6):
+    """Reference: the per-point central-difference loop the batch replaces."""
+    jac = np.zeros((3, 3))
+    p = np.asarray(p, dtype=float)
+    for i in range(3):
+        dp, dm = p.copy(), p.copy()
+        dp[i] += step
+        dm[i] -= step
+        jac[:, i] = (orbit_map(fam, dp) - orbit_map(fam, dm)) / (2 * step)
+    return jac
+
+
 def test_orbit_map_a30_jacobian_analytic():
     fam = build_family("A30")
-    from lsa.affine import _orbit_jacobian
+    from lsa.affine import _orbit_jacobians
 
-    for p in [(0.0, 0.0, 0.0), (1.0, 2.0, -1.0), (-1.5, 0.3, 0.7)]:
-        jac = _orbit_jacobian(fam, p)
+    points = [(0.0, 0.0, 0.0), (1.0, 2.0, -1.0), (-1.5, 0.3, 0.7)]
+    _, jacs = _orbit_jacobians(fam, points)
+    for p, jac in zip(points, jacs):
         # orbit = (a, b f(a), c); det = f(a)
         assert abs(np.linalg.det(jac) - special_f(p[0])) < 1e-7
 
 
 def test_transitivity_at_origin_all():
-    from lsa.affine import _orbit_jacobian
+    from lsa.affine import _orbit_jacobians
 
     for fam in default_families():
-        jac = _orbit_jacobian(fam, (0.0, 0.0, 0.0))
-        assert abs(np.linalg.det(jac)) > 1e-8
+        _, jac = _orbit_jacobians(fam, [(0.0, 0.0, 0.0)])
+        assert abs(np.linalg.det(jac[0])) > 1e-8
+
+
+def test_batched_grid_matches_per_point_oracle():
+    ticks = np.arange(-2.0, 2.25, 0.5)
+    for fam in default_families():
+        report = check_simply_transitive(fam, n_targets=0)
+        min_jac, min_point = math.inf, None
+        for p in itertools.product(ticks, repeat=3):
+            d = abs(float(np.linalg.det(_orbit_jacobian_per_point(fam, p))))
+            if d < min_jac:
+                min_jac, min_point = d, p
+        assert abs(report.min_abs_jacobian - min_jac) <= 1e-12 * min_jac, fam.name
+        assert report.min_jacobian_point == min_point, fam.name
+
+
+def test_batched_elements_equal_single_calls():
+    rng = np.random.default_rng(12)
+    # both sides of the series threshold and exact zeros in one batch
+    a, b, c = rng.uniform(-2.5, 2.5, (3, 40))
+    a[:10] = rng.uniform(-0.3, 0.3, 10)
+    a[10:13] = 0.0
+    for fam in default_families() + [legacy_d32_family()]:
+        batch = fam.elements(a, b, c)
+        for i in range(len(a)):
+            single = fam.element(a[i], b[i], c[i])
+            assert np.array_equal(batch.linear[i], single.linear), (fam.name, i)
+            assert np.array_equal(batch.translation[i], single.translation), (fam.name, i)
+        rec = np.stack(fam.recover(batch), axis=-1)
+        assert np.max(np.abs(rec - np.stack([a, b, c], axis=-1))) < 1e-9, fam.name
+
+
+def test_affine_map_validates_without_assert():
+    with pytest.raises(ValueError, match="non-finite"):
+        AffineMap3(np.eye(3), [math.nan, 0.0, 0.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        build_family("A30").element(1000.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        build_family("A30").elements([0.0, math.inf], [0.0, 0.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match="3, 3"):
+        AffineMap3(np.eye(2), [0.0, 0.0])
 
 
 def test_newton_inversion_e3():
@@ -247,13 +359,13 @@ def test_tangent_translation_sanity_fixture():
     from lsa.affine import GroupFamily
     from lsa.algebra import Algebra
 
-    def element(a, b, c):
-        return AffineMap3(np.eye(3), [a, b, c])
+    def maps(a, b, c):
+        return np.broadcast_to(np.eye(3), a.shape + (3, 3)), np.stack([a, b, c], axis=-1)
 
     def recover(m):
-        return tuple(m.translation)
+        return tuple(np.moveaxis(m.translation, -1, 0))
 
-    fam = GroupFamily("translations", "zero", {}, element, recover)
+    fam = GroupFamily("translations", "zero", {}, maps, recover)
     report = check_tangent_algebra(fam, Algebra.from_entries(3, {}))
     assert report.ok
 
@@ -264,18 +376,11 @@ def test_tangent_d31():
 
 
 def test_tangent_all_families():
-    from lsa.affine import FAMILY_TO_CATALOG
+    from lsa.affine import FAMILIES
 
-    from fractions import Fraction
-
-    catalog_params = {
-        "C3t": {"t": Fraction(2)},
-        "D31": {"mu": Fraction(1, 2)},
-        "E3": {"zeta": Fraction(1)},
-    }
     for fam in default_families():
-        cat = make_lsa(FAMILY_TO_CATALOG[fam.name], **catalog_params.get(fam.name, {}))
-        report = check_tangent_algebra(fam, cat)
+        spec = FAMILIES[fam.name]
+        report = check_tangent_algebra(fam, make_lsa(spec.catalog_name, **spec.defaults))
         assert report.ok, (fam.name, report)
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -197,7 +201,14 @@ def test_affine_sample_negative_first_coordinate(capsys, at):
     assert [e["abc"] for e in data["elements"]] == [[-1.0, 2.0, 3.0], [4.0, -5.0, 6.0]]
 
 
-@pytest.mark.parametrize("at", [["--at", "-1,2"], ["--at=-1,x,3"], ["--at", "-x,2,3"]])
+@pytest.mark.parametrize(
+    "at",
+    [
+        ["--at", "-1,2"], ["--at=-1,x,3"], ["--at", "-x,2,3"],
+        # parse as floats, but the map there is not finite
+        ["--at=nan,0,0"], ["--at=inf,0,0"], ["--at=1000,0,0"],
+    ],
+)
 def test_affine_sample_bad_point_exit_2(capsys, at):
     try:
         code = main(["affine-sample", "--family", "A30", *at])
@@ -205,6 +216,17 @@ def test_affine_sample_bad_point_exit_2(capsys, at):
         code = err.code
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_affine_sample_refuses_non_finite_point_under_python_O():
+    # the check is not an assert, so -O keeps it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cmd = [sys.executable, "-O", "-m", "lsa.cli", "affine-sample", "--family", "A30", "--at=nan,0,0"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_affine_sample_constraint(capsys):
@@ -230,6 +252,14 @@ def test_catalog_verify_seed_changes_samples(capsys):
     s1 = r1["entries"]["C3t"]["samples"][1]["params"]
     s2 = r2["entries"]["C3t"]["samples"][1]["params"]
     assert s1 != s2  # seeded sampling actually varies
+
+
+@pytest.mark.parametrize("samples", ["-3", "0"])
+def test_affine_verify_refuses_samples_below_one(capsys, samples):
+    assert main(["affine-verify", "--samples", samples, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "--samples" in captured.err
+    assert captured.out == ""
 
 
 def test_affine_verify_command(capsys):
