@@ -220,7 +220,7 @@ def _basis(a: Algebra) -> list[Vec]:
 
 
 # The trilinear identities, checked on basis triples (i, j, k) by
-# ``first_failure``.  Each row holds the identity's two sides as a function of
+# ``failures``.  Each row holds the identity's two sides as a function of
 # the product p at (x, y, z) = (e_i, e_j, e_k), and the triples where it can
 # fail.  Every identity changes sign under one swap of arguments (Jacobi, on
 # antisymmetric brackets, under every swap), so it holds where the swapped
@@ -258,11 +258,11 @@ IDENTITIES: dict[str, tuple[Callable, Callable[[int, int, int], bool]]] = {
 ALL_PASS = "all triples pass"
 
 
-def first_failure(a: Algebra, identity: str) -> IdentityCheck:
-    """First basis triple, in product order, where ``identity`` fails.
+def failures(a: Algebra, identity: str) -> Iterator[IdentityCheck]:
+    """Every basis triple, in product order, where ``identity`` fails.
 
-    Bilinearity makes the basis check complete; see ``IDENTITIES`` for why
-    the skipped triples cannot fail first.
+    Bilinearity makes the basis check complete; a skipped triple fails
+    exactly when its swap, which is kept, does (see ``IDENTITIES``).
     """
     sides, can_fail = IDENTITIES[identity]
     e = _basis(a)
@@ -278,8 +278,12 @@ def first_failure(a: Algebra, identity: str) -> IdentityCheck:
         if can_fail(i, j, k):
             lhs, rhs = sides(p, e[i], e[j], e[k])
             if lhs != rhs:
-                return IdentityCheck(False, (i + 1, j + 1, k + 1), lhs, rhs)
-    return IdentityCheck(True)
+                yield IdentityCheck(False, (i + 1, j + 1, k + 1), lhs, rhs)
+
+
+def first_failure(a: Algebra, identity: str) -> IdentityCheck:
+    """First basis triple, in product order, where ``identity`` fails."""
+    return next(failures(a, identity), IdentityCheck(True))
 
 
 def check_left_symmetric(a: Algebra) -> IdentityCheck:

@@ -1,20 +1,22 @@
 """Extensions of left-symmetric algebras.
 
 An extension 0 -> V -> A~ -> K -> 0 is encoded by bimodule actions
-(lambda, rho) of K on V and a bilinear map g: K x K -> V.  Five conditions
-decide when the extended product
+(lambda, rho) of K on V and a bilinear map g: K x K -> V.  The extended
+product
 
     (x, a) . (y, b) = (x.y, a.b + lambda_x(b) + rho_y(a) + g(x, y))
 
-is left-symmetric; for trivial V-product they reduce to three.  The
-coboundary operators delta1/delta2 give a second cohomology classifying
-extensions up to equivalence; everything is flattened to exact rational
-linear algebra.
+is left-symmetric exactly when five conditions hold, and each condition is
+the left-symmetry identity on the basis triples of one block pattern (see
+``CONDITION_OF_BLOCKS``), so the product is built once and scanned by the
+identity engine of ``lsa.algebra``.  Lie extensions are read off the Jacobi
+identity of the extended bracket the same way.  The coboundary operators
+delta1/delta2 give a second cohomology classifying extensions up to
+equivalence; everything is flattened to exact rational linear algebra.
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -22,6 +24,7 @@ from .algebra import (
     Algebra,
     Subspace,
     center,
+    failures,
     first_failure,
     is_lie_algebra,
     is_two_sided_ideal,
@@ -29,7 +32,6 @@ from .algebra import (
     multiply,
     quotient_algebra,
     right_mult,
-    check_left_symmetric,
 )
 from .linalg import (
     QMatrix,
@@ -78,20 +80,6 @@ class BimoduleAction:
         for m in (*self.lam, *self.rho):
             if m.shape != (self.v_dim, self.v_dim):
                 raise ValueError("action matrices must be v_dim x v_dim")
-
-    def lam_of(self, x: Vec) -> QMatrix:
-        out = QMatrix.zero(self.v_dim, self.v_dim)
-        for i, xi in enumerate(x):
-            if xi != 0:
-                out = out + self.lam[i].scale(xi)
-        return out
-
-    def rho_of(self, x: Vec) -> QMatrix:
-        out = QMatrix.zero(self.v_dim, self.v_dim)
-        for i, xi in enumerate(x):
-            if xi != 0:
-                out = out + self.rho[i].scale(xi)
-        return out
 
 
 def trivial_action(k: Algebra, v_dim: int) -> BimoduleAction:
@@ -173,14 +161,13 @@ class ExtensionData:
 class KimReport:
     """Verdicts for the five extension conditions, with failure witnesses.
 
-    Witnesses are (condition, basis indices, lhs, rhs), 1-based.  When the
-    kernel product is trivial the simplified conditions (i)-(iii) are
-    evaluated too and must agree with conditions 3-5.
+    Witnesses are (condition, basis triple, lhs, rhs): the 1-based triple of
+    the extended algebra (K block first) where left symmetry fails, and the
+    identity's two sides there; at most 32 are kept.
     """
 
     verdicts: tuple[bool, bool, bool, bool, bool]
     witnesses: tuple[tuple, ...]
-    simplified: tuple[bool, bool, bool] | None
 
     @property
     def ok(self) -> bool:
@@ -247,127 +234,86 @@ def delta2_is_zero(action: BimoduleAction, g: Cocycle2) -> bool:
     )
 
 
-def check_kim_conditions(d: ExtensionData) -> KimReport:
-    """Evaluate the five extension conditions on all basis tuples."""
+# Block pattern of a basis triple of the extended algebra (K or V in each
+# slot) -> the extension condition that left symmetry at that triple is:
+#   1  lambda_x(a.b) = lambda_x(a).b + a.lambda_x(b) - rho_x(a).b
+#   2  rho_x([a,b]) = a.rho_x(b) - b.rho_x(a)
+#   3  [lambda_x, lambda_y] - lambda_[x,y] = L_{g(x,y) - g(y,x)}
+#   4  [lambda_x, rho_y] + rho_y rho_x - rho_{x.y} = R_{g(x,y)}
+#   5  delta2 g = 0 (the V part of a KKK triple; the K part is K's own identity)
+# With the K block first, the engine's i < j filter keeps exactly the triples
+# each condition ranges over (delta2 g is antisymmetric in x, y).  VVV, and
+# the K part of KKK, are the identities of V and K themselves.
+CONDITION_OF_BLOCKS = {"KVV": 1, "VVK": 2, "KKV": 3, "KVK": 4, "KKK": 5}
+
+
+def _blocks(triple: tuple[int, int, int], k_dim: int) -> str:
+    return "".join("K" if i <= k_dim else "V" for i in triple)
+
+
+def _extended_algebra(d: ExtensionData) -> Algebra:
+    """The extended product on K + V coordinates, K block first."""
     k, v, action, g = d.k, d.v, d.action, d.g
-    ek = _k_basis(k)
-    ev = [unit_vec(v.dim, m) for m in range(v.dim)]
-    witnesses: list[tuple] = []
-    verdicts = [True] * 5
-
-    def fail(cond: int, idx: tuple, lhs, rhs):
-        verdicts[cond - 1] = False
-        if len(witnesses) < 32:
-            witnesses.append((cond, idx, lhs, rhs))
-
-    # 1: lambda_x(a.b) = lambda_x(a).b + a.lambda_x(b) - rho_x(a).b
-    for i in range(k.dim):
-        for p in range(v.dim):
-            for q in range(v.dim):
-                a, b = ev[p], ev[q]
-                lhs = action.lam[i].apply(multiply(v, a, b))
-                rhs = multiply(v, action.lam[i].apply(a), b)
-                rhs = vec_add(rhs, multiply(v, a, action.lam[i].apply(b)))
-                rhs = vec_sub(rhs, multiply(v, action.rho[i].apply(a), b))
-                if lhs != rhs:
-                    fail(1, (i + 1, p + 1, q + 1), lhs, rhs)
-    # 2: rho_x([a,b]) = a.rho_x(b) - b.rho_x(a)
-    for i in range(k.dim):
-        for p in range(v.dim):
-            for q in range(p + 1, v.dim):
-                a, b = ev[p], ev[q]
-                br = vec_sub(multiply(v, a, b), multiply(v, b, a))
-                lhs = action.rho[i].apply(br)
-                rhs = vec_sub(
-                    multiply(v, a, action.rho[i].apply(b)),
-                    multiply(v, b, action.rho[i].apply(a)),
-                )
-                if lhs != rhs:
-                    fail(2, (i + 1, p + 1, q + 1), lhs, rhs)
-    # 3: [lambda_x, lambda_y] - lambda_[x,y] = L_{g(x,y) - g(y,x)}
-    for i in range(k.dim):
-        for j in range(i + 1, k.dim):
-            bracket = vec_sub(multiply(k, ek[i], ek[j]), multiply(k, ek[j], ek[i]))
-            lhs = action.lam[i] @ action.lam[j] - action.lam[j] @ action.lam[i]
-            lhs = lhs - action.lam_of(bracket)
-            omega = vec_sub(g.values[i][j], g.values[j][i])
-            rhs = left_mult(v, omega)
-            if lhs != rhs:
-                fail(3, (i + 1, j + 1), lhs.rows, rhs.rows)
-    # 4: [lambda_x, rho_y] + rho_y rho_x - rho_{x.y} = R_{g(x,y)}
+    n = k.dim + v.dim
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for i in range(k.dim):
         for j in range(k.dim):
-            lhs = action.lam[i] @ action.rho[j] - action.rho[j] @ action.lam[i]
-            lhs = lhs + action.rho[j] @ action.rho[i]
-            lhs = lhs - action.rho_of(multiply(k, ek[i], ek[j]))
-            rhs = right_mult(v, g.values[i][j])
-            if lhs != rhs:
-                fail(4, (i + 1, j + 1), lhs.rows, rhs.rows)
-    # 5: delta2 g = 0
-    d2 = delta2(d.action, g)
-    for i, j, l in itertools.product(range(k.dim), repeat=3):
-        if not vec_is_zero(d2[i][j][l]):
-            fail(5, (i + 1, j + 1, l + 1), d2[i][j][l], zero_vec(v.dim))
+            c[i][j] = [*k.c[i][j], *g.values[i][j]]
+        for m in range(v.dim):
+            c[i][k.dim + m][k.dim:] = action.lam[i].col(m)
+            c[k.dim + m][i][k.dim:] = action.rho[i].col(m)
+    for p in range(v.dim):
+        for q in range(v.dim):
+            c[k.dim + p][k.dim + q][k.dim:] = v.c[p][q]
+    return Algebra(n, tuple(tuple(tuple(x) for x in plane) for plane in c),
+                   name=f"ext({k.name or 'K'},{v.name or 'V'})")
 
-    simplified = None
-    if all(vec_is_zero(multiply(v, a, b)) for a in ev for b in ev):
-        s1 = all(
-            (action.lam[i] @ action.lam[j] - action.lam[j] @ action.lam[i])
-            == action.lam_of(vec_sub(multiply(k, ek[i], ek[j]), multiply(k, ek[j], ek[i])))
-            for i in range(k.dim)
-            for j in range(i + 1, k.dim)
-        )
-        s2 = all(
-            (action.lam[i] @ action.rho[j] - action.rho[j] @ action.lam[i])
-            == action.rho_of(multiply(k, ek[i], ek[j])) - action.rho[j] @ action.rho[i]
-            for i in range(k.dim)
-            for j in range(k.dim)
-        )
-        s3 = delta2_is_zero(action, g)
-        simplified = (s1, s2, s3)
-        trivial_ok = verdicts[0] and verdicts[1]
-        if not trivial_ok or (s1, s2, s3) != tuple(verdicts[2:]):
-            raise RuntimeError("simplified conditions disagree with the general ones; internal bug")
-    return KimReport(tuple(verdicts), tuple(witnesses), simplified)
+
+def _not_left_symmetric(label: str, a: Algebra, triple: tuple[int, int, int]) -> ValueError:
+    name = f" ({a.name})" if a.name else ""
+    return ValueError(f"{label}{name} is not left-symmetric: the identity fails at its basis triple {triple}")
+
+
+def _kim_report(ext: Algebra, d: ExtensionData) -> KimReport:
+    """Read the five verdicts off the left-symmetry failures of ``ext``.
+
+    A failure of K's or V's own identity is an input error (``ValueError``),
+    not a failed condition: the conditions presuppose both are left-symmetric.
+    """
+    kd = d.k.dim
+    verdicts = [True] * 5
+    witnesses: list[tuple] = []
+    for bad in failures(ext, "left_symmetric"):
+        blocks = _blocks(bad.witness, kd)
+        if blocks == "VVV":
+            raise _not_left_symmetric("V", d.v, tuple(i - kd for i in bad.witness))
+        if blocks == "KKK" and bad.lhs[:kd] != bad.rhs[:kd]:
+            raise _not_left_symmetric("K", d.k, bad.witness)
+        cond = CONDITION_OF_BLOCKS[blocks]
+        verdicts[cond - 1] = False
+        if len(witnesses) < 32:
+            witnesses.append((cond, bad.witness, bad.lhs, bad.rhs))
+    return KimReport(tuple(verdicts), tuple(witnesses))
+
+
+def check_kim_conditions(d: ExtensionData) -> KimReport:
+    """Evaluate the five extension conditions on all basis triples."""
+    return _kim_report(_extended_algebra(d), d)
 
 
 def build_extension(d: ExtensionData) -> Algebra:
     """Extended algebra on K + V coordinates (K block first).
 
     Refuses (with the failing condition indices) unless all five conditions
-    hold; asserts that the result is left-symmetric, that the V block is a
-    two-sided ideal, and that the induced quotient product equals K's.
+    hold, which is left symmetry of the result; asserts that the V block is
+    a two-sided ideal and that the induced quotient product equals K's.
     """
-    report = check_kim_conditions(d)
+    ext = _extended_algebra(d)
+    report = _kim_report(ext, d)
     if not report.ok:
         raise ExtensionError(report.failed_conditions(), report)
-    k, v, action, g = d.k, d.v, d.action, d.g
-    n = k.dim + v.dim
-    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(k.dim):
-        for j in range(k.dim):
-            for m in range(k.dim):
-                c[i][j][m] = k.c[i][j][m]
-            for m in range(v.dim):
-                c[i][j][k.dim + m] = g.values[i][j][m]
-    for i in range(k.dim):
-        for jm in range(v.dim):
-            col = action.lam[i].col(jm)
-            for m in range(v.dim):
-                c[i][k.dim + jm][k.dim + m] = col[m]
-    for im in range(v.dim):
-        for j in range(k.dim):
-            col = action.rho[j].col(im)
-            for m in range(v.dim):
-                c[k.dim + im][j][k.dim + m] = col[m]
-    for im in range(v.dim):
-        for jm in range(v.dim):
-            for m in range(v.dim):
-                c[k.dim + im][k.dim + jm][k.dim + m] = v.c[im][jm][m]
-    ext = Algebra(n, tuple(tuple(tuple(x) for x in plane) for plane in c),
-                  name=f"ext({k.name or 'K'},{v.name or 'V'})")
-    assert check_left_symmetric(ext).ok, "extension product is not left-symmetric"
-    v_block = Subspace.from_spanning(n, [unit_vec(n, k.dim + m) for m in range(v.dim)])
+    n, k = ext.dim, d.k
+    v_block = Subspace.from_spanning(n, [unit_vec(n, k.dim + m) for m in range(d.v.dim)])
     assert is_two_sided_ideal(ext, v_block), "V block is not a two-sided ideal"
     quot = quotient_algebra(ext, v_block)
     assert quot.c == k.c, "induced quotient product differs from K"
@@ -393,6 +339,19 @@ def _unflatten_cocycle(flat: Vec, k_dim: int, v_dim: int) -> Cocycle2:
     return Cocycle2(tuple(rows))
 
 
+def _delta1_matrix(action: BimoduleAction) -> QMatrix:
+    """delta1 as a matrix on flattened maps: column i*v_dim + m is the
+    flattened delta1 of the map K -> V sending e_i to e_m and the rest to 0."""
+    k_dim, v_dim = action.k.dim, action.v_dim
+    cols = []
+    for i in range(k_dim):
+        for m in range(v_dim):
+            h_rows = [[Fraction(0)] * k_dim for _ in range(v_dim)]
+            h_rows[m][i] = Fraction(1)
+            cols.append(_flatten_cocycle(delta1(action, QMatrix(h_rows))))
+    return QMatrix.from_cols(cols)
+
+
 @dataclass(frozen=True)
 class H2Result:
     dim_h2: int
@@ -407,7 +366,8 @@ def h2(action: BimoduleAction) -> H2Result:
     """Second cohomology for (lambda, rho): Z2 = ker delta2, B2 = im delta1.
 
     Cocycles flatten to vectors indexed (i*k_dim + j)*v_dim + m, so both
-    spaces reduce to one exact kernel and one exact column space.
+    spaces reduce to one exact kernel and one exact column space.  Data with
+    B2 not inside Z2 is refused with ``ValueError``.
     """
     k_dim, v_dim = action.k.dim, action.v_dim
     n2 = k_dim * k_dim * v_dim
@@ -426,16 +386,12 @@ def h2(action: BimoduleAction) -> H2Result:
     d2_matrix = QMatrix.from_cols(d2_cols)
     z2 = nullspace_basis(d2_matrix)
 
-    n1 = v_dim * k_dim
-    d1_cols = []
-    for flat_idx in range(n1):
-        h_rows = [[Fraction(0)] * k_dim for _ in range(v_dim)]
-        h_rows[flat_idx % v_dim][flat_idx // v_dim] = Fraction(1)
-        image = delta1(action, QMatrix(h_rows))
-        d1_cols.append(_flatten_cocycle(image))
-    b2 = column_space_basis(QMatrix.from_cols(d1_cols))
-    for b in b2:
-        assert in_span(b, z2), "delta2 . delta1 != 0; internal bug"
+    b2 = column_space_basis(_delta1_matrix(action))
+    if not all(in_span(b, z2) for b in b2):
+        raise ValueError(
+            "delta2 . delta1 != 0, so H2 is undefined: K is not left-symmetric "
+            "or (lambda, rho) is not a K-bimodule"
+        )
     reps = quotient_basis(z2, b2)
     return H2Result(
         dim_h2=len(z2) - len(b2),
@@ -508,21 +464,11 @@ def act_on_cocycle(k: Algebra, v: Algebra, mu: QMatrix, eta: QMatrix, g: Cocycle
 
 def cocycles_cohomologous(action: BimoduleAction, g1: Cocycle2, g2: Cocycle2) -> QMatrix | None:
     """Solve g1 - g2 = delta1 h exactly; returns h or None."""
-    k_dim, v_dim = action.k.dim, action.v_dim
-    n1 = v_dim * k_dim
-    cols = []
-    for flat_idx in range(n1):
-        h_rows = [[Fraction(0)] * k_dim for _ in range(v_dim)]
-        h_rows[flat_idx % v_dim][flat_idx // v_dim] = Fraction(1)
-        cols.append(_flatten_cocycle(delta1(action, QMatrix(h_rows))))
-    target = _flatten_cocycle(g1 - g2)
-    sol = solve(QMatrix.from_cols(cols), target)
+    sol = solve(_delta1_matrix(action), _flatten_cocycle(g1 - g2))
     if sol is None:
         return None
-    h_rows = [[Fraction(0)] * k_dim for _ in range(v_dim)]
-    for flat_idx, val in enumerate(sol):
-        h_rows[flat_idx % v_dim][flat_idx // v_dim] = val
-    return QMatrix(h_rows)
+    v_dim = action.v_dim
+    return QMatrix.from_cols([sol[i: i + v_dim] for i in range(0, len(sol), v_dim)])
 
 
 def in_orbit_sampled(
@@ -617,101 +563,41 @@ class LieExtensionData:
             raise ValueError("omega must be n x n")
 
 
-def _is_derivation(lie: Algebra, m: QMatrix) -> bool:
-    e = _k_basis(lie)
-    for i in range(lie.dim):
-        for j in range(i + 1, lie.dim):
-            lhs = m.apply(multiply(lie, e[i], e[j]))
-            rhs = vec_add(
-                multiply(lie, m.apply(e[i]), e[j]),
-                multiply(lie, e[i], m.apply(e[j])),
-            )
-            if lhs != rhs:
-                return False
-    return True
+# Block pattern of the first Jacobi failure of the extended bracket (K for
+# the base, V for the kernel) -> the compatibility identity that fails.
+# VVV and KKK's base part are the Jacobi identities of the kernel and base.
+COMPATIBILITY_OF_BLOCKS = {
+    "KVV": "phi(e{i}) is not a derivation of the kernel",
+    "KKV": "[phi(x), phi(y)] != phi([x,y]) + ad_omega(x,y)",
+    "KKK": "omega cocycle identity fails",
+}
 
 
 def build_lie_extension(d: LieExtensionData) -> Algebra:
     """Extended Lie bracket ([x,y], [a,b] + phi(x)b - phi(y)a + omega(x,y)).
 
-    Preconditions checked exactly on basis tuples: omega alternating,
-    each phi(e_i) a derivation of the kernel, and the two compatibility
-    identities; Jacobi is asserted on the result.
+    The bracket is the extended product with lambda = phi, rho = -phi and
+    g = omega, built once; it is antisymmetric iff omega is alternating, and
+    then Jacobi on its basis triples is exactly the compatibility of
+    (phi, omega), so the first failing triple names the identity that fails.
     """
     g_base, a_ker, phi, omega = d.g_base, d.a_kernel, d.phi, d.omega
     if not is_lie_algebra(g_base):
         raise ValueError("base is not a Lie algebra")
     if not is_lie_algebra(a_ker):
         raise ValueError("kernel is not a Lie algebra")
-    n, m = g_base.dim, a_ker.dim
-    for i in range(n):
-        for j in range(n):
-            if omega[i][j] != tuple(-x for x in omega[j][i]):
-                raise CompatibilityError(f"omega is not alternating at {(i + 1, j + 1)}")
-    for i, mat in enumerate(phi):
-        if not _is_derivation(a_ker, mat):
-            raise CompatibilityError(f"phi(e{i + 1}) is not a derivation of the kernel")
-    e = _k_basis(g_base)
-
-    def phi_of(x: Vec) -> QMatrix:
-        out = QMatrix.zero(m, m)
-        for idx, xi in enumerate(x):
-            if xi != 0:
-                out = out + phi[idx].scale(xi)
-        return out
-
-    def omega_of(x: Vec, y: Vec) -> Vec:
-        out = zero_vec(m)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj != 0:
-                    out = vec_add(out, vec_scale(xi * yj, omega[i][j]))
-        return out
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            bracket = multiply(g_base, e[i], e[j])
-            lhs = phi[i] @ phi[j] - phi[j] @ phi[i]
-            rhs = phi_of(bracket) + left_mult(a_ker, omega[i][j])
-            if lhs != rhs:
-                raise CompatibilityError(
-                    f"[phi(x), phi(y)] != phi([x,y]) + ad_omega(x,y) at {(i + 1, j + 1)}"
-                )
-    for i in range(n):
-        for j in range(i + 1, n):
-            for l in range(j + 1, n):
-                x, y, z = e[i], e[j], e[l]
-                lhs = omega_of(multiply(g_base, x, y), z)
-                lhs = vec_sub(lhs, omega_of(x, multiply(g_base, y, z)))
-                lhs = vec_add(lhs, omega_of(y, multiply(g_base, x, z)))
-                rhs = phi_of(x).apply(omega_of(y, z))
-                rhs = vec_add(rhs, phi_of(y).apply(omega_of(z, x)))
-                rhs = vec_add(rhs, phi_of(z).apply(omega_of(x, y)))
-                if lhs != rhs:
-                    raise CompatibilityError(f"omega cocycle identity fails at {(i + 1, j + 1, l + 1)}")
-
-    total = n + m
-    c = [[[Fraction(0)] * total for _ in range(total)] for _ in range(total)]
+    n, total = g_base.dim, g_base.dim + a_ker.dim
+    action = BimoduleAction(g_base, a_ker.dim, phi, tuple(-p for p in phi))
+    data = ExtensionData(g_base, a_ker, action, Cocycle2.from_rows(omega))
+    ext = replace(_extended_algebra(data), name="lie-ext")
     for i in range(total):
-        for j in range(total):
-            x_base = e[i] if i < n else zero_vec(n)
-            y_base = e[j] if j < n else zero_vec(n)
-            a_part = unit_vec(m, i - n) if i >= n else zero_vec(m)
-            b_part = unit_vec(m, j - n) if j >= n else zero_vec(m)
-            base_bracket = multiply(g_base, x_base, y_base)
-            ker = multiply(a_ker, a_part, b_part)
-            ker = vec_add(ker, phi_of(x_base).apply(b_part))
-            ker = vec_sub(ker, phi_of(y_base).apply(a_part))
-            ker = vec_add(ker, omega_of(x_base, y_base))
-            for idx in range(n):
-                c[i][j][idx] = base_bracket[idx]
-            for idx in range(m):
-                c[i][j][n + idx] = ker[idx]
-    ext = Algebra(total, tuple(tuple(tuple(x) for x in plane) for plane in c),
-                  name="lie-ext")
-    assert first_failure(ext, "jacobi").ok, "extended bracket violates Jacobi"
-    kernel_block = Subspace.from_spanning(total, [unit_vec(total, n + idx) for idx in range(m)])
+        for j in range(i, total):
+            if ext.c[i][j] != tuple(-x for x in ext.c[j][i]):
+                raise CompatibilityError(f"omega is not alternating at {(i + 1, j + 1)}")
+    bad = first_failure(ext, "jacobi")
+    if not bad.ok:
+        what = COMPATIBILITY_OF_BLOCKS[_blocks(bad.witness, n)].format(i=bad.witness[0])
+        raise CompatibilityError(f"{what} at basis triple {bad.witness} of the extension")
+    kernel_block = Subspace.from_spanning(total, [unit_vec(total, idx) for idx in range(n, total)])
     assert is_two_sided_ideal(ext, kernel_block), "kernel block is not a Lie ideal"
     return ext

@@ -139,6 +139,22 @@ def test_h2_command(ext_file, capsys):
     assert (data["dim_Z2"], data["dim_B2"], data["dim_H2"]) == (2, 1, 1)
 
 
+def test_h2_refuses_data_whose_coboundaries_are_not_cocycles(tmp_path, capsys):
+    # rho_e2 = 1 over the trivial plane is no bimodule: delta2 . delta1 != 0
+    data = {
+        "K": {"dim": 2, "products": []},
+        "V": {"dim": 1, "products": []},
+        "lambda": [[[0]], [[0]]],
+        "rho": [[[0]], [[1]]],
+    }
+    path = tmp_path / "not_bimodule.json"
+    path.write_text(json.dumps(data))
+    assert main(["h2", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: delta2 . delta1 != 0")
+
+
 def test_extend_command(ext_file, tmp_path, capsys):
     out_path = tmp_path / "built.json"
     assert main(["extend", ext_file, "--out", str(out_path)]) == 0
@@ -155,6 +171,42 @@ def test_extend_refuses_bad_data(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["extend", str(path)]) == 1
     assert "conditions failed" in capsys.readouterr().err
+
+
+# V with e2.e2 = e1 and e1.e2 = e2 is not left-symmetric; with lambda = rho =
+# g = 0 over a 1D K all five extension conditions hold, so only V's own
+# identity can refuse it.
+NON_LSA_KERNEL = {
+    "K": {"dim": 1, "products": []},
+    "V": {"dim": 2, "products": [{"i": 2, "j": 2, "k": 1, "num": 1}, {"i": 1, "j": 2, "k": 2, "num": 1}]},
+    "lambda": [[[0, 0], [0, 0]]],
+    "rho": [[[0, 0], [0, 0]]],
+    "g": [[[0, 0]]],
+}
+
+
+@pytest.fixture
+def non_lsa_kernel_file(tmp_path):
+    path = tmp_path / "ext_bad.json"
+    path.write_text(json.dumps(NON_LSA_KERNEL))
+    return str(path)
+
+
+def test_extend_refuses_non_left_symmetric_kernel(non_lsa_kernel_file, capsys):
+    assert main(["extend", non_lsa_kernel_file, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: V is not left-symmetric")
+
+
+def test_extend_refuses_non_left_symmetric_kernel_under_python_O(non_lsa_kernel_file):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cmd = [sys.executable, "-O", "-m", "lsa.cli", "extend", non_lsa_kernel_file, "--json"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: V is not left-symmetric") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_ideals_command(n30_file, capsys):

@@ -1,0 +1,300 @@
+"""Oracles for the extension checks.
+
+``check_kim_conditions`` and ``build_lie_extension`` read their verdicts off
+the identity engine run on the extended product.  The oracles below write
+the five extension conditions, the simplified conditions (i)-(iii) for a
+trivial V product, and the Lie compatibility identities out as separate
+loops over basis tuples, and the two must agree on every reconstruction
+path and on single-entry perturbations of its data.
+"""
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from lsa.algebra import Algebra, left_mult, lie_algebra_of, multiply, right_mult
+from lsa.catalog import reconstruction_cases
+from lsa.extensions import (
+    CONDITION_OF_BLOCKS,
+    BimoduleAction,
+    Cocycle2,
+    CompatibilityError,
+    ExtensionData,
+    LieExtensionData,
+    build_lie_extension,
+    check_kim_conditions,
+    delta2,
+    delta2_is_zero,
+)
+from lsa.linalg import (
+    QMatrix,
+    random_fraction,
+    unit_vec,
+    vec,
+    vec_add,
+    vec_is_zero,
+    vec_scale,
+    vec_sub,
+    zero_vec,
+)
+
+SEEDS = range(20)
+
+
+def combination(mats, x, size):
+    out = QMatrix.zero(size, size)
+    for i, xi in enumerate(x):
+        if xi != 0:
+            out = out + mats[i].scale(xi)
+    return out
+
+
+def oracle_kim(d):
+    """The five conditions as separate loops; (verdicts, simplified or None)."""
+    k, v, action, g = d.k, d.v, d.action, d.g
+    lam, rho = action.lam, action.rho
+    ek = [unit_vec(k.dim, i) for i in range(k.dim)]
+    ev = [unit_vec(v.dim, m) for m in range(v.dim)]
+    kr, vr = range(k.dim), range(v.dim)
+    mv = lambda a, b: multiply(v, a, b)  # noqa: E731
+    bracket = lambda i, j: vec_sub(multiply(k, ek[i], ek[j]), multiply(k, ek[j], ek[i]))  # noqa: E731
+    # 1: lambda_x(a.b) = lambda_x(a).b + a.lambda_x(b) - rho_x(a).b
+    c1 = all(
+        lam[i].apply(mv(ev[p], ev[q]))
+        == vec_sub(
+            vec_add(mv(lam[i].apply(ev[p]), ev[q]), mv(ev[p], lam[i].apply(ev[q]))),
+            mv(rho[i].apply(ev[p]), ev[q]),
+        )
+        for i in kr for p in vr for q in vr
+    )
+    # 2: rho_x([a,b]) = a.rho_x(b) - b.rho_x(a)
+    c2 = all(
+        rho[i].apply(vec_sub(mv(ev[p], ev[q]), mv(ev[q], ev[p])))
+        == vec_sub(mv(ev[p], rho[i].apply(ev[q])), mv(ev[q], rho[i].apply(ev[p])))
+        for i in kr for p in vr for q in range(p + 1, v.dim)
+    )
+    # 3: [lambda_x, lambda_y] - lambda_[x,y] = L_{g(x,y) - g(y,x)}
+    c3 = all(
+        lam[i] @ lam[j] - lam[j] @ lam[i] - combination(lam, bracket(i, j), v.dim)
+        == left_mult(v, vec_sub(g.values[i][j], g.values[j][i]))
+        for i in kr for j in range(i + 1, k.dim)
+    )
+    # 4: [lambda_x, rho_y] + rho_y rho_x - rho_{x.y} = R_{g(x,y)}
+    c4 = all(
+        lam[i] @ rho[j] - rho[j] @ lam[i] + rho[j] @ rho[i]
+        - combination(rho, multiply(k, ek[i], ek[j]), v.dim)
+        == right_mult(v, g.values[i][j])
+        for i in kr for j in kr
+    )
+    # 5: delta2 g = 0 on every basis triple
+    d2 = delta2(action, g)
+    c5 = all(vec_is_zero(d2[i][j][l]) for i, j, l in itertools.product(kr, repeat=3))
+    simplified = None
+    if all(vec_is_zero(mv(a, b)) for a in ev for b in ev):
+        simplified = (
+            all(
+                lam[i] @ lam[j] - lam[j] @ lam[i] == combination(lam, bracket(i, j), v.dim)
+                for i in kr for j in range(i + 1, k.dim)
+            ),
+            all(
+                lam[i] @ rho[j] - rho[j] @ lam[i]
+                == combination(rho, multiply(k, ek[i], ek[j]), v.dim) - rho[j] @ rho[i]
+                for i in kr for j in kr
+            ),
+            delta2_is_zero(action, g),
+        )
+    return (c1, c2, c3, c4, c5), simplified
+
+
+def oracle_lie(d):
+    """Compatibility checks and the bracket built term by term; None if refused."""
+    base, ker, phi, omega = d.g_base, d.a_kernel, d.phi, d.omega
+    n, m = base.dim, ker.dim
+    e = [unit_vec(n, i) for i in range(n)]
+    ea = [unit_vec(m, i) for i in range(m)]
+    phi_of = lambda x: combination(phi, x, m)  # noqa: E731
+
+    def omega_of(x, y):
+        out = zero_vec(m)
+        for i, j in itertools.product(range(n), repeat=2):
+            if x[i] != 0 and y[j] != 0:
+                out = vec_add(out, vec_scale(x[i] * y[j], omega[i][j]))
+        return out
+
+    alternating = all(
+        omega[i][j] == tuple(-x for x in omega[j][i]) for i in range(n) for j in range(n)
+    )
+    derivations = all(
+        mat.apply(multiply(ker, ea[p], ea[q]))
+        == vec_add(multiply(ker, mat.apply(ea[p]), ea[q]), multiply(ker, ea[p], mat.apply(ea[q])))
+        for mat in phi for p in range(m) for q in range(p + 1, m)
+    )
+    compatible = all(
+        phi[i] @ phi[j] - phi[j] @ phi[i]
+        == phi_of(multiply(base, e[i], e[j])) + left_mult(ker, omega[i][j])
+        for i in range(n) for j in range(i + 1, n)
+    )
+
+    def cocycle_ok(x, y, z):
+        lhs = vec_sub(omega_of(multiply(base, x, y), z), omega_of(x, multiply(base, y, z)))
+        lhs = vec_add(lhs, omega_of(y, multiply(base, x, z)))
+        rhs = vec_add(phi_of(x).apply(omega_of(y, z)), phi_of(y).apply(omega_of(z, x)))
+        return lhs == vec_add(rhs, phi_of(z).apply(omega_of(x, y)))
+
+    cocycle = all(
+        cocycle_ok(e[i], e[j], e[l])
+        for i in range(n) for j in range(i + 1, n) for l in range(j + 1, n)
+    )
+    if not (alternating and derivations and compatible and cocycle):
+        return None
+    total = n + m
+    c = []
+    for i in range(total):
+        plane = []
+        for j in range(total):
+            x = e[i] if i < n else zero_vec(n)
+            y = e[j] if j < n else zero_vec(n)
+            a = ea[i - n] if i >= n else zero_vec(m)
+            b = ea[j - n] if j >= n else zero_vec(m)
+            kpart = vec_add(multiply(ker, a, b), vec_sub(phi_of(x).apply(b), phi_of(y).apply(a)))
+            plane.append(multiply(base, x, y) + vec_add(kpart, omega_of(x, y)))
+        c.append(tuple(plane))
+    return tuple(c)
+
+
+def nonzero(rng):
+    x = Fraction(0)
+    while x == 0:
+        x = random_fraction(rng)
+    return x
+
+
+def bump(mats, rng):
+    """The matrices with one random entry changed by a nonzero rational."""
+    which = rng.randrange(len(mats))
+    rows = [list(r) for r in mats[which].rows]
+    r, c = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+    rows[r][c] += nonzero(rng)
+    return tuple(QMatrix(rows) if t == which else m for t, m in enumerate(mats))
+
+
+def bump_cells(cells, rng):
+    """A k x k array of vectors with one random coordinate changed."""
+    i, j = rng.randrange(len(cells)), rng.randrange(len(cells))
+    m = rng.randrange(len(cells[i][j]))
+    out = [[list(cell) for cell in row] for row in cells]
+    out[i][j][m] += nonzero(rng)
+    return tuple(tuple(tuple(cell) for cell in row) for row in out)
+
+
+def kim_inputs():
+    """Every reconstruction path at 20 seeds, plus for each one the data
+    with one entry of lambda, of rho and of g perturbed."""
+    for seed in SEEDS:
+        rng = random.Random(1000 + seed)
+        for case in reconstruction_cases(random.Random(seed)):
+            d = case.data
+            action = d.action
+            yield d
+            yield ExtensionData(d.k, d.v, BimoduleAction(d.k, d.v.dim, bump(action.lam, rng), action.rho), d.g)
+            yield ExtensionData(d.k, d.v, BimoduleAction(d.k, d.v.dim, action.lam, bump(action.rho, rng)), d.g)
+            yield ExtensionData(d.k, d.v, action, Cocycle2(bump_cells(d.g.values, rng)))
+
+
+def test_kim_conditions_agree_with_the_separate_loops():
+    seen = failing = 0
+    for d in kim_inputs():
+        report = check_kim_conditions(d)
+        expected, simplified = oracle_kim(d)
+        assert report.verdicts == expected, (d, report.witnesses)
+        assert report.verdicts[4] == delta2_is_zero(d.action, d.g)
+        if simplified is not None:
+            assert expected[:2] == (True, True)
+            assert simplified == expected[2:]
+        for cond, triple, lhs, rhs in report.witnesses:
+            blocks = "".join("K" if i <= d.k.dim else "V" for i in triple)
+            assert CONDITION_OF_BLOCKS[blocks] == cond and lhs != rhs
+        seen += 1
+        failing += not report.ok
+    # the perturbations reach failing data, and not every perturbation fails
+    assert seen == 4 * 24 * len(SEEDS)
+    assert 0 < failing < seen
+
+
+def induced_lie_data(d):
+    """phi = lambda - rho and omega = g - g^T over the commutator algebras."""
+    kd = d.k.dim
+    phi = tuple(d.action.lam[i] - d.action.rho[i] for i in range(kd))
+    omega = tuple(
+        tuple(vec_sub(d.g.values[i][j], d.g.values[j][i]) for j in range(kd)) for i in range(kd)
+    )
+    return lie_algebra_of(d.k), lie_algebra_of(d.v), phi, omega
+
+
+def lie_inputs():
+    """The induced data of every reconstruction path at 20 seeds, plus one
+    perturbation of phi and two of omega: one entry alone, which breaks
+    alternation, and a pair that keeps it."""
+    for seed in SEEDS:
+        rng = random.Random(2000 + seed)
+        for case in reconstruction_cases(random.Random(seed)):
+            base, ker, phi, omega = induced_lie_data(case.data)
+            yield LieExtensionData(base, ker, phi, omega)
+            yield LieExtensionData(base, ker, bump(phi, rng), omega)
+            yield LieExtensionData(base, ker, phi, bump_cells(omega, rng))
+            i, j = rng.randrange(base.dim), rng.randrange(base.dim)
+            delta = vec_scale(nonzero(rng), unit_vec(ker.dim, rng.randrange(ker.dim)))
+            cells = [list(row) for row in omega]
+            cells[i][j] = vec_add(cells[i][j], delta)
+            cells[j][i] = vec_sub(cells[j][i], delta)
+            yield LieExtensionData(base, ker, phi, tuple(tuple(row) for row in cells))
+
+
+def test_lie_extension_agrees_with_the_separate_checks():
+    seen = refused = 0
+    for d in lie_inputs():
+        expected = oracle_lie(d)
+        try:
+            got = build_lie_extension(d).c
+        except CompatibilityError:
+            got = None
+        assert got == expected, d
+        seen += 1
+        refused += got is None
+    assert 0 < refused < seen
+
+
+# Base [e1, e2] = e2, [e1, e3] = e3; each row breaks one compatibility
+# identity and keeps the others, so the first Jacobi failure of the extended
+# bracket lies in the named block.
+AFF_BASE = Algebra.from_brackets(3, {(1, 2): {2: 1}, (1, 3): {3: 1}})
+AFF_KERNEL = Algebra.from_brackets(2, {(1, 2): {2: 1}})
+LINE = Algebra.from_entries(1, {})
+SCALARS = lambda *xs: tuple(QMatrix([[x]]) for x in xs)  # noqa: E731
+NO_OMEGA = lambda m: tuple(tuple(zero_vec(m) for _ in range(3)) for _ in range(3))  # noqa: E731
+OMEGA_23 = tuple(
+    tuple(vec([{(1, 2): 1, (2, 1): -1}.get((i, j), 0)]) for j in range(3)) for i in range(3)
+)
+
+
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        # diag(1, 0) is not a derivation of [a1, a2] = a2
+        (LieExtensionData(AFF_BASE, AFF_KERNEL, (QMatrix([[1, 0], [0, 0]]), QMatrix.zero(2, 2),
+                                                  QMatrix.zero(2, 2)), NO_OMEGA(2)),
+         "phi(e1) is not a derivation of the kernel at basis triple (1, 4, 5)"),
+        # phi(e2) = 1 but [phi(e1), phi(e2)] = 0 != phi([e1, e2])
+        (LieExtensionData(AFF_BASE, LINE, SCALARS(0, 1, 0), NO_OMEGA(1)),
+         "[phi(x), phi(y)] != phi([x,y]) + ad_omega(x,y) at basis triple (1, 2, 4)"),
+        # omega(e2, e3) = a with phi = 0: the cocycle identity at (e1, e2, e3) gives 2a
+        (LieExtensionData(AFF_BASE, LINE, SCALARS(0, 0, 0), OMEGA_23),
+         "omega cocycle identity fails at basis triple (1, 2, 3)"),
+    ],
+)
+def test_lie_refusal_names_the_failing_identity(d, message):
+    assert oracle_lie(d) is None
+    with pytest.raises(CompatibilityError) as err:
+        build_lie_extension(d)
+    assert str(err.value) == message + " of the extension"

@@ -63,7 +63,6 @@ def test_kim_trivial_data_passes():
     d = ExtensionData(k, v, trivial_action(k, 2), Cocycle2.zero(3, 2))
     report = check_kim_conditions(d)
     assert report.ok
-    assert report.simplified == (True, True, True)
 
 
 def test_kim_central_n2_case():
@@ -93,6 +92,21 @@ def test_kim_failure_reports_condition():
     assert 3 in report.failed_conditions()
     with pytest.raises(ExtensionError):
         build_extension(d)
+
+
+@pytest.mark.parametrize("bad", ["K", "V"])
+def test_kim_refuses_a_factor_that_is_not_left_symmetric(bad):
+    # e2.e2 = e1, e1.e2 = e2 fails left symmetry at (1, 2, 2); with zero
+    # action and cocycle no extension condition fails, so only the factor's
+    # own identity can refuse, and it is an input error, not a failed condition
+    odd = Algebra.from_entries(2, {(2, 2, 1): 1, (1, 2, 2): 1}, name="odd")
+    k, v = (odd, r0()) if bad == "K" else (r0(), odd)
+    d = ExtensionData(k, v, trivial_action(k, v.dim), Cocycle2.zero(k.dim, v.dim))
+    for check in (check_kim_conditions, build_extension):
+        with pytest.raises(ValueError) as err:
+            check(d)
+        assert not isinstance(err.value, ExtensionError)
+        assert str(err.value) == f"{bad} (odd) is not left-symmetric: the identity fails at its basis triple (1, 2, 2)"
 
 
 # --- build_extension ------------------------------------------------------
