@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import Algebra, check_left_symmetric, left_mult, lie_algebra_of, multiply
-from .catalog import ParameterError, catalog_lsas, validate_params
+from .catalog import ENTRIES, ParameterError, validate_params
 from .linalg import QMatrix, Vec, frac, unit_vec
 
 SERIES_THRESHOLD = 0.25
@@ -469,10 +469,8 @@ class FamilySpec:
     @property
     def defaults(self) -> dict[str, Fraction]:
         """Exact parameters of the catalog entry's first default."""
-        return dict(_CATALOG_DEFAULTS[self.catalog_name])
+        return dict(ENTRIES[self.catalog_name].default_params[0])
 
-
-_CATALOG_DEFAULTS = {entry.name: entry.default_params[0] for entry in catalog_lsas()}
 
 FAMILIES: dict[str, FamilySpec] = {
     "A30": FamilySpec("N30", _a30, _a30_recover),

@@ -1,7 +1,8 @@
 """Built-in catalog: the eleven complete left-symmetric structures on
-3-dimensional solvable non-unimodular Lie algebras, the five Lie algebra
-families they live on, small fixture algebras, extension data that rebuilds
-every entry, and the end-to-end verification pipeline.
+3-dimensional solvable non-unimodular Lie algebras (the table ``ENTRIES``),
+the five Lie algebra families they live on (``LIE_FAMILIES``), small fixture
+algebras, extension data that rebuilds every entry, and the end-to-end
+verification pipeline.
 
 One transcription note, preserved as evidence rather than silently fixed:
 the widely-quoted product listing for D32 reads e2*e2 = e1, which is not
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -68,77 +69,158 @@ class ParameterError(ValueError):
     """A family parameter violates its constraint."""
 
 
-ENTRY_NAMES = (
-    "N30", "N31", "N32", "N33", "B30", "B31",
-    "C31", "C3t", "D31mu", "D32", "E31zeta",
-)
+def _sample_t(rng) -> Fraction:
+    t = F(1)
+    while t == 1:
+        t = F(rng.randint(-6, 6), rng.randint(1, 4))
+    return t
 
-LIE_FAMILY_NAMES = ("G31", "G32", "G33", "G34", "G35")
 
-_CONSTRAINTS: dict[str, tuple[str, str, Callable[[Fraction], bool]]] = {
-    "C3t": ("t", "t != 1", lambda t: t != 1),
-    "D31mu": ("mu", "0 < |mu| < 1", lambda m: 0 < abs(m) < 1),
-    "E31zeta": ("zeta", "zeta > 0", lambda z: z > 0),
+def _sample_mu(rng) -> Fraction:
+    mu = F(0)
+    while mu == 0:
+        den = rng.randint(2, 9)
+        mu = F(rng.randint(-den + 1, den - 1), den)
+    return mu
+
+
+@dataclass(frozen=True)
+class Param:
+    """The one rational parameter of a family: its name, its constraint (as
+    text and as a predicate), its default values and a seeded sampler of
+    admissible values.  A catalog entry and the Lie family it claims share
+    the same ``Param`` (mu for D31mu and G34, zeta for E31zeta and G35)."""
+
+    name: str
+    constraint: str
+    admissible: Callable[[Fraction], bool]
+    defaults: tuple[Fraction, ...]
+    sample: Callable[[random.Random], Fraction]
+
+
+T = Param("t", "t != 1", lambda t: t != 1, (F(2),), _sample_t)
+MU = Param("mu", "0 < |mu| < 1", lambda m: 0 < abs(m) < 1, (F(1, 2), F(-1, 2)), _sample_mu)
+ZETA = Param("zeta", "zeta > 0", lambda z: z > 0, (F(1),),
+             lambda rng: F(rng.randint(1, 8), rng.randint(1, 4)))
+
+# A structure constant is a constant or a pair (c0, c1) meaning c0 + c1 * p,
+# p the row's parameter: every constant of the table is affine in p.
+Coeff = int | Fraction | tuple[int, int]
+
+
+def _at(coeffs: Mapping, p: Fraction | None) -> dict:
+    """The coefficients of a sparse table at parameter value p."""
+    return {key: F(c[0]) + c[1] * p if isinstance(c, tuple) else F(c) for key, c in coeffs.items()}
+
+
+def _param_value(name: str, param: Param | None, params: Mapping[str, Fraction]) -> Fraction | None:
+    """The value of ``param`` in ``params``, which must hold exactly it."""
+    if param is None:
+        if params:
+            raise ParameterError(f"{name} takes no parameters")
+        return None
+    if set(params) != {param.name}:
+        raise ParameterError(f"{name} requires exactly parameter '{param.name}'")
+    value = frac(params[param.name])
+    if not param.admissible(value):
+        raise ParameterError(f"constraint violated for {name}: {param.constraint}")
+    return value
+
+
+def _default_points(param: Param | None) -> tuple[dict, ...]:
+    return ({},) if param is None else tuple({param.name: v} for v in param.defaults)
+
+
+@dataclass(frozen=True)
+class LieFamily:
+    """One row of the Lie family table: 1-based brackets
+    {(i, j): {k: coefficient}} with i < j, and the family parameter."""
+
+    brackets: Mapping[tuple[int, int], Mapping[int, Coeff]]
+    param: Param | None = None
+
+
+LIE_FAMILIES: dict[str, LieFamily] = {
+    "G31": LieFamily({(1, 2): {2: 1}}),
+    "G32": LieFamily({(1, 2): {2: 1}, (1, 3): {3: 1}}),
+    "G33": LieFamily({(1, 2): {2: 1, 3: 1}, (1, 3): {3: 1}}),
+    "G34": LieFamily({(1, 2): {2: 1}, (1, 3): {3: (0, 1)}}, MU),
+    "G35": LieFamily({(1, 2): {2: 1, 3: (0, 1)}, (1, 3): {2: (0, -1), 3: 1}}, ZETA),
 }
 
 
+@dataclass(frozen=True)
+class CatalogEntry:
+    """One row of the classification table.
+
+    ``products`` are the sparse 1-based products {(i, j, k): coefficient},
+    e_i * e_j = coefficient e_k.  The claimed Lie family's parameter is the
+    entry's own parameter when the entry has one (D31mu, E31zeta), else the
+    constant ``lie_param`` (D32 claims G34 at mu = 1/2).
+    """
+
+    name: str
+    claimed_lie: str
+    claimed_flags: tuple[bool, bool, bool]  # (N, D, S)
+    products: Mapping[tuple[int, int, int], Coeff]
+    param: Param | None = None
+    lie_param: Fraction | None = None
+
+    @property
+    def default_params(self) -> tuple[dict, ...]:
+        return _default_points(self.param)
+
+    def make(self, params: Mapping[str, Fraction] | None = None) -> Algebra:
+        p = {k: frac(v) for k, v in (params or {}).items()}
+        value = _param_value(self.name, self.param, p)
+        return Algebra.from_entries(3, _at(self.products, value), self.name, params=p)
+
+    def claimed_tag(self, params: Mapping[str, Fraction]) -> LieTag:
+        family_param = LIE_FAMILIES[self.claimed_lie].param
+        if family_param is None:
+            return LieTag(self.claimed_lie)
+        value = self.lie_param if self.param is None else params[self.param.name]
+        return LieTag(self.claimed_lie, **{family_param.name: frac(value)})
+
+    def sample_params(self, rng) -> dict:
+        return {} if self.param is None else {self.param.name: self.param.sample(rng)}
+
+
+_ALL = (True, True, True)
+
+ENTRIES: dict[str, CatalogEntry] = {entry.name: entry for entry in (
+    CatalogEntry("N30", "G31", _ALL, {(1, 2, 2): 1}),
+    CatalogEntry("N31", "G31", _ALL, {(1, 1, 3): 1, (1, 2, 2): 1}),
+    CatalogEntry("N32", "G31", (False, False, True), {(1, 2, 2): 1, (3, 3, 1): 1}),
+    CatalogEntry("N33", "G31", (False, False, True), {(1, 2, 2): 1, (3, 3, 1): -1}),
+    CatalogEntry("B30", "G32", _ALL, {(1, 2, 2): 1, (1, 3, 3): 1}),
+    CatalogEntry("B31", "G32", (False, True, False),
+                 {(1, 2, 2): 1, (1, 2, 3): 1, (2, 1, 3): 1, (1, 3, 3): 1}),
+    CatalogEntry("C31", "G33", _ALL, {(1, 2, 2): 1, (1, 2, 3): 1, (1, 3, 3): 1}),
+    CatalogEntry("C3t", "G33", (False, True, False),
+                 {(1, 2, 2): 1, (1, 2, 3): (0, 1), (1, 3, 3): 1, (2, 1, 3): (-1, 1)}, T),
+    CatalogEntry("D31mu", "G34", _ALL, {(1, 2, 2): 1, (1, 3, 3): (0, 1)}, MU),
+    CatalogEntry("D32", "G34", (True, False, False),
+                 {(1, 2, 2): 1, (1, 3, 3): F(1, 2), (3, 3, 2): 1}, lie_param=F(1, 2)),
+    CatalogEntry("E31zeta", "G35", _ALL,
+                 {(1, 2, 2): 1, (1, 2, 3): (0, 1), (1, 3, 2): (0, -1), (1, 3, 3): 1}, ZETA),
+)}
+
+ENTRY_NAMES = tuple(ENTRIES)
+
+
 def validate_params(name: str, params: Mapping[str, Fraction]) -> None:
-    spec = _CONSTRAINTS.get(name)
-    if spec is None:
-        if params:
-            raise ParameterError(f"{name} takes no parameters")
-        return
-    pname, text, pred = spec
-    if set(params) != {pname}:
-        raise ParameterError(f"{name} requires exactly parameter '{pname}'")
-    if not pred(frac(params[pname])):
-        raise ParameterError(f"constraint violated for {name}: {text}")
+    """Refuse parameters other than exactly the admissible parameter of the
+    catalog entry or Lie family ``name``."""
+    row = ENTRIES[name] if name in ENTRIES else LIE_FAMILIES[name]
+    _param_value(name, row.param, params)
 
 
 def make_lsa(name: str, **params) -> Algebra:
     """Catalog left-symmetric algebra by name, at the given rational parameters."""
-    p = {k: frac(v) for k, v in params.items()}
-    validate_params(name, p)
-    if name == "N30":
-        return Algebra.from_entries(3, {(1, 2, 2): 1}, name)
-    if name == "N31":
-        return Algebra.from_entries(3, {(1, 1, 3): 1, (1, 2, 2): 1}, name)
-    if name == "N32":
-        return Algebra.from_entries(3, {(1, 2, 2): 1, (3, 3, 1): 1}, name)
-    if name == "N33":
-        return Algebra.from_entries(3, {(1, 2, 2): 1, (3, 3, 1): -1}, name)
-    if name == "B30":
-        return Algebra.from_entries(3, {(1, 2, 2): 1, (1, 3, 3): 1}, name)
-    if name == "B31":
-        return Algebra.from_entries(
-            3, {(1, 2, 2): 1, (1, 2, 3): 1, (2, 1, 3): 1, (1, 3, 3): 1}, name
-        )
-    if name == "C31":
-        return Algebra.from_entries(3, {(1, 2, 2): 1, (1, 2, 3): 1, (1, 3, 3): 1}, name)
-    if name == "C3t":
-        t = p["t"]
-        return Algebra.from_entries(
-            3,
-            {(1, 2, 2): 1, (1, 2, 3): t, (1, 3, 3): 1, (2, 1, 3): t - 1},
-            name,
-            params=p,
-        )
-    if name == "D31mu":
-        mu = p["mu"]
-        return Algebra.from_entries(3, {(1, 2, 2): 1, (1, 3, 3): mu}, name, params=p)
-    if name == "D32":
-        return Algebra.from_entries(
-            3, {(1, 2, 2): 1, (1, 3, 3): F(1, 2), (3, 3, 2): 1}, name
-        )
-    if name == "E31zeta":
-        z = p["zeta"]
-        return Algebra.from_entries(
-            3,
-            {(1, 2, 2): 1, (1, 2, 3): z, (1, 3, 2): -z, (1, 3, 3): 1},
-            name,
-            params=p,
-        )
-    raise KeyError(f"unknown catalog entry {name!r}")
+    if name not in ENTRIES:
+        raise KeyError(f"unknown catalog entry {name!r}")
+    return ENTRIES[name].make(params)
 
 
 def d32_rejected_variant() -> Algebra:
@@ -150,99 +232,22 @@ def d32_rejected_variant() -> Algebra:
 
 def make_lie(name: str, **params) -> Algebra:
     """Solvable non-unimodular 3D Lie algebra family by name."""
+    if name not in LIE_FAMILIES:
+        raise KeyError(f"unknown Lie family {name!r}")
+    family = LIE_FAMILIES[name]
     p = {k: frac(v) for k, v in params.items()}
-    if name == "G31":
-        return Algebra.from_brackets(3, {(1, 2): {2: 1}}, name)
-    if name == "G32":
-        return Algebra.from_brackets(3, {(1, 2): {2: 1}, (1, 3): {3: 1}}, name)
-    if name == "G33":
-        return Algebra.from_brackets(3, {(1, 2): {2: 1, 3: 1}, (1, 3): {3: 1}}, name)
-    if name == "G34":
-        mu = p["mu"]
-        if not 0 < abs(mu) < 1:
-            raise ParameterError("constraint violated for G34: 0 < |mu| < 1")
-        return Algebra.from_brackets(3, {(1, 2): {2: 1}, (1, 3): {3: mu}}, name, params=p)
-    if name == "G35":
-        z = p["zeta"]
-        if not z > 0:
-            raise ParameterError("constraint violated for G35: zeta > 0")
-        return Algebra.from_brackets(
-            3, {(1, 2): {2: 1, 3: z}, (1, 3): {2: -z, 3: 1}}, name, params=p
-        )
-    raise KeyError(f"unknown Lie family {name!r}")
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    claimed_lie: str  # family name; parametrized families reuse the entry parameter
-    claimed_flags: tuple[bool, bool, bool]  # (N, D, S)
-    default_params: tuple[dict, ...]
-    lie_param_map: Callable[[dict], dict] = field(default=lambda p: {})
-
-    def make(self, params: Mapping[str, Fraction] | None = None) -> Algebra:
-        return make_lsa(self.name, **(params or {}))
-
-    def claimed_tag(self, params: Mapping[str, Fraction]) -> LieTag:
-        lp = self.lie_param_map(dict(params))
-        if self.claimed_lie == "G34":
-            return LieTag("G34", mu=frac(lp["mu"]))
-        if self.claimed_lie == "G35":
-            return LieTag("G35", zeta=frac(lp["zeta"]))
-        return LieTag(self.claimed_lie)
-
-    def sample_params(self, rng) -> dict:
-        if self.name == "C3t":
-            t = F(1)
-            while t == 1:
-                t = F(rng.randint(-6, 6), rng.randint(1, 4))
-            return {"t": t}
-        if self.name == "D31mu":
-            mu = F(0)
-            while mu == 0:
-                den = rng.randint(2, 9)
-                mu = F(rng.randint(-den + 1, den - 1), den)
-            return {"mu": mu}
-        if self.name == "E31zeta":
-            return {"zeta": F(rng.randint(1, 8), rng.randint(1, 4))}
-        return {}
+    value = _param_value(name, family.param, p)
+    brackets = {ij: _at(ks, value) for ij, ks in family.brackets.items()}
+    return Algebra.from_brackets(3, brackets, name, params=p)
 
 
 def catalog_lsas() -> list[CatalogEntry]:
-    t_ = (True, True, True)
-    return [
-        CatalogEntry("N30", "G31", t_, ({},)),
-        CatalogEntry("N31", "G31", t_, ({},)),
-        CatalogEntry("N32", "G31", (False, False, True), ({},)),
-        CatalogEntry("N33", "G31", (False, False, True), ({},)),
-        CatalogEntry("B30", "G32", t_, ({},)),
-        CatalogEntry("B31", "G32", (False, True, False), ({},)),
-        CatalogEntry("C31", "G33", t_, ({},)),
-        CatalogEntry("C3t", "G33", (False, True, False), ({"t": F(2)},)),
-        CatalogEntry(
-            "D31mu", "G34", t_, ({"mu": F(1, 2)}, {"mu": F(-1, 2)}),
-            lie_param_map=lambda p: {"mu": p["mu"]},
-        ),
-        CatalogEntry(
-            "D32", "G34", (True, False, False), ({},),
-            lie_param_map=lambda p: {"mu": F(1, 2)},
-        ),
-        CatalogEntry(
-            "E31zeta", "G35", t_, ({"zeta": F(1)},),
-            lie_param_map=lambda p: {"zeta": p["zeta"]},
-        ),
-    ]
+    return list(ENTRIES.values())
 
 
 def catalog_lie_algebras() -> list[Algebra]:
-    """The five families at default parameters (mu = 1/2, zeta = 1)."""
-    return [
-        make_lie("G31"),
-        make_lie("G32"),
-        make_lie("G33"),
-        make_lie("G34", mu=F(1, 2)),
-        make_lie("G35", zeta=F(1)),
-    ]
+    """The five families at their parameter's first default (mu = 1/2, zeta = 1)."""
+    return [make_lie(name, **_default_points(f.param)[0]) for name, f in LIE_FAMILIES.items()]
 
 
 def fixtures() -> dict[str, Algebra]:
@@ -489,15 +494,21 @@ def reconstruction_cases(rng: random.Random | None = None) -> list[Reconstructio
 
 
 def _annihilator_dims(a: Algebra) -> tuple[int, int]:
-    """(dim {x : x*A = 0}, dim {x : A*x = 0})."""
+    """(dim {x : x*A = 0}, dim {x : A*x = 0}): the null spaces of the
+    stacked R_y and the stacked L_y over the basis vectors y."""
     e = [unit_vec(a.dim, i) for i in range(a.dim)]
-    lmaps = vstack(
-        [QMatrix.from_cols([multiply(a, unit_vec(a.dim, i), y) for i in range(a.dim)]) for y in e]
+    return tuple(
+        len(nullspace_basis(vstack([mult(a, y) for y in e]))) for mult in (right_mult, left_mult)
     )
-    rmaps = vstack(
-        [QMatrix.from_cols([multiply(a, y, unit_vec(a.dim, i)) for i in range(a.dim)]) for y in e]
+
+
+def _operator_spans(a: Algebra) -> tuple[int, int]:
+    """(dim span{L_x}, dim span{R_x}) in the space of matrices."""
+    e = [unit_vec(a.dim, i) for i in range(a.dim)]
+    return tuple(
+        Subspace.from_spanning(a.dim**2, [tuple(x for row in mult(a, y).rows for x in row) for y in e]).dim
+        for mult in (left_mult, right_mult)
     )
-    return len(nullspace_basis(lmaps)), len(nullspace_basis(rmaps))
 
 
 def _squares_span(a: Algebra) -> Subspace:
@@ -602,47 +613,36 @@ def _induced_action_ratio(a: Algebra) -> str | None:
     return str(c)
 
 
+# The fingerprint's components in order, each with the label that names it
+# in the distinctness evidence.  Invariants from other modules are called
+# through their module-level names, so rebinding those names (as the
+# perfbench tracer does) reaches these calls too.
+FINGERPRINT: tuple[tuple[str, Callable[[Algebra], object]], ...] = (
+    ("lie_tag", lambda a: str(identify_lie_algebra(lie_algebra_of(a)))),
+    ("dim_center", lambda a: center(a).dim),
+    ("dim_products", lambda a: product_span(a).dim),
+    ("dim_squares", lambda a: _squares_span(a).dim),
+    ("dim_PA+AP", lambda a: _pa_ap_span(a).dim),
+    ("annihilators", _annihilator_dims),
+    ("flags_NDS", lambda a: ndsflags(a)),
+    ("complete", lambda a: is_complete(a)),
+    ("LR_operator_span", _operator_spans),
+    ("square_form_signature", _square_form_signature),
+    ("induced_action_ratio", _induced_action_ratio),
+)
+
+
 def fingerprint(a: Algebra) -> tuple:
     """Isomorphism-invariant tuple; differing fingerprints certify
     non-isomorphism, equal fingerprints certify nothing."""
     if a.dim != 3:
         raise ValueError("fingerprint is defined for dimension 3")
-    tag = identify_lie_algebra(lie_algebra_of(a))
-    e = [unit_vec(3, i) for i in range(3)]
-    l_span = Subspace.from_spanning(
-        9, [tuple(x for row in left_mult(a, v).rows for x in row) for v in e]
-    ).dim
-    r_span = Subspace.from_spanning(
-        9, [tuple(x for row in right_mult(a, v).rows for x in row) for v in e]
-    ).dim
-    return (
-        str(tag),
-        center(a).dim,
-        product_span(a).dim,
-        _squares_span(a).dim,
-        _pa_ap_span(a).dim,
-        _annihilator_dims(a),
-        ndsflags(a),
-        is_complete(a),
-        (l_span, r_span),
-        _square_form_signature(a),
-        _induced_action_ratio(a),
-    )
+    return tuple(invariant(a) for _, invariant in FINGERPRINT)
 
 
 # ---------------------------------------------------------------------------
 # Verification pipeline
 # ---------------------------------------------------------------------------
-
-
-def _tag_matches(computed: LieTag, claimed: LieTag) -> bool:
-    if computed.kind != claimed.kind:
-        return False
-    if computed.kind == "G34":
-        return computed.exact and computed.mu == claimed.mu
-    if computed.kind == "G35":
-        return computed.exact and computed.zeta == claimed.zeta
-    return True
 
 
 def _params_str(params: Mapping[str, Fraction]) -> dict[str, str]:
@@ -659,7 +659,7 @@ def verify_entry(entry: CatalogEntry, param_samples: Sequence[Mapping[str, Fract
         complete = is_complete(a)
         tag = identify_lie_algebra(lie_algebra_of(a))
         claimed_tag = entry.claimed_tag(params)
-        tag_ok = _tag_matches(tag, claimed_tag)
+        tag_ok = tag == claimed_tag
         witnesses = flag_witnesses(a)
         flags = tuple(w == ALL_PASS for w in witnesses.values())
         flags_ok = flags == entry.claimed_flags
@@ -697,12 +697,7 @@ def verify_entry(entry: CatalogEntry, param_samples: Sequence[Mapping[str, Fract
 
 
 def _distinctness_evidence(fp1: tuple, fp2: tuple) -> str | None:
-    labels = (
-        "lie_tag", "dim_center", "dim_products", "dim_squares", "dim_PA+AP",
-        "annihilators", "flags_NDS", "complete", "LR_operator_span",
-        "square_form_signature", "induced_action_ratio",
-    )
-    for label, x, y in zip(labels, fp1, fp2):
+    for (label, _), x, y in zip(FINGERPRINT, fp1, fp2):
         if x != y:
             return f"{label}: {x} vs {y}"
     return None
@@ -720,7 +715,7 @@ def verify_catalog(seed: int = 0, random_samples: int = 5) -> dict:
     report: dict = {"seed": seed, "entries": {}, "hard_failures": []}
     for entry in entries:
         samples: list[dict] = list(entry.default_params)
-        if entry.name in _CONSTRAINTS:
+        if entry.param is not None:
             for _ in range(random_samples):
                 samples.append(entry.sample_params(rng))
         entry_report = verify_entry(entry, samples)

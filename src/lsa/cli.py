@@ -25,7 +25,7 @@ from .algebra import (
     ndsflags,
 )
 from .catalog import make_lsa, verify_catalog
-from .extensions import ExtensionError, build_extension, h2
+from .extensions import ExtensionError, _not_left_symmetric, build_extension, h2
 from .jsonio import (
     JsonFormatError,
     algebra_from_dict,
@@ -104,6 +104,10 @@ def cmd_lie(args) -> int:
 
 def cmd_h2(args) -> int:
     data = extension_from_dict(load_json_file(args.file), require_g=False)
+    for label, factor in (("K", data.k), ("V", data.v)):
+        ls = check_left_symmetric(factor)
+        if not ls.ok:
+            raise _not_left_symmetric(label, factor, ls.witness)
     res = h2(data.action)
     reps = [
         [
@@ -312,6 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
         if with_file:
             p.add_argument("file", help="input JSON file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
+
+    def sampling(p):
         p.add_argument("--seed", type=int, default=0, help="seed for randomized sampling")
         p.add_argument("--samples", type=int, default=5, help="random sample count")
 
@@ -336,9 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_identify)
     p = sub.add_parser("catalog-verify", help="verify the full classification catalog")
     common(p, with_file=False)
+    sampling(p)
     p.set_defaults(fn=cmd_catalog_verify)
     p = sub.add_parser("affine-verify", help="verify the eleven affine group families")
     common(p, with_file=False)
+    sampling(p)
     p.set_defaults(fn=cmd_affine_verify)
     p = sub.add_parser("affine-sample", help="print sampled group elements of a family")
     common(p, with_file=False)

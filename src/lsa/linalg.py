@@ -377,13 +377,6 @@ def sqrt_fraction(f: Fraction) -> Fraction | None:
     return None
 
 
-def eval_poly(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
 def random_fraction(rng, max_num: int = 4, max_den: int = 3) -> Fraction:
     return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
 

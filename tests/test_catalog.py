@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from lsa.algebra import (
     multiply,
 )
 from lsa.catalog import (
+    ENTRIES,
     ENTRY_NAMES,
     ParameterError,
     catalog_lie_algebras,
@@ -71,7 +73,64 @@ def test_parameter_constraints():
         make_lsa("E31zeta", zeta=0)
     with pytest.raises(ParameterError):
         make_lsa("N30", t=2)
+    with pytest.raises(ParameterError, match="requires exactly parameter 'mu'"):
+        make_lie("G34")
+    with pytest.raises(ParameterError, match="G31 takes no parameters"):
+        make_lie("G31", mu=5)
+    with pytest.raises(ParameterError, match="constraint violated for G35: zeta > 0"):
+        make_lie("G35", zeta=0)
     validate_params("C3t", {"t": F(5)})
+
+
+# Nonzero products e_i * e_j = c e_k as {(i, j, k): c}, written out by hand
+# for every entry at its defaults and at one more admissible parameter value.
+ENTRY_PRODUCTS = [
+    ("N30", {}, {(1, 2, 2): 1}),
+    ("N31", {}, {(1, 1, 3): 1, (1, 2, 2): 1}),
+    ("N32", {}, {(1, 2, 2): 1, (3, 3, 1): 1}),
+    ("N33", {}, {(1, 2, 2): 1, (3, 3, 1): -1}),
+    ("B30", {}, {(1, 2, 2): 1, (1, 3, 3): 1}),
+    ("B31", {}, {(1, 2, 2): 1, (1, 2, 3): 1, (1, 3, 3): 1, (2, 1, 3): 1}),
+    ("C31", {}, {(1, 2, 2): 1, (1, 2, 3): 1, (1, 3, 3): 1}),
+    ("C3t", {"t": F(2)}, {(1, 2, 2): 1, (1, 2, 3): 2, (1, 3, 3): 1, (2, 1, 3): 1}),
+    ("C3t", {"t": F(-1, 3)}, {(1, 2, 2): 1, (1, 2, 3): F(-1, 3), (1, 3, 3): 1, (2, 1, 3): F(-4, 3)}),
+    ("D31mu", {"mu": F(1, 2)}, {(1, 2, 2): 1, (1, 3, 3): F(1, 2)}),
+    ("D31mu", {"mu": F(-1, 2)}, {(1, 2, 2): 1, (1, 3, 3): F(-1, 2)}),
+    ("D31mu", {"mu": F(3, 4)}, {(1, 2, 2): 1, (1, 3, 3): F(3, 4)}),
+    ("D32", {}, {(1, 2, 2): 1, (1, 3, 3): F(1, 2), (3, 3, 2): 1}),
+    ("E31zeta", {"zeta": F(1)}, {(1, 2, 2): 1, (1, 2, 3): 1, (1, 3, 2): -1, (1, 3, 3): 1}),
+    ("E31zeta", {"zeta": F(5, 2)}, {(1, 2, 2): 1, (1, 2, 3): F(5, 2), (1, 3, 2): F(-5, 2), (1, 3, 3): 1}),
+]
+
+# Brackets [e_i, e_j] = c e_k with i < j, at the default and one more value.
+LIE_BRACKETS = [
+    ("G31", {}, {(1, 2, 2): 1}),
+    ("G32", {}, {(1, 2, 2): 1, (1, 3, 3): 1}),
+    ("G33", {}, {(1, 2, 2): 1, (1, 2, 3): 1, (1, 3, 3): 1}),
+    ("G34", {"mu": F(1, 2)}, {(1, 2, 2): 1, (1, 3, 3): F(1, 2)}),
+    ("G34", {"mu": F(-2, 3)}, {(1, 2, 2): 1, (1, 3, 3): F(-2, 3)}),
+    ("G35", {"zeta": F(1)}, {(1, 2, 2): 1, (1, 2, 3): 1, (1, 3, 2): -1, (1, 3, 3): 1}),
+    ("G35", {"zeta": F(3)}, {(1, 2, 2): 1, (1, 2, 3): 3, (1, 3, 2): -3, (1, 3, 3): 1}),
+]
+
+
+def _products(a):
+    return {(i, j, k): v for i, j, k, v in a.nonzero_products()}
+
+
+def test_table_transcription():
+    for name, params, products in ENTRY_PRODUCTS:
+        assert _products(make_lsa(name, **params)) == products, (name, params)
+    listed = [(name, params) for name, params, _ in ENTRY_PRODUCTS]
+    assert {name for name, _ in listed} == set(ENTRY_NAMES)
+    assert all((e.name, p) in listed for e in catalog_lsas() for p in e.default_params)
+    for name, params, brackets in LIE_BRACKETS:
+        full = {**brackets, **{(j, i, k): -c for (i, j, k), c in brackets.items()}}
+        assert _products(make_lie(name, **params)) == full, (name, params)
+    first = {}
+    for name, params, _ in LIE_BRACKETS:
+        first.setdefault(name, params)
+    assert [(g.name, g.params_dict) for g in catalog_lie_algebras()] == list(first.items())
 
 
 def test_lie_families():
@@ -289,9 +348,7 @@ def test_fingerprint_invariance_all_entries():
 def test_flag_mismatch_is_audited_not_fatal():
     # deliberately wrong claimed flags surface as a mismatch with witnesses,
     # never as a hard failure
-    from lsa.catalog import CatalogEntry
-
-    wrong = CatalogEntry("N30", "G31", (False, True, True), ({},))
+    wrong = replace(ENTRIES["N30"], claimed_flags=(False, True, True))
     report = verify_entry(wrong, [{}])
     sample = report["samples"][0]
     assert not sample["flags_match"]

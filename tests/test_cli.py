@@ -199,6 +199,31 @@ def test_extend_refuses_non_left_symmetric_kernel(non_lsa_kernel_file, capsys):
     assert captured.err.startswith("error: V is not left-symmetric")
 
 
+# The same V as the base of a zero extension by R.
+NON_LSA_BASE = {
+    "K": NON_LSA_KERNEL["V"],
+    "V": {"dim": 1, "products": []},
+    "lambda": [[[0]], [[0]]],
+    "rho": [[[0]], [[0]]],
+    "g": [[[0], [0]], [[0], [0]]],
+}
+
+
+@pytest.mark.parametrize("data, factor", [(NON_LSA_KERNEL, "V"), (NON_LSA_BASE, "K")])
+def test_h2_refuses_what_extend_refuses(tmp_path, capsys, data, factor):
+    # delta2 has no V.V term, so only this check keeps h2 from reporting a
+    # cohomology (dim H2 = 2) for the V that extend refuses
+    path = tmp_path / "ext_bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["extend", str(path)]) == 2
+    refusal = capsys.readouterr().err
+    assert refusal.startswith(f"error: {factor} is not left-symmetric")
+    assert main(["h2", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == refusal
+
+
 def test_extend_refuses_non_left_symmetric_kernel_under_python_O(non_lsa_kernel_file):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -284,6 +309,18 @@ def test_affine_sample_refuses_non_finite_point_under_python_O():
 def test_affine_sample_constraint(capsys):
     assert main(["affine-sample", "--family", "D31", "--params", "mu=1"]) == 2
     assert "constraint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--seed", "--samples"])
+@pytest.mark.parametrize(
+    "command", ["check", "lie", "h2", "extend", "ideals", "identify", "affine-sample"]
+)
+def test_only_the_audits_take_sampling_options(n30_file, capsys, command, option):
+    args = ["--family", "A30"] if command == "affine-sample" else [n30_file]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, option, "3"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} 3" in capsys.readouterr().err
 
 
 def test_catalog_verify_exit_and_determinism(capsys):
