@@ -140,24 +140,11 @@ def closed_reference(name: str, x: float) -> float:
     """Closed form in extended precision (float128 where available).
 
     Near zero the double-precision closed forms lose digits to cancellation
-    (the reason the implementation branches); the extended-precision value
-    is the honest comparison target for sweep checks.
+    (the reason the implementation branches); the ``SPECIAL_BRANCHES`` closed
+    form evaluated in extended precision is the honest comparison target for
+    sweep checks.
     """
-    xl = np.longdouble(x)
-    one = np.longdouble(1.0)
-    if name == "f":
-        val = (np.exp(xl) - one) / xl
-    elif name == "g":
-        val = (np.exp(xl) - xl - one) / (xl * xl)
-    elif name == "h":
-        val = (np.cos(xl) - one) / xl + xl / 2
-    elif name == "k":
-        val = (np.sin(xl) - xl) / xl
-    elif name == "phi":
-        val = ((xl - one) * np.exp(xl) + one) / xl
-    else:
-        raise KeyError(name)
-    return float(val)
+    return float(SPECIAL_BRANCHES[name][1](np.longdouble(x)))
 
 
 def phi_partial_sum(x: float, terms: int = 50) -> float:
@@ -573,19 +560,29 @@ class ClosureReport:
 
 
 def _gauss_newton_match(fam: GroupFamily, target: AffineMap3, start, tol=1e-12, iters=60):
-    """Fit family parameters to a 12-vector of affine map entries."""
+    """Fit family parameters to a 12-vector of affine map entries.
+
+    Returns the best point seen and its residual.  The fit stops at ``tol``
+    or at the first step that does not lower the residual: on a composite
+    outside the family the steps stagnate long before ``iters``.
+    """
     x = np.array(start, dtype=float)
     target_flat = target.flat()
     step = 1e-7
+    best = (tuple(x), np.inf)
     for _ in range(iters):
         flats = fam.elements(*(x + step * _STENCIL).T).flat()
         resid = flats[0] - target_flat
-        if np.max(np.abs(resid)) < tol:
-            return tuple(x), float(np.max(np.abs(resid)))
+        err = float(np.max(np.abs(resid)))
+        if not err < best[1]:
+            break
+        best = (tuple(x), err)
+        if err < tol:
+            break
         jac = (flats[1:4] - flats[4:7]).T / (2 * step)
         delta, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
         x = x + delta
-    return tuple(x), float(map_distance(fam.elements(*x), target))
+    return best
 
 
 def check_closure(fam: GroupFamily, sample_pairs: Sequence[tuple], tol: float = 1e-9) -> ClosureReport:

@@ -404,41 +404,35 @@ def is_two_sided_ideal(a: Algebra, w: Subspace) -> bool:
     return True
 
 
-def _rational_eigenvalues(m: QMatrix) -> list[Fraction]:
-    return rational_roots(char_poly(m))
-
-
-def _common_eigenspaces(mats: Sequence[QMatrix], n: int) -> list[Subspace]:
-    """Nonzero joint eigenspaces over all rational eigenvalue choices."""
-    eigs = []
-    for m in mats:
-        ev = _rational_eigenvalues(m)
-        if not ev:
-            return []
-        eigs.append(ev)
-    eye = QMatrix.identity(n)
-    spaces = []
-    seen = set()
-    for combo in itertools.product(*eigs):
+def _joint_eigenvectors(mats: Sequence[QMatrix], spectra: Sequence[list[Fraction]]) -> set[Vec]:
+    """Reduced-echelon basis vectors of the nonzero joint eigenspaces of
+    ``mats`` over every choice of one eigenvalue from each spectrum."""
+    eye = QMatrix.identity(mats[0].nrows)
+    found: set[Vec] = set()
+    for combo in itertools.product(*spectra):
         stacked = vstack([m - eye.scale(lam) for m, lam in zip(mats, combo)])
-        ns = nullspace_basis(stacked)
-        if ns:
-            sp = Subspace.from_spanning(n, ns)
-            if sp.basis not in seen:
-                seen.add(sp.basis)
-                spaces.append(sp)
-    return spaces
+        found.update(Subspace.from_spanning(eye.nrows, nullspace_basis(stacked)).basis)
+    return found
 
 
 def find_ideals_dim_le3(a: Algebra) -> list[Subspace]:
     """Proper nonzero two-sided ideals with rational defining data (dim <= 3).
 
-    Lines are common eigenvectors of all left/right multiplications
-    (rational-root enumeration); 2D ideals come from common eigenvectors of
-    the transposes (rational annihilator lines).  Multidimensional joint
-    eigenspaces are reported through their reduced-echelon representatives.
-    Irrational eigendata is out of reach by design, so an empty answer means
-    "no rational ideal found", never "simple".
+    The ideals are the subspaces invariant under every L_x and R_x, hence
+    under the 2n operators L_ei and R_ei, and each is found by construction:
+
+    - a joint eigenvector v of all L_ei and R_ei spans an ideal line, since
+      x*v and v*x are multiples of v for every x;
+    - if w is a joint eigenvector of all the transposes, the plane
+      ker(w^T) = {y : w.y = 0} is an ideal: w.(M y) = (M^T w).y = lam w.y
+      vanishes on it for each operator M.
+
+    The transposes share the operators' spectra (char_poly(M^T) =
+    char_poly(M)), so each spectrum is computed once, by rational-root
+    enumeration.  Multidimensional joint eigenspaces are reported through
+    their reduced-echelon basis vectors.  Irrational eigendata is out of
+    reach by design, so an empty answer means "no rational ideal found",
+    never "simple".
     """
     if a.dim > 3:
         raise ValueError("ideal search is implemented for dim <= 3 only")
@@ -446,26 +440,18 @@ def find_ideals_dim_le3(a: Algebra) -> list[Subspace]:
         return []
     e = _basis(a)
     mats = [left_mult(a, x) for x in e] + [right_mult(a, x) for x in e]
-    found: list[Subspace] = []
-    seen: set = set()
-    for sp in _common_eigenspaces(mats, a.dim):
-        for v in sp.basis:
-            line = Subspace.from_spanning(a.dim, [v])
-            if line.basis in seen:
-                continue
-            seen.add(line.basis)
-            if is_two_sided_ideal(a, line):
-                found.append(line)
+    spectra = []
+    for m in mats:
+        spectra.append(rational_roots(char_poly(m)))
+        if not spectra[-1]:
+            return []
+    # a reduced-echelon row is already the canonical basis of its line
+    found = [Subspace(a.dim, (v,)) for v in _joint_eigenvectors(mats, spectra)]
     if a.dim == 3:
-        tmats = [m.transpose() for m in mats]
-        for sp in _common_eigenspaces(tmats, a.dim):
-            for w in sp.basis:
-                plane = Subspace.from_spanning(a.dim, nullspace_basis(QMatrix([w])))
-                if plane.dim != 2 or plane.basis in seen:
-                    continue
-                seen.add(plane.basis)
-                if is_two_sided_ideal(a, plane):
-                    found.append(plane)
+        found += {
+            Subspace.from_spanning(3, nullspace_basis(QMatrix([w])))
+            for w in _joint_eigenvectors([m.transpose() for m in mats], spectra)
+        }
     found.sort(key=lambda s: (s.dim, s.basis))
     return found
 

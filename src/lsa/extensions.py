@@ -36,7 +36,6 @@ from .linalg import (
     Vec,
     column_space_basis,
     det,
-    in_span,
     nullspace_basis,
     quotient_basis,
     random_fraction,
@@ -380,12 +379,13 @@ def h2(action: BimoduleAction) -> H2Result:
     z2 = nullspace_basis(d2_matrix)
 
     b2 = column_space_basis(_delta1_matrix(action))
-    if not all(in_span(b, z2) for b in b2):
+    try:
+        reps = quotient_basis(z2, b2)
+    except ValueError:
         raise ValueError(
             "delta2 . delta1 != 0, so H2 is undefined: K is not left-symmetric "
             "or (lambda, rho) is not a K-bimodule"
-        )
-    reps = quotient_basis(z2, b2)
+        ) from None
     return H2Result(
         dim_h2=len(z2) - len(b2),
         dim_z2=len(z2),

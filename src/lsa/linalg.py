@@ -261,38 +261,23 @@ def column_space_basis(m: QMatrix) -> list[Vec]:
 
 
 def in_span(v: Vec, basis: Sequence[Vec]) -> bool:
-    if not basis:
-        return vec_is_zero(v)
-    m = QMatrix.from_rows(list(basis))
-    stacked = QMatrix.from_rows(list(basis) + [v])
-    return rank(stacked) == rank(m)
-
-
-def span_dim(vectors: Sequence[Vec]) -> int:
-    if not vectors:
-        return 0
-    return rank(QMatrix.from_rows(list(vectors)))
+    """True iff v is a combination of ``basis``: the last column of
+    [basis | v] is not a pivot."""
+    return len(basis) not in rref(QMatrix.from_cols([*basis, v]))[1]
 
 
 def quotient_basis(ambient: Sequence[Vec], sub: Sequence[Vec]) -> list[Vec]:
     """Vectors from ``ambient`` extending ``sub`` to a basis of span(ambient).
 
-    Raises ValueError if span(sub) is not contained in span(ambient).
+    The greedy choice: each ambient vector outside the span of ``sub`` and
+    the vectors before it, i.e. the pivot columns of [sub | ambient] past
+    ``sub``.  Raises ValueError if span(sub) is not contained in
+    span(ambient), i.e. if [ambient | sub] has a pivot past ``ambient``.
     """
-    for v in sub:
-        if not in_span(v, ambient):
-            raise ValueError("sub is not contained in the ambient span")
-    current = [v for v in sub if not vec_is_zero(v)]
-    current_rank = span_dim(current)
-    reps: list[Vec] = []
-    for v in ambient:
-        cand = current + [v]
-        r = span_dim(cand)
-        if r > current_rank:
-            reps.append(v)
-            current = cand
-            current_rank = r
-    return reps
+    if any(c >= len(ambient) for c in rref(QMatrix.from_cols([*ambient, *sub]))[1]):
+        raise ValueError("sub is not contained in the ambient span")
+    pivots = rref(QMatrix.from_cols([*sub, *ambient]))[1]
+    return [ambient[c - len(sub)] for c in pivots if c >= len(sub)]
 
 
 def char_poly(m: QMatrix) -> list[Fraction]:
@@ -394,60 +379,26 @@ def random_invertible(rng, n: int, max_num: int = 3, max_den: int = 2) -> QMatri
             return m
 
 
+def _sign_changes(coeffs: Sequence[Fraction]) -> int:
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def symmetric_signature(s: QMatrix) -> tuple[int, int, int]:
     """Signature (positive, negative, zero) of a rational symmetric matrix.
 
-    Lagrange diagonalization by congruence; exact.
+    A real symmetric matrix has only real eigenvalues, and for a polynomial
+    with only real roots Descartes' rule of signs is exact: the sign changes
+    of the coefficients of p(x) = char_poly(s) count the positive roots and
+    those of p(-x) the negative ones, with multiplicity.  The zero root's
+    multiplicity is the number of trailing zero coefficients.
     """
     if not s.is_square():
         raise ValueError("signature of non-square matrix")
-    n = s.nrows
-    a = [[s.rows[i][j] for j in range(n)] for i in range(n)]
-    if any(a[i][j] != a[j][i] for i in range(n) for j in range(n)):
+    if s != s.transpose():
         raise ValueError("matrix is not symmetric")
-    pos = neg = zero = 0
-    idx = list(range(n))
-    while idx:
-        i0 = idx[0]
-        pivot = None
-        for i in idx:
-            if a[i][i] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            # all diagonal entries zero; create one via a congruence move
-            off = None
-            for i in idx:
-                for j in idx:
-                    if i != j and a[i][j] != 0:
-                        off = (i, j)
-                        break
-                if off:
-                    break
-            if off is None:
-                zero += len(idx)
-                break
-            i, j = off
-            # row/col operation: e_i <- e_i + e_j makes a[i][i] = 2 a[i][j]
-            for k in range(n):
-                a[i][k] += a[j][k]
-            for k in range(n):
-                a[k][i] += a[k][j]
-            continue
-        i = pivot
-        d = a[i][i]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for j in idx:
-            if j == i:
-                continue
-            factor = a[j][i] / d
-            if factor != 0:
-                for k in range(n):
-                    a[j][k] -= factor * a[i][k]
-                for k in range(n):
-                    a[k][j] -= factor * a[k][i]
-        idx.remove(i)
-    return pos, neg, zero
+    p = char_poly(s)
+    n = s.nrows
+    p_neg = [c * (-1) ** (n - i) for i, c in enumerate(p)]
+    zero = n - max(i for i, c in enumerate(p) if c != 0)
+    return _sign_changes(p), _sign_changes(p_neg), zero

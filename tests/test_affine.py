@@ -137,6 +137,23 @@ def test_expm4_inverse_property():
         assert np.max(np.abs(prod - np.eye(4))) < 1e-12
 
 
+def test_coordinate_axes_are_exponentials_of_the_generators():
+    """Each family's coordinate axes are one-parameter subgroups:
+    g(t e_i) = exp(t X) with X the generator of catalog basis vector
+    ``tangent_order[i]``."""
+    from lsa.affine import FAMILIES
+
+    for fam in default_families():
+        spec = FAMILIES[fam.name]
+        rep = affine_rep(make_lsa(spec.catalog_name, **spec.defaults)).homogeneous_float()
+        for i, t in itertools.product(range(3), (0.7, -1.3, 2.0)):
+            point = [0.0, 0.0, 0.0]
+            point[i] = t
+            element = fam.element(*point).as_homogeneous()
+            err = np.max(np.abs(element - expm4(t * rep[fam.tangent_order[i]])))
+            assert err < 1e-12, (fam.name, i, t, err)
+
+
 # --- affine representation ------------------------------------------------
 
 
@@ -256,6 +273,24 @@ def test_legacy_d32_not_closed():
     composite = fam.element(1.0, 1.0, 0.0).compose(fam.element(0.0, 1.0, 0.0))
     rec = fam.recover(composite)
     assert map_distance(fam.element(*rec), composite) > 1e-3
+
+
+def test_gauss_newton_fallback_stops_when_steps_stagnate():
+    """On D32-legacy composites the fit stops at the first step that does
+    not lower the residual, long before its 60 steps, and reports the best
+    point it saw; every pair still fails."""
+    from lsa.affine import _gauss_newton_match
+
+    fam = legacy_d32_family()
+    for p1, p2 in sample_parameter_pairs(random.Random(7), 10):
+        target = fam.element(*p1).compose(fam.element(*p2))
+        start = np.stack(fam.recover(target))
+        x, resid = _gauss_newton_match(fam, target, start)
+        assert resid == map_distance(fam.element(*x), target)
+        assert 1e-9 < resid <= map_distance(fam.element(*start), target)
+        # stagnation, not the step cap, ends each fit
+        _, capped = _gauss_newton_match(fam, target, start, iters=15)
+        assert capped == resid
 
 
 # --- simple transitivity --------------------------------------------------

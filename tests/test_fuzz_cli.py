@@ -1,13 +1,18 @@
-"""Fuzzing the extension file commands: random small extension data through
-``lsa.cli.main`` in-process must end in exit 0, 1 or 2, never an exception."""
+"""Fuzzing the CLI: random small algebras and extension data through the
+file commands, and random families, parameters and points through
+``affine-sample``, run by ``lsa.cli.main`` in-process.  Each call must end
+in exit 0, 1 or 2, never an exception, and print nothing on stderr unless
+it refuses its input."""
 import contextlib
 import io
 import json
 import os
 import tempfile
+import warnings
 
 import pytest
 
+from lsa.affine import FAMILY_NAMES
 from lsa.algebra import check_left_symmetric
 from lsa.cli import main
 from lsa.jsonio import algebra_from_dict
@@ -51,10 +56,20 @@ def extension_json(draw):
 
 
 def run_cli(argv):
+    """Exit code, stdout and stderr; warnings count as stderr, where the
+    command line prints them."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
+    with (
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+        warnings.catch_warnings(record=True) as caught,
+    ):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as stop:  # argparse ends a usage error this way
+            code = stop.code
+    return code, out.getvalue(), err.getvalue() + "".join(f"{w.message}\n" for w in caught)
 
 
 @SETTINGS
@@ -70,3 +85,46 @@ def test_extension_commands_exit_cleanly(data):
             assert (code == 0) == (err == ""), (command, err)
             if command == "extend" and code == 0:
                 assert check_left_symmetric(algebra_from_dict(json.loads(out))).ok
+
+
+@SETTINGS
+@given(st.integers(1, 4).flatmap(lambda n: st.fixed_dictionaries({"dim": st.just(n), "products": products(n)})))
+def test_algebra_commands_exit_cleanly(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "algebra.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        for command in ("check", "lie", "identify", "ideals"):
+            code, out, err = run_cli([command, path, "--json"])
+            assert code in (0, 1, 2), (command, code)
+            assert code == 2 or (err == "" and json.loads(out)), (command, err)
+
+
+# finite points, points whose maps overflow, and non-finite tokens
+COORD = st.one_of(
+    st.floats(-3, 3, allow_nan=False).map(repr),
+    st.floats(-1e3, 1e3, allow_nan=False).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "x"]),
+)
+PARAM = st.sampled_from(["t", "mu", "zeta", "s"]).flatmap(
+    lambda name: st.sampled_from(["2", "1", "1/2", "-1/3", "0", "-5", "3/0"]).map(lambda v: f"{name}={v}")
+)
+
+
+@SETTINGS
+@given(
+    st.sampled_from(FAMILY_NAMES),
+    st.lists(PARAM, max_size=2),
+    st.lists(st.lists(COORD, min_size=3, max_size=3).map(",".join), max_size=3),
+)
+def test_affine_sample_exits_cleanly(family, params, points):
+    argv = ["affine-sample", "--family", family, "--json"]
+    if params:
+        argv += ["--params", *params]
+    if points:
+        argv += ["--at", *points]
+    code, out, err = run_cli(argv)
+    assert code in (0, 2), code
+    assert (code == 0) == (err == ""), err
+    if code == 0:
+        assert len(json.loads(out)["elements"]) == max(len(points), 1)
