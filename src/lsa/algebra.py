@@ -18,7 +18,6 @@ from .linalg import (
     char_poly,
     frac,
     in_span,
-    inverse,
     is_nilpotent,
     nullspace_basis,
     quotient_basis,
@@ -492,12 +491,14 @@ def milnor_normal_form(lie: Algebra) -> MilnorForm:
     _require_lie(lie)
     if lie.dim != 3:
         raise ValueError("Milnor normal form requires dimension 3")
-    if not is_solvable(lie):
-        raise NotInScopeError("Lie algebra is not solvable")
     e = _basis(lie)
     trace_row = [left_mult(lie, x).trace() for x in e]
     if all(t == 0 for t in trace_row):
-        raise NotInScopeError("Lie algebra is unimodular")
+        # Solvability only picks the reason: a non-solvable 3D real Lie
+        # algebra is its own Levi factor, so it is simple, hence perfect
+        # ([g, g] = g), hence unimodular (tr ad_[x,y] = tr [ad_x, ad_y] = 0).
+        # A nonzero trace row therefore already implies solvable.
+        raise NotInScopeError("Lie algebra is unimodular" if is_solvable(lie) else "Lie algebra is not solvable")
     u_space = Subspace.from_spanning(3, nullspace_basis(QMatrix([trace_row])))
     assert u_space.dim == 2
     u1, u2 = u_space.basis
@@ -506,14 +507,9 @@ def milnor_normal_form(lie: Algebra) -> MilnorForm:
     e1 = next(x for x in e if not u_space.contains(x))
     tr = left_mult(lie, e1).trace()
     e1 = vec_scale(Fraction(2) / tr, e1)
-    ubasis_matrix = QMatrix.from_cols([u1, u2])
-    cols = []
-    for u in (u1, u2):
-        image = multiply(lie, e1, u)
-        coords = solve(ubasis_matrix, image)
-        if coords is None:
-            raise NotInScopeError("trace-form kernel is not ad_e1 invariant")
-        cols.append(coords)
+    cols = solve(QMatrix.from_cols([u1, u2]), [multiply(lie, e1, u) for u in (u1, u2)])
+    if cols is None:
+        raise NotInScopeError("trace-form kernel is not ad_e1 invariant")
     d = QMatrix.from_cols(cols)
     assert d.trace() == 2
     det_d = d.rows[0][0] * d.rows[1][1] - d.rows[0][1] * d.rows[1][0]
@@ -560,56 +556,40 @@ def identify_lie_algebra(lie: Algebra) -> LieTag:
     raise RuntimeError("mu recovery failed; internal bug")
 
 
+def _induced_product(a: Algebra, basis: Sequence[Vec], modulo: Sequence[Vec] = ()) -> Tensor:
+    """The product induced on span(basis) modulo span(modulo), in the
+    coordinates of the frame [modulo | basis], from one solve for every
+    product and the frame's own columns: the frame is a basis exactly when
+    those solve to unit vectors.  A square basis frame solves everything.
+    """
+    frame = [*modulo, *basis]
+    n, m, skip = len(frame), len(basis), len(modulo)
+    products = [multiply(a, x, y) for x in basis for y in basis]
+    coords = solve(QMatrix.from_cols(frame), [*frame, *products])
+    if coords is None and n < a.dim:
+        raise ValueError("subspace is not closed under the product")
+    if coords is None or coords[:n] != [unit_vec(n, i) for i in range(n)]:
+        raise ValueError("matrix is singular")
+    return tuple(tuple(coords[n + i * m + j][skip:] for j in range(m)) for i in range(m))
+
+
 def conjugated(a: Algebra, p: QMatrix) -> Algebra:
     """Structure constants in the basis f_i = sum_k p[k][i] e_k."""
     if p.shape != (a.dim, a.dim):
         raise ValueError("basis-change matrix has wrong shape")
-    p_inv = inverse(p)
-    n = a.dim
-    cols = [p.col(i) for i in range(n)]
-    tensor = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            prod = multiply(a, cols[i], cols[j])
-            plane.append(p_inv.apply(prod))
-        tensor.append(tuple(plane))
-    return Algebra(n, tuple(tensor), name=a.name, params=a.params)
+    return Algebra(a.dim, _induced_product(a, [p.col(i) for i in range(a.dim)]), name=a.name, params=a.params)
 
 
 def restriction_to_ideal(a: Algebra, w: Subspace) -> Algebra:
     """Induced product on an ideal, in the ideal's echelon basis."""
-    basis_matrix = QMatrix.from_cols(list(w.basis))
-    m = w.dim
-    tensor = []
-    for i in range(m):
-        plane = []
-        for j in range(m):
-            prod = multiply(a, w.basis[i], w.basis[j])
-            coords = solve(basis_matrix, prod)
-            if coords is None:
-                raise ValueError("subspace is not closed under the product")
-            plane.append(coords)
-        tensor.append(tuple(plane))
-    return Algebra(m, tuple(tensor), name=f"{a.name}|ideal" if a.name else "")
+    return Algebra(w.dim, _induced_product(a, w.basis), name=f"{a.name}|ideal" if a.name else "")
 
 
 def quotient_algebra(a: Algebra, w: Subspace) -> Algebra:
-    """Induced product on A/W for a two-sided ideal W."""
-    std = _basis(a)
-    reps = quotient_basis(std, list(w.basis))
-    full = QMatrix.from_cols(list(w.basis) + reps)
-    q = len(reps)
-    tensor = []
-    for i in range(q):
-        plane = []
-        for j in range(q):
-            prod = multiply(a, reps[i], reps[j])
-            coords = solve(full, prod)
-            assert coords is not None
-            plane.append(tuple(coords[w.dim:]))
-        tensor.append(tuple(plane))
-    return Algebra(q, tuple(tensor), name=f"{a.name}/ideal" if a.name else "")
+    """Induced product on A/W for a two-sided ideal W, in the coordinates of
+    the standard basis vectors that extend W's basis."""
+    reps = quotient_basis(_basis(a), list(w.basis))
+    return Algebra(len(reps), _induced_product(a, reps, w.basis), name=f"{a.name}/ideal" if a.name else "")
 
 
 def product_span(a: Algebra) -> Subspace:

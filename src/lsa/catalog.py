@@ -58,6 +58,7 @@ from .linalg import (
     symmetric_signature,
     unit_vec,
     vec_add,
+    vec_is_zero,
     vec_scale,
     vstack,
 )
@@ -551,18 +552,17 @@ def _square_form_signature(a: Algebra) -> tuple[int, int, int] | None:
     p_hat = candidates[0]
     tr = left_mult(a, p_hat).trace()
     p_hat = tuple(x / tr for x in p_hat)
-    basis_matrix = QMatrix.from_cols([p_hat] + list(w.basis))
     n = a.dim
     e = [unit_vec(n, i) for i in range(n)]
-    form = [[F(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sym = vec_scale(F(1, 2), vec_add(multiply(a, e[i], e[j]), multiply(a, e[j], e[i])))
-            coords = solve(basis_matrix, sym)
-            if coords is None:
-                return None
-            form[i][j] = coords[0]
-    return symmetric_signature(QMatrix(form))
+    syms = [
+        vec_scale(F(1, 2), vec_add(multiply(a, e[i], e[j]), multiply(a, e[j], e[i])))
+        for i in range(n)
+        for j in range(n)
+    ]
+    coords = solve(QMatrix.from_cols([p_hat, *w.basis]), syms)
+    if coords is None:
+        return None
+    return symmetric_signature(QMatrix([[coords[i * n + j][0] for j in range(n)] for i in range(n)]))
 
 
 def _induced_action_ratio(a: Algebra) -> str | None:
@@ -576,27 +576,17 @@ def _induced_action_ratio(a: Algebra) -> str | None:
     p = product_span(a)
     if p.dim != 2 or a.dim - p.dim != 1:
         return None
+    # P acts trivially on P: L_p and R_p vanish there for every p in P
+    if any(not vec_is_zero(multiply(a, x, y)) for x in p.basis for y in p.basis):
+        return None
     basis_matrix = QMatrix.from_cols(list(p.basis))
 
     def restrict(m: QMatrix) -> QMatrix | None:
-        cols = []
-        for bv in p.basis:
-            coords = solve(basis_matrix, m.apply(bv))
-            if coords is None:
-                return None
-            cols.append(coords)
-        return QMatrix.from_cols(cols)
+        cols = solve(basis_matrix, [m.apply(bv) for bv in p.basis])
+        return None if cols is None else QMatrix.from_cols(cols)
 
-    for pv in p.basis:
-        lm, rm = restrict(left_mult(a, pv)), restrict(right_mult(a, pv))
-        if lm is None or rm is None or not lm.is_zero() or not rm.is_zero():
-            return None
-    lift = next(
-        (unit_vec(a.dim, i) for i in range(a.dim) if not p.contains(unit_vec(a.dim, i))),
-        None,
-    )
-    if lift is None:
-        return None
+    # dim P = 2 < 3, so some standard basis vector lifts the quotient generator
+    lift = next(x for x in (unit_vec(a.dim, i) for i in range(a.dim)) if not p.contains(x))
     lb, rb = restrict(left_mult(a, lift)), restrict(right_mult(a, lift))
     if lb is None or rb is None:
         return None
@@ -625,7 +615,6 @@ FINGERPRINT: tuple[tuple[str, Callable[[Algebra], object]], ...] = (
     ("dim_PA+AP", lambda a: _pa_ap_span(a).dim),
     ("annihilators", _annihilator_dims),
     ("flags_NDS", lambda a: ndsflags(a)),
-    ("complete", lambda a: is_complete(a)),
     ("LR_operator_span", _operator_spans),
     ("square_form_signature", _square_form_signature),
     ("induced_action_ratio", _induced_action_ratio),

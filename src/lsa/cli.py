@@ -362,11 +362,13 @@ def _spell_at_points(argv: list[str]) -> list[str]:
 
     argparse takes a separate token such as ``-1,2,3`` for an option; in the
     ``=`` form it is a value, and ``--at`` collects every value it is given.
+    A token is a point when it does not start with ``-`` or when it holds a
+    comma: every point has commas and no option does (``-inf,0,0`` too).
     """
     out: list[str] = []
     in_points = False
     for tok in argv:
-        if in_points and (not tok.startswith("-") or tok[1:2].isdigit() or tok[1:2] == "."):
+        if in_points and (not tok.startswith("-") or "," in tok):
             out.append(f"--at={tok}")
             continue
         in_points = tok == "--at"

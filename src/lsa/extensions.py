@@ -24,6 +24,7 @@ from .algebra import (
     Algebra,
     Subspace,
     center,
+    conjugated,
     failures,
     first_failure,
     is_lie_algebra,
@@ -35,7 +36,6 @@ from .linalg import (
     QMatrix,
     Vec,
     column_space_basis,
-    det,
     nullspace_basis,
     quotient_basis,
     random_fraction,
@@ -423,21 +423,16 @@ def is_central_extension(d: ExtensionData) -> bool:
 
 
 def verify_iso_witness(a: Algebra, b: Algebra, eta: QMatrix) -> bool:
-    """True iff eta is invertible and eta(x .a y) = eta(x) .b eta(y)."""
+    """True iff eta is invertible and eta(x .a y) = eta(x) .b eta(y), i.e.
+    iff b, written in the basis eta(e_i), has a's structure constants."""
     if a.dim != b.dim:
         raise ValueError("algebras must have equal dimension")
     if eta.shape != (a.dim, a.dim):
         raise ValueError("witness matrix has wrong shape")
-    if det(eta) == 0:
+    try:
+        return conjugated(b, eta).c == a.c
+    except ValueError:  # eta is singular
         return False
-    e = _k_basis(a)
-    for i in range(a.dim):
-        for j in range(a.dim):
-            lhs = eta.apply(multiply(a, e[i], e[j]))
-            rhs = multiply(b, eta.col(i), eta.col(j))
-            if lhs != rhs:
-                return False
-    return True
 
 
 def act_on_cocycle(k: Algebra, v: Algebra, mu: QMatrix, eta: QMatrix, g: Cocycle2) -> Cocycle2:
@@ -457,11 +452,11 @@ def act_on_cocycle(k: Algebra, v: Algebra, mu: QMatrix, eta: QMatrix, g: Cocycle
 
 def cocycles_cohomologous(action: BimoduleAction, g1: Cocycle2, g2: Cocycle2) -> QMatrix | None:
     """Solve g1 - g2 = delta1 h exactly; returns h or None."""
-    sol = solve(_delta1_matrix(action), _flatten_cocycle(g1 - g2))
-    if sol is None:
+    sols = solve(_delta1_matrix(action), [_flatten_cocycle(g1 - g2)])
+    if sols is None:
         return None
     v_dim = action.v_dim
-    return QMatrix.from_cols([sol[i: i + v_dim] for i in range(0, len(sol), v_dim)])
+    return QMatrix.from_cols([sols[0][i: i + v_dim] for i in range(0, len(sols[0]), v_dim)])
 
 
 @dataclass(frozen=True)

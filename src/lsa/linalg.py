@@ -229,29 +229,30 @@ def nullspace_basis(m: QMatrix) -> list[Vec]:
     return basis
 
 
-def solve(m: QMatrix, b: Vec) -> Vec | None:
-    """One particular solution of m x = b, or None if inconsistent."""
-    if len(b) != m.nrows:
+def solve(m: QMatrix, bs: Sequence[Vec]) -> list[Vec] | None:
+    """One particular solution of m x = b for each b in ``bs`` (free
+    variables set to 0), all read off one rref of [m | b_1 ... b_r]; None if
+    any b is inconsistent, i.e. if that rref has a pivot past m."""
+    if any(len(b) != m.nrows for b in bs):
         raise ValueError("shape mismatch in solve")
-    aug = QMatrix([list(row) + [b[i]] for i, row in enumerate(m.rows)])
-    red, pivots = rref(aug)
-    if m.ncols in pivots:
+    n = m.ncols
+    red, pivots = rref(QMatrix([[*row, *(b[i] for b in bs)] for i, row in enumerate(m.rows)]))
+    if pivots and pivots[-1] >= n:
         return None
-    x = [Fraction(0)] * m.ncols
+    xs = [[Fraction(0)] * n for _ in bs]
     for r, pc in enumerate(pivots):
-        x[pc] = red.rows[r][m.ncols]
-    return tuple(x)
+        for x, value in zip(xs, red.rows[r][n:]):
+            x[pc] = value
+    return [tuple(x) for x in xs]
 
 
 def inverse(m: QMatrix) -> QMatrix:
     if not m.is_square():
         raise ValueError("inverse of non-square matrix")
-    n = m.nrows
-    aug = QMatrix([list(m.rows[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)])
-    red, pivots = rref(aug)
-    if tuple(pivots[:n]) != tuple(range(n)):
+    cols = solve(m, [unit_vec(m.nrows, i) for i in range(m.nrows)])
+    if cols is None:
         raise ValueError("matrix is singular")
-    return QMatrix([row[n:] for row in red.rows])
+    return QMatrix.from_cols(cols)
 
 
 def column_space_basis(m: QMatrix) -> list[Vec]:

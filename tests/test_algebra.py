@@ -232,6 +232,23 @@ def test_identify():
     assert identify_lie_algebra(zero_algebra(3)).kind == "not_in_scope"
 
 
+@pytest.mark.parametrize(
+    "brackets, reason",
+    [
+        ({(1, 2): {2: 2}, (1, 3): {3: -2}, (2, 3): {1: 1}}, "not solvable"),  # sl(2,R)
+        ({(1, 2): {3: 1}, (1, 3): {2: -1}, (2, 3): {1: 1}}, "not solvable"),  # so(3)
+        ({(1, 2): {3: 1}}, "unimodular"),  # Heisenberg
+        ({(1, 2): {3: 1}, (1, 3): {2: -1}}, "unimodular"),  # e(2)
+        ({}, "unimodular"),  # abelian
+    ],
+)
+def test_identify_out_of_scope_reason(brackets, reason):
+    rng = random.Random(len(brackets))
+    lie = Algebra.from_brackets(3, brackets)
+    for a in (lie, conjugated(lie, random_invertible(rng, 3))):
+        assert str(identify_lie_algebra(a)) == f"not_in_scope(Lie algebra is {reason})"
+
+
 def test_identify_random_conjugate():
     rng = random.Random(13)
     g32 = make_lie("G32")

@@ -284,15 +284,16 @@ def test_affine_sample_negative_first_coordinate(capsys, at):
         ["--at", "-1,2"], ["--at=-1,x,3"], ["--at", "-x,2,3"],
         # parse as floats, but the map there is not finite
         ["--at=nan,0,0"], ["--at=inf,0,0"], ["--at=1000,0,0"],
+        # a signed non-finite point is a point, and so is the one after it
+        ["--at", "-inf,0,0"], ["--at", "-nan,0,0", "1,2,3"],
     ],
 )
 def test_affine_sample_bad_point_exit_2(capsys, at):
-    try:
-        code = main(["affine-sample", "--family", "A30", *at])
-    except SystemExit as err:  # argparse usage errors
-        code = err.code
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+    # every case reaches the point check; none is an argparse usage error
+    assert main(["affine-sample", "--family", "A30", *at]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert ("non-finite entry" in err) == any(s in "".join(at) for s in ("nan", "inf", "1000"))
 
 
 def test_affine_sample_refuses_non_finite_point_under_python_O():

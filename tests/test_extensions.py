@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from lsa.algebra import Algebra, check_left_symmetric, lie_algebra_of, multiply
-from lsa.catalog import fixtures, make_lsa
+from lsa.algebra import Algebra, check_left_symmetric, conjugated, lie_algebra_of, multiply
+from lsa.catalog import fixtures, make_lsa, reconstruction_cases
 from lsa.extensions import (
     BimoduleAction,
     Cocycle2,
@@ -27,7 +27,7 @@ from lsa.extensions import (
     trivial_action,
     verify_iso_witness,
 )
-from lsa.linalg import QMatrix, random_fraction, unit_vec, vec
+from lsa.linalg import QMatrix, inverse, random_fraction, random_invertible, unit_vec, vec
 
 F = Fraction
 
@@ -202,6 +202,42 @@ def test_delta2_delta1_is_zero_random():
             ]
         )
         assert delta2_is_zero(action, delta1(action, h))
+
+
+def transported(action, g, p, q):
+    """The action and cocycle in the bases f_i = sum_k p[k][i] e_k of K and
+    the columns of q in V: lambda'_i = q^-1 (sum_k p[k][i] lambda_k) q, the
+    same for rho, and g'(f_i, f_j) = q^-1 g(f_i, f_j)."""
+    q_inv = inverse(q)
+
+    def move(mats):
+        return tuple(
+            q_inv @ sum((m.scale(p.rows[k][i]) for k, m in enumerate(mats)), QMatrix.zero(q.nrows, q.nrows)) @ q
+            for i in range(p.nrows)
+        )
+
+    k = conjugated(action.k, p)
+    moved = BimoduleAction(k, action.v_dim, move(action.lam), move(action.rho))
+    values = tuple(tuple(q_inv.apply(g.of(p.col(i), p.col(j))) for j in range(k.dim)) for i in range(k.dim))
+    return moved, Cocycle2(values)
+
+
+def test_delta2_delta1_is_zero_on_transported_reconstruction_actions():
+    rng = random.Random(61)
+    for case in reconstruction_cases(random.Random(0)):
+        action, g = case.data.action, case.data.g
+        for _ in range(2):
+            p = random_invertible(rng, action.k.dim)
+            q = random_invertible(rng, action.v_dim)
+            moved, g_moved = transported(action, g, p, q)
+            assert delta2_is_zero(moved, g_moved), case.label
+            before, after = h2(action), h2(moved)
+            assert (after.dim_z2, after.dim_b2, after.dim_h2) == (before.dim_z2, before.dim_b2, before.dim_h2)
+            h = QMatrix([[random_fraction(rng) for _ in range(action.k.dim)] for _ in range(action.v_dim)])
+            dh = delta1(moved, h)
+            assert delta2_is_zero(moved, dh), case.label
+            h_found = cocycles_cohomologous(moved, g_moved + dh, g_moved)
+            assert h_found is not None and delta1(moved, h_found) == dh, case.label
 
 
 # --- H2 -------------------------------------------------------------------

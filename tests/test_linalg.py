@@ -138,10 +138,19 @@ def test_is_nilpotent():
 
 def test_solve_and_inverse():
     m = QMatrix([[2, 1], [1, 1]])
-    x = solve(m, vec([3, 2]))
-    assert x == (F(1), F(1))
+    assert solve(m, [vec([3, 2])]) == [(F(1), F(1))]
+    assert solve(m, [vec([3, 2]), vec([0, 1]), vec([0, 0])]) == [(F(1), F(1)), (F(-1), F(2)), (F(0), F(0))]
+    assert solve(m, []) == []
     assert inverse(m) @ m == QMatrix.identity(2)
-    assert solve(QMatrix([[1, 1], [1, 1]]), vec([0, 1])) is None
+    assert solve(QMatrix([[1, 1], [1, 1]]), [vec([0, 1])]) is None
+    # one inconsistent right-hand side refuses them all
+    assert solve(QMatrix([[1, 1], [1, 1]]), [vec([2, 2]), vec([0, 1])]) is None
+    # free variables are set to 0
+    assert solve(QMatrix([[1, 1], [1, 1]]), [vec([2, 2])]) == [(F(2), F(0))]
+    with pytest.raises(ValueError, match="singular"):
+        inverse(QMatrix([[1, 1], [1, 1]]))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        solve(m, [vec([1, 2, 3])])
 
 
 def test_column_space_basis():
