@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, check_left_symmetric, left_mult, lie_algebra_of, multiply
+from .algebra import Algebra, check_left_symmetric, left_mult, lie_algebra_of
 from .catalog import ENTRIES, ParameterError, validate_params
 from .linalg import QMatrix, Vec, frac, unit_vec
 
@@ -450,8 +450,6 @@ class FamilySpec:
     catalog_name: str
     maps: Callable[..., tuple[np.ndarray, np.ndarray]]
     recover: Callable[..., tuple]
-    # which group parameter differentiates to which catalog basis vector
-    tangent_order: tuple[int, int, int] = (0, 1, 2)
 
     @property
     def defaults(self) -> dict[str, Fraction]:
@@ -490,7 +488,6 @@ class GroupFamily:
     params: dict[str, float]
     maps: Callable[..., tuple[np.ndarray, np.ndarray]]
     solve: Callable[..., tuple]
-    tangent_order: tuple[int, int, int] = (0, 1, 2)
 
     def evaluate(self, a, b, c) -> tuple[np.ndarray, np.ndarray]:
         """Unvalidated linear parts and translations."""
@@ -524,7 +521,7 @@ def build_family(name: str, **params) -> GroupFamily:
     except (ValueError, OverflowError) as err:  # a constraint, or a NaN or infinite parameter
         raise ParameterError(f"family {name}: {err}") from err
     floats = {k: float(v) for k, v in exact.items()}
-    return GroupFamily(name, spec.catalog_name, floats, spec.maps, spec.recover, spec.tangent_order)
+    return GroupFamily(name, spec.catalog_name, floats, spec.maps, spec.recover)
 
 
 def legacy_d32_family() -> GroupFamily:
@@ -742,15 +739,13 @@ class TangentReport:
 
 
 def check_tangent_algebra(fam: GroupFamily, algebra: Algebra, step: float = 1e-6) -> TangentReport:
-    """Differentiate the coordinate curves at the identity and compare with
-    the exact representation and the algebra's bracket constants."""
+    """Differentiate the coordinate curves at the identity (the i-th is the
+    generator of e_i) and compare with the exact representation and the
+    algebra's bracket constants."""
     curve = fam.elements(*(step * _STENCIL[1:]).T).as_homogeneous()  # +-step e_i
     xs = list((curve[:3] - curve[3:]) / (2 * step))
     rep = affine_rep(algebra).homogeneous_float()
-    order = fam.tangent_order
-    gen_err = max(
-        float(np.max(np.abs(xs[i] - rep[order[i]]))) for i in range(3)
-    )
+    gen_err = max(float(np.max(np.abs(xs[i] - rep[i]))) for i in range(3))
     lie = lie_algebra_of(algebra)
     basis = np.stack([x.reshape(-1) for x in xs], axis=1)  # 16 x 3
     max_resid = 0.0
@@ -761,10 +756,7 @@ def check_tangent_algebra(fam: GroupFamily, algebra: Algebra, step: float = 1e-6
             comm = xs[i] @ xs[j] - xs[j] @ xs[i]
             coeffs, residuals, *_ = np.linalg.lstsq(basis, comm.reshape(-1), rcond=None)
             resid = float(np.max(np.abs(basis @ coeffs - comm.reshape(-1))))
-            expected = multiply(lie, unit_vec(3, order[i]), unit_vec(3, order[j]))
-            const_err = max(
-                abs(coeffs[idx] - float(expected[order[idx]])) for idx in range(3)
-            )
+            const_err = max(abs(coeffs[k] - float(lie.c[i][j][k])) for k in range(3))
             if max(resid, const_err) > max(max_resid, max_const_err):
                 worst = (i + 1, j + 1)
             max_resid = max(max_resid, resid)

@@ -17,7 +17,6 @@ from .linalg import (
     Vec,
     char_poly,
     frac,
-    in_span,
     is_nilpotent,
     nullspace_basis,
     quotient_basis,
@@ -129,9 +128,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def contains(self, v: Vec) -> bool:
-        return in_span(v, self.basis)
 
 
 @dataclass(frozen=True)
@@ -391,16 +387,13 @@ def center(a: Algebra) -> Subspace:
 
 
 def is_two_sided_ideal(a: Algebra, w: Subspace) -> bool:
+    """W is an ideal iff W's basis with every e_i*w and w*e_i still spans a
+    space of dimension dim W: one echelon form."""
     if w.ambient_dim != a.dim:
         raise ValueError("subspace ambient dimension mismatch")
     e = _basis(a)
-    for wv in w.basis:
-        for i in range(a.dim):
-            if not w.contains(multiply(a, e[i], wv)):
-                return False
-            if not w.contains(multiply(a, wv, e[i])):
-                return False
-    return True
+    products = [p for wv in w.basis for x in e for p in (multiply(a, x, wv), multiply(a, wv, x))]
+    return Subspace.from_spanning(a.dim, [*w.basis, *products]).dim == w.dim
 
 
 def _joint_eigenvectors(mats: Sequence[QMatrix], spectra: Sequence[list[Fraction]]) -> set[Vec]:
@@ -485,8 +478,9 @@ def milnor_normal_form(lie: Algebra) -> MilnorForm:
     """Adapted basis (e1, u1, u2) with U = ker(x -> tr ad_x) abelian and
     tr(ad_e1 | U) = 2; returns ad_e1 restricted to U and its determinant.
 
-    e1 is the first standard basis vector outside U, then rescaled; the
-    echelon basis of U makes the construction deterministic.
+    e1 is the first standard basis vector outside U, i.e. the first e_i with
+    tr ad_ei != 0, scaled by 2 / tr ad_ei; the echelon basis of U makes the
+    construction deterministic.
     """
     _require_lie(lie)
     if lie.dim != 3:
@@ -504,9 +498,8 @@ def milnor_normal_form(lie: Algebra) -> MilnorForm:
     u1, u2 = u_space.basis
     if not vec_is_zero(multiply(lie, u1, u2)):
         raise NotInScopeError("kernel of the trace form is not abelian")
-    e1 = next(x for x in e if not u_space.contains(x))
-    tr = left_mult(lie, e1).trace()
-    e1 = vec_scale(Fraction(2) / tr, e1)
+    i, tr = next((i, t) for i, t in enumerate(trace_row) if t != 0)
+    e1 = vec_scale(Fraction(2) / tr, e[i])
     cols = solve(QMatrix.from_cols([u1, u2]), [multiply(lie, e1, u) for u in (u1, u2)])
     if cols is None:
         raise NotInScopeError("trace-form kernel is not ad_e1 invariant")
@@ -517,6 +510,15 @@ def milnor_normal_form(lie: Algebra) -> MilnorForm:
 
 
 def identify_lie_algebra(lie: Algebra) -> LieTag:
+    """The isomorphism class, read off the Milnor form (``_tag_of_form``)."""
+    try:
+        form = milnor_normal_form(lie)
+    except NotInScopeError as err:
+        return LieTag("not_in_scope", reason=str(err))
+    return _tag_of_form(form)
+
+
+def _tag_of_form(form: MilnorForm) -> LieTag:
     """Decide the isomorphism class from det(D) of the Milnor form.
 
     d = 0 -> G31; d = 1 -> G32 if D = I else G33; d in (0,1) or d < 0 ->
@@ -524,10 +526,6 @@ def identify_lie_algebra(lie: Algebra) -> LieTag:
     zeta = sqrt(d-1).  Parameters of rational-parameter inputs recover
     exactly; otherwise the tag is flagged non-exact.
     """
-    try:
-        form = milnor_normal_form(lie)
-    except NotInScopeError as err:
-        return LieTag("not_in_scope", reason=str(err))
     d = form.det_d
     if d == 0:
         return LieTag("G31")
@@ -593,8 +591,5 @@ def quotient_algebra(a: Algebra, w: Subspace) -> Algebra:
 
 
 def product_span(a: Algebra) -> Subspace:
-    """Span of all products x*y."""
-    e = _basis(a)
-    return Subspace.from_spanning(
-        a.dim, [multiply(a, x, y) for x in e for y in e]
-    )
+    """Span of all products x*y, i.e. of the tensor's rows e_i*e_j."""
+    return Subspace.from_spanning(a.dim, [v for plane in a.c for v in plane])

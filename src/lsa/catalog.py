@@ -52,14 +52,15 @@ from .extensions import (
 )
 from .linalg import (
     QMatrix,
+    Vec,
     frac,
     nullspace_basis,
+    quotient_basis,
     solve,
     symmetric_signature,
     unit_vec,
     vec_add,
     vec_is_zero,
-    vec_scale,
     vstack,
 )
 
@@ -512,13 +513,9 @@ def _operator_spans(a: Algebra) -> tuple[int, int]:
     )
 
 
-def _squares_span(a: Algebra) -> Subspace:
-    e = [unit_vec(a.dim, i) for i in range(a.dim)]
-    vecs = []
-    for i in range(a.dim):
-        for j in range(a.dim):
-            vecs.append(vec_add(multiply(a, e[i], e[j]), multiply(a, e[j], e[i])))
-    return Subspace.from_spanning(a.dim, vecs)
+def _symmetrized_products(a: Algebra) -> list[Vec]:
+    """e_i*e_j + e_j*e_i for every (i, j) in row-major order, read off the tensor."""
+    return [vec_add(a.c[i][j], a.c[j][i]) for i in range(a.dim) for j in range(a.dim)]
 
 
 def _pa_ap_span(a: Algebra) -> Subspace:
@@ -553,13 +550,9 @@ def _square_form_signature(a: Algebra) -> tuple[int, int, int] | None:
     tr = left_mult(a, p_hat).trace()
     p_hat = tuple(x / tr for x in p_hat)
     n = a.dim
-    e = [unit_vec(n, i) for i in range(n)]
-    syms = [
-        vec_scale(F(1, 2), vec_add(multiply(a, e[i], e[j]), multiply(a, e[j], e[i])))
-        for i in range(n)
-        for j in range(n)
-    ]
-    coords = solve(QMatrix.from_cols([p_hat, *w.basis]), syms)
+    # the form's matrix is half the coordinates of e_i*e_j + e_j*e_i; the
+    # factor 1/2 does not change a signature, so it is left out
+    coords = solve(QMatrix.from_cols([p_hat, *w.basis]), _symmetrized_products(a))
     if coords is None:
         return None
     return symmetric_signature(QMatrix([[coords[i * n + j][0] for j in range(n)] for i in range(n)]))
@@ -585,8 +578,8 @@ def _induced_action_ratio(a: Algebra) -> str | None:
         cols = solve(basis_matrix, [m.apply(bv) for bv in p.basis])
         return None if cols is None else QMatrix.from_cols(cols)
 
-    # dim P = 2 < 3, so some standard basis vector lifts the quotient generator
-    lift = next(x for x in (unit_vec(a.dim, i) for i in range(a.dim)) if not p.contains(x))
+    # dim P = 2 < 3, so a standard basis vector lifts the quotient generator
+    lift = quotient_basis([unit_vec(a.dim, i) for i in range(a.dim)], list(p.basis))[0]
     lb, rb = restrict(left_mult(a, lift)), restrict(right_mult(a, lift))
     if lb is None or rb is None:
         return None
@@ -611,7 +604,7 @@ FINGERPRINT: tuple[tuple[str, Callable[[Algebra], object]], ...] = (
     ("lie_tag", lambda a: str(identify_lie_algebra(lie_algebra_of(a)))),
     ("dim_center", lambda a: center(a).dim),
     ("dim_products", lambda a: product_span(a).dim),
-    ("dim_squares", lambda a: _squares_span(a).dim),
+    ("dim_squares", lambda a: Subspace.from_spanning(a.dim, _symmetrized_products(a)).dim),
     ("dim_PA+AP", lambda a: _pa_ap_span(a).dim),
     ("annihilators", _annihilator_dims),
     ("flags_NDS", lambda a: ndsflags(a)),

@@ -16,6 +16,7 @@ from fractions import Fraction
 from . import affine as aff
 from .algebra import (
     NotInScopeError,
+    _tag_of_form,
     check_left_symmetric,
     find_ideals_dim_le3,
     identify_lie_algebra,
@@ -30,6 +31,7 @@ from .jsonio import (
     JsonFormatError,
     algebra_from_dict,
     algebra_to_dict,
+    cocycle_to_rows,
     dumps_sorted,
     extension_from_dict,
     load_json_file,
@@ -84,11 +86,7 @@ def cmd_check(args) -> int:
 def cmd_lie(args) -> int:
     lie = lie_algebra_of(_load_algebra(args.file))
     tag = identify_lie_algebra(lie)
-    brackets = [
-        {"i": i, "j": j, "k": k, "num": v.numerator, "den": v.denominator}
-        for (i, j, k, v) in lie.nonzero_products()
-        if i < j
-    ]
+    brackets = [p for p in algebra_to_dict(lie)["products"] if p["i"] < p["j"]]
     if args.json:
         print(dumps_sorted({"brackets": brackets, "lie_tag": str(tag)}))
     else:
@@ -109,13 +107,7 @@ def cmd_h2(args) -> int:
         if not ls.ok:
             raise _not_left_symmetric(label, factor, ls.witness)
     res = h2(data.action)
-    reps = [
-        [
-            [[[x.numerator, x.denominator] for x in cell] for cell in row]
-            for row in rep.values
-        ]
-        for rep in res.representatives
-    ]
+    reps = [cocycle_to_rows(rep) for rep in res.representatives]
     if args.json:
         print(
             dumps_sorted(
@@ -179,7 +171,7 @@ def cmd_identify(args) -> int:
     lie = lie_algebra_of(a) if check_left_symmetric(a).ok else a
     try:
         form = milnor_normal_form(lie)
-        tag = identify_lie_algebra(lie)
+        tag = _tag_of_form(form)
         if args.json:
             print(
                 dumps_sorted(

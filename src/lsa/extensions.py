@@ -23,19 +23,16 @@ from typing import Sequence
 from .algebra import (
     Algebra,
     Subspace,
-    center,
     conjugated,
     failures,
     first_failure,
     is_lie_algebra,
     left_mult,
-    multiply,
     right_mult,
 )
 from .linalg import (
     QMatrix,
     Vec,
-    column_space_basis,
     nullspace_basis,
     quotient_basis,
     random_fraction,
@@ -183,7 +180,6 @@ def delta1(action: BimoduleAction, h: QMatrix) -> Cocycle2:
     k = action.k
     if h.shape != (action.v_dim, k.dim):
         raise ValueError("h must be a v_dim x k_dim matrix (map K -> V)")
-    e = _k_basis(k)
     rows = []
     for i in range(k.dim):
         row = []
@@ -191,7 +187,7 @@ def delta1(action: BimoduleAction, h: QMatrix) -> Cocycle2:
             hx = h.col(i)
             hy = h.col(j)
             val = vec_add(action.rho[j].apply(hx), action.lam[i].apply(hy))
-            val = vec_sub(val, h.apply(multiply(k, e[i], e[j])))
+            val = vec_sub(val, h.apply(k.c[i][j]))
             row.append(val)
         rows.append(tuple(row))
     return Cocycle2(tuple(rows))
@@ -207,13 +203,12 @@ def delta2(action: BimoduleAction, g: Cocycle2) -> tuple[tuple[tuple[Vec, ...], 
         for j in range(k.dim):
             row = []
             for l in range(k.dim):
-                x, y, z = e[i], e[j], e[l]
-                val = g.of(x, multiply(k, y, z))
-                val = vec_sub(val, g.of(y, multiply(k, x, z)))
+                val = g.of(e[i], k.c[j][l])
+                val = vec_sub(val, g.of(e[j], k.c[i][l]))
                 val = vec_add(val, action.lam[i].apply(g.values[j][l]))
                 val = vec_sub(val, action.lam[j].apply(g.values[i][l]))
-                bracket = vec_sub(multiply(k, x, y), multiply(k, y, x))
-                val = vec_sub(val, g.of(bracket, z))
+                bracket = vec_sub(k.c[i][j], k.c[j][i])
+                val = vec_sub(val, g.of(bracket, e[l]))
                 omega = vec_sub(g.values[i][j], g.values[j][i])
                 val = vec_sub(val, action.rho[l].apply(omega))
                 row.append(val)
@@ -331,7 +326,7 @@ def _unflatten_cocycle(flat: Vec, k_dim: int, v_dim: int) -> Cocycle2:
     return Cocycle2(tuple(rows))
 
 
-def _delta1_matrix(action: BimoduleAction) -> QMatrix:
+def _delta1_columns(action: BimoduleAction) -> list[Vec]:
     """delta1 as a matrix on flattened maps: column i*v_dim + m is the
     flattened delta1 of the map K -> V sending e_i to e_m and the rest to 0."""
     k_dim, v_dim = action.k.dim, action.v_dim
@@ -341,7 +336,7 @@ def _delta1_matrix(action: BimoduleAction) -> QMatrix:
             h_rows = [[Fraction(0)] * k_dim for _ in range(v_dim)]
             h_rows[m][i] = Fraction(1)
             cols.append(_flatten_cocycle(delta1(action, QMatrix(h_rows))))
-    return QMatrix.from_cols(cols)
+    return cols
 
 
 @dataclass(frozen=True)
@@ -358,8 +353,9 @@ def h2(action: BimoduleAction) -> H2Result:
     """Second cohomology for (lambda, rho): Z2 = ker delta2, B2 = im delta1.
 
     Cocycles flatten to vectors indexed (i*k_dim + j)*v_dim + m, so both
-    spaces reduce to one exact kernel and one exact column space.  Data with
-    B2 not inside Z2 is refused with ``ValueError``.
+    spaces reduce to one exact kernel and one echelon basis of the span of
+    delta1's columns.  Data with B2 not inside Z2 is refused with
+    ``ValueError``.
     """
     k_dim, v_dim = action.k.dim, action.v_dim
     n2 = k_dim * k_dim * v_dim
@@ -378,7 +374,7 @@ def h2(action: BimoduleAction) -> H2Result:
     d2_matrix = QMatrix.from_cols(d2_cols)
     z2 = nullspace_basis(d2_matrix)
 
-    b2 = column_space_basis(_delta1_matrix(action))
+    b2 = list(Subspace.from_spanning(n2, _delta1_columns(action)).basis)
     try:
         reps = quotient_basis(z2, b2)
     except ValueError:
@@ -415,11 +411,13 @@ def is_exact_extension(d: ExtensionData) -> bool:
 
 
 def is_central_extension(d: ExtensionData) -> bool:
-    """Embed V in the built extension and test containment in its center."""
+    """V is central in the built extension iff V.A = A.V = 0, i.e. iff every
+    V row and every V column of its structure tensor is zero."""
     ext = build_extension(d)
-    c = center(ext)
-    n = ext.dim
-    return all(c.contains(unit_vec(n, d.k.dim + m)) for m in range(d.v.dim))
+    kd = d.k.dim
+    return all(
+        vec_is_zero(ext.c[i][j]) for i in range(ext.dim) for j in range(ext.dim) if max(i, j) >= kd
+    )
 
 
 def verify_iso_witness(a: Algebra, b: Algebra, eta: QMatrix) -> bool:
@@ -452,7 +450,7 @@ def act_on_cocycle(k: Algebra, v: Algebra, mu: QMatrix, eta: QMatrix, g: Cocycle
 
 def cocycles_cohomologous(action: BimoduleAction, g1: Cocycle2, g2: Cocycle2) -> QMatrix | None:
     """Solve g1 - g2 = delta1 h exactly; returns h or None."""
-    sols = solve(_delta1_matrix(action), [_flatten_cocycle(g1 - g2)])
+    sols = solve(QMatrix.from_cols(_delta1_columns(action)), [_flatten_cocycle(g1 - g2)])
     if sols is None:
         return None
     v_dim = action.v_dim

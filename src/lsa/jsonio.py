@@ -91,6 +91,10 @@ def matrix_to_rows(m: QMatrix) -> list:
     return [[[x.numerator, x.denominator] for x in row] for row in m.rows]
 
 
+def cocycle_to_rows(g: Cocycle2) -> list:
+    return [[[[x.numerator, x.denominator] for x in cell] for cell in row] for row in g.values]
+
+
 def matrix_from_rows(data: Any, where: str) -> QMatrix:
     if not isinstance(data, list) or not data or not all(isinstance(row, list) for row in data):
         raise JsonFormatError(f"{where} must be a non-empty list of rows")
@@ -108,10 +112,7 @@ def extension_to_dict(d: ExtensionData) -> dict:
         "V": algebra_to_dict(d.v),
         "lambda": [matrix_to_rows(m) for m in d.action.lam],
         "rho": [matrix_to_rows(m) for m in d.action.rho],
-        "g": [
-            [[[x.numerator, x.denominator] for x in cell] for cell in row]
-            for row in d.g.values
-        ],
+        "g": cocycle_to_rows(d.g),
     }
 
 

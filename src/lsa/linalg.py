@@ -255,18 +255,6 @@ def inverse(m: QMatrix) -> QMatrix:
     return QMatrix.from_cols(cols)
 
 
-def column_space_basis(m: QMatrix) -> list[Vec]:
-    """Canonical (row-echelon) basis of the column space."""
-    red, _ = rref(m.transpose())
-    return [row for row in red.rows if not vec_is_zero(row)]
-
-
-def in_span(v: Vec, basis: Sequence[Vec]) -> bool:
-    """True iff v is a combination of ``basis``: the last column of
-    [basis | v] is not a pivot."""
-    return len(basis) not in rref(QMatrix.from_cols([*basis, v]))[1]
-
-
 def quotient_basis(ambient: Sequence[Vec], sub: Sequence[Vec]) -> list[Vec]:
     """Vectors from ``ambient`` extending ``sub`` to a basis of span(ambient).
 
@@ -313,42 +301,73 @@ def is_nilpotent(m: QMatrix) -> bool:
     return all(c == 0 for c in char_poly(m)[1:])
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = set()
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-    return sorted(out)
+def _horner(coeffs: Sequence[int], y: int) -> int:
+    acc = 0
+    for c in coeffs:
+        acc = acc * y + c
+    return acc
 
 
-def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """Distinct rational roots of the polynomial (coefficients highest first)."""
+def _integer_root(q: Sequence[int], lo: int, hi: int, increasing: bool) -> int | None:
+    """The integer root of q in [lo, hi], on which q is strictly monotone,
+    by bisection for the first point where q stops being below zero."""
+    sign = 1 if increasing else -1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sign * _horner(q, mid) < 0:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo if _horner(q, lo) == 0 else None
+
+
+def rational_roots(coeffs: Sequence[FractionLike]) -> list[Fraction]:
+    """Distinct rational roots of a polynomial of degree <= 3 (coefficients
+    highest first), sorted.
+
+    With integer coefficients a_d..a_0, the monic q(y) = a_d^(d-1) p(y/a_d)
+    = y^d + b_1 y^(d-1) + ... + b_d has integer coefficients, so its rational
+    roots are integers, all within the Cauchy bound 1 + max |b_k|.  Between
+    consecutive simple critical points (the real roots of q', located
+    exactly by ``math.isqrt``) q is strictly monotone, so each such piece
+    holds at most one root and integer bisection finds it; a double root is
+    a critical point and lies on a piece's end.  The cost grows with the
+    coefficients' bit length, not their size.  Degree > 3 is refused with
+    ``ValueError``.
+    """
     cs = [frac(c) for c in coeffs]
     while cs and cs[0] == 0:
         cs = cs[1:]
-    if not cs:
-        return []
+    if len(cs) > 4:
+        raise ValueError("rational_roots handles degree <= 3 only")
     roots: set[Fraction] = set()
-    while cs[-1] == 0:
+    while len(cs) > 1 and cs[-1] == 0:
         roots.add(Fraction(0))
         cs = cs[:-1]
-        if len(cs) == 1:
-            return sorted(roots)
+    if len(cs) <= 1:
+        return sorted(roots)
     denom_lcm = math.lcm(*(c.denominator for c in cs))
-    ints = [int(c * denom_lcm) for c in cs]
-    lead, const = ints[0], ints[-1]
-    for p in _divisors(const):
-        for q in _divisors(lead):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in roots:
-                    continue
-                acc = Fraction(0)
-                for c in cs:
-                    acc = acc * cand + c
-                if acc == 0:
-                    roots.add(cand)
+    a = [int(c * denom_lcm) for c in cs]
+    lead, d = a[0], len(a) - 1
+    q = [1, *(a[k] * lead ** (k - 1) for k in range(1, d + 1))]
+    bound = 1 + max(abs(b) for b in q[1:])
+    # each critical point of q as (floor, ceil); q rises right of the last
+    if d == 2:
+        crit = [((-q[1]) // 2, -(q[1] // 2))]
+    elif d == 3 and q[1] ** 2 > 3 * q[2]:
+        # q' = 3y^2 + 2by + c vanishes at (-b -+ sqrt(b^2 - 3c)) / 3
+        disc = q[1] ** 2 - 3 * q[2]
+        s = math.isqrt(disc)
+        t = s + (s * s != disc)  # ceil(sqrt(disc))
+        crit = [((-q[1] - t) // 3, -((q[1] + s) // 3)), ((-q[1] + s) // 3, -((q[1] - t) // 3))]
+    else:
+        crit = []
+    ends = [(-bound, -bound), *crit, (bound, bound)]
+    for piece, ((_, lo), (hi, _)) in enumerate(zip(ends, ends[1:])):
+        lo, hi = max(lo, -bound), min(hi, bound)
+        y = _integer_root(q, lo, hi, (len(crit) - piece) % 2 == 0) if lo <= hi else None
+        if y is not None:
+            roots.add(Fraction(y, lead))
     return sorted(roots)
 
 

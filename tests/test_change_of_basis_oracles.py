@@ -43,6 +43,7 @@ from lsa.linalg import (
     quotient_basis,
     random_invertible,
     random_matrix,
+    rank,
     rref,
     solve,
     unit_vec,
@@ -63,6 +64,11 @@ def oracle_solve(m, b):
     for r, pc in enumerate(pivots):
         x[pc] = red.rows[r][m.ncols]
     return tuple(x)
+
+
+def oracle_in_span(v, basis):
+    """v is a combination of ``basis``: adding it leaves the rank unchanged."""
+    return rank(QMatrix.from_rows([*basis, v])) == rank(QMatrix.from_rows(list(basis)))
 
 
 def oracle_inverse(m):
@@ -108,7 +114,8 @@ def oracle_quotient(a, w):
 
 def oracle_milnor(lie):
     """(D, adapted basis, det D), or the reason the form is out of scope;
-    solvability first, then the trace row, then D one column at a time."""
+    solvability first, then the trace row, e1 as the first standard basis
+    vector outside its kernel, then D one column at a time."""
     e = [unit_vec(3, i) for i in range(3)]
     try:
         if not is_solvable(lie):
@@ -120,7 +127,7 @@ def oracle_milnor(lie):
         u1, u2 = u_space.basis
         if not vec_is_zero(multiply(lie, u1, u2)):
             raise NotInScopeError("kernel of the trace form is not abelian")
-        e1 = next(x for x in e if not u_space.contains(x))
+        e1 = next(x for x in e if not oracle_in_span(x, u_space.basis))
         e1 = vec_scale(F(2) / left_mult(lie, e1).trace(), e1)
         cols = []
         for u in (u1, u2):

@@ -246,6 +246,42 @@ def test_identify_command(n30_file, capsys):
     assert "det D = 0" in out and "G31" in out
 
 
+def test_identify_builds_one_milnor_form(n30_file, monkeypatch, capsys):
+    import lsa.algebra
+    import lsa.cli
+
+    calls = []
+    original = lsa.algebra.milnor_normal_form
+
+    def counting(lie):
+        calls.append(lie)
+        return original(lie)
+
+    for module in (lsa.algebra, lsa.cli):
+        monkeypatch.setattr(module, "milnor_normal_form", counting)
+    assert main(["identify", n30_file, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["lie_tag"] == "G31"
+    assert len(calls) == 1
+
+
+def test_ideals_with_a_huge_eigenvalue_finish(tmp_path):
+    """The spectra come from integer bisection, so an eigenvalue of 41
+    digits costs as little as one of 1 digit."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    outputs = []
+    for n, scale in enumerate((7, 10**40 + 7)):
+        path = tmp_path / f"scale{n}.json"
+        path.write_text(json.dumps({"dim": 2, "products": [
+            {"i": 1, "j": 1, "k": 1, "num": scale}, {"i": 1, "j": 2, "k": 2, "num": 1},
+        ]}))
+        cmd = [sys.executable, "-m", "lsa.cli", "ideals", str(path), "--json"]
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    assert outputs[0] == outputs[1] == {"count": 1, "ideals": [{"dim": 1, "basis": [["0", "1"]]}]}
+
+
 def test_identify_out_of_scope(tmp_path, capsys):
     path = tmp_path / "abelian.json"
     path.write_text(json.dumps({"dim": 3, "products": []}))

@@ -5,7 +5,9 @@ the identity engine run on the extended product.  The oracles below write
 the five extension conditions, the simplified conditions (i)-(iii) for a
 trivial V product, and the Lie compatibility identities out as separate
 loops over basis tuples, and the two must agree on every reconstruction
-path and on single-entry perturbations of its data.
+path and on single-entry perturbations of its data.  ``is_central_extension``
+reads the V rows and columns of the extended tensor; its oracle asks, for
+each V basis vector, whether it lies in the center of the extension.
 """
 import itertools
 import random
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from lsa.algebra import Algebra, left_mult, lie_algebra_of, multiply, right_mult
+from lsa.algebra import Algebra, center, left_mult, lie_algebra_of, multiply, right_mult
 from lsa.catalog import reconstruction_cases
 from lsa.extensions import (
     CONDITION_OF_BLOCKS,
@@ -21,15 +23,20 @@ from lsa.extensions import (
     Cocycle2,
     CompatibilityError,
     ExtensionData,
+    ExtensionError,
     LieExtensionData,
+    build_extension,
     build_lie_extension,
     check_kim_conditions,
     delta2,
     delta2_is_zero,
+    is_central_extension,
+    trivial_action,
 )
 from lsa.linalg import (
     QMatrix,
     random_fraction,
+    rank,
     unit_vec,
     vec,
     vec_add,
@@ -220,6 +227,42 @@ def test_kim_conditions_agree_with_the_separate_loops():
     # the perturbations reach failing data, and not every perturbation fails
     assert seen == 4 * 24 * len(SEEDS)
     assert 0 < failing < seen
+
+
+def oracle_is_central(d):
+    """Each V basis vector lies in the center of the built extension: one
+    rank question per vector."""
+    ext = build_extension(d)
+    c = list(center(ext).basis)
+    return all(
+        rank(QMatrix.from_rows([*c, unit_vec(ext.dim, d.k.dim + m)])) == rank(QMatrix.from_rows(c))
+        for m in range(d.v.dim)
+    )
+
+
+def central_inputs():
+    """The Kim inputs of five seeds, each also with a trivial action and g
+    kept or zeroed."""
+    for d in itertools.islice(kim_inputs(), 4 * 24 * 5):
+        trivial = trivial_action(d.k, d.v.dim)
+        yield d
+        yield ExtensionData(d.k, d.v, trivial, d.g)
+        yield ExtensionData(d.k, d.v, trivial, Cocycle2.zero(d.k.dim, d.v.dim))
+
+
+def test_is_central_extension_matches_center_oracle():
+    verdicts = {"central": 0, "not_central": 0, "refused": 0}
+    for d in central_inputs():
+        try:
+            expected = oracle_is_central(d)
+        except ExtensionError:
+            with pytest.raises(ExtensionError):
+                is_central_extension(d)
+            verdicts["refused"] += 1
+            continue
+        assert is_central_extension(d) == expected, d
+        verdicts["central" if expected else "not_central"] += 1
+    assert min(verdicts.values()) > 20, verdicts
 
 
 def induced_lie_data(d):

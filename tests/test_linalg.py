@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,7 +8,6 @@ import pytest
 from lsa.linalg import (
     QMatrix,
     char_poly,
-    column_space_basis,
     det,
     inverse,
     is_nilpotent,
@@ -153,17 +154,85 @@ def test_solve_and_inverse():
         solve(m, [vec([1, 2, 3])])
 
 
-def test_column_space_basis():
-    m = QMatrix([[1, 2], [2, 4], [0, 0]])
-    basis = column_space_basis(m)
-    assert len(basis) == 1
-
-
 def test_rational_roots():
     # (x - 2)(x + 1/2) x = x^3 - 3/2 x^2 - x
     coeffs = [F(1), F(-3, 2), F(-1), F(0)]
     assert rational_roots(coeffs) == [F(-1, 2), F(0), F(2)]
     assert rational_roots([F(1), F(0), F(1)]) == []  # x^2 + 1
+    assert rational_roots([F(1), F(-3), F(3), F(-1)]) == [F(1)]  # (x - 1)^3
+    assert rational_roots([0, 0]) == [] and rational_roots([5]) == []
+    with pytest.raises(ValueError, match="degree <= 3"):
+        rational_roots([1, 0, 0, 0, -1])
+
+
+def _divisors(n):
+    n = abs(n)
+    return sorted({d for k in range(1, math.isqrt(n) + 1) if n % k == 0 for d in (k, n // k)})
+
+
+def oracle_rational_roots(coeffs):
+    """The rational root theorem by enumeration: every +-p/q with p | a_0
+    and q | a_d, after clearing denominators and zero roots."""
+    cs = [F(c) for c in coeffs]
+    while cs and cs[0] == 0:
+        cs = cs[1:]
+    roots = set()
+    while len(cs) > 1 and cs[-1] == 0:
+        roots.add(F(0))
+        cs = cs[:-1]
+    if len(cs) <= 1:
+        return sorted(roots)
+    ints = [int(c * math.lcm(*(c.denominator for c in cs))) for c in cs]
+    for p in _divisors(ints[-1]):
+        for q in _divisors(ints[0]):
+            for cand in (F(p, q), F(-p, q)):
+                if sum(c * cand ** (len(cs) - 1 - i) for i, c in enumerate(cs)) == 0:
+                    roots.add(cand)
+    return sorted(roots)
+
+
+def random_polynomial(rng):
+    """Degree <= 3, often a product of rational linear factors (zero and
+    repeated roots included) times a random factor, else dense random."""
+    degree = rng.randint(0, 3)
+    if rng.random() < 0.5:
+        return [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(degree + 1)]
+    cs = [F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))]
+    for _ in range(rng.randint(0, degree)):
+        r = F(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.8 else F(0)
+        cs = [a - r * b for a, b in zip([*cs, F(0)], [F(0), *cs])]
+    while len(cs) < degree + 1:
+        c = F(rng.randint(-3, 3))
+        cs = [a + c * b for a, b in zip([*cs, F(0)], [F(0), *cs])]
+    return [F(0), *cs] if rng.random() < 0.1 else cs
+
+
+def test_rational_roots_match_divisor_enumeration():
+    rng = random.Random(29)
+    seen = {"zero_root": 0, "repeated_root": 0, "no_root": 0, "three_roots": 0}
+    for _ in range(3000):
+        cs = random_polynomial(rng)
+        expected = oracle_rational_roots(cs)
+        assert rational_roots(cs) == expected, cs
+        seen["zero_root"] += F(0) in expected
+        seen["no_root"] += not expected
+        seen["three_roots"] += len(expected) == 3
+        monic = [c / cs[0] for c in cs] if cs and cs[0] != 0 else None
+        seen["repeated_root"] += monic is not None and any(
+            sum(c * (len(monic) - 1 - i) * r ** (len(monic) - 2 - i) for i, c in enumerate(monic[:-1])) == 0
+            for r in expected
+        )
+    assert min(seen.values()) > 20, seen
+
+
+def test_rational_roots_time_is_bounded_by_bit_length():
+    # enumeration would try 2 * 1344^2 candidates p/q: 735134400 has 1344 divisors
+    start = time.perf_counter()
+    assert rational_roots([735134400, 1, 1, 735134400]) == [F(-1)]
+    big = 10**40 + 7
+    assert rational_roots([1, -(big + 1), big]) == [F(1), F(big)]
+    assert rational_roots([F(1, big), F(-3), F(2 * big)]) == [F(big), F(2 * big)]
+    assert time.perf_counter() - start < 1.0
 
 
 def test_sqrt_fraction():

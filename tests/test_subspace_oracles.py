@@ -1,13 +1,14 @@
 """Oracles for the exact subspace questions.
 
 ``symmetric_signature`` reads the signature off the characteristic
-polynomial by Descartes' rule of signs, ``in_span`` and ``quotient_basis``
-read pivots off one echelon form each, and ``find_ideals_dim_le3`` trusts
-its construction instead of re-checking each candidate.  The oracles below
-are the earlier direct methods: Lagrange diagonalisation by congruence, rank
-comparisons vector by vector, and the joint eigenspace enumeration followed
-by an ideal test of every candidate.  Old and new must agree on random
-inputs.
+polynomial by Descartes' rule of signs, ``quotient_basis`` reads pivots off
+one echelon form, ``is_two_sided_ideal`` is one echelon form of W's basis
+and all its products, and ``find_ideals_dim_le3`` trusts its construction
+instead of re-checking each candidate.  The oracles below are the earlier
+direct methods: Lagrange diagonalisation by congruence, rank comparisons
+vector by vector, one membership question per product, and the joint
+eigenspace enumeration followed by an ideal test of every candidate.  Old
+and new must agree on random inputs.
 """
 import itertools
 import random
@@ -23,13 +24,13 @@ from lsa.algebra import (
     find_ideals_dim_le3,
     is_two_sided_ideal,
     left_mult,
+    multiply,
     right_mult,
 )
 from lsa.catalog import catalog_lsas, fixtures
 from lsa.linalg import (
     QMatrix,
     char_poly,
-    in_span,
     nullspace_basis,
     quotient_basis,
     random_invertible,
@@ -106,6 +107,16 @@ def oracle_quotient_basis(ambient, sub):
             current = current + [v]
             current_rank = r
     return reps
+
+
+def oracle_is_two_sided_ideal(a, w):
+    """One membership question per product e_i*w and w*e_i."""
+    e = [unit_vec(a.dim, i) for i in range(a.dim)]
+    return all(
+        oracle_in_span(multiply(a, x, wv), w.basis) and oracle_in_span(multiply(a, wv, x), w.basis)
+        for wv in w.basis
+        for x in e
+    )
 
 
 def oracle_common_eigenspaces(mats, n):
@@ -220,8 +231,6 @@ def test_spans_match_rank_oracle(seed):
         ]
         if rng.random() < 0.4:
             sub.insert(rng.randint(0, len(sub)), vec([rng.randint(-2, 2) for _ in range(n)]))
-        for v in sub + ambient + [vec([rng.randint(-2, 2) for _ in range(n)])]:
-            assert in_span(v, ambient) == oracle_in_span(v, ambient)
         try:
             expected = oracle_quotient_basis(ambient, sub)
         except ValueError:
@@ -268,3 +277,26 @@ def test_ideals_match_filtered_enumeration():
         counts["left_symmetric" if check_left_symmetric(a).ok else "not_left_symmetric"] += 1
         counts["with_ideals"] += bool(expected)
     assert min(counts.values()) >= 20, counts
+
+
+def test_is_two_sided_ideal_matches_membership_oracle():
+    """Random subspaces, the ideals found, and subspaces of those, in random
+    2D/3D algebras and in catalog entries and fixtures in random bases."""
+    rng = random.Random(13)
+    algebras = [random_algebra(rng, rng.choice((2, 3))) for _ in range(120)]
+    algebras += left_symmetric_algebras(rng)
+    verdicts = {True: 0, False: 0}
+    for a in algebras:
+        n = a.dim
+        ideals = find_ideals_dim_le3(a)
+        subspaces = [Subspace(n, ()), Subspace.from_spanning(n, [unit_vec(n, i) for i in range(n)]), *ideals]
+        subspaces += [
+            Subspace.from_spanning(n, random_vectors(rng, rng.randint(1, 3), n, rng.randint(1, n)))
+            for _ in range(3)
+        ]
+        subspaces += [Subspace.from_spanning(n, [w.basis[-1]]) for w in ideals if w.dim > 1]
+        for w in subspaces:
+            expected = oracle_is_two_sided_ideal(a, w)
+            assert is_two_sided_ideal(a, w) == expected, (a.nonzero_products(), w)
+            verdicts[expected] += 1
+    assert min(verdicts.values()) > 100, verdicts
