@@ -15,9 +15,10 @@ from .linalg import (
     FractionLike,
     QMatrix,
     Vec,
+    _cleared,
+    _nilpotent_ints,
     char_poly,
     frac,
-    is_nilpotent,
     nullspace_basis,
     quotient_basis,
     rational_roots,
@@ -183,18 +184,22 @@ def multiply(a: Algebra, x: Vec, y: Vec) -> Vec:
     """Bilinear product of coordinate vectors."""
     if len(x) != a.dim or len(y) != a.dim:
         raise ValueError("vector length must equal the algebra dimension")
-    out = [Fraction(0)] * a.dim
-    for i in range(a.dim):
-        if x[i] == 0:
+    return _product(a.c, x, y, Fraction(0))
+
+
+def _product(c, x, y, zero):
+    """sum_ijk x_i y_j c[i][j][k] e_k, with the sums started at ``zero``."""
+    out = [zero] * len(x)
+    for i, xi in enumerate(x):
+        if xi == 0:
             continue
-        for j in range(a.dim):
-            if y[j] == 0:
+        for j, yj in enumerate(y):
+            if yj == 0:
                 continue
-            coeff = x[i] * y[j]
-            row = a.c[i][j]
-            for k in range(a.dim):
-                if row[k] != 0:
-                    out[k] += coeff * row[k]
+            coeff = xi * yj
+            for k, ck in enumerate(c[i][j]):
+                if ck != 0:
+                    out[k] += coeff * ck
     return tuple(out)
 
 
@@ -212,6 +217,16 @@ def right_mult(a: Algebra, x: Vec) -> QMatrix:
 
 def _basis(a: Algebra) -> list[Vec]:
     return [unit_vec(a.dim, i) for i in range(a.dim)]
+
+
+def _basis_mults(a: Algebra) -> tuple[list[QMatrix], list[QMatrix]]:
+    """(L_e1..L_en, R_e1..R_en), read off the tensor: the columns of L_ei
+    and R_ei are its rows c[i][j] = e_i*e_j and c[j][i] = e_j*e_i."""
+    n = a.dim
+    return (
+        [QMatrix.from_cols(a.c[i]) for i in range(n)],
+        [QMatrix.from_cols([a.c[j][i] for j in range(n)]) for i in range(n)],
+    )
 
 
 # The trilinear identities, checked on basis triples (i, j, k) by
@@ -258,22 +273,37 @@ def failures(a: Algebra, identity: str) -> Iterator[IdentityCheck]:
 
     Bilinearity makes the basis check complete; a skipped triple fails
     exactly when its swap, which is kept, does (see ``IDENTITIES``).
+
+    The scan runs on the integer tensor d c, d the least common denominator
+    of the structure constants.  Both sides of every identity are
+    homogeneous of degree 2 in the structure constants, so scaling c by d
+    scales both by d^2: the failing triples are the same, and the witness
+    sides are the integer ones divided by d^2.
     """
     sides, can_fail = IDENTITIES[identity]
-    e = _basis(a)
-    products: dict[tuple[Vec, Vec], Vec] = {}
+    n = a.dim
+    d, rows = _cleared(v for plane in a.c for v in plane)
+    c = [rows[i * n : (i + 1) * n] for i in range(n)]
+    e = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    products: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
 
-    def p(x: Vec, y: Vec) -> Vec:
+    def p(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
         xy = products.get((x, y))
         if xy is None:
-            xy = products[x, y] = multiply(a, x, y)
+            xy = products[x, y] = _product(c, x, y, 0)
         return xy
 
-    for i, j, k in itertools.product(range(a.dim), repeat=3):
+    d2 = d * d
+    for i, j, k in itertools.product(range(n), repeat=3):
         if can_fail(i, j, k):
             lhs, rhs = sides(p, e[i], e[j], e[k])
             if lhs != rhs:
-                yield IdentityCheck(False, (i + 1, j + 1, k + 1), lhs, rhs)
+                yield IdentityCheck(
+                    False,
+                    (i + 1, j + 1, k + 1),
+                    tuple(Fraction(v, d2) for v in lhs),
+                    tuple(Fraction(v, d2) for v in rhs),
+                )
 
 
 def first_failure(a: Algebra, identity: str) -> IdentityCheck:
@@ -345,10 +375,18 @@ def is_complete(a: Algebra) -> bool:
 
     Segal's criterion (complete iff tr R_x = 0 for all x) is not used: it
     holds only for left-symmetric algebras, and this decides any algebra.
+
+    Scaling keeps nilpotency, so each R_x is built from the integer tensor
+    d c, cleared once: R_x[k][j] = sum_i x_i c[j][i][k].
     """
     n = a.dim
+    _, rows = _cleared(v for plane in a.c for v in plane)
+    # cols[i][j] = c[j][i], column j of R_ei
+    cols = [[rows[j * n + i] for j in range(n)] for i in range(n)]
     return all(
-        is_nilpotent(right_mult(a, tuple(Fraction(c) for c in point)))
+        _nilpotent_ints(
+            [[sum(x * cols[i][j][k] for i, x in enumerate(point) if x) for j in range(n)] for k in range(n)]
+        )
         for point in _compositions(n, n)
     )
 
@@ -380,10 +418,8 @@ def ndsflags(a: Algebra) -> tuple[bool, bool, bool]:
 
 def center(a: Algebra) -> Subspace:
     """{x : x*e_j = e_j*x = 0 for all j}, computed as one exact kernel."""
-    e = _basis(a)
-    mats = [left_mult(a, e[i]) for i in range(a.dim)] + [right_mult(a, e[i]) for i in range(a.dim)]
-    stacked = vstack(mats)
-    return Subspace.from_spanning(a.dim, nullspace_basis(stacked))
+    lefts, rights = _basis_mults(a)
+    return Subspace.from_spanning(a.dim, nullspace_basis(vstack([*lefts, *rights])))
 
 
 def is_two_sided_ideal(a: Algebra, w: Subspace) -> bool:
@@ -430,8 +466,8 @@ def find_ideals_dim_le3(a: Algebra) -> list[Subspace]:
         raise ValueError("ideal search is implemented for dim <= 3 only")
     if a.dim <= 1:
         return []
-    e = _basis(a)
-    mats = [left_mult(a, x) for x in e] + [right_mult(a, x) for x in e]
+    lefts, rights = _basis_mults(a)
+    mats = [*lefts, *rights]
     spectra = []
     for m in mats:
         spectra.append(rational_roots(char_poly(m)))
@@ -486,7 +522,8 @@ def milnor_normal_form(lie: Algebra) -> MilnorForm:
     if lie.dim != 3:
         raise ValueError("Milnor normal form requires dimension 3")
     e = _basis(lie)
-    trace_row = [left_mult(lie, x).trace() for x in e]
+    # tr ad_ei = sum_j c[i][j][j]
+    trace_row = [sum((lie.c[i][j][j] for j in range(3)), Fraction(0)) for i in range(3)]
     if all(t == 0 for t in trace_row):
         # Solvability only picks the reason: a non-solvable 3D real Lie
         # algebra is its own Levi factor, so it is simple, hence perfect

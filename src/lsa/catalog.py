@@ -25,6 +25,7 @@ from .algebra import (
     Algebra,
     LieTag,
     Subspace,
+    _basis_mults,
     center,
     check_left_symmetric,
     find_ideals_dim_le3,
@@ -498,18 +499,15 @@ def reconstruction_cases(rng: random.Random | None = None) -> list[Reconstructio
 def _annihilator_dims(a: Algebra) -> tuple[int, int]:
     """(dim {x : x*A = 0}, dim {x : A*x = 0}): the null spaces of the
     stacked R_y and the stacked L_y over the basis vectors y."""
-    e = [unit_vec(a.dim, i) for i in range(a.dim)]
-    return tuple(
-        len(nullspace_basis(vstack([mult(a, y) for y in e]))) for mult in (right_mult, left_mult)
-    )
+    lefts, rights = _basis_mults(a)
+    return tuple(len(nullspace_basis(vstack(mats))) for mats in (rights, lefts))
 
 
 def _operator_spans(a: Algebra) -> tuple[int, int]:
     """(dim span{L_x}, dim span{R_x}) in the space of matrices."""
-    e = [unit_vec(a.dim, i) for i in range(a.dim)]
     return tuple(
-        Subspace.from_spanning(a.dim**2, [tuple(x for row in mult(a, y).rows for x in row) for y in e]).dim
-        for mult in (left_mult, right_mult)
+        Subspace.from_spanning(a.dim**2, [tuple(x for row in m.rows for x in row) for m in mats]).dim
+        for mats in _basis_mults(a)
     )
 
 
@@ -518,8 +516,8 @@ def _symmetrized_products(a: Algebra) -> list[Vec]:
     return [vec_add(a.c[i][j], a.c[j][i]) for i in range(a.dim) for j in range(a.dim)]
 
 
-def _pa_ap_span(a: Algebra) -> Subspace:
-    p = product_span(a)
+def _pa_ap_span(a: Algebra, p: Subspace) -> Subspace:
+    """W = P*A + A*P for P = span of products."""
     e = [unit_vec(a.dim, i) for i in range(a.dim)]
     vecs = []
     for w in p.basis:
@@ -529,7 +527,7 @@ def _pa_ap_span(a: Algebra) -> Subspace:
     return Subspace.from_spanning(a.dim, vecs)
 
 
-def _square_form_signature(a: Algebra) -> tuple[int, int, int] | None:
+def _square_form_signature(a: Algebra, p: Subspace, w: Subspace) -> tuple[int, int, int] | None:
     """Signature of v -> [v*v] in P/W, normalized by trace of left actions.
 
     P = span of products, W = P*A + A*P.  Defined when dim P = 2 and
@@ -537,8 +535,6 @@ def _square_form_signature(a: Algebra) -> tuple[int, int, int] | None:
     P; the form is then a canonical rational quadratic form on the algebra
     and its signature is an isomorphism invariant.
     """
-    p = product_span(a)
-    w = _pa_ap_span(a)
     if p.dim != 2 or w.dim != 1:
         return None
     if any(left_mult(a, wv).trace() != 0 for wv in w.basis):
@@ -558,7 +554,7 @@ def _square_form_signature(a: Algebra) -> tuple[int, int, int] | None:
     return symmetric_signature(QMatrix([[coords[i * n + j][0] for j in range(n)] for i in range(n)]))
 
 
-def _induced_action_ratio(a: Algebra) -> str | None:
+def _induced_action_ratio(a: Algebra, p: Subspace) -> str | None:
     """Scale-free invariant of the quotient action on P = span of products.
 
     When P is a 2D ideal with 1D quotient and every p in P acts trivially on
@@ -566,7 +562,6 @@ def _induced_action_ratio(a: Algebra) -> str | None:
     Lb, Rb on P.  The ratio Rb = c (Lb - (tr Lb / 2) I) is independent of
     the lift and scaling; returned as a string ('none' cases excluded).
     """
-    p = product_span(a)
     if p.dim != 2 or a.dim - p.dim != 1:
         return None
     # P acts trivially on P: L_p and R_p vanish there for every p in P
@@ -597,20 +592,22 @@ def _induced_action_ratio(a: Algebra) -> str | None:
 
 
 # The fingerprint's components in order, each with the label that names it
-# in the distinctness evidence.  Invariants from other modules are called
-# through their module-level names, so rebinding those names (as the
-# perfbench tracer does) reaches these calls too.
-FINGERPRINT: tuple[tuple[str, Callable[[Algebra], object]], ...] = (
-    ("lie_tag", lambda a: str(identify_lie_algebra(lie_algebra_of(a)))),
-    ("dim_center", lambda a: center(a).dim),
-    ("dim_products", lambda a: product_span(a).dim),
-    ("dim_squares", lambda a: Subspace.from_spanning(a.dim, _symmetrized_products(a)).dim),
-    ("dim_PA+AP", lambda a: _pa_ap_span(a).dim),
-    ("annihilators", _annihilator_dims),
-    ("flags_NDS", lambda a: ndsflags(a)),
-    ("LR_operator_span", _operator_spans),
+# in the distinctness evidence.  Each is a function of the algebra, its
+# product span P and W = P*A + A*P, which ``fingerprint`` computes once.
+# Invariants from other modules are called through their module-level names,
+# so rebinding those names (as the perfbench tracer does) reaches these
+# calls too.
+FINGERPRINT: tuple[tuple[str, Callable[[Algebra, Subspace, Subspace], object]], ...] = (
+    ("lie_tag", lambda a, p, w: str(identify_lie_algebra(lie_algebra_of(a)))),
+    ("dim_center", lambda a, p, w: center(a).dim),
+    ("dim_products", lambda a, p, w: p.dim),
+    ("dim_squares", lambda a, p, w: Subspace.from_spanning(a.dim, _symmetrized_products(a)).dim),
+    ("dim_PA+AP", lambda a, p, w: w.dim),
+    ("annihilators", lambda a, p, w: _annihilator_dims(a)),
+    ("flags_NDS", lambda a, p, w: ndsflags(a)),
+    ("LR_operator_span", lambda a, p, w: _operator_spans(a)),
     ("square_form_signature", _square_form_signature),
-    ("induced_action_ratio", _induced_action_ratio),
+    ("induced_action_ratio", lambda a, p, w: _induced_action_ratio(a, p)),
 )
 
 
@@ -619,7 +616,9 @@ def fingerprint(a: Algebra) -> tuple:
     non-isomorphism, equal fingerprints certify nothing."""
     if a.dim != 3:
         raise ValueError("fingerprint is defined for dimension 3")
-    return tuple(invariant(a) for _, invariant in FINGERPRINT)
+    p = product_span(a)
+    w = _pa_ap_span(a, p)
+    return tuple(invariant(a, p, w) for _, invariant in FINGERPRINT)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,11 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 
+# ``check`` decides completeness at C(2n-1, n) nilpotency tests of n x n
+# matrices: 6,435 at n = 8, a few seconds, and each further dimension costs
+# about five to seven times the one before.
+CHECK_MAX_DIM = 8
+
 
 def _yesno(b: bool) -> str:
     return "yes" if b else "no"
@@ -59,6 +64,8 @@ def _frac_str(s: str) -> Fraction:
 
 def cmd_check(args) -> int:
     a = _load_algebra(args.file)
+    if a.dim > CHECK_MAX_DIM:
+        raise ValueError(f"check handles dim <= {CHECK_MAX_DIM} only, got dim {a.dim}")
     ls = check_left_symmetric(a)
     complete = is_complete(a)
     n, d, s = ndsflags(a)

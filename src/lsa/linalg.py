@@ -2,7 +2,9 @@
 
 Scalars are ``fractions.Fraction`` (arbitrary-precision, always reduced,
 positive denominator).  Matrices are small and dense; everything here is
-exact, with no tolerances anywhere.
+exact, with no tolerances anywhere.  The kernels (``rref``, ``char_poly``,
+``is_nilpotent``) clear denominators once with ``_cleared`` and run on
+Python ints, so no scalar operation pays a gcd; they return Fractions.
 """
 from __future__ import annotations
 
@@ -50,6 +52,19 @@ def vec_is_zero(v: Vec) -> bool:
     return all(a == 0 for a in v)
 
 
+def _cleared(rows: Iterable[Sequence[Fraction | int]]) -> tuple[int, list[list[int]]]:
+    """(d, d * rows) with d > 0 the least common denominator, so that the
+    scaled rows are ints."""
+    rows = list(rows)
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+
+
+def _int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
 class QMatrix:
     """Immutable dense matrix of Fractions."""
 
@@ -60,6 +75,13 @@ class QMatrix:
         if data and any(len(r) != len(data[0]) for r in data):
             raise ValueError("ragged rows")
         object.__setattr__(self, "rows", data)
+
+    @classmethod
+    def _trusted(cls, rows: tuple[Vec, ...]) -> "QMatrix":
+        """A matrix from a tuple of equal-length tuples of Fractions, unchecked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("QMatrix is immutable")
@@ -115,36 +137,32 @@ class QMatrix:
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         self._same_shape(other)
-        return QMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
+        return QMatrix._trusted(
+            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows))
         )
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         self._same_shape(other)
-        return QMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
+        return QMatrix._trusted(
+            tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows))
         )
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix([[-a for a in row] for row in self.rows])
+        return QMatrix._trusted(tuple(tuple(-a for a in row) for row in self.rows))
 
     def scale(self, c: FractionLike) -> "QMatrix":
         cc = frac(c)
-        return QMatrix([[cc * a for a in row] for row in self.rows])
+        return QMatrix._trusted(tuple(tuple(cc * a for a in row) for row in self.rows))
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        ocols = other.ncols
-        return QMatrix(
-            [
-                [
-                    sum((self.rows[i][k] * other.rows[k][j] for k in range(self.ncols)),
-                        Fraction(0))
-                    for j in range(ocols)
-                ]
-                for i in range(self.nrows)
-            ]
+        cols = tuple(zip(*other.rows))
+        return QMatrix._trusted(
+            tuple(
+                tuple(sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols)
+                for row in self.rows
+            )
         )
 
     def apply(self, v: Vec) -> Vec:
@@ -156,7 +174,7 @@ class QMatrix:
         )
 
     def transpose(self) -> "QMatrix":
-        return QMatrix([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
+        return QMatrix._trusted(tuple(zip(*self.rows)))
 
     def trace(self) -> Fraction:
         if self.nrows != self.ncols:
@@ -186,8 +204,16 @@ def commutator(a: QMatrix, b: QMatrix) -> QMatrix:
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and the strictly increasing pivot columns."""
-    rows = [list(r) for r in m.rows]
+    """Reduced row echelon form and the strictly increasing pivot columns.
+
+    Fraction-free Gauss-Jordan: each row is cleared to ints on its own (row
+    scaling keeps the echelon form), a row being reduced by the pivot row p
+    becomes p[c] * row - row[c] * p and is divided by the gcd of its
+    entries, and each pivot row is divided by its pivot once at the end.
+    The reduced row echelon form is unique, so it equals the one of
+    rational elimination.
+    """
+    rows = [_cleared([row])[1][0] for row in m.rows]
     nrows, ncols = m.nrows, m.ncols
     pivots: list[int] = []
     r = 0
@@ -196,17 +222,21 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [a / pv for a in rows[r]]
+        prow = rows[r]
+        pv = prow[c]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+            factor = rows[i][c]
+            if i != r and factor != 0:
+                new = [pv * a - factor * b for a, b in zip(rows[i], prow)]
+                g = math.gcd(*new)
+                rows[i] = [a // g for a in new] if g > 1 else new
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return QMatrix(rows), tuple(pivots)
+    out = [tuple(Fraction(a, row[c]) for a in row) for row, c in zip(rows, pivots)]
+    out += [(Fraction(0),) * ncols] * (nrows - r)
+    return QMatrix._trusted(tuple(out)), tuple(pivots)
 
 
 def rank(m: QMatrix) -> int:
@@ -272,20 +302,22 @@ def quotient_basis(ambient: Sequence[Vec], sub: Sequence[Vec]) -> list[Vec]:
 def char_poly(m: QMatrix) -> list[Fraction]:
     """Monic characteristic polynomial coefficients, highest degree first.
 
-    Faddeev-LeVerrier: M1 = A, c1 = -tr M1, M(k) = A (M(k-1) + c(k-1) I),
-    ck = -tr(Mk)/k.  Division-light and exact over the rationals.
+    Faddeev-LeVerrier on the integer matrix B = d m: M1 = B, c1 = -tr M1,
+    M(k) = B (M(k-1) + c(k-1) I), ck = -tr(Mk)/k.  For an integer matrix
+    every ck is an integer, so the division is exact; c_k(d m) = d^k c_k(m)
+    rescales the coefficients.
     """
     if not m.is_square():
         raise ValueError("characteristic polynomial of non-square matrix")
     n = m.nrows
-    coeffs = [Fraction(1)]
-    eye = QMatrix.identity(n)
-    mk = m
+    d, b = _cleared(m.rows)
+    coeffs = [1]
+    mk = b
     for k in range(1, n + 1):
         if k > 1:
-            mk = m @ (mk + eye.scale(coeffs[-1]))
-        coeffs.append(-mk.trace() / k)
-    return coeffs
+            mk = _int_matmul(b, [[x + coeffs[-1] * (i == j) for j, x in enumerate(row)] for i, row in enumerate(mk)])
+        coeffs.append(-sum(mk[i][i] for i in range(n)) // k)
+    return [Fraction(c, d**k) for k, c in enumerate(coeffs)]
 
 
 def det(m: QMatrix) -> Fraction:
@@ -297,8 +329,21 @@ def det(m: QMatrix) -> Fraction:
 
 
 def is_nilpotent(m: QMatrix) -> bool:
-    """True iff char_poly(m) = lambda^n, i.e. m^n = 0."""
-    return all(c == 0 for c in char_poly(m)[1:])
+    """True iff m^n = 0, decided on the integer matrix d m."""
+    if not m.is_square():
+        raise ValueError("nilpotency of non-square matrix")
+    return _nilpotent_ints(_cleared(m.rows)[1])
+
+
+def _nilpotent_ints(b: list[list[int]]) -> bool:
+    """True iff the n x n integer matrix b has b^n = 0, i.e. b^(2^j) = 0 for
+    the least 2^j >= n: repeated squaring that stops at the first zero power."""
+    power = 1
+    while any(any(row) for row in b):
+        if power >= len(b):
+            return False
+        power, b = 2 * power, _int_matmul(b, b)
+    return True
 
 
 def _horner(coeffs: Sequence[int], y: int) -> int:

@@ -1,13 +1,17 @@
 import json
 import os
+import random
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from lsa.algebra import Algebra, conjugated
 from lsa.catalog import case1_n2_central, case3_square_kernel, make_lsa
-from lsa.cli import main
+from lsa.cli import CHECK_MAX_DIM, main
 from lsa.jsonio import (
     JsonFormatError,
     algebra_from_dict,
@@ -16,6 +20,7 @@ from lsa.jsonio import (
     extension_from_dict,
     extension_to_dict,
 )
+from lsa.linalg import QMatrix
 
 
 @pytest.fixture
@@ -282,6 +287,37 @@ def test_ideals_with_a_huge_eigenvalue_finish(tmp_path):
     assert outputs[0] == outputs[1] == {"count": 1, "ideals": [{"dim": 1, "basis": [["0", "1"]]}]}
 
 
+def truncated_polynomials(n: int) -> Algebra:
+    """x R[x] / x^(n+1) R[x] in a random unitriangular basis: commutative,
+    associative (hence left-symmetric) and nilpotent (hence complete), with
+    e_i*e_j in span(e_k : k >= i + j) and every such coefficient filled."""
+    a = Algebra.from_entries(n, {(i, j, i + j): 1 for i in range(1, n) for j in range(1, n - i + 1)})
+    rng = random.Random(3)
+    p = [[Fraction(rng.randint(1, 3), rng.randint(1, 4)) if i > j else int(i == j) for j in range(n)] for i in range(n)]
+    return conjugated(a, QMatrix(p))
+
+
+def test_check_dimension_limit(tmp_path):
+    """``check`` decides the largest dimension it takes and refuses the next
+    one within 2 s, before any work."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def check(n):
+        path = tmp_path / f"poly{n}.json"
+        path.write_text(dumps_sorted(algebra_to_dict(truncated_polynomials(n))))
+        cmd = [sys.executable, "-m", "lsa.cli", "check", str(path)]
+        return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+
+    start = time.perf_counter()
+    refused = check(CHECK_MAX_DIM + 1)
+    assert time.perf_counter() - start < 2
+    assert refused.returncode == 2 and f"dim <= {CHECK_MAX_DIM}" in refused.stderr
+    decided = check(CHECK_MAX_DIM)
+    assert decided.returncode == 0, decided.stderr
+    assert decided.stdout == "left-symmetric: yes; complete: yes; N D S: yes yes yes\n"
+
+
 def test_identify_out_of_scope(tmp_path, capsys):
     path = tmp_path / "abelian.json"
     path.write_text(json.dumps({"dim": 3, "products": []}))
@@ -289,7 +325,7 @@ def test_identify_out_of_scope(tmp_path, capsys):
     assert "not_in_scope" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command, dim", [("lie", 2), ("lie", 4), ("ideals", 4)])
+@pytest.mark.parametrize("command, dim", [("lie", 2), ("lie", 4), ("ideals", 4), ("check", CHECK_MAX_DIM + 1)])
 def test_unsupported_dimension_exit_2(tmp_path, capsys, command, dim):
     path = tmp_path / f"zero{dim}.json"
     path.write_text(json.dumps({"dim": dim, "products": []}))
