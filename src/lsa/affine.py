@@ -23,16 +23,15 @@ so the failure is reproducible.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, check_left_symmetric, left_mult, lie_algebra_of
+from .algebra import Algebra, _basis, check_left_symmetric, left_mult, lie_algebra_of
 from .catalog import ENTRIES, ParameterError, validate_params
-from .linalg import QMatrix, Vec, frac, unit_vec
+from .linalg import QMatrix, Vec, frac
 
 SERIES_THRESHOLD = 0.25
 SERIES_EPS = 1e-18
@@ -127,44 +126,6 @@ special_h = _branched(series_h, closed_h, "(cos x - 1)/x + x/2 with h(0) = 0.")
 special_k = _branched(series_k, closed_k, "(sin x - x)/x with k(0) = 0.")
 special_phi = _branched(series_phi, closed_phi, "sum_{n>=1} n x^n/(n+1)!; closed form ((x-1)e^x + 1)/x.")
 
-SPECIAL_BRANCHES: dict[str, tuple[Callable, Callable]] = {
-    "f": (series_f, closed_f),
-    "g": (series_g, closed_g),
-    "h": (series_h, closed_h),
-    "k": (series_k, closed_k),
-    "phi": (series_phi, closed_phi),
-}
-
-
-def closed_reference(name: str, x: float) -> float:
-    """Closed form in extended precision (float128 where available).
-
-    Near zero the double-precision closed forms lose digits to cancellation
-    (the reason the implementation branches); the ``SPECIAL_BRANCHES`` closed
-    form evaluated in extended precision is the honest comparison target for
-    sweep checks.
-    """
-    return float(SPECIAL_BRANCHES[name][1](np.longdouble(x)))
-
-
-def phi_partial_sum(x: float, terms: int = 50) -> float:
-    """Direct truncation of the defining series; test oracle."""
-    total = 0.0
-    for n in range(1, terms + 1):
-        total += n * x**n / math.factorial(n + 1)
-    return total
-
-
-SPECIAL_FUNCTIONS: dict[str, Callable] = {
-    "f": special_f,
-    "g": special_g,
-    "h": special_h,
-    "k": special_k,
-    "phi": special_phi,
-}
-
-SPECIAL_ZERO_VALUES = {"f": 1.0, "g": 0.5, "h": 0.0, "k": 0.0, "phi": 0.0}
-
 
 @dataclass
 class AffineMap3:
@@ -212,29 +173,6 @@ def map_distance(m1: AffineMap3, m2: AffineMap3):
     return np.max(np.abs(m1.flat() - m2.flat()), axis=-1)[()]
 
 
-def expm4(m: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring matrix exponential with an order-13 Taylor core.
-
-    The argument is scaled below 1/4 so the first dropped term is < 1e-16.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (4, 4):
-        raise ValueError(f"expm4 needs a 4x4 matrix, got shape {m.shape}")
-    norm = float(np.max(np.sum(np.abs(m), axis=1)))
-    squarings = 0
-    if norm > 0.25:
-        squarings = max(0, int(math.ceil(math.log2(norm / 0.25))))
-    scaled = m / (2.0**squarings)
-    out = np.eye(4)
-    term = np.eye(4)
-    for k in range(1, 14):
-        term = term @ scaled / k
-        out = out + term
-    for _ in range(squarings):
-        out = out @ out
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Exact affine representation X -> (L_X, X)
 # ---------------------------------------------------------------------------
@@ -264,8 +202,7 @@ def affine_rep(a: Algebra) -> AffRep:
         raise ValueError(
             "affine representation is not a homomorphism; input is not left-symmetric"
         )
-    e = [unit_vec(3, i) for i in range(3)]
-    return AffRep(tuple((left_mult(a, x), x) for x in e))
+    return AffRep(tuple((left_mult(a, x), x) for x in _basis(a)))
 
 
 # ---------------------------------------------------------------------------

@@ -92,10 +92,6 @@ class Algebra:
                 entries[(j, i, k)] = -frac(coeff)
         return cls.from_entries(dim, entries, name, params)
 
-    @property
-    def params_dict(self) -> dict[str, Fraction]:
-        return dict(self.params)
-
     def entry(self, i: int, j: int, k: int) -> Fraction:
         """1-based structure constant."""
         return self.c[i - 1][j - 1][k - 1]
@@ -188,8 +184,10 @@ def multiply(a: Algebra, x: Vec, y: Vec) -> Vec:
 
 
 def _product(c, x, y, zero):
-    """sum_ijk x_i y_j c[i][j][k] e_k, with the sums started at ``zero``."""
-    out = [zero] * len(x)
+    """sum_ijk x_i y_j c[i][j][k] e_k for a tensor c of any last axis (a
+    product, or a bilinear map such as a cocycle), with the sums started at
+    ``zero``."""
+    out = [zero] * len(c[0][0])
     for i, xi in enumerate(x):
         if xi == 0:
             continue
@@ -217,6 +215,24 @@ def right_mult(a: Algebra, x: Vec) -> QMatrix:
 
 def _basis(a: Algebra) -> list[Vec]:
     return [unit_vec(a.dim, i) for i in range(a.dim)]
+
+
+def _trace_row(a: Algebra) -> list[Fraction]:
+    """tr L_ei = sum_j c[i][j][j] for each i; tr L_x is its dot product with x."""
+    return [sum((a.c[i][j][j] for j in range(a.dim)), Fraction(0)) for i in range(a.dim)]
+
+
+def _two_sided_products(a: Algebra, vectors: Sequence[Vec]) -> list[Vec]:
+    """e_i*w and w*e_i for every w in ``vectors`` and every basis vector e_i."""
+    e = _basis(a)
+    return [p for w in vectors for x in e for p in (multiply(a, x, w), multiply(a, w, x))]
+
+
+def _restricted(images: Sequence[Vec], basis: Sequence[Vec]) -> QMatrix | None:
+    """The matrix, in ``basis``, of the map basis[j] -> images[j], from one
+    solve; None if an image leaves span(basis)."""
+    cols = solve(QMatrix.from_cols(basis), images)
+    return None if cols is None else QMatrix.from_cols(cols)
 
 
 def _basis_mults(a: Algebra) -> tuple[list[QMatrix], list[QMatrix]]:
@@ -333,12 +349,17 @@ def lie_algebra_of(a: Algebra) -> Algebra:
     return lie
 
 
-def is_lie_algebra(a: Algebra) -> bool:
+def _first_asymmetry(a: Algebra) -> tuple[int, int] | None:
+    """The first 1-based pair (i, j), i <= j, with e_i*e_j != -e_j*e_i."""
     n = a.dim
-    antisymmetric = all(
-        a.c[i][j] == vec_scale(-1, a.c[j][i]) for i in range(n) for j in range(i, n)
+    return next(
+        ((i + 1, j + 1) for i in range(n) for j in range(i, n) if a.c[i][j] != vec_scale(-1, a.c[j][i])),
+        None,
     )
-    return antisymmetric and first_failure(a, "jacobi").ok
+
+
+def is_lie_algebra(a: Algebra) -> bool:
+    return _first_asymmetry(a) is None and first_failure(a, "jacobi").ok
 
 
 def _require_lie(a: Algebra) -> None:
@@ -427,9 +448,7 @@ def is_two_sided_ideal(a: Algebra, w: Subspace) -> bool:
     space of dimension dim W: one echelon form."""
     if w.ambient_dim != a.dim:
         raise ValueError("subspace ambient dimension mismatch")
-    e = _basis(a)
-    products = [p for wv in w.basis for x in e for p in (multiply(a, x, wv), multiply(a, wv, x))]
-    return Subspace.from_spanning(a.dim, [*w.basis, *products]).dim == w.dim
+    return Subspace.from_spanning(a.dim, [*w.basis, *_two_sided_products(a, w.basis)]).dim == w.dim
 
 
 def _joint_eigenvectors(mats: Sequence[QMatrix], spectra: Sequence[list[Fraction]]) -> set[Vec]:
@@ -486,8 +505,7 @@ def find_ideals_dim_le3(a: Algebra) -> list[Subspace]:
 
 def is_unimodular(lie: Algebra) -> bool:
     _require_lie(lie)
-    e = _basis(lie)
-    return all(left_mult(lie, x).trace() == 0 for x in e)
+    return all(t == 0 for t in _trace_row(lie))
 
 
 def derived_subspace(lie: Algebra, w: Subspace) -> Subspace:
@@ -521,9 +539,7 @@ def milnor_normal_form(lie: Algebra) -> MilnorForm:
     _require_lie(lie)
     if lie.dim != 3:
         raise ValueError("Milnor normal form requires dimension 3")
-    e = _basis(lie)
-    # tr ad_ei = sum_j c[i][j][j]
-    trace_row = [sum((lie.c[i][j][j] for j in range(3)), Fraction(0)) for i in range(3)]
+    trace_row = _trace_row(lie)
     if all(t == 0 for t in trace_row):
         # Solvability only picks the reason: a non-solvable 3D real Lie
         # algebra is its own Levi factor, so it is simple, hence perfect
@@ -536,11 +552,10 @@ def milnor_normal_form(lie: Algebra) -> MilnorForm:
     if not vec_is_zero(multiply(lie, u1, u2)):
         raise NotInScopeError("kernel of the trace form is not abelian")
     i, tr = next((i, t) for i, t in enumerate(trace_row) if t != 0)
-    e1 = vec_scale(Fraction(2) / tr, e[i])
-    cols = solve(QMatrix.from_cols([u1, u2]), [multiply(lie, e1, u) for u in (u1, u2)])
-    if cols is None:
+    e1 = vec_scale(Fraction(2) / tr, _basis(lie)[i])
+    d = _restricted([multiply(lie, e1, u) for u in (u1, u2)], [u1, u2])
+    if d is None:
         raise NotInScopeError("trace-form kernel is not ad_e1 invariant")
-    d = QMatrix.from_cols(cols)
     assert d.trace() == 2
     det_d = d.rows[0][0] * d.rows[1][1] - d.rows[0][1] * d.rows[1][0]
     return MilnorForm(d, (e1, u1, u2), det_d)
@@ -575,19 +590,16 @@ def _tag_of_form(form: MilnorForm) -> LieTag:
         if z is not None:
             return LieTag("G35", zeta=z)
         return LieTag("G35", zeta=float(d - 1) ** 0.5, exact=False)
-    # 0 < d < 1 or d < 0: solve d mu^2 + (2d-4) mu + d = 0, pick |mu| < 1
+    # 0 < d < 1 or d < 0: solve d mu^2 + (2d-4) mu + d = 0, pick |mu| < 1;
+    # an irrational root is found in floats, kept off |mu| = 1 by a margin
     disc = 1 - d
     s = sqrt_fraction(disc)
-    if s is not None:
-        for mu in ((2 - d + 2 * s) / d, (2 - d - 2 * s) / d):
-            if 0 < abs(mu) < 1:
-                return LieTag("G34", mu=mu)
-        raise RuntimeError("mu recovery failed; internal bug")
-    sf = float(disc) ** 0.5
-    df = float(d)
-    for muf in ((2 - df + 2 * sf) / df, (2 - df - 2 * sf) / df):
-        if 0 < abs(muf) < 1 - 1e-12:
-            return LieTag("G34", mu=muf, exact=False)
+    exact = s is not None
+    if not exact:
+        s, d = float(disc) ** 0.5, float(d)
+    for mu in ((2 - d + 2 * s) / d, (2 - d - 2 * s) / d):
+        if 0 < abs(mu) < (1 if exact else 1 - 1e-12):
+            return LieTag("G34", mu=mu, exact=exact)
     raise RuntimeError("mu recovery failed; internal bug")
 
 

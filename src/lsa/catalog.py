@@ -25,7 +25,11 @@ from .algebra import (
     Algebra,
     LieTag,
     Subspace,
+    _basis,
     _basis_mults,
+    _restricted,
+    _trace_row,
+    _two_sided_products,
     center,
     check_left_symmetric,
     find_ideals_dim_le3,
@@ -33,14 +37,12 @@ from .algebra import (
     identify_lie_algebra,
     is_complete,
     is_unimodular,
-    left_mult,
     lie_algebra_of,
     multiply,
     ndsflags,
     product_span,
     quotient_algebra,
     restriction_to_ideal,
-    right_mult,
 )
 from .extensions import (
     BimoduleAction,
@@ -59,7 +61,6 @@ from .linalg import (
     quotient_basis,
     solve,
     symmetric_signature,
-    unit_vec,
     vec_add,
     vec_is_zero,
     vstack,
@@ -516,17 +517,6 @@ def _symmetrized_products(a: Algebra) -> list[Vec]:
     return [vec_add(a.c[i][j], a.c[j][i]) for i in range(a.dim) for j in range(a.dim)]
 
 
-def _pa_ap_span(a: Algebra, p: Subspace) -> Subspace:
-    """W = P*A + A*P for P = span of products."""
-    e = [unit_vec(a.dim, i) for i in range(a.dim)]
-    vecs = []
-    for w in p.basis:
-        for x in e:
-            vecs.append(multiply(a, w, x))
-            vecs.append(multiply(a, x, w))
-    return Subspace.from_spanning(a.dim, vecs)
-
-
 def _square_form_signature(a: Algebra, p: Subspace, w: Subspace) -> tuple[int, int, int] | None:
     """Signature of v -> [v*v] in P/W, normalized by trace of left actions.
 
@@ -537,13 +527,11 @@ def _square_form_signature(a: Algebra, p: Subspace, w: Subspace) -> tuple[int, i
     """
     if p.dim != 2 or w.dim != 1:
         return None
-    if any(left_mult(a, wv).trace() != 0 for wv in w.basis):
+    row = _trace_row(a)
+    tr_w, *tr_p = (sum((t * x for t, x in zip(row, v)), Fraction(0)) for v in (*w.basis, *p.basis))
+    if tr_w != 0 or not any(tr_p):
         return None
-    candidates = [pv for pv in p.basis if left_mult(a, pv).trace() != 0]
-    if not candidates:
-        return None
-    p_hat = candidates[0]
-    tr = left_mult(a, p_hat).trace()
+    tr, p_hat = next((t, pv) for t, pv in zip(tr_p, p.basis) if t != 0)
     p_hat = tuple(x / tr for x in p_hat)
     n = a.dim
     # the form's matrix is half the coordinates of e_i*e_j + e_j*e_i; the
@@ -567,15 +555,10 @@ def _induced_action_ratio(a: Algebra, p: Subspace) -> str | None:
     # P acts trivially on P: L_p and R_p vanish there for every p in P
     if any(not vec_is_zero(multiply(a, x, y)) for x in p.basis for y in p.basis):
         return None
-    basis_matrix = QMatrix.from_cols(list(p.basis))
-
-    def restrict(m: QMatrix) -> QMatrix | None:
-        cols = solve(basis_matrix, [m.apply(bv) for bv in p.basis])
-        return None if cols is None else QMatrix.from_cols(cols)
-
     # dim P = 2 < 3, so a standard basis vector lifts the quotient generator
-    lift = quotient_basis([unit_vec(a.dim, i) for i in range(a.dim)], list(p.basis))[0]
-    lb, rb = restrict(left_mult(a, lift)), restrict(right_mult(a, lift))
+    lift = quotient_basis(_basis(a), list(p.basis))[0]
+    lb = _restricted([multiply(a, lift, bv) for bv in p.basis], p.basis)
+    rb = _restricted([multiply(a, bv, lift) for bv in p.basis], p.basis)
     if lb is None or rb is None:
         return None
     m1 = lb - QMatrix.identity(2).scale(lb.trace() / 2)
@@ -617,7 +600,7 @@ def fingerprint(a: Algebra) -> tuple:
     if a.dim != 3:
         raise ValueError("fingerprint is defined for dimension 3")
     p = product_span(a)
-    w = _pa_ap_span(a, p)
+    w = Subspace.from_spanning(a.dim, _two_sided_products(a, p.basis))
     return tuple(invariant(a, p, w) for _, invariant in FINGERPRINT)
 
 

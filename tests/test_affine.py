@@ -14,12 +14,10 @@ from lsa.affine import (
     check_simply_transitive,
     check_tangent_algebra,
     default_families,
-    expm4,
     legacy_d32_family,
     map_distance,
     newton_invert_orbit,
     orbit_map,
-    phi_partial_sum,
     sample_parameter_pairs,
     special_f,
     special_g,
@@ -31,6 +29,15 @@ from lsa.affine import (
 from lsa.catalog import make_lsa
 from lsa.linalg import QMatrix
 
+from affine_reference import (
+    SPECIAL_BRANCHES,
+    SPECIAL_FUNCTIONS,
+    SPECIAL_ZERO_VALUES,
+    closed_reference,
+    expm4,
+    phi_partial_sum,
+)
+
 
 # --- special functions ----------------------------------------------------
 
@@ -41,8 +48,6 @@ def test_values_at_zero_exact():
     assert special_h(0.0) == 0.0
     assert special_k(0.0) == 0.0
     assert special_phi(0.0) == 0.0
-    from lsa.affine import SPECIAL_FUNCTIONS, SPECIAL_ZERO_VALUES
-
     xs = np.array([-0.3, 0.0, 1e-6, 0.0, 2.0])
     for name, fn in SPECIAL_FUNCTIONS.items():
         assert fn(xs)[1] == fn(xs)[3] == SPECIAL_ZERO_VALUES[name], name
@@ -59,8 +64,6 @@ def test_phi_closed_form_vs_partial_sum():
 
 
 def test_series_and_closed_branches_agree():
-    from lsa.affine import SPECIAL_FUNCTIONS, closed_reference
-
     xs = [x / 100.0 for x in range(-500, 501) if x != 0]
     for name, fn in SPECIAL_FUNCTIONS.items():
         for x in xs:
@@ -90,8 +93,6 @@ SERIES_LOOPS = {
 
 def test_array_series_equal_the_scalar_loops():
     # each entry stops at its own first term below 1e-18, bit for bit
-    from lsa.affine import SPECIAL_BRANCHES
-
     rng = random.Random(6)
     xs = [0.0, 1e-7, -1e-6, 1e-4, 0.25, -0.25] + [rng.uniform(-0.25, 0.25) for _ in range(300)]
     for name, (series, _) in SPECIAL_BRANCHES.items():
@@ -100,7 +101,7 @@ def test_array_series_equal_the_scalar_loops():
 
 def test_branch_continuity_at_threshold():
     # both branches evaluated at the switch points themselves
-    from lsa.affine import SPECIAL_BRANCHES, SERIES_THRESHOLD
+    from lsa.affine import SERIES_THRESHOLD
 
     for name, (series, closed) in SPECIAL_BRANCHES.items():
         for s in (SERIES_THRESHOLD, -SERIES_THRESHOLD):

@@ -130,7 +130,7 @@ def test_table_transcription():
     first = {}
     for name, params, _ in LIE_BRACKETS:
         first.setdefault(name, params)
-    assert [(g.name, g.params_dict) for g in catalog_lie_algebras()] == list(first.items())
+    assert [(g.name, dict(g.params)) for g in catalog_lie_algebras()] == list(first.items())
 
 
 def test_lie_families():

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import random
@@ -11,7 +12,8 @@ import pytest
 
 from lsa.algebra import Algebra, conjugated
 from lsa.catalog import case1_n2_central, case3_square_kernel, make_lsa
-from lsa.cli import CHECK_MAX_DIM, main
+from lsa import cli
+from lsa.cli import CHECK_MAX_DIM, MAX_DIM, main
 from lsa.jsonio import (
     JsonFormatError,
     algebra_from_dict,
@@ -316,6 +318,72 @@ def test_check_dimension_limit(tmp_path):
     decided = check(CHECK_MAX_DIM)
     assert decided.returncode == 0, decided.stderr
     assert decided.stdout == "left-symmetric: yes; complete: yes; N D S: yes yes yes\n"
+
+
+@pytest.mark.parametrize("command", sorted(MAX_DIM))
+def test_oversized_dimension_is_refused_before_any_work(tmp_path, command):
+    """A declared dim of 160 is refused from the file's header: no dim^3
+    tensor and no identity scan."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    path = tmp_path / "dim160.json"
+    path.write_text(json.dumps({"dim": 160, "products": [{"i": 1, "j": 2, "k": 3, "num": 1}]}))
+    start = time.perf_counter()
+    cmd = [sys.executable, "-m", "lsa.cli", command, str(path)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=30)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: {command} handles dim <= {MAX_DIM[command]} only, got dim 160\n"
+
+
+@pytest.mark.parametrize("command", sorted(MAX_DIM))
+def test_huge_declared_dimension_never_reaches_the_tensor(tmp_path, monkeypatch, capsys, command):
+    def build(data):
+        raise AssertionError("the structure tensor was built")
+
+    monkeypatch.setattr(cli, "algebra_from_dict", build)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dim": 10**6, "products": [{"i": 1, "j": 1, "k": 1, "num": 1}]}))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {command} handles dim <= {MAX_DIM[command]} only, got dim 1000000\n"
+    assert captured.out == ""
+
+
+def test_exact_commands_do_not_import_numpy(n30_file):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys\n"
+        "from lsa import cli\n"
+        "assert cli.main(['catalog-verify']) == 0\n"
+        f"assert cli.main(['check', {n30_file!r}]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_only_the_affine_layer_imports_numpy():
+    package = Path(__file__).resolve().parents[1] / "src" / "lsa"
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "numpy" for m in modules):
+                importers.add(path.name)
+    assert importers == {"affine.py"}
+
+
+def test_family_choices_are_the_affine_families_in_order():
+    from lsa import affine
+
+    assert cli.FAMILY_NAMES == affine.FAMILY_NAMES
 
 
 def test_identify_out_of_scope(tmp_path, capsys):

@@ -277,6 +277,18 @@ def test_h2_n2_mu_action_vanishes():
     assert res.dim_h2 == 0
 
 
+def test_extension_data_refuses_an_action_over_another_product():
+    # the Kim conditions read d.k and h2 reads d.action.k: over N2 and over
+    # the zero product the same matrices have different cohomology
+    over_zero = scalar_action(r2_zero(), [F(1), F(0)], [F(0), F(0)])
+    over_n2 = scalar_action(n2(), [F(1), F(0)], [F(0), F(0)])
+    assert (h2(over_zero).dim_z2, h2(over_zero).dim_b2) == (2, 2)
+    assert (h2(over_n2).dim_z2, h2(over_n2).dim_b2) == (3, 1)
+    with pytest.raises(ValueError, match="different product on K"):
+        ExtensionData(n2(), r0(), over_zero, Cocycle2.zero(2, 1))
+    assert ExtensionData(n2(), r0(), over_n2, Cocycle2.zero(2, 1)).action is over_n2
+
+
 # --- exactness / centrality ----------------------------------------------
 
 

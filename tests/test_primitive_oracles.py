@@ -1,0 +1,457 @@
+"""Oracles for the algebra primitives that each have one routine.
+
+The trace row, the two-sided product list, the operator on an invariant
+subspace, the bilinear evaluator of a cocycle, the nested-vector flattener,
+the first asymmetric pair and the recovery of mu from det D are each
+computed in one place.  The oracles below are the earlier per-caller forms:
+traces of ``left_mult`` matrices, the per-vector span of P*A + A*P, the
+restriction through full ``left_mult``/``right_mult`` matrices, the
+unit-cocycle loop of ``h2``, the antisymmetry loop, the separate exact and
+float mu loops, and the loop body of ``Cocycle2.of``.  Old and new must agree
+on seeded random algebras, on catalog entries and Lie families in random
+rational bases, and on random cocycles, non-ideals, non-Lie inputs and
+irrational mu included.
+"""
+import random
+from fractions import Fraction
+
+import pytest
+
+from lsa.algebra import (
+    Algebra,
+    LieTag,
+    MilnorForm,
+    Subspace,
+    _first_asymmetry,
+    _restricted,
+    _tag_of_form,
+    _trace_row,
+    _two_sided_products,
+    conjugated,
+    is_lie_algebra,
+    is_unimodular,
+    left_mult,
+    milnor_normal_form,
+    multiply,
+    product_span,
+    right_mult,
+)
+from lsa.catalog import (
+    LIE_FAMILIES,
+    _induced_action_ratio,
+    catalog_lsas,
+    fixtures,
+    make_lie,
+    reconstruction_cases,
+)
+from lsa.extensions import (
+    BimoduleAction,
+    Cocycle2,
+    CompatibilityError,
+    LieExtensionData,
+    _flatten,
+    _unflatten_cocycle,
+    build_lie_extension,
+    delta1,
+    delta2,
+    delta2_is_zero,
+    h2,
+)
+from lsa.linalg import (
+    QMatrix,
+    nullspace_basis,
+    quotient_basis,
+    random_fraction,
+    random_invertible,
+    random_matrix,
+    rank,
+    solve,
+    sqrt_fraction,
+    unit_vec,
+    vec_add,
+    vec_is_zero,
+    vec_scale,
+    zero_vec,
+)
+
+F = Fraction
+SEEDS = range(12)
+
+
+def random_algebra(rng, n, density=0.5):
+    return Algebra.from_entries(
+        n,
+        {
+            (i, j, k): random_fraction(rng)
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+            for k in range(1, n + 1)
+            if rng.random() < density
+        },
+    )
+
+
+def random_vector(rng, n):
+    return tuple(random_fraction(rng) if rng.random() < 0.7 else F(0) for _ in range(n))
+
+
+def catalog_in_random_bases(rng):
+    for entry in catalog_lsas():
+        for params in entry.default_params:
+            a = entry.make(params)
+            yield a
+            yield conjugated(a, random_invertible(rng, 3))
+
+
+def lie_families_in_random_bases(rng):
+    for name, family in LIE_FAMILIES.items():
+        params = {} if family.param is None else {family.param.name: family.param.sample(rng)}
+        lie = make_lie(name, **params)
+        yield lie
+        yield conjugated(lie, random_invertible(rng, 3))
+
+
+def sample_algebras(seed):
+    rng = random.Random(seed)
+    out = [random_algebra(rng, n) for n in (1, 2, 2, 3, 3, 3)]
+    out += list(catalog_in_random_bases(rng))
+    out += list(lie_families_in_random_bases(rng))
+    out += list(fixtures().values())
+    return out
+
+
+# --- oracles: the earlier per-caller forms --------------------------------
+
+
+def oracle_trace(a, x):
+    return left_mult(a, x).trace()
+
+
+def oracle_two_sided_products(a, vectors):
+    e = [unit_vec(a.dim, i) for i in range(a.dim)]
+    return [p for w in vectors for x in e for p in (left_mult(a, x).apply(w), right_mult(a, x).apply(w))]
+
+
+def oracle_pa_ap_span(a, p):
+    """W = P*A + A*P, one product at a time."""
+    e = [unit_vec(a.dim, i) for i in range(a.dim)]
+    vecs = []
+    for w in p.basis:
+        for x in e:
+            vecs.append(multiply(a, w, x))
+            vecs.append(multiply(a, x, w))
+    return Subspace.from_spanning(a.dim, vecs)
+
+
+def oracle_induced_action_ratio(a, p):
+    if p.dim != 2 or a.dim - p.dim != 1:
+        return None
+    if any(not vec_is_zero(multiply(a, x, y)) for x in p.basis for y in p.basis):
+        return None
+    basis_matrix = QMatrix.from_cols(list(p.basis))
+
+    def restrict(m):
+        cols = solve(basis_matrix, [m.apply(bv) for bv in p.basis])
+        return None if cols is None else QMatrix.from_cols(cols)
+
+    lift = quotient_basis([unit_vec(a.dim, i) for i in range(a.dim)], list(p.basis))[0]
+    lb, rb = restrict(left_mult(a, lift)), restrict(right_mult(a, lift))
+    if lb is None or rb is None:
+        return None
+    m1 = lb - QMatrix.identity(2).scale(lb.trace() / 2)
+    if m1.is_zero():
+        return "inf" if not rb.is_zero() else "0/0"
+    flat1 = [x for row in m1.rows for x in row]
+    flat2 = [x for row in rb.rows for x in row]
+    pivot = next(i for i, x in enumerate(flat1) if x != 0)
+    c = flat2[pivot] / flat1[pivot]
+    if any(f2 != c * f1 for f1, f2 in zip(flat1, flat2)):
+        return None
+    return str(c)
+
+
+def oracle_first_asymmetry(a):
+    n = a.dim
+    for i in range(n):
+        for j in range(i, n):
+            if a.c[i][j] != tuple(-x for x in a.c[j][i]):
+                return (i + 1, j + 1)
+    return None
+
+
+def oracle_tag_of_form(form):
+    d = form.det_d
+    if d == 0:
+        return LieTag("G31")
+    if d == 1:
+        if form.d == QMatrix.identity(2):
+            return LieTag("G32")
+        return LieTag("G33")
+    if d > 1:
+        z = sqrt_fraction(d - 1)
+        if z is not None:
+            return LieTag("G35", zeta=z)
+        return LieTag("G35", zeta=float(d - 1) ** 0.5, exact=False)
+    disc = 1 - d
+    s = sqrt_fraction(disc)
+    if s is not None:
+        for mu in ((2 - d + 2 * s) / d, (2 - d - 2 * s) / d):
+            if 0 < abs(mu) < 1:
+                return LieTag("G34", mu=mu)
+        raise RuntimeError("mu recovery failed; internal bug")
+    sf = float(disc) ** 0.5
+    df = float(d)
+    for muf in ((2 - df + 2 * sf) / df, (2 - df - 2 * sf) / df):
+        if 0 < abs(muf) < 1 - 1e-12:
+            return LieTag("G34", mu=muf, exact=False)
+    raise RuntimeError("mu recovery failed; internal bug")
+
+
+def oracle_cocycle_of(g, x, y):
+    out = zero_vec(g.v_dim)
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        for j, yj in enumerate(y):
+            if yj == 0:
+                continue
+            out = vec_add(out, vec_scale(xi * yj, g.values[i][j]))
+    return out
+
+
+def oracle_flatten_cocycle(g):
+    out = []
+    for row in g.values:
+        for cell in row:
+            out.extend(cell)
+    return tuple(out)
+
+
+def oracle_h2(action):
+    """(dim Z2, dim B2, dim H2, representatives, B2 basis) from the
+    unit-cocycle loop."""
+    k_dim, v_dim = action.k.dim, action.v_dim
+    n2 = k_dim * k_dim * v_dim
+    d2_cols = []
+    for flat_idx in range(n2):
+        unit = [F(0)] * n2
+        unit[flat_idx] = F(1)
+        image = delta2(action, _unflatten_cocycle(tuple(unit), k_dim, v_dim))
+        col = []
+        for plane in image:
+            for row in plane:
+                for cell in row:
+                    col.extend(cell)
+        d2_cols.append(tuple(col))
+    z2 = nullspace_basis(QMatrix.from_cols(d2_cols))
+    d1_cols = []
+    for i in range(k_dim):
+        for m in range(v_dim):
+            h_rows = [[F(0)] * k_dim for _ in range(v_dim)]
+            h_rows[m][i] = F(1)
+            d1_cols.append(oracle_flatten_cocycle(delta1(action, QMatrix(h_rows))))
+    b2 = list(Subspace.from_spanning(n2, d1_cols).basis)
+    reps = quotient_basis(z2, b2)
+    return (
+        len(z2),
+        len(b2),
+        len(z2) - len(b2),
+        tuple(_unflatten_cocycle(r, k_dim, v_dim).values for r in reps),
+        tuple(_unflatten_cocycle(b, k_dim, v_dim).values for b in b2),
+    )
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as err:
+        return type(err)
+
+
+# --- trace row ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_trace_row_equals_traces_of_left_multiplications(seed):
+    rng = random.Random(1000 + seed)
+    for a in sample_algebras(seed):
+        row = _trace_row(a)
+        for x in [unit_vec(a.dim, i) for i in range(a.dim)] + [random_vector(rng, a.dim) for _ in range(3)]:
+            assert sum(t * xi for t, xi in zip(row, x)) == oracle_trace(a, x)
+        if is_lie_algebra(a):
+            assert is_unimodular(a) == all(oracle_trace(a, unit_vec(a.dim, i)) == 0 for i in range(a.dim))
+
+
+# --- two-sided products ---------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_two_sided_products_list_every_product_in_order(seed):
+    rng = random.Random(2000 + seed)
+    for a in sample_algebras(seed):
+        p = product_span(a)
+        assert _two_sided_products(a, p.basis) == oracle_two_sided_products(a, p.basis)
+        assert Subspace.from_spanning(a.dim, _two_sided_products(a, p.basis)) == oracle_pa_ap_span(a, p)
+        # a random subspace, usually not an ideal
+        w = Subspace.from_spanning(a.dim, [random_vector(rng, a.dim) for _ in range(rng.randint(1, a.dim))])
+        assert _two_sided_products(a, w.basis) == oracle_two_sided_products(a, w.basis)
+        assert Subspace.from_spanning(a.dim, _two_sided_products(a, w.basis)) == oracle_pa_ap_span(a, w)
+
+
+# --- operator on an invariant subspace ------------------------------------
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_restricted_matrix_maps_the_basis_to_the_images(seed):
+    rng = random.Random(3000 + seed)
+    for n in (2, 3, 4):
+        for m in range(1, n + 1):
+            basis = list(Subspace.from_spanning(n, [random_vector(rng, n) for _ in range(m)]).basis)
+            if not basis:
+                continue
+            inside = QMatrix.from_cols(basis) @ random_matrix(rng, len(basis), len(basis))
+            images = [inside.col(j) for j in range(len(basis))]
+            restricted = _restricted(images, basis)
+            assert restricted.shape == (len(basis), len(basis))
+            assert QMatrix.from_cols(basis) @ restricted == QMatrix.from_cols(images)
+            # one image outside the span
+            outside = random_vector(rng, n)
+            if rank(QMatrix.from_cols([*basis, outside])) > len(basis):
+                assert _restricted([*images[:-1], outside], basis) is None
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_milnor_d_is_ad_e1_on_the_trace_kernel(seed):
+    for lie in lie_families_in_random_bases(random.Random(4000 + seed)):
+        form = milnor_normal_form(lie)
+        e1, u1, u2 = form.adapted_basis
+        for j, u in enumerate((u1, u2)):
+            image = vec_add(vec_scale(form.d.rows[0][j], u1), vec_scale(form.d.rows[1][j], u2))
+            assert multiply(lie, e1, u) == image
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_induced_action_ratio_equals_the_full_matrix_restriction(seed):
+    rng = random.Random(5000 + seed)
+    algebras = list(catalog_in_random_bases(rng)) + [random_algebra(rng, 3, 0.3) for _ in range(6)]
+    for a in algebras:
+        p = product_span(a)
+        assert _induced_action_ratio(a, p) == oracle_induced_action_ratio(a, p)
+
+
+# --- identity bookkeeping -------------------------------------------------
+
+
+def commutator_tensor(a):
+    """[e_i, e_j] = e_i*e_j - e_j*e_i as lists, antisymmetric for any a."""
+    n = a.dim
+    return [[[a.c[i][j][k] - a.c[j][i][k] for k in range(n)] for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_first_asymmetry_equals_the_antisymmetry_loop(seed):
+    rng = random.Random(6000 + seed)
+    algebras = sample_algebras(seed)
+    for a in list(algebras):
+        c = commutator_tensor(a)
+        algebras.append(Algebra(a.dim, tuple(tuple(tuple(v) for v in plane) for plane in c)))
+        # one planted asymmetric pair
+        c[rng.randrange(a.dim)][rng.randrange(a.dim)][rng.randrange(a.dim)] += 1
+        algebras.append(Algebra(a.dim, tuple(tuple(tuple(v) for v in plane) for plane in c)))
+    for a in algebras:
+        assert _first_asymmetry(a) == oracle_first_asymmetry(a)
+    assert {_first_asymmetry(a) is None for a in algebras} == {True, False}
+
+
+def test_lie_extension_names_the_first_asymmetric_pair():
+    base = fixtures()["aff_R"]
+    zero1 = Algebra.from_entries(1, {})
+    phi = (QMatrix([[0]]), QMatrix([[0]]))
+    cases = [((((1,), (0,)), ((0,), (0,))), (1, 1)), ((((0,), (1,)), ((1,), (0,))), (1, 2))]
+    for omega, pair in cases:
+        with pytest.raises(CompatibilityError, match=rf"omega is not alternating at \({pair[0]}, {pair[1]}\)"):
+            build_lie_extension(LieExtensionData(base, zero1, phi, omega))
+
+
+def random_form(rng):
+    """A trace-2 matrix D and its determinant."""
+    a, b, c = (random_fraction(rng) for _ in range(3))
+    d = QMatrix([[1 + a, b], [c, 1 - a]])
+    return MilnorForm(d, (), (1 + a) * (1 - a) - b * c)
+
+
+def test_tag_of_form_equals_the_separate_exact_and_float_loops():
+    rng = random.Random(7)
+    forms = [random_form(rng) for _ in range(400)]
+    forms += [milnor_normal_form(lie) for lie in lie_families_in_random_bases(rng)]
+    # det D = 1 - a^2 - bc at chosen (a, b, c): G31, G32, G33, G35 exact and
+    # not, G34 with rational and irrational mu, negative det
+    for a, b, c in [(1, 0, 0), (0, 0, 0), (0, 1, 0), (0, 3, -1), (0, 2, -1), (F(1, 2), 0, 0),
+                    (F(1, 3), 0, 0), (0, 1, F(1, 2)), (2, 0, 0), (3, 1, 1), (0, 1, F(1, 3))]:
+        d = QMatrix([[1 + F(a), F(b)], [F(c), 1 - F(a)]])
+        forms.append(MilnorForm(d, (), (1 + F(a)) * (1 - F(a)) - F(b) * F(c)))
+    kinds = set()
+    for form in forms:
+        tag = outcome(_tag_of_form, form)
+        assert tag == outcome(oracle_tag_of_form, form), form.det_d
+        kinds.add((tag.kind, tag.exact))
+    assert {("G34", True), ("G34", False), ("G35", True), ("G35", False), ("G31", True),
+            ("G32", True), ("G33", True)} <= kinds
+
+
+# --- bilinear maps and the flattener --------------------------------------
+
+
+def random_cocycle(rng, k_dim, v_dim):
+    return Cocycle2(tuple(
+        tuple(random_vector(rng, v_dim) for _ in range(k_dim)) for _ in range(k_dim)
+    ))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cocycle_evaluation_equals_the_loop(seed):
+    rng = random.Random(8000 + seed)
+    for k_dim in (1, 2, 3):
+        for v_dim in (1, 2, 3):
+            g = random_cocycle(rng, k_dim, v_dim)
+            for _ in range(5):
+                x, y = random_vector(rng, k_dim), random_vector(rng, k_dim)
+                value = g.of(x, y)
+                assert value == oracle_cocycle_of(g, x, y)
+                assert all(type(v) is Fraction for v in value)
+            assert _flatten(g.values) == oracle_flatten_cocycle(g)
+
+
+def actions(seed):
+    rng = random.Random(9000 + seed)
+    out = [case.data.action for case in reconstruction_cases(rng)]
+    # random matrices over the 2D fixtures: mostly not bimodules
+    for k in (fixtures()["N2"], fixtures()["r2_zero"], fixtures()["r2_square"]):
+        v_dim = rng.randint(1, 2)
+        out.append(BimoduleAction(
+            k, v_dim,
+            tuple(random_matrix(rng, v_dim, v_dim) for _ in range(2)),
+            tuple(random_matrix(rng, v_dim, v_dim) for _ in range(2)),
+        ))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_h2_equals_the_unit_cocycle_loop(seed):
+    rng = random.Random(seed)
+    for action in actions(seed):
+        res = outcome(h2, action)
+        old = outcome(oracle_h2, action)
+        if isinstance(res, type):
+            assert res is old is ValueError
+            continue
+        assert (res.dim_z2, res.dim_b2, res.dim_h2) == old[:3]
+        assert tuple(r.values for r in res.representatives) == old[3]
+        assert tuple(b.values for b in res.b2_basis) == old[4]
+        g = random_cocycle(rng, action.k.dim, action.v_dim)
+        image = delta2(action, g)
+        flat = [x for plane in image for row in plane for cell in row for x in cell]
+        assert _flatten(image) == tuple(flat)
+        assert delta2_is_zero(action, g) == all(x == 0 for x in flat)
+        for rep in res.representatives:
+            assert delta2_is_zero(action, rep)
