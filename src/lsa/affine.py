@@ -8,11 +8,12 @@ composition, a nonsingular and injective orbit map with Newton-invertible
 samples, and tangent vectors at the identity matching the exact affine
 representation X -> (L_X, X) of the paired catalog algebra.
 
-Every family is one numpy-broadcasting definition: arrays a, b, c of one
-shape map to linear parts (..., 3, 3) and translations (..., 3).  The
-checks evaluate whole batches (a grid point and its six finite-difference
-neighbours, all closure pairs, all tangent curve points) in one call, and
-``AffineMap3`` validates shape and finiteness once per batch.
+Every family is written once, as two formulas over a namespace of
+elementary functions (``NUMPY`` here, sympy in the exact tests).  In numpy
+they broadcast: arrays a, b, c of one shape map to linear parts (..., 3, 3)
+and translations (..., 3).  The checks evaluate whole batches (a grid point
+and its six finite-difference neighbours, all closure pairs, all tangent
+curve points) in one call, and ``AffineMap3`` validates once per batch.
 
 The D32 family needs one documented correction: the commonly quoted entry
 (with b f(a) in the first row and a + b^2 g(a) in the translation) is not
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -209,183 +211,165 @@ def affine_rep(a: Algebra) -> AffRep:
 # The eleven group families
 # ---------------------------------------------------------------------------
 
-_f, _g, _h, _k, _phi = special_f, special_g, special_h, special_k, special_phi
-
+# A family is two formulas over a namespace ``x`` of elementary functions:
+# exp, cos, sin, log, the special functions f, g, h, k, phi, and half = 1/2
+# (``half * c * c`` stays finite where ``(c * c) / 2`` overflows).
+# ``maps(x, a, b, c, **params)`` returns the linear-part entries that differ
+# from the identity, {(i, j): value}, and the translation (t0, t1, t2);
+# ``recover(x, lin, t, **params)`` is its closed-form inverse and reads only
+# lin[i, j] and t[i].  The harness evaluates them in ``NUMPY``.
+NUMPY = SimpleNamespace(
+    exp=np.exp, cos=np.cos, sin=np.sin, log=np.log,
+    f=special_f, g=special_g, h=special_h, k=special_k, phi=special_phi, half=0.5,
+)
 
 _EYE = np.eye(3)
 
 
-def _maps(entries: dict, translation: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Linear parts equal to the identity except at ``entries`` ((i, j) ->
-    values), and the translations, stacked over the shape of the inputs."""
-    shape = np.shape(translation[0])
-    linear = np.empty(shape + (3, 3))
-    linear[...] = _EYE
-    for (i, j), value in entries.items():
-        linear[..., i, j] = value
-    stacked = np.empty(shape + (3,))
-    for i, value in enumerate(translation):
-        stacked[..., i] = value
-    return linear, stacked
+def _a30(x, a, b, c):
+    return {(1, 1): x.exp(a)}, (a, b * x.f(a), c)
 
 
-def _a30(a, b, c):
-    return _maps({(1, 1): np.exp(a)}, (a, b * _f(a), c))
+def _a30_recover(x, lin, t):
+    return t[0], t[1] / x.f(t[0]), t[2]
 
 
-def _a30_recover(m):
-    t = m.translation
-    a = t[..., 0]
-    return a, t[..., 1] / _f(a), t[..., 2]
+def _a31(x, a, b, c):
+    return {(1, 1): x.exp(a), (2, 0): a}, (a, b * x.f(a), c + x.half * a * a)
 
 
-def _a31(a, b, c):
-    return _maps({(1, 1): np.exp(a), (2, 0): a}, (a, b * _f(a), c + 0.5 * a * a))
+def _a31_recover(x, lin, t):
+    a = t[0]
+    return a, t[1] / x.f(a), t[2] - x.half * a * a
 
 
-def _a31_recover(m):
-    t = m.translation
-    a = t[..., 0]
-    return a, t[..., 1] / _f(a), t[..., 2] - 0.5 * a * a
+def _a32_a33(sign: int):
+    def maps(x, a, b, c):
+        return {(1, 1): x.exp(a), (0, 2): sign * c}, (a + sign * x.half * c * c, b * x.f(a), c)
 
-
-def _a32_a33(sign: float):
-    def maps(a, b, c):
-        return _maps({(1, 1): np.exp(a), (0, 2): sign * c}, (a + sign * 0.5 * c * c, b * _f(a), c))
-
-    def recover(m):
-        t = m.translation
-        c = t[..., 2]
-        a = t[..., 0] - sign * 0.5 * c * c
-        return a, t[..., 1] / _f(a), c
+    def recover(x, lin, t):
+        c = t[2]
+        a = t[0] - sign * x.half * c * c
+        return a, t[1] / x.f(a), c
 
     return maps, recover
 
 
-def _b30(a, b, c):
-    ea, fa = np.exp(a), _f(a)
-    return _maps({(1, 1): ea, (2, 2): ea}, (a, b * fa, c * fa))
+def _b30(x, a, b, c):
+    ea, fa = x.exp(a), x.f(a)
+    return {(1, 1): ea, (2, 2): ea}, (a, b * fa, c * fa)
 
 
-def _b30_recover(m):
-    t = m.translation
-    a = t[..., 0]
-    return a, t[..., 1] / _f(a), t[..., 2] / _f(a)
+def _b30_recover(x, lin, t):
+    a = t[0]
+    return a, t[1] / x.f(a), t[2] / x.f(a)
 
 
-def _b31(a, b, c):
-    ea, fa = np.exp(a), _f(a)
-    return _maps({(1, 1): ea, (2, 2): ea, (2, 0): b * fa, (2, 1): a * ea}, (a, b * fa, (a * b + c) * fa))
+def _b31(x, a, b, c):
+    ea, fa = x.exp(a), x.f(a)
+    return {(1, 1): ea, (2, 2): ea, (2, 0): b * fa, (2, 1): a * ea}, (a, b * fa, (a * b + c) * fa)
 
 
-def _b31_recover(m):
-    t = m.translation
-    a = t[..., 0]
-    b = t[..., 1] / _f(a)
-    return a, b, t[..., 2] / _f(a) - a * b
+def _b31_recover(x, lin, t):
+    a = t[0]
+    b = t[1] / x.f(a)
+    return a, b, t[2] / x.f(a) - a * b
 
 
-def _c31(a, b, c):
-    ea, fa = np.exp(a), _f(a)
-    return _maps({(1, 1): ea, (2, 2): ea, (2, 1): a * ea}, (a, b * fa, c * fa + b * _phi(a)))
+def _c31(x, a, b, c):
+    ea, fa = x.exp(a), x.f(a)
+    return {(1, 1): ea, (2, 2): ea, (2, 1): a * ea}, (a, b * fa, c * fa + b * x.phi(a))
 
 
-def _c31_recover(m):
-    t = m.translation
-    a = t[..., 0]
-    b = t[..., 1] / _f(a)
-    return a, b, (t[..., 2] - b * _phi(a)) / _f(a)
+def _c31_recover(x, lin, t):
+    a = t[0]
+    b = t[1] / x.f(a)
+    return a, b, (t[2] - b * x.phi(a)) / x.f(a)
 
 
-def _c3t(a, b, c, t):
-    ea, fa = np.exp(a), _f(a)
-    return _maps(
-        {(1, 1): ea, (2, 2): ea, (2, 0): (t - 1.0) * b * fa, (2, 1): t * a * ea},
+def _c3t(x, a, b, c, t):
+    ea, fa = x.exp(a), x.f(a)
+    return (
+        {(1, 1): ea, (2, 2): ea, (2, 0): (t - 1) * b * fa, (2, 1): t * a * ea},
         (a, b * fa, (t * a * b + c - b) * fa + b),
     )
 
 
-def _c3t_recover(m, t):
-    tr = m.translation
-    a = tr[..., 0]
-    b = tr[..., 1] / _f(a)
-    return a, b, (tr[..., 2] - b) / _f(a) - t * a * b + b
+def _c3t_recover(x, lin, tr, t):
+    a = tr[0]
+    b = tr[1] / x.f(a)
+    return a, b, (tr[2] - b) / x.f(a) - t * a * b + b
 
 
-def _d31(a, b, c, mu):
-    return _maps({(1, 1): np.exp(a), (2, 2): np.exp(mu * a)}, (a, b * _f(a), c * _f(mu * a)))
+def _d31(x, a, b, c, mu):
+    return {(1, 1): x.exp(a), (2, 2): x.exp(mu * a)}, (a, b * x.f(a), c * x.f(mu * a))
 
 
-def _d31_recover(m, mu):
-    t = m.translation
-    a = t[..., 0]
-    return a, t[..., 1] / _f(a), t[..., 2] / _f(mu * a)
+def _d31_recover(x, lin, t, mu):
+    a = t[0]
+    return a, t[1] / x.f(a), t[2] / x.f(mu * a)
 
 
-def _d32(a, b, c):
+def _d32(x, a, b, c):
     # derived closed form: linear (2,3) entry c (2 f(a) - f(a/2)) and
     # translation (a, b f(a) + c^2 f(a/2)^2 / 2, c f(a/2))
-    fa, fh = _f(a), _f(0.5 * a)
-    return _maps(
-        {(1, 1): np.exp(a), (2, 2): np.exp(0.5 * a), (1, 2): c * (2.0 * fa - fh)},
-        (a, b * fa + 0.5 * c * c * fh**2, c * fh),
+    fa, fh = x.f(a), x.f(x.half * a)
+    return (
+        {(1, 1): x.exp(a), (2, 2): x.exp(x.half * a), (1, 2): c * (2 * fa - fh)},
+        (a, b * fa + x.half * c * c * fh**2, c * fh),
     )
 
 
-def _d32_recover(m):
-    t = m.translation
-    a = t[..., 0]
-    fh = _f(0.5 * a)
-    c = t[..., 2] / fh
-    return a, (t[..., 1] - 0.5 * c * c * fh**2) / _f(a), c
+def _d32_recover(x, lin, t):
+    a = t[0]
+    fh = x.f(x.half * a)
+    c = t[2] / fh
+    return a, (t[1] - x.half * c * c * fh**2) / x.f(a), c
 
 
-def _e3_fh(a, zeta):
+def _e3_fh(x, a, zeta):
     """The translation's rotation-scaling pair (F, H) of the E3 family."""
-    return _f(a) + _k(zeta * a), _h(zeta * a) - zeta * _phi(a)
+    return x.f(a) + x.k(zeta * a), x.h(zeta * a) - zeta * x.phi(a)
 
 
-def _e3(a, b, c, zeta):
-    ea = np.exp(a)
-    cz, sz = np.cos(zeta * a), np.sin(zeta * a)
-    big_f, big_h = _e3_fh(a, zeta)
-    return _maps(
+def _e3(x, a, b, c, zeta):
+    ea = x.exp(a)
+    cz, sz = x.cos(zeta * a), x.sin(zeta * a)
+    big_f, big_h = _e3_fh(x, a, zeta)
+    return (
         {(1, 1): ea * cz, (1, 2): -ea * sz, (2, 1): ea * sz, (2, 2): ea * cz},
         (a, b * big_f + c * big_h, -b * big_h + c * big_f),
     )
 
 
-def _e3_recover(m, zeta):
-    t = m.translation
-    a = t[..., 0]
-    big_f, big_h = _e3_fh(a, zeta)
+def _e3_recover(x, lin, t, zeta):
+    a = t[0]
+    big_f, big_h = _e3_fh(x, a, zeta)
     denom = big_f * big_f + big_h * big_h
-    t1, t2 = t[..., 1], t[..., 2]
-    return a, (big_f * t1 - big_h * t2) / denom, (big_h * t1 + big_f * t2) / denom
+    return a, (big_f * t[1] - big_h * t[2]) / denom, (big_h * t[1] + big_f * t[2]) / denom
 
 
-def _legacy_d32(a, b, c):
-    fa = _f(a)
-    return _maps(
-        {(1, 1): np.exp(a), (2, 2): np.exp(0.5 * a), (0, 1): b * fa},
-        (a + b * b * _g(a), b * fa, c * _f(0.5 * a)),
+def _legacy_d32(x, a, b, c):
+    fa = x.f(a)
+    return (
+        {(1, 1): x.exp(a), (2, 2): x.exp(x.half * a), (0, 1): b * fa},
+        (a + b * b * x.g(a), b * fa, c * x.f(x.half * a)),
     )
 
 
-def _legacy_d32_recover(m):
-    a = np.log(m.linear[..., 1, 1])
-    return a, m.translation[..., 1] / _f(a), m.translation[..., 2] / _f(0.5 * a)
+def _legacy_d32_recover(x, lin, t):
+    a = x.log(lin[1, 1])
+    return a, t[1] / x.f(a), t[2] / x.f(x.half * a)
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """One row of the family table.  ``maps(a, b, c, **params)`` takes arrays
-    of one shape to (linear parts, translations); ``recover(m, **params)``
-    is its closed-form inverse on a map or a stack of maps; the family's
-    parameters and their constraint are those of its catalog entry."""
+    """One row of the family table: the two formulas ``maps`` and
+    ``recover`` (see ``NUMPY``); the family's parameters and their
+    constraint are those of its catalog entry."""
 
     catalog_name: str
-    maps: Callable[..., tuple[np.ndarray, np.ndarray]]
+    maps: Callable[..., tuple[dict, tuple]]
     recover: Callable[..., tuple]
 
     @property
@@ -397,8 +381,8 @@ class FamilySpec:
 FAMILIES: dict[str, FamilySpec] = {
     "A30": FamilySpec("N30", _a30, _a30_recover),
     "A31": FamilySpec("N31", _a31, _a31_recover),
-    "A32": FamilySpec("N32", *_a32_a33(1.0)),
-    "A33": FamilySpec("N33", *_a32_a33(-1.0)),
+    "A32": FamilySpec("N32", *_a32_a33(1)),
+    "A33": FamilySpec("N33", *_a32_a33(-1)),
     "B30": FamilySpec("B30", _b30, _b30_recover),
     "B31": FamilySpec("B31", _b31, _b31_recover),
     "C31": FamilySpec("C31", _c31, _c31_recover),
@@ -409,6 +393,9 @@ FAMILIES: dict[str, FamilySpec] = {
 }
 
 FAMILY_NAMES = tuple(FAMILIES)
+
+# The commonly quoted D32 entry (see the module docstring).
+LEGACY_D32 = FamilySpec("D32", _legacy_d32, _legacy_d32_recover)
 
 
 @dataclass
@@ -421,16 +408,28 @@ class GroupFamily:
     """
 
     name: str
-    catalog_name: str
+    spec: FamilySpec
     params: dict[str, float]
-    maps: Callable[..., tuple[np.ndarray, np.ndarray]]
-    solve: Callable[..., tuple]
+
+    @property
+    def catalog_name(self) -> str:
+        return self.spec.catalog_name
 
     def evaluate(self, a, b, c) -> tuple[np.ndarray, np.ndarray]:
-        """Unvalidated linear parts and translations."""
-        a, b, c = (np.asarray(x, dtype=float) for x in (a, b, c))
+        """Unvalidated linear parts and translations, stacked over the shape
+        of the inputs."""
+        a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
         with np.errstate(all="ignore"):
-            return self.maps(a, b, c, **self.params)
+            entries, translation = self.spec.maps(NUMPY, a, b, c, **self.params)
+        shape = np.shape(translation[0])
+        linear = np.empty(shape + (3, 3))
+        linear[...] = _EYE
+        for (i, j), value in entries.items():
+            linear[..., i, j] = value
+        stacked = np.empty(shape + (3,))
+        for i, value in enumerate(translation):
+            stacked[..., i] = value
+        return linear, stacked
 
     def elements(self, a, b, c) -> AffineMap3:
         return AffineMap3(*self.evaluate(a, b, c))
@@ -441,8 +440,9 @@ class GroupFamily:
 
     def recover(self, m: AffineMap3) -> tuple:
         """Group parameters (a, b, c) of a map or a stack of maps."""
+        lin, t = np.moveaxis(m.linear, (-2, -1), (0, 1)), np.moveaxis(m.translation, -1, 0)
         with np.errstate(all="ignore"):
-            return self.solve(m, **self.params)
+            return self.spec.recover(NUMPY, lin, t, **self.params)
 
 
 def build_family(name: str, **params) -> GroupFamily:
@@ -458,13 +458,13 @@ def build_family(name: str, **params) -> GroupFamily:
     except (ValueError, OverflowError) as err:  # a constraint, or a NaN or infinite parameter
         raise ParameterError(f"family {name}: {err}") from err
     floats = {k: float(v) for k, v in exact.items()}
-    return GroupFamily(name, spec.catalog_name, floats, spec.maps, spec.recover)
+    return GroupFamily(name, spec, floats)
 
 
 def legacy_d32_family() -> GroupFamily:
     """The commonly quoted D32 entry; kept as reproducible evidence that it
     is not closed under composition (see check_closure)."""
-    return GroupFamily("D32-legacy", "D32", {}, _legacy_d32, _legacy_d32_recover)
+    return GroupFamily("D32-legacy", LEGACY_D32, {})
 
 
 def default_families() -> list[GroupFamily]:

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 input error
-(malformed JSON, schema violation, a parameter constraint violation, or an
-input the command does not handle, such as a dimension it does not cover).
+(malformed JSON, schema violation, a parameter constraint violation, a path
+that cannot be read or written, or an input the command does not handle,
+such as a dimension it does not cover).
 Reports go to stdout, errors to stderr; --json switches every report to a
 sorted, byte-stable JSON rendering.
 """
@@ -58,14 +59,33 @@ def _yesno(b: bool) -> str:
     return "yes" if b else "no"
 
 
+def _declared_dim(data) -> int:
+    """The integer ``dim`` an algebra object declares, else 0 (the JSON
+    reader refuses it later)."""
+    dim = data.get("dim") if isinstance(data, dict) else None
+    return dim if isinstance(dim, int) else 0
+
+
 def _load_algebra(path: str, command: str):
     """The file's algebra, refused by its declared dimension before the
     dim^3 structure tensor is built."""
     data = load_json_file(path)
-    dim = data.get("dim") if isinstance(data, dict) else None
-    if isinstance(dim, int) and dim > MAX_DIM[command]:
+    dim = _declared_dim(data)
+    if dim > MAX_DIM[command]:
         raise ValueError(f"{command} handles dim <= {MAX_DIM[command]} only, got dim {dim}")
     return algebra_from_dict(data)
+
+
+def _load_extension(path: str, command: str, require_g: bool = True):
+    """The file's extension data, refused before either structure tensor
+    is built when dim K + dim V exceeds CHECK_MAX_DIM: the extended algebra
+    must be one ``check`` decides."""
+    data = load_json_file(path)
+    parts = data if isinstance(data, dict) else {}
+    dim = _declared_dim(parts.get("K")) + _declared_dim(parts.get("V"))
+    if dim > CHECK_MAX_DIM:
+        raise ValueError(f"{command} handles dim K + dim V <= {CHECK_MAX_DIM} only, got {dim}")
+    return extension_from_dict(data, require_g=require_g)
 
 
 def _frac_str(s: str) -> Fraction:
@@ -119,7 +139,7 @@ def cmd_lie(args) -> int:
 
 
 def cmd_h2(args) -> int:
-    data = extension_from_dict(load_json_file(args.file), require_g=False)
+    data = _load_extension(args.file, "h2", require_g=False)
     for label, factor in (("K", data.k), ("V", data.v)):
         ls = check_left_symmetric(factor)
         if not ls.ok:
@@ -151,7 +171,7 @@ def cmd_h2(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    data = extension_from_dict(load_json_file(args.file))
+    data = _load_extension(args.file, "extend")
     try:
         ext = build_extension(data)
     except ExtensionError as err:
@@ -394,7 +414,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_spell_at_points(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError) as err:  # includes JsonFormatError, ParameterError
+    except (ValueError, OSError) as err:  # includes JsonFormatError, ParameterError, IsADirectoryError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

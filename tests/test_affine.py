@@ -392,16 +392,16 @@ def test_tangent_a30():
 
 def test_tangent_translation_sanity_fixture():
     # a pure-translation family over the zero algebra: all commutators vanish
-    from lsa.affine import GroupFamily
+    from lsa.affine import FamilySpec, GroupFamily
     from lsa.algebra import Algebra
 
-    def maps(a, b, c):
-        return np.broadcast_to(np.eye(3), a.shape + (3, 3)), np.stack([a, b, c], axis=-1)
+    def maps(x, a, b, c):
+        return {}, (a, b, c)
 
-    def recover(m):
-        return tuple(np.moveaxis(m.translation, -1, 0))
+    def recover(x, lin, t):
+        return t[0], t[1], t[2]
 
-    fam = GroupFamily("translations", "zero", {}, maps, recover)
+    fam = GroupFamily("translations", FamilySpec("zero", maps, recover), {})
     report = check_tangent_algebra(fam, Algebra.from_entries(3, {}))
     assert report.ok
 

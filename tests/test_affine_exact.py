@@ -1,199 +1,124 @@
-"""Exact closure certificates for the affine families (sympy, test-only).
+"""Exact certificates for the affine families (sympy, test-only).
 
-Each family is transcribed symbolically here, the transcription is checked
-against ``fam.element`` and ``fam.recover`` at a few points, and then two symbolic elements are
-composed, the family's closed-form recover is applied to the composite, and
-the residual (recovered element minus composite) must simplify to 0 in all
-twelve entries.  The sampled float check in ``check_closure`` bounds the
-same residual by 1e-9 on random pairs; this proves it vanishes identically.
-The D32-legacy transcription leaves a nonzero residual: its witness.
+Each family is written once in ``lsa.affine`` as two formulas over a
+namespace of elementary functions.  The harness evaluates them with
+``NUMPY``; these tests evaluate the very same functions with ``SYMPY``
+(sympy's functions and the closed forms of f, g, h, k, phi), so every
+certificate covers the code that runs:
+
+- closure: two symbolic elements are composed, ``recover`` is applied to
+  the composite, and the residual (recovered element minus composite)
+  simplifies to 0 in all twelve entries.  The D32-legacy form leaves a
+  nonzero residual: its witness.
+- simple transitivity: ``recover . orbit`` and ``orbit . recover``
+  simplify to the identity on R^3, where the orbit map is p -> g(p).0, the
+  translation.  So the orbit map is a bijection of R^3, which the float
+  grid only samples.  ``recover`` divides by f(a), f(mu a) and f(a/2),
+  where f(x) = (e^x - 1)/x > 0 for every real x (e^x - 1 has the sign of
+  x, and f(0) = 1), and for E3 by F^2 + H^2, the orbit map's Jacobian
+  determinant.  F^2 + H^2 > 0 is not proved here: it stays the one sampled
+  claim (its minimum over the harness grid is 0.0128 at zeta = 1).
+- tangent algebra: the symbolic element is differentiated in each
+  coordinate at the identity and equals the generator (L_ei, e_i) of
+  ``affine_rep`` exactly; the generators satisfy [X_i, X_j] = sum_k
+  c_ij^k X_k exactly.
+
+The symbolic closed forms are 0/0 at a = 0, where the identities hold by
+continuity.  One float check ties the namespaces together: the closed forms
+and numpy's branched special functions (series below 1/4) give the same
+values through the same formulas.
 """
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from lsa.affine import FAMILIES, FAMILY_NAMES, build_family, legacy_d32_family
+from lsa.affine import FAMILIES, FAMILY_NAMES, LEGACY_D32, NUMPY, affine_rep, build_family, legacy_d32_family
+from lsa.algebra import lie_algebra_of
+from lsa.catalog import make_lsa
 
 sp = pytest.importorskip("sympy")
+mpmath = pytest.importorskip("mpmath")
 
-a1, b1, c1, a2, b2, c2 = sp.symbols("a1 b1 c1 a2 b2 c2", real=True)
-
-
-def f(x):
-    return (sp.exp(x) - 1) / x
-
-
-def g(x):
-    return (sp.exp(x) - x - 1) / x**2
-
-
-def h(x):
-    return (sp.cos(x) - 1) / x + x / 2
-
-
-def k(x):
-    return (sp.sin(x) - x) / x
-
-
-def phi(x):
-    return ((x - 1) * sp.exp(x) + 1) / x
-
-
-def affine(entries, translation):
-    linear = sp.eye(3)
-    for (i, j), value in entries.items():
-        linear[i, j] = value
-    return linear, sp.Matrix(translation)
-
-
-def a3x(sign):
-    def maps(a, b, c):
-        return affine({(1, 1): sp.exp(a), (0, 2): sign * c}, (a + sign * c**2 / 2, b * f(a), c))
-
-    def recover(lin, t):
-        c = t[2]
-        a = t[0] - sign * c**2 / 2
-        return a, t[1] / f(a), c
-
-    return maps, recover
-
-
-def e3_fh(a, zeta):
-    return f(a) + k(zeta * a), h(zeta * a) - zeta * phi(a)
-
-
-def e3_maps(a, b, c, zeta):
-    ea, cz, sz = sp.exp(a), sp.cos(zeta * a), sp.sin(zeta * a)
-    big_f, big_h = e3_fh(a, zeta)
-    return affine(
-        {(1, 1): ea * cz, (1, 2): -ea * sz, (2, 1): ea * sz, (2, 2): ea * cz},
-        (a, b * big_f + c * big_h, -b * big_h + c * big_f),
-    )
-
-
-def e3_recover(lin, t, zeta):
-    big_f, big_h = e3_fh(t[0], zeta)
-    denom = big_f**2 + big_h**2
-    return t[0], (big_f * t[1] - big_h * t[2]) / denom, (big_h * t[1] + big_f * t[2]) / denom
-
-
-# name -> (maps(a, b, c, **params), recover(linear, translation, **params))
-SYMBOLIC = {
-    "A30": (
-        lambda a, b, c: affine({(1, 1): sp.exp(a)}, (a, b * f(a), c)),
-        lambda lin, t: (t[0], t[1] / f(t[0]), t[2]),
-    ),
-    "A31": (
-        lambda a, b, c: affine({(1, 1): sp.exp(a), (2, 0): a}, (a, b * f(a), c + a**2 / 2)),
-        lambda lin, t: (t[0], t[1] / f(t[0]), t[2] - t[0] ** 2 / 2),
-    ),
-    "A32": a3x(1),
-    "A33": a3x(-1),
-    "B30": (
-        lambda a, b, c: affine({(1, 1): sp.exp(a), (2, 2): sp.exp(a)}, (a, b * f(a), c * f(a))),
-        lambda lin, t: (t[0], t[1] / f(t[0]), t[2] / f(t[0])),
-    ),
-    "B31": (
-        lambda a, b, c: affine(
-            {(1, 1): sp.exp(a), (2, 2): sp.exp(a), (2, 0): b * f(a), (2, 1): a * sp.exp(a)},
-            (a, b * f(a), (a * b + c) * f(a)),
-        ),
-        lambda lin, t: (t[0], t[1] / f(t[0]), t[2] / f(t[0]) - t[0] * t[1] / f(t[0])),
-    ),
-    "C31": (
-        lambda a, b, c: affine(
-            {(1, 1): sp.exp(a), (2, 2): sp.exp(a), (2, 1): a * sp.exp(a)},
-            (a, b * f(a), c * f(a) + b * phi(a)),
-        ),
-        lambda lin, t: (t[0], t[1] / f(t[0]), (t[2] - t[1] / f(t[0]) * phi(t[0])) / f(t[0])),
-    ),
-    "C3t": (
-        lambda a, b, c, t: affine(
-            {(1, 1): sp.exp(a), (2, 2): sp.exp(a), (2, 0): (t - 1) * b * f(a), (2, 1): t * a * sp.exp(a)},
-            (a, b * f(a), (t * a * b + c - b) * f(a) + b),
-        ),
-        lambda lin, tr, t: (
-            tr[0],
-            tr[1] / f(tr[0]),
-            (tr[2] - tr[1] / f(tr[0])) / f(tr[0]) - t * tr[0] * tr[1] / f(tr[0]) + tr[1] / f(tr[0]),
-        ),
-    ),
-    "D31": (
-        lambda a, b, c, mu: affine(
-            {(1, 1): sp.exp(a), (2, 2): sp.exp(mu * a)}, (a, b * f(a), c * f(mu * a))
-        ),
-        lambda lin, t, mu: (t[0], t[1] / f(t[0]), t[2] / f(mu * t[0])),
-    ),
-    "D32": (
-        lambda a, b, c: affine(
-            {(1, 1): sp.exp(a), (2, 2): sp.exp(a / 2), (1, 2): c * (2 * f(a) - f(a / 2))},
-            (a, b * f(a) + c**2 * f(a / 2) ** 2 / 2, c * f(a / 2)),
-        ),
-        lambda lin, t: (
-            t[0],
-            (t[1] - (t[2] / f(t[0] / 2)) ** 2 * f(t[0] / 2) ** 2 / 2) / f(t[0]),
-            t[2] / f(t[0] / 2),
-        ),
-    ),
-    "E3": (e3_maps, e3_recover),
-}
-
-LEGACY = (
-    lambda a, b, c: affine(
-        {(1, 1): sp.exp(a), (2, 2): sp.exp(a / 2), (0, 1): b * f(a)},
-        (a + b**2 * g(a), b * f(a), c * f(a / 2)),
-    ),
-    lambda lin, t: (sp.log(lin[1, 1]), t[1] / f(sp.log(lin[1, 1])), t[2] / f(sp.log(lin[1, 1]) / 2)),
+SYMPY = SimpleNamespace(
+    exp=sp.exp, cos=sp.cos, sin=sp.sin, log=sp.log,
+    f=lambda x: (sp.exp(x) - 1) / x,
+    g=lambda x: (sp.exp(x) - x - 1) / x**2,
+    h=lambda x: (sp.cos(x) - 1) / x + x / 2,
+    k=lambda x: (sp.sin(x) - x) / x,
+    phi=lambda x: ((x - 1) * sp.exp(x) + 1) / x,
+    half=sp.Rational(1, 2),
 )
+
+a, b, c, a1, b1, c1, a2, b2, c2 = sp.symbols("a b c a1 b1 c1 a2 b2 c2", real=True)
+# a free linear part and translation, for recover applied to any map
+LIN = sp.Matrix(3, 3, sp.symbols("l0:9", real=True))
+T = sp.Matrix(sp.symbols("t0:3", real=True))
+
+
+def rational(x):
+    return sp.Rational(x.numerator, x.denominator)
 
 
 def exact_params(name):
-    return {key: sp.Rational(v.numerator, v.denominator) for key, v in FAMILIES[name].defaults.items()}
+    return {key: rational(v) for key, v in FAMILIES[name].defaults.items()}
 
 
-def closure_residual(maps, recover, params):
-    """Entries of g(recover(g1 g2)) - g1 g2 for symbolic g1, g2."""
-    lin1, t1 = maps(a1, b1, c1, **params)
-    lin2, t2 = maps(a2, b2, c2, **params)
-    lin, t = lin1 * lin2, lin1 * t2 + t1
-    lin3, t3 = maps(*recover(lin, t, **params), **params)
-    return list(lin3 - lin) + list(t3 - t)
+def homogeneous(spec, point, params):
+    """The 4 x 4 matrix of the symbolic element g(point)."""
+    entries, translation = spec.maps(SYMPY, *point, **params)
+    m = sp.eye(4)
+    for (i, j), value in entries.items():
+        m[i, j] = value
+    m[:3, 3] = sp.Matrix(translation)
+    return m
 
 
-def assert_transcribes(fam, maps, recover, params):
-    """The symbolic maps and recover agree with the family's at sample points."""
+def closure_residual(spec, params):
+    """Entries of g(recover(g1 g2)) - g1 g2 for symbolic g1, g2, in the
+    order of ``AffineMap3.flat``."""
+    composite = homogeneous(spec, (a1, b1, c1), params) * homogeneous(spec, (a2, b2, c2), params)
+    recovered = spec.recover(SYMPY, composite[:3, :3], composite[:3, 3], **params)
+    residual = homogeneous(spec, recovered, params) - composite
+    return list(residual[:3, :3]) + list(residual[:3, 3])
+
+
+def test_namespaces_name_the_same_functions():
+    assert vars(SYMPY).keys() == vars(NUMPY).keys()
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES + ("D32-legacy",))
+def test_namespaces_agree_through_the_same_formulas(name):
+    """At sample points (|a| below and above 1/4) the numpy family equals
+    the sympy closed forms, evaluated to 30 digits, within 1e-12."""
+    if name == "D32-legacy":
+        spec, params, fam = LEGACY_D32, {}, legacy_d32_family()
+    else:
+        spec, params, fam = FAMILIES[name], exact_params(name), build_family(name, **FAMILIES[name].defaults)
+    m = homogeneous(spec, (a, b, c), params)
+    maps = sp.lambdify((a, b, c), list(m[:3, :3]) + list(m[:3, 3]), "mpmath")
+    recover = sp.lambdify(list(LIN) + list(T), spec.recover(SYMPY, LIN, T, **params), "mpmath")
     rng = random.Random(4)
-    a, b, c = sp.symbols("a b c", real=True)
-    lin, t = maps(a, b, c, **params)
-    entries = sp.lambdify((a, b, c), list(lin) + list(t), "math")
-    for _ in range(4):
-        p1, p2 = ([rng.choice((-1, 1)) * rng.uniform(0.3, 1.8) for _ in range(3)] for _ in range(2))
-        ours = fam.element(*p1)
-        assert np.max(np.abs(np.array(entries(*p1), dtype=float) - ours.flat())) < 1e-12, p1
-        composite = ours.compose(fam.element(*p2))
-        theirs = recover(sp.Matrix(composite.linear), sp.Matrix(composite.translation), **params)
-        assert np.max(np.abs(np.array(theirs, dtype=float) - fam.recover(composite))) < 1e-12, (p1, p2)
-
-
-def test_symbolic_table_covers_every_family():
-    assert set(SYMBOLIC) == set(FAMILY_NAMES)
+    with mpmath.workdps(30):
+        for scale in (0.2, 1.8, 0.2, 1.8):
+            p1, p2 = ([rng.uniform(-scale, scale) for _ in range(3)] for _ in range(2))
+            ours = fam.element(*p1)
+            assert np.max(np.abs(np.array(maps(*p1), dtype=float) - ours.flat())) < 1e-12, p1
+            composite = ours.compose(fam.element(*p2))
+            theirs = recover(*composite.flat())
+            assert np.max(np.abs(np.array(theirs, dtype=float) - fam.recover(composite))) < 1e-12, (p1, p2)
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_closure_residual_vanishes_exactly(name):
-    maps, recover = SYMBOLIC[name]
-    params = exact_params(name)
-    assert_transcribes(build_family(name, **FAMILIES[name].defaults), maps, recover, params)
-    residual = closure_residual(maps, recover, params)
+    residual = closure_residual(FAMILIES[name], exact_params(name))
     assert [sp.simplify(r) for r in residual] == [0] * 12
 
 
 def test_legacy_d32_residual_is_a_nonzero_witness():
-    maps, recover = LEGACY
     fam = legacy_d32_family()
-    assert_transcribes(fam, maps, recover, {})
-    residual = [sp.simplify(r) for r in closure_residual(maps, recover, {})]
+    residual = [sp.simplify(r) for r in closure_residual(LEGACY_D32, {})]
     assert any(r != 0 for r in residual)
     # at one pair the witness equals the float residual the harness measures
     p1, p2 = (1.0, 1.0, 0.0), (0.5, 1.0, 0.0)
@@ -203,3 +128,32 @@ def test_legacy_d32_residual_is_a_nonzero_witness():
     exact = np.array([float(r.subs(point)) for r in residual])
     assert np.max(np.abs(exact)) > 1e-3
     assert np.max(np.abs(exact - measured)) < 1e-9
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_orbit_map_is_a_bijection_exactly(name):
+    spec, params = FAMILIES[name], exact_params(name)
+    m = homogeneous(spec, (a, b, c), params)
+    back = spec.recover(SYMPY, m[:3, :3], m[:3, 3], **params)
+    assert [sp.simplify(x - y) for x, y in zip(back, (a, b, c))] == [0] * 3
+    _, image = spec.maps(SYMPY, *spec.recover(SYMPY, LIN, T, **params), **params)
+    assert [sp.simplify(x - y) for x, y in zip(image, T)] == [0] * 3
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_tangent_generators_and_brackets_exactly(name):
+    spec, params = FAMILIES[name], exact_params(name)
+    algebra = make_lsa(spec.catalog_name, **spec.defaults)
+    m = homogeneous(spec, (a, b, c), params)
+    # b and c enter polynomially; f(0) is 0/0 symbolically, so a -> 0 last
+    xs = [m.diff(s).subs({b: 0, c: 0}).applyfunc(lambda e: sp.limit(e, a, 0)) for s in (a, b, c)]
+    for x, (lin, vec) in zip(xs, affine_rep(algebra).generators):
+        expected = sp.zeros(4, 4)
+        expected[:3, :3] = sp.Matrix([[rational(v) for v in row] for row in lin.rows])
+        expected[:3, 3] = sp.Matrix([rational(v) for v in vec])
+        assert x == expected
+    lie = lie_algebra_of(algebra)
+    for i in range(3):
+        for j in range(3):
+            combination = sum((rational(lie.c[i][j][k]) * xs[k] for k in range(3)), sp.zeros(4, 4))
+            assert xs[i] * xs[j] - xs[j] * xs[i] == combination, (i, j)

@@ -12,7 +12,7 @@ import pytest
 
 from lsa.algebra import Algebra, conjugated
 from lsa.catalog import case1_n2_central, case3_square_kernel, make_lsa
-from lsa import cli
+from lsa import cli, jsonio
 from lsa.cli import CHECK_MAX_DIM, MAX_DIM, main
 from lsa.jsonio import (
     JsonFormatError,
@@ -350,6 +350,62 @@ def test_huge_declared_dimension_never_reaches_the_tensor(tmp_path, monkeypatch,
     assert captured.out == ""
 
 
+def _zero_extension(k_dim: int, v_dim: int = 1) -> dict:
+    """Extension data over the zero products on K and V, with zero actions."""
+    zero = [[[0, 1]] * v_dim] * v_dim
+    return {
+        "K": {"dim": k_dim, "products": []},
+        "V": {"dim": v_dim, "products": []},
+        "lambda": [zero] * k_dim,
+        "rho": [zero] * k_dim,
+        "g": [[[0] * v_dim] * k_dim] * k_dim,
+    }
+
+
+@pytest.mark.parametrize("command", ["h2", "extend"])
+def test_huge_declared_extension_never_reaches_the_tensor(tmp_path, monkeypatch, capsys, command):
+    def build(data):
+        raise AssertionError("a structure tensor was built")
+
+    monkeypatch.setattr(jsonio, "algebra_from_dict", build)
+    path = tmp_path / "huge.json"
+    data = _zero_extension(1)
+    data["K"]["dim"] = 10**6
+    path.write_text(json.dumps(data))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {command} handles dim K + dim V <= {CHECK_MAX_DIM} only, got 1000001\n"
+    assert captured.out == ""
+
+
+def test_h2_dimension_limit(tmp_path):
+    """``h2`` refuses K = R^12 with V = R (28 s of work without the bound,
+    2-vCPU host) within 5 s, and still takes dim K + dim V = CHECK_MAX_DIM."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    path = tmp_path / "k12.json"
+    path.write_text(json.dumps(_zero_extension(12)))
+    start = time.perf_counter()
+    cmd = [sys.executable, "-m", "lsa.cli", "h2", str(path)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: h2 handles dim K + dim V <= {CHECK_MAX_DIM} only, got 13\n"
+    path.write_text(json.dumps(_zero_extension(CHECK_MAX_DIM - 1)))
+    assert main(["h2", str(path), "--json"]) == 0
+
+
+def test_directory_path_exit_2(tmp_path, capsys):
+    assert main(["check", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+
+
+def test_extend_out_directory_exit_2(tmp_path, ext_file, capsys):
+    assert main(["extend", ext_file, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [Errno 21] Is a directory") and captured.out == ""
+
+
 def test_exact_commands_do_not_import_numpy(n30_file):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -364,7 +420,8 @@ def test_exact_commands_do_not_import_numpy(n30_file):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_only_the_affine_layer_imports_numpy():
+def _importers(package_name: str) -> set[str]:
+    """The modules of ``lsa`` that import ``package_name`` anywhere."""
     package = Path(__file__).resolve().parents[1] / "src" / "lsa"
     importers = set()
     for path in package.glob("*.py"):
@@ -375,9 +432,19 @@ def test_only_the_affine_layer_imports_numpy():
                 modules = [node.module or ""]
             else:
                 continue
-            if any(m.split(".")[0] == "numpy" for m in modules):
+            if any(m.split(".")[0] == package_name for m in modules):
                 importers.add(path.name)
-    assert importers == {"affine.py"}
+    return importers
+
+
+def test_only_the_affine_layer_imports_numpy():
+    assert _importers("numpy") == {"affine.py"}
+
+
+def test_no_module_imports_sympy():
+    """sympy checks the affine formulas in the tests only; numpy stays the
+    one runtime dependency."""
+    assert _importers("sympy") == set()
 
 
 def test_family_choices_are_the_affine_families_in_order():
