@@ -24,6 +24,7 @@ so the failure is reproducible.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
@@ -586,36 +587,114 @@ def _orbit_jacobians(fam: GroupFamily, points, step: float = 1e-6) -> tuple[np.n
     return images[0], (images[1:4] - images[4:7]).transpose(1, 2, 0) / (2 * step)
 
 
-def newton_invert_orbit(fam: GroupFamily, target, start=(0.0, 0.0, 0.0), tol=1e-10, iters=80):
-    """Solve orbit(p) = target by damped Newton with numeric Jacobian.
+def _newton_steps(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solutions of jac[i] d = rhs[i] for a stack, and which systems were
+    solvable.  A batched solve raises for the whole stack when one matrix
+    is singular; then each matrix is solved on its own."""
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0], np.ones(len(rhs), dtype=bool)
+    except np.linalg.LinAlgError:
+        steps, solved = np.zeros(rhs.shape), np.zeros(len(rhs), dtype=bool)
+        for i in range(len(rhs)):
+            try:
+                steps[i] = np.linalg.solve(jac[i], rhs[i])
+            except np.linalg.LinAlgError:
+                continue
+            solved[i] = True
+        return steps, solved
 
-    Each evaluation takes a point and its six neighbours in one batch, so an
-    accepted trial point already carries the next step's Jacobian.
+
+def newton_invert_orbit(fam: GroupFamily, targets, start=(0.0, 0.0, 0.0), tol=1e-10, iters=80):
+    """Solve orbit(p) = target by damped Newton with numeric Jacobian, for
+    one target (3,) or for each target of a stack (N, 3), from ``start``
+    (one point, or one per target).
+
+    Returns the point reached, its max-norm residual and whether that is
+    below ``tol``: a tuple, a float and a bool for one target, arrays (N, 3),
+    (N,) and (N,) for a stack.  Each target follows its own iterates, as if
+    solved alone: a singular Jacobian, or a step that 30 halvings cannot
+    make lower the residual, stops that target only.  Targets leave the
+    batch as they converge or stop.  Each evaluation takes the pending
+    points and their six neighbours in one batch, so an accepted trial
+    point already carries the next step's Jacobian.
     """
-    x = np.array(start, dtype=float)
-    target = np.asarray(target, dtype=float)
-    image, jac = _orbit_jacobians(fam, x[None])
+    targets = np.asarray(targets, dtype=float)
+    stack = targets.reshape(-1, 3)
+    x = np.empty(stack.shape)
+    x[...] = start
+    err = np.zeros(len(stack))
+    ok = np.zeros(len(stack), dtype=bool)
+    live = np.arange(len(stack))  # targets still iterating
+    image, jac = _orbit_jacobians(fam, x)
     for _ in range(iters):
-        resid = image[0] - target
-        err = float(np.max(np.abs(resid)))
-        if err < tol:
-            return tuple(x), err, True
-        try:
-            delta = np.linalg.solve(jac[0], -resid)
-        except np.linalg.LinAlgError:
-            return tuple(x), err, False
+        resid = image - stack[live]
+        err[live] = np.max(np.abs(resid), axis=1)
+        done = err[live] < tol
+        ok[live[done]] = True
+        live, resid, image, jac = live[~done], resid[~done], image[~done], jac[~done]
+        delta, solved = _newton_steps(jac, -resid)
+        pending = np.flatnonzero(solved)  # rows of live still searching for a step
         scale = 1.0
         for _damp in range(30):
-            trial = x + scale * delta
-            trial_image, trial_jac = _orbit_jacobians(fam, trial[None])
-            if float(np.max(np.abs(trial_image[0] - target))) < err:
-                x, image, jac = trial, trial_image, trial_jac
+            if not pending.size:
                 break
+            trial = x[live[pending]] + scale * delta[pending]
+            trial_image, trial_jac = _orbit_jacobians(fam, trial)
+            lower = np.max(np.abs(trial_image - stack[live[pending]]), axis=1) < err[live[pending]]
+            took = pending[lower]
+            x[live[took]], image[took], jac[took] = trial[lower], trial_image[lower], trial_jac[lower]
+            pending = pending[~lower]
             scale *= 0.5
-        else:
-            return tuple(x), err, False
-    err = float(np.max(np.abs(image[0] - target)))
-    return tuple(x), err, err < tol
+        solved[pending] = False  # no halving lowered the residual: these stop too
+        live, image, jac = live[solved], image[solved], jac[solved]
+        if not live.size:
+            break
+    err[live] = np.max(np.abs(image - stack[live]), axis=1)
+    ok[live] = err[live] < tol
+    if targets.ndim == 1:
+        return tuple(x[0]), float(err[0]), bool(ok[0])
+    return x, err, ok
+
+
+# The injectivity grids: a cell is 2 h wide, and h = 2^-29 > 1e-9 is a power
+# of two, so a point's cell is read off floor(x / h), an exact product.
+_HALF_CELL = 2.0**-29
+_GRID_SHIFTS = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
+
+
+def _first_close_pair(images: np.ndarray) -> tuple[int, int] | None:
+    """The closest pair (i, j), i < j, of the images (N, 3) if it lies less
+    than 1e-9 apart, else None; ties go to the first pair in row-major order.
+
+    On a line, the walls of the cells [2kh, 2kh + 2h) and those shifted by h
+    alternate h apart, so two numbers at most h apart share a cell in one
+    of the two grids.  A pair less than 1e-9 apart therefore shares a cell
+    in one of the 8 grids that shift each axis by 0 or h.  Each grid is
+    sorted by cell, and only pairs in a common cell are measured.
+    """
+    units = np.floor(images / _HALF_CELL)
+    rows, cols = [], []
+    for shift in _GRID_SHIFTS:
+        cells = np.floor((units + shift) / 2)
+        order = np.lexsort(cells.T[::-1])
+        cells = cells[order]
+        # cells are runs in the sorted order: p and p + gap share a cell
+        # exactly when every point between them does
+        for gap in range(1, len(order)):
+            same = np.flatnonzero((cells[gap:] == cells[:-gap]).all(axis=1))
+            if not same.size:
+                break
+            rows.append(order[same])
+            cols.append(order[same + gap])
+    if not rows:
+        return None
+    first, second = np.concatenate(rows), np.concatenate(cols)
+    i, j = np.minimum(first, second), np.maximum(first, second)
+    d2 = sum((images[i, k] - images[j, k]) ** 2 for k in range(3))
+    best = np.lexsort((j, i, d2))[0]
+    if not float(d2[best]) ** 0.5 < 1e-9:
+        return None
+    return int(i[best]), int(j[best])
 
 
 def check_simply_transitive(
@@ -627,7 +706,7 @@ def check_simply_transitive(
     rng=None,
 ) -> TransitivityReport:
     """Jacobian nonsingularity on a grid, grid injectivity, and Newton
-    inversion of sampled targets in [-3, 3]^3."""
+    inversion of sampled targets in [-3, 3]^3, all targets in one batch."""
     import random as _random
 
     rng = rng or _random.Random(0)
@@ -637,24 +716,18 @@ def check_simply_transitive(
     dets = np.abs(np.linalg.det(jacobians))
     first = int(np.argmin(dets))  # the first minimum, as a strict `<` scan keeps it
     min_jac, min_jac_point = float(dets[first]), tuple(points[first].tolist())
-    injectivity_ok, witness = True, None
-    d2 = sum((images[:, None, i] - images[None, :, i]) ** 2 for i in range(3))
-    np.fill_diagonal(d2, np.inf)
-    min_pair = float(np.min(d2)) ** 0.5
-    if min_pair < 1e-9:
-        injectivity_ok = False
-        idx = np.unravel_index(np.argmin(d2), d2.shape)
-        witness = (tuple(points[idx[0]].tolist()), tuple(points[idx[1]].tolist()))
-    newton_failures = 0
-    max_resid = 0.0
-    for _ in range(n_targets):
-        target = [rng.uniform(-3, 3) for _ in range(3)]
-        _, err, ok = newton_invert_orbit(fam, target)
-        max_resid = max(max_resid, err)
-        if not ok:
-            newton_failures += 1
+    pair = _first_close_pair(images)
+    witness = None if pair is None else tuple(tuple(points[i].tolist()) for i in pair)
+    targets = np.array([[rng.uniform(-3, 3) for _ in range(3)] for _ in range(n_targets)]).reshape(-1, 3)
+    _, errs, oks = newton_invert_orbit(fam, targets)
     return TransitivityReport(
-        fam.name, min_jac, min_jac_point, injectivity_ok, witness, newton_failures, max_resid
+        fam.name,
+        min_jac,
+        min_jac_point,
+        pair is None,
+        witness,
+        int(np.count_nonzero(~oks)),
+        float(np.max(errs, initial=0.0)),
     )
 
 

@@ -1,13 +1,17 @@
 """Reference values for the affine layer's tests: the special functions by
 name, their values at zero, their two branches, the closed forms in extended
-precision, the defining series of phi, and a matrix exponential.
+precision, the defining series of phi, a matrix exponential, and the
+one-target-at-a-time transitivity check with its O(N^2) injectivity test.
 """
 import math
+import random
 from typing import Callable
 
 import numpy as np
 
 from lsa.affine import (
+    TransitivityReport,
+    _orbit_jacobians,
     closed_f,
     closed_g,
     closed_h,
@@ -84,3 +88,75 @@ def expm4(m: np.ndarray) -> np.ndarray:
     for _ in range(squarings):
         out = out @ out
     return out
+
+
+def newton_invert_orbit_reference(fam, target, start=(0.0, 0.0, 0.0), tol=1e-10, iters=80):
+    """One target: damped Newton with numeric Jacobian, returning the point
+    reached, its max-norm residual and whether that is below ``tol``."""
+    x = np.array(start, dtype=float)
+    target = np.asarray(target, dtype=float)
+    image, jac = _orbit_jacobians(fam, x[None])
+    for _ in range(iters):
+        resid = image[0] - target
+        err = float(np.max(np.abs(resid)))
+        if err < tol:
+            return tuple(x), err, True
+        try:
+            delta = np.linalg.solve(jac[0], -resid)
+        except np.linalg.LinAlgError:
+            return tuple(x), err, False
+        scale = 1.0
+        for _damp in range(30):
+            trial = x + scale * delta
+            trial_image, trial_jac = _orbit_jacobians(fam, trial[None])
+            if float(np.max(np.abs(trial_image[0] - target))) < err:
+                x, image, jac = trial, trial_image, trial_jac
+                break
+            scale *= 0.5
+        else:
+            return tuple(x), err, False
+    err = float(np.max(np.abs(image[0] - target)))
+    return tuple(x), err, err < tol
+
+
+def first_close_pair_reference(images):
+    """The full matrix of squared distances: its row-major first minimum
+    (i, j) if that lies less than 1e-9 apart, else None."""
+    images = np.asarray(images, dtype=float)
+    d2 = sum((images[:, None, i] - images[None, :, i]) ** 2 for i in range(3))
+    np.fill_diagonal(d2, np.inf)
+    if not float(np.min(d2)) ** 0.5 < 1e-9:
+        return None
+    i, j = np.unravel_index(np.argmin(d2), d2.shape)
+    return int(i), int(j)
+
+
+def check_simply_transitive_reference(
+    fam, grid_lo=-2.0, grid_hi=2.0, grid_step=0.5, n_targets=20, rng=None
+) -> TransitivityReport:
+    """The grid checks and one Newton solve per target, in sampling order."""
+    rng = rng or random.Random(0)
+    ticks = np.arange(grid_lo, grid_hi + grid_step / 2, grid_step)
+    points = np.stack(np.meshgrid(ticks, ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 3)
+    images, jacobians = _orbit_jacobians(fam, points)
+    dets = np.abs(np.linalg.det(jacobians))
+    first = int(np.argmin(dets))
+    pair = first_close_pair_reference(images)
+    witness = None if pair is None else tuple(tuple(points[i].tolist()) for i in pair)
+    newton_failures = 0
+    max_resid = 0.0
+    for _ in range(n_targets):
+        target = [rng.uniform(-3, 3) for _ in range(3)]
+        _, err, ok = newton_invert_orbit_reference(fam, target)
+        max_resid = max(max_resid, err)
+        if not ok:
+            newton_failures += 1
+    return TransitivityReport(
+        fam.name,
+        float(dets[first]),
+        tuple(points[first].tolist()),
+        pair is None,
+        witness,
+        newton_failures,
+        max_resid,
+    )

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from lsa.affine import (
+    FAMILIES,
+    FAMILY_NAMES,
     AffineMap3,
+    FamilySpec,
+    GroupFamily,
+    _first_close_pair,
+    _orbit_jacobians,
     affine_rep,
     build_family,
     check_closure,
@@ -33,8 +39,11 @@ from affine_reference import (
     SPECIAL_BRANCHES,
     SPECIAL_FUNCTIONS,
     SPECIAL_ZERO_VALUES,
+    check_simply_transitive_reference,
     closed_reference,
     expm4,
+    first_close_pair_reference,
+    newton_invert_orbit_reference,
     phi_partial_sum,
 )
 
@@ -142,8 +151,6 @@ def test_coordinate_axes_are_exponentials_of_the_generators():
     """Each family's coordinate axes are one-parameter subgroups:
     g(t e_i) = exp(t X) with X the generator of catalog basis vector
     e_i."""
-    from lsa.affine import FAMILIES
-
     for fam in default_families():
         spec = FAMILIES[fam.name]
         rep = affine_rep(make_lsa(spec.catalog_name, **spec.defaults)).homogeneous_float()
@@ -234,7 +241,6 @@ def test_family_param_validation():
 
 
 def test_family_table_reads_the_catalog():
-    from lsa.affine import FAMILIES
     from lsa.catalog import catalog_lsas
 
     entries = {e.name: e for e in catalog_lsas()}
@@ -311,8 +317,6 @@ def _orbit_jacobian_per_point(fam, p, step=1e-6):
 
 def test_orbit_map_a30_jacobian_analytic():
     fam = build_family("A30")
-    from lsa.affine import _orbit_jacobians
-
     points = [(0.0, 0.0, 0.0), (1.0, 2.0, -1.0), (-1.5, 0.3, 0.7)]
     _, jacs = _orbit_jacobians(fam, points)
     for p, jac in zip(points, jacs):
@@ -321,8 +325,6 @@ def test_orbit_map_a30_jacobian_analytic():
 
 
 def test_transitivity_at_origin_all():
-    from lsa.affine import _orbit_jacobians
-
     for fam in default_families():
         _, jac = _orbit_jacobians(fam, [(0.0, 0.0, 0.0)])
         assert abs(np.linalg.det(jac[0])) > 1e-8
@@ -382,6 +384,117 @@ def test_check_simply_transitive_a30():
     assert report.ok
 
 
+# --- simple transitivity: the batches against the one-at-a-time oracles ---
+
+
+def translation_family(name, translation):
+    """A test family of pure translations p -> translation(p); the
+    transitivity check never calls its ``recover``."""
+    return GroupFamily(name, FamilySpec("zero", lambda x, a, b, c: ({}, translation(a, b, c)), None), {})
+
+
+@pytest.mark.parametrize("seed", (0, 7, 11))
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_transitivity_report_equals_the_oracle(name, seed):
+    fam = build_family(name, **FAMILIES[name].defaults)
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    assert check_simply_transitive(fam, rng=rng) == check_simply_transitive_reference(fam, rng=oracle_rng)
+    assert rng.getstate() == oracle_rng.getstate()
+
+
+def test_batched_newton_equals_one_point_calls():
+    rng = random.Random(23)
+    for fam in default_families():
+        # [-8, 8]^3 also holds a target that fails
+        targets = np.array([[rng.uniform(-8, 8) for _ in range(3)] for _ in range(12)])
+        xs, errs, oks = newton_invert_orbit(fam, targets)
+        for target, x, err, ok in zip(targets, xs, errs, oks):
+            expected = newton_invert_orbit_reference(fam, target)
+            assert (tuple(x), float(err), bool(ok)) == expected, (fam.name, target)
+            assert newton_invert_orbit(fam, target) == expected, (fam.name, target)
+
+
+@pytest.mark.parametrize(
+    "translation",
+    [
+        lambda a, b, c: (a * a, b, c),  # g(-a, b, c) = g(a, b, c) exactly
+        lambda a, b, c: (a * a + 1e-10 * a, b, c),  # 2e-10 |a| apart: closest at |a| = 0.5
+    ],
+    ids=["exact-fold", "near-fold"],
+)
+def test_non_injective_family_witness_equals_the_oracle(translation):
+    fam = translation_family("fold", translation)
+    report = check_simply_transitive(fam, rng=random.Random(7))
+    assert report == check_simply_transitive_reference(fam, rng=random.Random(7))
+    assert not report.injectivity_ok and not report.ok
+    first, second = report.injectivity_witness
+    assert first[0] == -second[0] and first[1:] == second[1:] == (-2.0, -2.0)
+    # the Jacobian at the start (0, 0, 0) is singular, so every target fails
+    assert report.newton_failures == 20
+
+
+HALF_CELL = 2.0**-29  # the injectivity grids' walls lie on its multiples
+
+
+def planted_cloud(seed, separations, kinds=("corner", "axis")):
+    """200 scattered points and, at each separation, a planted pair of each
+    kind: one straddling a corner where walls cross in all three axes, one
+    along an axis, centred a quarter of HALF_CELL past a wall; shuffled."""
+    rng = np.random.default_rng(seed)
+    points = [rng.uniform(-5, 5, (200, 3))]
+    for sep in separations:
+        if "corner" in kinds:
+            corner = HALF_CELL * rng.integers(-(2**31), 2**31, 3)
+            direction = rng.normal(size=3)
+            points.append([corner + sign * sep / 2 * direction / np.linalg.norm(direction) for sign in (-1, 1)])
+        if "axis" in kinds:
+            centre = HALF_CELL * (rng.integers(-(2**31), 2**31, 3) + 0.25)
+            axis = np.eye(3)[rng.integers(3)]
+            points.append([centre + sign * sep / 2 * axis for sign in (-1, 1)])
+    cloud = np.vstack(points)
+    return cloud[rng.permutation(len(cloud))]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_close_pair_search_equals_the_full_matrix(seed):
+    injective = planted_cloud(seed, [1.1e-9] * 3 + [1.00001e-9])
+    assert _first_close_pair(injective) is first_close_pair_reference(injective) is None
+    close = planted_cloud(seed, [1.1e-9] * 3 + [0.9e-9, 0.99999e-9])
+    assert _first_close_pair(close) == first_close_pair_reference(close) is not None
+    for sep, kind in itertools.product((0.9e-9, 0.99999e-9), ("corner", "axis")):
+        single = planted_cloud(seed, [sep], kinds=(kind,))
+        assert _first_close_pair(single) == first_close_pair_reference(single) is not None, (sep, kind)
+    # three points in one cell of every grid, listed so that the closest
+    # pair is not adjacent in the cell: every pair of a cell is compared
+    base = HALF_CELL * (np.floor(injective[0] / HALF_CELL) + 0.25)
+    cell = base + np.outer([0.0, 0.8e-9, 0.1e-9], np.ones(3) / 3**0.5)
+    clustered = np.vstack([injective, cell])
+    n = len(injective)
+    assert _first_close_pair(clustered) == first_close_pair_reference(clustered) == (n, n + 2)
+    # exact duplicates tie at distance 0: the row-major first pair wins
+    duplicates = np.vstack([injective, injective[[5, 17, 5, 40]]])
+    assert _first_close_pair(duplicates) == first_close_pair_reference(duplicates) == (5, n)
+
+
+def test_newton_batch_isolates_its_failures():
+    """One batch: converging targets, a target whose Jacobian is singular
+    at its start, and one whose first step 30 halvings cannot make lower
+    the residual.  Each matches its one-point oracle."""
+    fam = translation_family("fold", lambda a, b, c: (a * a, b, c))
+    starts = np.array([(1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1e-12, 0.0, 0.0), (1.0, 0.0, 0.0), (0.5, 0.5, 0.5)])
+    targets = np.array([(2.0, 1.0, -1.0), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.3, -2.0, 2.0), (-2.0, 1.0, 1.0)])
+    _, jacobians = _orbit_jacobians(fam, starts)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(jacobians, np.ones((5, 3, 1)))
+    xs, errs, oks = newton_invert_orbit(fam, targets, start=starts)
+    expected = [newton_invert_orbit_reference(fam, t, start=s) for t, s in zip(targets, starts)]
+    assert [(tuple(x), float(e), bool(o)) for x, e, o in zip(xs, errs, oks)] == expected
+    assert oks.tolist() == [True, False, False, True, False]
+    assert np.array_equal(xs[1:3], starts[1:3])  # neither failure took a step
+    assert int(np.count_nonzero(~oks)) == sum(not ok for *_, ok in expected) == 3
+    assert float(np.max(errs)) == max(err for _, err, _ in expected) == 2.0
+
+
 # --- tangent algebra ------------------------------------------------------
 
 
@@ -392,16 +505,9 @@ def test_tangent_a30():
 
 def test_tangent_translation_sanity_fixture():
     # a pure-translation family over the zero algebra: all commutators vanish
-    from lsa.affine import FamilySpec, GroupFamily
     from lsa.algebra import Algebra
 
-    def maps(x, a, b, c):
-        return {}, (a, b, c)
-
-    def recover(x, lin, t):
-        return t[0], t[1], t[2]
-
-    fam = GroupFamily("translations", FamilySpec("zero", maps, recover), {})
+    fam = translation_family("translations", lambda a, b, c: (a, b, c))
     report = check_tangent_algebra(fam, Algebra.from_entries(3, {}))
     assert report.ok
 
@@ -412,8 +518,6 @@ def test_tangent_d31():
 
 
 def test_tangent_all_families():
-    from lsa.affine import FAMILIES
-
     for fam in default_families():
         spec = FAMILIES[fam.name]
         report = check_tangent_algebra(fam, make_lsa(spec.catalog_name, **spec.defaults))

@@ -23,8 +23,10 @@ certificate covers the code that runs:
   ``affine_rep`` exactly; the generators satisfy [X_i, X_j] = sum_k
   c_ij^k X_k exactly.
 
-The symbolic closed forms are 0/0 at a = 0, where the identities hold by
-continuity.  One float check ties the namespaces together: the closed forms
+Every residual claimed to vanish is first evaluated at one rational point
+to 30 digits, so a wrong formula fails in seconds instead of leaving
+``sp.simplify`` to run for minutes.  The symbolic closed forms are 0/0 at
+a = 0, where the identities hold by continuity.  One float check ties the namespaces together: the closed forms
 and numpy's branched special functions (series below 1/4) give the same
 values through the same formulas.
 """
@@ -55,6 +57,26 @@ a, b, c, a1, b1, c1, a2, b2, c2 = sp.symbols("a b c a1 b1 c1 a2 b2 c2", real=Tru
 # a free linear part and translation, for recover applied to any map
 LIN = sp.Matrix(3, 3, sp.symbols("l0:9", real=True))
 T = sp.Matrix(sp.symbols("t0:3", real=True))
+
+
+# a rational point off every 0/0 of the closed forms (a1 + a2 != 0 too)
+POINT = dict(
+    zip(
+        (a, b, c, a1, b1, c1, a2, b2, c2, *LIN, *T),
+        map(
+            sp.Rational,
+            "1/3 -2/5 3/7 2/3 -1/2 5/4 -3/5 1/7 -4/3 3 1/2 -1 2/5 2 1/3 -1/4 1 5/2 1/2 -5/3 2/9".split(),
+        ),
+    )
+)
+
+
+def assert_vanishes(residuals):
+    """Each residual is 0: first at POINT to 30 digits, so that a wrong
+    formula fails in seconds, then exactly by ``sp.simplify``."""
+    at_point = [sp.N(r.subs(POINT), 30) for r in residuals]
+    assert all(abs(v) < 1e-20 for v in at_point), at_point
+    assert [sp.simplify(r) for r in residuals] == [0] * len(residuals)
 
 
 def rational(x):
@@ -112,8 +134,7 @@ def test_namespaces_agree_through_the_same_formulas(name):
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_closure_residual_vanishes_exactly(name):
-    residual = closure_residual(FAMILIES[name], exact_params(name))
-    assert [sp.simplify(r) for r in residual] == [0] * 12
+    assert_vanishes(closure_residual(FAMILIES[name], exact_params(name)))
 
 
 def test_legacy_d32_residual_is_a_nonzero_witness():
@@ -135,9 +156,9 @@ def test_orbit_map_is_a_bijection_exactly(name):
     spec, params = FAMILIES[name], exact_params(name)
     m = homogeneous(spec, (a, b, c), params)
     back = spec.recover(SYMPY, m[:3, :3], m[:3, 3], **params)
-    assert [sp.simplify(x - y) for x, y in zip(back, (a, b, c))] == [0] * 3
+    assert_vanishes([x - y for x, y in zip(back, (a, b, c))])
     _, image = spec.maps(SYMPY, *spec.recover(SYMPY, LIN, T, **params), **params)
-    assert [sp.simplify(x - y) for x, y in zip(image, T)] == [0] * 3
+    assert_vanishes([x - y for x, y in zip(image, T)])
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)

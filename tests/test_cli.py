@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import random
@@ -539,6 +540,14 @@ def test_catalog_verify_exit_and_determinism(capsys):
     assert first == second
     report = json.loads(first)
     assert report["ok"]
+
+
+@pytest.mark.parametrize("seed, digest", [(7, "c0478e59d6a6"), (0, "f434590588a3")])
+def test_catalog_verify_json_bytes_are_pinned(capsys, seed, digest):
+    """The catalog audit is exact arithmetic, so its report's bytes are the
+    same on every host."""
+    assert main(["catalog-verify", "--json", "--seed", str(seed)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:12] == digest
 
 
 def test_catalog_verify_seed_changes_samples(capsys):
