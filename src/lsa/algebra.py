@@ -16,7 +16,11 @@ from .linalg import (
     QMatrix,
     Vec,
     _cleared,
+    _echelon_rows,
+    _int_nullspace,
+    _int_rref,
     _nilpotent_ints,
+    _primitive,
     char_poly,
     frac,
     nullspace_basis,
@@ -451,14 +455,56 @@ def is_two_sided_ideal(a: Algebra, w: Subspace) -> bool:
     return Subspace.from_spanning(a.dim, [*w.basis, *_two_sided_products(a, w.basis)]).dim == w.dim
 
 
-def _joint_eigenvectors(mats: Sequence[QMatrix], spectra: Sequence[list[Fraction]]) -> set[Vec]:
-    """Reduced-echelon basis vectors of the nonzero joint eigenspaces of
-    ``mats`` over every choice of one eigenvalue from each spectrum."""
-    eye = QMatrix.identity(mats[0].nrows)
+def _maps_into_line(dm: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
+    """True iff the integer matrix dm maps the nonzero v to a multiple of v."""
+    w = [sum(x * y for x, y in zip(row, v)) for row in dm]
+    i = next(i for i, x in enumerate(v) if x)
+    return all(wj * v[i] == w[i] * vj for wj, vj in zip(w, v))
+
+
+def _refine(
+    ops: Sequence[tuple[int, list[list[int]]]],
+    spectrum: Callable[[int], list[Fraction]],
+    k: int,
+    basis: list[list[int]],
+) -> Iterator[list[list[int]]]:
+    """Integer bases of the nonzero joint eigenspaces, inside span(basis),
+    of the operators ops[k:], each given cleared as (d, d M).
+
+    Depth first: span(basis) is intersected with each eigenspace of the
+    next operator in turn and empty intersections are dropped.  A line
+    span(v) needs no spectrum: it lies in a joint eigenspace iff every
+    remaining operator maps v into span(v).
+    """
+    if len(basis) == 1:
+        if all(_maps_into_line(dm, basis[0]) for _, dm in ops[k:]):
+            yield basis
+        return
+    if k == len(ops):
+        yield basis
+        return
+    d, dm = ops[k]
+    images = [[sum(x * y for x, y in zip(row, b)) for row in dm] for b in basis]
+    for lam in spectrum(k):
+        p, q = lam.numerator, lam.denominator
+        # column j is q d (M - lam) b_j
+        shifted = [[q * x - p * d * y for x, y in zip(image, b)] for image, b in zip(images, basis)]
+        kernel = _int_nullspace([list(row) for row in zip(*shifted)], len(basis))
+        if kernel:
+            cols = list(zip(*basis))
+            sub = [_primitive([sum(c * x for c, x in zip(coeffs, col)) for col in cols]) for coeffs in kernel]
+            yield from _refine(ops, spectrum, k + 1, sub)
+
+
+def _joint_eigenvectors(
+    ops: Sequence[tuple[int, list[list[int]]]], spectrum: Callable[[int], list[Fraction]]
+) -> set[Vec]:
+    """Reduced-echelon basis vectors of the nonzero joint eigenspaces of the
+    cleared operators ``ops``."""
+    n = len(ops[0][1])
     found: set[Vec] = set()
-    for combo in itertools.product(*spectra):
-        stacked = vstack([m - eye.scale(lam) for m, lam in zip(mats, combo)])
-        found.update(Subspace.from_spanning(eye.nrows, nullspace_basis(stacked)).basis)
+    for basis in _refine(ops, spectrum, 0, [[int(i == j) for j in range(n)] for i in range(n)]):
+        found.update(_echelon_rows(*_int_rref(basis)))
     return found
 
 
@@ -474,12 +520,15 @@ def find_ideals_dim_le3(a: Algebra) -> list[Subspace]:
       ker(w^T) = {y : w.y = 0} is an ideal: w.(M y) = (M^T w).y = lam w.y
       vanishes on it for each operator M.
 
-    The transposes share the operators' spectra (char_poly(M^T) =
-    char_poly(M)), so each spectrum is computed once, by rational-root
-    enumeration.  Multidimensional joint eigenspaces are reported through
-    their reduced-echelon basis vectors.  Irrational eigendata is out of
-    reach by design, so an empty answer means "no rational ideal found",
-    never "simple".
+    The joint eigenspaces come from ``_refine`` on the operators cleared to
+    integers.  An operator's spectrum, by rational-root enumeration, is
+    computed only when a branch of dimension >= 2 reaches it, and at most
+    once: the transposes share it (char_poly(M^T) = char_poly(M)).  An
+    operator without a rational eigenvalue thus leaves no joint eigenspace,
+    and the answer is empty.  Multidimensional joint eigenspaces are
+    reported through their reduced-echelon basis vectors.  Irrational
+    eigendata is out of reach by design, so an empty answer means "no
+    rational ideal found", never "simple".
     """
     if a.dim > 3:
         raise ValueError("ideal search is implemented for dim <= 3 only")
@@ -487,17 +536,20 @@ def find_ideals_dim_le3(a: Algebra) -> list[Subspace]:
         return []
     lefts, rights = _basis_mults(a)
     mats = [*lefts, *rights]
-    spectra = []
-    for m in mats:
-        spectra.append(rational_roots(char_poly(m)))
-        if not spectra[-1]:
-            return []
+    spectra: dict[int, list[Fraction]] = {}
+
+    def spectrum(k: int) -> list[Fraction]:
+        if k not in spectra:
+            spectra[k] = rational_roots(char_poly(mats[k]))
+        return spectra[k]
+
+    ops = [_cleared(m.rows) for m in mats]
     # a reduced-echelon row is already the canonical basis of its line
-    found = [Subspace(a.dim, (v,)) for v in _joint_eigenvectors(mats, spectra)]
+    found = [Subspace(a.dim, (v,)) for v in _joint_eigenvectors(ops, spectrum)]
     if a.dim == 3:
         found += {
             Subspace.from_spanning(3, nullspace_basis(QMatrix([w])))
-            for w in _joint_eigenvectors([m.transpose() for m in mats], spectra)
+            for w in _joint_eigenvectors([(d, [list(c) for c in zip(*dm)]) for d, dm in ops], spectrum)
         }
     found.sort(key=lambda s: (s.dim, s.basis))
     return found

@@ -167,6 +167,8 @@ def load_json_file(path: str) -> Any:
         raise JsonFormatError(
             f"malformed JSON at line {err.lineno}, column {err.colno}: {err.msg}"
         ) from err
+    except RecursionError as err:  # the decoder recurses once per nesting level
+        raise JsonFormatError("JSON nested too deeply to parse") from err
 
 
 def dumps_sorted(obj: Any) -> str:

@@ -206,18 +206,33 @@ def commutator(a: QMatrix, b: QMatrix) -> QMatrix:
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the strictly increasing pivot columns.
 
-    Fraction-free Gauss-Jordan: each row is cleared to ints on its own (row
-    scaling keeps the echelon form), a row being reduced by the pivot row p
-    becomes p[c] * row - row[c] * p and is divided by the gcd of its
-    entries, and each pivot row is divided by its pivot once at the end.
-    The reduced row echelon form is unique, so it equals the one of
-    rational elimination.
+    Each row is cleared to ints on its own (row scaling keeps the echelon
+    form), ``_int_rref`` eliminates, and each pivot row is divided by its
+    pivot once at the end.  The reduced row echelon form is unique, so it
+    equals the one of rational elimination.
     """
-    rows = [_cleared([row])[1][0] for row in m.rows]
-    nrows, ncols = m.nrows, m.ncols
+    rows, pivots = _int_rref([_cleared([row])[1][0] for row in m.rows])
+    out = _echelon_rows(rows, pivots)
+    out += [(Fraction(0),) * m.ncols] * (m.nrows - len(pivots))
+    return QMatrix._trusted(tuple(out)), tuple(pivots)
+
+
+def _echelon_rows(rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> list[Vec]:
+    """The reduced-echelon rows of ``_int_rref``'s output: each pivot row
+    divided by its pivot."""
+    return [tuple(Fraction(a, row[c]) for a in row) for row, c in zip(rows, pivots)]
+
+
+def _int_rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan on integer rows, which it reorders and
+    overwrites: a row being reduced by the pivot row p becomes
+    p[c] * row - row[c] * p and is divided by the gcd of its entries.
+    Returns the pivot rows, each a multiple of a reduced-echelon row that
+    is zero in every other pivot column, and their pivot columns."""
+    nrows = len(rows)
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(rows[0]) if rows else 0):
         pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
         if pivot_row is None:
             continue
@@ -234,9 +249,28 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
         r += 1
         if r == nrows:
             break
-    out = [tuple(Fraction(a, row[c]) for a in row) for row, c in zip(rows, pivots)]
-    out += [(Fraction(0),) * ncols] * (nrows - r)
-    return QMatrix._trusted(tuple(out)), tuple(pivots)
+    return rows[:r], pivots
+
+
+def _int_nullspace(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Integer basis of {v : rows v = 0}, one vector per free column, each
+    with its entries' gcd divided out."""
+    reduced, pivots = _int_rref(rows)
+    scale = math.lcm(*(row[c] for row, c in zip(reduced, pivots)))
+    basis = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[f] = scale
+        for row, c in zip(reduced, pivots):
+            v[c] = -row[f] * (scale // row[c])
+        basis.append(_primitive(v))
+    return basis
+
+
+def _primitive(v: list[int]) -> list[int]:
+    """The nonzero integer vector v divided by the gcd of its entries."""
+    g = math.gcd(*v)
+    return [a // g for a in v] if g > 1 else v
 
 
 def rank(m: QMatrix) -> int:

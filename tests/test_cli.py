@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from ideal_inputs import degenerate_inputs, file_command_inputs
 from lsa.algebra import Algebra, conjugated
 from lsa.catalog import case1_n2_central, case3_square_kernel, make_lsa
 from lsa import cli, jsonio
@@ -127,6 +128,21 @@ def test_malformed_input_exit_2(tmp_path, capsys, data):
     assert main(["h2" if "K" in data else "check", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+FILE_COMMANDS = ("check", "lie", "identify", "ideals", "h2", "extend")
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_deeply_nested_json_exit_2(tmp_path, capsys, command):
+    """The JSON decoder recurses once per nesting level; a file deeper than
+    the interpreter's recursion limit is refused like any malformed file."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: JSON nested too deeply to parse\n"
     assert captured.out == ""
 
 
@@ -548,6 +564,22 @@ def test_catalog_verify_json_bytes_are_pinned(capsys, seed, digest):
     same on every host."""
     assert main(["catalog-verify", "--json", "--seed", str(seed)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:12] == digest
+
+
+IDEALS_JSON_DIGEST = "5ce2ae82a577"
+
+
+def test_ideals_json_bytes_are_pinned(tmp_path, capsys):
+    """``lsa ideals --json`` on seeded random-basis inputs: which ideals are
+    found, their order and their echelon bases are exact, so the
+    concatenated output's bytes are the same on every host."""
+    outputs = []
+    for pos, a in enumerate(file_command_inputs(seed=14, rounds=2) + degenerate_inputs(seed=14)):
+        path = tmp_path / f"a{pos}.json"
+        path.write_text(json.dumps(algebra_to_dict(a)))
+        assert main(["ideals", str(path), "--json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(outputs).encode()).hexdigest()[:12] == IDEALS_JSON_DIGEST
 
 
 def test_catalog_verify_seed_changes_samples(capsys):

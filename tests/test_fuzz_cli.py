@@ -100,6 +100,30 @@ def test_algebra_commands_exit_cleanly(data):
             assert code == 2 or (err == "" and json.loads(out)), (command, err)
 
 
+# files no command can read: truncated or deeply nested JSON, non-JSON text,
+# well-formed JSON of the wrong shape, and bytes that are not UTF-8
+MALFORMED = st.one_of(
+    st.sampled_from(["", "{oops", "[" * 100_000, "{\"dim\": " * 50_000, "[]", "null", "\"x\"", "3"]),
+    st.integers(1, 5000).map(lambda depth: "[" * depth + "]" * depth),
+    st.text(max_size=20),
+    st.binary(max_size=20).map(lambda raw: raw.decode("latin-1")),
+)
+
+
+@SETTINGS
+@given(MALFORMED, st.sampled_from(["check", "lie", "identify", "ideals", "h2", "extend"]))
+def test_malformed_files_exit_2(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bad.json")
+        with open(path, "w", encoding="latin-1", errors="replace") as fh:
+            fh.write(text)
+        code, out, err = run_cli([command, path, "--json"])
+        if code != 2:  # a random text can happen to be a valid algebra
+            assert code in (0, 1) and err == "", (command, code, err)
+            return
+        assert err.startswith("error:") and out == "", (command, err)
+
+
 # finite points, points whose maps overflow, and non-finite tokens
 COORD = st.one_of(
     st.floats(-3, 3, allow_nan=False).map(repr),

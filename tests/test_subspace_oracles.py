@@ -9,6 +9,11 @@ direct methods: Lagrange diagonalisation by congruence, rank comparisons
 vector by vector, one membership question per product, and the joint
 eigenspace enumeration followed by an ideal test of every candidate.  Old
 and new must agree on random inputs.
+
+``find_ideals_dim_le3`` finds its joint eigenspaces by refining one
+operator's eigenspaces at a time on integer rows; ``oracle_product_ideals``
+is the enumeration it replaced, one stacked kernel per choice of one
+eigenvalue from every operator's spectrum, and must return the same list.
 """
 import itertools
 import random
@@ -16,6 +21,7 @@ from fractions import Fraction
 
 import pytest
 
+from ideal_inputs import degenerate_inputs, file_command_inputs, operators
 from lsa.algebra import (
     Algebra,
     Subspace,
@@ -23,9 +29,7 @@ from lsa.algebra import (
     conjugated,
     find_ideals_dim_le3,
     is_two_sided_ideal,
-    left_mult,
     multiply,
-    right_mult,
 )
 from lsa.catalog import catalog_lsas, fixtures
 from lsa.linalg import (
@@ -137,26 +141,27 @@ def oracle_common_eigenspaces(mats, n):
     return spaces
 
 
-def oracle_ideals(a):
-    """Joint eigenvectors of the operators and of their transposes, each
-    candidate kept only if ``is_two_sided_ideal`` accepts it."""
+def oracle_product_ideals(a):
+    """The reduced-echelon basis vectors of the joint eigenspaces of the
+    operators as lines, and the kernels of those of their transposes as
+    planes, from the product enumeration."""
     if a.dim <= 1:
         return []
-    e = [unit_vec(a.dim, i) for i in range(a.dim)]
-    mats = [left_mult(a, x) for x in e] + [right_mult(a, x) for x in e]
-    candidates = [
-        Subspace.from_spanning(a.dim, [v])
-        for sp in oracle_common_eigenspaces(mats, a.dim)
-        for v in sp.basis
-    ]
+    mats = operators(a)
+    found = {Subspace.from_spanning(a.dim, [v]) for sp in oracle_common_eigenspaces(mats, a.dim) for v in sp.basis}
     if a.dim == 3:
-        candidates += [
+        found |= {
             Subspace.from_spanning(3, nullspace_basis(QMatrix([w])))
             for sp in oracle_common_eigenspaces([m.transpose() for m in mats], 3)
             for w in sp.basis
-        ]
-    found = {c for c in candidates if is_two_sided_ideal(a, c)}
+        }
     return sorted(found, key=lambda s: (s.dim, s.basis))
+
+
+def oracle_ideals(a):
+    """The product enumeration's candidates, each kept only if
+    ``is_two_sided_ideal`` accepts it."""
+    return [w for w in oracle_product_ideals(a) if is_two_sided_ideal(a, w)]
 
 
 # --- signature --------------------------------------------------------------
@@ -300,3 +305,29 @@ def test_is_two_sided_ideal_matches_membership_oracle():
             assert is_two_sided_ideal(a, w) == expected, (a.nonzero_products(), w)
             verdicts[expected] += 1
     assert min(verdicts.values()) > 100, verdicts
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_refinement_equals_product_enumeration_on_file_inputs(seed):
+    """Entries at sampled parameters and fixtures in fresh rational bases."""
+    for a in file_command_inputs(seed, rounds=2):
+        assert find_ideals_dim_le3(a) == oracle_product_ideals(a), a.nonzero_products()
+
+
+def test_refinement_equals_product_enumeration_on_degenerate_inputs():
+    """Joint eigenspaces of dimension 2 and 3, where the line shortcut never
+    fires, and a first or last operator with no rational eigenvalue."""
+    leaf_dims, empty_spectra = set(), set()
+    for a in degenerate_inputs(seed=3):
+        assert find_ideals_dim_le3(a) == oracle_product_ideals(a), a.name
+        mats = operators(a)
+        leaf_dims |= {sp.dim for sp in oracle_common_eigenspaces(mats, a.dim)}
+        empty_spectra |= {
+            (a.name, k) for k in (0, len(mats) - 1) if not rational_roots(char_poly(mats[k]))
+        }
+    assert {2, 3} <= leaf_dims
+    assert {
+        ("irrational_first2", 0), ("irrational_first3", 0),
+        ("irrational_last2", 3), ("irrational_last3", 5),
+    } <= empty_spectra
+
