@@ -10,6 +10,7 @@ sorted, byte-stable JSON rendering.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -235,6 +236,8 @@ def cmd_identify(args) -> int:
 
 
 def cmd_catalog_verify(args) -> int:
+    if args.samples < 0:
+        raise ValueError(f"--samples must be at least 0, got {args.samples}")
     report = verify_catalog(seed=args.seed, random_samples=args.samples)
     if args.json:
         print(dumps_sorted(report))
@@ -304,6 +307,8 @@ def cmd_affine_sample(args) -> int:
         if "=" not in item:
             raise JsonFormatError(f"--params expects name=value, got {item!r}")
         key, val = item.split("=", 1)
+        if key in params:
+            raise JsonFormatError(f"--params gives {key!r} more than once")
         params[key] = _frac_str(val)
     fam = aff.build_family(args.family, **params)
     points = []
@@ -339,7 +344,9 @@ def cmd_affine_sample(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``lsa`` argument parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="lsa",
         description="Exact checks for left-symmetric algebras, their extensions, and the associated affine group families.",
@@ -357,37 +364,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="left-symmetry, completeness, and N/D/S flags")
     common(p)
-    p.set_defaults(fn=cmd_check)
     p = sub.add_parser("lie", help="bracket constants and Lie algebra identification")
     common(p)
-    p.set_defaults(fn=cmd_lie)
     p = sub.add_parser("h2", help="second cohomology of a bimodule action (g optional)")
     common(p)
-    p.set_defaults(fn=cmd_h2)
     p = sub.add_parser("extend", help="build the extension algebra from extension data")
     common(p)
     p.add_argument("--out", help="write the built algebra JSON here instead of stdout")
-    p.set_defaults(fn=cmd_extend)
     p = sub.add_parser("ideals", help="rational two-sided ideals (dim <= 3)")
     common(p)
-    p.set_defaults(fn=cmd_ideals)
     p = sub.add_parser("identify", help="Milnor form and Lie family of a (Lie) algebra")
     common(p)
-    p.set_defaults(fn=cmd_identify)
     p = sub.add_parser("catalog-verify", help="verify the full classification catalog")
     common(p, with_file=False)
     sampling(p)
-    p.set_defaults(fn=cmd_catalog_verify)
     p = sub.add_parser("affine-verify", help="verify the eleven affine group families")
     common(p, with_file=False)
     sampling(p)
-    p.set_defaults(fn=cmd_affine_verify)
     p = sub.add_parser("affine-sample", help="print sampled group elements of a family")
     common(p, with_file=False)
     p.add_argument("--family", required=True, choices=FAMILY_NAMES)
     p.add_argument("--params", nargs="*", help="family parameters, e.g. mu=1/2")
     p.add_argument("--at", nargs="*", action="extend", help="evaluation points 'a,b,c'")
-    p.set_defaults(fn=cmd_affine_sample)
     return parser
 
 
@@ -411,9 +409,17 @@ def _spell_at_points(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    """Run one ``lsa`` command and return its exit code.
+
+    The parser is built once per process and reused, so it holds no command
+    functions: the command is looked up by name, as ``cmd_<command>`` in
+    this module, on every call. A wrapper or test double bound to
+    ``lsa.cli.cmd_*`` after the parser was built is the one that runs.
+    """
     args = build_parser().parse_args(_spell_at_points(sys.argv[1:] if argv is None else argv))
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except (ValueError, OSError) as err:  # includes JsonFormatError, ParameterError, IsADirectoryError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import json
@@ -536,6 +537,13 @@ def test_affine_sample_constraint(capsys):
     assert "constraint" in capsys.readouterr().err
 
 
+def test_affine_sample_refuses_a_repeated_parameter(capsys):
+    assert main(["affine-sample", "--family", "D31", "--params", "mu=1/2", "mu=1/3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "'mu'" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("option", ["--seed", "--samples"])
 @pytest.mark.parametrize(
     "command", ["check", "lie", "h2", "extend", "ideals", "identify", "affine-sample"]
@@ -600,9 +608,72 @@ def test_affine_verify_refuses_samples_below_one(capsys, samples):
     assert captured.out == ""
 
 
+def test_catalog_verify_refuses_negative_samples(capsys):
+    assert main(["catalog-verify", "--samples", "-1", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "--samples" in captured.err
+    assert captured.out == ""
+
+
 def test_affine_verify_command(capsys):
     assert main(["affine-verify", "--seed", "3", "--samples", "5", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["ok"] and len(data["families"]) == 11
     assert data["notes"][0]["family"] == "D32-legacy"
     assert data["notes"][0]["max_closure_residual"] > 1e-3
+
+
+def test_main_builds_the_parser_once(n30_file, monkeypatch, capsys):
+    cli.build_parser.cache_clear()
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["check", n30_file]) == 0
+    built = list(progs)
+    assert built.count("lsa") == 1 and "lsa check" in built
+    for argv in (["check", n30_file], ["lie", n30_file], ["affine-sample", "--family", "A30"]):
+        assert main(argv) == 0
+    assert progs == built
+
+
+def test_main_runs_the_command_bound_at_call_time(n30_file, monkeypatch, capsys):
+    assert main(["check", n30_file]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.file) or 7)
+    assert main(["check", n30_file]) == 7
+    assert seen == [n30_file]
+    assert capsys.readouterr().out.count("left-symmetric") == 1
+
+
+def test_reused_parser_keeps_no_values_between_calls(capsys):
+    def elements(*argv):
+        assert main(["affine-sample", *argv, "--json"]) == 0
+        return json.loads(capsys.readouterr().out)["elements"]
+
+    at = elements("--family", "A30", "--at=1,2,3")
+    assert [e["abc"] for e in at] == [[1.0, 2.0, 3.0]]
+    assert elements("--family", "A30", "--at=1,2,3") == at
+    assert [e["abc"] for e in elements("--family", "A30")] == [[0.5, 0.5, 0.5]]
+    half = elements("--family", "D31", "--params", "mu=1/2")
+    assert elements("--family", "D31", "--params", "mu=1/2") == half
+    assert elements("--family", "D31", "--params", "mu=1/3") != half
+    assert main(["affine-sample", "--family", "D31"]) == 2  # no mu is left over
+    assert "exactly parameter 'mu'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["bogus"], ["affine-sample"]])
+def test_usage_errors_repeat_on_the_reused_parser(capsys, argv):
+    cli.build_parser.cache_clear()
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("usage: lsa")
