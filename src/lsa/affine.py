@@ -38,9 +38,10 @@ from .linalg import QMatrix, Vec, frac
 
 SERIES_THRESHOLD = 0.25
 SERIES_EPS = 1e-18
+SERIES_CHUNK = 16  # terms per cumulative product
 
 
-def _series(x, first, ratio, chunk: int = 16) -> np.ndarray:
+def _series(x, first, ratio) -> np.ndarray:
     """Entrywise sum of the terms t_0 = first, t_n = t_{n-1} ratio(x, n),
     stopping each entry before its first term below SERIES_EPS.
 
@@ -50,7 +51,7 @@ def _series(x, first, ratio, chunk: int = 16) -> np.ndarray:
     batch.
     """
     x = np.asarray(x, dtype=float)
-    steps = np.arange(1, chunk + 1).reshape((-1,) + (1,) * x.ndim)
+    steps = np.arange(1, SERIES_CHUNK + 1).reshape((-1,) + (1,) * x.ndim)
     total = np.zeros(x.shape)
     term = total + first
     live = True
@@ -61,7 +62,7 @@ def _series(x, first, ratio, chunk: int = 16) -> np.ndarray:
         term, live = terms[-1], alive[-1]
         if not live.any():
             return total
-        steps = steps + chunk
+        steps = steps + SERIES_CHUNK
 
 
 def series_f(x):
@@ -479,6 +480,11 @@ def default_families() -> list[GroupFamily]:
 
 # a point and its six neighbours +-e_i, for central differences
 _STENCIL = np.vstack([np.zeros(3), np.eye(3), -np.eye(3)])
+DIFF_STEP = 1e-6  # the central-difference step of the orbit and tangent checks
+CLOSURE_TOL = 1e-9  # max-norm residual a composite may leave
+MATCH_TOL = 1e-12  # the Gauss-Newton fallback stops below this residual
+NEWTON_TOL = 1e-10  # max-norm orbit residual of a solved target
+NEWTON_ITERS = 80
 
 
 @dataclass
@@ -494,12 +500,12 @@ class ClosureReport:
         return not self.failures
 
 
-def _gauss_newton_match(fam: GroupFamily, target: AffineMap3, start, tol=1e-12, iters=60):
+def _gauss_newton_match(fam: GroupFamily, target: AffineMap3, start, iters=60):
     """Fit family parameters to a 12-vector of affine map entries.
 
-    Returns the best point seen and its residual.  The fit stops at ``tol``
-    or at the first step that does not lower the residual: on a composite
-    outside the family the steps stagnate long before ``iters``.
+    Returns the best point seen and its residual.  The fit stops below
+    ``MATCH_TOL`` or at the first step that does not lower the residual: on
+    a composite outside the family the steps stagnate long before ``iters``.
     """
     x = np.array(start, dtype=float)
     target_flat = target.flat()
@@ -512,7 +518,7 @@ def _gauss_newton_match(fam: GroupFamily, target: AffineMap3, start, tol=1e-12, 
         if not err < best[1]:
             break
         best = (tuple(x), err)
-        if err < tol:
+        if err < MATCH_TOL:
             break
         jac = (flats[1:4] - flats[4:7]).T / (2 * step)
         delta, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
@@ -520,15 +526,15 @@ def _gauss_newton_match(fam: GroupFamily, target: AffineMap3, start, tol=1e-12, 
     return best
 
 
-def check_closure(fam: GroupFamily, sample_pairs: Sequence[tuple], tol: float = 1e-9) -> ClosureReport:
+def check_closure(fam: GroupFamily, sample_pairs: Sequence[tuple]) -> ClosureReport:
     """Compose sampled pairs and match the composite back into the family.
 
     The distinguished coordinate gives a directly; b and c follow by the
     family's closed-form solve, with a Gauss-Newton fallback for coupled
     cases.  The residual is the max-norm difference between the composite
     and the recovered element.  All pairs are composed, recovered and
-    re-evaluated in one batch; only pairs that miss ``tol`` go to the
-    fallback.
+    re-evaluated in one batch; only pairs that miss ``CLOSURE_TOL`` go to
+    the fallback.
     """
     pairs = np.asarray(sample_pairs, dtype=float).reshape(-1, 2, 3)
     composite = fam.elements(*pairs[:, 0].T).compose(fam.elements(*pairs[:, 1].T))
@@ -543,13 +549,13 @@ def check_closure(fam: GroupFamily, sample_pairs: Sequence[tuple], tol: float = 
     failures = []
     for i, (p1, p2) in enumerate(sample_pairs):
         resid = float(resids[i])
-        if not (resid < tol):  # also NaN: the closed-form solve broke down
+        if not (resid < CLOSURE_TOL):  # also NaN: the closed-form solve broke down
             guess = rec[i] if np.isfinite(rec[i]).all() else np.add(p1, p2)
             target = AffineMap3(composite.linear[i], composite.translation[i])
             _, resid = _gauss_newton_match(fam, target, guess)
             fallbacks += 1
         max_residual = max(max_residual, resid)
-        if not (resid < tol):
+        if not (resid < CLOSURE_TOL):
             failures.append((p1, p2, resid))
     return ClosureReport(fam.name, len(sample_pairs), max_residual, fallbacks, failures)
 
@@ -580,11 +586,11 @@ def orbit_map(fam: GroupFamily, p) -> np.ndarray:
     return fam.elements(p[..., 0], p[..., 1], p[..., 2]).translation
 
 
-def _orbit_jacobians(fam: GroupFamily, points, step: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+def _orbit_jacobians(fam: GroupFamily, points) -> tuple[np.ndarray, np.ndarray]:
     """Orbit images at ``points`` (N, 3) and their central-difference
     Jacobians (N, 3, 3), from one batch of the 7N stencil points."""
-    images = orbit_map(fam, np.asarray(points, dtype=float) + step * _STENCIL[:, None, :])
-    return images[0], (images[1:4] - images[4:7]).transpose(1, 2, 0) / (2 * step)
+    images = orbit_map(fam, np.asarray(points, dtype=float) + DIFF_STEP * _STENCIL[:, None, :])
+    return images[0], (images[1:4] - images[4:7]).transpose(1, 2, 0) / (2 * DIFF_STEP)
 
 
 def _newton_steps(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -604,14 +610,14 @@ def _newton_steps(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndar
         return steps, solved
 
 
-def newton_invert_orbit(fam: GroupFamily, targets, start=(0.0, 0.0, 0.0), tol=1e-10, iters=80):
+def newton_invert_orbit(fam: GroupFamily, targets, start=(0.0, 0.0, 0.0)):
     """Solve orbit(p) = target by damped Newton with numeric Jacobian, for
     one target (3,) or for each target of a stack (N, 3), from ``start``
     (one point, or one per target).
 
     Returns the point reached, its max-norm residual and whether that is
-    below ``tol``: a tuple, a float and a bool for one target, arrays (N, 3),
-    (N,) and (N,) for a stack.  Each target follows its own iterates, as if
+    below ``NEWTON_TOL``: a tuple, a float and a bool for one target, arrays
+    (N, 3), (N,) and (N,) for a stack.  Each target follows its own iterates, as if
     solved alone: a singular Jacobian, or a step that 30 halvings cannot
     make lower the residual, stops that target only.  Targets leave the
     batch as they converge or stop.  Each evaluation takes the pending
@@ -626,10 +632,10 @@ def newton_invert_orbit(fam: GroupFamily, targets, start=(0.0, 0.0, 0.0), tol=1e
     ok = np.zeros(len(stack), dtype=bool)
     live = np.arange(len(stack))  # targets still iterating
     image, jac = _orbit_jacobians(fam, x)
-    for _ in range(iters):
+    for _ in range(NEWTON_ITERS):
         resid = image - stack[live]
         err[live] = np.max(np.abs(resid), axis=1)
-        done = err[live] < tol
+        done = err[live] < NEWTON_TOL
         ok[live[done]] = True
         live, resid, image, jac = live[~done], resid[~done], image[~done], jac[~done]
         delta, solved = _newton_steps(jac, -resid)
@@ -650,7 +656,7 @@ def newton_invert_orbit(fam: GroupFamily, targets, start=(0.0, 0.0, 0.0), tol=1e
         if not live.size:
             break
     err[live] = np.max(np.abs(image - stack[live]), axis=1)
-    ok[live] = err[live] < tol
+    ok[live] = err[live] < NEWTON_TOL
     if targets.ndim == 1:
         return tuple(x[0]), float(err[0]), bool(ok[0])
     return x, err, ok
@@ -660,6 +666,8 @@ def newton_invert_orbit(fam: GroupFamily, targets, start=(0.0, 0.0, 0.0), tol=1e
 # of two, so a point's cell is read off floor(x / h), an exact product.
 _HALF_CELL = 2.0**-29
 _GRID_SHIFTS = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
+# the ticks of the 9^3 parameter grid, -2 to 2 in steps of 1/2
+GRID_TICKS = np.arange(-2.0, 2.25, 0.5)
 
 
 def _first_close_pair(images: np.ndarray) -> tuple[int, int] | None:
@@ -697,21 +705,13 @@ def _first_close_pair(images: np.ndarray) -> tuple[int, int] | None:
     return int(i[best]), int(j[best])
 
 
-def check_simply_transitive(
-    fam: GroupFamily,
-    grid_lo: float = -2.0,
-    grid_hi: float = 2.0,
-    grid_step: float = 0.5,
-    n_targets: int = 20,
-    rng=None,
-) -> TransitivityReport:
+def check_simply_transitive(fam: GroupFamily, n_targets: int = 20, rng=None) -> TransitivityReport:
     """Jacobian nonsingularity on a grid, grid injectivity, and Newton
     inversion of sampled targets in [-3, 3]^3, all targets in one batch."""
     import random as _random
 
     rng = rng or _random.Random(0)
-    ticks = np.arange(grid_lo, grid_hi + grid_step / 2, grid_step)
-    points = np.stack(np.meshgrid(ticks, ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 3)
+    points = np.stack(np.meshgrid(GRID_TICKS, GRID_TICKS, GRID_TICKS, indexing="ij"), axis=-1).reshape(-1, 3)
     images, jacobians = _orbit_jacobians(fam, points)
     dets = np.abs(np.linalg.det(jacobians))
     first = int(np.argmin(dets))  # the first minimum, as a strict `<` scan keeps it
@@ -748,12 +748,12 @@ class TangentReport:
         )
 
 
-def check_tangent_algebra(fam: GroupFamily, algebra: Algebra, step: float = 1e-6) -> TangentReport:
+def check_tangent_algebra(fam: GroupFamily, algebra: Algebra) -> TangentReport:
     """Differentiate the coordinate curves at the identity (the i-th is the
     generator of e_i) and compare with the exact representation and the
     algebra's bracket constants."""
-    curve = fam.elements(*(step * _STENCIL[1:]).T).as_homogeneous()  # +-step e_i
-    xs = list((curve[:3] - curve[3:]) / (2 * step))
+    curve = fam.elements(*(DIFF_STEP * _STENCIL[1:]).T).as_homogeneous()  # +-step e_i
+    xs = list((curve[:3] - curve[3:]) / (2 * DIFF_STEP))
     rep = affine_rep(algebra).homogeneous_float()
     gen_err = max(float(np.max(np.abs(xs[i] - rep[i]))) for i in range(3))
     # affine_rep has checked left symmetry, and the commutator algebra of a
@@ -777,12 +777,10 @@ def check_tangent_algebra(fam: GroupFamily, algebra: Algebra, step: float = 1e-6
     return TangentReport(fam.name, gen_err, max_resid, max_const_err, worst)
 
 
-def sample_parameter_pairs(rng, count: int, lo: float = -2.0, hi: float = 2.0):
+def sample_parameter_pairs(rng, count: int):
+    """``count`` pairs of points drawn uniformly from [-2, 2]^3."""
     return [
-        (
-            (rng.uniform(lo, hi), rng.uniform(lo, hi), rng.uniform(lo, hi)),
-            (rng.uniform(lo, hi), rng.uniform(lo, hi), rng.uniform(lo, hi)),
-        )
+        tuple(tuple(rng.uniform(-2.0, 2.0) for _ in range(3)) for _ in range(2))
         for _ in range(count)
     ]
 

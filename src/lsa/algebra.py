@@ -337,20 +337,13 @@ def check_left_symmetric(a: Algebra) -> IdentityCheck:
 
 
 def lie_algebra_of(a: Algebra) -> Algebra:
-    """Commutator brackets [x,y] = x*y - y*x; Jacobi is asserted."""
-    n = a.dim
-    b = [
-        [
-            tuple(a.c[i][j][k] - a.c[j][i][k] for k in range(n))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    lie = Algebra(n, tuple(tuple(plane) for plane in b), name=f"Lie({a.name})" if a.name else "", params=a.params)
-    bad = first_failure(lie, "jacobi")
-    if not bad.ok:
-        raise ValueError(f"Jacobi identity fails at basis triple {bad.witness}; input is corrupted or not left-symmetric")
-    return lie
+    """Commutator brackets [x,y] = x*y - y*x, with no Jacobi scan: those of
+    a left-symmetric algebra form a Lie algebra (the Jacobi sum is the
+    alternating sum of the associators (x*y)*z - x*(y*z) over the orders of
+    x, y, z, and left symmetry cancels it in pairs).  ``_require_lie``
+    refuses other input where the brackets are read."""
+    brackets = tuple(tuple(vec_sub(a.c[i][j], a.c[j][i]) for j in range(a.dim)) for i in range(a.dim))
+    return Algebra(a.dim, brackets, name=f"Lie({a.name})" if a.name else "", params=a.params)
 
 
 def _first_asymmetry(a: Algebra) -> tuple[int, int] | None:
@@ -367,8 +360,15 @@ def is_lie_algebra(a: Algebra) -> bool:
 
 
 def _require_lie(a: Algebra) -> None:
-    if not is_lie_algebra(a):
-        raise ValueError("input is not a Lie algebra (antisymmetry or Jacobi fails)")
+    """Refuse a non-Lie ``a`` before its brackets are read, naming the first
+    basis pair where antisymmetry fails or triple where Jacobi does.  It
+    cannot fail on the commutators of a left-symmetric algebra."""
+    pair = _first_asymmetry(a)
+    if pair is not None:
+        raise ValueError(f"not a Lie algebra: antisymmetry fails at basis pair {pair}")
+    bad = first_failure(a, "jacobi")
+    if not bad.ok:
+        raise ValueError(f"not a Lie algebra: the Jacobi identity fails at basis triple {bad.witness}")
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -596,8 +596,9 @@ def milnor_normal_form(lie: Algebra) -> MilnorForm:
         # Solvability only picks the reason: a non-solvable 3D real Lie
         # algebra is its own Levi factor, so it is simple, hence perfect
         # ([g, g] = g), hence unimodular (tr ad_[x,y] = tr [ad_x, ad_y] = 0).
-        # A nonzero trace row therefore already implies solvable.
-        raise NotInScopeError("Lie algebra is unimodular" if is_solvable(lie) else "Lie algebra is not solvable")
+        # A nonzero trace row therefore already implies solvable.  A 3D g
+        # with [g, g] != g is solvable, as [g, g] of dim <= 2 is.
+        raise NotInScopeError(f"Lie algebra is {'unimodular' if product_span(lie).dim < 3 else 'not solvable'}")
     u_space = Subspace.from_spanning(3, nullspace_basis(QMatrix([trace_row])))
     assert u_space.dim == 2
     u1, u2 = u_space.basis

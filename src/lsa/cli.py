@@ -210,29 +210,27 @@ def cmd_identify(args) -> int:
     lie = lie_algebra_of(a) if check_left_symmetric(a).ok else a
     try:
         form = milnor_normal_form(lie)
-        tag = _tag_of_form(form)
-        if args.json:
-            print(
-                dumps_sorted(
-                    {
-                        "D": [[str(x) for x in row] for row in form.d.rows],
-                        "det_D": str(form.det_d),
-                        "adapted_basis": [[str(x) for x in v] for v in form.adapted_basis],
-                        "lie_tag": str(tag),
-                    }
-                )
-            )
-        else:
-            print(f"D = {[[str(x) for x in row] for row in form.d.rows]}")
-            print(f"det D = {form.det_d}")
-            print(f"lie algebra: {tag}")
-        return EXIT_OK
     except NotInScopeError as err:
-        if args.json:
-            print(dumps_sorted({"lie_tag": f"not_in_scope({err})"}))
-        else:
-            print(f"lie algebra: not_in_scope({err})")
+        tag = f"not_in_scope({err})"
+        print(dumps_sorted({"lie_tag": tag}) if args.json else f"lie algebra: {tag}")
         return EXIT_OK
+    tag = _tag_of_form(form)
+    if args.json:
+        print(
+            dumps_sorted(
+                {
+                    "D": [[str(x) for x in row] for row in form.d.rows],
+                    "det_D": str(form.det_d),
+                    "adapted_basis": [[str(x) for x in v] for v in form.adapted_basis],
+                    "lie_tag": str(tag),
+                }
+            )
+        )
+    else:
+        print(f"D = {[[str(x) for x in row] for row in form.d.rows]}")
+        print(f"det D = {form.det_d}")
+        print(f"lie algebra: {tag}")
+    return EXIT_OK
 
 
 def cmd_catalog_verify(args) -> int:

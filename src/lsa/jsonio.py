@@ -76,7 +76,7 @@ def algebra_from_dict(data: Any) -> Algebra:
         value = _rational(product.get("num", 0), product.get("den", 1), f"products[{pos}]")
         if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
             raise JsonFormatError(f"products[{pos}] index out of range for dim={dim}")
-        entries[(i, j, k)] = entries.get((i, j, k), Fraction(0)) + value
+        entries[i, j, k] = entries[i, j, k] + value if (i, j, k) in entries else value  # repeats sum
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise JsonFormatError("'params' must be an object")

@@ -194,10 +194,10 @@ def test_criterion_8_affine_harness():
     for name, spec in aff.FAMILIES.items():
         fam = aff.build_family(name, **spec.defaults)
         algebra = make_lsa(spec.catalog_name, **spec.defaults)
-        pairs = aff.sample_parameter_pairs(rng, 50, -2.0, 2.0)
-        closure = aff.check_closure(fam, pairs, tol=1e-9)
+        pairs = aff.sample_parameter_pairs(rng, 50)
+        closure = aff.check_closure(fam, pairs)
         assert closure.ok and closure.max_residual < 1e-9, (name, closure.max_residual)
-        trans = aff.check_simply_transitive(fam, -2.0, 2.0, 0.5, n_targets=20, rng=rng)
+        trans = aff.check_simply_transitive(fam, n_targets=20, rng=rng)
         assert trans.min_abs_jacobian > 1e-8, (name, trans.min_abs_jacobian)
         assert trans.injectivity_ok, name
         assert trans.newton_failures == 0 and trans.max_newton_residual < 1e-10, name

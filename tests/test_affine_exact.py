@@ -16,8 +16,11 @@ certificate covers the code that runs:
   grid only samples.  ``recover`` divides by f(a), f(mu a) and f(a/2),
   where f(x) = (e^x - 1)/x > 0 for every real x (e^x - 1 has the sign of
   x, and f(0) = 1), and for E3 by F^2 + H^2, the orbit map's Jacobian
-  determinant.  F^2 + H^2 > 0 is not proved here: it stays the one sampled
-  claim (its minimum over the harness grid is 0.0128 at zeta = 1).
+  determinant.  F^2 + H^2 is not positive for every zeta: F and H vanish
+  together at (a, zeta) ~ (-3.4326019, 0.3969246), where the E3 chart is
+  not injective.  E3 is claimed simply transitive only at zeta = 1, where
+  the minimum over a is 0.00443, at a ~ -1.867 (the harness grid reports
+  0.0128); that positivity is sampled, not proved here.
 - tangent algebra: the symbolic element is differentiated in each
   coordinate at the identity and equals the generator (L_ei, e_i) of
   ``affine_rep`` exactly; the generators satisfy [X_i, X_j] = sum_k

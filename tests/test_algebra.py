@@ -127,6 +127,38 @@ def test_lie_algebra_of():
     assert multiply(lie31, E(3, 0), E(3, 2)) == vec([0, -1, 1])
 
 
+def test_a_lie_tag_costs_one_jacobi_scan(monkeypatch):
+    """``lie_algebra_of`` builds the brackets without a scan; the Milnor
+    form's ``_require_lie`` is the one scan, on unimodular input too."""
+    import lsa.algebra
+
+    scans = []
+    original = lsa.algebra.first_failure
+
+    def counting(a, identity):
+        scans.append(identity)
+        return original(a, identity)
+
+    monkeypatch.setattr(lsa.algebra, "first_failure", counting)
+    assert str(identify_lie_algebra(lie_algebra_of(make_lsa("D31mu", mu="1/2")))) == "G34(mu=1/2)"
+    assert scans == ["jacobi"]
+    scans.clear()
+    tag = identify_lie_algebra(lie_algebra_of(fixtures()["A1_inv"]))
+    assert tag == LieTag("not_in_scope", reason="Lie algebra is unimodular")
+    assert scans == ["jacobi"]
+
+
+def test_lie_checks_name_the_failing_pair_or_triple():
+    with pytest.raises(ValueError, match=r"antisymmetry fails at basis pair \(1, 2\)"):
+        is_unimodular(make_lsa("N30"))
+    # antisymmetric, but [[e1,e2],e3] + [[e2,e3],e1] + [[e3,e1],e2] = e1
+    bad = Algebra.from_brackets(3, {(1, 3): {3: 1}, (2, 3): {1: 1}})
+    lie_algebra_of(bad)  # a constructor: it does not scan
+    for check in (is_unimodular, is_solvable, milnor_normal_form, identify_lie_algebra):
+        with pytest.raises(ValueError, match=r"Jacobi identity fails at basis triple \(1, 2, 3\)"):
+            check(bad)
+
+
 def test_is_complete():
     for entry in catalog_lsas():
         for params in entry.default_params:

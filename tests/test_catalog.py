@@ -7,16 +7,22 @@ import pytest
 from lsa.algebra import (
     check_left_symmetric,
     conjugated,
+    find_ideals_dim_le3,
     identify_lie_algebra,
+    is_complete,
     is_lie_algebra,
     is_solvable,
     is_unimodular,
     lie_algebra_of,
     multiply,
+    quotient_algebra,
+    restriction_to_ideal,
 )
 from lsa.catalog import (
+    _ALL,
     ENTRIES,
     ENTRY_NAMES,
+    CatalogEntry,
     ParameterError,
     catalog_lie_algebras,
     catalog_lsas,
@@ -343,6 +349,47 @@ def test_fingerprint_invariance_all_entries():
         for _ in range(5):
             p = random_invertible(rng, 3)
             assert fingerprint(conjugated(a, p)) == fp, entry.name
+
+
+def _count_restrictions_and_quotients(monkeypatch):
+    import lsa.catalog
+
+    built = []
+    for name in ("restriction_to_ideal", "quotient_algebra"):
+        original = getattr(lsa.catalog, name)
+
+        def counting(a, w, _original=original, _name=name):
+            built.append(_name)
+            return _original(a, w)
+
+        monkeypatch.setattr(lsa.catalog, name, counting)
+    return built
+
+
+def test_complete_entry_propagates_completeness_by_theorem(monkeypatch):
+    built = _count_restrictions_and_quotients(monkeypatch)
+    report = verify_entry(ENTRIES["D31mu"], [{"mu": F(1, 2)}, {"mu": F(-1, 3)}])
+    for sample in report["samples"]:
+        assert sample["complete"] and sample["completeness_propagation"]
+        assert sample["ideals_found"] >= 1
+    assert built == []
+
+
+def test_incomplete_entry_checks_propagation_ideal_by_ideal(monkeypatch):
+    # e1.e1 = e1 is an idempotent, so R_e1 is not nilpotent
+    entry = CatalogEntry("X", "G31", _ALL, {(1, 1, 1): 1, (1, 2, 2): 1})
+    a = entry.make()
+    brute_force = all(
+        is_complete(restriction_to_ideal(a, ideal)) and is_complete(quotient_algebra(a, ideal))
+        for ideal in find_ideals_dim_le3(a)
+    )
+    built = _count_restrictions_and_quotients(monkeypatch)
+    sample = verify_entry(entry, [{}])["samples"][0]
+    assert sample["complete"] is False
+    assert sample["ideals_found"] == 4
+    assert sample["completeness_propagation"] is False
+    assert sample["completeness_propagation"] == brute_force
+    assert built  # the fallback ran
 
 
 def test_flag_mismatch_is_audited_not_fatal():

@@ -289,6 +289,42 @@ def test_identify_builds_one_milnor_form(n30_file, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+# e1.e1 = e3, e2.e3 = e1, e3.e1 = -e3: the commutators [e1, e3] = e3 and
+# [e2, e3] = e1 are antisymmetric but fail Jacobi at (e1, e2, e3)
+NON_JACOBI = {"dim": 3, "products": [
+    {"i": 1, "j": 1, "k": 3, "num": 1},
+    {"i": 2, "j": 3, "k": 1, "num": 1},
+    {"i": 3, "j": 1, "k": 3, "num": -1},
+]}
+
+
+def test_lie_names_the_triple_where_the_commutator_fails_jacobi(tmp_path, capsys):
+    path = tmp_path / "non_jacobi.json"
+    path.write_text(json.dumps(NON_JACOBI))
+    assert main(["lie", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "basis triple (1, 2, 3)" in captured.err
+    # not left-symmetric, so identify reads the products as brackets, and
+    # names the first pair where they are not antisymmetric
+    assert main(["identify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "basis pair (1, 1)" in captured.err
+
+
+def test_repeated_products_sum():
+    a = algebra_from_dict({"dim": 2, "products": [
+        {"i": 1, "j": 2, "k": 2, "num": 1},
+        {"i": 2, "j": 1, "k": 1, "num": 1, "den": 3},
+        {"i": 1, "j": 2, "k": 2, "num": 1, "den": 2},
+        {"i": 2, "j": 1, "k": 1, "num": -1, "den": 3},
+    ]})
+    assert a.entry(1, 2, 2) == Fraction(3, 2)
+    assert a.entry(2, 1, 1) == 0
+    assert a.nonzero_products() == [(1, 2, 2, Fraction(3, 2))]
+
+
 def test_ideals_with_a_huge_eigenvalue_finish(tmp_path):
     """The spectra come from integer bisection, so an eigenvalue of 41
     digits costs as little as one of 1 digit."""
