@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .linalg import (
     FractionLike,
@@ -30,12 +30,10 @@ from .linalg import (
     solve,
     sqrt_fraction,
     unit_vec,
-    vec_add,
     vec_is_zero,
     vec_scale,
     vec_sub,
     vstack,
-    zero_vec,
 )
 
 
@@ -249,43 +247,127 @@ def _basis_mults(a: Algebra) -> tuple[list[QMatrix], list[QMatrix]]:
     )
 
 
-# The trilinear identities, checked on basis triples (i, j, k) by
-# ``failures``.  Each row holds the identity's two sides as a function of
-# the product p at (x, y, z) = (e_i, e_j, e_k), and the triples where it can
-# fail.  Every identity changes sign under one swap of arguments (Jacobi, on
+# The trilinear identities, checked on basis triples t = (i, j, k) by
+# ``failures``.  On basis vectors every side of every identity is a signed
+# sum of entries of two tensors, T1[i][j][k] = (e_i*e_j)*e_k and
+# T2[i][j][k] = e_i*(e_j*e_k), taken at a permutation of t: a term
+# (sign, tensor, order) stands for sign * tensor[t[o0]][t[o1]][t[o2]], with
+# (o0, o1, o2) = order.  So one ``TripleTable`` of an algebra serves every
+# identity.  Each row also gives the triples where the identity can fail:
+# every identity changes sign under one swap of arguments (Jacobi, on
 # antisymmetric brackets, under every swap), so it holds where the swapped
-# indices coincide and fails at a triple exactly when it fails at the swapped
-# one; the kept triple is the earlier of the two in product order, so the
-# first failure is the one a scan over all n^3 triples finds.
-IDENTITIES: dict[str, tuple[Callable, Callable[[int, int, int], bool]]] = {
+# indices coincide and fails at a triple exactly when it fails at the
+# swapped one; the kept triple is the earlier of the two in product order,
+# so the first failure is the one a scan over all n^3 triples finds.
+T1, T2 = 0, 1
+IJK, JIK, IKJ, KJI, JKI, KIJ = (0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)
+
+Term = tuple[int, int, tuple[int, int, int]]
+
+
+class Identity(NamedTuple):
+    lhs: tuple[Term, ...]
+    rhs: tuple[Term, ...]
+    can_fail: Callable[[int, int, int], bool]
+
+
+IDENTITIES: dict[str, Identity] = {
     # (x*y)*z - (y*x)*z = x*(y*z) - y*(x*z)
-    "left_symmetric": (
-        lambda p, x, y, z: (
-            vec_sub(p(p(x, y), z), p(p(y, x), z)),
-            vec_sub(p(x, p(y, z)), p(y, p(x, z))),
-        ),
-        lambda i, j, k: i < j,
-    ),
+    "left_symmetric": Identity(((1, T1, IJK), (-1, T1, JIK)), ((1, T2, IJK), (-1, T2, JIK)), lambda i, j, k: i < j),
     # N: (x*y)*z = (x*z)*y
-    "N": (lambda p, x, y, z: (p(p(x, y), z), p(p(x, z), y)), lambda i, j, k: j < k),
+    "N": Identity(((1, T1, IJK),), ((1, T1, IKJ),), lambda i, j, k: j < k),
     # D: (x*y)*z = (z*y)*x
-    "D": (lambda p, x, y, z: (p(p(x, y), z), p(p(z, y), x)), lambda i, j, k: i < k),
-    # S: [x,y]*z = 0
-    "S": (
-        lambda p, x, y, z: (p(vec_sub(p(x, y), p(y, x)), z), zero_vec(len(z))),
-        lambda i, j, k: i < j,
-    ),
+    "D": Identity(((1, T1, IJK),), ((1, T1, KJI),), lambda i, j, k: i < k),
+    # S: [x,y]*z = (x*y)*z - (y*x)*z = 0
+    "S": Identity(((1, T1, IJK), (-1, T1, JIK)), (), lambda i, j, k: i < j),
     # Jacobi, for antisymmetric brackets: [[x,y],z] + [[y,z],x] + [[z,x],y] = 0
-    "jacobi": (
-        lambda p, x, y, z: (
-            vec_add(p(p(x, y), z), vec_add(p(p(y, z), x), p(p(z, x), y))),
-            zero_vec(len(z)),
-        ),
-        lambda i, j, k: i < j < k,
-    ),
+    "jacobi": Identity(((1, T1, IJK), (1, T1, JKI), (1, T1, KIJ)), (), lambda i, j, k: i < j < k),
 }
 
 ALL_PASS = "all triples pass"
+
+
+def _combination(coeffs: Sequence[int], vectors: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
+    """sum_m coeffs[m] vectors[m] for int vectors of length n."""
+    out = [0] * n
+    for x, v in zip(coeffs, vectors):
+        if x:
+            for k, y in enumerate(v):
+                if y:
+                    out[k] += x * y
+    return tuple(out)
+
+
+def _by_sign(terms: Sequence[Term]) -> tuple[list, list]:
+    """The (tensor, order) pairs of the terms with sign +1, and of those with sign -1."""
+    return tuple([(tensor, o) for sign, tensor, o in terms if sign == s] for s in (1, -1))
+
+
+class TripleTable:
+    """T1 and T2 (see ``IDENTITIES``) of one algebra, each entry computed on
+    first use and kept for the life of the table, so that any number of
+    identity scans of the algebra share their products.
+
+    The entries are those of the integer tensor d c, d the least common
+    denominator of the structure constants.  Both sides of every identity
+    are homogeneous of degree 2 in the structure constants, so scaling c by
+    d scales both by d^2: the failing triples are the same, and the witness
+    sides are the integer ones divided by d^2.
+    """
+
+    def __init__(self, a: Algebra):
+        n = a.dim
+        d, rows = _cleared(v for plane in a.c for v in plane)
+        self.dim = n
+        self.d2 = d * d
+        self._c = [rows[i * n : (i + 1) * n] for i in range(n)]
+        # the entries of T1 and T2, flat at index (i n + j) n + k
+        self._entries = ([None] * n**3, [None] * n**3)
+
+    def _fill(self, tensor: int, i: int, j: int, k: int) -> tuple[int, ...]:
+        n, c = self.dim, self._c
+        if tensor == T1:  # sum_m (e_i e_j)_m e_m e_k
+            value = _combination(c[i][j], [row[k] for row in c], n)
+        else:  # sum_m (e_j e_k)_m e_i e_m
+            value = _combination(c[j][k], c[i], n)
+        self._entries[tensor][(i * n + j) * n + k] = value
+        return value
+
+    def _sum(self, terms: Sequence[tuple[int, tuple[int, int, int]]], t: tuple[int, int, int]) -> tuple[int, ...]:
+        """The sum of tensor[t[p]][t[q]][t[r]] over ``terms``, pairs
+        (tensor, (p, q, r)); a sum of one term is the entry itself."""
+        n, entries = self.dim, self._entries
+        vectors = []
+        for tensor, (p, q, r) in terms:
+            i, j, k = t[p], t[q], t[r]
+            vectors.append(entries[tensor][(i * n + j) * n + k] or self._fill(tensor, i, j, k))
+        if len(vectors) == 1:
+            return vectors[0]
+        return tuple(map(sum, zip(*vectors))) if vectors else (0,) * n
+
+    def failures(self, identity: str) -> Iterator[IdentityCheck]:
+        """Every basis triple, in product order, where ``identity`` fails."""
+        lhs, rhs, can_fail = IDENTITIES[identity]
+        # every sign is +1 or -1: with each side split into its + and - terms,
+        # lhs = rhs iff lhs+ + rhs- = rhs+ + lhs-, sums of entries only
+        (lhs_plus, lhs_minus), (rhs_plus, rhs_minus) = _by_sign(lhs), _by_sign(rhs)
+        plus, minus = lhs_plus + rhs_minus, rhs_plus + lhs_minus
+        for t in itertools.product(range(self.dim), repeat=3):
+            if can_fail(*t) and self._sum(plus, t) != self._sum(minus, t):
+                yield IdentityCheck(
+                    False,
+                    (t[0] + 1, t[1] + 1, t[2] + 1),
+                    self._value(lhs_plus, lhs_minus, t),
+                    self._value(rhs_plus, rhs_minus, t),
+                )
+
+    def _value(self, plus, minus, t: tuple[int, int, int]) -> Vec:
+        """A side's value at t, in the coordinates of the algebra, d^-2 times
+        its value on the cleared tensor."""
+        return tuple(Fraction(x - y, self.d2) for x, y in zip(self._sum(plus, t), self._sum(minus, t)))
+
+    def first_failure(self, identity: str) -> IdentityCheck:
+        return next(self.failures(identity), IdentityCheck(True))
 
 
 def failures(a: Algebra, identity: str) -> Iterator[IdentityCheck]:
@@ -293,42 +375,19 @@ def failures(a: Algebra, identity: str) -> Iterator[IdentityCheck]:
 
     Bilinearity makes the basis check complete; a skipped triple fails
     exactly when its swap, which is kept, does (see ``IDENTITIES``).
-
-    The scan runs on the integer tensor d c, d the least common denominator
-    of the structure constants.  Both sides of every identity are
-    homogeneous of degree 2 in the structure constants, so scaling c by d
-    scales both by d^2: the failing triples are the same, and the witness
-    sides are the integer ones divided by d^2.
     """
-    sides, can_fail = IDENTITIES[identity]
-    n = a.dim
-    d, rows = _cleared(v for plane in a.c for v in plane)
-    c = [rows[i * n : (i + 1) * n] for i in range(n)]
-    e = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    products: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
-
-    def p(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-        xy = products.get((x, y))
-        if xy is None:
-            xy = products[x, y] = _product(c, x, y, 0)
-        return xy
-
-    d2 = d * d
-    for i, j, k in itertools.product(range(n), repeat=3):
-        if can_fail(i, j, k):
-            lhs, rhs = sides(p, e[i], e[j], e[k])
-            if lhs != rhs:
-                yield IdentityCheck(
-                    False,
-                    (i + 1, j + 1, k + 1),
-                    tuple(Fraction(v, d2) for v in lhs),
-                    tuple(Fraction(v, d2) for v in rhs),
-                )
+    return TripleTable(a).failures(identity)
 
 
 def first_failure(a: Algebra, identity: str) -> IdentityCheck:
     """First basis triple, in product order, where ``identity`` fails."""
-    return next(failures(a, identity), IdentityCheck(True))
+    return TripleTable(a).first_failure(identity)
+
+
+def first_failures(a: Algebra, identities: Iterable[str]) -> dict[str, IdentityCheck]:
+    """``first_failure`` of each of ``identities``, from one ``TripleTable``."""
+    table = TripleTable(a)
+    return {identity: table.first_failure(identity) for identity in identities}
 
 
 def check_left_symmetric(a: Algebra) -> IdentityCheck:
@@ -355,20 +414,29 @@ def _first_asymmetry(a: Algebra) -> tuple[int, int] | None:
     )
 
 
+def _lie_defect(a: Algebra) -> str | None:
+    """Why ``a`` is not a Lie algebra, naming the first basis pair where
+    antisymmetry fails or triple where Jacobi does; None if it is one."""
+    pair = _first_asymmetry(a)
+    if pair is not None:
+        return f"antisymmetry fails at basis pair {pair}"
+    bad = first_failure(a, "jacobi")
+    if not bad.ok:
+        return f"the Jacobi identity fails at basis triple {bad.witness}"
+    return None
+
+
 def is_lie_algebra(a: Algebra) -> bool:
-    return _first_asymmetry(a) is None and first_failure(a, "jacobi").ok
+    return _lie_defect(a) is None
 
 
 def _require_lie(a: Algebra) -> None:
-    """Refuse a non-Lie ``a`` before its brackets are read, naming the first
-    basis pair where antisymmetry fails or triple where Jacobi does.  It
-    cannot fail on the commutators of a left-symmetric algebra."""
-    pair = _first_asymmetry(a)
-    if pair is not None:
-        raise ValueError(f"not a Lie algebra: antisymmetry fails at basis pair {pair}")
-    bad = first_failure(a, "jacobi")
-    if not bad.ok:
-        raise ValueError(f"not a Lie algebra: the Jacobi identity fails at basis triple {bad.witness}")
+    """Refuse a non-Lie ``a`` before its brackets are read, with its
+    ``_lie_defect``.  It cannot fail on the commutators of a left-symmetric
+    algebra."""
+    defect = _lie_defect(a)
+    if defect is not None:
+        raise ValueError(f"not a Lie algebra: {defect}")
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -432,8 +500,14 @@ def satisfies_s(a: Algebra) -> bool:
 
 
 def flag_witnesses(a: Algebra) -> dict[str, tuple[int, int, int] | str]:
-    """For each of N/D/S, the first failing basis triple (1-based) or ALL_PASS."""
-    return {flag: first_failure(a, flag).witness or ALL_PASS for flag in "NDS"}
+    """For each of N/D/S, the first failing basis triple (1-based) or
+    ALL_PASS, from one ``TripleTable``."""
+    return witnesses_of(first_failures(a, "NDS"))
+
+
+def witnesses_of(checks: Mapping[str, IdentityCheck]) -> dict[str, tuple[int, int, int] | str]:
+    """Each check's failing basis triple, or ALL_PASS."""
+    return {name: check.witness or ALL_PASS for name, check in checks.items()}
 
 
 def ndsflags(a: Algebra) -> tuple[bool, bool, bool]:

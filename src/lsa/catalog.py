@@ -33,7 +33,7 @@ from .algebra import (
     center,
     check_left_symmetric,
     find_ideals_dim_le3,
-    flag_witnesses,
+    first_failures,
     identify_lie_algebra,
     is_complete,
     is_unimodular,
@@ -43,6 +43,7 @@ from .algebra import (
     product_span,
     quotient_algebra,
     restriction_to_ideal,
+    witnesses_of,
 )
 from .extensions import (
     BimoduleAction,
@@ -254,17 +255,21 @@ def catalog_lie_algebras() -> list[Algebra]:
     return [make_lie(name, **_default_points(f.param)[0]) for name, f in LIE_FAMILIES.items()]
 
 
+# Small algebras that the reconstruction cases extend, built once: an
+# ``Algebra`` is immutable.
+_FIXTURES: dict[str, Algebra] = {
+    "A1_inv": Algebra.from_entries(3, {(1, 2, 2): 1, (1, 3, 3): -1, (2, 3, 1): 1, (3, 2, 1): 1}, "A1_inv"),
+    "r2_zero": Algebra.from_entries(2, {}, "r2_zero"),
+    "r2_square": Algebra.from_entries(2, {(2, 2, 1): 1}, "r2_square"),
+    "N2": Algebra.from_entries(2, {(1, 2, 2): 1}, "N2"),
+    "aff_R": Algebra.from_brackets(2, {(1, 2): {2: 1}}, "aff_R"),
+    "R0": Algebra.from_entries(1, {}, "R0"),
+}
+
+
 def fixtures() -> dict[str, Algebra]:
-    return {
-        "A1_inv": Algebra.from_entries(
-            3, {(1, 2, 2): 1, (1, 3, 3): -1, (2, 3, 1): 1, (3, 2, 1): 1}, "A1_inv"
-        ),
-        "r2_zero": Algebra.from_entries(2, {}, "r2_zero"),
-        "r2_square": Algebra.from_entries(2, {(2, 2, 1): 1}, "r2_square"),
-        "N2": Algebra.from_entries(2, {(1, 2, 2): 1}, "N2"),
-        "aff_R": Algebra.from_brackets(2, {(1, 2): {2: 1}}, "aff_R"),
-        "R0": Algebra.from_entries(1, {}, "R0"),
-    }
+    """The fixture algebras by name, in a fresh dict."""
+    return dict(_FIXTURES)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +312,8 @@ def case1_r2_trivial(alpha, s) -> ReconstructionCase:
     alpha, s = frac(alpha), frac(s)
     if alpha == 0:
         raise ParameterError("case requires alpha != 0")
-    k = fixtures()["r2_zero"]
-    v = fixtures()["R0"]
+    k = _FIXTURES["r2_zero"]
+    v = _FIXTURES["R0"]
     data = ExtensionData(
         k, v, _scalar_action(k, [alpha, 0], [0, 0]), _cocycle_2d_scalar([[0, s], [0, 0]])
     )
@@ -320,8 +325,8 @@ def case1_r2_trivial(alpha, s) -> ReconstructionCase:
 def case1_n2_central(t) -> ReconstructionCase:
     """Central 1D extension of the nonabelian 2D algebra; N30 or N31."""
     t = frac(t)
-    k = fixtures()["N2"]
-    v = fixtures()["R0"]
+    k = _FIXTURES["N2"]
+    v = _FIXTURES["R0"]
     data = ExtensionData(k, v, trivial_action(k, 1), _cocycle_2d_scalar([[t, 0], [0, 0]]))
     if t == 0:
         return ReconstructionCase("case1/N2-central", "N30", {}, data, QMatrix.identity(3))
@@ -332,8 +337,8 @@ def case1_n2_central(t) -> ReconstructionCase:
 def case1_n2_identity(t) -> ReconstructionCase:
     """Nontrivial action with symmetric cocycle; B30 or B31."""
     t = frac(t)
-    k = fixtures()["N2"]
-    v = fixtures()["R0"]
+    k = _FIXTURES["N2"]
+    v = _FIXTURES["R0"]
     data = ExtensionData(
         k, v, _scalar_action(k, [1, 0], [0, 0]), _cocycle_2d_scalar([[0, t], [t, 0]])
     )
@@ -345,8 +350,8 @@ def case1_n2_identity(t) -> ReconstructionCase:
 def case1_n2_jordan(t) -> ReconstructionCase:
     """Cocycle with antisymmetric part 1; C31 or C3t."""
     t = frac(t)
-    k = fixtures()["N2"]
-    v = fixtures()["R0"]
+    k = _FIXTURES["N2"]
+    v = _FIXTURES["R0"]
     data = ExtensionData(
         k, v, _scalar_action(k, [1, 0], [0, 0]), _cocycle_2d_scalar([[0, t], [t - 1, 0]])
     )
@@ -358,8 +363,8 @@ def case1_n2_jordan(t) -> ReconstructionCase:
 def case1_n2_diag(mu) -> ReconstructionCase:
     """Scaled action, vanishing cohomology; D31(mu)."""
     mu = frac(mu)
-    k = fixtures()["N2"]
-    v = fixtures()["R0"]
+    k = _FIXTURES["N2"]
+    v = _FIXTURES["R0"]
     data = ExtensionData(
         k, v, _scalar_action(k, [mu, 0], [0, 0]), Cocycle2.zero(2, 1)
     )
@@ -373,8 +378,8 @@ def case2_n2_kernel(b, dd, s, sign=1) -> ReconstructionCase:
     """
     b, dd, s = frac(b), frac(dd), frac(s)
     t = sign * s * s
-    k = fixtures()["R0"]
-    v = fixtures()["N2"]
+    k = _FIXTURES["R0"]
+    v = _FIXTURES["N2"]
     action = BimoduleAction(
         k, 2, (QMatrix([[0, 0], [0, dd]]),), (QMatrix([[0, 0], [-b, 0]]),)
     )
@@ -395,7 +400,7 @@ def _case3_data(k: Algebra, v: Algebra, lam_rows, rho_rows, e_vec) -> ExtensionD
 def case3_trivial_diag10(s, t) -> ReconstructionCase:
     """Abelian 2D kernel, projector action; N30 or N31."""
     s, t = frac(s), frac(t)
-    k, v = fixtures()["R0"], fixtures()["r2_zero"]
+    k, v = _FIXTURES["R0"], _FIXTURES["r2_zero"]
     data = _case3_data(k, v, [[1, 0], [0, 0]], [[0, 0], [0, 0]], (s, t))
     if t == 0:
         witness = QMatrix.from_cols([(1, s, 0), (0, 1, 0), (0, 0, 1)])
@@ -407,7 +412,7 @@ def case3_trivial_diag10(s, t) -> ReconstructionCase:
 def case3_trivial_identity(alpha) -> ReconstructionCase:
     """Unipotent-coupled identity action; B30 or B31."""
     a = frac(alpha)
-    k, v = fixtures()["R0"], fixtures()["r2_zero"]
+    k, v = _FIXTURES["R0"], _FIXTURES["r2_zero"]
     data = _case3_data(k, v, [[1, a], [0, 1]], [[0, a], [0, 0]], (a * a, a))
     if a == 0:
         return ReconstructionCase("case3/identity", "B30", {}, data, QMatrix.identity(3))
@@ -418,7 +423,7 @@ def case3_trivial_identity(alpha) -> ReconstructionCase:
 def case3_trivial_jordan(alpha) -> ReconstructionCase:
     """Jordan-block action; C31 or C3t with t = alpha + 1."""
     a = frac(alpha)
-    k, v = fixtures()["R0"], fixtures()["r2_zero"]
+    k, v = _FIXTURES["R0"], _FIXTURES["r2_zero"]
     data = _case3_data(k, v, [[1, a + 1], [0, 1]], [[0, a], [0, 0]], (a, a))
     witness = QMatrix.from_cols([(1, a, -2 * a * a), (0, 0, 1), (0, 1, 0)])
     if a == 0:
@@ -428,7 +433,7 @@ def case3_trivial_jordan(alpha) -> ReconstructionCase:
 
 def case3_trivial_diagmu(mu) -> ReconstructionCase:
     mu = frac(mu)
-    k, v = fixtures()["R0"], fixtures()["r2_zero"]
+    k, v = _FIXTURES["R0"], _FIXTURES["r2_zero"]
     data = _case3_data(k, v, [[1, 0], [0, mu]], [[0, 0], [0, 0]], (1, mu))
     witness = QMatrix.from_cols([(1, 1, 1), (0, 1, 0), (0, 0, 1)])
     return ReconstructionCase("case3/diagmu", "D31mu", {"mu": mu}, data, witness)
@@ -436,7 +441,7 @@ def case3_trivial_diagmu(mu) -> ReconstructionCase:
 
 def case3_trivial_rotation(zeta) -> ReconstructionCase:
     z = frac(zeta)
-    k, v = fixtures()["R0"], fixtures()["r2_zero"]
+    k, v = _FIXTURES["R0"], _FIXTURES["r2_zero"]
     data = _case3_data(k, v, [[1, -z], [z, 1]], [[0, 0], [0, 0]], (2 * z, z * z - 1))
     witness = QMatrix.from_cols([(1, z, -1), (0, 1, 0), (0, 0, 1)])
     return ReconstructionCase("case3/rotation", "E31zeta", {"zeta": z}, data, witness)
@@ -445,7 +450,7 @@ def case3_trivial_rotation(zeta) -> ReconstructionCase:
 def case3_square_kernel(alpha, t) -> ReconstructionCase:
     """Kernel with e2*e2 = e1; the only surviving action scale is 1/2; D32."""
     a, t = frac(alpha), frac(t)
-    k, v = fixtures()["R0"], fixtures()["r2_square"]
+    k, v = _FIXTURES["R0"], _FIXTURES["r2_square"]
     data = _case3_data(k, v, [[1, a], [0, F(1, 2)]], [[0, a], [0, 0]], (t, a / 2))
     witness = QMatrix.from_cols([(1, -(a * a - t), a), (0, 1, 0), (0, 0, 1)])
     return ReconstructionCase("case3/square", "D32", {}, data, witness)
@@ -594,14 +599,20 @@ FINGERPRINT: tuple[tuple[str, Callable[[Algebra, Subspace, Subspace], object]], 
 )
 
 
-def fingerprint(a: Algebra) -> tuple:
+def fingerprint(a: Algebra, **known) -> tuple:
     """Isomorphism-invariant tuple; differing fingerprints certify
-    non-isomorphism, equal fingerprints certify nothing."""
+    non-isomorphism, equal fingerprints certify nothing.
+
+    ``known`` gives components already decided for ``a``, by label (as
+    ``lie_tag=...``), which are then taken as given instead of recomputed."""
     if a.dim != 3:
         raise ValueError("fingerprint is defined for dimension 3")
+    unknown = set(known) - {label for label, _ in FINGERPRINT}
+    if unknown:
+        raise TypeError(f"not a fingerprint component: {sorted(unknown)}")
     p = product_span(a)
     w = Subspace.from_spanning(a.dim, _two_sided_products(a, p.basis))
-    return tuple(invariant(a, p, w) for _, invariant in FINGERPRINT)
+    return tuple(known[label] if label in known else invariant(a, p, w) for label, invariant in FINGERPRINT)
 
 
 # ---------------------------------------------------------------------------
@@ -619,17 +630,19 @@ def verify_entry(entry: CatalogEntry, param_samples: Sequence[Mapping[str, Fract
     Ideals and quotients of a complete algebra are complete, so
     ``completeness_propagation`` is recomputed only on an incomplete sample;
     the commutators of a left-symmetric algebra form a Lie algebra, so the
-    Lie tag costs one Jacobi scan, the one in ``_require_lie``."""
+    Lie tag costs one Jacobi scan, the one in ``_require_lie``.  Left
+    symmetry and the N/D/S flags are read off one triple table."""
     samples_report = []
     hard_failures: list[str] = []
     for params in param_samples:
         a = entry.make(params)
-        ls = check_left_symmetric(a)
+        checks = first_failures(a, ("left_symmetric", *"NDS"))
+        ls = checks.pop("left_symmetric")
         complete = is_complete(a)
         tag = identify_lie_algebra(lie_algebra_of(a))
         claimed_tag = entry.claimed_tag(params)
         tag_ok = tag == claimed_tag
-        witnesses = flag_witnesses(a)
+        witnesses = witnesses_of(checks)
         flags = tuple(w == ALL_PASS for w in witnesses.values())
         flags_ok = flags == entry.claimed_flags
         ideals = find_ideals_dim_le3(a)
@@ -676,6 +689,9 @@ def verify_catalog(seed: int = 0, random_samples: int = 5) -> dict:
     Runs every per-entry check at defaults plus seeded random parameters,
     certifies pairwise distinctness by fingerprint, and rebuilds every entry
     through the extension machinery with verified isomorphism witnesses.
+    What the entry checks decided about an algebra (the Lie tag and N/D/S
+    flags of each default, D32's left symmetry) is read off their report,
+    not decided again.
     """
     rng = random.Random(seed)
     entries = catalog_lsas()
@@ -691,7 +707,12 @@ def verify_catalog(seed: int = 0, random_samples: int = 5) -> dict:
 
     fingerprints = {}
     for entry in entries:
-        fingerprints[entry.name] = fingerprint(entry.make(entry.default_params[0]))
+        first = report["entries"][entry.name]["samples"][0]  # the first default
+        fingerprints[entry.name] = fingerprint(
+            entry.make(entry.default_params[0]),
+            lie_tag=first["lie_tag"],
+            flags_NDS=tuple(first["flags_computed"].values()),
+        )
     distinct = {}
     all_distinct = True
     names = [e.name for e in entries]
@@ -704,11 +725,9 @@ def verify_catalog(seed: int = 0, random_samples: int = 5) -> dict:
             report["hard_failures"].append(f"fingerprints equal: {key}")
         else:
             distinct[key] = ev
-    # the one-parameter C family: sampled parameter pairs stay non-isomorphic
-    t1, t2 = F(2), F(3)
-    ev = _distinctness_evidence(
-        fingerprint(make_lsa("C3t", t=t1)), fingerprint(make_lsa("C3t", t=t2))
-    )
+    # the one-parameter C family: sampled parameter pairs stay non-isomorphic;
+    # t = 2 is C3t's default, fingerprinted above
+    ev = _distinctness_evidence(fingerprints["C3t"], fingerprint(make_lsa("C3t", t=F(3))))
     distinct[f"C3t(t=2)|C3t(t=3)"] = ev or "NOT SEPARATED"
     if ev is None:
         report["hard_failures"].append("C3t parameter values not separated")
@@ -736,7 +755,7 @@ def verify_catalog(seed: int = 0, random_samples: int = 5) -> dict:
             report["hard_failures"].append(f"reconstruction {case.label} -> {case.target}")
     report["reconstructions"] = recon_report
 
-    a1 = fixtures()["A1_inv"]
+    a1 = _FIXTURES["A1_inv"]
     report["a1_inverse_fixture"] = {
         "left_symmetric": check_left_symmetric(a1).ok,
         "lie_unimodular": is_unimodular(lie_algebra_of(a1)),
@@ -754,7 +773,7 @@ def verify_catalog(seed: int = 0, random_samples: int = 5) -> dict:
             ),
             "witness_triple": list(rejected_check.witness or ()),
             "rejected_left_symmetric": rejected_check.ok,
-            "stored_left_symmetric": check_left_symmetric(make_lsa("D32")).ok,
+            "stored_left_symmetric": report["entries"]["D32"]["samples"][0]["left_symmetric"],
         },
         {
             "id": "C3t-remark-format",

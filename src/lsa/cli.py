@@ -20,11 +20,11 @@ from .algebra import (
     _tag_of_form,
     check_left_symmetric,
     find_ideals_dim_le3,
+    first_failures,
     identify_lie_algebra,
     is_complete,
     lie_algebra_of,
     milnor_normal_form,
-    ndsflags,
 )
 from .catalog import make_lsa, verify_catalog
 from .extensions import ExtensionError, _not_left_symmetric, build_extension, h2
@@ -98,9 +98,10 @@ def _frac_str(s: str) -> Fraction:
 
 def cmd_check(args) -> int:
     a = _load_algebra(args.file, "check")
-    ls = check_left_symmetric(a)
+    checks = first_failures(a, ("left_symmetric", *"NDS"))
+    ls = checks["left_symmetric"]
     complete = is_complete(a)
-    n, d, s = ndsflags(a)
+    n, d, s = (checks[flag].ok for flag in "NDS")
     if args.json:
         print(
             dumps_sorted(
@@ -314,16 +315,14 @@ def cmd_affine_sample(args) -> int:
         try:
             a, b, c = (float(x) for x in spec.split(","))
         except ValueError:
-            print(f"error: --at expects 'a,b,c', got {spec!r}", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError(f"--at expects 'a,b,c', got {spec!r}") from None
         points.append((a, b, c))
     out = []
     for (a, b, c) in points:
         try:
             m = fam.element(a, b, c)
         except ValueError as err:  # a non-finite point, or one where the map overflows
-            print(f"error: {args.family} at {a},{b},{c}: {err}", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError(f"{args.family} at {a},{b},{c}: {err}") from err
         out.append(
             {
                 "abc": [a, b, c],

@@ -26,11 +26,11 @@ from .algebra import (
     _basis,
     _basis_mults,
     _first_asymmetry,
+    _lie_defect,
     _product,
     conjugated,
     failures,
     first_failure,
-    is_lie_algebra,
 )
 from .linalg import (
     QMatrix,
@@ -518,10 +518,10 @@ def build_lie_extension(d: LieExtensionData) -> Algebra:
     The kernel block is a Lie ideal by construction.
     """
     g_base, a_ker, phi, omega = d.g_base, d.a_kernel, d.phi, d.omega
-    if not is_lie_algebra(g_base):
-        raise ValueError("base is not a Lie algebra")
-    if not is_lie_algebra(a_ker):
-        raise ValueError("kernel is not a Lie algebra")
+    for label, algebra in (("base", g_base), ("kernel", a_ker)):
+        defect = _lie_defect(algebra)
+        if defect is not None:
+            raise ValueError(f"{label} is not a Lie algebra: {defect}")
     n = g_base.dim
     action = BimoduleAction(g_base, a_ker.dim, phi, tuple(-p for p in phi))
     data = ExtensionData(g_base, a_ker, action, Cocycle2.from_rows(omega))

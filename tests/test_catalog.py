@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from lsa.algebra import (
+    Algebra,
     check_left_symmetric,
     conjugated,
     find_ideals_dim_le3,
@@ -24,6 +26,7 @@ from lsa.catalog import (
     ENTRY_NAMES,
     CatalogEntry,
     ParameterError,
+    case1_n2_central,
     catalog_lie_algebras,
     catalog_lsas,
     d32_rejected_variant,
@@ -351,6 +354,16 @@ def test_fingerprint_invariance_all_entries():
             assert fingerprint(conjugated(a, p)) == fp, entry.name
 
 
+def test_fingerprint_takes_the_entry_verdicts_as_given():
+    for entry in catalog_lsas():
+        a = entry.make(entry.default_params[0])
+        sample = verify_entry(entry, entry.default_params[:1])["samples"][0]
+        known = {"lie_tag": sample["lie_tag"], "flags_NDS": tuple(sample["flags_computed"].values())}
+        assert fingerprint(a, **known) == fingerprint(a), entry.name
+    with pytest.raises(TypeError, match="not a fingerprint component"):
+        fingerprint(make_lsa("N30"), lie=sample["lie_tag"])
+
+
 def _count_restrictions_and_quotients(monkeypatch):
     import lsa.catalog
 
@@ -402,3 +415,60 @@ def test_flag_mismatch_is_audited_not_fatal():
     assert sample["flags_computed"]["N"] is True
     assert sample["flag_witnesses"]["N"] == "all triples pass"
     assert not report["hard_failures"]
+
+
+def test_an_audit_decides_each_algebra_once(monkeypatch):
+    """Per ``verify_catalog(seed=11, random_samples=5)``: the default
+    fingerprints take the Lie tag and N/D/S flags that ``verify_entry``
+    decided, C3t at t = 2 reuses its default fingerprint, each entry sample
+    is scanned through one triple table, and no fixture algebra is built."""
+    import lsa.algebra
+    import lsa.catalog
+
+    calls = Counter()
+    for name in ("identify_lie_algebra", "fingerprint"):
+        original = getattr(lsa.catalog, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(lsa.catalog, name, counting)
+    tables = []
+
+    class CountingTable(lsa.algebra.TripleTable):
+        def __init__(self, a):
+            tables.append(a)
+            super().__init__(a)
+
+    monkeypatch.setattr(lsa.algebra, "TripleTable", CountingTable)
+    built = []
+    post_init = Algebra.__post_init__
+
+    def recording(self):
+        built.append(self.name)
+        post_init(self)
+
+    monkeypatch.setattr(Algebra, "__post_init__", recording)
+    report = verify_catalog(seed=11, random_samples=5)
+    assert report["ok"]
+    # 27 samples, and the one fingerprint that is not a default: C3t at t = 3
+    assert calls == {"identify_lie_algebra": 28, "fingerprint": 12}
+    samples = Counter(
+        ENTRIES[name].make({k: F(v) for k, v in sample["params"].items()})
+        for name, entry_report in report["entries"].items()
+        for sample in entry_report["samples"]
+    )
+    assert sum(samples.values()) == 27
+    # the fingerprint of C3t at t = 3 reads its N/D/S flags off a table of its own
+    assert Counter(a for a in tables if a.name in ENTRIES) == samples + Counter([make_lsa("C3t", t=3)])
+    assert not set(built) & set(fixtures())
+
+
+def test_fixtures_returns_a_fresh_dict():
+    mutated = fixtures()
+    expected = dict(mutated)
+    mutated["N2"] = mutated.pop("R0")
+    mutated["extra"] = make_lsa("N30")
+    assert fixtures() == expected
+    assert case1_n2_central(0).data.k == expected["N2"]

@@ -557,6 +557,21 @@ def test_affine_sample_bad_point_exit_2(capsys, at):
     assert ("non-finite entry" in err) == any(s in "".join(at) for s in ("nan", "inf", "1000"))
 
 
+@pytest.mark.parametrize(
+    "at, message",
+    [
+        ("1,2", "error: --at expects 'a,b,c', got '1,2'\n"),
+        ("nan,0,0", "error: A30 at nan,0.0,0.0: affine map has a non-finite entry\n"),
+    ],
+)
+def test_affine_sample_point_errors_go_through_main(capsys, at, message):
+    """Both point errors are raised as ``ValueError`` and printed by
+    ``main``, once, like every other input error."""
+    assert main(["affine-sample", "--family", "A30", f"--at={at}"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
+
+
 def test_affine_sample_refuses_non_finite_point_under_python_O():
     # the check is not an assert, so -O keeps it
     src = str(Path(__file__).resolve().parents[1] / "src")

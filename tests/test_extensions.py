@@ -553,6 +553,30 @@ def test_lie_extension_compatibility_failure():
     assert is_lie_algebra(ext)
 
 
+# antisymmetric, but [[e1,e2],e3] + [[e2,e3],e1] + [[e3,e1],e2] = e1
+NOT_JACOBI = Algebra.from_brackets(3, {(1, 3): {3: 1}, (2, 3): {1: 1}})
+
+
+@pytest.mark.parametrize(
+    "factor, defect",
+    [
+        (NOT_JACOBI, "the Jacobi identity fails at basis triple (1, 2, 3)"),
+        # e1*e2 = e2 but e2*e1 = 0
+        (fixtures()["N2"], "antisymmetry fails at basis pair (1, 2)"),
+    ],
+)
+@pytest.mark.parametrize("label", ["base", "kernel"])
+def test_lie_extension_names_the_defect_of_a_non_lie_factor(label, factor, defect):
+    base, kernel = (factor, r0()) if label == "base" else (r0(), factor)
+    zero = QMatrix.zero(kernel.dim, kernel.dim)
+    omega = tuple(tuple(vec([0] * kernel.dim) for _ in range(base.dim)) for _ in range(base.dim))
+    d = LieExtensionData(base, kernel, (zero,) * base.dim, omega)
+    with pytest.raises(ValueError) as err:
+        build_lie_extension(d)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"{label} is not a Lie algebra: {defect}"
+
+
 # --- invariants tying the machinery together -------------------------------
 
 

@@ -14,8 +14,18 @@ from fractions import Fraction
 
 import pytest
 
-from lsa.algebra import IDENTITIES, Algebra, IdentityCheck, conjugated, failures, multiply
-from lsa.catalog import catalog_lsas
+from lsa.algebra import (
+    IDENTITIES,
+    Algebra,
+    IdentityCheck,
+    conjugated,
+    failures,
+    first_failure,
+    first_failures,
+    lie_algebra_of,
+    multiply,
+)
+from lsa.catalog import catalog_lsas, fixtures
 from lsa.linalg import (
     QMatrix,
     char_poly,
@@ -23,6 +33,9 @@ from lsa.linalg import (
     random_invertible,
     rref,
     unit_vec,
+    vec_add,
+    vec_sub,
+    zero_vec,
 )
 
 pytest.importorskip("hypothesis")
@@ -70,8 +83,40 @@ def fraction_is_nilpotent(m: QMatrix) -> bool:
     return all(c == 0 for c in fraction_char_poly(m)[1:])
 
 
+# The five identities in product form on ``Fraction`` vectors, written out
+# independently of the engine's index-permutation table: each side as a
+# function of the product p at (x, y, z), and the triples the scan keeps.
+FRACTION_IDENTITIES = {
+    # (x*y)*z - (y*x)*z = x*(y*z) - y*(x*z)
+    "left_symmetric": (
+        lambda p, x, y, z: (
+            vec_sub(p(p(x, y), z), p(p(y, x), z)),
+            vec_sub(p(x, p(y, z)), p(y, p(x, z))),
+        ),
+        lambda i, j, k: i < j,
+    ),
+    # N: (x*y)*z = (x*z)*y
+    "N": (lambda p, x, y, z: (p(p(x, y), z), p(p(x, z), y)), lambda i, j, k: j < k),
+    # D: (x*y)*z = (z*y)*x
+    "D": (lambda p, x, y, z: (p(p(x, y), z), p(p(z, y), x)), lambda i, j, k: i < k),
+    # S: [x,y]*z = 0
+    "S": (
+        lambda p, x, y, z: (p(vec_sub(p(x, y), p(y, x)), z), zero_vec(len(z))),
+        lambda i, j, k: i < j,
+    ),
+    # Jacobi: [[x,y],z] + [[y,z],x] + [[z,x],y] = 0
+    "jacobi": (
+        lambda p, x, y, z: (
+            vec_add(p(p(x, y), z), vec_add(p(p(y, z), x), p(p(z, x), y))),
+            zero_vec(len(z)),
+        ),
+        lambda i, j, k: i < j < k,
+    ),
+}
+
+
 def fraction_failures(a: Algebra, identity: str):
-    sides, can_fail = IDENTITIES[identity]
+    sides, can_fail = FRACTION_IDENTITIES[identity]
     e = [unit_vec(a.dim, i) for i in range(a.dim)]
     products: dict = {}
 
@@ -170,5 +215,36 @@ def catalog_in_random_bases(draw):
 @SETTINGS
 @given(st.one_of(rational_tensors(), catalog_in_random_bases()))
 def test_failures_match_fraction_engine(a):
+    for identity in IDENTITIES:
+        assert list(failures(a, identity)) == list(fraction_failures(a, identity)), identity
+
+
+@st.composite
+def catalog_at_sampled_params(draw):
+    entry = draw(st.sampled_from(catalog_lsas()))
+    return entry.make(entry.sample_params(random.Random(draw(st.integers(0, 2**32)))))
+
+
+def any_algebras():
+    """Catalog entries at sampled parameters and in random rational bases,
+    random rational tensors, the fixtures, and commutator algebras of these."""
+    base = st.one_of(
+        catalog_at_sampled_params(),
+        catalog_in_random_bases(),
+        rational_tensors(),
+        st.sampled_from(list(fixtures().values())),
+    )
+    return st.one_of(base, base.map(lie_algebra_of))
+
+
+@SETTINGS
+@given(any_algebras())
+def test_one_table_answers_every_identity(a):
+    """One ``TripleTable`` asked every identity, in either order, answers as
+    a fresh scan per identity does, and every scan matches the oracle triple
+    by triple, witnesses and both sides included."""
+    alone = {identity: first_failure(a, identity) for identity in IDENTITIES}
+    assert first_failures(a, IDENTITIES) == alone
+    assert first_failures(a, reversed(IDENTITIES)) == alone
     for identity in IDENTITIES:
         assert list(failures(a, identity)) == list(fraction_failures(a, identity)), identity
