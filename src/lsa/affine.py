@@ -24,7 +24,6 @@ so the failure is reproducible.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
@@ -500,30 +499,38 @@ class ClosureReport:
         return not self.failures
 
 
-def _gauss_newton_match(fam: GroupFamily, target: AffineMap3, start, iters=60):
-    """Fit family parameters to a 12-vector of affine map entries.
+def _gauss_newton_match(fam: GroupFamily, targets: AffineMap3, starts, iters=60):
+    """Fit family parameters to each map of a stack of L targets, from
+    ``starts`` (L, 3); every fit in lock-step.
 
-    Returns the best point seen and its residual.  The fit stops below
-    ``MATCH_TOL`` or at the first step that does not lower the residual: on
-    a composite outside the family the steps stagnate long before ``iters``.
+    Returns the best point each fit saw (L, 3) and its residual (L,).  A fit
+    stops below ``MATCH_TOL`` or at the first step that does not lower its
+    residual (on a composite outside the family the steps stagnate long
+    before ``iters``), and leaves the batch then.  Each step evaluates the
+    live points and their six neighbours in one batch; each fit keeps its
+    own ``lstsq``, so it follows its one-target iterates bit for bit.
     """
-    x = np.array(start, dtype=float)
-    target_flat = target.flat()
+    x = np.array(starts, dtype=float)
+    target_flat = targets.flat()
     step = 1e-7
-    best = (tuple(x), np.inf)
+    best_x, best_err = x.copy(), np.full(len(x), np.inf)
+    live = np.arange(len(x))  # fits still stepping
     for _ in range(iters):
-        flats = fam.elements(*(x + step * _STENCIL).T).flat()
-        resid = flats[0] - target_flat
-        err = float(np.max(np.abs(resid)))
-        if not err < best[1]:
+        if not live.size:
             break
-        best = (tuple(x), err)
-        if err < MATCH_TOL:
-            break
-        jac = (flats[1:4] - flats[4:7]).T / (2 * step)
-        delta, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
-        x = x + delta
-    return best
+        flats = fam.elements(*np.moveaxis(x[live] + step * _STENCIL[:, None, :], -1, 0)).flat()
+        resid = flats[0] - target_flat[live]
+        err = np.max(np.abs(resid), axis=1)
+        lower = err < best_err[live]
+        live, resid, err, flats = live[lower], resid[lower], err[lower], flats[:, lower]
+        best_x[live], best_err[live] = x[live], err
+        going = ~(err < MATCH_TOL)
+        live, resid, flats = live[going], resid[going], flats[:, going]
+        jac = (flats[1:4] - flats[4:7]).transpose(1, 2, 0) / (2 * step)
+        for m, fit in enumerate(live):
+            delta, *_ = np.linalg.lstsq(jac[m], -resid[m], rcond=None)
+            x[fit] = x[fit] + delta
+    return best_x, best_err
 
 
 def check_closure(fam: GroupFamily, sample_pairs: Sequence[tuple]) -> ClosureReport:
@@ -533,8 +540,9 @@ def check_closure(fam: GroupFamily, sample_pairs: Sequence[tuple]) -> ClosureRep
     family's closed-form solve, with a Gauss-Newton fallback for coupled
     cases.  The residual is the max-norm difference between the composite
     and the recovered element.  All pairs are composed, recovered and
-    re-evaluated in one batch; only pairs that miss ``CLOSURE_TOL`` go to
-    the fallback.
+    re-evaluated in one batch; the pairs that miss ``CLOSURE_TOL`` go to the
+    fallback together, each from its recovered point (or from p1 + p2 where
+    the closed-form solve broke down).
     """
     pairs = np.asarray(sample_pairs, dtype=float).reshape(-1, 2, 3)
     composite = fam.elements(*pairs[:, 0].T).compose(fam.elements(*pairs[:, 1].T))
@@ -544,20 +552,19 @@ def check_closure(fam: GroupFamily, sample_pairs: Sequence[tuple]) -> ClosureRep
         np.max(np.abs(linear - composite.linear), axis=(-2, -1)),
         np.max(np.abs(translation - composite.translation), axis=-1),
     )
+    missing = np.flatnonzero(~(resids < CLOSURE_TOL))  # also NaN: the closed-form solve broke down
+    if missing.size:
+        finite = np.isfinite(rec[missing]).all(axis=1)[:, None]
+        starts = np.where(finite, rec[missing], pairs[missing, 0] + pairs[missing, 1])
+        targets = AffineMap3(composite.linear[missing], composite.translation[missing])
+        _, resids[missing] = _gauss_newton_match(fam, targets, starts)
     max_residual = 0.0
-    fallbacks = 0
     failures = []
-    for i, (p1, p2) in enumerate(sample_pairs):
-        resid = float(resids[i])
-        if not (resid < CLOSURE_TOL):  # also NaN: the closed-form solve broke down
-            guess = rec[i] if np.isfinite(rec[i]).all() else np.add(p1, p2)
-            target = AffineMap3(composite.linear[i], composite.translation[i])
-            _, resid = _gauss_newton_match(fam, target, guess)
-            fallbacks += 1
+    for (p1, p2), resid in zip(sample_pairs, resids.tolist()):
         max_residual = max(max_residual, resid)
         if not (resid < CLOSURE_TOL):
             failures.append((p1, p2, resid))
-    return ClosureReport(fam.name, len(sample_pairs), max_residual, fallbacks, failures)
+    return ClosureReport(fam.name, len(sample_pairs), max_residual, int(missing.size), failures)
 
 
 @dataclass
@@ -662,46 +669,51 @@ def newton_invert_orbit(fam: GroupFamily, targets, start=(0.0, 0.0, 0.0)):
     return x, err, ok
 
 
-# The injectivity grids: a cell is 2 h wide, and h = 2^-29 > 1e-9 is a power
-# of two, so a point's cell is read off floor(x / h), an exact product.
-_HALF_CELL = 2.0**-29
-_GRID_SHIFTS = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
 # the ticks of the 9^3 parameter grid, -2 to 2 in steps of 1/2
 GRID_TICKS = np.arange(-2.0, 2.25, 0.5)
+CLOSE_PAIR_WINDOW = 2e-9  # per-axis reach of the close-pair search
 
 
 def _first_close_pair(images: np.ndarray) -> tuple[int, int] | None:
     """The closest pair (i, j), i < j, of the images (N, 3) if it lies less
     than 1e-9 apart, else None; ties go to the first pair in row-major order.
 
-    On a line, the walls of the cells [2kh, 2kh + 2h) and those shifted by h
-    alternate h apart, so two numbers at most h apart share a cell in one
-    of the two grids.  A pair less than 1e-9 apart therefore shares a cell
-    in one of the 8 grids that shift each axis by 0 or h.  Each grid is
-    sorted by cell, and only pairs in a common cell are measured.
+    Only pairs within ``CLOSE_PAIR_WINDOW`` of each other on one axis are
+    measured: each axis is sorted, the window [x, fl(x + 2e-9)] of each
+    point is one ``searchsorted`` with ``side="right"``, and the axis with
+    the fewest candidate pairs is kept.  A pair with sqrt(fl(d2)) < 1e-9 is
+    a candidate on every axis.  Rounding is monotone and the terms of d2
+    are squares, so fl(d2) >= fl(fl(x_k - y_k)^2) for each axis k; hence
+    |x_k - y_k| exceeds 1e-9 by at most a few units of roundoff, well under
+    2e-9.  Monotone rounding also gives y_k = fl(y_k) <= fl(x_k + 2e-9) for
+    the larger coordinate y_k, even where 2e-9 is below half an ulp of x_k
+    and the sum rounds back to x_k: then y_k = x_k, an exact tie, which
+    ``side="right"`` keeps in the window.  Every pair tied at the minimum is
+    closer than 1e-9 too, so the row-major first of the candidates' minimum
+    is the row-major first of all pairs.
     """
-    units = np.floor(images / _HALF_CELL)
-    rows, cols = [], []
-    for shift in _GRID_SHIFTS:
-        cells = np.floor((units + shift) / 2)
-        order = np.lexsort(cells.T[::-1])
-        cells = cells[order]
-        # cells are runs in the sorted order: p and p + gap share a cell
-        # exactly when every point between them does
-        for gap in range(1, len(order)):
-            same = np.flatnonzero((cells[gap:] == cells[:-gap]).all(axis=1))
-            if not same.size:
-                break
-            rows.append(order[same])
-            cols.append(order[same + gap])
-    if not rows:
+    order = np.argsort(images, axis=0)
+    columns = np.take_along_axis(images, order, axis=0)
+    ends = np.array([
+        np.searchsorted(columns[:, k], columns[:, k] + CLOSE_PAIR_WINDOW, side="right") for k in range(3)
+    ])
+    counts = ends - np.arange(len(images)) - 1  # the later points in each window
+    axis = int(np.argmin(counts.sum(axis=1)))
+    counts = counts[axis]
+    total = int(counts.sum())
+    if not total:
         return None
-    first, second = np.concatenate(rows), np.concatenate(cols)
+    # sorted position p is paired with p + 1, ..., ends[p] - 1
+    first = np.repeat(np.arange(len(images)), counts)
+    second = first + 1 + np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    first, second = order[first, axis], order[second, axis]
     i, j = np.minimum(first, second), np.maximum(first, second)
     d2 = sum((images[i, k] - images[j, k]) ** 2 for k in range(3))
-    best = np.lexsort((j, i, d2))[0]
-    if not float(d2[best]) ** 0.5 < 1e-9:
+    low = float(np.min(d2))
+    if not low**0.5 < 1e-9:
         return None
+    tied = np.flatnonzero(d2 == low)
+    best = tied[np.lexsort((j[tied], i[tied]))[0]]
     return int(i[best]), int(j[best])
 
 
@@ -759,13 +771,19 @@ def check_tangent_algebra(fam: GroupFamily, algebra: Algebra) -> TangentReport:
     # affine_rep has checked left symmetry, and the commutator algebra of a
     # left-symmetric algebra is a Lie algebra: its constants are read off
     # the tensor, c_ij^k = c[i][j][k] - c[j][i][k], with no Jacobi scan.
+    # Only the pairs i < j are solved.  The pair (j, i) has the commutator
+    # -comm exactly, lstsq is odd in its right-hand side bit for bit, and
+    # negation is exact in every later step, so (j, i) repeats the residual
+    # and constant error of (i, j); the pair (i, i) has comm = 0, hence
+    # coefficients and errors 0.  Neither can raise a maximum, and ``worst``
+    # moves only on a strict rise, so the report equals the 9-pair loop's.
     c = algebra.c
     basis = np.stack([x.reshape(-1) for x in xs], axis=1)  # 16 x 3
     max_resid = 0.0
     max_const_err = 0.0
     worst = None
     for i in range(3):
-        for j in range(3):
+        for j in range(i + 1, 3):
             comm = xs[i] @ xs[j] - xs[j] @ xs[i]
             coeffs, residuals, *_ = np.linalg.lstsq(basis, comm.reshape(-1), rcond=None)
             resid = float(np.max(np.abs(basis @ coeffs - comm.reshape(-1))))

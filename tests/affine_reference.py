@@ -1,7 +1,9 @@
 """Reference values for the affine layer's tests: the special functions by
 name, their values at zero, their two branches, the closed forms in extended
 precision, the defining series of phi, a matrix exponential, and the
-one-target-at-a-time transitivity check with its O(N^2) injectivity test.
+one-at-a-time forms of the three checks: the transitivity check with its
+O(N^2) injectivity test, the closure check with its one-pair Gauss-Newton
+fit, and the tangent check over all 9 bracket pairs.
 """
 import math
 import random
@@ -10,8 +12,15 @@ from typing import Callable
 import numpy as np
 
 from lsa.affine import (
+    _STENCIL,
+    CLOSURE_TOL,
+    DIFF_STEP,
+    MATCH_TOL,
+    ClosureReport,
+    TangentReport,
     TransitivityReport,
     _orbit_jacobians,
+    affine_rep,
     closed_f,
     closed_g,
     closed_h,
@@ -123,6 +132,8 @@ def first_close_pair_reference(images):
     """The full matrix of squared distances: its row-major first minimum
     (i, j) if that lies less than 1e-9 apart, else None."""
     images = np.asarray(images, dtype=float)
+    if len(images) < 2:
+        return None
     d2 = sum((images[:, None, i] - images[None, :, i]) ** 2 for i in range(3))
     np.fill_diagonal(d2, np.inf)
     if not float(np.min(d2)) ** 0.5 < 1e-9:
@@ -160,3 +171,75 @@ def check_simply_transitive_reference(
         newton_failures,
         max_resid,
     )
+
+
+def gauss_newton_match_reference(fam, target, start, iters=60):
+    """One target: fit family parameters to the 12 entries of an affine map.
+    Returns the best point seen and its residual; stops below ``MATCH_TOL``
+    or at the first step that does not lower the residual."""
+    x = np.array(start, dtype=float)
+    target_flat = target.flat()
+    step = 1e-7
+    best = (tuple(x), np.inf)
+    for _ in range(iters):
+        flats = fam.elements(*(x + step * _STENCIL).T).flat()
+        resid = flats[0] - target_flat
+        err = float(np.max(np.abs(resid)))
+        if not err < best[1]:
+            break
+        best = (tuple(x), err)
+        if err < MATCH_TOL:
+            break
+        jac = (flats[1:4] - flats[4:7]).T / (2 * step)
+        delta, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
+        x = x + delta
+    return best
+
+
+def check_closure_reference(fam, sample_pairs) -> ClosureReport:
+    """One pair at a time: compose, recover in closed form, and fit any pair
+    that misses ``CLOSURE_TOL`` from the recovered point (or from p1 + p2
+    where the closed form gives a non-finite point)."""
+    max_residual = 0.0
+    fallbacks = 0
+    failures = []
+    for p1, p2 in sample_pairs:
+        composite = fam.element(*p1).compose(fam.element(*p2))
+        rec = np.array(fam.recover(composite), dtype=float)
+        linear, translation = fam.evaluate(*rec)
+        resid = float(
+            np.maximum(np.max(np.abs(linear - composite.linear)), np.max(np.abs(translation - composite.translation)))
+        )
+        if not (resid < CLOSURE_TOL):
+            guess = rec if np.isfinite(rec).all() else np.add(p1, p2)
+            _, resid = gauss_newton_match_reference(fam, composite, guess)
+            fallbacks += 1
+        max_residual = max(max_residual, resid)
+        if not (resid < CLOSURE_TOL):
+            failures.append((p1, p2, resid))
+    return ClosureReport(fam.name, len(sample_pairs), max_residual, fallbacks, failures)
+
+
+def tangent_reference(fam, algebra) -> TangentReport:
+    """The tangent check with one bracket solve for each of the 9 ordered
+    pairs (i, j), diagonal included."""
+    curve = fam.elements(*(DIFF_STEP * _STENCIL[1:]).T).as_homogeneous()
+    xs = list((curve[:3] - curve[3:]) / (2 * DIFF_STEP))
+    rep = affine_rep(algebra).homogeneous_float()
+    gen_err = max(float(np.max(np.abs(xs[i] - rep[i]))) for i in range(3))
+    c = algebra.c
+    basis = np.stack([x.reshape(-1) for x in xs], axis=1)
+    max_resid = 0.0
+    max_const_err = 0.0
+    worst = None
+    for i in range(3):
+        for j in range(3):
+            comm = xs[i] @ xs[j] - xs[j] @ xs[i]
+            coeffs, *_ = np.linalg.lstsq(basis, comm.reshape(-1), rcond=None)
+            resid = float(np.max(np.abs(basis @ coeffs - comm.reshape(-1))))
+            const_err = max(abs(coeffs[k] - float(c[i][j][k] - c[j][i][k])) for k in range(3))
+            if max(resid, const_err) > max(max_resid, max_const_err):
+                worst = (i + 1, j + 1)
+            max_resid = max(max_resid, resid)
+            max_const_err = max(max_const_err, const_err)
+    return TangentReport(fam.name, gen_err, max_resid, max_const_err, worst)

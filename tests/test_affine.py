@@ -10,9 +10,11 @@ from lsa.affine import (
     FAMILIES,
     FAMILY_NAMES,
     AffineMap3,
+    ClosureReport,
     FamilySpec,
     GroupFamily,
     _first_close_pair,
+    _gauss_newton_match,
     _orbit_jacobians,
     affine_rep,
     build_family,
@@ -39,12 +41,15 @@ from affine_reference import (
     SPECIAL_BRANCHES,
     SPECIAL_FUNCTIONS,
     SPECIAL_ZERO_VALUES,
+    check_closure_reference,
     check_simply_transitive_reference,
     closed_reference,
     expm4,
     first_close_pair_reference,
+    gauss_newton_match_reference,
     newton_invert_orbit_reference,
     phi_partial_sum,
+    tangent_reference,
 )
 
 
@@ -283,21 +288,63 @@ def test_legacy_d32_not_closed():
 
 
 def test_gauss_newton_fallback_stops_when_steps_stagnate():
-    """On D32-legacy composites the fit stops at the first step that does
-    not lower the residual, long before its 60 steps, and reports the best
-    point it saw; every pair still fails."""
-    from lsa.affine import _gauss_newton_match
-
+    """On D32-legacy composites every fit of the lock-step batch stops at
+    the first step that does not lower its residual, long before its 60
+    steps, and reports the best point it saw; every pair still fails.  Each
+    fit equals its one-target oracle."""
     fam = legacy_d32_family()
-    for p1, p2 in sample_parameter_pairs(random.Random(7), 10):
-        target = fam.element(*p1).compose(fam.element(*p2))
-        start = np.stack(fam.recover(target))
-        x, resid = _gauss_newton_match(fam, target, start)
-        assert resid == map_distance(fam.element(*x), target)
-        assert 1e-9 < resid <= map_distance(fam.element(*start), target)
-        # stagnation, not the step cap, ends each fit
-        _, capped = _gauss_newton_match(fam, target, start, iters=15)
-        assert capped == resid
+    pairs = np.array(sample_parameter_pairs(random.Random(7), 10))
+    targets = fam.elements(*pairs[:, 0].T).compose(fam.elements(*pairs[:, 1].T))
+    starts = np.stack(fam.recover(targets), axis=-1)
+    xs, resids = _gauss_newton_match(fam, targets, starts)
+    assert np.array_equal(resids, map_distance(fam.elements(*xs.T), targets))
+    assert np.all(1e-9 < resids) and np.all(resids <= map_distance(fam.elements(*starts.T), targets))
+    # stagnation, not the step cap, ends each fit
+    _, capped = _gauss_newton_match(fam, targets, starts, iters=15)
+    assert np.array_equal(capped, resids)
+    for k, start in enumerate(starts):
+        target = AffineMap3(targets.linear[k], targets.translation[k])
+        assert (tuple(xs[k]), float(resids[k])) == gauss_newton_match_reference(fam, target, start)
+
+
+@pytest.mark.parametrize("seed", (0, 7, 11))
+def test_legacy_closure_equals_the_per_pair_reference(seed):
+    """Every pair misses the closed form and goes to the fallback."""
+    fam = legacy_d32_family()
+    pairs = sample_parameter_pairs(random.Random(seed), 10)
+    report = check_closure(fam, pairs)
+    assert report == check_closure_reference(fam, pairs)
+    assert report.newton_fallbacks == len(report.failures) == 10
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_closure_equals_the_per_pair_reference(name):
+    fam = build_family(name, **FAMILIES[name].defaults)
+    pairs = sample_parameter_pairs(random.Random(11), 50)
+    assert check_closure(fam, pairs) == check_closure_reference(fam, pairs)
+
+
+def test_closure_edge_cases_equal_the_per_pair_reference():
+    fam = build_family("A30")
+    assert check_closure(fam, []) == check_closure_reference(fam, []) == ClosureReport("A30", 0, 0.0, 0, [])
+    # a closed family of translations whose recover misses by a^2 where the
+    # composite's a is positive and is NaN where it is not: every pair goes
+    # to the fallback, some from the recovered point and some from p1 + p2
+    crude = GroupFamily(
+        "crude",
+        FamilySpec(
+            "zero",
+            lambda x, a, b, c: ({}, (a, b + a * a, c)),
+            lambda x, lin, t: (t[0], t[1] + 0 * x.log(t[0]), t[2]),
+        ),
+        {},
+    )
+    pairs = sample_parameter_pairs(random.Random(3), 20)
+    report = check_closure(crude, pairs)
+    assert report == check_closure_reference(crude, pairs)
+    assert report.ok and report.newton_fallbacks == 20
+    broken = sum(p1[0] + p2[0] <= 0 for p1, p2 in pairs)
+    assert 0 < broken < 20
 
 
 # --- simple transitivity --------------------------------------------------
@@ -433,23 +480,20 @@ def test_non_injective_family_witness_equals_the_oracle(translation):
     assert report.newton_failures == 20
 
 
-HALF_CELL = 2.0**-29  # the injectivity grids' walls lie on its multiples
-
-
-def planted_cloud(seed, separations, kinds=("corner", "axis")):
+def planted_cloud(seed, separations, kinds=("oblique", "axis")):
     """200 scattered points and, at each separation, a planted pair of each
-    kind: one straddling a corner where walls cross in all three axes, one
-    along an axis, centred a quarter of HALF_CELL past a wall; shuffled."""
+    kind: one along a random direction, one along a coordinate axis;
+    shuffled."""
     rng = np.random.default_rng(seed)
     points = [rng.uniform(-5, 5, (200, 3))]
     for sep in separations:
-        if "corner" in kinds:
-            corner = HALF_CELL * rng.integers(-(2**31), 2**31, 3)
+        if "oblique" in kinds:
             direction = rng.normal(size=3)
-            points.append([corner + sign * sep / 2 * direction / np.linalg.norm(direction) for sign in (-1, 1)])
+            centre = rng.uniform(-5, 5, 3)
+            points.append([centre + sign * sep / 2 * direction / np.linalg.norm(direction) for sign in (-1, 1)])
         if "axis" in kinds:
-            centre = HALF_CELL * (rng.integers(-(2**31), 2**31, 3) + 0.25)
             axis = np.eye(3)[rng.integers(3)]
+            centre = rng.uniform(-5, 5, 3)
             points.append([centre + sign * sep / 2 * axis for sign in (-1, 1)])
     cloud = np.vstack(points)
     return cloud[rng.permutation(len(cloud))]
@@ -461,13 +505,12 @@ def test_close_pair_search_equals_the_full_matrix(seed):
     assert _first_close_pair(injective) is first_close_pair_reference(injective) is None
     close = planted_cloud(seed, [1.1e-9] * 3 + [0.9e-9, 0.99999e-9])
     assert _first_close_pair(close) == first_close_pair_reference(close) is not None
-    for sep, kind in itertools.product((0.9e-9, 0.99999e-9), ("corner", "axis")):
+    for sep, kind in itertools.product((0.9e-9, 0.99999e-9), ("oblique", "axis")):
         single = planted_cloud(seed, [sep], kinds=(kind,))
         assert _first_close_pair(single) == first_close_pair_reference(single) is not None, (sep, kind)
-    # three points in one cell of every grid, listed so that the closest
-    # pair is not adjacent in the cell: every pair of a cell is compared
-    base = HALF_CELL * (np.floor(injective[0] / HALF_CELL) + 0.25)
-    cell = base + np.outer([0.0, 0.8e-9, 0.1e-9], np.ones(3) / 3**0.5)
+    # three points within one window on every axis, listed so that the
+    # closest pair is not adjacent: every candidate pair is measured
+    cell = injective[0] + 0.25 + np.outer([0.0, 0.8e-9, 0.1e-9], np.ones(3) / 3**0.5)
     clustered = np.vstack([injective, cell])
     n = len(injective)
     assert _first_close_pair(clustered) == first_close_pair_reference(clustered) == (n, n + 2)
@@ -522,6 +565,27 @@ def test_tangent_all_families():
         spec = FAMILIES[fam.name]
         report = check_tangent_algebra(fam, make_lsa(spec.catalog_name, **spec.defaults))
         assert report.ok, (fam.name, report)
+
+
+TANGENT_CASES = [(name, FAMILIES[name].defaults) for name in FAMILY_NAMES] + [
+    ("D31", {"mu": Fraction(-1, 2)}),
+    ("C3t", {"t": Fraction(-1)}),
+    ("C3t", {"t": Fraction(1, 2)}),
+    ("E3", {"zeta": Fraction(1, 2)}),
+    ("E3", {"zeta": Fraction(2)}),
+]
+
+
+@pytest.mark.parametrize(
+    "name, params", TANGENT_CASES, ids=[f"{n}-{'-'.join(map(str, p.values()))}" for n, p in TANGENT_CASES]
+)
+def test_tangent_report_equals_the_nine_pair_reference(name, params):
+    fam = build_family(name, **params)
+    algebra = make_lsa(FAMILIES[name].catalog_name, **params)
+    report = check_tangent_algebra(fam, algebra)
+    expected = tangent_reference(fam, algebra)
+    assert report == expected
+    assert report.worst_pair == expected.worst_pair is not None
 
 
 def test_verify_family_report():

@@ -674,6 +674,24 @@ def test_affine_verify_command(capsys):
     assert data["notes"][0]["max_closure_residual"] > 1e-3
 
 
+@pytest.mark.parametrize("seed", ["0", "7", "13"])
+def test_affine_verify_bytes_equal_the_one_at_a_time_checks(seed, monkeypatch, capsys):
+    """The batched closure, transitivity and tangent checks print the bytes
+    of their one-at-a-time oracles.  The digest itself (fd25c186d624 at seed
+    7) depends on numpy and libm, so it is not pinned here."""
+    from lsa import affine
+
+    from affine_reference import check_closure_reference, check_simply_transitive_reference, tangent_reference
+
+    assert main(["affine-verify", "--json", "--seed", seed]) == 0
+    batched = capsys.readouterr().out
+    monkeypatch.setattr(affine, "check_closure", check_closure_reference)
+    monkeypatch.setattr(affine, "check_simply_transitive", check_simply_transitive_reference)
+    monkeypatch.setattr(affine, "check_tangent_algebra", tangent_reference)
+    assert main(["affine-verify", "--json", "--seed", seed]) == 0
+    assert capsys.readouterr().out == batched
+
+
 def test_main_builds_the_parser_once(n30_file, monkeypatch, capsys):
     cli.build_parser.cache_clear()
     progs = []
