@@ -11,7 +11,6 @@ from .algebra import (
     find_ideals_dim_le3,
     identify_lie_algebra,
     is_complete,
-    is_derivation_algebra,
     is_novikov,
     is_solvable,
     is_two_sided_ideal,
@@ -21,7 +20,6 @@ from .algebra import (
     milnor_normal_form,
     multiply,
     right_mult,
-    satisfies_s,
 )
 from .extensions import (
     BimoduleAction,

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, _basis, check_left_symmetric, left_mult
+from .algebra import Algebra, _basis, _basis_mults, check_left_symmetric
 from .catalog import ENTRIES, ParameterError, validate_params
 from .linalg import QMatrix, Vec, frac
 
@@ -205,7 +205,7 @@ def affine_rep(a: Algebra) -> AffRep:
         raise ValueError(
             "affine representation is not a homomorphism; input is not left-symmetric"
         )
-    return AffRep(tuple((left_mult(a, x), x) for x in _basis(a)))
+    return AffRep(tuple(zip(_basis_mults(a)[0], _basis(a))))
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +456,9 @@ def build_family(name: str, **params) -> GroupFamily:
     try:
         exact = {k: frac(v) for k, v in params.items()}
         validate_params(spec.catalog_name, exact)
-    except (ValueError, OverflowError) as err:  # a constraint, or a NaN or infinite parameter
+        floats = {k: float(v) for k, v in exact.items()}
+    except (ValueError, OverflowError) as err:  # a constraint, a NaN or infinite parameter, or one past float range
         raise ParameterError(f"family {name}: {err}") from err
-    floats = {k: float(v) for k, v in exact.items()}
     return GroupFamily(name, spec, floats)
 
 

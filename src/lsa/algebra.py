@@ -489,16 +489,6 @@ def is_novikov(a: Algebra) -> bool:
     return first_failure(a, "N").ok
 
 
-def is_derivation_algebra(a: Algebra) -> bool:
-    """D: (x*y)*z = (z*y)*x."""
-    return first_failure(a, "D").ok
-
-
-def satisfies_s(a: Algebra) -> bool:
-    """S: [x,y]*z = 0."""
-    return first_failure(a, "S").ok
-
-
 def flag_witnesses(a: Algebra) -> dict[str, tuple[int, int, int] | str]:
     """For each of N/D/S, the first failing basis triple (1-based) or
     ALL_PASS, from one ``TripleTable``."""
@@ -511,8 +501,8 @@ def witnesses_of(checks: Mapping[str, IdentityCheck]) -> dict[str, tuple[int, in
 
 
 def ndsflags(a: Algebra) -> tuple[bool, bool, bool]:
-    """The N/D/S flags, read off ``flag_witnesses``."""
-    return tuple(w == ALL_PASS for w in flag_witnesses(a).values())
+    """The N/D/S flags, from one ``TripleTable``."""
+    return tuple(check.ok for check in first_failures(a, "NDS").values())
 
 
 def center(a: Algebra) -> Subspace:
@@ -680,9 +670,8 @@ def milnor_normal_form(lie: Algebra) -> MilnorForm:
         raise NotInScopeError("kernel of the trace form is not abelian")
     i, tr = next((i, t) for i, t in enumerate(trace_row) if t != 0)
     e1 = vec_scale(Fraction(2) / tr, _basis(lie)[i])
+    # [e1, U] lies in [g, g], and [g, g] lies in U (tr ad_[x,y] = 0), so D exists
     d = _restricted([multiply(lie, e1, u) for u in (u1, u2)], [u1, u2])
-    if d is None:
-        raise NotInScopeError("trace-form kernel is not ad_e1 invariant")
     assert d.trace() == 2
     det_d = d.rows[0][0] * d.rows[1][1] - d.rows[0][1] * d.rows[1][0]
     return MilnorForm(d, (e1, u1, u2), det_d)

@@ -61,10 +61,10 @@ def _yesno(b: bool) -> str:
 
 
 def _declared_dim(data) -> int:
-    """The integer ``dim`` an algebra object declares, else 0 (the JSON
-    reader refuses it later)."""
+    """The integer ``dim`` an algebra object declares, at least 0, else 0
+    (the JSON reader refuses a negative or missing one later)."""
     dim = data.get("dim") if isinstance(data, dict) else None
-    return dim if isinstance(dim, int) else 0
+    return max(dim, 0) if isinstance(dim, int) else 0
 
 
 def _load_algebra(path: str, command: str):

@@ -278,18 +278,12 @@ def rank(m: QMatrix) -> int:
 
 
 def nullspace_basis(m: QMatrix) -> list[Vec]:
-    """Basis of {v : m v = 0}; one vector per free column of the RREF."""
-    red, pivots = rref(m)
-    ncols = m.ncols
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis: list[Vec] = []
-    for fc in free_cols:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red.rows[r][fc]
-        basis.append(tuple(v))
+    """Basis of {v : m v = 0}; one vector per free column of the RREF,
+    ``_int_nullspace``'s vector scaled to 1 there (its last nonzero entry)."""
+    basis = []
+    for v in _int_nullspace([_cleared([row])[1][0] for row in m.rows], m.ncols):
+        free = next(x for x in reversed(v) if x)
+        basis.append(tuple(Fraction(x, free) for x in v))
     return basis
 
 

@@ -432,6 +432,28 @@ def test_huge_declared_extension_never_reaches_the_tensor(tmp_path, monkeypatch,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["h2", "extend"])
+def test_negative_declared_dimension_cannot_offset_the_guard(tmp_path, monkeypatch, capsys, command):
+    """A negative declared dim counts as 0, so K = R^12 with V of dim -10
+    is refused before any structure tensor is built."""
+    built = []
+    from_entries = Algebra.from_entries.__func__
+
+    def spy(cls, *args, **kwargs):
+        built.append(args)
+        return from_entries(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Algebra, "from_entries", classmethod(spy))
+    data = _zero_extension(12)
+    data["V"]["dim"] = -10
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(data))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {command} handles dim K + dim V <= {CHECK_MAX_DIM} only, got 12\n"
+    assert captured.out == "" and built == []
+
+
 def test_h2_dimension_limit(tmp_path):
     """``h2`` refuses K = R^12 with V = R (28 s of work without the bound,
     2-vCPU host) within 5 s, and still takes dim K + dim V = CHECK_MAX_DIM."""
@@ -586,6 +608,15 @@ def test_affine_sample_refuses_non_finite_point_under_python_O():
 def test_affine_sample_constraint(capsys):
     assert main(["affine-sample", "--family", "D31", "--params", "mu=1"]) == 2
     assert "constraint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family, param", [("E3", "zeta=1e400"), ("C3t", "t=1e400")])
+def test_affine_sample_parameter_past_float_range_exit_2(capsys, family, param):
+    """An admissible exact parameter too large for a float is an input error."""
+    assert main(["affine-sample", "--family", family, "--params", param]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: family {family}:") and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_affine_sample_refuses_a_repeated_parameter(capsys):

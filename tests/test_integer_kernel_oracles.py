@@ -1,12 +1,15 @@
 """Oracles for the integer kernels.
 
-``rref``, ``char_poly``, ``is_nilpotent`` and the identity engine
-``failures`` clear denominators once and run on ints.  The oracles below are
-the earlier kernels on ``Fraction`` scalars: Gauss-Jordan elimination with a
-division per entry, Faddeev-LeVerrier on the rational matrix, nilpotency read
-off the characteristic polynomial, and the basis-triple scan on the rational
-tensor.  Old and new must agree exactly, witnesses and both sides included,
-on random rational inputs with large denominators.
+``rref``, ``nullspace_basis``, ``char_poly``, ``is_nilpotent`` and the
+identity engine ``failures`` clear denominators once and run on ints.  The
+oracles below are the earlier kernels on ``Fraction`` scalars: Gauss-Jordan
+elimination with a division per entry, the nullspace read off that RREF,
+Faddeev-LeVerrier on the rational matrix, nilpotency read off the
+characteristic polynomial, and the basis-triple scan on the rational tensor.
+Old and new must agree exactly, witnesses and both sides included, on random
+rational inputs with large denominators.  The operator spans, once a
+fingerprint component, are kept as the oracle of the rank-nullity identity
+that replaced them.
 """
 import itertools
 import random
@@ -18,18 +21,22 @@ from lsa.algebra import (
     IDENTITIES,
     Algebra,
     IdentityCheck,
+    Subspace,
     conjugated,
     failures,
     first_failure,
     first_failures,
+    left_mult,
     lie_algebra_of,
     multiply,
+    right_mult,
 )
-from lsa.catalog import catalog_lsas, fixtures
+from lsa.catalog import _annihilator_dims, catalog_lsas, fixtures
 from lsa.linalg import (
     QMatrix,
     char_poly,
     is_nilpotent,
+    nullspace_basis,
     random_invertible,
     rref,
     unit_vec,
@@ -65,6 +72,20 @@ def fraction_rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
         if r == nrows:
             break
     return QMatrix(rows), tuple(pivots)
+
+
+def fraction_nullspace(m: QMatrix) -> list[tuple[Fraction, ...]]:
+    """One vector per free column of ``fraction_rref``: 1 there, minus the
+    pivot rows' entries of that column at the pivots, 0 elsewhere."""
+    red, pivots = fraction_rref(m)
+    basis = []
+    for f in (c for c in range(m.ncols) if c not in pivots):
+        v = [Fraction(0)] * m.ncols
+        v[f] = Fraction(1)
+        for row, c in zip(red.rows, pivots):
+            v[c] = -row[f]
+        basis.append(tuple(v))
+    return basis
 
 
 def fraction_char_poly(m: QMatrix) -> list[Fraction]:
@@ -175,6 +196,12 @@ def test_rref_matches_fraction_oracle(m):
 
 
 @SETTINGS
+@given(st.one_of(matrices(), rank_deficient()))
+def test_nullspace_matches_fraction_oracle(m):
+    assert nullspace_basis(m) == fraction_nullspace(m)
+
+
+@SETTINGS
 @given(st.one_of(matrices(square=True), rank_deficient(square=True), conjugated_nilpotents()))
 def test_char_poly_and_nilpotency_match_fraction_oracle(m):
     assert char_poly(m) == fraction_char_poly(m)
@@ -248,3 +275,22 @@ def test_one_table_answers_every_identity(a):
     assert first_failures(a, reversed(IDENTITIES)) == alone
     for identity in IDENTITIES:
         assert list(failures(a, identity)) == list(fraction_failures(a, identity)), identity
+
+
+def operator_spans(a: Algebra) -> tuple[int, int]:
+    """(dim span{L_x}, dim span{R_x}) in the space of n x n matrices, each
+    operator built from ``multiply``."""
+    basis = [unit_vec(a.dim, i) for i in range(a.dim)]
+    return tuple(
+        Subspace.from_spanning(a.dim**2, [tuple(x for row in mult(a, e).rows for x in row) for e in basis]).dim
+        for mult in (left_mult, right_mult)
+    )
+
+
+@SETTINGS
+@given(st.one_of(rational_tensors(), catalog_in_random_bases()))
+def test_annihilators_give_the_operator_spans(a):
+    """L_x = 0 iff x*A = 0 and R_x = 0 iff A*x = 0, so by rank-nullity the
+    operator spans are the dimension minus the annihilators."""
+    left_annihilator, right_annihilator = _annihilator_dims(a)
+    assert (a.dim - left_annihilator, a.dim - right_annihilator) == operator_spans(a)
