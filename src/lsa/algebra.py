@@ -17,11 +17,12 @@ from .linalg import (
     Vec,
     _cleared,
     _echelon_rows,
+    _int_char_poly,
+    _int_matmul,
     _int_nullspace,
     _int_rref,
     _nilpotent_ints,
     _primitive,
-    char_poly,
     frac,
     nullspace_basis,
     quotient_basis,
@@ -230,11 +231,13 @@ def _two_sided_products(a: Algebra, vectors: Sequence[Vec]) -> list[Vec]:
     return [p for w in vectors for x in e for p in (multiply(a, x, w), multiply(a, w, x))]
 
 
-def _restricted(images: Sequence[Vec], basis: Sequence[Vec]) -> QMatrix | None:
+def _restricted(images: Sequence[Vec], basis: Sequence[Vec]) -> QMatrix:
     """The matrix, in ``basis``, of the map basis[j] -> images[j], from one
-    solve; None if an image leaves span(basis)."""
+    solve; ValueError if an image leaves span(basis)."""
     cols = solve(QMatrix.from_cols(basis), images)
-    return None if cols is None else QMatrix.from_cols(cols)
+    if cols is None:
+        raise ValueError("an image leaves the span of the basis")
+    return QMatrix.from_cols(cols)
 
 
 def _basis_mults(a: Algebra) -> tuple[list[QMatrix], list[QMatrix]]:
@@ -466,8 +469,9 @@ def is_complete(a: Algebra) -> bool:
     - c_k(x) = (sum(x) / n)^k c_k(n x / sum(x)) by homogeneity, so c_k
       vanishes wherever sum(x) != 0, a dense set, hence identically.
 
-    Segal's criterion (complete iff tr R_x = 0 for all x) is not used: it
-    holds only for left-symmetric algebras, and this decides any algebra.
+    This decides any algebra.  On input already known to be left-symmetric
+    the callers decide by traces instead (``_complete_by_traces``), and
+    run this lattice only on input that fails left symmetry.
 
     Scaling keeps nilpotency, so each R_x is built from the integer tensor
     d c, cleared once: R_x[k][j] = sum_i x_i c[j][i][k].
@@ -482,6 +486,20 @@ def is_complete(a: Algebra) -> bool:
         )
         for point in _compositions(n, n)
     )
+
+
+def _complete_by_traces(a: Algebra) -> bool:
+    """Completeness of a left-symmetric algebra, by Helmstetter's and
+    Segal's theorem: a left-symmetric algebra is complete (every R_x
+    nilpotent) iff tr R_x = 0 for every x.  tr R_x is linear in x, so this
+    is tr R_ei = sum_j c[j][i][j] = 0 for every i.
+
+    The theorem holds only for left-symmetric input: e1*e1 = e1,
+    e2*e1 = -e2 has tr R_x = 0 for every x, but R_e1 = diag(1, -1) is not
+    nilpotent.  ``is_complete`` decides every other algebra.
+    """
+    n = a.dim
+    return all(sum(a.c[j][i][j] for j in range(n)) == 0 for i in range(n))
 
 
 def is_novikov(a: Algebra) -> bool:
@@ -584,36 +602,41 @@ def find_ideals_dim_le3(a: Algebra) -> list[Subspace]:
       ker(w^T) = {y : w.y = 0} is an ideal: w.(M y) = (M^T w).y = lam w.y
       vanishes on it for each operator M.
 
-    The joint eigenspaces come from ``_refine`` on the operators cleared to
-    integers.  An operator's spectrum, by rational-root enumeration, is
-    computed only when a branch of dimension >= 2 reaches it, and at most
-    once: the transposes share it (char_poly(M^T) = char_poly(M)).  An
-    operator without a rational eigenvalue thus leaves no joint eigenspace,
-    and the answer is empty.  Multidimensional joint eigenspaces are
-    reported through their reduced-echelon basis vectors.  Irrational
-    eigendata is out of reach by design, so an empty answer means "no
-    rational ideal found", never "simple".
+    The joint eigenspaces come from ``_refine`` on the operators, read off
+    one integer tensor d c (``_cleared`` once): the columns of d L_ei and
+    d R_ei are its rows d e_i*e_j and d e_j*e_i.  An operator's spectrum,
+    the rational roots of the integer characteristic polynomial of d M
+    divided by d, is computed only when a branch of dimension >= 2 reaches
+    it, and at most once: the transposes share it (char_poly(M^T) =
+    char_poly(M)).  An operator without a rational eigenvalue thus leaves
+    no joint eigenspace, and the answer is empty.  Multidimensional joint
+    eigenspaces are reported through their reduced-echelon basis vectors.
+    Irrational eigendata is out of reach by design, so an empty answer
+    means "no rational ideal found", never "simple".
     """
     if a.dim > 3:
         raise ValueError("ideal search is implemented for dim <= 3 only")
     if a.dim <= 1:
         return []
-    lefts, rights = _basis_mults(a)
-    mats = [*lefts, *rights]
+    n = a.dim
+    d, rows = _cleared(v for plane in a.c for v in plane)
+    # the columns of d L_ei and of d R_ei: rows[i n + j] = d e_i*e_j
+    columns = [[rows[i * n + j] for j in range(n)] for i in range(n)]
+    columns += [[rows[j * n + i] for j in range(n)] for i in range(n)]
+    ops = [(d, [list(r) for r in zip(*cols)]) for cols in columns]
     spectra: dict[int, list[Fraction]] = {}
 
     def spectrum(k: int) -> list[Fraction]:
         if k not in spectra:
-            spectra[k] = rational_roots(char_poly(mats[k]))
+            spectra[k] = [root / d for root in rational_roots(_int_char_poly(ops[k][1]))]
         return spectra[k]
 
-    ops = [_cleared(m.rows) for m in mats]
     # a reduced-echelon row is already the canonical basis of its line
     found = [Subspace(a.dim, (v,)) for v in _joint_eigenvectors(ops, spectrum)]
     if a.dim == 3:
         found += {
             Subspace.from_spanning(3, nullspace_basis(QMatrix([w])))
-            for w in _joint_eigenvectors([(d, [list(c) for c in zip(*dm)]) for d, dm in ops], spectrum)
+            for w in _joint_eigenvectors([(d, cols) for cols in columns], spectrum)
         }
     found.sort(key=lambda s: (s.dim, s.basis))
     return found
@@ -644,14 +667,9 @@ def is_solvable(lie: Algebra) -> bool:
     return True
 
 
-def milnor_normal_form(lie: Algebra) -> MilnorForm:
-    """Adapted basis (e1, u1, u2) with U = ker(x -> tr ad_x) abelian and
-    tr(ad_e1 | U) = 2; returns ad_e1 restricted to U and its determinant.
-
-    e1 is the first standard basis vector outside U, i.e. the first e_i with
-    tr ad_ei != 0, scaled by 2 / tr ad_ei; the echelon basis of U makes the
-    construction deterministic.
-    """
+def _nonzero_trace_row(lie: Algebra) -> list[Fraction]:
+    """The trace row of a 3D Lie algebra (``_require_lie`` first), refused
+    with NotInScopeError where it vanishes, i.e. on unimodular input."""
     _require_lie(lie)
     if lie.dim != 3:
         raise ValueError("Milnor normal form requires dimension 3")
@@ -663,14 +681,25 @@ def milnor_normal_form(lie: Algebra) -> MilnorForm:
         # A nonzero trace row therefore already implies solvable.  A 3D g
         # with [g, g] != g is solvable, as [g, g] of dim <= 2 is.
         raise NotInScopeError(f"Lie algebra is {'unimodular' if product_span(lie).dim < 3 else 'not solvable'}")
-    u_space = Subspace.from_spanning(3, nullspace_basis(QMatrix([trace_row])))
-    assert u_space.dim == 2
-    u1, u2 = u_space.basis
-    if not vec_is_zero(multiply(lie, u1, u2)):
-        raise NotInScopeError("kernel of the trace form is not abelian")
+    return trace_row
+
+
+def milnor_normal_form(lie: Algebra) -> MilnorForm:
+    """Adapted basis (e1, u1, u2) with U = ker(x -> tr ad_x) abelian and
+    tr(ad_e1 | U) = 2; returns ad_e1 restricted to U and its determinant.
+
+    e1 is the first standard basis vector outside U, i.e. the first e_i with
+    tr ad_ei != 0, scaled by 2 / tr ad_ei; the echelon basis of U makes the
+    construction deterministic.
+    """
+    trace_row = _nonzero_trace_row(lie)
+    # U is abelian: for u in U, ad_u maps g into [g, g], which lies in U
+    # (tr ad_[x,y] = 0), so tr(ad_u | U) = tr ad_u = 0; a unimodular 2D Lie
+    # algebra is abelian
+    u1, u2 = Subspace.from_spanning(3, nullspace_basis(QMatrix([trace_row]))).basis
     i, tr = next((i, t) for i, t in enumerate(trace_row) if t != 0)
     e1 = vec_scale(Fraction(2) / tr, _basis(lie)[i])
-    # [e1, U] lies in [g, g], and [g, g] lies in U (tr ad_[x,y] = 0), so D exists
+    # [e1, U] lies in [g, g], and [g, g] lies in U, so D exists
     d = _restricted([multiply(lie, e1, u) for u in (u1, u2)], [u1, u2])
     assert d.trace() == 2
     det_d = d.rows[0][0] * d.rows[1][1] - d.rows[0][1] * d.rows[1][0]
@@ -678,29 +707,45 @@ def milnor_normal_form(lie: Algebra) -> MilnorForm:
 
 
 def identify_lie_algebra(lie: Algebra) -> LieTag:
-    """The isomorphism class, read off the Milnor form (``_tag_of_form``)."""
+    """The isomorphism class, from two traces of ad_x, x the first e_i with
+    t = tr ad_x != 0 (the Milnor form's e1 is 2x/t), and ``_tag_of_form``.
+
+    In a basis (x, u1, u2) with U = ker(tr ad) as in ``milnor_normal_form``,
+    ad_x = diag(0, A), A = ad_x | U, and D = (2/t) A.  For a 2x2 matrix
+    det = (tr^2 - tr of the square) / 2, so det D = 2 - 2 tr(ad_x^2) / t^2.
+    D = I iff A = (t/2) I iff ad_x^2 = (t/2) ad_x: if A (A - t/2) = 0 and
+    A != t/2, A has the eigenvalues 0 and t, and A (A - t/2) has t^2/2.
+    No basis of U, solve or restriction is needed.  Both sides are read on
+    the integer matrix B = d ad_x, where they become 2 - 2 tr(B^2) / tr(B)^2
+    and 2 B^2 = tr(B) B.
+    """
     try:
-        form = milnor_normal_form(lie)
+        trace_row = _nonzero_trace_row(lie)
     except NotInScopeError as err:
         return LieTag("not_in_scope", reason=str(err))
-    return _tag_of_form(form)
+    i = next(i for i, t in enumerate(trace_row) if t != 0)
+    # the columns of B are the brackets d [e_i, e_j]
+    b = [list(r) for r in zip(*_cleared(lie.c[i])[1])]
+    b2 = _int_matmul(b, b)
+    t = sum(b[k][k] for k in range(3))
+    det_d = 2 - Fraction(2 * sum(b2[k][k] for k in range(3)), t * t)
+    return _tag_of_form(det_d, all(2 * x == t * y for r2, r in zip(b2, b) for x, y in zip(r2, r)))
 
 
-def _tag_of_form(form: MilnorForm) -> LieTag:
-    """Decide the isomorphism class from det(D) of the Milnor form.
+def _tag_of_form(det_d: Fraction, d_is_identity: bool) -> LieTag:
+    """Decide the isomorphism class from det(D) of the Milnor form and
+    whether D = I.
 
     d = 0 -> G31; d = 1 -> G32 if D = I else G33; d in (0,1) or d < 0 ->
     G34 with 4 mu / (1+mu)^2 = d and |mu| < 1; d > 1 -> G35 with
     zeta = sqrt(d-1).  Parameters of rational-parameter inputs recover
     exactly; otherwise the tag is flagged non-exact.
     """
-    d = form.det_d
+    d = det_d
     if d == 0:
         return LieTag("G31")
     if d == 1:
-        if form.d == QMatrix.identity(2):
-            return LieTag("G32")
-        return LieTag("G33")
+        return LieTag("G32" if d_is_identity else "G33")
     if d > 1:
         z = sqrt_fraction(d - 1)
         if z is not None:

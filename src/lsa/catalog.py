@@ -26,6 +26,7 @@ from .algebra import (
     Subspace,
     _basis,
     _basis_mults,
+    _complete_by_traces,
     _restricted,
     _trace_row,
     _two_sided_products,
@@ -623,14 +624,20 @@ def verify_entry(entry: CatalogEntry, param_samples: Sequence[Mapping[str, Fract
     ``completeness_propagation`` is recomputed only on an incomplete sample;
     the commutators of a left-symmetric algebra form a Lie algebra, so the
     Lie tag costs one Jacobi scan, the one in ``_require_lie``.  Left
-    symmetry and the N/D/S flags are read off one triple table."""
+    symmetry and the N/D/S flags are read off one triple table, and a
+    left-symmetric sample's completeness off its right traces
+    (``_complete_by_traces``): ``is_complete`` runs only on a sample that
+    fails left symmetry."""
     samples_report = []
     hard_failures: list[str] = []
     for params in param_samples:
         a = entry.make(params)
         checks = first_failures(a, ("left_symmetric", *"NDS"))
         ls = checks.pop("left_symmetric")
-        complete = is_complete(a)
+        # Segal's trace criterion decides a left-symmetric sample; ideals and
+        # quotients of a left-symmetric algebra are left-symmetric too
+        decide_complete = _complete_by_traces if ls.ok else is_complete
+        complete = decide_complete(a)
         tag = identify_lie_algebra(lie_algebra_of(a))
         claimed_tag = entry.claimed_tag(params)
         tag_ok = tag == claimed_tag
@@ -641,7 +648,7 @@ def verify_entry(entry: CatalogEntry, param_samples: Sequence[Mapping[str, Fract
         # I and A/I of a complete A are complete: each nilpotent R_y maps the
         # ideal I into I, so it stays nilpotent on I and on A/I.
         propagation_ok = complete or all(
-            is_complete(restriction_to_ideal(a, ideal)) and is_complete(quotient_algebra(a, ideal))
+            decide_complete(restriction_to_ideal(a, ideal)) and decide_complete(quotient_algebra(a, ideal))
             for ideal in ideals
         )
         sample = {

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .algebra import (
     NotInScopeError,
+    _complete_by_traces,
     _tag_of_form,
     check_left_symmetric,
     find_ideals_dim_le3,
@@ -37,14 +38,17 @@ from .jsonio import (
     extension_from_dict,
     load_json_file,
 )
+from .linalg import QMatrix
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 
-# ``check`` decides completeness at C(2n-1, n) nilpotency tests of n x n
-# matrices: 6,435 at n = 8, a few seconds, and each further dimension costs
-# about five to seven times the one before.
+# ``check`` decides the completeness of a left-symmetric input by traces; on
+# input that is not left-symmetric it runs ``is_complete``'s lattice,
+# C(2n-1, n) nilpotency tests of n x n matrices: 6,435 at n = 8, a few
+# seconds, and each further dimension costs about five to seven times the
+# one before.  The limit is for that case.
 CHECK_MAX_DIM = 8
 
 # The largest dimension each command that reads an algebra file takes: the
@@ -100,7 +104,7 @@ def cmd_check(args) -> int:
     a = _load_algebra(args.file, "check")
     checks = first_failures(a, ("left_symmetric", *"NDS"))
     ls = checks["left_symmetric"]
-    complete = is_complete(a)
+    complete = _complete_by_traces(a) if ls.ok else is_complete(a)
     n, d, s = (checks[flag].ok for flag in "NDS")
     if args.json:
         print(
@@ -215,7 +219,7 @@ def cmd_identify(args) -> int:
         tag = f"not_in_scope({err})"
         print(dumps_sorted({"lie_tag": tag}) if args.json else f"lie algebra: {tag}")
         return EXIT_OK
-    tag = _tag_of_form(form)
+    tag = _tag_of_form(form.det_d, form.d == QMatrix.identity(2))
     if args.json:
         print(
             dumps_sorted(

@@ -337,15 +337,21 @@ def char_poly(m: QMatrix) -> list[Fraction]:
     """
     if not m.is_square():
         raise ValueError("characteristic polynomial of non-square matrix")
-    n = m.nrows
     d, b = _cleared(m.rows)
+    return [Fraction(c, d**k) for k, c in enumerate(_int_char_poly(b))]
+
+
+def _int_char_poly(b: list[list[int]]) -> list[int]:
+    """Monic characteristic polynomial of the square integer matrix b,
+    highest degree first, by Faddeev-LeVerrier (see ``char_poly``)."""
+    n = len(b)
     coeffs = [1]
     mk = b
     for k in range(1, n + 1):
         if k > 1:
             mk = _int_matmul(b, [[x + coeffs[-1] * (i == j) for j, x in enumerate(row)] for i, row in enumerate(mk)])
         coeffs.append(-sum(mk[i][i] for i in range(n)) // k)
-    return [Fraction(c, d**k) for k, c in enumerate(coeffs)]
+    return coeffs
 
 
 def det(m: QMatrix) -> Fraction:

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from lsa.algebra import (
     Algebra,
+    _complete_by_traces,
     LieTag,
     NotInScopeError,
     Subspace,
@@ -367,29 +369,48 @@ def _right_traces_vanish(a):
     return all(right_mult(a, unit_vec(a.dim, i)).trace() == 0 for i in range(a.dim))
 
 
+def _direct_sum(a, b):
+    """A + B with A*B = B*A = 0, B's basis after A's."""
+    n = a.dim
+    entries = {(i, j, k): v for i, j, k, v in a.nonzero_products()}
+    entries.update({(i + n, j + n, k + n): v for i, j, k, v in b.nonzero_products()})
+    return Algebra.from_entries(n + b.dim, entries, f"{a.name}+{b.name}")
+
+
 def test_is_complete_agrees_with_segal_trace_criterion():
     # Segal: a left-symmetric algebra is complete iff tr R_x = 0 for all x
     from lsa.catalog import reconstruction_cases
     from lsa.extensions import build_extension
 
+    idempotent = Algebra.from_entries(1, {(1, 1, 1): 1}, "idem")  # incomplete
     lsas = [entry.make(p) for entry in catalog_lsas() for p in entry.default_params]
     # aff_R is a Lie bracket, not a left-symmetric product
-    lsas += [a for a in fixtures().values() if a.dim == 2 and a.name != "aff_R"]
+    small = [a for a in fixtures().values() if a.dim <= 2 and a.name != "aff_R"]
+    lsas += small
     lsas += [build_extension(case.data) for case in reconstruction_cases()]
-    lsas.append(Algebra.from_entries(1, {(1, 1, 1): 1}))  # idempotent, incomplete
-    verdicts = set()
+    lsas.append(idempotent)
+    # direct sums of left-symmetric algebras are left-symmetric: complete
+    # ones in dims 2-4, and incomplete ones with the idempotent in dims 2-4
+    lsas += [_direct_sum(a, b) for a in small for b in small if 2 <= a.dim + b.dim <= 4]
+    lsas += [_direct_sum(a, idempotent) for a in small + lsas[:3]]
+    lsas += [_direct_sum(idempotent, a) for a in small]
+    rng = random.Random(29)
+    lsas += [conjugated(a, random_invertible(rng, a.dim)) for a in lsas]
+    verdicts = Counter()
     for a in lsas:
         assert check_left_symmetric(a).ok, a.name
-        assert is_complete(a) == _right_traces_vanish(a), a.name
-        verdicts.add(is_complete(a))
-    assert verdicts == {True, False}
+        complete = is_complete(a)
+        assert complete == _right_traces_vanish(a) == _complete_by_traces(a), a.name
+        verdicts[complete, a.dim] += 1
+    assert {(False, n) for n in (1, 2, 3, 4)} <= set(verdicts)
+    assert {(True, n) for n in (1, 2, 3, 4)} <= set(verdicts)
 
 
 def test_trace_criterion_fails_off_left_symmetric_algebras():
     # e1.e1 = e1, e2.e1 = -e2: tr R_x = 0 for every x, but R_e1 = diag(1, -1)
     a = Algebra.from_entries(2, {(1, 1, 1): 1, (2, 1, 2): -1})
     assert not check_left_symmetric(a).ok
-    assert _right_traces_vanish(a)
+    assert _right_traces_vanish(a) and _complete_by_traces(a)
     assert not is_complete(a)
 
 

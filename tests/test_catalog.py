@@ -465,6 +465,46 @@ def test_an_audit_decides_each_algebra_once(monkeypatch):
     assert not set(built) & set(fixtures())
 
 
+def _count_lattice_decisions(monkeypatch) -> list:
+    """The algebras ``verify_entry`` hands to ``is_complete``, recorded."""
+    import lsa.catalog
+
+    calls = []
+    original = lsa.catalog.is_complete
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(lsa.catalog, "is_complete", counting)
+    return calls
+
+
+def test_an_audit_decides_completeness_by_traces(monkeypatch):
+    """Every audited sample is left-symmetric, so its completeness is read
+    off its right traces and the lattice of ``is_complete`` never runs."""
+    calls = _count_lattice_decisions(monkeypatch)
+    report = verify_catalog(seed=11, random_samples=5)
+    assert report["ok"]
+    assert calls == []
+
+
+def test_verify_entry_runs_the_lattice_only_off_left_symmetric_samples(monkeypatch):
+    calls = _count_lattice_decisions(monkeypatch)
+    # left-symmetric and incomplete, ideals included: traces only
+    incomplete = CatalogEntry("X", "G31", _ALL, {(1, 1, 1): 1, (1, 2, 2): 1})
+    sample = verify_entry(incomplete, [{}])["samples"][0]
+    assert sample["left_symmetric"] and not sample["complete"]
+    assert not sample["completeness_propagation"]
+    assert calls == []
+    # e1.e1 = e1, e2.e1 = -e2: not left-symmetric, every tr R_x = 0, and
+    # R_e1 = diag(1, -1, 0) is not nilpotent; only the lattice says so
+    off = CatalogEntry("Y", "G31", _ALL, {(1, 1, 1): 1, (2, 1, 2): -1})
+    sample = verify_entry(off, [{}])["samples"][0]
+    assert not sample["left_symmetric"] and sample["complete"] is False
+    assert calls[0] == off.make()
+
+
 def test_fixtures_returns_a_fresh_dict():
     mutated = fixtures()
     expected = dict(mutated)

@@ -14,7 +14,7 @@ import pytest
 
 from ideal_inputs import degenerate_inputs, file_command_inputs
 from lsa.algebra import Algebra, conjugated
-from lsa.catalog import case1_n2_central, case3_square_kernel, make_lsa
+from lsa.catalog import case1_n2_central, case3_square_kernel, fixtures, make_lsa
 from lsa import cli, jsonio
 from lsa.cli import CHECK_MAX_DIM, MAX_DIM, main
 from lsa.jsonio import (
@@ -271,6 +271,30 @@ def test_identify_command(n30_file, capsys):
     assert "det D = 0" in out and "G31" in out
 
 
+@pytest.mark.parametrize("name, lattice_runs, verdict", [
+    ("N30", 0, "left-symmetric: yes; complete: yes"),
+    ("D32", 0, "left-symmetric: yes; complete: yes"),
+    ("idem", 0, "left-symmetric: yes; complete: no"),
+    ("aff_R", 1, "left-symmetric: no (fails at basis triple (1, 2, 1)); complete: no"),
+])
+def test_check_runs_the_lattice_only_off_left_symmetric_input(tmp_path, monkeypatch, capsys, name, lattice_runs, verdict):
+    algebras = {**fixtures(), "idem": Algebra.from_entries(1, {(1, 1, 1): 1})}
+    a = algebras[name] if name in algebras else make_lsa(name)
+    path = tmp_path / "a.json"
+    path.write_text(dumps_sorted(algebra_to_dict(a)))
+    calls = []
+    original = cli.is_complete
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(cli, "is_complete", counting)
+    main(["check", str(path)])
+    assert capsys.readouterr().out.startswith(verdict + ";")
+    assert len(calls) == lattice_runs
+
+
 def test_identify_builds_one_milnor_form(n30_file, monkeypatch, capsys):
     import lsa.algebra
     import lsa.cli
@@ -343,11 +367,14 @@ def test_ideals_with_a_huge_eigenvalue_finish(tmp_path):
     assert outputs[0] == outputs[1] == {"count": 1, "ideals": [{"dim": 1, "basis": [["0", "1"]]}]}
 
 
-def truncated_polynomials(n: int) -> Algebra:
+def truncated_polynomials(n: int, extra=None) -> Algebra:
     """x R[x] / x^(n+1) R[x] in a random unitriangular basis: commutative,
     associative (hence left-symmetric) and nilpotent (hence complete), with
-    e_i*e_j in span(e_k : k >= i + j) and every such coefficient filled."""
-    a = Algebra.from_entries(n, {(i, j, i + j): 1 for i in range(1, n) for j in range(1, n - i + 1)})
+    e_i*e_j in span(e_k : k >= i + j) and every such coefficient filled.
+    ``extra`` adds products {(i, j, k): coefficient} before the change of
+    basis; with k > max(i, j) every R_x stays nilpotent."""
+    entries = {(i, j, i + j): 1 for i in range(1, n) for j in range(1, n - i + 1)}
+    a = Algebra.from_entries(n, {**entries, **(extra or {})})
     rng = random.Random(3)
     p = [[Fraction(rng.randint(1, 3), rng.randint(1, 4)) if i > j else int(i == j) for j in range(n)] for i in range(n)]
     return conjugated(a, QMatrix(p))
@@ -372,6 +399,18 @@ def test_check_dimension_limit(tmp_path):
     decided = check(CHECK_MAX_DIM)
     assert decided.returncode == 0, decided.stderr
     assert decided.stdout == "left-symmetric: yes; complete: yes; N D S: yes yes yes\n"
+
+
+def test_check_runs_the_lattice_at_the_largest_dimension(tmp_path, capsys):
+    """Completeness of a left-symmetric input is read off its traces; the
+    dimension limit is for input that is not left-symmetric, which ``check``
+    still decides with the lattice of ``is_complete``."""
+    path = tmp_path / "poly8.json"
+    # e1*e2 = e3 + e4 but e2*e1 = e3: complete, not left-symmetric
+    path.write_text(dumps_sorted(algebra_to_dict(truncated_polynomials(CHECK_MAX_DIM, {(1, 2, 4): 1}))))
+    assert main(["check", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("left-symmetric: no (fails at basis triple ") and "; complete: yes;" in out
 
 
 @pytest.mark.parametrize("command", sorted(MAX_DIM))

@@ -7,10 +7,11 @@ computed in one place.  The oracles below are the earlier per-caller forms:
 traces of ``left_mult`` matrices, the per-vector span of P*A + A*P, the
 restriction through full ``left_mult``/``right_mult`` matrices, the
 unit-cocycle loop of ``h2``, the antisymmetry loop, the separate exact and
-float mu loops, and the loop body of ``Cocycle2.of``.  Old and new must agree
-on seeded random algebras, on catalog entries and Lie families in random
-rational bases, and on random cocycles, non-ideals, non-Lie inputs and
-irrational mu included.
+float mu loops, and the loop body of ``Cocycle2.of``; the Lie tag read off
+two traces of one ad_ei has the tag of the full Milnor form as its oracle.
+Old and new must agree on seeded random algebras, on catalog entries and Lie
+families in random rational bases, and on random cocycles, non-ideals,
+non-Lie inputs and irrational mu included.
 """
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from lsa.algebra import (
     Algebra,
     LieTag,
     MilnorForm,
+    NotInScopeError,
     Subspace,
     _first_asymmetry,
     _restricted,
@@ -28,6 +30,7 @@ from lsa.algebra import (
     _trace_row,
     _two_sided_products,
     conjugated,
+    identify_lie_algebra,
     is_lie_algebra,
     is_unimodular,
     left_mult,
@@ -317,7 +320,8 @@ def test_restricted_matrix_maps_the_basis_to_the_images(seed):
             # one image outside the span
             outside = random_vector(rng, n)
             if rank(QMatrix.from_cols([*basis, outside])) > len(basis):
-                assert _restricted([*images[:-1], outside], basis) is None
+                with pytest.raises(ValueError):
+                    _restricted([*images[:-1], outside], basis)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -392,7 +396,7 @@ def test_tag_of_form_equals_the_separate_exact_and_float_loops():
         forms.append(MilnorForm(d, (), (1 + F(a)) * (1 - F(a)) - F(b) * F(c)))
     kinds = set()
     for form in forms:
-        tag = outcome(_tag_of_form, form)
+        tag = outcome(lambda f: _tag_of_form(f.det_d, f.d == QMatrix.identity(2)), form)
         assert tag == outcome(oracle_tag_of_form, form), form.det_d
         kinds.add((tag.kind, tag.exact))
     assert {("G34", True), ("G34", False), ("G35", True), ("G35", False), ("G31", True),
@@ -455,3 +459,66 @@ def test_h2_equals_the_unit_cocycle_loop(seed):
         assert delta2_is_zero(action, g) == all(x == 0 for x in flat)
         for rep in res.representatives:
             assert delta2_is_zero(action, rep)
+
+
+# --- Lie tag from traces ----------------------------------------------------
+
+
+def tag_of_milnor_form(lie):
+    """The tag of the full Milnor form: D's determinant and D == I."""
+    try:
+        form = milnor_normal_form(lie)
+    except NotInScopeError as err:
+        return LieTag("not_in_scope", reason=str(err))
+    return _tag_of_form(form.det_d, form.d == QMatrix.identity(2))
+
+
+def lie_of_d(d):
+    """[e1, e2] = D e2 and [e1, e3] = D e3 in coordinates (e2, e3), [e2, e3] = 0."""
+    return Algebra.from_brackets(3, {(1, 2): {2: d[0][0], 3: d[1][0]}, (1, 3): {2: d[0][1], 3: d[1][1]}})
+
+
+UNIMODULAR = {
+    "abelian": {},
+    "heisenberg": {(2, 3): {1: 1}},
+    "e(2)": {(1, 2): {3: 1}, (1, 3): {2: -1}},
+    "e(1,1)": {(1, 2): {2: 1}, (1, 3): {3: -1}},
+    "so(3)": {(1, 2): {3: 1}, (1, 3): {2: -1}, (2, 3): {1: 1}},
+    "sl(2)": {(1, 2): {2: 2}, (1, 3): {3: -2}, (2, 3): {1: 1}},
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_tag_from_traces_equals_the_tag_of_the_milnor_form(seed):
+    rng = random.Random(6000 + seed)
+    lies = list(lie_families_in_random_bases(rng))
+    # det D = 1 on both sides of the G32/G33 boundary, and D = (t/2) I at
+    # several traces t; rational D with any nonzero trace
+    ds = [[[1, 0], [0, 1]], [[1, 1], [0, 1]], [[1, 0], [1, 1]], [[F(-3, 2), 0], [0, F(-3, 2)]],
+          [[2, F(1, 3)], [-3, 0]], [[F(1, 2), 1], [F(1, 2), F(3, 2)]]]
+    while len(ds) < 14:
+        d = [[random_fraction(rng) for _ in range(2)] for _ in range(2)]
+        if d[0][0] + d[1][1] != 0:
+            ds.append(d)
+    lies += [lie_of_d(d) for d in ds]
+    lies += [Algebra.from_brackets(3, brackets) for brackets in UNIMODULAR.values()]
+    lies = [conjugated(lie, random_invertible(rng, 3)) for lie in lies] + lies
+    seen = set()
+    for lie in lies:
+        tag = identify_lie_algebra(lie)
+        expected = tag_of_milnor_form(lie)
+        assert tag == expected and str(tag) == str(expected), lie.c
+        seen.add(tag.reason or tag.kind)
+    assert {"G31", "G32", "G33", "G34", "G35", "Lie algebra is unimodular", "Lie algebra is not solvable"} <= seen
+
+
+def test_tag_from_traces_refuses_what_the_milnor_form_refuses():
+    # not 3D, and not a Lie algebra: the same ValueError text
+    for a in (Algebra.from_brackets(2, {(1, 2): {2: 1}}),
+              Algebra.from_entries(3, {(1, 1, 3): 1, (2, 3, 1): 1, (3, 1, 3): -1}),
+              Algebra.from_entries(3, {(1, 2, 2): 1})):
+        with pytest.raises(ValueError) as trace_err:
+            identify_lie_algebra(a)
+        with pytest.raises(ValueError) as form_err:
+            milnor_normal_form(a)
+        assert str(trace_err.value) == str(form_err.value)
