@@ -16,6 +16,7 @@ from lsa.affine import (
     CLOSURE_TOL,
     DIFF_STEP,
     MATCH_TOL,
+    NUMPY,
     ClosureReport,
     TangentReport,
     TransitivityReport,
@@ -142,10 +143,20 @@ def first_close_pair_reference(images):
     return int(i), int(j)
 
 
+def recover_start_reference(fam, target) -> np.ndarray:
+    """The family's closed-form inverse at one orbit target, read as a
+    translation with a NaN linear part, or the origin where it is not
+    finite."""
+    with np.errstate(all="ignore"):
+        start = np.array(fam.spec.recover(NUMPY, np.full((3, 3), np.nan), np.asarray(target, float), **fam.params))
+    return start if np.isfinite(start).all() else np.zeros(3)
+
+
 def check_simply_transitive_reference(
     fam, grid_lo=-2.0, grid_hi=2.0, grid_step=0.5, n_targets=20, rng=None
 ) -> TransitivityReport:
-    """The grid checks and one Newton solve per target, in sampling order."""
+    """The grid checks and one Newton solve per target, in sampling order,
+    each from its own closed-form start."""
     rng = rng or random.Random(0)
     ticks = np.arange(grid_lo, grid_hi + grid_step / 2, grid_step)
     points = np.stack(np.meshgrid(ticks, ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -158,7 +169,7 @@ def check_simply_transitive_reference(
     max_resid = 0.0
     for _ in range(n_targets):
         target = [rng.uniform(-3, 3) for _ in range(3)]
-        _, err, ok = newton_invert_orbit_reference(fam, target)
+        _, err, ok = newton_invert_orbit_reference(fam, target, start=recover_start_reference(fam, target))
         max_resid = max(max_resid, err)
         if not ok:
             newton_failures += 1

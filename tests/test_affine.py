@@ -9,6 +9,7 @@ import pytest
 from lsa.affine import (
     FAMILIES,
     FAMILY_NAMES,
+    NUMPY,
     AffineMap3,
     ClosureReport,
     FamilySpec,
@@ -16,6 +17,7 @@ from lsa.affine import (
     _first_close_pair,
     _gauss_newton_match,
     _orbit_jacobians,
+    _recover_starts,
     affine_rep,
     build_family,
     check_closure,
@@ -49,6 +51,7 @@ from affine_reference import (
     gauss_newton_match_reference,
     newton_invert_orbit_reference,
     phi_partial_sum,
+    recover_start_reference,
     tangent_reference,
 )
 
@@ -435,9 +438,14 @@ def test_check_simply_transitive_a30():
 
 
 def translation_family(name, translation):
-    """A test family of pure translations p -> translation(p); the
-    transitivity check never calls its ``recover``."""
-    return GroupFamily(name, FamilySpec("zero", lambda x, a, b, c: ({}, translation(a, b, c)), None), {})
+    """A test family of pure translations p -> translation(p) with no closed
+    form: its ``recover`` gives NaN, so the transitivity check starts every
+    target at the origin."""
+    return GroupFamily(
+        name,
+        FamilySpec("zero", lambda x, a, b, c: ({}, translation(a, b, c)), lambda x, lin, t: np.full_like(t, np.nan)),
+        {},
+    )
 
 
 @pytest.mark.parametrize("seed", (0, 7, 11))
@@ -538,6 +546,72 @@ def test_newton_batch_isolates_its_failures():
     assert float(np.max(errs)) == max(err for _, err, _ in expected) == 2.0
 
 
+# --- simple transitivity: the closed-form start ---------------------------
+
+# the eleven defaults and the parameters no default reaches
+FAMILY_CASES = [(name, FAMILIES[name].defaults) for name in FAMILY_NAMES] + [
+    ("D31", {"mu": Fraction(-1, 2)}),
+    ("C3t", {"t": Fraction(-1)}),
+    ("C3t", {"t": Fraction(1, 2)}),
+    ("E3", {"zeta": Fraction(1, 2)}),
+    ("E3", {"zeta": Fraction(2)}),
+]
+FAMILY_CASE_IDS = [f"{n}-{'-'.join(map(str, p.values()))}" for n, p in FAMILY_CASES]
+
+
+@pytest.mark.parametrize("name, params", FAMILY_CASES, ids=FAMILY_CASE_IDS)
+def test_closed_form_start_needs_no_newton_step(name, params):
+    fam = build_family(name, **params)
+    targets = np.random.default_rng(41).uniform(-3, 3, (200, 3))
+    starts = _recover_starts(fam, targets)
+    assert [tuple(s) for s in starts] == [tuple(recover_start_reference(fam, t)) for t in targets]
+    xs, errs, oks = newton_invert_orbit(fam, targets, start=starts)
+    assert np.array_equal(xs, starts)  # no step was taken
+    assert oks.all() and float(np.max(errs)) < 1e-13
+    report = check_simply_transitive(fam, rng=random.Random(5))
+    assert report.ok and report.max_newton_residual < 1e-13, report
+
+
+def test_a_start_without_a_closed_form_is_the_origin():
+    """A family whose ``recover`` breaks down for a <= 0: those targets start
+    at the origin, and the batch equals the one-at-a-time oracle."""
+
+    def recover(x, lin, t):
+        a, b, c = FAMILIES["A30"].recover(x, lin, t)
+        return np.where(a > 0, a, np.nan), b, c
+
+    fam = GroupFamily("A30-half", FamilySpec("N30", FAMILIES["A30"].maps, recover), {})
+    targets = np.random.default_rng(43).uniform(-3, 3, (40, 3))
+    starts = _recover_starts(fam, targets)
+    left = targets[:, 0] <= 0
+    assert 0 < np.count_nonzero(left) < len(targets)
+    assert np.array_equal(starts[left], np.zeros((np.count_nonzero(left), 3)))
+    assert np.array_equal(starts[~left], _recover_starts(build_family("A30"), targets[~left]))
+    for seed in (0, 7, 11):
+        report = check_simply_transitive(fam, rng=random.Random(seed))
+        assert report == check_simply_transitive_reference(fam, rng=random.Random(seed))
+        assert report.ok
+
+
+@pytest.mark.parametrize("name, params", FAMILY_CASES, ids=FAMILY_CASE_IDS)
+def test_recover_reads_only_the_translation(name, params):
+    """The contract the closed-form start relies on: with the linear part
+    replaced by NaN, ``recover`` gives the same finite point."""
+    fam = build_family(name, **params)
+    maps = fam.elements(*np.random.default_rng(47).uniform(-2, 2, (3, 50)))
+    with np.errstate(all="ignore"):
+        blind = fam.spec.recover(NUMPY, np.full((3, 3, 50), np.nan), maps.translation.T, **fam.params)
+    assert np.array_equal(np.stack(blind), np.stack(fam.recover(maps)))
+    assert np.isfinite(np.stack(blind)).all()
+
+
+def test_a_recover_that_reads_the_linear_part_starts_at_the_origin():
+    # the legacy D32 form recovers a from log L[1, 1]
+    legacy = legacy_d32_family()
+    targets = np.random.default_rng(53).uniform(-3, 3, (10, 3))
+    assert np.array_equal(_recover_starts(legacy, targets), np.zeros((10, 3)))
+
+
 # --- tangent algebra ------------------------------------------------------
 
 
@@ -567,18 +641,7 @@ def test_tangent_all_families():
         assert report.ok, (fam.name, report)
 
 
-TANGENT_CASES = [(name, FAMILIES[name].defaults) for name in FAMILY_NAMES] + [
-    ("D31", {"mu": Fraction(-1, 2)}),
-    ("C3t", {"t": Fraction(-1)}),
-    ("C3t", {"t": Fraction(1, 2)}),
-    ("E3", {"zeta": Fraction(1, 2)}),
-    ("E3", {"zeta": Fraction(2)}),
-]
-
-
-@pytest.mark.parametrize(
-    "name, params", TANGENT_CASES, ids=[f"{n}-{'-'.join(map(str, p.values()))}" for n, p in TANGENT_CASES]
-)
+@pytest.mark.parametrize("name, params", FAMILY_CASES, ids=FAMILY_CASE_IDS)
 def test_tangent_report_equals_the_nine_pair_reference(name, params):
     fam = build_family(name, **params)
     algebra = make_lsa(FAMILIES[name].catalog_name, **params)
