@@ -14,10 +14,16 @@ finite.
 
 Every family is written once, as two formulas over a namespace of
 elementary functions (``NUMPY`` here, sympy in the exact tests).  In numpy
-they broadcast: arrays a, b, c of one shape map to linear parts (..., 3, 3)
-and translations (..., 3).  The checks evaluate whole batches (a grid point
-and its six finite-difference neighbours, all closure pairs, all tangent
-curve points) in one call, and ``AffineMap3`` validates once per batch.
+they broadcast: arrays a, b, c map to linear parts (..., 3, 3) and
+translations (..., 3) stacked over their broadcast shape.  The checks
+evaluate whole batches (all closure pairs, all tangent curve points, the
+pending Newton targets) in one call, and ``AffineMap3`` validates once per
+batch.  The transitivity grid, 729 points with their six finite-difference
+neighbours, is a product of three axes and goes in as those axes, so a
+special function of one coordinate runs on 63 arguments (9 ticks times 7
+stencil rows), broadcast to the 5103 points.  Newton first evaluates only
+the images at its starts, and builds Jacobians only for the targets a start
+does not solve.
 
 The D32 family needs one documented correction: the commonly quoted entry
 (with b f(a) in the first row and a + b^2 g(a) in the translation) is not
@@ -421,12 +427,17 @@ class GroupFamily:
         return self.spec.catalog_name
 
     def evaluate(self, a, b, c) -> tuple[np.ndarray, np.ndarray]:
-        """Unvalidated linear parts and translations, stacked over the shape
-        of the inputs."""
+        """Unvalidated linear parts and translations, stacked over the
+        broadcast shape of the inputs.  Every operation of a formula is
+        elementwise, so an input that varies along one axis only, such as
+        a (7, 9, 1, 1) axis of the transitivity grid, gets each special
+        function on its own values, and every stacked entry equals the
+        evaluation at its own point; a formula that ignores an input still
+        gets the full stack."""
         a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
         with np.errstate(all="ignore"):
             entries, translation = self.spec.maps(NUMPY, a, b, c, **self.params)
-        shape = np.shape(translation[0])
+        shape = np.broadcast_shapes(a.shape, b.shape, c.shape)
         linear = np.empty(shape + (3, 3))
         linear[...] = _EYE
         for (i, j), value in entries.items():
@@ -597,11 +608,16 @@ def orbit_map(fam: GroupFamily, p) -> np.ndarray:
     return fam.elements(p[..., 0], p[..., 1], p[..., 2]).translation
 
 
+def _central_differences(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The centre row (N, 3) of stencil images (7, N, 3) and the
+    central-difference Jacobians (N, 3, 3)."""
+    return images[0], (images[1:4] - images[4:7]).transpose(1, 2, 0) / (2 * DIFF_STEP)
+
+
 def _orbit_jacobians(fam: GroupFamily, points) -> tuple[np.ndarray, np.ndarray]:
     """Orbit images at ``points`` (N, 3) and their central-difference
     Jacobians (N, 3, 3), from one batch of the 7N stencil points."""
-    images = orbit_map(fam, np.asarray(points, dtype=float) + DIFF_STEP * _STENCIL[:, None, :])
-    return images[0], (images[1:4] - images[4:7]).transpose(1, 2, 0) / (2 * DIFF_STEP)
+    return _central_differences(orbit_map(fam, np.asarray(points, dtype=float) + DIFF_STEP * _STENCIL[:, None, :]))
 
 
 def _newton_steps(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -631,9 +647,13 @@ def newton_invert_orbit(fam: GroupFamily, targets, start=(0.0, 0.0, 0.0)):
     (N, 3), (N,) and (N,) for a stack.  Each target follows its own iterates, as if
     solved alone: a singular Jacobian, or a step that 30 halvings cannot
     make lower the residual, stops that target only.  Targets leave the
-    batch as they converge or stop.  Each evaluation takes the pending
-    points and their six neighbours in one batch, so an accepted trial
-    point already carries the next step's Jacobian.
+    batch as they converge or stop.  The first evaluation takes the images
+    at the starts only, the stencil's centre row bit for bit; the starts'
+    Jacobians are built for the targets still live after that residual
+    test, so a batch of solved starts evaluates N points, not 7N.  Each
+    later evaluation takes the pending points and their six neighbours in
+    one batch, so an accepted trial point already carries the next step's
+    Jacobian.
     """
     targets = np.asarray(targets, dtype=float)
     stack = targets.reshape(-1, 3)
@@ -642,13 +662,16 @@ def newton_invert_orbit(fam: GroupFamily, targets, start=(0.0, 0.0, 0.0)):
     err = np.zeros(len(stack))
     ok = np.zeros(len(stack), dtype=bool)
     live = np.arange(len(stack))  # targets still iterating
-    image, jac = _orbit_jacobians(fam, x)
+    image, jac = orbit_map(fam, x + DIFF_STEP * _STENCIL[0]), None
     for _ in range(NEWTON_ITERS):
         resid = image - stack[live]
         err[live] = np.max(np.abs(resid), axis=1)
         done = err[live] < NEWTON_TOL
         ok[live[done]] = True
-        live, resid, image, jac = live[~done], resid[~done], image[~done], jac[~done]
+        live, resid, image = live[~done], resid[~done], image[~done]
+        if not live.size:
+            break
+        jac = _orbit_jacobians(fam, x[live])[1] if jac is None else jac[~done]
         delta, solved = _newton_steps(jac, -resid)
         pending = np.flatnonzero(solved)  # rows of live still searching for a step
         scale = 1.0
@@ -664,8 +687,6 @@ def newton_invert_orbit(fam: GroupFamily, targets, start=(0.0, 0.0, 0.0)):
             scale *= 0.5
         solved[pending] = False  # no halving lowered the residual: these stop too
         live, image, jac = live[solved], image[solved], jac[solved]
-        if not live.size:
-            break
     err[live] = np.max(np.abs(image - stack[live]), axis=1)
     ok[live] = err[live] < NEWTON_TOL
     if targets.ndim == 1:
@@ -676,6 +697,31 @@ def newton_invert_orbit(fam: GroupFamily, targets, start=(0.0, 0.0, 0.0)):
 # the ticks of the 9^3 parameter grid, -2 to 2 in steps of 1/2
 GRID_TICKS = np.arange(-2.0, 2.25, 0.5)
 CLOSE_PAIR_WINDOW = 2e-9  # per-axis reach of the close-pair search
+
+# The grid points and their six neighbours as three broadcastable axes.
+# Each stencil row shifts one coordinate only, so coordinate k of the 5103
+# stencil points takes the 9 ticks plus the 7 rows' shifts of that
+# coordinate: a (7, 9, 1, 1), b (7, 1, 9, 1) and c (7, 1, 1, 9), whose
+# broadcast in row-major order is the row-major (a, b, c) order of the grid.
+_GRID_AXES = tuple(
+    GRID_TICKS.reshape(shape) + (DIFF_STEP * _STENCIL)[:, k].reshape(-1, 1, 1, 1)
+    for k, shape in enumerate([(1, -1, 1, 1), (1, 1, -1, 1), (1, 1, 1, -1)])
+)
+
+
+def _grid_orbit_jacobians(fam: GroupFamily) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit images (729, 3) and central-difference Jacobians (729, 3, 3) at
+    the grid points in row-major order, equal to ``_orbit_jacobians`` at the
+    flat list of points: the family evaluates ``_GRID_AXES`` broadcast, each
+    entry by the same elementwise operations on the same coordinates as at
+    its flat point, with a special function of a on 63 arguments, not 5103.
+    """
+    return _central_differences(fam.elements(*_GRID_AXES).translation.reshape(len(_STENCIL), -1, 3))
+
+
+def _grid_point(i: int) -> tuple:
+    """The grid point at row-major index i."""
+    return tuple(GRID_TICKS[list(np.unravel_index(i, (len(GRID_TICKS),) * 3))].tolist())
 
 
 def _first_close_pair(images: np.ndarray) -> tuple[int, int] | None:
@@ -747,19 +793,18 @@ def check_simply_transitive(fam: GroupFamily, n_targets: int = 20, rng=None) -> 
     import random as _random
 
     rng = rng or _random.Random(0)
-    points = np.stack(np.meshgrid(GRID_TICKS, GRID_TICKS, GRID_TICKS, indexing="ij"), axis=-1).reshape(-1, 3)
-    images, jacobians = _orbit_jacobians(fam, points)
+    images, jacobians = _grid_orbit_jacobians(fam)
     dets = np.abs(np.linalg.det(jacobians))
     first = int(np.argmin(dets))  # the first minimum, as a strict `<` scan keeps it
-    min_jac, min_jac_point = float(dets[first]), tuple(points[first].tolist())
+    min_jac = float(dets[first])
     pair = _first_close_pair(images)
-    witness = None if pair is None else tuple(tuple(points[i].tolist()) for i in pair)
+    witness = None if pair is None else tuple(map(_grid_point, pair))
     targets = np.array([[rng.uniform(-3, 3) for _ in range(3)] for _ in range(n_targets)]).reshape(-1, 3)
     _, errs, oks = newton_invert_orbit(fam, targets, start=_recover_starts(fam, targets))
     return TransitivityReport(
         fam.name,
         min_jac,
-        min_jac_point,
+        _grid_point(first),
         pair is None,
         witness,
         int(np.count_nonzero(~oks)),

@@ -6,9 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import lsa.affine
 from lsa.affine import (
+    _GRID_AXES,
+    _STENCIL,
+    DIFF_STEP,
     FAMILIES,
     FAMILY_NAMES,
+    GRID_TICKS,
     NUMPY,
     AffineMap3,
     ClosureReport,
@@ -16,6 +21,7 @@ from lsa.affine import (
     GroupFamily,
     _first_close_pair,
     _gauss_newton_match,
+    _grid_orbit_jacobians,
     _orbit_jacobians,
     _recover_starts,
     affine_rep,
@@ -610,6 +616,87 @@ def test_a_recover_that_reads_the_linear_part_starts_at_the_origin():
     legacy = legacy_d32_family()
     targets = np.random.default_rng(53).uniform(-3, 3, (10, 3))
     assert np.array_equal(_recover_starts(legacy, targets), np.zeros((10, 3)))
+
+
+# --- simple transitivity: the grid on its three axes ---------------------
+
+GRID_CASES = FAMILY_CASES + [("D31", {"mu": Fraction(3, 7)}), ("E3", {"zeta": Fraction(397, 1000)})]
+GRID_FAMILIES = [build_family(name, **params) for name, params in GRID_CASES] + [legacy_d32_family()]
+GRID_IDS = [f"{n}-{'-'.join(map(str, p.values()))}" for n, p in GRID_CASES] + ["D32-legacy"]
+
+
+def flat_grid_points():
+    """The 729 grid points, row-major in (a, b, c), as one flat list."""
+    return np.stack(np.meshgrid(GRID_TICKS, GRID_TICKS, GRID_TICKS, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("fam", GRID_FAMILIES, ids=GRID_IDS)
+def test_grid_axes_equal_the_flat_meshgrid(fam):
+    """The grid evaluated on its three broadcast axes equals the flat
+    evaluation of its 5103 stencil points bit for bit: images, Jacobians,
+    and the linear parts that the validation reads."""
+    points = flat_grid_points()
+    images, jacobians = _grid_orbit_jacobians(fam)
+    flat_images, flat_jacobians = _orbit_jacobians(fam, points)
+    assert np.array_equal(images, flat_images)
+    assert np.array_equal(jacobians, flat_jacobians)
+    linear, translation = fam.evaluate(*_GRID_AXES)
+    flat_linear, flat_translation = fam.evaluate(*np.moveaxis(points + DIFF_STEP * _STENCIL[:, None, :], -1, 0))
+    assert np.array_equal(linear.reshape(flat_linear.shape), flat_linear)
+    assert np.array_equal(translation.reshape(flat_translation.shape), flat_translation)
+
+
+def test_a_formula_that_ignores_an_input_gets_the_full_stack():
+    fam = translation_family("constant-c", lambda a, b, c: (a, b, 0.0 * a + 1.0))
+    linear, translation = fam.evaluate(*_GRID_AXES)
+    assert linear.shape == (7, 9, 9, 9, 3, 3) and translation.shape == (7, 9, 9, 9, 3)
+    assert np.array_equal(linear, np.broadcast_to(np.eye(3), linear.shape))
+    flat = flat_grid_points() + DIFF_STEP * _STENCIL[:, None, :]
+    assert np.array_equal(translation.reshape(flat.shape), np.stack([flat[..., 0], flat[..., 1], np.ones(flat.shape[:-1])], -1))
+    # the grid reads the same points, so the report is the flat oracle's
+    report = check_simply_transitive(fam, rng=random.Random(3))
+    assert report == check_simply_transitive_reference(fam, rng=random.Random(3))
+    assert report.min_abs_jacobian == 0.0 and report.min_jacobian_point == (-2.0, -2.0, -2.0)
+    assert report.injectivity_witness == ((-2.0, -2.0, -2.0), (-2.0, -2.0, -1.5))
+
+
+def test_an_overflow_at_one_grid_corner_is_refused():
+    # 120 (a + b + c) passes exp's range only at the corner (2, 2, 2)
+    fam = translation_family("corner", lambda a, b, c: (a, b, np.exp(120 * (a + b + c))))
+    assert np.isfinite(fam.evaluate(2.0, 2.0, 1.5)[1]).all()
+    with pytest.raises(ValueError, match="non-finite"):
+        check_simply_transitive(fam)
+
+
+def test_newton_evaluates_only_the_images_of_solved_starts(monkeypatch):
+    """The first evaluation takes the starts' images only; the Jacobians
+    follow for the targets a start does not solve, and the iterates stay
+    those of the one-target oracle."""
+    counts = []
+
+    def counted(fam, p):
+        counts.append(int(np.prod(np.shape(p)[:-1])))
+        return orbit_map(fam, p)
+
+    monkeypatch.setattr(lsa.affine, "orbit_map", counted)
+    for name, params in FAMILY_CASES:
+        fam = build_family(name, **params)
+        targets = np.random.default_rng(59).uniform(-3, 3, (20, 3))
+        counts.clear()
+        _, _, oks = newton_invert_orbit(fam, targets, start=_recover_starts(fam, targets))
+        assert oks.all() and counts == [20], (name, counts)
+    # the fold batch: two starts solve their targets, three do not
+    fam = translation_family("fold", lambda a, b, c: (a * a, b, c))
+    starts = np.array([(1.0, 0.0, 0.0), (1.0, 2.0, 0.5), (0.0, 0.0, 0.0), (0.5, 0.5, 0.5), (-1.5, 0.0, 1.0)])
+    targets = np.array([(2.0, 1.0, -1.0), (1.0, 2.0, 0.5), (1.0, 0.0, 0.0), (-2.0, 1.0, 1.0), (2.25, 0.0, 1.0)])
+    counts.clear()
+    xs, errs, oks = newton_invert_orbit(fam, targets, start=starts)
+    assert counts[:2] == [5, 7 * 3]
+    monkeypatch.undo()
+    expected = [newton_invert_orbit_reference(fam, t, start=s) for t, s in zip(targets, starts)]
+    assert [(tuple(x), float(e), bool(o)) for x, e, o in zip(xs, errs, oks)] == expected
+    assert oks.tolist() == [True, True, False, False, True]
+    assert np.array_equal(xs[[1, 4]], starts[[1, 4]])  # solved at the start
 
 
 # --- tangent algebra ------------------------------------------------------
