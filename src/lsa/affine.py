@@ -19,11 +19,10 @@ translations (..., 3) stacked over their broadcast shape.  The checks
 evaluate whole batches (all closure pairs, all tangent curve points, the
 pending Newton targets) in one call, and ``AffineMap3`` validates once per
 batch.  The transitivity grid, 729 points with their six finite-difference
-neighbours, is a product of three axes and goes in as those axes, so a
-special function of one coordinate runs on 63 arguments (9 ticks times 7
-stencil rows), broadcast to the 5103 points.  Newton first evaluates only
-the images at its starts, and builds Jacobians only for the targets a start
-does not solve.
+neighbours, goes in as its three axes (``_GRID_AXES``): 63 special-function
+arguments per family, broadcast to the 5103 points.  Newton first evaluates
+only the images at its starts, and builds Jacobians only for the targets a
+start does not solve.
 
 The D32 family needs one documented correction: the commonly quoted entry
 (with b f(a) in the first row and a + b^2 g(a) in the translation) is not
@@ -428,12 +427,9 @@ class GroupFamily:
 
     def evaluate(self, a, b, c) -> tuple[np.ndarray, np.ndarray]:
         """Unvalidated linear parts and translations, stacked over the
-        broadcast shape of the inputs.  Every operation of a formula is
-        elementwise, so an input that varies along one axis only, such as
-        a (7, 9, 1, 1) axis of the transitivity grid, gets each special
-        function on its own values, and every stacked entry equals the
-        evaluation at its own point; a formula that ignores an input still
-        gets the full stack."""
+        broadcast shape of the inputs, so a formula that ignores an input
+        still gets the full stack (the transitivity grid's axes rely on
+        this; see ``_GRID_AXES``)."""
         a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
         with np.errstate(all="ignore"):
             entries, translation = self.spec.maps(NUMPY, a, b, c, **self.params)
@@ -701,8 +697,13 @@ CLOSE_PAIR_WINDOW = 2e-9  # per-axis reach of the close-pair search
 # The grid points and their six neighbours as three broadcastable axes.
 # Each stencil row shifts one coordinate only, so coordinate k of the 5103
 # stencil points takes the 9 ticks plus the 7 rows' shifts of that
-# coordinate: a (7, 9, 1, 1), b (7, 1, 9, 1) and c (7, 1, 1, 9), whose
-# broadcast in row-major order is the row-major (a, b, c) order of the grid.
+# coordinate: a (7, 9, 1, 1), b (7, 1, 9, 1) and c (7, 1, 1, 9).  A family
+# evaluated on these runs a special function of one coordinate on 63
+# arguments, not 5103.  Every stacked entry comes from the same elementwise
+# operations on the same coordinates as at its flat point, and the
+# broadcast in row-major order is the row-major (a, b, c) order of the
+# grid, so images, Jacobians, the minimum point and the injectivity witness
+# equal those of the flat meshgrid bit for bit.
 _GRID_AXES = tuple(
     GRID_TICKS.reshape(shape) + (DIFF_STEP * _STENCIL)[:, k].reshape(-1, 1, 1, 1)
     for k, shape in enumerate([(1, -1, 1, 1), (1, 1, -1, 1), (1, 1, 1, -1)])
@@ -710,12 +711,8 @@ _GRID_AXES = tuple(
 
 
 def _grid_orbit_jacobians(fam: GroupFamily) -> tuple[np.ndarray, np.ndarray]:
-    """Orbit images (729, 3) and central-difference Jacobians (729, 3, 3) at
-    the grid points in row-major order, equal to ``_orbit_jacobians`` at the
-    flat list of points: the family evaluates ``_GRID_AXES`` broadcast, each
-    entry by the same elementwise operations on the same coordinates as at
-    its flat point, with a special function of a on 63 arguments, not 5103.
-    """
+    """Orbit images (729, 3) and Jacobians (729, 3, 3) at the grid points,
+    row-major, equal to ``_orbit_jacobians`` at the flat points."""
     return _central_differences(fam.elements(*_GRID_AXES).translation.reshape(len(_STENCIL), -1, 3))
 
 

@@ -4,7 +4,7 @@ Each row of ``MUTANTS`` names a source file, an exact snippet in it, the
 replacement that breaks it, and the fast test selection that must fail once
 the replacement is made.  Every row runs on its own temporary copy of
 ``src/`` and ``tests/``, as ``python -m pytest -x -q <selection>`` under a
-timeout, and is reported as one of:
+timeout of ``TIMEOUT`` seconds, and is reported as one of:
 
 - killed: the selection failed, as it should, and passes on the unmutated
   copy (each selection is run once unmutated);
@@ -19,17 +19,14 @@ A selection whose tests are all skipped passes, so its row reads surviving.
 
 Run from the repository root:
 
-    python tools/mutants.py               # every row
-    python tools/mutants.py -k grid       # rows whose name contains "grid"
-    python tools/mutants.py --timeout 60  # seconds per row (default 120)
+    python tools/mutants.py
 
-The exit status is 0 when every selected row is killed and 1 otherwise.
+The exit status is 0 when every row is killed and 1 otherwise.
 This is not part of the test suite; ``tests/test_mutants.py`` checks only
 that every snippet still occurs exactly once.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -41,6 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "pyproject.toml")
+TIMEOUT = 120.0  # seconds per row
 
 
 @dataclass(frozen=True)
@@ -154,7 +152,7 @@ def occurrences(mutant: Mutant, root: Path = ROOT) -> int:
     return (root / mutant.path).read_text().count(mutant.snippet)
 
 
-def run(mutant: Mutant, timeout: float, mutate: bool = True) -> str:
+def run(mutant: Mutant, mutate: bool = True) -> str:
     """The row's status, from a fresh copy of the tree (left unmutated when
     ``mutate`` is false)."""
     if occurrences(mutant) != 1:
@@ -173,31 +171,26 @@ def run(mutant: Mutant, timeout: float, mutate: bool = True) -> str:
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests]
         try:
-            code = subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=timeout).returncode
+            code = subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT).returncode
         except subprocess.TimeoutExpired:
             return "timeout"
     return {0: "surviving", 1: "killed"}.get(code, "error")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Apply each mutant to a copy of the tree and run its tests.")
-    parser.add_argument("-k", default="", help="run only the rows whose name contains this text")
-    parser.add_argument("--timeout", type=float, default=120.0, help="seconds per row (default 120)")
-    args = parser.parse_args(argv)
-    rows = [m for m in MUTANTS if args.k in m.name]
+def main() -> int:
     statuses = []
     baselines: dict[tuple[str, ...], str] = {}
-    for mutant in rows:
+    for mutant in MUTANTS:
         start = time.perf_counter()
-        status = run(mutant, args.timeout)
+        status = run(mutant)
         if status == "killed":
             if mutant.tests not in baselines:
-                baselines[mutant.tests] = run(mutant, args.timeout, mutate=False)
+                baselines[mutant.tests] = run(mutant, mutate=False)
             if baselines[mutant.tests] != "surviving":  # the selection fails on the code as it is
                 status = "error"
         statuses.append(status)
         print(f"{status:9} {time.perf_counter() - start:6.1f}s  {mutant.name}", flush=True)
-    print(f"{statuses.count('killed')} of {len(rows)} killed")
+    print(f"{statuses.count('killed')} of {len(MUTANTS)} killed")
     return 0 if all(s == "killed" for s in statuses) else 1
 
 
