@@ -870,6 +870,11 @@ def sample_parameter_pairs(rng, count: int):
 
 
 def verify_family(fam: GroupFamily, algebra: Algebra, rng, closure_samples: int = 50) -> dict:
+    """The closure, transitivity and tangent checks of one family, and
+    their verdict ``ok``.  A family passes only if its closed-form
+    ``recover`` inverts every sampled composite (no closure fallback): the
+    Gauss-Newton fallback and the transitivity Newton would otherwise
+    repair a ``recover`` that does not invert ``maps``."""
     pairs = sample_parameter_pairs(rng, closure_samples)
     closure = check_closure(fam, pairs)
     transitivity = check_simply_transitive(fam, rng=rng)
@@ -891,5 +896,5 @@ def verify_family(fam: GroupFamily, algebra: Algebra, rng, closure_samples: int 
         "max_newton_residual": transitivity.max_newton_residual,
         "tangent_generator_error": tangent.max_generator_error,
         "tangent_bracket_residual": max(tangent.max_bracket_residual, tangent.max_constant_error),
-        "ok": closure.ok and transitivity.ok and tangent.ok and identity_exact,
+        "ok": closure.ok and closure.newton_fallbacks == 0 and transitivity.ok and tangent.ok and identity_exact,
     }

@@ -34,7 +34,6 @@ from .linalg import (
     vec_is_zero,
     vec_scale,
     vec_sub,
-    vstack,
 )
 
 
@@ -220,9 +219,10 @@ def _basis(a: Algebra) -> list[Vec]:
     return [unit_vec(a.dim, i) for i in range(a.dim)]
 
 
-def _trace_row(a: Algebra) -> list[Fraction]:
-    """tr L_ei = sum_j c[i][j][j] for each i; tr L_x is its dot product with x."""
-    return [sum((a.c[i][j][j] for j in range(a.dim)), Fraction(0)) for i in range(a.dim)]
+def _trace_row(a: Algebra | TripleTable) -> list:
+    """tr L_ei = sum_j c[i][j][j] for each i; tr L_x is its dot product with x.
+    Read off a ``TripleTable``, these are the integers d tr L_ei."""
+    return [sum(a.c[i][j][j] for j in range(a.dim)) for i in range(a.dim)]
 
 
 def _two_sided_products(a: Algebra, vectors: Sequence[Vec]) -> list[Vec]:
@@ -312,9 +312,11 @@ class TripleTable:
     identity scans of the algebra share their products.
 
     The entries are those of the integer tensor d c, d the least common
-    denominator of the structure constants.  Both sides of every identity
-    are homogeneous of degree 2 in the structure constants, so scaling c by
-    d scales both by d^2: the failing triples are the same, and the witness
+    denominator of the structure constants, which the table keeps as ``c``
+    (with ``dim``, so that ``_first_asymmetry`` and ``_trace_row`` read it
+    as they read an ``Algebra``).  Both sides of every identity are
+    homogeneous of degree 2 in the structure constants, so scaling c by d
+    scales both by d^2: the failing triples are the same, and the witness
     sides are the integer ones divided by d^2.
     """
 
@@ -322,13 +324,13 @@ class TripleTable:
         n = a.dim
         d, rows = _cleared(v for plane in a.c for v in plane)
         self.dim = n
-        self.d2 = d * d
-        self._c = [rows[i * n : (i + 1) * n] for i in range(n)]
+        self.d = d
+        self.c = [rows[i * n : (i + 1) * n] for i in range(n)]
         # the entries of T1 and T2, flat at index (i n + j) n + k
         self._entries = ([None] * n**3, [None] * n**3)
 
     def _fill(self, tensor: int, i: int, j: int, k: int) -> tuple[int, ...]:
-        n, c = self.dim, self._c
+        n, c = self.dim, self.c
         if tensor == T1:  # sum_m (e_i e_j)_m e_m e_k
             value = _combination(c[i][j], [row[k] for row in c], n)
         else:  # sum_m (e_j e_k)_m e_i e_m
@@ -367,7 +369,8 @@ class TripleTable:
     def _value(self, plus, minus, t: tuple[int, int, int]) -> Vec:
         """A side's value at t, in the coordinates of the algebra, d^-2 times
         its value on the cleared tensor."""
-        return tuple(Fraction(x - y, self.d2) for x, y in zip(self._sum(plus, t), self._sum(minus, t)))
+        d2 = self.d * self.d
+        return tuple(Fraction(x - y, d2) for x, y in zip(self._sum(plus, t), self._sum(minus, t)))
 
     def first_failure(self, identity: str) -> IdentityCheck:
         return next(self.failures(identity), IdentityCheck(True))
@@ -408,38 +411,43 @@ def lie_algebra_of(a: Algebra) -> Algebra:
     return Algebra(a.dim, brackets, name=f"Lie({a.name})" if a.name else "", params=a.params)
 
 
-def _first_asymmetry(a: Algebra) -> tuple[int, int] | None:
-    """The first 1-based pair (i, j), i <= j, with e_i*e_j != -e_j*e_i."""
-    n = a.dim
+def _first_asymmetry(a: Algebra | TripleTable) -> tuple[int, int] | None:
+    """The first 1-based pair (i, j), i <= j, with e_i*e_j != -e_j*e_i, i.e.
+    with e_i*e_j + e_j*e_i != 0; read off a table, on the cleared tensor."""
+    n, c = a.dim, a.c
     return next(
-        ((i + 1, j + 1) for i in range(n) for j in range(i, n) if a.c[i][j] != vec_scale(-1, a.c[j][i])),
+        ((i + 1, j + 1) for i in range(n) for j in range(i, n) if any(x + y for x, y in zip(c[i][j], c[j][i]))),
         None,
     )
 
 
-def _lie_defect(a: Algebra) -> str | None:
-    """Why ``a`` is not a Lie algebra, naming the first basis pair where
-    antisymmetry fails or triple where Jacobi does; None if it is one."""
-    pair = _first_asymmetry(a)
+def _lie_defect(table: TripleTable) -> str | None:
+    """Why the algebra of ``table`` is not a Lie algebra, naming the first
+    basis pair where antisymmetry fails or triple where Jacobi does; None
+    if it is one."""
+    pair = _first_asymmetry(table)
     if pair is not None:
         return f"antisymmetry fails at basis pair {pair}"
-    bad = first_failure(a, "jacobi")
+    bad = table.first_failure("jacobi")
     if not bad.ok:
         return f"the Jacobi identity fails at basis triple {bad.witness}"
     return None
 
 
 def is_lie_algebra(a: Algebra) -> bool:
-    return _lie_defect(a) is None
+    return _lie_defect(TripleTable(a)) is None
 
 
-def _require_lie(a: Algebra) -> None:
+def _require_lie(a: Algebra) -> TripleTable:
     """Refuse a non-Lie ``a`` before its brackets are read, with its
-    ``_lie_defect``.  It cannot fail on the commutators of a left-symmetric
-    algebra."""
-    defect = _lie_defect(a)
+    ``_lie_defect``; otherwise return the table, whose cleared tensor the
+    caller reads its traces off.  It cannot fail on the commutators of a
+    left-symmetric algebra."""
+    table = TripleTable(a)
+    defect = _lie_defect(table)
     if defect is not None:
         raise ValueError(f"not a Lie algebra: {defect}")
+    return table
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -523,10 +531,28 @@ def ndsflags(a: Algebra) -> tuple[bool, bool, bool]:
     return tuple(check.ok for check in first_failures(a, "NDS").values())
 
 
+def _mult_blocks(rows: Sequence[Sequence[int]], n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The rows of the stacked d L_e1..d L_en and of the stacked d R_e1..d R_en,
+    from the cleared tensor rows[i n + j] = d e_i*e_j: row (i, k) of the L
+    block is (d c[i][j][k])_j and of the R block (d c[j][i][k])_j.  Scaling
+    by d > 0 keeps every kernel and rank."""
+    lefts = [[rows[i * n + j][k] for j in range(n)] for i in range(n) for k in range(n)]
+    rights = [[rows[j * n + i][k] for j in range(n)] for i in range(n) for k in range(n)]
+    return lefts, rights
+
+
+def _int_span(n: int, vectors: Sequence[Sequence[int]]) -> Subspace:
+    """The canonical ``Subspace`` of the span of integer vectors of length
+    n: the reduced-echelon rows of one ``_int_rref``, as in
+    ``Subspace.from_spanning`` (the reduced echelon form is unique)."""
+    return Subspace(n, tuple(_echelon_rows(*_int_rref([list(v) for v in vectors]))))
+
+
 def center(a: Algebra) -> Subspace:
-    """{x : x*e_j = e_j*x = 0 for all j}, computed as one exact kernel."""
-    lefts, rights = _basis_mults(a)
-    return Subspace.from_spanning(a.dim, nullspace_basis(vstack([*lefts, *rights])))
+    """{x : x*e_j = e_j*x = 0 for all j}: the kernel of the stacked integer
+    L and R blocks of one cleared tensor (``_mult_blocks``)."""
+    lefts, rights = _mult_blocks(_cleared(v for plane in a.c for v in plane)[1], a.dim)
+    return _int_span(a.dim, _int_nullspace(lefts + rights, a.dim))
 
 
 def is_two_sided_ideal(a: Algebra, w: Subspace) -> bool:
@@ -643,8 +669,7 @@ def find_ideals_dim_le3(a: Algebra) -> list[Subspace]:
 
 
 def is_unimodular(lie: Algebra) -> bool:
-    _require_lie(lie)
-    return all(t == 0 for t in _trace_row(lie))
+    return not any(_trace_row(_require_lie(lie)))
 
 
 def derived_subspace(lie: Algebra, w: Subspace) -> Subspace:
@@ -667,21 +692,22 @@ def is_solvable(lie: Algebra) -> bool:
     return True
 
 
-def _nonzero_trace_row(lie: Algebra) -> list[Fraction]:
-    """The trace row of a 3D Lie algebra (``_require_lie`` first), refused
-    with NotInScopeError where it vanishes, i.e. on unimodular input."""
-    _require_lie(lie)
+def _nonzero_trace_row(lie: Algebra) -> tuple[TripleTable, list[int]]:
+    """The table of a 3D Lie algebra (``_require_lie`` first) and its trace
+    row on the cleared tensor, d tr ad_ei for each i, refused with
+    NotInScopeError where it vanishes, i.e. on unimodular input."""
+    table = _require_lie(lie)
     if lie.dim != 3:
         raise ValueError("Milnor normal form requires dimension 3")
-    trace_row = _trace_row(lie)
-    if all(t == 0 for t in trace_row):
+    trace_row = _trace_row(table)
+    if not any(trace_row):
         # Solvability only picks the reason: a non-solvable 3D real Lie
         # algebra is its own Levi factor, so it is simple, hence perfect
         # ([g, g] = g), hence unimodular (tr ad_[x,y] = tr [ad_x, ad_y] = 0).
         # A nonzero trace row therefore already implies solvable.  A 3D g
         # with [g, g] != g is solvable, as [g, g] of dim <= 2 is.
         raise NotInScopeError(f"Lie algebra is {'unimodular' if product_span(lie).dim < 3 else 'not solvable'}")
-    return trace_row
+    return table, trace_row
 
 
 def milnor_normal_form(lie: Algebra) -> MilnorForm:
@@ -692,13 +718,13 @@ def milnor_normal_form(lie: Algebra) -> MilnorForm:
     tr ad_ei != 0, scaled by 2 / tr ad_ei; the echelon basis of U makes the
     construction deterministic.
     """
-    trace_row = _nonzero_trace_row(lie)
+    table, trace_row = _nonzero_trace_row(lie)
     # U is abelian: for u in U, ad_u maps g into [g, g], which lies in U
     # (tr ad_[x,y] = 0), so tr(ad_u | U) = tr ad_u = 0; a unimodular 2D Lie
-    # algebra is abelian
+    # algebra is abelian; the row is d times the trace row, with the same kernel
     u1, u2 = Subspace.from_spanning(3, nullspace_basis(QMatrix([trace_row]))).basis
     i, tr = next((i, t) for i, t in enumerate(trace_row) if t != 0)
-    e1 = vec_scale(Fraction(2) / tr, _basis(lie)[i])
+    e1 = vec_scale(Fraction(2 * table.d, tr), _basis(lie)[i])
     # [e1, U] lies in [g, g], and [g, g] lies in U, so D exists
     d = _restricted([multiply(lie, e1, u) for u in (u1, u2)], [u1, u2])
     assert d.trace() == 2
@@ -718,16 +744,19 @@ def identify_lie_algebra(lie: Algebra) -> LieTag:
     No basis of U, solve or restriction is needed.  Both sides are read on
     the integer matrix B = d ad_x, where they become 2 - 2 tr(B^2) / tr(B)^2
     and 2 B^2 = tr(B) B.
+
+    The antisymmetry and Jacobi checks, the trace row and B are all read
+    off one cleared tensor d c, the one of ``_require_lie``'s table; tr B is
+    that row's entry i.
     """
     try:
-        trace_row = _nonzero_trace_row(lie)
+        table, trace_row = _nonzero_trace_row(lie)
     except NotInScopeError as err:
         return LieTag("not_in_scope", reason=str(err))
-    i = next(i for i, t in enumerate(trace_row) if t != 0)
+    i, t = next((i, t) for i, t in enumerate(trace_row) if t != 0)
     # the columns of B are the brackets d [e_i, e_j]
-    b = [list(r) for r in zip(*_cleared(lie.c[i])[1])]
+    b = [list(r) for r in zip(*table.c[i])]
     b2 = _int_matmul(b, b)
-    t = sum(b[k][k] for k in range(3))
     det_d = 2 - Fraction(2 * sum(b2[k][k] for k in range(3)), t * t)
     return _tag_of_form(det_d, all(2 * x == t * y for r2, r in zip(b2, b) for x, y in zip(r2, r)))
 

@@ -18,19 +18,19 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .algebra import (
     Algebra,
     LieTag,
     Subspace,
     _basis,
-    _basis_mults,
+    _combination,
     _complete_by_traces,
+    _int_span,
+    _mult_blocks,
     _restricted,
     _trace_row,
-    _two_sided_products,
-    center,
     check_left_symmetric,
     find_ideals_dim_le3,
     first_failures,
@@ -40,7 +40,6 @@ from .algebra import (
     lie_algebra_of,
     multiply,
     ndsflags,
-    product_span,
     quotient_algebra,
     restriction_to_ideal,
     witnesses_of,
@@ -56,15 +55,14 @@ from .extensions import (
 )
 from .linalg import (
     QMatrix,
-    Vec,
+    _cleared,
+    _int_rank,
+    _int_rref,
     frac,
-    nullspace_basis,
     quotient_basis,
     solve,
     symmetric_signature,
-    vec_add,
     vec_is_zero,
-    vstack,
 )
 
 F = Fraction
@@ -502,23 +500,50 @@ def reconstruction_cases(rng: random.Random | None = None) -> list[Reconstructio
 # ---------------------------------------------------------------------------
 
 
-def _annihilator_dims(a: Algebra) -> tuple[int, int]:
-    """(dim {x : x*A = 0}, dim {x : A*x = 0}): the null spaces of the
-    stacked R_y and the stacked L_y over the basis vectors y.
+class _Spans(NamedTuple):
+    """What ``fingerprint`` reads off one cleared tensor of an algebra:
+    ``rows[i n + j]`` = d e_i*e_j with d the least common denominator, the
+    integer blocks of the stacked L_ei and R_ei (``_mult_blocks``), the
+    product span P and W = P*A + A*P.  Scaling by d > 0 keeps every span,
+    rank and kernel."""
+
+    rows: list[list[int]]
+    lefts: list[list[int]]
+    rights: list[list[int]]
+    p: Subspace
+    w: Subspace
+
+
+def _spans(a: Algebra) -> _Spans:
+    """The ``_Spans`` of ``a``: P is the span of the rows, and W the span of
+    every e_i*w and w*e_i, w in the integer basis of P that ``_int_rref``
+    leaves."""
+    n = a.dim
+    _, rows = _cleared(v for plane in a.c for v in plane)
+    p_basis = _int_rref([list(row) for row in rows])[0]
+    # e_i*w = sum_k w_k e_i*e_k and w*e_i = sum_k w_k e_k*e_i
+    factors = [rows[i * n : (i + 1) * n] for i in range(n)] + [rows[i::n] for i in range(n)]
+    products = [_combination(w, vectors, n) for w in p_basis for vectors in factors]
+    return _Spans(rows, *_mult_blocks(rows, n), _int_span(n, p_basis), _int_span(n, products))
+
+
+def _annihilator_dims(a: Algebra, s: _Spans) -> tuple[int, int]:
+    """(dim {x : x*A = 0}, dim {x : A*x = 0}): the nullities of the stacked
+    integer R block and of the stacked L block.
 
     L_x = 0 iff x*A = 0, and R_x = 0 iff A*x = 0, so by rank-nullity the
     spans of the L_x and of the R_x have dimensions n minus these two: the
     operator spans are not a component, as they could never differ first."""
-    lefts, rights = _basis_mults(a)
-    return tuple(len(nullspace_basis(vstack(mats))) for mats in (rights, lefts))
+    return a.dim - _int_rank(s.rights), a.dim - _int_rank(s.lefts)
 
 
-def _symmetrized_products(a: Algebra) -> list[Vec]:
-    """e_i*e_j + e_j*e_i for every (i, j) in row-major order, read off the tensor."""
-    return [vec_add(a.c[i][j], a.c[j][i]) for i in range(a.dim) for j in range(a.dim)]
+def _symmetrized_products(rows: Sequence[Sequence[int]], n: int) -> list[list[int]]:
+    """d (e_i*e_j + e_j*e_i) for every (i, j) in row-major order, from the
+    cleared tensor rows[i n + j] = d e_i*e_j."""
+    return [[x + y for x, y in zip(rows[i * n + j], rows[j * n + i])] for i in range(n) for j in range(n)]
 
 
-def _square_form_signature(a: Algebra, p: Subspace, w: Subspace) -> tuple[int, int, int] | None:
+def _square_form_signature(a: Algebra, s: _Spans) -> tuple[int, int, int] | None:
     """Signature of v -> [v*v] in P/W, normalized by trace of left actions.
 
     P = span of products, W = P*A + A*P.  Defined when dim P = 2 and
@@ -526,6 +551,7 @@ def _square_form_signature(a: Algebra, p: Subspace, w: Subspace) -> tuple[int, i
     P; the form is then a canonical rational quadratic form on the algebra
     and its signature is an isomorphism invariant.
     """
+    p, w = s.p, s.w
     if p.dim != 2 or w.dim != 1:
         return None
     row = _trace_row(a)
@@ -536,9 +562,10 @@ def _square_form_signature(a: Algebra, p: Subspace, w: Subspace) -> tuple[int, i
     p_hat = tuple(x / tr for x in p_hat)
     n = a.dim
     # the form's matrix is half the coordinates of e_i*e_j + e_j*e_i; the
-    # factor 1/2 does not change a signature, so it is left out
+    # factor 1/2, and the d of the cleared rows, do not change a signature,
+    # so they are left out
     # every product lies in P = span(p_hat, W), so the solve is consistent
-    coords = solve(QMatrix.from_cols([p_hat, *w.basis]), _symmetrized_products(a))
+    coords = solve(QMatrix.from_cols([p_hat, *w.basis]), _symmetrized_products(s.rows, n))
     return symmetric_signature(QMatrix([[coords[i * n + j][0] for j in range(n)] for i in range(n)]))
 
 
@@ -574,21 +601,23 @@ def _induced_action_ratio(a: Algebra, p: Subspace) -> str | None:
 
 
 # The fingerprint's components in order, each with the label that names it
-# in the distinctness evidence.  Each is a function of the algebra, its
-# product span P and W = P*A + A*P, which ``fingerprint`` computes once.
+# in the distinctness evidence.  Each is a function of the algebra and of
+# its ``_Spans``, which ``fingerprint`` computes once; the rank components
+# are ranks of integer matrices from the one cleared tensor (the center is
+# the kernel of the stacked L and R blocks, as in ``center``).
 # Invariants from other modules are called through their module-level names,
 # so rebinding those names (as the perfbench tracer does) reaches these
 # calls too.
-FINGERPRINT: tuple[tuple[str, Callable[[Algebra, Subspace, Subspace], object]], ...] = (
-    ("lie_tag", lambda a, p, w: str(identify_lie_algebra(lie_algebra_of(a)))),
-    ("dim_center", lambda a, p, w: center(a).dim),
-    ("dim_products", lambda a, p, w: p.dim),
-    ("dim_squares", lambda a, p, w: Subspace.from_spanning(a.dim, _symmetrized_products(a)).dim),
-    ("dim_PA+AP", lambda a, p, w: w.dim),
-    ("annihilators", lambda a, p, w: _annihilator_dims(a)),
-    ("flags_NDS", lambda a, p, w: ndsflags(a)),
+FINGERPRINT: tuple[tuple[str, Callable[[Algebra, _Spans], object]], ...] = (
+    ("lie_tag", lambda a, s: str(identify_lie_algebra(lie_algebra_of(a)))),
+    ("dim_center", lambda a, s: a.dim - _int_rank(s.lefts + s.rights)),
+    ("dim_products", lambda a, s: s.p.dim),
+    ("dim_squares", lambda a, s: _int_rank(_symmetrized_products(s.rows, a.dim))),
+    ("dim_PA+AP", lambda a, s: s.w.dim),
+    ("annihilators", _annihilator_dims),
+    ("flags_NDS", lambda a, s: ndsflags(a)),
     ("square_form_signature", _square_form_signature),
-    ("induced_action_ratio", lambda a, p, w: _induced_action_ratio(a, p)),
+    ("induced_action_ratio", lambda a, s: _induced_action_ratio(a, s.p)),
 )
 
 
@@ -603,9 +632,8 @@ def fingerprint(a: Algebra, **known) -> tuple:
     unknown = set(known) - {label for label, _ in FINGERPRINT}
     if unknown:
         raise TypeError(f"not a fingerprint component: {sorted(unknown)}")
-    p = product_span(a)
-    w = Subspace.from_spanning(a.dim, _two_sided_products(a, p.basis))
-    return tuple(known[label] if label in known else invariant(a, p, w) for label, invariant in FINGERPRINT)
+    s = _spans(a)
+    return tuple(known[label] if label in known else invariant(a, s) for label, invariant in FINGERPRINT)
 
 
 # ---------------------------------------------------------------------------

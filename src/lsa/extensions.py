@@ -23,18 +23,20 @@ from typing import Sequence
 from .algebra import (
     Algebra,
     Subspace,
+    TripleTable,
     _basis,
     _basis_mults,
+    _combination,
     _first_asymmetry,
     _lie_defect,
     _product,
-    conjugated,
     failures,
-    first_failure,
 )
 from .linalg import (
     QMatrix,
     Vec,
+    _cleared,
+    _int_rank,
     nullspace_basis,
     quotient_basis,
     random_fraction,
@@ -396,15 +398,36 @@ def is_central_extension(d: ExtensionData) -> bool:
 
 def verify_iso_witness(a: Algebra, b: Algebra, eta: QMatrix) -> bool:
     """True iff eta is invertible and eta(x .a y) = eta(x) .b eta(y), i.e.
-    iff b, written in the basis eta(e_i), has a's structure constants."""
+    iff b, written in the basis f_i = eta(e_i), has a's structure constants
+    (f_i .b f_j = eta(e_i .a e_j) is exactly that statement).
+
+    Decided on integers, with no inverse and no solve: eta, a and b are
+    cleared once each to E = e eta, A = da a.c and B = db b.c.  eta is
+    invertible iff E has n pivots, and the identity at (e_i, e_j), with
+    eta(e_i) = E[:, i] / e, reads
+    da sum_{p,q} E[p][i] E[q][j] B[p][q] = e db E A[i][j].
+    """
     if a.dim != b.dim:
         raise ValueError("algebras must have equal dimension")
     if eta.shape != (a.dim, a.dim):
         raise ValueError("witness matrix has wrong shape")
-    try:
-        return conjugated(b, eta).c == a.c
-    except ValueError:  # eta is singular
+    n = a.dim
+    e, rows = _cleared(eta.rows)
+    if _int_rank(rows) < n:
         return False
+    da, ca = _cleared(v for plane in a.c for v in plane)
+    db, cb = _cleared(v for plane in b.c for v in plane)
+    cols = list(zip(*rows))  # cols[i] = E[:, i], e times eta(e_i)
+    scale = e * db
+    for i in range(n):
+        # left[q] = sum_p E[p][i] B[p][q], e db times eta(e_i) .b e_q
+        left = [_combination(cols[i], cb[q::n], n) for q in range(n)]
+        for j in range(n):
+            lhs = _combination(cols[j], left, n)
+            rhs = _combination(ca[i * n + j], cols, n)
+            if any(da * x != scale * y for x, y in zip(lhs, rhs)):
+                return False
+    return True
 
 
 def act_on_cocycle(k: Algebra, v: Algebra, mu: QMatrix, eta: QMatrix, g: Cocycle2) -> Cocycle2:
@@ -519,17 +542,18 @@ def build_lie_extension(d: LieExtensionData) -> Algebra:
     """
     g_base, a_ker, phi, omega = d.g_base, d.a_kernel, d.phi, d.omega
     for label, algebra in (("base", g_base), ("kernel", a_ker)):
-        defect = _lie_defect(algebra)
+        defect = _lie_defect(TripleTable(algebra))
         if defect is not None:
             raise ValueError(f"{label} is not a Lie algebra: {defect}")
     n = g_base.dim
     action = BimoduleAction(g_base, a_ker.dim, phi, tuple(-p for p in phi))
     data = ExtensionData(g_base, a_ker, action, Cocycle2.from_rows(omega))
     ext = replace(_extended_algebra(data), name="lie-ext")
-    pair = _first_asymmetry(ext)
+    table = TripleTable(ext)
+    pair = _first_asymmetry(table)
     if pair is not None:
         raise CompatibilityError(f"omega is not alternating at {pair}")
-    bad = first_failure(ext, "jacobi")
+    bad = table.first_failure("jacobi")
     if not bad.ok:
         what = COMPATIBILITY_OF_BLOCKS[_blocks(bad.witness, n)].format(i=bad.witness[0])
         raise CompatibilityError(f"{what} at basis triple {bad.witness} of the extension")

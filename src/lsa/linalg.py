@@ -252,6 +252,11 @@ def _int_rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return rows[:r], pivots
 
 
+def _int_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank of the integer rows, which are copied, not overwritten."""
+    return len(_int_rref([list(row) for row in rows])[1])
+
+
 def _int_nullspace(rows: list[list[int]], ncols: int) -> list[list[int]]:
     """Integer basis of {v : rows v = 0}, one vector per free column, each
     with its entries' gcd divided out."""

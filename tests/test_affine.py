@@ -747,6 +747,27 @@ def test_verify_family_report():
     assert report["tangent_bracket_residual"] < 1e-6
 
 
+def test_a_recover_that_does_not_invert_its_maps_fails_the_family():
+    """A31 with translation c + a^2 instead of c + a^2/2 is still a group
+    (the same one, reparametrized), so the fallback closes every composite
+    and Newton solves every target; only the closure fallbacks show that
+    ``recover`` no longer inverts ``maps``, and they fail the family."""
+    spec = FAMILIES["A31"]
+
+    def maps(x, a, b, c):
+        entries, (t0, t1, t2) = spec.maps(x, a, b, c)
+        return entries, (t0, t1, t2 + x.half * a * a)
+
+    bent = GroupFamily("A31", FamilySpec(spec.catalog_name, maps, spec.recover), {})
+    report = verify_family(bent, make_lsa("N31"), random.Random(7), closure_samples=10)
+    assert report["closure_failures"] == 0 and report["newton_failures"] == 0
+    assert report["closure_newton_fallbacks"] > 0 and not report["ok"]
+    for fam in default_families():
+        algebra = make_lsa(fam.catalog_name, **fam.spec.defaults)
+        report = verify_family(fam, algebra, random.Random(7), closure_samples=10)
+        assert report["closure_newton_fallbacks"] == 0 and report["ok"], fam.name
+
+
 def test_expm4_against_scipy():
     scipy_linalg = pytest.importorskip("scipy.linalg")
     rng = random.Random(29)

@@ -31,7 +31,7 @@ from lsa.algebra import (
     multiply,
     right_mult,
 )
-from lsa.catalog import _annihilator_dims, catalog_lsas, fixtures
+from lsa.catalog import _annihilator_dims, _spans, catalog_lsas, fixtures
 from lsa.linalg import (
     QMatrix,
     char_poly,
@@ -292,5 +292,5 @@ def operator_spans(a: Algebra) -> tuple[int, int]:
 def test_annihilators_give_the_operator_spans(a):
     """L_x = 0 iff x*A = 0 and R_x = 0 iff A*x = 0, so by rank-nullity the
     operator spans are the dimension minus the annihilators."""
-    left_annihilator, right_annihilator = _annihilator_dims(a)
+    left_annihilator, right_annihilator = _annihilator_dims(a, _spans(a))
     assert (a.dim - left_annihilator, a.dim - right_annihilator) == operator_spans(a)

@@ -51,7 +51,13 @@ class Mutant:
 
 
 AFFINE = "src/lsa/affine.py"
+ALGEBRA = "src/lsa/algebra.py"
+CATALOG = "src/lsa/catalog.py"
+EXTENSIONS = "src/lsa/extensions.py"
+LINALG = "src/lsa/linalg.py"
 TEST_AFFINE = "tests/test_affine.py"
+TEST_CLEARED = "tests/test_cleared_tensor_oracles.py"
+TEST_KERNELS = "tests/test_integer_kernel_oracles.py"
 
 MUTANTS = (
     Mutant(
@@ -126,24 +132,115 @@ MUTANTS = (
     ),
     Mutant(
         "ideal-operator-uncleared",
-        "src/lsa/algebra.py",
+        ALGEBRA,
         "ops = [(d, [list(r) for r in zip(*cols)]) for cols in columns]",
         "ops = [(1 if k == 0 else d, [list(r) for r in zip(*cols)]) for k, cols in enumerate(columns)]",
         ("tests/test_subspace_oracles.py::test_ideals_match_filtered_enumeration",),
     ),
     Mutant(
         "completeness-traces-always-true",
-        "src/lsa/algebra.py",
+        ALGEBRA,
         "return all(sum(a.c[j][i][j] for j in range(n)) == 0 for i in range(n))",
         "return True",
         ("tests/test_algebra.py::test_is_complete_agrees_with_segal_trace_criterion",),
     ),
     Mutant(
         "annihilator-dims-plus-one",
-        "src/lsa/catalog.py",
-        "return tuple(len(nullspace_basis(vstack(mats))) for mats in (rights, lefts))",
-        "return tuple(len(nullspace_basis(vstack(mats))) + 1 for mats in (rights, lefts))",
-        ("tests/test_integer_kernel_oracles.py::test_annihilators_give_the_operator_spans",),
+        CATALOG,
+        "return a.dim - _int_rank(s.rights), a.dim - _int_rank(s.lefts)",
+        "return a.dim - _int_rank(s.rights) + 1, a.dim - _int_rank(s.lefts)",
+        (f"{TEST_KERNELS}::test_annihilators_give_the_operator_spans",),
+    ),
+    Mutant(
+        "a31-translation-without-half-passes-verify-family",
+        AFFINE,
+        "(a, b * x.f(a), c + x.half * a * a)",
+        "(a, b * x.f(a), c + a * a)",
+        (f"{TEST_AFFINE}::test_a_recover_that_does_not_invert_its_maps_fails_the_family",),
+    ),
+    Mutant(
+        "verify-family-ignores-closure-fallbacks",
+        AFFINE,
+        "closure.ok and closure.newton_fallbacks == 0 and",
+        "closure.ok and",
+        (f"{TEST_AFFINE}::test_a_recover_that_does_not_invert_its_maps_fails_the_family",),
+    ),
+    Mutant(
+        "iso-witness-without-pivot-count",
+        EXTENSIONS,
+        "    if _int_rank(rows) < n:\n        return False\n",
+        "",
+        (f"{TEST_CLEARED}::test_iso_witness_matches_conjugation_oracle",),
+    ),
+    Mutant(
+        "iso-witness-without-e-factor",
+        EXTENSIONS,
+        "scale = e * db",
+        "scale = db",
+        (f"{TEST_CLEARED}::test_iso_witness_matches_conjugation_oracle",),
+    ),
+    Mutant(
+        "jacobi-drops-a-cyclic-term",
+        ALGEBRA,
+        '"jacobi": Identity(((1, T1, IJK), (1, T1, JKI), (1, T1, KIJ)), (),',
+        '"jacobi": Identity(((1, T1, IJK), (1, T1, JKI)), (),',
+        (f"{TEST_CLEARED}::test_lie_identification_matches_fraction_oracle",),
+    ),
+    Mutant(
+        "center-from-left-block-only",
+        ALGEBRA,
+        "return _int_span(a.dim, _int_nullspace(lefts + rights, a.dim))",
+        "return _int_span(a.dim, _int_nullspace(lefts, a.dim))",
+        (f"{TEST_CLEARED}::test_ranks_match_fraction_oracle",),
+    ),
+    Mutant(
+        "fingerprint-center-from-left-block-only",
+        CATALOG,
+        "a.dim - _int_rank(s.lefts + s.rights)",
+        "a.dim - _int_rank(s.lefts)",
+        (f"{TEST_CLEARED}::test_ranks_match_fraction_oracle",),
+    ),
+    Mutant(
+        "char-poly-floor-division",
+        LINALG,
+        "return [Fraction(c, d**k) for k, c in enumerate(_int_char_poly(b))]",
+        "return [Fraction(c // d**k) for k, c in enumerate(_int_char_poly(b))]",
+        (f"{TEST_KERNELS}::test_char_poly_and_nilpotency_match_fraction_oracle",),
+    ),
+    Mutant(
+        "rref-floor-division",
+        LINALG,
+        "return [tuple(Fraction(a, row[c]) for a in row) for row, c in zip(rows, pivots)]",
+        "return [tuple(Fraction(a // row[c]) for a in row) for row, c in zip(rows, pivots)]",
+        (f"{TEST_KERNELS}::test_rref_matches_fraction_oracle",),
+    ),
+    Mutant(
+        "identity-n-wrong-permutation",
+        ALGEBRA,
+        '"N": Identity(((1, T1, IJK),), ((1, T1, IKJ),),',
+        '"N": Identity(((1, T1, IJK),), ((1, T1, JIK),),',
+        (f"{TEST_KERNELS}::test_failures_match_fraction_engine",),
+    ),
+    Mutant(
+        "identity-d-reversed-can-fail",
+        ALGEBRA,
+        "((1, T1, KJI),), lambda i, j, k: i < k)",
+        "((1, T1, KJI),), lambda i, j, k: i > k)",
+        (f"{TEST_KERNELS}::test_failures_match_fraction_engine",),
+    ),
+    Mutant(
+        "identity-witness-without-d2-rescale",
+        ALGEBRA,
+        "d2 = self.d * self.d",
+        "d2 = self.d",
+        (f"{TEST_KERNELS}::test_failures_match_fraction_engine",),
+    ),
+    Mutant(
+        "kim-conditions-1-and-2-swapped",
+        EXTENSIONS,
+        'CONDITION_OF_BLOCKS = {"KVV": 1, "VVK": 2,',
+        'CONDITION_OF_BLOCKS = {"KVV": 2, "VVK": 1,',
+        ("tests/test_extension_oracles.py::test_kim_conditions_agree_with_the_separate_loops",),
     ),
 )
 
