@@ -14,13 +14,12 @@ from lsa.affine import (
     FAMILIES,
     FAMILY_NAMES,
     GRID_TICKS,
+    NEWTON_TOL,
     NUMPY,
     AffineMap3,
     ClosureReport,
     FamilySpec,
     GroupFamily,
-    _first_close_pair,
-    _gauss_newton_match,
     _grid_orbit_jacobians,
     _orbit_jacobians,
     _recover_starts,
@@ -42,7 +41,7 @@ from lsa.affine import (
     special_phi,
     verify_family,
 )
-from lsa.catalog import make_lsa
+from lsa.catalog import MU, T, make_lsa
 from lsa.linalg import QMatrix
 
 from affine_reference import (
@@ -53,8 +52,6 @@ from affine_reference import (
     check_simply_transitive_reference,
     closed_reference,
     expm4,
-    first_close_pair_reference,
-    gauss_newton_match_reference,
     newton_invert_orbit_reference,
     phi_partial_sum,
     recover_start_reference,
@@ -296,29 +293,9 @@ def test_legacy_d32_not_closed():
     assert map_distance(fam.element(*rec), composite) > 1e-3
 
 
-def test_gauss_newton_fallback_stops_when_steps_stagnate():
-    """On D32-legacy composites every fit of the lock-step batch stops at
-    the first step that does not lower its residual, long before its 60
-    steps, and reports the best point it saw; every pair still fails.  Each
-    fit equals its one-target oracle."""
-    fam = legacy_d32_family()
-    pairs = np.array(sample_parameter_pairs(random.Random(7), 10))
-    targets = fam.elements(*pairs[:, 0].T).compose(fam.elements(*pairs[:, 1].T))
-    starts = np.stack(fam.recover(targets), axis=-1)
-    xs, resids = _gauss_newton_match(fam, targets, starts)
-    assert np.array_equal(resids, map_distance(fam.elements(*xs.T), targets))
-    assert np.all(1e-9 < resids) and np.all(resids <= map_distance(fam.elements(*starts.T), targets))
-    # stagnation, not the step cap, ends each fit
-    _, capped = _gauss_newton_match(fam, targets, starts, iters=15)
-    assert np.array_equal(capped, resids)
-    for k, start in enumerate(starts):
-        target = AffineMap3(targets.linear[k], targets.translation[k])
-        assert (tuple(xs[k]), float(resids[k])) == gauss_newton_match_reference(fam, target, start)
-
-
 @pytest.mark.parametrize("seed", (0, 7, 11))
 def test_legacy_closure_equals_the_per_pair_reference(seed):
-    """Every pair misses the closed form and goes to the fallback."""
+    """Every pair misses the closed form."""
     fam = legacy_d32_family()
     pairs = sample_parameter_pairs(random.Random(seed), 10)
     report = check_closure(fam, pairs)
@@ -337,8 +314,8 @@ def test_closure_edge_cases_equal_the_per_pair_reference():
     fam = build_family("A30")
     assert check_closure(fam, []) == check_closure_reference(fam, []) == ClosureReport("A30", 0, 0.0, 0, [])
     # a closed family of translations whose recover misses by a^2 where the
-    # composite's a is positive and is NaN where it is not: every pair goes
-    # to the fallback, some from the recovered point and some from p1 + p2
+    # composite's a is positive and is NaN where it is not: every pair
+    # fails, a NaN one with residual inf, and inf is the maximum
     crude = GroupFamily(
         "crude",
         FamilySpec(
@@ -351,9 +328,10 @@ def test_closure_edge_cases_equal_the_per_pair_reference():
     pairs = sample_parameter_pairs(random.Random(3), 20)
     report = check_closure(crude, pairs)
     assert report == check_closure_reference(crude, pairs)
-    assert report.ok and report.newton_fallbacks == 20
-    broken = sum(p1[0] + p2[0] <= 0 for p1, p2 in pairs)
-    assert 0 < broken < 20
+    assert report.newton_fallbacks == len(report.failures) == 20 and report.max_residual == math.inf
+    broken = [p1[0] + p2[0] <= 0 for p1, p2 in pairs]
+    assert 0 < sum(broken) < 20
+    assert [resid == math.inf for *_, resid in report.failures] == broken
 
 
 # --- simple transitivity --------------------------------------------------
@@ -443,14 +421,13 @@ def test_check_simply_transitive_a30():
 # --- simple transitivity: the batches against the one-at-a-time oracles ---
 
 
-def translation_family(name, translation):
-    """A test family of pure translations p -> translation(p) with no closed
-    form: its ``recover`` gives NaN, so the transitivity check starts every
-    target at the origin."""
+def translation_family(name, translation, recover=lambda t: np.full_like(t, np.nan)):
+    """A test family of pure translations p -> translation(p) with the
+    closed form ``recover(t)``, by default none: it gives NaN, so the grid
+    check refuses the family and the transitivity check starts every target
+    at the origin."""
     return GroupFamily(
-        name,
-        FamilySpec("zero", lambda x, a, b, c: ({}, translation(a, b, c)), lambda x, lin, t: np.full_like(t, np.nan)),
-        {},
+        name, FamilySpec("zero", lambda x, a, b, c: ({}, translation(a, b, c)), lambda x, lin, t: recover(t)), {}
     )
 
 
@@ -476,61 +453,44 @@ def test_batched_newton_equals_one_point_calls():
 
 
 @pytest.mark.parametrize(
-    "translation",
+    "translation, recover",
     [
-        lambda a, b, c: (a * a, b, c),  # g(-a, b, c) = g(a, b, c) exactly
-        lambda a, b, c: (a * a + 1e-10 * a, b, c),  # 2e-10 |a| apart: closest at |a| = 0.5
+        # g(-a, b, c) = g(a, b, c) exactly
+        (lambda a, b, c: (a * a, b, c), lambda t: (np.sqrt(t[0]), t[1], t[2])),
+        # 2e-10 |a| apart, and recover takes the root a >= -5e-11
+        (lambda a, b, c: (a * a + 1e-10 * a, b, c), lambda t: ((np.sqrt(1e-20 + 4 * t[0]) - 1e-10) / 2, t[1], t[2])),
     ],
     ids=["exact-fold", "near-fold"],
 )
-def test_non_injective_family_witness_equals_the_oracle(translation):
-    fam = translation_family("fold", translation)
+def test_non_injective_family_witness_equals_the_oracle(translation, recover):
+    """The grid refuses a closed form that is a left inverse for a >= 0
+    only; the witness is the first grid point, which ``recover`` sends to
+    (within 1e-10 of) its mirror image."""
+    fam = translation_family("fold", translation, recover)
     report = check_simply_transitive(fam, rng=random.Random(7))
     assert report == check_simply_transitive_reference(fam, rng=random.Random(7))
     assert not report.injectivity_ok and not report.ok
-    first, second = report.injectivity_witness
-    assert first[0] == -second[0] and first[1:] == second[1:] == (-2.0, -2.0)
-    # the Jacobian at the start (0, 0, 0) is singular, so every target fails
-    assert report.newton_failures == 20
+    point, back = report.injectivity_witness
+    assert point == (-2.0, -2.0, -2.0) and abs(back[0] - 2.0) < 1e-9 and back[1:] == (-2.0, -2.0)
+    # a target with a negative first coordinate starts at the origin, and
+    # no point reaches it
+    assert 0 < report.newton_failures < 20
 
 
-def planted_cloud(seed, separations, kinds=("oblique", "axis")):
-    """200 scattered points and, at each separation, a planted pair of each
-    kind: one along a random direction, one along a coordinate axis;
-    shuffled."""
-    rng = np.random.default_rng(seed)
-    points = [rng.uniform(-5, 5, (200, 3))]
-    for sep in separations:
-        if "oblique" in kinds:
-            direction = rng.normal(size=3)
-            centre = rng.uniform(-5, 5, 3)
-            points.append([centre + sign * sep / 2 * direction / np.linalg.norm(direction) for sign in (-1, 1)])
-        if "axis" in kinds:
-            axis = np.eye(3)[rng.integers(3)]
-            centre = rng.uniform(-5, 5, 3)
-            points.append([centre + sign * sep / 2 * axis for sign in (-1, 1)])
-    cloud = np.vstack(points)
-    return cloud[rng.permutation(len(cloud))]
+@pytest.mark.parametrize("shift, ok", [(NEWTON_TOL / 2, True), (2 * NEWTON_TOL, False)], ids=["below", "above"])
+def test_the_grid_refuses_a_recover_that_misses_by_more_than_newton_tol(shift, ok):
+    spec = FAMILIES["A30"]
 
+    def recover(x, lin, t):
+        a, b, c = spec.recover(x, lin, t)
+        return a, b, c + shift
 
-@pytest.mark.parametrize("seed", range(4))
-def test_close_pair_search_equals_the_full_matrix(seed):
-    injective = planted_cloud(seed, [1.1e-9] * 3 + [1.00001e-9])
-    assert _first_close_pair(injective) is first_close_pair_reference(injective) is None
-    close = planted_cloud(seed, [1.1e-9] * 3 + [0.9e-9, 0.99999e-9])
-    assert _first_close_pair(close) == first_close_pair_reference(close) is not None
-    for sep, kind in itertools.product((0.9e-9, 0.99999e-9), ("oblique", "axis")):
-        single = planted_cloud(seed, [sep], kinds=(kind,))
-        assert _first_close_pair(single) == first_close_pair_reference(single) is not None, (sep, kind)
-    # three points within one window on every axis, listed so that the
-    # closest pair is not adjacent: every candidate pair is measured
-    cell = injective[0] + 0.25 + np.outer([0.0, 0.8e-9, 0.1e-9], np.ones(3) / 3**0.5)
-    clustered = np.vstack([injective, cell])
-    n = len(injective)
-    assert _first_close_pair(clustered) == first_close_pair_reference(clustered) == (n, n + 2)
-    # exact duplicates tie at distance 0: the row-major first pair wins
-    duplicates = np.vstack([injective, injective[[5, 17, 5, 40]]])
-    assert _first_close_pair(duplicates) == first_close_pair_reference(duplicates) == (5, n)
+    fam = GroupFamily("A30-shifted", FamilySpec(spec.catalog_name, spec.maps, recover), {})
+    report = check_simply_transitive(fam, n_targets=0)
+    assert report == check_simply_transitive_reference(fam, n_targets=0)
+    assert report.injectivity_ok is ok
+    if not ok:
+        assert report.injectivity_witness == ((-2.0, -2.0, -2.0), (-2.0, -2.0, -2.0 + shift))
 
 
 def test_newton_batch_isolates_its_failures():
@@ -580,7 +540,9 @@ def test_closed_form_start_needs_no_newton_step(name, params):
 
 def test_a_start_without_a_closed_form_is_the_origin():
     """A family whose ``recover`` breaks down for a <= 0: those targets start
-    at the origin, and the batch equals the one-at-a-time oracle."""
+    at the origin and Newton solves them, but the grid refuses the family,
+    first at a = -2.  The batch equals the one-at-a-time oracle (compared by
+    ``repr``, in which the NaN of the witness equals itself)."""
 
     def recover(x, lin, t):
         a, b, c = FAMILIES["A30"].recover(x, lin, t)
@@ -595,8 +557,10 @@ def test_a_start_without_a_closed_form_is_the_origin():
     assert np.array_equal(starts[~left], _recover_starts(build_family("A30"), targets[~left]))
     for seed in (0, 7, 11):
         report = check_simply_transitive(fam, rng=random.Random(seed))
-        assert report == check_simply_transitive_reference(fam, rng=random.Random(seed))
-        assert report.ok
+        assert repr(report) == repr(check_simply_transitive_reference(fam, rng=random.Random(seed)))
+        assert report.newton_failures == 0 and not report.injectivity_ok and not report.ok
+        point, back = report.injectivity_witness
+        assert point == (-2.0, -2.0, -2.0) and math.isnan(back[0])
 
 
 @pytest.mark.parametrize("name, params", FAMILY_CASES, ids=FAMILY_CASE_IDS)
@@ -646,6 +610,15 @@ def test_grid_axes_equal_the_flat_meshgrid(fam):
     assert np.array_equal(translation.reshape(flat_translation.shape), flat_translation)
 
 
+@pytest.mark.parametrize("fam", GRID_FAMILIES, ids=GRID_IDS)
+def test_recover_inverts_the_maps_on_the_grid(fam):
+    """recover(g(p)) = p up to roundoff at every grid point, D32-legacy
+    included: the identity the closure verdict rests on."""
+    points = flat_grid_points()
+    back = np.stack(fam.recover(fam.elements(*points.T)), axis=-1)
+    assert np.max(np.abs(back - points)) < 1e-14
+
+
 def test_a_formula_that_ignores_an_input_gets_the_full_stack():
     fam = translation_family("constant-c", lambda a, b, c: (a, b, 0.0 * a + 1.0))
     linear, translation = fam.evaluate(*_GRID_AXES)
@@ -654,10 +627,11 @@ def test_a_formula_that_ignores_an_input_gets_the_full_stack():
     flat = flat_grid_points() + DIFF_STEP * _STENCIL[:, None, :]
     assert np.array_equal(translation.reshape(flat.shape), np.stack([flat[..., 0], flat[..., 1], np.ones(flat.shape[:-1])], -1))
     # the grid reads the same points, so the report is the flat oracle's
+    # (compared by repr, in which the NaN of the witness equals itself)
     report = check_simply_transitive(fam, rng=random.Random(3))
-    assert report == check_simply_transitive_reference(fam, rng=random.Random(3))
+    assert repr(report) == repr(check_simply_transitive_reference(fam, rng=random.Random(3)))
     assert report.min_abs_jacobian == 0.0 and report.min_jacobian_point == (-2.0, -2.0, -2.0)
-    assert report.injectivity_witness == ((-2.0, -2.0, -2.0), (-2.0, -2.0, -1.5))
+    assert report.injectivity_witness[0] == (-2.0, -2.0, -2.0)
 
 
 def test_an_overflow_at_one_grid_corner_is_refused():
@@ -749,9 +723,9 @@ def test_verify_family_report():
 
 def test_a_recover_that_does_not_invert_its_maps_fails_the_family():
     """A31 with translation c + a^2 instead of c + a^2/2 is still a group
-    (the same one, reparametrized), so the fallback closes every composite
-    and Newton solves every target; only the closure fallbacks show that
-    ``recover`` no longer inverts ``maps``, and they fail the family."""
+    (the same one, reparametrized), so Newton solves every target; but
+    ``recover`` no longer inverts ``maps``, and both closure and the grid
+    show it."""
     spec = FAMILIES["A31"]
 
     def maps(x, a, b, c):
@@ -760,12 +734,56 @@ def test_a_recover_that_does_not_invert_its_maps_fails_the_family():
 
     bent = GroupFamily("A31", FamilySpec(spec.catalog_name, maps, spec.recover), {})
     report = verify_family(bent, make_lsa("N31"), random.Random(7), closure_samples=10)
-    assert report["closure_failures"] == 0 and report["newton_failures"] == 0
-    assert report["closure_newton_fallbacks"] > 0 and not report["ok"]
+    assert report["newton_failures"] == 0
+    assert report["closure_failures"] > 0 and not report["injectivity_ok"] and not report["ok"]
     for fam in default_families():
         algebra = make_lsa(fam.catalog_name, **fam.spec.defaults)
         report = verify_family(fam, algebra, random.Random(7), closure_samples=10)
         assert report["closure_newton_fallbacks"] == 0 and report["ok"], fam.name
+
+
+def test_a_family_that_is_not_closed_fails_on_closure_alone():
+    """A30 with a^3 at linear entry (2, 0): the orbit map, its inverse and
+    the tangent algebra are A30's (the entry's derivative vanishes at 0),
+    but composites leave the family."""
+    spec = FAMILIES["A30"]
+
+    def maps(x, a, b, c):
+        entries, translation = spec.maps(x, a, b, c)
+        return {**entries, (2, 0): a * a * a}, translation
+
+    bent = GroupFamily("A30", FamilySpec(spec.catalog_name, maps, spec.recover), {})
+    report = verify_family(bent, make_lsa("N30"), random.Random(7), closure_samples=10)
+    assert report["injectivity_ok"] and report["newton_failures"] == 0
+    assert report["tangent_generator_error"] < 1e-6 and report["tangent_bracket_residual"] < 1e-6
+    assert report["closure_failures"] > 0 and not report["ok"]
+
+
+def draws(param, count=40):
+    rng = random.Random(0)
+    return [param.sample(rng) for _ in range(count)]
+
+
+# every zeta that ZETA.sample can draw, and 40 draws of mu and of t
+SAMPLED_PARAMETERS = {
+    "E3": sorted({Fraction(p, q) for p in range(1, 9) for q in range(1, 5)}),
+    "D31": draws(MU),
+    "C3t": draws(T),
+}
+
+
+@pytest.mark.parametrize("name", SAMPLED_PARAMETERS)
+def test_every_sampled_parameter_passes_verify_family(name):
+    spec = FAMILIES[name]
+    (key,) = spec.defaults
+    failed = []
+    for value in SAMPLED_PARAMETERS[name]:
+        fam = build_family(name, **{key: value})
+        report = verify_family(fam, make_lsa(spec.catalog_name, **{key: value}), random.Random(0))
+        if not report["ok"]:
+            failed.append(value)
+    assert not failed, failed
+    assert len(SAMPLED_PARAMETERS["E3"]) == 22
 
 
 def test_expm4_against_scipy():

@@ -96,18 +96,25 @@ MUTANTS = (
         ("tests/test_affine_exact.py::test_namespaces_agree_through_the_same_formulas",),
     ),
     Mutant(
-        "close-pair-window-side-left",
+        "grid-inverse-bound-loosened",
         AFFINE,
-        'columns[:, k] + CLOSE_PAIR_WINDOW, side="right")',
-        'columns[:, k] + CLOSE_PAIR_WINDOW, side="left")',
-        ("tests/test_close_pair.py",),
+        "axis=1) < NEWTON_TOL))  # also NaN",
+        "axis=1) < 10 * NEWTON_TOL))  # also NaN",
+        (f"{TEST_AFFINE}::test_the_grid_refuses_a_recover_that_misses_by_more_than_newton_tol",),
     ),
     Mutant(
-        "close-pair-tie-by-candidate-order",
+        "closure-keeps-nan-residuals",
         AFFINE,
-        "best = tied[np.lexsort((j[tied], i[tied]))[0]]",
-        "best = tied[0]",
-        (f"{TEST_AFFINE}::test_close_pair_search_equals_the_full_matrix",),
+        "resids = np.where(np.isnan(resids), np.inf, resids).tolist()",
+        "resids = resids.tolist()",
+        (f"{TEST_AFFINE}::test_closure_edge_cases_equal_the_per_pair_reference",),
+    ),
+    Mutant(
+        "legacy-d32-recover-reads-the-wrong-diagonal",
+        AFFINE,
+        "a = x.log(lin[1, 1])",
+        "a = x.log(lin[2, 2])",
+        (f"{TEST_AFFINE}::test_recover_inverts_the_maps_on_the_grid",),
     ),
     Mutant(
         "grid-axes-b-and-c-swapped",
@@ -159,11 +166,11 @@ MUTANTS = (
         (f"{TEST_AFFINE}::test_a_recover_that_does_not_invert_its_maps_fails_the_family",),
     ),
     Mutant(
-        "verify-family-ignores-closure-fallbacks",
+        "verify-family-ignores-closure",
         AFFINE,
-        "closure.ok and closure.newton_fallbacks == 0 and",
-        "closure.ok and",
-        (f"{TEST_AFFINE}::test_a_recover_that_does_not_invert_its_maps_fails_the_family",),
+        '"ok": closure.ok and transitivity.ok and',
+        '"ok": transitivity.ok and',
+        (f"{TEST_AFFINE}::test_a_family_that_is_not_closed_fails_on_closure_alone",),
     ),
     Mutant(
         "iso-witness-without-pivot-count",
