@@ -232,12 +232,11 @@ def _two_sided_products(a: Algebra, vectors: Sequence[Vec]) -> list[Vec]:
 
 
 def _restricted(images: Sequence[Vec], basis: Sequence[Vec]) -> QMatrix:
-    """The matrix, in ``basis``, of the map basis[j] -> images[j], from one
-    solve; ValueError if an image leaves span(basis)."""
-    cols = solve(QMatrix.from_cols(basis), images)
-    if cols is None:
-        raise ValueError("an image leaves the span of the basis")
-    return QMatrix.from_cols(cols)
+    """The matrix, in a reduced-echelon ``basis``, of the map basis[j] ->
+    images[j] into span(basis): the coordinates of a vector of the span are
+    its entries at the basis's pivot columns."""
+    pivots = [next(k for k, x in enumerate(b) if x != 0) for b in basis]
+    return QMatrix([[image[k] for image in images] for k in pivots])
 
 
 def _basis_mults(a: Algebra) -> tuple[list[QMatrix], list[QMatrix]]:

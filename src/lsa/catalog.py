@@ -56,11 +56,10 @@ from .extensions import (
 from .linalg import (
     QMatrix,
     _cleared,
+    _echelon_rows,
     _int_rank,
     _int_rref,
     frac,
-    quotient_basis,
-    solve,
     symmetric_signature,
     vec_is_zero,
 )
@@ -504,27 +503,29 @@ class _Spans(NamedTuple):
     """What ``fingerprint`` reads off one cleared tensor of an algebra:
     ``rows[i n + j]`` = d e_i*e_j with d the least common denominator, the
     integer blocks of the stacked L_ei and R_ei (``_mult_blocks``), the
-    product span P and W = P*A + A*P.  Scaling by d > 0 keeps every span,
-    rank and kernel."""
+    product span P, the pivot columns of P's echelon basis and
+    W = P*A + A*P.  Scaling by d > 0 keeps every span, rank and kernel."""
 
     rows: list[list[int]]
     lefts: list[list[int]]
     rights: list[list[int]]
     p: Subspace
+    pivots: list[int]
     w: Subspace
 
 
 def _spans(a: Algebra) -> _Spans:
-    """The ``_Spans`` of ``a``: P is the span of the rows, and W the span of
-    every e_i*w and w*e_i, w in the integer basis of P that ``_int_rref``
-    leaves."""
+    """The ``_Spans`` of ``a``: P is the span of the rows, from one
+    ``_int_rref``, and W the span of every e_i*w and w*e_i, w in the integer
+    basis of P that it leaves."""
     n = a.dim
     _, rows = _cleared(v for plane in a.c for v in plane)
-    p_basis = _int_rref([list(row) for row in rows])[0]
+    p_basis, pivots = _int_rref([list(row) for row in rows])
     # e_i*w = sum_k w_k e_i*e_k and w*e_i = sum_k w_k e_k*e_i
     factors = [rows[i * n : (i + 1) * n] for i in range(n)] + [rows[i::n] for i in range(n)]
     products = [_combination(w, vectors, n) for w in p_basis for vectors in factors]
-    return _Spans(rows, *_mult_blocks(rows, n), _int_span(n, p_basis), _int_span(n, products))
+    p = Subspace(n, tuple(_echelon_rows(p_basis, pivots)))
+    return _Spans(rows, *_mult_blocks(rows, n), p, pivots, _int_span(n, products))
 
 
 def _annihilator_dims(a: Algebra, s: _Spans) -> tuple[int, int]:
@@ -555,21 +556,18 @@ def _square_form_signature(a: Algebra, s: _Spans) -> tuple[int, int, int] | None
     if p.dim != 2 or w.dim != 1:
         return None
     row = _trace_row(a)
-    tr_w, *tr_p = (sum((t * x for t, x in zip(row, v)), Fraction(0)) for v in (*w.basis, *p.basis))
+    tr_w, *tr_p = (sum(t * x for t, x in zip(row, v)) for v in (*w.basis, *p.basis))
     if tr_w != 0 or not any(tr_p):
         return None
-    tr, p_hat = next((t, pv) for t, pv in zip(tr_p, p.basis) if t != 0)
-    p_hat = tuple(x / tr for x in p_hat)
+    # tr L is a coordinate on the line P/W, so the form's matrix is half tr L
+    # of e_i*e_j + e_j*e_i; the factor 1/2, and the d of the cleared rows, do
+    # not change a signature, so they are left out
     n = a.dim
-    # the form's matrix is half the coordinates of e_i*e_j + e_j*e_i; the
-    # factor 1/2, and the d of the cleared rows, do not change a signature,
-    # so they are left out
-    # every product lies in P = span(p_hat, W), so the solve is consistent
-    coords = solve(QMatrix.from_cols([p_hat, *w.basis]), _symmetrized_products(s.rows, n))
-    return symmetric_signature(QMatrix([[coords[i * n + j][0] for j in range(n)] for i in range(n)]))
+    values = [sum(t * x for t, x in zip(row, v)) for v in _symmetrized_products(s.rows, n)]
+    return symmetric_signature(QMatrix([values[i * n : (i + 1) * n] for i in range(n)]))
 
 
-def _induced_action_ratio(a: Algebra, p: Subspace) -> str | None:
+def _induced_action_ratio(a: Algebra, s: _Spans) -> str | None:
     """Scale-free invariant of the quotient action on P = span of products.
 
     When P is a 2D ideal with 1D quotient and every p in P acts trivially on
@@ -577,13 +575,15 @@ def _induced_action_ratio(a: Algebra, p: Subspace) -> str | None:
     Lb, Rb on P.  The ratio Rb = c (Lb - (tr Lb / 2) I) is independent of
     the lift and scaling; returned as a string ('none' cases excluded).
     """
+    p = s.p
     if p.dim != 2 or a.dim - p.dim != 1:
         return None
     # P acts trivially on P: L_p and R_p vanish there for every p in P
     if any(not vec_is_zero(multiply(a, x, y)) for x in p.basis for y in p.basis):
         return None
-    # dim P = 2 < 3, so a standard basis vector lifts the quotient generator
-    lift = quotient_basis(_basis(a), list(p.basis))[0]
+    # P's echelon basis is zero at the one column k without a pivot, so e_k
+    # has zero coordinates in P: it lies outside P and lifts the generator
+    lift = _basis(a)[next(k for k in range(a.dim) if k not in s.pivots)]
     # P holds every product, so x*P and P*x stay in P and both restrict
     lb = _restricted([multiply(a, lift, bv) for bv in p.basis], p.basis)
     rb = _restricted([multiply(a, bv, lift) for bv in p.basis], p.basis)
@@ -617,7 +617,7 @@ FINGERPRINT: tuple[tuple[str, Callable[[Algebra, _Spans], object]], ...] = (
     ("annihilators", _annihilator_dims),
     ("flags_NDS", lambda a, s: ndsflags(a)),
     ("square_form_signature", _square_form_signature),
-    ("induced_action_ratio", lambda a, s: _induced_action_ratio(a, s.p)),
+    ("induced_action_ratio", _induced_action_ratio),
 )
 
 

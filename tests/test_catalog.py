@@ -24,6 +24,8 @@ from lsa.catalog import (
     _ALL,
     ENTRIES,
     ENTRY_NAMES,
+    FINGERPRINT,
+    T,
     CatalogEntry,
     ParameterError,
     case1_n2_central,
@@ -290,6 +292,24 @@ def test_fingerprints_separate_c3t_values():
     assert fp2 != fp3
     assert fp2[-1] == str(F(1, 2))  # (t-1)/t at t=2
     assert fp3[-1] == str(F(2, 3))
+
+
+def test_c3t_induced_action_ratio_at_every_sampled_t():
+    """In a fresh random basis, C3t's ratio is (t - 1)/t, 'inf' at t = 0,
+    at every t that ``T.sample`` can draw, and C31's is 0, the ratio of the
+    excluded t = 1: the Moebius map t -> (t - 1)/t is injective, so the
+    sampled C3t are pairwise distinct and distinct from C31."""
+    support = {F(p, q) for p in range(-6, 7) for q in range(1, 5)} - {F(1)}
+    rng = random.Random(25)
+    assert {T.sample(rng) for _ in range(400)} <= support
+    label = [label for label, _ in FINGERPRINT].index("induced_action_ratio")
+
+    def ratio(name, **params):
+        return fingerprint(conjugated(make_lsa(name, **params), random_invertible(rng, 3)))[label]
+
+    for t in sorted(support):
+        assert ratio("C3t", t=t) == ("inf" if t == 0 else str((t - 1) / t)), t
+    assert ratio("C31") == "0"
 
 
 def test_fingerprint_invariant_under_basis_change():

@@ -9,7 +9,8 @@ earlier ``Fraction`` forms: the antisymmetry test through ``vec_scale(-1,
 rational matrices; the center and the annihilators as ``nullspace_basis``
 of the stacked rational L and R matrices, P, W and the squares as
 ``Subspace.from_spanning`` of rational products, the square-form signature
-on the rational symmetrized products; and the witness as
+by a solve of the rational symmetrized products, the induced-action ratio
+of ``fingerprint_oracles``; and the witness as
 ``conjugated(b, eta).c == a.c``.  Old and new must agree exactly, messages,
 pairs, triples and reasons included, on random rational algebras of
 dimension 2 to 4 in fresh random bases, Lie algebras that are unimodular,
@@ -23,6 +24,7 @@ from fractions import Fraction
 
 import pytest
 
+from fingerprint_oracles import oracle_induced_action_ratio
 from lsa.algebra import (
     Algebra,
     LieTag,
@@ -45,7 +47,6 @@ from lsa.algebra import (
 )
 from lsa.catalog import (
     LIE_FAMILIES,
-    _induced_action_ratio,
     _spans,
     catalog_lsas,
     fingerprint,
@@ -176,7 +177,7 @@ def oracle_fingerprint(a: Algebra, lie_tag=None) -> tuple:
         oracle_annihilators(a),
         ndsflags(a),
         oracle_square_form_signature(a, p, w),
-        _induced_action_ratio(a, p),
+        oracle_induced_action_ratio(a, p),
     )
 
 

@@ -58,6 +58,7 @@ LINALG = "src/lsa/linalg.py"
 TEST_AFFINE = "tests/test_affine.py"
 TEST_CLEARED = "tests/test_cleared_tensor_oracles.py"
 TEST_KERNELS = "tests/test_integer_kernel_oracles.py"
+TEST_PRIMITIVES = "tests/test_primitive_oracles.py"
 
 MUTANTS = (
     Mutant(
@@ -241,6 +242,20 @@ MUTANTS = (
         "d2 = self.d * self.d",
         "d2 = self.d",
         (f"{TEST_KERNELS}::test_failures_match_fraction_engine",),
+    ),
+    Mutant(
+        "induced-action-lift-at-a-pivot",
+        CATALOG,
+        "k not in s.pivots",
+        "k in s.pivots",
+        (f"{TEST_PRIMITIVES}::test_induced_action_ratio_equals_the_full_matrix_restriction",),
+    ),
+    Mutant(
+        "restricted-reads-the-pivots-reversed",
+        ALGEBRA,
+        "return QMatrix([[image[k] for image in images] for k in pivots])",
+        "return QMatrix([[image[k] for image in images] for k in reversed(pivots)])",
+        (f"{TEST_PRIMITIVES}::test_milnor_d_is_ad_e1_on_the_trace_kernel",),
     ),
     Mutant(
         "kim-conditions-1-and-2-swapped",
