@@ -20,6 +20,7 @@ from .linalg import (
     _int_char_poly,
     _int_matmul,
     _int_nullspace,
+    _int_rank,
     _int_rref,
     _nilpotent_ints,
     _primitive,
@@ -219,10 +220,12 @@ def _basis(a: Algebra) -> list[Vec]:
     return [unit_vec(a.dim, i) for i in range(a.dim)]
 
 
-def _trace_row(a: Algebra | TripleTable) -> list:
-    """tr L_ei = sum_j c[i][j][j] for each i; tr L_x is its dot product with x.
-    Read off a ``TripleTable``, these are the integers d tr L_ei."""
-    return [sum(a.c[i][j][j] for j in range(a.dim)) for i in range(a.dim)]
+def _trace_row(c: Sequence[Sequence[Sequence]]) -> list:
+    """tr L_ei = sum_j c[i][j][j] for each i, of the tensor c; tr L_x is its
+    dot product with x.  On the cleared tensor of a ``TripleTable`` these
+    are the integers d tr L_ei."""
+    n = len(c)
+    return [sum(c[i][j][j] for j in range(n)) for i in range(n)]
 
 
 def _two_sided_products(a: Algebra, vectors: Sequence[Vec]) -> list[Vec]:
@@ -405,7 +408,9 @@ def lie_algebra_of(a: Algebra) -> Algebra:
     a left-symmetric algebra form a Lie algebra (the Jacobi sum is the
     alternating sum of the associators (x*y)*z - x*(y*z) over the orders of
     x, y, z, and left symmetry cancels it in pairs).  ``_require_lie``
-    refuses other input where the brackets are read."""
+    refuses other input where the brackets are read.  The audit reads the
+    brackets of a left-symmetric sample off its own table instead
+    (``_commutator_brackets``); this builds them only for other input."""
     brackets = tuple(tuple(vec_sub(a.c[i][j], a.c[j][i]) for j in range(a.dim)) for i in range(a.dim))
     return Algebra(a.dim, brackets, name=f"Lie({a.name})" if a.name else "", params=a.params)
 
@@ -447,6 +452,24 @@ def _require_lie(a: Algebra) -> TripleTable:
     if defect is not None:
         raise ValueError(f"not a Lie algebra: {defect}")
     return table
+
+
+def _commutator_brackets(a: Algebra, table: TripleTable, left_symmetric: bool) -> list:
+    """A positive multiple of the commutator tensor, b[i][j] = d' [e_i, e_j]
+    with [x, y] = x*y - y*x, as ints; ``table`` is a's own and
+    ``left_symmetric`` its verdict.
+
+    The commutators of a left-symmetric algebra form a Lie algebra (see
+    ``lie_algebra_of``), so there they are read off the table's cleared
+    tensor, d (c[i][j] - c[j][i]), with no scan.  Otherwise they may fail
+    Jacobi: they are built and scanned by ``_require_lie``, which raises its
+    ``ValueError`` with the failing triple.  Every reader of the brackets
+    (the tag, the trace row, the rank) is scale-free, so d' does not
+    matter."""
+    if not left_symmetric:
+        return _require_lie(lie_algebra_of(a)).c
+    n, c = table.dim, table.c
+    return [[tuple(x - y for x, y in zip(c[i][j], c[j][i])) for j in range(n)] for i in range(n)]
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -495,11 +518,12 @@ def is_complete(a: Algebra) -> bool:
     )
 
 
-def _complete_by_traces(a: Algebra) -> bool:
+def _complete_by_traces(a: Algebra | TripleTable) -> bool:
     """Completeness of a left-symmetric algebra, by Helmstetter's and
     Segal's theorem: a left-symmetric algebra is complete (every R_x
     nilpotent) iff tr R_x = 0 for every x.  tr R_x is linear in x, so this
-    is tr R_ei = sum_j c[j][i][j] = 0 for every i.
+    is tr R_ei = sum_j c[j][i][j] = 0 for every i; read off a
+    ``TripleTable``, d tr R_ei = 0 on its cleared tensor.
 
     The theorem holds only for left-symmetric input: e1*e1 = e1,
     e2*e1 = -e2 has tr R_x = 0 for every x, but R_e1 = diag(1, -1) is not
@@ -628,16 +652,18 @@ def find_ideals_dim_le3(a: Algebra) -> list[Subspace]:
       vanishes on it for each operator M.
 
     The joint eigenspaces come from ``_refine`` on the operators, read off
-    one integer tensor d c (``_cleared`` once): the columns of d L_ei and
-    d R_ei are its rows d e_i*e_j and d e_j*e_i.  An operator's spectrum,
-    the rational roots of the integer characteristic polynomial of d M
-    divided by d, is computed only when a branch of dimension >= 2 reaches
-    it, and at most once: the transposes share it (char_poly(M^T) =
-    char_poly(M)).  An operator without a rational eigenvalue thus leaves
-    no joint eigenspace, and the answer is empty.  Multidimensional joint
-    eigenspaces are reported through their reduced-echelon basis vectors.
-    Irrational eigendata is out of reach by design, so an empty answer
-    means "no rational ideal found", never "simple".
+    one integer tensor d c (``_cleared`` once, then ``_ideals``, which the
+    catalog audit calls on the tensor its table already holds): the
+    columns of d L_ei and d R_ei are its rows d e_i*e_j and d e_j*e_i.  An
+    operator's spectrum, the rational roots of the integer characteristic
+    polynomial of d M divided by d, is computed only when a branch of
+    dimension >= 2 reaches it, and at most once: the transposes share it
+    (char_poly(M^T) = char_poly(M)).  An operator without a rational
+    eigenvalue thus leaves no joint eigenspace, and the answer is empty.
+    Multidimensional joint eigenspaces are reported through their
+    reduced-echelon basis vectors.  Irrational eigendata is out of reach by
+    design, so an empty answer means "no rational ideal found", never
+    "simple".
     """
     if a.dim > 3:
         raise ValueError("ideal search is implemented for dim <= 3 only")
@@ -645,9 +671,16 @@ def find_ideals_dim_le3(a: Algebra) -> list[Subspace]:
         return []
     n = a.dim
     d, rows = _cleared(v for plane in a.c for v in plane)
-    # the columns of d L_ei and of d R_ei: rows[i n + j] = d e_i*e_j
-    columns = [[rows[i * n + j] for j in range(n)] for i in range(n)]
-    columns += [[rows[j * n + i] for j in range(n)] for i in range(n)]
+    return _ideals(d, [rows[i * n : (i + 1) * n] for i in range(n)])
+
+
+def _ideals(d: int, c: Sequence[Sequence[Sequence[int]]]) -> list[Subspace]:
+    """``find_ideals_dim_le3`` of an algebra of dimension 2 or 3 given
+    cleared, c[i][j] = d e_i*e_j with d > 0, as a ``TripleTable`` keeps it."""
+    n = len(c)
+    # the columns of d L_ei and of d R_ei
+    columns = [list(c[i]) for i in range(n)]
+    columns += [[c[j][i] for j in range(n)] for i in range(n)]
     ops = [(d, [list(r) for r in zip(*cols)]) for cols in columns]
     spectra: dict[int, list[Fraction]] = {}
 
@@ -657,8 +690,8 @@ def find_ideals_dim_le3(a: Algebra) -> list[Subspace]:
         return spectra[k]
 
     # a reduced-echelon row is already the canonical basis of its line
-    found = [Subspace(a.dim, (v,)) for v in _joint_eigenvectors(ops, spectrum)]
-    if a.dim == 3:
+    found = [Subspace(n, (v,)) for v in _joint_eigenvectors(ops, spectrum)]
+    if n == 3:
         found += {
             Subspace.from_spanning(3, nullspace_basis(QMatrix([w])))
             for w in _joint_eigenvectors([(d, cols) for cols in columns], spectrum)
@@ -668,7 +701,7 @@ def find_ideals_dim_le3(a: Algebra) -> list[Subspace]:
 
 
 def is_unimodular(lie: Algebra) -> bool:
-    return not any(_trace_row(_require_lie(lie)))
+    return not any(_trace_row(_require_lie(lie).c))
 
 
 def derived_subspace(lie: Algebra, w: Subspace) -> Subspace:
@@ -691,22 +724,29 @@ def is_solvable(lie: Algebra) -> bool:
     return True
 
 
-def _nonzero_trace_row(lie: Algebra) -> tuple[TripleTable, list[int]]:
-    """The table of a 3D Lie algebra (``_require_lie`` first) and its trace
-    row on the cleared tensor, d tr ad_ei for each i, refused with
-    NotInScopeError where it vanishes, i.e. on unimodular input."""
+def _require_3d_lie(lie: Algebra) -> TripleTable:
+    """``_require_lie``, then refuse a dimension other than 3."""
     table = _require_lie(lie)
     if lie.dim != 3:
         raise ValueError("Milnor normal form requires dimension 3")
-    trace_row = _trace_row(table)
+    return table
+
+
+def _nonzero_trace_row(b: Sequence[Sequence[Sequence[int]]]) -> list[int]:
+    """The trace row d tr ad_ei of the integer brackets b[i][j] = d [e_i, e_j],
+    d > 0, of a 3D Lie algebra, refused with NotInScopeError where it
+    vanishes, i.e. on unimodular input."""
+    trace_row = _trace_row(b)
     if not any(trace_row):
         # Solvability only picks the reason: a non-solvable 3D real Lie
         # algebra is its own Levi factor, so it is simple, hence perfect
         # ([g, g] = g), hence unimodular (tr ad_[x,y] = tr [ad_x, ad_y] = 0).
         # A nonzero trace row therefore already implies solvable.  A 3D g
-        # with [g, g] != g is solvable, as [g, g] of dim <= 2 is.
-        raise NotInScopeError(f"Lie algebra is {'unimodular' if product_span(lie).dim < 3 else 'not solvable'}")
-    return table, trace_row
+        # with [g, g] != g is solvable, as [g, g] of dim <= 2 is; dim [g, g]
+        # is the rank of the bracket rows.
+        perfect = _int_rank(v for plane in b for v in plane) == 3
+        raise NotInScopeError(f"Lie algebra is {'not solvable' if perfect else 'unimodular'}")
+    return trace_row
 
 
 def milnor_normal_form(lie: Algebra) -> MilnorForm:
@@ -717,7 +757,8 @@ def milnor_normal_form(lie: Algebra) -> MilnorForm:
     tr ad_ei != 0, scaled by 2 / tr ad_ei; the echelon basis of U makes the
     construction deterministic.
     """
-    table, trace_row = _nonzero_trace_row(lie)
+    table = _require_3d_lie(lie)
+    trace_row = _nonzero_trace_row(table.c)
     # U is abelian: for u in U, ad_u maps g into [g, g], which lies in U
     # (tr ad_[x,y] = 0), so tr(ad_u | U) = tr ad_u = 0; a unimodular 2D Lie
     # algebra is abelian; the row is d times the trace row, with the same kernel
@@ -732,7 +773,17 @@ def milnor_normal_form(lie: Algebra) -> MilnorForm:
 
 
 def identify_lie_algebra(lie: Algebra) -> LieTag:
-    """The isomorphism class, from two traces of ad_x, x the first e_i with
+    """The isomorphism class of a 3D Lie algebra: ``_require_lie``, which
+    scans antisymmetry and Jacobi, and the tag of the integer brackets it
+    cleared, ``_lie_tag``.  The catalog audit calls ``_lie_tag`` directly
+    on the brackets of a left-symmetric sample (``_commutator_brackets``),
+    so both take one path."""
+    return _lie_tag(_require_3d_lie(lie).c)
+
+
+def _lie_tag(b: Sequence[Sequence[Sequence[int]]]) -> LieTag:
+    """The tag of the 3D Lie algebra with integer brackets b[i][j] =
+    d [e_i, e_j], d > 0, from two traces of ad_x, x the first e_i with
     t = tr ad_x != 0 (the Milnor form's e1 is 2x/t), and ``_tag_of_form``.
 
     In a basis (x, u1, u2) with U = ker(tr ad) as in ``milnor_normal_form``,
@@ -742,22 +793,19 @@ def identify_lie_algebra(lie: Algebra) -> LieTag:
     A != t/2, A has the eigenvalues 0 and t, and A (A - t/2) has t^2/2.
     No basis of U, solve or restriction is needed.  Both sides are read on
     the integer matrix B = d ad_x, where they become 2 - 2 tr(B^2) / tr(B)^2
-    and 2 B^2 = tr(B) B.
-
-    The antisymmetry and Jacobi checks, the trace row and B are all read
-    off one cleared tensor d c, the one of ``_require_lie``'s table; tr B is
-    that row's entry i.
+    and 2 B^2 = tr(B) B: both are unchanged by the scale d.  The trace row
+    and B are read off b; tr B is that row's entry i.
     """
     try:
-        table, trace_row = _nonzero_trace_row(lie)
+        trace_row = _nonzero_trace_row(b)
     except NotInScopeError as err:
         return LieTag("not_in_scope", reason=str(err))
     i, t = next((i, t) for i, t in enumerate(trace_row) if t != 0)
     # the columns of B are the brackets d [e_i, e_j]
-    b = [list(r) for r in zip(*table.c[i])]
-    b2 = _int_matmul(b, b)
-    det_d = 2 - Fraction(2 * sum(b2[k][k] for k in range(3)), t * t)
-    return _tag_of_form(det_d, all(2 * x == t * y for r2, r in zip(b2, b) for x, y in zip(r2, r)))
+    m = [list(r) for r in zip(*b[i])]
+    m2 = _int_matmul(m, m)
+    det_d = 2 - Fraction(2 * sum(m2[k][k] for k in range(3)), t * t)
+    return _tag_of_form(det_d, all(2 * x == t * y for r2, r in zip(m2, m) for x, y in zip(r2, r)))
 
 
 def _tag_of_form(det_d: Fraction, d_is_identity: bool) -> LieTag:

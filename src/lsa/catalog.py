@@ -24,21 +24,19 @@ from .algebra import (
     Algebra,
     LieTag,
     Subspace,
-    _basis,
+    TripleTable,
     _combination,
+    _commutator_brackets,
     _complete_by_traces,
+    _ideals,
     _int_span,
+    _lie_tag,
     _mult_blocks,
-    _restricted,
     _trace_row,
     check_left_symmetric,
-    find_ideals_dim_le3,
-    first_failures,
     identify_lie_algebra,
     is_complete,
-    is_unimodular,
     lie_algebra_of,
-    multiply,
     ndsflags,
     quotient_algebra,
     restriction_to_ideal,
@@ -61,7 +59,6 @@ from .linalg import (
     _int_rref,
     frac,
     symmetric_signature,
-    vec_is_zero,
 )
 
 F = Fraction
@@ -555,7 +552,7 @@ def _square_form_signature(a: Algebra, s: _Spans) -> tuple[int, int, int] | None
     p, w = s.p, s.w
     if p.dim != 2 or w.dim != 1:
         return None
-    row = _trace_row(a)
+    row = _trace_row(a.c)
     tr_w, *tr_p = (sum(t * x for t, x in zip(row, v)) for v in (*w.basis, *p.basis))
     if tr_w != 0 or not any(tr_p):
         return None
@@ -574,30 +571,45 @@ def _induced_action_ratio(a: Algebra, s: _Spans) -> str | None:
     P, any lift x of the quotient generator induces well-defined operators
     Lb, Rb on P.  The ratio Rb = c (Lb - (tr Lb / 2) I) is independent of
     the lift and scaling; returned as a string ('none' cases excluded).
+
+    Everything is read on ints: the products off the cleared rows
+    s.rows[i n + j] = d e_i*e_j, with P's echelon basis times its common
+    denominator D.  In that basis a vector's coordinates are still its
+    entries at P's pivot columns, over D, so the matrices read there are
+    d D Lb and d D Rb: one factor for both, which the ratio does not see.
     """
     p = s.p
-    if p.dim != 2 or a.dim - p.dim != 1:
+    n = a.dim
+    if p.dim != 2 or n - p.dim != 1:
         return None
-    # P acts trivially on P: L_p and R_p vanish there for every p in P
-    if any(not vec_is_zero(multiply(a, x, y)) for x in p.basis for y in p.basis):
+    rows = s.rows
+    _, basis = _cleared(p.basis)
+    # P acts trivially on P: u*v = sum_i u_i e_i*v vanishes for u, v in P,
+    # with e_i*v = sum_k v_k e_i*e_k
+    if any(
+        any(_combination(u, [_combination(v, rows[i * n : (i + 1) * n], n) for i in range(n)], n))
+        for u in basis
+        for v in basis
+    ):
         return None
-    # P's echelon basis is zero at the one column k without a pivot, so e_k
-    # has zero coordinates in P: it lies outside P and lifts the generator
-    lift = _basis(a)[next(k for k in range(a.dim) if k not in s.pivots)]
-    # P holds every product, so x*P and P*x stay in P and both restrict
-    lb = _restricted([multiply(a, lift, bv) for bv in p.basis], p.basis)
-    rb = _restricted([multiply(a, bv, lift) for bv in p.basis], p.basis)
-    m1 = lb - QMatrix.identity(2).scale(lb.trace() / 2)
-    m2 = rb
-    if m1.is_zero():
-        return "inf" if not m2.is_zero() else "0/0"
-    flat1 = [x for row in m1.rows for x in row]
-    flat2 = [x for row in m2.rows for x in row]
+    # P's echelon basis is zero at the one column q without a pivot, so e_q
+    # has zero coordinates in P: it lies outside P and lifts the generator;
+    # e_q*u = sum_k u_k e_q*e_k and u*e_q = sum_k u_k e_k*e_q
+    q = next(k for k in range(n) if k not in s.pivots)
+    # P holds every product, so e_q*P and P*e_q stay in P and both restrict
+    factors = (rows[q * n : (q + 1) * n], rows[q::n])
+    images = [[_combination(u, side, n) for u in basis] for side in factors]
+    lb, rb = ([[image[k] for image in side] for k in s.pivots] for side in images)
+    # 2 (Lb - (tr Lb / 2) I) and 2 Rb, the same multiple of both
+    tr = lb[0][0] + lb[1][1]
+    flat1 = [2 * x - tr * (k == m) for k, row in enumerate(lb) for m, x in enumerate(row)]
+    flat2 = [2 * x for row in rb for x in row]
+    if not any(flat1):
+        return "inf" if any(flat2) else "0/0"
     pivot = next(i for i, x in enumerate(flat1) if x != 0)
-    c = flat2[pivot] / flat1[pivot]
-    if any(f2 != c * f1 for f1, f2 in zip(flat1, flat2)):
+    if any(f2 * flat1[pivot] != flat2[pivot] * f1 for f1, f2 in zip(flat1, flat2)):
         return None
-    return str(c)
+    return str(F(flat2[pivot], flat1[pivot]))
 
 
 # The fingerprint's components in order, each with the label that names it
@@ -648,31 +660,44 @@ def _params_str(params: Mapping[str, Fraction]) -> dict[str, str]:
 def verify_entry(entry: CatalogEntry, param_samples: Sequence[Mapping[str, Fraction]]) -> dict:
     """All checks for one catalog entry at every parameter sample.
 
+    Each sample is cleared once, into one ``TripleTable`` (d and the
+    integer tensor d c), and every verdict is read off it:
+
+    - left symmetry and the N/D/S flags are scans of the table;
+    - a left-symmetric sample's completeness is d tr R_ei = 0 on the
+      table's tensor (``_complete_by_traces``, Helmstetter and Segal);
+      ``is_complete`` runs only on a sample that fails left symmetry;
+    - the Lie tag is ``_lie_tag`` of the integer brackets d (c_ij - c_ji)
+      (``_commutator_brackets``).  The commutators of a left-symmetric
+      algebra form a Lie algebra, so they need no Jacobi scan and no
+      ``lie_algebra_of``; those of a sample that fails left symmetry are
+      scanned, and if they fail Jacobi the tag is that error, with its
+      triple, and the sample a hard failure;
+    - the ideals come from the table's (d, d c) (``_ideals``).
+
     Ideals and quotients of a complete algebra are complete, so
-    ``completeness_propagation`` is recomputed only on an incomplete sample;
-    the commutators of a left-symmetric algebra form a Lie algebra, so the
-    Lie tag costs one Jacobi scan, the one in ``_require_lie``.  Left
-    symmetry and the N/D/S flags are read off one triple table, and a
-    left-symmetric sample's completeness off its right traces
-    (``_complete_by_traces``): ``is_complete`` runs only on a sample that
-    fails left symmetry."""
+    ``completeness_propagation`` is recomputed only on an incomplete
+    sample."""
     samples_report = []
     hard_failures: list[str] = []
     for params in param_samples:
         a = entry.make(params)
-        checks = first_failures(a, ("left_symmetric", *"NDS"))
-        ls = checks.pop("left_symmetric")
-        # Segal's trace criterion decides a left-symmetric sample; ideals and
-        # quotients of a left-symmetric algebra are left-symmetric too
+        table = TripleTable(a)
+        ls = table.first_failure("left_symmetric")
+        checks = {identity: table.first_failure(identity) for identity in "NDS"}
+        complete = _complete_by_traces(table) if ls.ok else is_complete(a)
+        # ideals and quotients of a left-symmetric algebra are left-symmetric too
         decide_complete = _complete_by_traces if ls.ok else is_complete
-        complete = decide_complete(a)
-        tag = identify_lie_algebra(lie_algebra_of(a))
+        try:
+            tag = _lie_tag(_commutator_brackets(a, table, ls.ok))
+        except ValueError as err:  # commutators that fail Jacobi
+            tag = str(err)
         claimed_tag = entry.claimed_tag(params)
         tag_ok = tag == claimed_tag
         witnesses = witnesses_of(checks)
         flags = tuple(check.ok for check in checks.values())
         flags_ok = flags == entry.claimed_flags
-        ideals = find_ideals_dim_le3(a)
+        ideals = _ideals(table.d, table.c)
         # I and A/I of a complete A are complete: each nilpotent R_y maps the
         # ideal I into I, so it stays nilpotent on I and on A/I.
         propagation_ok = complete or all(
@@ -783,10 +808,12 @@ def verify_catalog(seed: int = 0, random_samples: int = 5) -> dict:
     report["reconstructions"] = recon_report
 
     a1 = _FIXTURES["A1_inv"]
+    a1_table = TripleTable(a1)
+    a1_ls = a1_table.first_failure("left_symmetric").ok
     report["a1_inverse_fixture"] = {
-        "left_symmetric": check_left_symmetric(a1).ok,
-        "lie_unimodular": is_unimodular(lie_algebra_of(a1)),
-        "rational_ideals_found": len(find_ideals_dim_le3(a1)),
+        "left_symmetric": a1_ls,
+        "lie_unimodular": not any(_trace_row(_commutator_brackets(a1, a1_table, a1_ls))),
+        "rational_ideals_found": len(_ideals(a1_table.d, a1_table.c)),
     }
 
     rejected = d32_rejected_variant()

@@ -438,30 +438,48 @@ def test_flag_mismatch_is_audited_not_fatal():
 
 
 def test_an_audit_decides_each_algebra_once(monkeypatch):
-    """Per ``verify_catalog(seed=11, random_samples=5)``: the default
-    fingerprints take the Lie tag and N/D/S flags that ``verify_entry``
-    decided, C3t at t = 2 reuses its default fingerprint, each entry sample
-    is scanned through one triple table, and no fixture algebra is built."""
+    """Per ``verify_catalog(seed=11, random_samples=5)``: each entry sample
+    is cleared into exactly one triple table, and its Lie tag and ideals
+    are read off that table, with no ``lie_algebra_of``, no second table, no
+    Jacobi scan and no ``find_ideals_dim_le3``; the default fingerprints
+    take the Lie tag and N/D/S flags that ``verify_entry`` decided, C3t at
+    t = 2 reuses its default fingerprint, the A1 fixture is read off one
+    table of its own, and no fixture algebra is built."""
     import lsa.algebra
     import lsa.catalog
 
     calls = Counter()
-    for name in ("identify_lie_algebra", "fingerprint"):
-        original = getattr(lsa.catalog, name)
+    for module, name in (
+        (lsa.catalog, "identify_lie_algebra"),
+        (lsa.catalog, "fingerprint"),
+        (lsa.algebra, "find_ideals_dim_le3"),
+        (lsa.algebra, "lie_algebra_of"),
+        (lsa.catalog, "lie_algebra_of"),
+    ):
+        original = getattr(module, name)
 
         def counting(*args, _original=original, _name=name, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(lsa.catalog, name, counting)
-    tables = []
+        monkeypatch.setattr(module, name, counting)
+    tables = {}  # table -> the algebra it cleared
+    init = lsa.algebra.TripleTable.__init__
 
-    class CountingTable(lsa.algebra.TripleTable):
-        def __init__(self, a):
-            tables.append(a)
-            super().__init__(a)
+    def clearing(table, a):
+        tables[table] = a
+        init(table, a)
 
-    monkeypatch.setattr(lsa.algebra, "TripleTable", CountingTable)
+    monkeypatch.setattr(lsa.algebra.TripleTable, "__init__", clearing)
+    jacobi_scans = []
+    failures = lsa.algebra.TripleTable.failures
+
+    def scanning(table, identity):
+        if identity == "jacobi":
+            jacobi_scans.append(tables[table])
+        return failures(table, identity)
+
+    monkeypatch.setattr(lsa.algebra.TripleTable, "failures", scanning)
     built = []
     post_init = Algebra.__post_init__
 
@@ -471,9 +489,14 @@ def test_an_audit_decides_each_algebra_once(monkeypatch):
 
     monkeypatch.setattr(Algebra, "__post_init__", recording)
     report = verify_catalog(seed=11, random_samples=5)
+    audit_built = list(built)  # not what the checks below build
     assert report["ok"]
-    # 27 samples, and the one fingerprint that is not a default: C3t at t = 3
-    assert calls == {"identify_lie_algebra": 28, "fingerprint": 12}
+    # the one fingerprint that is not a default, C3t at t = 3, computes its
+    # own Lie tag, through the commutators and their one Jacobi scan; the
+    # 27 samples and the A1 fixture compute none of these
+    c3t_3 = make_lsa("C3t", t=3)
+    assert calls == {"identify_lie_algebra": 1, "fingerprint": 12, "lie_algebra_of": 1}
+    assert jacobi_scans == [lie_algebra_of(c3t_3)]
     samples = Counter(
         ENTRIES[name].make({k: F(v) for k, v in sample["params"].items()})
         for name, entry_report in report["entries"].items()
@@ -481,8 +504,26 @@ def test_an_audit_decides_each_algebra_once(monkeypatch):
     )
     assert sum(samples.values()) == 27
     # the fingerprint of C3t at t = 3 reads its N/D/S flags off a table of its own
-    assert Counter(a for a in tables if a.name in ENTRIES) == samples + Counter([make_lsa("C3t", t=3)])
-    assert not set(built) & set(fixtures())
+    cleared = Counter(tables.values())
+    assert Counter({a: k for a, k in cleared.items() if a.name in ENTRIES}) == samples + Counter([c3t_3])
+    assert cleared[fixtures()["A1_inv"]] == 1
+    assert not set(audit_built) & set(fixtures())
+    assert [name for name in audit_built if name.startswith("Lie(")] == ["Lie(C3t)"]
+
+
+def test_a_sample_whose_commutators_fail_jacobi_is_audited():
+    """A sample that fails left symmetry may have commutators that are not a
+    Lie algebra: its tag is then the Jacobi failure, with its triple, and
+    the sample a hard failure, not an exception."""
+    entry = CatalogEntry("Z", "G31", (True,) * 3, {(1, 2, 3): 1, (2, 3, 1): 1, (1, 3, 3): 1})
+    with pytest.raises(ValueError, match=r"Jacobi identity fails at basis triple \(1, 2, 3\)"):
+        identify_lie_algebra(lie_algebra_of(entry.make()))
+    report = verify_entry(entry, [{}])
+    sample = report["samples"][0]
+    assert not sample["left_symmetric"]
+    assert sample["lie_tag"] == "not a Lie algebra: the Jacobi identity fails at basis triple (1, 2, 3)"
+    assert not sample["lie_match"]
+    assert report["hard_failures"] == ["Z at {}"]
 
 
 def _count_lattice_decisions(monkeypatch) -> list:

@@ -3,10 +3,12 @@
 ``identify_lie_algebra`` (with ``_lie_defect`` and the trace row),
 the fingerprint's rank components (with ``center``) and
 ``verify_iso_witness`` clear their structure constants, and the witness
-matrix, to integers once and decide on ints.  The oracles below are the
-earlier ``Fraction`` forms: the antisymmetry test through ``vec_scale(-1,
-...)``, a Jacobi scan through ``multiply``, the trace row and ad_x as
-rational matrices; the center and the annihilators as ``nullspace_basis``
+matrix, to integers once and decide on ints; the catalog audit reads a
+left-symmetric sample's tag and ideals off the one table it clears
+(``_commutator_brackets``, ``_lie_tag``, ``_ideals``).  The oracles below
+are the earlier ``Fraction`` forms: the antisymmetry test through
+``vec_scale(-1, ...)``, a Jacobi scan through ``multiply``, the trace row
+and ad_x as rational matrices; the center and the annihilators as ``nullspace_basis``
 of the stacked rational L and R matrices, P, W and the squares as
 ``Subspace.from_spanning`` of rational products, the square-form signature
 by a solve of the rational symmetrized products, the induced-action ratio
@@ -32,11 +34,15 @@ from lsa.algebra import (
     Subspace,
     TripleTable,
     _basis_mults,
+    _commutator_brackets,
+    _ideals,
     _lie_defect,
+    _lie_tag,
     _tag_of_form,
     _two_sided_products,
     center,
     conjugated,
+    find_ideals_dim_le3,
     identify_lie_algebra,
     is_unimodular,
     left_mult,
@@ -323,6 +329,57 @@ def test_lie_oracle_inputs_reach_every_verdict():
         "not a Lie algebra: antisymmetry fails", "not a Lie algebra: the Jacobi identity fails",
         "Milnor normal form requires dimension 3",
     }
+
+
+# --- the audit's one table ---------------------------------------------------
+
+
+# left-symmetric, off the catalog: A1_inv, whose commutators are unimodular,
+# and two associative algebras, e1 e1 = e1 with e1 e2 = e2 (not complete;
+# commutators G31) and e1 e1 = e1 alone (commutative: abelian commutators)
+OTHER_LEFT_SYMMETRIC = [
+    fixtures()["A1_inv"],
+    Algebra.from_entries(3, {(1, 1, 1): 1, (1, 2, 2): 1}),
+    Algebra.from_entries(3, {(1, 1, 1): 1}),
+]
+
+
+@st.composite
+def left_symmetric_in_fresh_bases(draw):
+    if draw(st.booleans()):
+        return draw(catalog_in_fresh_bases())
+    return in_fresh_basis(draw(st.sampled_from(OTHER_LEFT_SYMMETRIC)), draw(st.integers(0, 2**32)))
+
+
+@SETTINGS
+@given(left_symmetric_in_fresh_bases())
+def test_the_audit_tag_and_ideals_read_off_one_table_match_the_oracles(a):
+    """A left-symmetric sample's tag, read off the integer brackets of its
+    own table, is that of its commutator algebra as ``identify_lie_algebra``
+    and the ``Fraction`` oracle decide it; the ideals found from the table's
+    (d, d c) are ``find_ideals_dim_le3``'s."""
+    table = TripleTable(a)
+    assert table.first_failure("left_symmetric").ok
+    lie = lie_algebra_of(a)
+    tag = outcome(_lie_tag, _commutator_brackets(a, table, True))
+    assert tag == outcome(identify_lie_algebra, lie) == outcome(oracle_identify, lie)
+    assert _ideals(table.d, table.c) == find_ideals_dim_le3(a)
+
+
+def test_the_one_table_inputs_reach_every_left_symmetric_verdict():
+    """The inputs above reach a tag of each family and the unimodular
+    reason; no left-symmetric algebra has a non-solvable commutator algebra
+    (Helmstetter), so that reason is out of their reach."""
+    rng = random.Random(3)
+    algebras = [entry.make(entry.sample_params(rng)) for entry in catalog_lsas()] + OTHER_LEFT_SYMMETRIC
+    verdicts = set()
+    for k, a in enumerate(algebras):
+        a = in_fresh_basis(a, k)
+        table = TripleTable(a)
+        tag = _lie_tag(_commutator_brackets(a, table, True))
+        assert tag == oracle_identify(lie_algebra_of(a))
+        verdicts.add(tag.reason or tag.kind)
+    assert verdicts == {"G31", "G32", "G33", "G34", "G35", "Lie algebra is unimodular"}
 
 
 # --- fingerprint ranks ----------------------------------------------------------

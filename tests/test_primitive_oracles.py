@@ -251,7 +251,7 @@ def outcome(fn, *args):
 def test_trace_row_equals_traces_of_left_multiplications(seed):
     rng = random.Random(1000 + seed)
     for a in sample_algebras(seed):
-        row = _trace_row(a)
+        row = _trace_row(a.c)
         for x in [unit_vec(a.dim, i) for i in range(a.dim)] + [random_vector(rng, a.dim) for _ in range(3)]:
             assert sum(t * xi for t, xi in zip(row, x)) == oracle_trace(a, x)
         if is_lie_algebra(a):

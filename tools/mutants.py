@@ -258,6 +258,48 @@ MUTANTS = (
         (f"{TEST_PRIMITIVES}::test_milnor_d_is_ad_e1_on_the_trace_kernel",),
     ),
     Mutant(
+        "audit-tag-without-the-left-symmetry-gate",
+        ALGEBRA,
+        "    if not left_symmetric:\n        return _require_lie(lie_algebra_of(a)).c\n",
+        "",
+        ("tests/test_catalog.py::test_a_sample_whose_commutators_fail_jacobi_is_audited",),
+    ),
+    Mutant(
+        "audit-brackets-symmetrized",
+        ALGEBRA,
+        "tuple(x - y for x, y in zip(c[i][j], c[j][i]))",
+        "tuple(x + y for x, y in zip(c[i][j], c[j][i]))",
+        (f"{TEST_CLEARED}::test_the_one_table_inputs_reach_every_left_symmetric_verdict",),
+    ),
+    Mutant(
+        "completeness-reads-left-traces",
+        ALGEBRA,
+        "return all(sum(a.c[j][i][j] for j in range(n)) == 0 for i in range(n))",
+        "return all(sum(a.c[i][j][j] for j in range(n)) == 0 for i in range(n))",
+        ("tests/test_catalog.py::test_verify_entry_n30",),
+    ),
+    Mutant(
+        "a1-fixture-scans-its-commutators-on-a-second-table",
+        CATALOG,
+        "_commutator_brackets(a1, a1_table, a1_ls)",
+        "_commutator_brackets(a1, a1_table, False)",
+        ("tests/test_catalog.py::test_an_audit_decides_each_algebra_once",),
+    ),
+    Mutant(
+        "unimodular-reason-from-a-rank-of-two",
+        ALGEBRA,
+        "perfect = _int_rank(v for plane in b for v in plane) == 3",
+        "perfect = _int_rank(v for plane in b for v in plane) >= 2",
+        (f"{TEST_CLEARED}::test_lie_oracle_inputs_reach_every_verdict",),
+    ),
+    Mutant(
+        "induced-action-rb-without-its-factor-two",
+        CATALOG,
+        "flat2 = [2 * x for row in rb for x in row]",
+        "flat2 = [x for row in rb for x in row]",
+        ("tests/test_catalog.py::test_c3t_induced_action_ratio_at_every_sampled_t",),
+    ),
+    Mutant(
         "kim-conditions-1-and-2-swapped",
         EXTENSIONS,
         'CONDITION_OF_BLOCKS = {"KVV": 1, "VVK": 2,',
