@@ -19,13 +19,18 @@ Every family is written once, as two formulas over a namespace of
 elementary functions (``NUMPY`` here, sympy in the exact tests).  In numpy
 they broadcast: arrays a, b, c map to linear parts (..., 3, 3) and
 translations (..., 3) stacked over their broadcast shape.  The checks
-evaluate whole batches (all closure pairs, all tangent curve points, the
-pending Newton targets) in one call, and ``AffineMap3`` validates once per
-batch.  The transitivity grid, 729 points with their six finite-difference
-neighbours, goes in as its three axes (``_GRID_AXES``): 63 special-function
-arguments per family, broadcast to the 5103 points.  Newton first evaluates
-only the images at its starts, and builds Jacobians only for the targets a
-start does not solve.
+evaluate whole batches in one call, and ``AffineMap3`` validates once per
+batch.  ``verify_family`` evaluates every sample point that depends on
+nothing computed before it in one batch: both points of every closure
+pair, the six tangent curve points, the Newton starts and the origin; each
+check reads its own rows.  Every formula is elementwise and ``_series``
+gives each entry its own term-by-term value, so a row of the batch equals
+the same point evaluated alone, bit for bit.  Only the recovered
+composites and the grid keep their own evaluations.  The transitivity
+grid, 729 points with their six finite-difference neighbours, goes in as
+its three axes (``_GRID_AXES``): 63 special-function arguments per family,
+broadcast to the 5103 points.  Newton takes the images at its starts as
+given, and builds Jacobians only for the targets a start does not solve.
 
 The D32 family needs one documented correction: the commonly quoted entry
 (with b f(a) in the first row and a + b^2 g(a) in the translation) is not
@@ -207,16 +212,22 @@ class AffRep:
         return out
 
 
-def affine_rep(a: Algebra) -> AffRep:
-    """Generators (L_{e_i}, e_i).  The map is a homomorphism exactly when
-    [L_x, L_y] = L_[x,y], which is left symmetry; the translation parts
-    satisfy L_x y - L_y x = [x, y] by definition."""
+def _require_3d_lsa(a: Algebra) -> None:
+    """Refuse an algebra whose affine representation is not defined: one
+    not of dimension 3, or not left-symmetric."""
     if a.dim != 3:
         raise ValueError("affine representation is defined for dimension 3")
     if not check_left_symmetric(a).ok:
         raise ValueError(
             "affine representation is not a homomorphism; input is not left-symmetric"
         )
+
+
+def affine_rep(a: Algebra) -> AffRep:
+    """Generators (L_{e_i}, e_i).  The map is a homomorphism exactly when
+    [L_x, L_y] = L_[x,y], which is left symmetry; the translation parts
+    satisfy L_x y - L_y x = [x, y] by definition."""
+    _require_3d_lsa(a)
     return AffRep(tuple(zip(_basis_mults(a)[0], _basis(a))))
 
 
@@ -497,6 +508,7 @@ DIFF_STEP = 1e-6  # the central-difference step of the orbit and tangent checks
 CLOSURE_TOL = 1e-9  # max-norm residual a composite may leave
 NEWTON_TOL = 1e-10  # max-norm residual of a solved target and of recover on the grid
 NEWTON_ITERS = 80
+_N_TARGETS = 20  # the sampled transitivity targets of a family
 
 
 @dataclass
@@ -524,7 +536,11 @@ def check_closure(fam: GroupFamily, sample_pairs: Sequence[tuple]) -> ClosureRep
     recovered and re-evaluated in one batch.
     """
     pairs = np.asarray(sample_pairs, dtype=float).reshape(-1, 2, 3)
-    composite = fam.elements(*pairs[:, 0].T).compose(fam.elements(*pairs[:, 1].T))
+    return _closure_report(fam, sample_pairs, fam.elements(*pairs[:, 0].T).compose(fam.elements(*pairs[:, 1].T)))
+
+
+def _closure_report(fam: GroupFamily, sample_pairs: Sequence[tuple], composite: AffineMap3) -> ClosureReport:
+    """The closure verdict on the composites (N,) of the N sampled pairs."""
     linear, translation = fam.evaluate(*fam.recover(composite))
     resids = np.maximum(
         np.max(np.abs(linear - composite.linear), axis=(-2, -1)),
@@ -597,25 +613,40 @@ def newton_invert_orbit(fam: GroupFamily, targets, start=(0.0, 0.0, 0.0)):
 
     Returns the point reached, its max-norm residual and whether that is
     below ``NEWTON_TOL``: a tuple, a float and a bool for one target, arrays
-    (N, 3), (N,) and (N,) for a stack.  Each target follows its own iterates, as if
-    solved alone: a singular Jacobian, or a step that 30 halvings cannot
-    make lower the residual, stops that target only.  Targets leave the
-    batch as they converge or stop.  The first evaluation takes the images
-    at the starts only, the stencil's centre row bit for bit; the starts'
-    Jacobians are built for the targets still live after that residual
-    test, so a batch of solved starts evaluates N points, not 7N.  Each
-    later evaluation takes the pending points and their six neighbours in
-    one batch, so an accepted trial point already carries the next step's
-    Jacobian.
+    (N, 3), (N,) and (N,) for a stack.  Each target follows its own
+    iterates, as if solved alone (see ``_newton``).  The first evaluation
+    takes the images at the starts only, the stencil's centre row bit for
+    bit.
     """
     targets = np.asarray(targets, dtype=float)
     stack = targets.reshape(-1, 3)
     x = np.empty(stack.shape)
     x[...] = start
+    x, err, ok = _newton(fam, stack, x, orbit_map(fam, x + DIFF_STEP * _STENCIL[0]))
+    if targets.ndim == 1:
+        return tuple(x[0]), float(err[0]), bool(ok[0])
+    return x, err, ok
+
+
+def _newton(fam: GroupFamily, stack: np.ndarray, x: np.ndarray, image: np.ndarray):
+    """Newton for the targets ``stack`` (N, 3) from the starts ``x`` (N, 3),
+    which it overwrites with the iterates, given the starts' orbit images
+    ``image`` (N, 3); returns the points reached, their residuals and which
+    are below ``NEWTON_TOL``.
+
+    Each target follows its own iterates, as if solved alone: a singular
+    Jacobian, or a step that 30 halvings cannot make lower the residual,
+    stops that target only.  Targets leave the batch as they converge or
+    stop.  The starts' Jacobians are built for the targets still live after
+    the first residual test, so a batch of solved starts evaluates nothing.
+    Each later evaluation takes the pending points and their six neighbours
+    in one batch, so an accepted trial point already carries the next
+    step's Jacobian.
+    """
     err = np.zeros(len(stack))
     ok = np.zeros(len(stack), dtype=bool)
     live = np.arange(len(stack))  # targets still iterating
-    image, jac = orbit_map(fam, x + DIFF_STEP * _STENCIL[0]), None
+    jac = None
     for _ in range(NEWTON_ITERS):
         resid = image - stack[live]
         err[live] = np.max(np.abs(resid), axis=1)
@@ -642,8 +673,6 @@ def newton_invert_orbit(fam: GroupFamily, targets, start=(0.0, 0.0, 0.0)):
         live, image, jac = live[solved], image[solved], jac[solved]
     err[live] = np.max(np.abs(image - stack[live]), axis=1)
     ok[live] = err[live] < NEWTON_TOL
-    if targets.ndim == 1:
-        return tuple(x[0]), float(err[0]), bool(ok[0])
     return x, err, ok
 
 
@@ -693,7 +722,7 @@ def _recover_starts(fam: GroupFamily, targets: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(rec).all(axis=1)[:, None], rec, 0.0)
 
 
-def check_simply_transitive(fam: GroupFamily, n_targets: int = 20, rng=None) -> TransitivityReport:
+def check_simply_transitive(fam: GroupFamily, n_targets: int = _N_TARGETS, rng=None) -> TransitivityReport:
     """Jacobian nonsingularity on a grid, grid injectivity, and inversion of
     sampled targets in [-3, 3]^3, all targets in one batch.
 
@@ -711,7 +740,21 @@ def check_simply_transitive(fam: GroupFamily, n_targets: int = 20, rng=None) -> 
     """
     import random as _random
 
-    rng = rng or _random.Random(0)
+    targets = _sample_targets(rng or _random.Random(0), n_targets)
+    starts = _recover_starts(fam, targets)
+    return _transitivity_report(fam, targets, starts, orbit_map(fam, starts + DIFF_STEP * _STENCIL[0]))
+
+
+def _sample_targets(rng, n_targets: int) -> np.ndarray:
+    """``n_targets`` orbit targets (N, 3) drawn uniformly from [-3, 3]^3."""
+    return np.array([[rng.uniform(-3, 3) for _ in range(3)] for _ in range(n_targets)]).reshape(-1, 3)
+
+
+def _transitivity_report(
+    fam: GroupFamily, targets: np.ndarray, starts: np.ndarray, start_images: np.ndarray
+) -> TransitivityReport:
+    """The transitivity verdict: the grid checks, and Newton for ``targets``
+    from ``starts``, whose orbit images ``start_images`` are given."""
     images, jacobians = _grid_orbit_jacobians(fam)
     dets = np.abs(np.linalg.det(jacobians))
     first = int(np.argmin(dets))  # the first minimum, as a strict `<` scan keeps it
@@ -720,8 +763,7 @@ def check_simply_transitive(fam: GroupFamily, n_targets: int = 20, rng=None) -> 
     witness = None
     if misses.size:
         witness = (tuple(_GRID_POINTS[misses[0]].tolist()), tuple(back[misses[0]].tolist()))
-    targets = np.array([[rng.uniform(-3, 3) for _ in range(3)] for _ in range(n_targets)]).reshape(-1, 3)
-    _, errs, oks = newton_invert_orbit(fam, targets, start=_recover_starts(fam, targets))
+    _, errs, oks = _newton(fam, targets, starts, start_images)
     return TransitivityReport(
         fam.name,
         float(dets[first]),
@@ -750,15 +792,34 @@ class TangentReport:
         )
 
 
+# the six points +-DIFF_STEP e_i of the coordinate curves at the identity
+_CURVE_POINTS = DIFF_STEP * _STENCIL[1:]
+
+
 def check_tangent_algebra(fam: GroupFamily, algebra: Algebra) -> TangentReport:
     """Differentiate the coordinate curves at the identity (the i-th is the
-    generator of e_i) and compare with the exact representation and the
-    algebra's bracket constants."""
-    curve = fam.elements(*(DIFF_STEP * _STENCIL[1:]).T).as_homogeneous()  # +-step e_i
-    xs = list((curve[:3] - curve[3:]) / (2 * DIFF_STEP))
-    rep = affine_rep(algebra).homogeneous_float()
-    gen_err = max(float(np.max(np.abs(xs[i] - rep[i]))) for i in range(3))
-    # affine_rep has checked left symmetry, and the commutator algebra of a
+    generator of e_i) and compare with the affine representation
+    X -> (L_X, X) and the algebra's bracket constants.  The generators are
+    read off the tensor: entry (k, j) of L_ei is float(c[i][j][k]), the
+    float that ``AffRep.homogeneous_float`` gives, and the translation part
+    is e_i.  Like ``affine_rep``, the check refuses an algebra that is not
+    3D or not left-symmetric."""
+    curve = fam.elements(*_CURVE_POINTS.T)
+    return _tangent_report(fam, algebra, curve.linear, curve.translation)
+
+
+def _tangent_report(fam: GroupFamily, algebra: Algebra, linear: np.ndarray, translation: np.ndarray) -> TangentReport:
+    """The tangent verdict on the maps (6,) at ``_CURVE_POINTS``."""
+    _require_3d_lsa(algebra)
+    xs = np.zeros((3, 4, 4))
+    xs[:, :3, :3] = (linear[:3] - linear[3:]) / (2 * DIFF_STEP)
+    xs[:, :3, 3] = (translation[:3] - translation[3:]) / (2 * DIFF_STEP)
+    c = algebra.c
+    rep = np.zeros((3, 4, 4))
+    rep[:, :3, :3] = np.array(c, dtype=float).transpose(0, 2, 1)  # rep[i][k][j] = c[i][j][k]
+    rep[:, :3, 3] = _EYE
+    gen_err = float(np.max(np.abs(xs - rep)))
+    # left symmetry is checked, and the commutator algebra of a
     # left-symmetric algebra is a Lie algebra: its constants are read off
     # the tensor, c_ij^k = c[i][j][k] - c[j][i][k], with no Jacobi scan.
     # Only the pairs i < j are solved.  The pair (j, i) has the commutator
@@ -767,7 +828,6 @@ def check_tangent_algebra(fam: GroupFamily, algebra: Algebra) -> TangentReport:
     # and constant error of (i, j); the pair (i, i) has comm = 0, hence
     # coefficients and errors 0.  Neither can raise a maximum, and ``worst``
     # moves only on a strict rise, so the report equals the 9-pair loop's.
-    c = algebra.c
     basis = np.stack([x.reshape(-1) for x in xs], axis=1)  # 16 x 3
     max_resid = 0.0
     max_const_err = 0.0
@@ -798,12 +858,26 @@ def verify_family(fam: GroupFamily, algebra: Algebra, rng, closure_samples: int 
     their verdict ``ok``.  Closure and grid injectivity are both decided by
     the closed-form ``recover``, so a ``recover`` that does not invert
     ``maps`` fails the family; the transitivity Newton alone would repair
-    it."""
+    it.
+
+    The rng draws the closure pairs, then the 20 transitivity targets, as
+    ``check_closure`` and ``check_simply_transitive`` would in turn.  One
+    batch then evaluates the pairs' first points, their second points, the
+    tangent curve points, the Newton starts and the origin, and each check
+    reads its rows: the report is that of the three public checks."""
     pairs = sample_parameter_pairs(rng, closure_samples)
-    closure = check_closure(fam, pairs)
-    transitivity = check_simply_transitive(fam, rng=rng)
-    tangent = check_tangent_algebra(fam, algebra)
-    identity_exact = bool(map_distance(fam.element(0.0, 0.0, 0.0), AffineMap3.identity()) == 0.0)
+    targets = _sample_targets(rng, _N_TARGETS)
+    starts = _recover_starts(fam, targets)
+    pair_points = np.asarray(pairs, dtype=float).reshape(-1, 2, 3).transpose(1, 0, 2)  # (2, N, 3)
+    points = np.concatenate([*pair_points, _CURVE_POINTS, starts + DIFF_STEP * _STENCIL[0], np.zeros((1, 3))])
+    maps = fam.elements(*points.T)
+    rows = np.cumsum([len(pairs), len(pairs), len(_CURVE_POINTS), len(starts)])
+    # each is (linear parts, translations) of its rows
+    first, second, curve, start, origin = zip(np.split(maps.linear, rows), np.split(maps.translation, rows))
+    closure = _closure_report(fam, pairs, AffineMap3(*first).compose(AffineMap3(*second)))
+    transitivity = _transitivity_report(fam, targets, starts, start[1])
+    tangent = _tangent_report(fam, algebra, *curve)
+    identity_exact = bool(np.array_equal(origin[0][0], _EYE) and not origin[1].any())
     return {
         "family": fam.name,
         "catalog_entry": fam.catalog_name,

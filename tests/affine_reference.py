@@ -4,7 +4,8 @@ precision, the defining series of phi, a matrix exponential, and the
 one-at-a-time forms of the three checks: the transitivity check with
 ``recover`` taken point by point on the flat grid, the closure check with
 the closed form taken pair by pair, and the tangent check over all 9
-bracket pairs.
+bracket pairs; and ``verify_family``'s report composed from separate
+checks, each evaluating its own points.
 """
 import math
 import random
@@ -18,6 +19,7 @@ from lsa.affine import (
     DIFF_STEP,
     NEWTON_TOL,
     NUMPY,
+    AffineMap3,
     ClosureReport,
     TangentReport,
     TransitivityReport,
@@ -28,6 +30,8 @@ from lsa.affine import (
     closed_h,
     closed_k,
     closed_phi,
+    map_distance,
+    sample_parameter_pairs,
     series_f,
     series_g,
     series_h,
@@ -223,3 +227,41 @@ def tangent_reference(fam, algebra) -> TangentReport:
             max_resid = max(max_resid, resid)
             max_const_err = max(max_const_err, const_err)
     return TangentReport(fam.name, gen_err, max_resid, max_const_err, worst)
+
+
+def family_report(fam, algebra, rng, closure_samples, checks) -> dict:
+    """``verify_family``'s report from separate checks, in its rng order:
+    ``checks`` is a closure, a transitivity and a tangent check with the
+    signatures of the public ones, run one after the other, and the identity
+    is the family's own element at the origin."""
+    closure_check, transitivity_check, tangent_check = checks
+    pairs = sample_parameter_pairs(rng, closure_samples)
+    closure = closure_check(fam, pairs)
+    transitivity = transitivity_check(fam, rng=rng)
+    tangent = tangent_check(fam, algebra)
+    identity_exact = bool(map_distance(fam.element(0.0, 0.0, 0.0), AffineMap3.identity()) == 0.0)
+    return {
+        "family": fam.name,
+        "catalog_entry": fam.catalog_name,
+        "params": dict(sorted(fam.params.items())),
+        "samples": closure_samples,
+        "identity_at_zero": identity_exact,
+        "max_closure_residual": closure.max_residual,
+        "closure_newton_fallbacks": closure.newton_fallbacks,
+        "closure_failures": len(closure.failures),
+        "jacobian_min_abs_det": transitivity.min_abs_jacobian,
+        "jacobian_min_point": list(transitivity.min_jacobian_point or ()),
+        "injectivity_ok": transitivity.injectivity_ok,
+        "newton_failures": transitivity.newton_failures,
+        "max_newton_residual": transitivity.max_newton_residual,
+        "tangent_generator_error": tangent.max_generator_error,
+        "tangent_bracket_residual": max(tangent.max_bracket_residual, tangent.max_constant_error),
+        "ok": closure.ok and transitivity.ok and tangent.ok and identity_exact,
+    }
+
+
+def verify_family_reference(fam, algebra, rng, closure_samples: int = 50) -> dict:
+    """``verify_family`` from the one-at-a-time oracles."""
+    return family_report(
+        fam, algebra, rng, closure_samples, (check_closure_reference, check_simply_transitive_reference, tangent_reference)
+    )

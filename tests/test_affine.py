@@ -208,6 +208,27 @@ def test_affine_rep_rejects_non_lsa():
         affine_rep(d32_rejected_variant())
 
 
+@pytest.mark.parametrize(
+    "algebra, message",
+    [
+        ("d32-rejected", "affine representation is not a homomorphism; input is not left-symmetric"),
+        ("2d", "affine representation is defined for dimension 3"),
+    ],
+)
+def test_tangent_check_refuses_what_affine_rep_refuses(algebra, message):
+    """The tangent check reads its generators off the tensor, and still
+    refuses exactly as ``affine_rep`` does."""
+    from lsa.algebra import Algebra
+    from lsa.catalog import d32_rejected_variant
+
+    algebra = d32_rejected_variant() if algebra == "d32-rejected" else Algebra.from_entries(2, {(1, 2, 2): 1})
+    with pytest.raises(ValueError) as rep_error:
+        affine_rep(algebra)
+    with pytest.raises(ValueError) as error:
+        check_tangent_algebra(build_family("D32"), algebra)
+    assert str(error.value) == str(rep_error.value) == message
+
+
 # --- group elements -------------------------------------------------------
 
 
@@ -757,6 +778,29 @@ def test_a_family_that_is_not_closed_fails_on_closure_alone():
     assert report["injectivity_ok"] and report["newton_failures"] == 0
     assert report["tangent_generator_error"] < 1e-6 and report["tangent_bracket_residual"] < 1e-6
     assert report["closure_failures"] > 0 and not report["ok"]
+
+
+# A transversal common zero of E3's orbit Jacobian determinant F^2 + H^2
+# (ROADMAP item 2): the transcribed chart is not injective at zeta*.
+E3_ZETA_STAR = Fraction(0.3969246308258383)
+E3_A_STAR = -3.4326019090486215
+
+
+def test_e3_orbit_map_is_not_injective_at_zeta_star():
+    fam = build_family("E3", zeta=E3_ZETA_STAR)
+    images = orbit_map(fam, [(E3_A_STAR, 0.0, 0.0), (E3_A_STAR, 1.0, -2.0)])
+    assert float(np.max(np.abs(images[0] - images[1]))) < 3.4e-16
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: the harness samples a grid on [-2, 2]^3 that never reaches a*, "
+    "so it passes E3 at zeta* although its orbit map is not injective there",
+)
+def test_verify_family_refuses_e3_at_zeta_star():
+    fam = build_family("E3", zeta=E3_ZETA_STAR)
+    report = verify_family(fam, make_lsa("E31zeta", zeta=E3_ZETA_STAR), random.Random(0))
+    assert not report["ok"], report
 
 
 def draws(param, count=40):

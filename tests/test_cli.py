@@ -746,20 +746,27 @@ def test_affine_verify_command(capsys):
 
 @pytest.mark.parametrize("seed", ["0", "7", "13"])
 def test_affine_verify_bytes_equal_the_one_at_a_time_checks(seed, monkeypatch, capsys):
-    """The batched closure, transitivity and tangent checks print the bytes
-    of their one-at-a-time oracles.  The digest itself (e2d397b20661 at seed
-    7) depends on numpy and libm, so it is not pinned here."""
+    """The batched family checks print the bytes of their one-at-a-time
+    oracles, run in the same rng order; the legacy D32 note's closure check
+    too.  The digest itself (e2d397b20661 at seed 7) depends on numpy and
+    libm, so it is not pinned here."""
     from lsa import affine
 
-    from affine_reference import check_closure_reference, check_simply_transitive_reference, tangent_reference
+    from affine_reference import check_closure_reference, verify_family_reference
 
     assert main(["affine-verify", "--json", "--seed", seed]) == 0
     batched = capsys.readouterr().out
+    families = []
+
+    def reference(fam, *args, **kwargs):
+        families.append(fam.name)
+        return verify_family_reference(fam, *args, **kwargs)
+
+    monkeypatch.setattr(affine, "verify_family", reference)
     monkeypatch.setattr(affine, "check_closure", check_closure_reference)
-    monkeypatch.setattr(affine, "check_simply_transitive", check_simply_transitive_reference)
-    monkeypatch.setattr(affine, "check_tangent_algebra", tangent_reference)
     assert main(["affine-verify", "--json", "--seed", seed]) == 0
     assert capsys.readouterr().out == batched
+    assert len(families) == 11 and families == list(affine.FAMILY_NAMES)
 
 
 def test_main_builds_the_parser_once(n30_file, monkeypatch, capsys):

@@ -56,6 +56,7 @@ CATALOG = "src/lsa/catalog.py"
 EXTENSIONS = "src/lsa/extensions.py"
 LINALG = "src/lsa/linalg.py"
 TEST_AFFINE = "tests/test_affine.py"
+TEST_BATCH = "tests/test_affine_batch.py"
 TEST_CLEARED = "tests/test_cleared_tensor_oracles.py"
 TEST_KERNELS = "tests/test_integer_kernel_oracles.py"
 TEST_PRIMITIVES = "tests/test_primitive_oracles.py"
@@ -137,6 +138,28 @@ MUTANTS = (
         "jac = _orbit_jacobians(fam, x[live])[1] if jac is None else jac[~done]",
         "jac = _orbit_jacobians(fam, x)[1] if jac is None else jac[~done]",
         (f"{TEST_AFFINE}::test_newton_evaluates_only_the_images_of_solved_starts",),
+    ),
+    Mutant(
+        "verify-family-tangent-rows-shifted-by-one",
+        AFFINE,
+        "tangent = _tangent_report(fam, algebra, *curve)",
+        "tangent = _tangent_report(fam, algebra, maps.linear[rows[1] + 1 : rows[2] + 1], "
+        "maps.translation[rows[1] + 1 : rows[2] + 1])",
+        (f"{TEST_BATCH}::test_verify_family_equals_the_public_checks[defaults]",),
+    ),
+    Mutant(
+        "verify-family-newton-images-from-the-pair-rows",
+        AFFINE,
+        "_transitivity_report(fam, targets, starts, start[1])",
+        "_transitivity_report(fam, targets, starts, np.resize(first[1], start[1].shape))",
+        (f"{TEST_BATCH}::test_verify_family_equals_the_public_checks[defaults]",),
+    ),
+    Mutant(
+        "tangent-check-without-the-left-symmetry-refusal",
+        AFFINE,
+        "    _require_3d_lsa(algebra)\n",
+        "    if algebra.dim != 3:\n        _require_3d_lsa(algebra)\n",
+        (f"{TEST_AFFINE}::test_tangent_check_refuses_what_affine_rep_refuses",),
     ),
     Mutant(
         "ideal-operator-uncleared",
