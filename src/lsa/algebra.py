@@ -6,7 +6,9 @@ carries left-symmetric products and Lie brackets (antisymmetric constants).
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -308,10 +310,51 @@ def _by_sign(terms: Sequence[Term]) -> tuple[list, list]:
     return tuple([(tensor, o) for sign, tensor, o in terms if sign == s] for s in (1, -1))
 
 
+@functools.cache
+def _plan(identity: str, n: int) -> tuple[int, tuple[tuple, ...]]:
+    """``identity``'s scan of a ``TripleTable`` of dimension n: how many of
+    the tensors T1, T2 it reads, and a row for each triple t its filter
+    keeps, in product order.  A term (tensor, (p, q, r)) at t is the entry
+    at the flat index tensor n^3 + (t[p] n + t[q]) n + t[r] of the table's
+    T1 followed by its T2.  Every sign is +1 or -1: with each side split
+    into its + and - terms, lhs = rhs iff lhs+ + rhs- = rhs+ + lhs-, sums
+    of entries only.  So a row is the 1-based witness, the indices of
+    lhs+ + rhs- and of rhs+ + lhs-, and the (+, -) indices of each side,
+    which ``failures`` reads only where the identity fails.  The plan
+    depends on n and ``IDENTITIES`` alone, so it is built once per
+    (identity, n)."""
+    lhs, rhs, can_fail = IDENTITIES[identity]
+    (lhs_plus, lhs_minus), (rhs_plus, rhs_minus) = _by_sign(lhs), _by_sign(rhs)
+    size = n**3
+
+    def at(terms, t):
+        return tuple(tensor * size + (t[p] * n + t[q]) * n + t[r] for tensor, (p, q, r) in terms)
+
+    rows = []
+    for t in itertools.product(range(n), repeat=3):
+        if can_fail(*t):
+            lp, lm, rp, rm = (at(terms, t) for terms in (lhs_plus, lhs_minus, rhs_plus, rhs_minus))
+            rows.append(((t[0] + 1, t[1] + 1, t[2] + 1), lp + rm, rp + lm, (lp, lm), (rp, rm)))
+    return 1 + max(tensor for _, tensor, _ in lhs + rhs), tuple(rows)
+
+
+def _total(entries: Sequence[tuple[int, ...]], indices: Sequence[int], zero: tuple[int, ...]) -> tuple[int, ...]:
+    """The sum of the entries at ``indices``; a sum of one term is the entry
+    itself, and of none ``zero``.  Two terms, as on each side of left
+    symmetry's scan, are added without the transposing ``zip``."""
+    if len(indices) == 1:
+        return entries[indices[0]]
+    if len(indices) == 2:
+        return tuple(map(operator.add, entries[indices[0]], entries[indices[1]]))
+    return tuple(map(sum, zip(*(entries[x] for x in indices)))) if indices else zero
+
+
 class TripleTable:
-    """T1 and T2 (see ``IDENTITIES``) of one algebra, each entry computed on
-    first use and kept for the life of the table, so that any number of
-    identity scans of the algebra share their products.
+    """T1 and T2 (see ``IDENTITIES``) of one algebra, each filled whole the
+    first time a scan reads it and kept for the life of the table, so that
+    any number of identity scans of the algebra share their products.  An
+    identity is scanned by its ``_plan``: N, D, S and Jacobi read T1 only,
+    so they never fill T2.
 
     The entries are those of the integer tensor d c, d the least common
     denominator of the structure constants, which the table keeps as ``c``
@@ -328,51 +371,47 @@ class TripleTable:
         self.dim = n
         self.d = d
         self.c = [rows[i * n : (i + 1) * n] for i in range(n)]
-        # the entries of T1 and T2, flat at index (i n + j) n + k
-        self._entries = ([None] * n**3, [None] * n**3)
+        # T1's entries, then T2's once a scan reads it, flat at
+        # tensor n^3 + (i n + j) n + k
+        self._entries: list[tuple[int, ...]] = []
 
-    def _fill(self, tensor: int, i: int, j: int, k: int) -> tuple[int, ...]:
+    def _tensor(self, tensor: int) -> list[tuple[int, ...]]:
+        """The entries of T1 or T2, flat at (i n + j) n + k, in one pass.
+        For each pair (p, q) both are read off one combination of n vectors
+        of length n^2: T1[i][j][k] = sum_m c[i][j][m] c[m][k] is the slice k
+        of sum_m c[i][j][m] (c[m][0], ..., c[m][n-1]), and T2[i][j][k] =
+        sum_m c[j][k][m] c[i][m] the slice i of sum_m c[j][k][m]
+        (c[0][m], ..., c[n-1][m])."""
         n, c = self.dim, self.c
-        if tensor == T1:  # sum_m (e_i e_j)_m e_m e_k
-            value = _combination(c[i][j], [row[k] for row in c], n)
-        else:  # sum_m (e_j e_k)_m e_i e_m
-            value = _combination(c[j][k], c[i], n)
-        self._entries[tensor][(i * n + j) * n + k] = value
-        return value
-
-    def _sum(self, terms: Sequence[tuple[int, tuple[int, int, int]]], t: tuple[int, int, int]) -> tuple[int, ...]:
-        """The sum of tensor[t[p]][t[q]][t[r]] over ``terms``, pairs
-        (tensor, (p, q, r)); a sum of one term is the entry itself."""
-        n, entries = self.dim, self._entries
-        vectors = []
-        for tensor, (p, q, r) in terms:
-            i, j, k = t[p], t[q], t[r]
-            vectors.append(entries[tensor][(i * n + j) * n + k] or self._fill(tensor, i, j, k))
-        if len(vectors) == 1:
-            return vectors[0]
-        return tuple(map(sum, zip(*vectors))) if vectors else (0,) * n
+        if tensor == T1:
+            vectors = [[x for v in c[m] for x in v] for m in range(n)]
+        else:
+            vectors = [[x for plane in c for x in plane[m]] for m in range(n)]
+        sums = [_combination(row, vectors, n * n) for plane in c for row in plane]
+        if tensor == T1:
+            return [s[k * n : (k + 1) * n] for s in sums for k in range(n)]
+        return [s[i * n : (i + 1) * n] for i in range(n) for s in sums]
 
     def failures(self, identity: str) -> Iterator[IdentityCheck]:
         """Every basis triple, in product order, where ``identity`` fails."""
-        lhs, rhs, can_fail = IDENTITIES[identity]
-        # every sign is +1 or -1: with each side split into its + and - terms,
-        # lhs = rhs iff lhs+ + rhs- = rhs+ + lhs-, sums of entries only
-        (lhs_plus, lhs_minus), (rhs_plus, rhs_minus) = _by_sign(lhs), _by_sign(rhs)
-        plus, minus = lhs_plus + rhs_minus, rhs_plus + lhs_minus
-        for t in itertools.product(range(self.dim), repeat=3):
-            if can_fail(*t) and self._sum(plus, t) != self._sum(minus, t):
-                yield IdentityCheck(
-                    False,
-                    (t[0] + 1, t[1] + 1, t[2] + 1),
-                    self._value(lhs_plus, lhs_minus, t),
-                    self._value(rhs_plus, rhs_minus, t),
-                )
+        tensors, rows = _plan(identity, self.dim)
+        while len(self._entries) < tensors * self.dim**3:
+            self._entries += self._tensor(T2 if self._entries else T1)
+        entries, zero = self._entries, (0,) * self.dim
+        for witness, plus, minus, lhs, rhs in rows:
+            if _total(entries, plus, zero) != _total(entries, minus, zero):
+                yield IdentityCheck(False, witness, self._value(*lhs), self._value(*rhs))
 
-    def _value(self, plus, minus, t: tuple[int, int, int]) -> Vec:
-        """A side's value at t, in the coordinates of the algebra, d^-2 times
-        its value on the cleared tensor."""
+    def _value(self, plus: Sequence[int], minus: Sequence[int]) -> Vec:
+        """A side's value at a triple, from the entries at its + and - terms'
+        indices, in the coordinates of the algebra: d^-2 times its value on
+        the cleared tensor."""
         d2 = self.d * self.d
-        return tuple(Fraction(x - y, d2) for x, y in zip(self._sum(plus, t), self._sum(minus, t)))
+        zero = (0,) * self.dim
+        return tuple(
+            Fraction(x - y, d2)
+            for x, y in zip(_total(self._entries, plus, zero), _total(self._entries, minus, zero))
+        )
 
     def first_failure(self, identity: str) -> IdentityCheck:
         return next(self.failures(identity), IdentityCheck(True))
@@ -628,14 +667,18 @@ def _refine(
 
 
 def _joint_eigenvectors(
-    ops: Sequence[tuple[int, list[list[int]]]], spectrum: Callable[[int], list[Fraction]]
-) -> set[Vec]:
-    """Reduced-echelon basis vectors of the nonzero joint eigenspaces of the
-    cleared operators ``ops``."""
-    n = len(ops[0][1])
-    found: set[Vec] = set()
+    n: int, ops: Sequence[tuple[int, list[list[int]]]], spectrum: Callable[[int], list[Fraction]]
+) -> set[tuple[int, ...]]:
+    """The reduced-echelon basis vectors of the nonzero joint eigenspaces of
+    the cleared n x n operators ``ops``, each as its primitive integer
+    multiple with a positive pivot entry, which stands for it one to one.
+    The rows of ``_int_rref`` are primitive: ``_refine``'s bases are, and
+    each reduced row is divided by its gcd.  With no operators the one
+    joint eigenspace is the whole space."""
+    found: set[tuple[int, ...]] = set()
     for basis in _refine(ops, spectrum, 0, [[int(i == j) for j in range(n)] for i in range(n)]):
-        found.update(_echelon_rows(*_int_rref(basis)))
+        rows, pivots = _int_rref(basis)
+        found.update(tuple(row) if row[c] > 0 else tuple(-x for x in row) for row, c in zip(rows, pivots))
     return found
 
 
@@ -651,19 +694,21 @@ def find_ideals_dim_le3(a: Algebra) -> list[Subspace]:
       ker(w^T) = {y : w.y = 0} is an ideal: w.(M y) = (M^T w).y = lam w.y
       vanishes on it for each operator M.
 
-    The joint eigenspaces come from ``_refine`` on the operators, read off
-    one integer tensor d c (``_cleared`` once, then ``_ideals``, which the
-    catalog audit calls on the tensor its table already holds): the
-    columns of d L_ei and d R_ei are its rows d e_i*e_j and d e_j*e_i.  An
-    operator's spectrum, the rational roots of the integer characteristic
-    polynomial of d M divided by d, is computed only when a branch of
-    dimension >= 2 reaches it, and at most once: the transposes share it
-    (char_poly(M^T) = char_poly(M)).  An operator without a rational
-    eigenvalue thus leaves no joint eigenspace, and the answer is empty.
-    Multidimensional joint eigenspaces are reported through their
-    reduced-echelon basis vectors.  Irrational eigendata is out of reach by
-    design, so an empty answer means "no rational ideal found", never
-    "simple".
+    The joint eigenspaces come from ``_refine`` on a basis of the span of
+    the operators, read off one integer tensor d c (``_cleared`` once, then
+    ``_ideals``, which the catalog audit calls on the tensor its table
+    already holds): the columns of d L_ei and d R_ei are its rows d e_i*e_j
+    and d e_j*e_i.  A joint eigenvector of a spanning set is one of every
+    linear combination, so the nonzero joint eigenspaces of the basis are
+    those of all 2n operators.  An operator's spectrum, the rational roots
+    of the integer characteristic polynomial of d M divided by d, is
+    computed only when a branch of dimension >= 2 reaches it, and at most
+    once: the transposes share it (char_poly(M^T) = char_poly(M)).  An
+    operator without a rational eigenvalue thus leaves no joint eigenspace,
+    and the answer is empty.  Multidimensional joint eigenspaces are
+    reported through their reduced-echelon basis vectors.  Irrational
+    eigendata is out of reach by design, so an empty answer means "no
+    rational ideal found", never "simple".
     """
     if a.dim > 3:
         raise ValueError("ideal search is implemented for dim <= 3 only")
@@ -676,11 +721,22 @@ def find_ideals_dim_le3(a: Algebra) -> list[Subspace]:
 
 def _ideals(d: int, c: Sequence[Sequence[Sequence[int]]]) -> list[Subspace]:
     """``find_ideals_dim_le3`` of an algebra of dimension 2 or 3 given
-    cleared, c[i][j] = d e_i*e_j with d > 0, as a ``TripleTable`` keeps it."""
+    cleared, c[i][j] = d e_i*e_j with d > 0, as a ``TripleTable`` keeps it.
+
+    Only a basis of the span of the 2n operators d L_ei, d R_ei is searched:
+    the pivot columns of one ``_int_rref`` of the n^2 x 2n matrix whose
+    columns are the operators' entries.  Each dropped operator is a
+    combination of the kept ones before it, so it has no joint eigenspace
+    of its own to split, and zero, repeated and proportional operators cost
+    no spectrum, kernel or line test.  The joint eigenvectors stay integer
+    until the ``Subspace`` of each line, and of each plane ker(w^T), is
+    built."""
     n = len(c)
     # the columns of d L_ei and of d R_ei
     columns = [list(c[i]) for i in range(n)]
     columns += [[c[j][i] for j in range(n)] for i in range(n)]
+    flat = [[x for col in cols for x in col] for cols in columns]
+    columns = [columns[k] for k in _int_rref([list(r) for r in zip(*flat)])[1]]
     ops = [(d, [list(r) for r in zip(*cols)]) for cols in columns]
     spectra: dict[int, list[Fraction]] = {}
 
@@ -689,13 +745,12 @@ def _ideals(d: int, c: Sequence[Sequence[Sequence[int]]]) -> list[Subspace]:
             spectra[k] = [root / d for root in rational_roots(_int_char_poly(ops[k][1]))]
         return spectra[k]
 
-    # a reduced-echelon row is already the canonical basis of its line
-    found = [Subspace(n, (v,)) for v in _joint_eigenvectors(ops, spectrum)]
+    found = [_int_span(n, [v]) for v in _joint_eigenvectors(n, ops, spectrum)]
     if n == 3:
-        found += {
-            Subspace.from_spanning(3, nullspace_basis(QMatrix([w])))
-            for w in _joint_eigenvectors([(d, cols) for cols in columns], spectrum)
-        }
+        found += [
+            _int_span(3, _int_nullspace([list(w)], 3))
+            for w in _joint_eigenvectors(3, [(d, cols) for cols in columns], spectrum)
+        ]
     found.sort(key=lambda s: (s.dim, s.basis))
     return found
 

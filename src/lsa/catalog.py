@@ -658,7 +658,14 @@ def _params_str(params: Mapping[str, Fraction]) -> dict[str, str]:
 
 
 def verify_entry(entry: CatalogEntry, param_samples: Sequence[Mapping[str, Fraction]]) -> dict:
-    """All checks for one catalog entry at every parameter sample.
+    """All checks for one catalog entry at every parameter sample; see
+    ``_verify_entry``."""
+    return _verify_entry(entry, param_samples)[0]
+
+
+def _verify_entry(entry: CatalogEntry, param_samples: Sequence[Mapping[str, Fraction]]) -> tuple[dict, Algebra | None]:
+    """``verify_entry``'s report, and the algebra of the first sample (None
+    without samples), which ``verify_catalog`` fingerprints.
 
     Each sample is cleared once, into one ``TripleTable`` (d and the
     integer tensor d c), and every verdict is read off it:
@@ -680,8 +687,8 @@ def verify_entry(entry: CatalogEntry, param_samples: Sequence[Mapping[str, Fract
     sample."""
     samples_report = []
     hard_failures: list[str] = []
-    for params in param_samples:
-        a = entry.make(params)
+    algebras = [entry.make(params) for params in param_samples]
+    for params, a in zip(param_samples, algebras):
         table = TripleTable(a)
         ls = table.first_failure("left_symmetric")
         checks = {identity: table.first_failure(identity) for identity in "NDS"}
@@ -721,11 +728,12 @@ def verify_entry(entry: CatalogEntry, param_samples: Sequence[Mapping[str, Fract
         samples_report.append(sample)
         if not (ls.ok and complete and tag_ok and ideals and propagation_ok):
             hard_failures.append(f"{entry.name} at {_params_str(params)}")
-    return {
+    report = {
         "name": entry.name,
         "samples": samples_report,
         "hard_failures": hard_failures,
     }
+    return report, (algebras[0] if algebras else None)
 
 
 def _distinctness_evidence(fp1: tuple, fp2: tuple) -> str | None:
@@ -743,25 +751,24 @@ def verify_catalog(seed: int = 0, random_samples: int = 5) -> dict:
     through the extension machinery with verified isomorphism witnesses.
     What the entry checks decided about an algebra (the Lie tag and N/D/S
     flags of each default, D32's left symmetry) is read off their report,
-    not decided again.
+    not decided again, and each entry's first default is fingerprinted as
+    the algebra they built.
     """
     rng = random.Random(seed)
     entries = catalog_lsas()
     report: dict = {"seed": seed, "entries": {}, "hard_failures": []}
+    fingerprints = {}
     for entry in entries:
         samples: list[dict] = list(entry.default_params)
         if entry.param is not None:
             for _ in range(random_samples):
                 samples.append(entry.sample_params(rng))
-        entry_report = verify_entry(entry, samples)
+        entry_report, first_default = _verify_entry(entry, samples)
         report["entries"][entry.name] = entry_report
         report["hard_failures"].extend(entry_report["hard_failures"])
-
-    fingerprints = {}
-    for entry in entries:
-        first = report["entries"][entry.name]["samples"][0]  # the first default
+        first = entry_report["samples"][0]
         fingerprints[entry.name] = fingerprint(
-            entry.make(entry.default_params[0]),
+            first_default,
             lie_tag=first["lie_tag"],
             flags_NDS=tuple(first["flags_computed"].values()),
         )

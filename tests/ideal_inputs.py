@@ -7,7 +7,10 @@ fresh random rational basis.  ``degenerate_inputs`` are the cases where a
 joint eigenspace stays 2D or 3D to the end (the zero algebras, diagonal
 algebras with repeated eigenvalues) and where the first or the last
 operator L_e1, ..., R_en has no rational eigenvalue; each comes in its
-stored basis and in a random one.
+stored basis and in a random one.  ``DEPENDENT`` adds algebras whose
+operators are zero, repeated or proportional, so that the search drops
+them from the span's basis, one of them an operator without a rational
+eigenvalue.
 """
 import random
 
@@ -59,6 +62,30 @@ def degenerate_inputs(seed: int) -> list[Algebra]:
     rng = random.Random(seed)
     out = []
     for name, (dim, entries) in DEGENERATE.items():
+        a = Algebra.from_entries(dim, entries, name)
+        out += [a, fresh_basis(a, rng)]
+    return out
+
+
+DEPENDENT = {
+    # L_e1 = R_e1 = E11, and the other operators are zero
+    "one_product2": (2, {(1, 1, 1): 1}),
+    "one_product3": (3, {(1, 1, 1): 1}),
+    # commutative: R_ei = L_ei, each operator repeated
+    "commutative3": (3, {(1, 1, 1): 1, (1, 2, 2): 1, (2, 1, 2): 1, (1, 3, 3): 1, (3, 1, 3): 1}),
+    # L_e2 = 2 L_e1
+    "proportional3": (3, {(1, 1, 2): 1, (2, 1, 2): 2, (1, 3, 3): 1, (2, 3, 3): 2}),
+    # R_e2 = L_e2 - R_e1 has the characteristic polynomial y^2 + 1
+    "irrational_dropped2": (2, {(1, 1, 2): 1, (1, 2, 2): -1, (2, 2, 1): 1}),
+}
+
+
+def dependent_inputs(seed: int) -> list[Algebra]:
+    """``DEPENDENT`` and the zero algebras, each in its stored basis and in a
+    random one."""
+    rng = random.Random(seed)
+    out = []
+    for name, (dim, entries) in {"zero2": DEGENERATE["zero2"], "zero3": DEGENERATE["zero3"], **DEPENDENT}.items():
         a = Algebra.from_entries(dim, entries, name)
         out += [a, fresh_basis(a, rng)]
     return out

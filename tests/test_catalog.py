@@ -444,7 +444,9 @@ def test_an_audit_decides_each_algebra_once(monkeypatch):
     Jacobi scan and no ``find_ideals_dim_le3``; the default fingerprints
     take the Lie tag and N/D/S flags that ``verify_entry`` decided, C3t at
     t = 2 reuses its default fingerprint, the A1 fixture is read off one
-    table of its own, and no fixture algebra is built."""
+    table of its own, and no fixture algebra is built.  Each catalog
+    algebra is made once: each sample, each reconstruction target and C3t
+    at t = 3, with no second make of a default for its fingerprint."""
     import lsa.algebra
     import lsa.catalog
 
@@ -488,8 +490,19 @@ def test_an_audit_decides_each_algebra_once(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(Algebra, "__post_init__", recording)
+    made = []
+    make = CatalogEntry.make
+
+    def key(name, params):
+        return name, tuple(sorted((k, str(v)) for k, v in params.items()))
+
+    def making(entry, params=None):
+        made.append(key(entry.name, params or {}))
+        return make(entry, params)
+
+    monkeypatch.setattr(CatalogEntry, "make", making)
     report = verify_catalog(seed=11, random_samples=5)
-    audit_built = list(built)  # not what the checks below build
+    audit_built, audit_made = list(built), list(made)  # not what the checks below build
     assert report["ok"]
     # the one fingerprint that is not a default, C3t at t = 3, computes its
     # own Lie tag, through the commutators and their one Jacobi scan; the
@@ -503,6 +516,14 @@ def test_an_audit_decides_each_algebra_once(monkeypatch):
         for sample in entry_report["samples"]
     )
     assert sum(samples.values()) == 27
+    targets = [key(r["target"], r["target_params"]) for r in report["reconstructions"]]
+    assert len(targets) == 24
+    sampled = [
+        key(name, sample["params"])
+        for name, entry_report in report["entries"].items()
+        for sample in entry_report["samples"]
+    ]
+    assert Counter(audit_made) == Counter(sampled + targets + [key("C3t", {"t": 3})])
     # the fingerprint of C3t at t = 3 reads its N/D/S flags off a table of its own
     cleared = Counter(tables.values())
     assert Counter({a: k for a, k in cleared.items() if a.name in ENTRIES}) == samples + Counter([c3t_3])

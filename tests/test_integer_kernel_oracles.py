@@ -22,6 +22,7 @@ from lsa.algebra import (
     Algebra,
     IdentityCheck,
     Subspace,
+    TripleTable,
     conjugated,
     failures,
     first_failure,
@@ -32,6 +33,7 @@ from lsa.algebra import (
     right_mult,
 )
 from lsa.catalog import _annihilator_dims, _spans, catalog_lsas, fixtures
+from lsa.cli import CHECK_MAX_DIM
 from lsa.linalg import (
     QMatrix,
     char_poly,
@@ -244,6 +246,32 @@ def catalog_in_random_bases(draw):
 def test_failures_match_fraction_engine(a):
     for identity in IDENTITIES:
         assert list(failures(a, identity)) == list(fraction_failures(a, identity)), identity
+
+
+@st.composite
+def sparse_tensors(draw, n: int):
+    """Sparse rational structure constants with large denominators, dimension
+    n, with room for every identity to fail at several triples."""
+    idx = st.integers(1, n)
+    entries = draw(st.dictionaries(st.tuples(idx, idx, idx), rationals(), max_size=3 * n))
+    return Algebra.from_entries(n, entries)
+
+
+@pytest.mark.parametrize("n", range(1, CHECK_MAX_DIM + 1))
+@settings(max_examples=15, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_plan_scans_match_fraction_engine_at_every_checked_dimension(n, data):
+    """The plan scans equal the ``Fraction`` engine, triple by triple,
+    witnesses and both sides included, at every dimension ``lsa check``
+    accepts; N, D, S and Jacobi read T1 only, so they never fill T2, and
+    left symmetry fills it."""
+    a = data.draw(st.one_of(sparse_tensors(n), sparse_tensors(n).map(lie_algebra_of)))
+    table = TripleTable(a)
+    for identity in ("N", "D", "S", "jacobi"):
+        assert list(table.failures(identity)) == list(fraction_failures(a, identity)), identity
+    assert len(table._entries) == n**3
+    assert list(table.failures("left_symmetric")) == list(fraction_failures(a, "left_symmetric"))
+    assert len(table._entries) == 2 * n**3
 
 
 @st.composite

@@ -59,6 +59,7 @@ TEST_AFFINE = "tests/test_affine.py"
 TEST_BATCH = "tests/test_affine_batch.py"
 TEST_CLEARED = "tests/test_cleared_tensor_oracles.py"
 TEST_KERNELS = "tests/test_integer_kernel_oracles.py"
+TEST_OPERATOR_BASIS = "tests/test_operator_basis_oracles.py"
 TEST_PRIMITIVES = "tests/test_primitive_oracles.py"
 
 MUTANTS = (
@@ -169,6 +170,20 @@ MUTANTS = (
         ("tests/test_subspace_oracles.py::test_ideals_match_filtered_enumeration",),
     ),
     Mutant(
+        "ideal-operator-basis-from-the-left-block-only",
+        ALGEBRA,
+        "columns = [columns[k] for k in _int_rref([list(r) for r in zip(*flat)])[1]]",
+        "columns = [columns[k] for k in _int_rref([list(r) for r in zip(*flat[:n])])[1]]",
+        (f"{TEST_OPERATOR_BASIS}::test_the_search_on_a_basis_of_the_span_equals_the_search_on_all_operators",),
+    ),
+    Mutant(
+        "ideal-search-dimension-read-off-the-first-operator",
+        ALGEBRA,
+        "_refine(ops, spectrum, 0, [[int(i == j) for j in range(n)] for i in range(n)])",
+        "_refine(ops, spectrum, 0, [[int(i == j) for j in range(len(ops[0][1]))] for i in range(len(ops[0][1]))])",
+        (f"{TEST_OPERATOR_BASIS}::test_the_inputs_reach_every_span_rank",),
+    ),
+    Mutant(
         "completeness-traces-always-true",
         ALGEBRA,
         "return all(sum(a.c[j][i][j] for j in range(n)) == 0 for i in range(n))",
@@ -257,6 +272,13 @@ MUTANTS = (
         ALGEBRA,
         "((1, T1, KJI),), lambda i, j, k: i < k)",
         "((1, T1, KJI),), lambda i, j, k: i > k)",
+        (f"{TEST_KERNELS}::test_failures_match_fraction_engine",),
+    ),
+    Mutant(
+        "plan-reads-ikj-as-jik",
+        ALGEBRA,
+        "for tensor, (p, q, r) in terms)",
+        "for tensor, (q, r, p) in terms)",
         (f"{TEST_KERNELS}::test_failures_match_fraction_engine",),
     ),
     Mutant(
