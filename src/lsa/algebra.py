@@ -24,7 +24,6 @@ from .linalg import (
     _int_nullspace,
     _int_rank,
     _int_rref,
-    _nilpotent_ints,
     _primitive,
     frac,
     nullspace_basis,
@@ -511,50 +510,17 @@ def _commutator_brackets(a: Algebra, table: TripleTable, left_symmetric: bool) -
     return [[tuple(x - y for x, y in zip(c[i][j], c[j][i])) for j in range(n)] for i in range(n)]
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Every tuple of ``parts`` natural numbers summing to ``total``."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first, *rest)
-
-
 def is_complete(a: Algebra) -> bool:
-    """True iff every right multiplication R_x is nilpotent, for all real x.
+    """True iff ``a`` is a complete left-symmetric algebra: one that is
+    left-symmetric and whose right multiplications R_x are all nilpotent.
 
-    R_x is nilpotent iff the coefficients c_1..c_n of char_poly(R_x) vanish,
-    and R_x is linear in x, so c_k is a homogeneous polynomial of degree k
-    in the coordinates of x.  The check runs over the simplex lattice
-    {x in N^n : x_1 + ... + x_n = n}, C(2n-1, n) points (1, 3, 10, 35 for
-    n = 1..4), and is exact:
-
-    - on the hyperplane sum(x) = n, c_k is a polynomial of degree <= n in
-      n - 1 affine coordinates, and the principal simplex lattice of order
-      n is unisolvent for such polynomials, so c_k vanishes on the whole
-      hyperplane;
-    - c_k(x) = (sum(x) / n)^k c_k(n x / sum(x)) by homogeneity, so c_k
-      vanishes wherever sum(x) != 0, a dense set, hence identically.
-
-    This decides any algebra.  On input already known to be left-symmetric
-    the callers decide by traces instead (``_complete_by_traces``), and
-    run this lattice only on input that fails left symmetry.
-
-    Scaling keeps nilpotency, so each R_x is built from the integer tensor
-    d c, cleared once: R_x[k][j] = sum_i x_i c[j][i][k].
+    Completeness is defined for left-symmetric algebras only, so this is
+    the left-symmetry scan and then Helmstetter's and Segal's criterion,
+    tr R_ei = 0 for every i (``_complete_by_traces``).  An algebra that is
+    not left-symmetric is not a complete left-symmetric algebra, whatever
+    its right multiplications do.
     """
-    n = a.dim
-    _, rows = _cleared(v for plane in a.c for v in plane)
-    # cols[i][j] = c[j][i], column j of R_ei
-    cols = [[rows[j * n + i] for j in range(n)] for i in range(n)]
-    return all(
-        _nilpotent_ints(
-            [[sum(x * cols[i][j][k] for i, x in enumerate(point) if x) for j in range(n)] for k in range(n)]
-        )
-        for point in _compositions(n, n)
-    )
+    return check_left_symmetric(a).ok and _complete_by_traces(a)
 
 
 def _complete_by_traces(a: Algebra | TripleTable) -> bool:
@@ -566,7 +532,7 @@ def _complete_by_traces(a: Algebra | TripleTable) -> bool:
 
     The theorem holds only for left-symmetric input: e1*e1 = e1,
     e2*e1 = -e2 has tr R_x = 0 for every x, but R_e1 = diag(1, -1) is not
-    nilpotent.  ``is_complete`` decides every other algebra.
+    nilpotent.  ``is_complete`` scans left symmetry first.
     """
     n = a.dim
     return all(sum(a.c[j][i][j] for j in range(n)) == 0 for i in range(n))

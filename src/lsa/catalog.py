@@ -15,6 +15,7 @@ other form around so the discrepancy is rerunnable.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -497,32 +498,42 @@ def reconstruction_cases(rng: random.Random | None = None) -> list[Reconstructio
 
 
 class _Spans(NamedTuple):
-    """What ``fingerprint`` reads off one cleared tensor of an algebra:
-    ``rows[i n + j]`` = d e_i*e_j with d the least common denominator, the
-    integer blocks of the stacked L_ei and R_ei (``_mult_blocks``), the
-    product span P, the pivot columns of P's echelon basis and
+    """What ``fingerprint`` reads off one cleared tensor of an algebra, its
+    ``TripleTable``'s where it has one: ``rows[i n + j]`` = d e_i*e_j with d
+    the least common denominator, the integer blocks of the stacked L_ei
+    and R_ei (``_mult_blocks``), the product span P, P's echelon basis
+    times one common pivot D > 0 as ints, its pivot columns and
     W = P*A + A*P.  Scaling by d > 0 keeps every span, rank and kernel."""
 
     rows: list[list[int]]
     lefts: list[list[int]]
     rights: list[list[int]]
     p: Subspace
+    basis: list[list[int]]
     pivots: list[int]
     w: Subspace
 
 
-def _spans(a: Algebra) -> _Spans:
-    """The ``_Spans`` of ``a``: P is the span of the rows, from one
-    ``_int_rref``, and W the span of every e_i*w and w*e_i, w in the integer
-    basis of P that it leaves."""
+def _spans(a: Algebra | TripleTable) -> _Spans:
+    """The ``_Spans`` of an algebra, read off its table's tensor if given
+    one, else off one clear: P is the span of the rows, from one
+    ``_int_rref``, and W the span of every e_i*w and w*e_i, w in the
+    integer basis of P that it leaves.  Each of those basis rows is a
+    multiple of a reduced-echelon row; scaled to the lcm D of their pivots,
+    they are D times P's echelon basis, with no second clear."""
     n = a.dim
-    _, rows = _cleared(v for plane in a.c for v in plane)
-    p_basis, pivots = _int_rref([list(row) for row in rows])
+    if isinstance(a, TripleTable):
+        rows = [v for plane in a.c for v in plane]
+    else:
+        rows = _cleared(v for plane in a.c for v in plane)[1]
+    p_rows, pivots = _int_rref([list(row) for row in rows])
     # e_i*w = sum_k w_k e_i*e_k and w*e_i = sum_k w_k e_k*e_i
     factors = [rows[i * n : (i + 1) * n] for i in range(n)] + [rows[i::n] for i in range(n)]
-    products = [_combination(w, vectors, n) for w in p_basis for vectors in factors]
-    p = Subspace(n, tuple(_echelon_rows(p_basis, pivots)))
-    return _Spans(rows, *_mult_blocks(rows, n), p, pivots, _int_span(n, products))
+    products = [_combination(w, vectors, n) for w in p_rows for vectors in factors]
+    p = Subspace(n, tuple(_echelon_rows(p_rows, pivots)))
+    common = math.lcm(*(row[k] for row, k in zip(p_rows, pivots)))
+    basis = [[x * (common // row[k]) for x in row] for row, k in zip(p_rows, pivots)]
+    return _Spans(rows, *_mult_blocks(rows, n), p, basis, pivots, _int_span(n, products))
 
 
 def _annihilator_dims(a: Algebra, s: _Spans) -> tuple[int, int]:
@@ -573,17 +584,17 @@ def _induced_action_ratio(a: Algebra, s: _Spans) -> str | None:
     the lift and scaling; returned as a string ('none' cases excluded).
 
     Everything is read on ints: the products off the cleared rows
-    s.rows[i n + j] = d e_i*e_j, with P's echelon basis times its common
-    denominator D.  In that basis a vector's coordinates are still its
-    entries at P's pivot columns, over D, so the matrices read there are
-    d D Lb and d D Rb: one factor for both, which the ratio does not see.
+    s.rows[i n + j] = d e_i*e_j, with P's echelon basis times one common
+    pivot D (``s.basis``).  In that basis a vector's coordinates are still
+    its entries at P's pivot columns, over D, so the matrices read there
+    are d D Lb and d D Rb: one factor for both, which the ratio does not
+    see.
     """
     p = s.p
     n = a.dim
     if p.dim != 2 or n - p.dim != 1:
         return None
-    rows = s.rows
-    _, basis = _cleared(p.basis)
+    rows, basis = s.rows, s.basis
     # P acts trivially on P: u*v = sum_i u_i e_i*v vanishes for u, v in P,
     # with e_i*v = sum_k v_k e_i*e_k
     if any(
@@ -614,7 +625,7 @@ def _induced_action_ratio(a: Algebra, s: _Spans) -> str | None:
 
 # The fingerprint's components in order, each with the label that names it
 # in the distinctness evidence.  Each is a function of the algebra and of
-# its ``_Spans``, which ``fingerprint`` computes once; the rank components
+# its ``_Spans``, which is computed once per algebra; the rank components
 # are ranks of integer matrices from the one cleared tensor (the center is
 # the kernel of the stacked L and R blocks, as in ``center``).
 # Invariants from other modules are called through their module-level names,
@@ -644,7 +655,12 @@ def fingerprint(a: Algebra, **known) -> tuple:
     unknown = set(known) - {label for label, _ in FINGERPRINT}
     if unknown:
         raise TypeError(f"not a fingerprint component: {sorted(unknown)}")
-    s = _spans(a)
+    return _fingerprint(a, _spans(a), known)
+
+
+def _fingerprint(a: Algebra, s: _Spans, known: Mapping[str, object]) -> tuple:
+    """``fingerprint(a, **known)`` from a's ``_Spans``, which
+    ``verify_catalog`` reads off the table that already cleared ``a``."""
     return tuple(known[label] if label in known else invariant(a, s) for label, invariant in FINGERPRINT)
 
 
@@ -663,17 +679,20 @@ def verify_entry(entry: CatalogEntry, param_samples: Sequence[Mapping[str, Fract
     return _verify_entry(entry, param_samples)[0]
 
 
-def _verify_entry(entry: CatalogEntry, param_samples: Sequence[Mapping[str, Fraction]]) -> tuple[dict, Algebra | None]:
-    """``verify_entry``'s report, and the algebra of the first sample (None
-    without samples), which ``verify_catalog`` fingerprints.
+def _verify_entry(
+    entry: CatalogEntry, param_samples: Sequence[Mapping[str, Fraction]]
+) -> tuple[dict, tuple[Algebra, TripleTable] | None]:
+    """``verify_entry``'s report, and the algebra of the first sample with
+    its table (None without samples), which ``verify_catalog``
+    fingerprints.
 
     Each sample is cleared once, into one ``TripleTable`` (d and the
     integer tensor d c), and every verdict is read off it:
 
     - left symmetry and the N/D/S flags are scans of the table;
-    - a left-symmetric sample's completeness is d tr R_ei = 0 on the
+    - completeness is defined for left-symmetric algebras only, so a
+      sample is complete iff it is left-symmetric and d tr R_ei = 0 on the
       table's tensor (``_complete_by_traces``, Helmstetter and Segal);
-      ``is_complete`` runs only on a sample that fails left symmetry;
     - the Lie tag is ``_lie_tag`` of the integer brackets d (c_ij - c_ji)
       (``_commutator_brackets``).  The commutators of a left-symmetric
       algebra form a Lie algebra, so they need no Jacobi scan and no
@@ -683,18 +702,19 @@ def _verify_entry(entry: CatalogEntry, param_samples: Sequence[Mapping[str, Frac
     - the ideals come from the table's (d, d c) (``_ideals``).
 
     Ideals and quotients of a complete algebra are complete, so
-    ``completeness_propagation`` is recomputed only on an incomplete
-    sample."""
+    ``completeness_propagation`` is decided ideal by ideal, by
+    ``is_complete``, only on an incomplete sample."""
     samples_report = []
     hard_failures: list[str] = []
-    algebras = [entry.make(params) for params in param_samples]
-    for params, a in zip(param_samples, algebras):
+    first = None
+    for params in param_samples:
+        a = entry.make(params)
         table = TripleTable(a)
+        if first is None:
+            first = a, table
         ls = table.first_failure("left_symmetric")
         checks = {identity: table.first_failure(identity) for identity in "NDS"}
-        complete = _complete_by_traces(table) if ls.ok else is_complete(a)
-        # ideals and quotients of a left-symmetric algebra are left-symmetric too
-        decide_complete = _complete_by_traces if ls.ok else is_complete
+        complete = ls.ok and _complete_by_traces(table)
         try:
             tag = _lie_tag(_commutator_brackets(a, table, ls.ok))
         except ValueError as err:  # commutators that fail Jacobi
@@ -708,7 +728,7 @@ def _verify_entry(entry: CatalogEntry, param_samples: Sequence[Mapping[str, Frac
         # I and A/I of a complete A are complete: each nilpotent R_y maps the
         # ideal I into I, so it stays nilpotent on I and on A/I.
         propagation_ok = complete or all(
-            decide_complete(restriction_to_ideal(a, ideal)) and decide_complete(quotient_algebra(a, ideal))
+            is_complete(restriction_to_ideal(a, ideal)) and is_complete(quotient_algebra(a, ideal))
             for ideal in ideals
         )
         sample = {
@@ -733,7 +753,7 @@ def _verify_entry(entry: CatalogEntry, param_samples: Sequence[Mapping[str, Frac
         "samples": samples_report,
         "hard_failures": hard_failures,
     }
-    return report, (algebras[0] if algebras else None)
+    return report, first
 
 
 def _distinctness_evidence(fp1: tuple, fp2: tuple) -> str | None:
@@ -752,7 +772,7 @@ def verify_catalog(seed: int = 0, random_samples: int = 5) -> dict:
     What the entry checks decided about an algebra (the Lie tag and N/D/S
     flags of each default, D32's left symmetry) is read off their report,
     not decided again, and each entry's first default is fingerprinted as
-    the algebra they built.
+    the algebra they built, off the table they cleared it into.
     """
     rng = random.Random(seed)
     entries = catalog_lsas()
@@ -763,14 +783,14 @@ def verify_catalog(seed: int = 0, random_samples: int = 5) -> dict:
         if entry.param is not None:
             for _ in range(random_samples):
                 samples.append(entry.sample_params(rng))
-        entry_report, first_default = _verify_entry(entry, samples)
+        entry_report, (first_default, first_table) = _verify_entry(entry, samples)
         report["entries"][entry.name] = entry_report
         report["hard_failures"].extend(entry_report["hard_failures"])
         first = entry_report["samples"][0]
-        fingerprints[entry.name] = fingerprint(
+        fingerprints[entry.name] = _fingerprint(
             first_default,
-            lie_tag=first["lie_tag"],
-            flags_NDS=tuple(first["flags_computed"].values()),
+            _spans(first_table),
+            {"lie_tag": first["lie_tag"], "flags_NDS": tuple(first["flags_computed"].values())},
         )
     distinct = {}
     all_distinct = True

@@ -23,7 +23,6 @@ from .algebra import (
     find_ideals_dim_le3,
     first_failures,
     identify_lie_algebra,
-    is_complete,
     lie_algebra_of,
     milnor_normal_form,
 )
@@ -44,11 +43,11 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 
-# ``check`` decides the completeness of a left-symmetric input by traces; on
-# input that is not left-symmetric it runs ``is_complete``'s lattice,
-# C(2n-1, n) nilpotency tests of n x n matrices: 6,435 at n = 8, a few
-# seconds, and each further dimension costs about five to seven times the
-# one before.  The limit is for that case.
+# ``check`` builds the dim^3 structure tensor, fills the triple table's T1
+# and T2 (n^3 entries of length n each, O(n^5) integer products) and scans
+# left symmetry and N/D/S by their triple plans of up to n^3 rows
+# (``algebra._plan``).  The limit bounds that work; ``h2`` and ``extend``
+# share it, so that every algebra they build is one ``check`` takes.
 CHECK_MAX_DIM = 8
 
 # The largest dimension each command that reads an algebra file takes: the
@@ -104,7 +103,8 @@ def cmd_check(args) -> int:
     a = _load_algebra(args.file, "check")
     checks = first_failures(a, ("left_symmetric", *"NDS"))
     ls = checks["left_symmetric"]
-    complete = _complete_by_traces(a) if ls.ok else is_complete(a)
+    # completeness is defined for left-symmetric algebras only
+    complete = ls.ok and _complete_by_traces(a)
     n, d, s = (checks[flag].ok for flag in "NDS")
     if args.json:
         print(

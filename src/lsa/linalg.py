@@ -368,15 +368,12 @@ def det(m: QMatrix) -> Fraction:
 
 
 def is_nilpotent(m: QMatrix) -> bool:
-    """True iff m^n = 0, decided on the integer matrix d m."""
+    """True iff m^n = 0, decided on the integer matrix b = d m: b^(2^j) = 0
+    for the least 2^j >= n, by repeated squaring that stops at the first
+    zero power."""
     if not m.is_square():
         raise ValueError("nilpotency of non-square matrix")
-    return _nilpotent_ints(_cleared(m.rows)[1])
-
-
-def _nilpotent_ints(b: list[list[int]]) -> bool:
-    """True iff the n x n integer matrix b has b^n = 0, i.e. b^(2^j) = 0 for
-    the least 2^j >= n: repeated squaring that stops at the first zero power."""
+    b = _cleared(m.rows)[1]
     power = 1
     while any(any(row) for row in b):
         if power >= len(b):

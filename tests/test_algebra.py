@@ -29,6 +29,7 @@ from lsa.algebra import (
     restriction_to_ideal,
     right_mult,
 )
+from completeness_oracle import lattice_complete
 from lsa.catalog import catalog_lsas, fixtures, make_lie, make_lsa
 from lsa.linalg import QMatrix, commutator, random_invertible, unit_vec, vec
 
@@ -332,8 +333,18 @@ def test_identify_non_square_parameters_flagged():
     assert abs(tag.zeta**2 - 2.0) < 1e-12
 
 
+def _random_algebra(rng, n, products=4):
+    """Up to ``products`` random basis products with coefficients in -2..2."""
+    entries = {}
+    for _ in range(rng.randint(0, products)):
+        key = (rng.randint(1, n), rng.randint(1, n), rng.randint(1, n))
+        entries[key] = F(rng.randint(-2, 2))
+    return Algebra.from_entries(n, entries)
+
+
 def test_is_complete_grid_decision_vs_random_points():
-    # independent oracle: the full grid {0..n}^n, exact because each
+    # the lattice oracle, which decides nilpotency of every R_x on any
+    # algebra, against the full grid {0..n}^n, exact because each
     # coefficient of char_poly(R_x) has degree <= n in every coordinate;
     # complete verdicts are also checked at random rational points
     import itertools
@@ -351,13 +362,9 @@ def test_is_complete_grid_decision_vs_random_points():
     verdicts = set()
     for trial in range(66):
         n = 4 if trial >= 60 else rng.randint(1, 3)  # 625 grid points in 4D
-        entries = {}
-        for _ in range(rng.randint(0, 4)):
-            key = (rng.randint(1, n), rng.randint(1, n), rng.randint(1, n))
-            entries[key] = F(rng.randint(-2, 2))
-        a = Algebra.from_entries(n, entries)
-        complete = is_complete(a)
-        assert complete == full_grid(a), (trial, entries)
+        a = _random_algebra(rng, n)
+        complete = lattice_complete(a)
+        assert complete == full_grid(a), (trial, a.c)
         verdicts.add(complete)
         if complete:
             for _ in range(50):
@@ -378,8 +385,11 @@ def _direct_sum(a, b):
     return Algebra.from_entries(n + b.dim, entries, f"{a.name}+{b.name}")
 
 
-def test_is_complete_agrees_with_segal_trace_criterion():
-    # Segal: a left-symmetric algebra is complete iff tr R_x = 0 for all x
+def _left_symmetric_algebras():
+    """Complete and incomplete left-symmetric algebras of dimensions 1-4:
+    the catalog defaults, the small fixtures, every reconstruction, direct
+    sums of these with each other and with an idempotent, and each of them
+    in a random basis."""
     from lsa.catalog import reconstruction_cases
     from lsa.extensions import build_extension
 
@@ -396,15 +406,38 @@ def test_is_complete_agrees_with_segal_trace_criterion():
     lsas += [_direct_sum(a, idempotent) for a in small + lsas[:3]]
     lsas += [_direct_sum(idempotent, a) for a in small]
     rng = random.Random(29)
-    lsas += [conjugated(a, random_invertible(rng, a.dim)) for a in lsas]
+    return lsas + [conjugated(a, random_invertible(rng, a.dim)) for a in lsas]
+
+
+def test_is_complete_agrees_with_segal_trace_criterion():
+    # Segal: a left-symmetric algebra is complete iff tr R_x = 0 for all x;
+    # the lattice oracle decides nilpotency of every R_x without the theorem
     verdicts = Counter()
-    for a in lsas:
+    for a in _left_symmetric_algebras():
         assert check_left_symmetric(a).ok, a.name
         complete = is_complete(a)
-        assert complete == _right_traces_vanish(a) == _complete_by_traces(a), a.name
+        assert complete == lattice_complete(a) == _right_traces_vanish(a) == _complete_by_traces(a), a.name
         verdicts[complete, a.dim] += 1
     assert {(False, n) for n in (1, 2, 3, 4)} <= set(verdicts)
     assert {(True, n) for n in (1, 2, 3, 4)} <= set(verdicts)
+
+
+def test_is_complete_is_left_symmetry_and_nilpotency():
+    """``is_complete`` is "a complete left-symmetric algebra": left
+    symmetry and every R_x nilpotent, the latter by the lattice oracle, on
+    random algebras of dimensions 1-4 (left-symmetric or not) and on the
+    left-symmetric ones of the Segal test."""
+    rng = random.Random(31)
+    randoms = [_random_algebra(rng, rng.randint(1, 4), products=6) for _ in range(120)]
+    verdicts = Counter()
+    for a in randoms + _left_symmetric_algebras():
+        left_symmetric = check_left_symmetric(a).ok
+        nilpotent = lattice_complete(a)
+        assert is_complete(a) == (left_symmetric and nilpotent), a.c
+        verdicts[left_symmetric, nilpotent] += 1
+    # every combination occurs, off left-symmetric input with nilpotent
+    # right multiplications included
+    assert set(verdicts) == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_trace_criterion_fails_off_left_symmetric_algebras():
@@ -412,6 +445,7 @@ def test_trace_criterion_fails_off_left_symmetric_algebras():
     a = Algebra.from_entries(2, {(1, 1, 1): 1, (2, 1, 2): -1})
     assert not check_left_symmetric(a).ok
     assert _right_traces_vanish(a) and _complete_by_traces(a)
+    assert not lattice_complete(a)
     assert not is_complete(a)
 
 

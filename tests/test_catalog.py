@@ -7,6 +7,7 @@ import pytest
 
 from lsa.algebra import (
     Algebra,
+    _complete_by_traces,
     check_left_symmetric,
     conjugated,
     find_ideals_dim_le3,
@@ -442,8 +443,9 @@ def test_an_audit_decides_each_algebra_once(monkeypatch):
     is cleared into exactly one triple table, and its Lie tag and ideals
     are read off that table, with no ``lie_algebra_of``, no second table, no
     Jacobi scan and no ``find_ideals_dim_le3``; the default fingerprints
-    take the Lie tag and N/D/S flags that ``verify_entry`` decided, C3t at
-    t = 2 reuses its default fingerprint, the A1 fixture is read off one
+    take the Lie tag and N/D/S flags that ``verify_entry`` decided and are
+    computed by ``_fingerprint`` from the table it built, C3t at t = 2
+    reuses its default fingerprint, the A1 fixture is read off one
     table of its own, and no fixture algebra is built.  Each catalog
     algebra is made once: each sample, each reconstruction target and C3t
     at t = 3, with no second make of a default for its fingerprint."""
@@ -454,6 +456,7 @@ def test_an_audit_decides_each_algebra_once(monkeypatch):
     for module, name in (
         (lsa.catalog, "identify_lie_algebra"),
         (lsa.catalog, "fingerprint"),
+        (lsa.catalog, "_fingerprint"),
         (lsa.algebra, "find_ideals_dim_le3"),
         (lsa.algebra, "lie_algebra_of"),
         (lsa.catalog, "lie_algebra_of"),
@@ -508,7 +511,7 @@ def test_an_audit_decides_each_algebra_once(monkeypatch):
     # own Lie tag, through the commutators and their one Jacobi scan; the
     # 27 samples and the A1 fixture compute none of these
     c3t_3 = make_lsa("C3t", t=3)
-    assert calls == {"identify_lie_algebra": 1, "fingerprint": 12, "lie_algebra_of": 1}
+    assert calls == {"identify_lie_algebra": 1, "fingerprint": 1, "_fingerprint": 12, "lie_algebra_of": 1}
     assert jacobi_scans == [lie_algebra_of(c3t_3)]
     samples = Counter(
         ENTRIES[name].make({k: F(v) for k, v in sample["params"].items()})
@@ -532,6 +535,39 @@ def test_an_audit_decides_each_algebra_once(monkeypatch):
     assert [name for name in audit_built if name.startswith("Lie(")] == ["Lie(C3t)"]
 
 
+def test_an_audit_clears_no_default_again_for_its_fingerprint(monkeypatch):
+    """Per ``verify_catalog`` op, the fingerprints clear one tensor: that of
+    C3t at t = 3, which no entry check built.  The spans of the eleven
+    defaults, and P's integer basis in each, are read off the tables the
+    entry checks cleared them into."""
+    import lsa.catalog
+    import lsa.extensions
+    import lsa.linalg
+
+    clears = Counter()
+    cleared = lsa.linalg._cleared
+    for module in (lsa.linalg, lsa.algebra, lsa.catalog, lsa.extensions):
+
+        def counting(rows, _module=module.__name__):
+            clears[_module] += 1
+            return cleared(rows)
+
+        monkeypatch.setattr(module, "_cleared", counting)
+    spans_of = []
+    spans = lsa.catalog._spans
+
+    def recording(a):
+        spans_of.append(type(a).__name__)
+        return spans(a)
+
+    monkeypatch.setattr(lsa.catalog, "_spans", recording)
+    ops = 3
+    for seed in range(ops):
+        assert verify_catalog(seed=seed, random_samples=5)["ok"]
+    assert Counter(spans_of) == {"TripleTable": 11 * ops, "Algebra": ops}
+    assert clears["lsa.catalog"] == ops, clears
+
+
 def test_a_sample_whose_commutators_fail_jacobi_is_audited():
     """A sample that fails left symmetry may have commutators that are not a
     Lie algebra: its tag is then the Jacobi failure, with its triple, and
@@ -547,8 +583,10 @@ def test_a_sample_whose_commutators_fail_jacobi_is_audited():
     assert report["hard_failures"] == ["Z at {}"]
 
 
-def _count_lattice_decisions(monkeypatch) -> list:
-    """The algebras ``verify_entry`` hands to ``is_complete``, recorded."""
+def test_an_audit_decides_completeness_by_traces(monkeypatch):
+    """Every audited sample is left-symmetric and complete: its completeness
+    is read off its table's right traces, and no ideal or quotient is
+    decided again by ``is_complete``."""
     import lsa.catalog
 
     calls = []
@@ -559,32 +597,25 @@ def _count_lattice_decisions(monkeypatch) -> list:
         return original(a)
 
     monkeypatch.setattr(lsa.catalog, "is_complete", counting)
-    return calls
-
-
-def test_an_audit_decides_completeness_by_traces(monkeypatch):
-    """Every audited sample is left-symmetric, so its completeness is read
-    off its right traces and the lattice of ``is_complete`` never runs."""
-    calls = _count_lattice_decisions(monkeypatch)
     report = verify_catalog(seed=11, random_samples=5)
     assert report["ok"]
     assert calls == []
 
 
-def test_verify_entry_runs_the_lattice_only_off_left_symmetric_samples(monkeypatch):
-    calls = _count_lattice_decisions(monkeypatch)
-    # left-symmetric and incomplete, ideals included: traces only
+def test_verify_entry_decides_completeness_of_left_symmetric_samples_only():
+    # left-symmetric and incomplete, ideals included
     incomplete = CatalogEntry("X", "G31", _ALL, {(1, 1, 1): 1, (1, 2, 2): 1})
     sample = verify_entry(incomplete, [{}])["samples"][0]
     assert sample["left_symmetric"] and not sample["complete"]
     assert not sample["completeness_propagation"]
-    assert calls == []
-    # e1.e1 = e1, e2.e1 = -e2: not left-symmetric, every tr R_x = 0, and
-    # R_e1 = diag(1, -1, 0) is not nilpotent; only the lattice says so
+    # e1.e1 = e1, e2.e1 = -e2: not left-symmetric, so not complete, though
+    # every tr R_x = 0
     off = CatalogEntry("Y", "G31", _ALL, {(1, 1, 1): 1, (2, 1, 2): -1})
-    sample = verify_entry(off, [{}])["samples"][0]
+    assert _complete_by_traces(off.make())
+    report = verify_entry(off, [{}])
+    sample = report["samples"][0]
     assert not sample["left_symmetric"] and sample["complete"] is False
-    assert calls[0] == off.make()
+    assert report["hard_failures"] == ["Y at {}"]
 
 
 def test_fixtures_returns_a_fresh_dict():

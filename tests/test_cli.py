@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from ideal_inputs import degenerate_inputs, file_command_inputs
-from lsa.algebra import Algebra, conjugated
+from lsa.algebra import Algebra, conjugated, right_mult
 from lsa.catalog import case1_n2_central, case3_square_kernel, fixtures, make_lsa
 from lsa import cli, jsonio
 from lsa.cli import CHECK_MAX_DIM, MAX_DIM, main
@@ -25,7 +25,7 @@ from lsa.jsonio import (
     extension_from_dict,
     extension_to_dict,
 )
-from lsa.linalg import QMatrix
+from lsa.linalg import QMatrix, unit_vec
 
 
 @pytest.fixture
@@ -271,28 +271,32 @@ def test_identify_command(n30_file, capsys):
     assert "det D = 0" in out and "G31" in out
 
 
-@pytest.mark.parametrize("name, lattice_runs, verdict", [
+@pytest.mark.parametrize("name, code, verdict", [
     ("N30", 0, "left-symmetric: yes; complete: yes"),
     ("D32", 0, "left-symmetric: yes; complete: yes"),
-    ("idem", 0, "left-symmetric: yes; complete: no"),
+    ("idem", 1, "left-symmetric: yes; complete: no"),
     ("aff_R", 1, "left-symmetric: no (fails at basis triple (1, 2, 1)); complete: no"),
 ])
-def test_check_runs_the_lattice_only_off_left_symmetric_input(tmp_path, monkeypatch, capsys, name, lattice_runs, verdict):
+def test_check_reads_traces_of_left_symmetric_input_only(tmp_path, monkeypatch, capsys, name, code, verdict):
+    """A left-symmetric input is complete iff its right traces vanish; an
+    input that is not left-symmetric is not a complete left-symmetric
+    algebra, and its traces are not read."""
     algebras = {**fixtures(), "idem": Algebra.from_entries(1, {(1, 1, 1): 1})}
     a = algebras[name] if name in algebras else make_lsa(name)
     path = tmp_path / "a.json"
     path.write_text(dumps_sorted(algebra_to_dict(a)))
     calls = []
-    original = cli.is_complete
+    original = cli._complete_by_traces
 
     def counting(a):
         calls.append(a)
         return original(a)
 
-    monkeypatch.setattr(cli, "is_complete", counting)
-    main(["check", str(path)])
-    assert capsys.readouterr().out.startswith(verdict + ";")
-    assert len(calls) == lattice_runs
+    monkeypatch.setattr(cli, "_complete_by_traces", counting)
+    assert main(["check", str(path)]) == code
+    out = capsys.readouterr().out
+    assert out.startswith(verdict + ";")
+    assert len(calls) == out.startswith("left-symmetric: yes")
 
 
 def test_identify_builds_one_milnor_form(n30_file, monkeypatch, capsys):
@@ -401,16 +405,21 @@ def test_check_dimension_limit(tmp_path):
     assert decided.stdout == "left-symmetric: yes; complete: yes; N D S: yes yes yes\n"
 
 
-def test_check_runs_the_lattice_at_the_largest_dimension(tmp_path, capsys):
-    """Completeness of a left-symmetric input is read off its traces; the
-    dimension limit is for input that is not left-symmetric, which ``check``
-    still decides with the lattice of ``is_complete``."""
+def test_check_refuses_completeness_off_left_symmetry_at_the_largest_dimension(tmp_path, capsys):
+    """Completeness is defined for left-symmetric algebras only: an input
+    that is not left-symmetric is reported not complete, even where every
+    R_x is nilpotent."""
+    a = truncated_polynomials(CHECK_MAX_DIM, {(1, 2, 4): 1})
     path = tmp_path / "poly8.json"
-    # e1*e2 = e3 + e4 but e2*e1 = e3: complete, not left-symmetric
-    path.write_text(dumps_sorted(algebra_to_dict(truncated_polynomials(CHECK_MAX_DIM, {(1, 2, 4): 1}))))
+    # e1*e2 = e3 + e4 but e2*e1 = e3: every R_x nilpotent, not left-symmetric
+    path.write_text(dumps_sorted(algebra_to_dict(a)))
+    assert all(right_mult(a, unit_vec(a.dim, i)).trace() == 0 for i in range(a.dim))
     assert main(["check", str(path)]) == 1
     out = capsys.readouterr().out
-    assert out.startswith("left-symmetric: no (fails at basis triple ") and "; complete: yes;" in out
+    assert out.startswith("left-symmetric: no (fails at basis triple ") and "; complete: no;" in out
+    assert main(["check", str(path), "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["left_symmetric"] is False and report["complete"] is False
 
 
 @pytest.mark.parametrize("command", sorted(MAX_DIM))

@@ -98,6 +98,11 @@ def test_algebra_commands_exit_cleanly(data):
             code, out, err = run_cli([command, path, "--json"])
             assert code in (0, 1, 2), (command, code)
             assert code == 2 or (err == "" and json.loads(out)), (command, err)
+            if command == "check" and code != 2:
+                # completeness is defined for left-symmetric algebras only
+                report = json.loads(out)
+                assert report["left_symmetric"] or not report["complete"], report
+                assert (code == 0) == (report["left_symmetric"] and report["complete"]), (code, report)
 
 
 # files no command can read: truncated or deeply nested JSON, non-JSON text,

@@ -53,6 +53,7 @@ class Mutant:
 AFFINE = "src/lsa/affine.py"
 ALGEBRA = "src/lsa/algebra.py"
 CATALOG = "src/lsa/catalog.py"
+CLI = "src/lsa/cli.py"
 EXTENSIONS = "src/lsa/extensions.py"
 LINALG = "src/lsa/linalg.py"
 TEST_AFFINE = "tests/test_affine.py"
@@ -189,6 +190,27 @@ MUTANTS = (
         "return all(sum(a.c[j][i][j] for j in range(n)) == 0 for i in range(n))",
         "return True",
         ("tests/test_algebra.py::test_is_complete_agrees_with_segal_trace_criterion",),
+    ),
+    Mutant(
+        "is-complete-without-the-left-symmetry-scan",
+        ALGEBRA,
+        "return check_left_symmetric(a).ok and _complete_by_traces(a)",
+        "return _complete_by_traces(a)",
+        ("tests/test_algebra.py::test_is_complete_is_left_symmetry_and_nilpotency",),
+    ),
+    Mutant(
+        "check-reads-traces-off-left-symmetry",
+        CLI,
+        "complete = ls.ok and _complete_by_traces(a)",
+        "complete = _complete_by_traces(a)",
+        ("tests/test_cli.py::test_check_refuses_completeness_off_left_symmetry_at_the_largest_dimension",),
+    ),
+    Mutant(
+        "fingerprint-basis-without-the-common-pivot",
+        CATALOG,
+        "basis = [[x * (common // row[k]) for x in row] for row, k in zip(p_rows, pivots)]",
+        "basis = p_rows",
+        (f"{TEST_PRIMITIVES}::test_induced_action_ratio_equals_the_full_matrix_restriction",),
     ),
     Mutant(
         "annihilator-dims-plus-one",
