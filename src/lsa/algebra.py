@@ -23,12 +23,12 @@ from .linalg import (
     _int_matmul,
     _int_nullspace,
     _int_rank,
+    _int_roots,
     _int_rref,
     _primitive,
     frac,
     nullspace_basis,
     quotient_basis,
-    rational_roots,
     rref,
     solve,
     sqrt_fraction,
@@ -666,13 +666,15 @@ def find_ideals_dim_le3(a: Algebra) -> list[Subspace]:
     already holds): the columns of d L_ei and d R_ei are its rows d e_i*e_j
     and d e_j*e_i.  A joint eigenvector of a spanning set is one of every
     linear combination, so the nonzero joint eigenspaces of the basis are
-    those of all 2n operators.  An operator's spectrum, the rational roots
-    of the integer characteristic polynomial of d M divided by d, is
-    computed only when a branch of dimension >= 2 reaches it, and at most
-    once: the transposes share it (char_poly(M^T) = char_poly(M)).  An
-    operator without a rational eigenvalue thus leaves no joint eigenspace,
-    and the answer is empty.  Multidimensional joint eigenspaces are
-    reported through their reduced-echelon basis vectors.  Irrational
+    those of all 2n operators.  An operator's spectrum is the integer roots
+    (``_int_roots``) of the closed-form characteristic polynomial of d M
+    (``_int_char_poly``) divided by d: that polynomial is monic with integer
+    coefficients, so its rational roots are integers.  It is computed only
+    when a branch of dimension >= 2 reaches it, and at most once: the
+    transposes share it (char_poly(M^T) = char_poly(M)).  An operator
+    without a rational eigenvalue thus leaves no joint eigenspace, and the
+    answer is empty.  Multidimensional joint eigenspaces are reported
+    through their reduced-echelon basis vectors.  Irrational
     eigendata is out of reach by design, so an empty answer means "no
     rational ideal found", never "simple".
     """
@@ -708,7 +710,7 @@ def _ideals(d: int, c: Sequence[Sequence[Sequence[int]]]) -> list[Subspace]:
 
     def spectrum(k: int) -> list[Fraction]:
         if k not in spectra:
-            spectra[k] = [root / d for root in rational_roots(_int_char_poly(ops[k][1]))]
+            spectra[k] = [Fraction(r, d) for r in _int_roots(_int_char_poly(ops[k][1]))]
         return spectra[k]
 
     found = [_int_span(n, [v]) for v in _joint_eigenvectors(n, ops, spectrum)]

@@ -5,6 +5,11 @@ positive denominator).  Matrices are small and dense; everything here is
 exact, with no tolerances anywhere.  The kernels (``rref``, ``char_poly``,
 ``is_nilpotent``) clear denominators once with ``_cleared`` and run on
 Python ints, so no scalar operation pays a gcd; they return Fractions.
+The integer characteristic polynomial of a 3x3 matrix is read off its
+closed form (Faddeev-LeVerrier for every other n), and ``_int_roots`` is
+the one root finder: the distinct integer roots of a monic integer
+polynomial of degree <= 3, which ``rational_roots`` and the ideal search
+both call.
 """
 from __future__ import annotations
 
@@ -335,7 +340,8 @@ def quotient_basis(ambient: Sequence[Vec], sub: Sequence[Vec]) -> list[Vec]:
 def char_poly(m: QMatrix) -> list[Fraction]:
     """Monic characteristic polynomial coefficients, highest degree first.
 
-    Faddeev-LeVerrier on the integer matrix B = d m: M1 = B, c1 = -tr M1,
+    ``_int_char_poly`` of the integer matrix B = d m: the closed form for
+    n = 3, else Faddeev-LeVerrier: M1 = B, c1 = -tr M1,
     M(k) = B (M(k-1) + c(k-1) I), ck = -tr(Mk)/k.  For an integer matrix
     every ck is an integer, so the division is exact; c_k(d m) = d^k c_k(m)
     rescales the coefficients.
@@ -348,8 +354,16 @@ def char_poly(m: QMatrix) -> list[Fraction]:
 
 def _int_char_poly(b: list[list[int]]) -> list[int]:
     """Monic characteristic polynomial of the square integer matrix b,
-    highest degree first, by Faddeev-LeVerrier (see ``char_poly``)."""
+    highest degree first.  For n = 3 its coefficients are read off the
+    closed form [1, -tr b, sum of the principal 2x2 minors, -det b]; for
+    every other n Faddeev-LeVerrier (see ``char_poly``).  The polynomial is
+    unique, so both give the same ints."""
     n = len(b)
+    if n == 3:
+        (a, b1, c), (d, e, f), (g, h, i) = b
+        ei_fh = e * i - f * h
+        return [1, -(a + e + i), a * e - b1 * d + a * i - c * g + ei_fh,
+                -(a * ei_fh - b1 * (d * i - f * g) + c * (d * h - e * g))]
     coeffs = [1]
     mk = b
     for k in range(1, n + 1):
@@ -402,54 +416,75 @@ def _integer_root(q: Sequence[int], lo: int, hi: int, increasing: bool) -> int |
     return lo if _horner(q, lo) == 0 else None
 
 
+def _int_roots(q: Sequence[int]) -> list[int]:
+    """Distinct integer roots of the monic integer polynomial q of degree
+    <= 3 (coefficients highest first), sorted.
+
+    Zero roots are stripped first.  Degree 1 is read off.  Degree 2,
+    y^2 + by + c, has the roots (-b -+ s) / 2 when the discriminant
+    b^2 - 4c is a square s^2; then s^2 = b^2 (mod 4), so s and b have the
+    same parity and both roots are integers.  A cubic with a nonzero
+    constant term has all its integer roots within the Cauchy bound
+    1 + max |q_k|.  Between consecutive simple critical points (the real
+    roots of q', located exactly by ``math.isqrt``) it is strictly
+    monotone, so each such piece holds at most one root and integer
+    bisection finds it; a double root is a critical point and lies on a
+    piece's end.  The cost grows with the coefficients' bit length, not
+    their size.
+    """
+    roots = []
+    deg = len(q) - 1
+    while deg > 0 and q[deg] == 0:
+        deg -= 1
+    if deg < len(q) - 1:
+        roots.append(0)
+    if deg == 1:
+        roots.append(-q[1])
+    elif deg == 2:
+        disc = q[1] * q[1] - 4 * q[2]
+        s = math.isqrt(max(disc, 0))
+        if s * s == disc:
+            roots += [(-q[1] - s) // 2, (-q[1] + s) // 2]
+    elif deg == 3:
+        bound = 1 + max(abs(b) for b in q[1:])
+        # each critical point of q as (floor, ceil); q rises right of the last
+        if q[1] ** 2 > 3 * q[2]:
+            # q' = 3y^2 + 2by + c vanishes at (-b -+ sqrt(b^2 - 3c)) / 3
+            disc = q[1] ** 2 - 3 * q[2]
+            s = math.isqrt(disc)
+            t = s + (s * s != disc)  # ceil(sqrt(disc))
+            crit = [((-q[1] - t) // 3, -((q[1] + s) // 3)), ((-q[1] + s) // 3, -((q[1] - t) // 3))]
+        else:
+            crit = []
+        ends = [(-bound, -bound), *crit, (bound, bound)]
+        for piece, ((_, lo), (hi, _)) in enumerate(zip(ends, ends[1:])):
+            lo, hi = max(lo, -bound), min(hi, bound)
+            y = _integer_root(q, lo, hi, (len(crit) - piece) % 2 == 0) if lo <= hi else None
+            if y is not None:
+                roots.append(y)
+    return sorted(set(roots))
+
+
 def rational_roots(coeffs: Sequence[FractionLike]) -> list[Fraction]:
     """Distinct rational roots of a polynomial of degree <= 3 (coefficients
     highest first), sorted.
 
     With integer coefficients a_d..a_0, the monic q(y) = a_d^(d-1) p(y/a_d)
     = y^d + b_1 y^(d-1) + ... + b_d has integer coefficients, so its rational
-    roots are integers, all within the Cauchy bound 1 + max |b_k|.  Between
-    consecutive simple critical points (the real roots of q', located
-    exactly by ``math.isqrt``) q is strictly monotone, so each such piece
-    holds at most one root and integer bisection finds it; a double root is
-    a critical point and lies on a piece's end.  The cost grows with the
-    coefficients' bit length, not their size.  Degree > 3 is refused with
-    ``ValueError``.
+    roots are integers y, found by ``_int_roots``, and p's are y / a_d.
+    Degree > 3 is refused with ``ValueError``.
     """
     cs = [frac(c) for c in coeffs]
     while cs and cs[0] == 0:
         cs = cs[1:]
     if len(cs) > 4:
         raise ValueError("rational_roots handles degree <= 3 only")
-    roots: set[Fraction] = set()
-    while len(cs) > 1 and cs[-1] == 0:
-        roots.add(Fraction(0))
-        cs = cs[:-1]
     if len(cs) <= 1:
-        return sorted(roots)
-    denom_lcm = math.lcm(*(c.denominator for c in cs))
-    a = [int(c * denom_lcm) for c in cs]
-    lead, d = a[0], len(a) - 1
-    q = [1, *(a[k] * lead ** (k - 1) for k in range(1, d + 1))]
-    bound = 1 + max(abs(b) for b in q[1:])
-    # each critical point of q as (floor, ceil); q rises right of the last
-    if d == 2:
-        crit = [((-q[1]) // 2, -(q[1] // 2))]
-    elif d == 3 and q[1] ** 2 > 3 * q[2]:
-        # q' = 3y^2 + 2by + c vanishes at (-b -+ sqrt(b^2 - 3c)) / 3
-        disc = q[1] ** 2 - 3 * q[2]
-        s = math.isqrt(disc)
-        t = s + (s * s != disc)  # ceil(sqrt(disc))
-        crit = [((-q[1] - t) // 3, -((q[1] + s) // 3)), ((-q[1] + s) // 3, -((q[1] - t) // 3))]
-    else:
-        crit = []
-    ends = [(-bound, -bound), *crit, (bound, bound)]
-    for piece, ((_, lo), (hi, _)) in enumerate(zip(ends, ends[1:])):
-        lo, hi = max(lo, -bound), min(hi, bound)
-        y = _integer_root(q, lo, hi, (len(crit) - piece) % 2 == 0) if lo <= hi else None
-        if y is not None:
-            roots.add(Fraction(y, lead))
-    return sorted(roots)
+        return []
+    a = _cleared([cs])[1][0]
+    lead = a[0]
+    q = [1, *(a[k] * lead ** (k - 1) for k in range(1, len(a)))]
+    return sorted(Fraction(y, lead) for y in _int_roots(q))
 
 
 def sqrt_fraction(f: Fraction) -> Fraction | None:

@@ -43,7 +43,7 @@ from lsa.catalog import (
     verify_entry,
 )
 from lsa.extensions import build_extension, check_kim_conditions, verify_iso_witness
-from lsa.linalg import random_invertible, unit_vec, vec
+from lsa.linalg import _int_rank, random_invertible, unit_vec, vec
 
 F = Fraction
 E = lambda i: unit_vec(3, i)
@@ -600,6 +600,49 @@ def test_an_audit_decides_completeness_by_traces(monkeypatch):
     report = verify_catalog(seed=11, random_samples=5)
     assert report["ok"]
     assert calls == []
+
+
+def test_the_ideal_search_reads_spectra_off_integer_kernels(monkeypatch):
+    """Each spectrum of an audit's ideal search is the integer roots of the
+    closed-form characteristic polynomial of d M: ``_ideals`` calls no
+    ``rational_roots`` (the ``Fraction`` path) and at most one
+    ``_int_char_poly`` per kept operator, one of the independent d L_ei,
+    d R_ei."""
+    import lsa.algebra
+    import lsa.catalog
+    import lsa.linalg
+
+    counts = Counter()
+
+    def counting(name, original):
+        def counted(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return counted
+
+    monkeypatch.setattr(lsa.algebra, "_int_char_poly", counting("char_poly", lsa.algebra._int_char_poly))
+    roots = counting("rational_roots", lsa.linalg.rational_roots)
+    monkeypatch.setattr(lsa.linalg, "rational_roots", roots)
+    monkeypatch.setattr(lsa.algebra, "rational_roots", roots, raising=False)
+    searches = []
+    original = lsa.catalog._ideals
+
+    def ideals(d, c):
+        before = counts.copy()
+        found = original(d, c)
+        n = len(c)
+        operators = [[x for v in c[i] for x in v] for i in range(n)]
+        operators += [[x for j in range(n) for x in c[j][i]] for i in range(n)]
+        searches.append((counts - before, _int_rank(operators)))
+        return found
+
+    monkeypatch.setattr(lsa.catalog, "_ideals", ideals)
+    assert verify_catalog(seed=11, random_samples=5)["ok"]
+    assert len(searches) == 28
+    assert all(used["rational_roots"] == 0 for used, _ in searches)
+    assert all(used["char_poly"] <= kept for used, kept in searches)
+    assert sum(used["char_poly"] for used, _ in searches) > 0
 
 
 def test_verify_entry_decides_completeness_of_left_symmetric_samples_only():

@@ -7,6 +7,7 @@ import pytest
 
 from lsa.linalg import (
     QMatrix,
+    _int_roots,
     char_poly,
     det,
     inverse,
@@ -161,6 +162,13 @@ def test_rational_roots():
     assert rational_roots([F(1), F(0), F(1)]) == []  # x^2 + 1
     assert rational_roots([F(1), F(-3), F(3), F(-1)]) == [F(1)]  # (x - 1)^3
     assert rational_roots([0, 0]) == [] and rational_roots([5]) == []
+    assert rational_roots([0, 5, 0]) == [F(0)]
+    # -3 (x + 2)^2 (x - 2): a negative lead, and a double root that ends two
+    # monotone pieces of the bisection
+    assert rational_roots([-3, -6, 12, 24]) == [F(-2), F(2)]
+    # 4 x^2 - 1 and 6 x^2 - x - 1 = (2x - 1)(3x + 1): roots off the integers
+    assert rational_roots([4, 0, -1]) == [F(-1, 2), F(1, 2)]
+    assert rational_roots([F(6, 5), F(-1, 5), F(-1, 5)]) == [F(-1, 3), F(1, 2)]
     with pytest.raises(ValueError, match="degree <= 3"):
         rational_roots([1, 0, 0, 0, -1])
 
@@ -223,6 +231,62 @@ def test_rational_roots_match_divisor_enumeration():
             for r in expected
         )
     assert min(seen.values()) > 20, seen
+
+
+def _poly_product(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def test_int_roots_match_the_roots_they_are_built_from():
+    """``_int_roots`` on monic integer polynomials of degree 1-3 built from
+    integer roots with multiplicity (zero, double and triple roots), times
+    an optional factor without integer roots: an irreducible quadratic with
+    a negative or a positive non-square discriminant, or x^3 + c with c
+    strictly between two cubes.  Roots and coefficients reach beyond 2^64;
+    where every coefficient is small, divisor enumeration agrees."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    small = st.integers(-6, 6)
+    big = st.integers(-(2**80), 2**80)
+
+    @st.composite
+    def built(draw):
+        factor = draw(st.sampled_from(("none", "negative", "non-square", "cubic")))
+        if factor == "negative":
+            b = draw(st.one_of(small, big))
+            extra = [1, b, b * b // 4 + draw(st.integers(1, 2**70))]
+        elif factor == "non-square":
+            b, c = draw(st.one_of(small, big)), draw(st.one_of(small, big))
+            disc = b * b - 4 * c
+            hypothesis.assume(disc > 0 and math.isqrt(disc) ** 2 != disc)
+            extra = [1, b, c]
+        elif factor == "cubic":
+            k = draw(st.integers(1, 2**30))
+            extra = [1, 0, 0, draw(st.sampled_from((-1, 1))) * (k**3 + draw(st.integers(1, 3 * k * k + 3 * k)))]
+        else:
+            extra = [1]
+        distinct = draw(st.lists(st.one_of(st.just(0), small, big), max_size=4 - len(extra), unique=True))
+        roots = [r for r in distinct for _ in range(draw(st.integers(1, 3)))][: 4 - len(extra)]
+        hypothesis.assume(roots or len(extra) > 1)
+        q = extra
+        for r in roots:
+            q = _poly_product(q, [1, -r])
+        return q, sorted(set(roots))
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(built())
+    def check(case):
+        q, expected = case
+        assert _int_roots(q) == expected, q
+        assert rational_roots(q) == [F(r) for r in expected], q
+        if max(map(abs, q)) < 10**4:
+            assert oracle_rational_roots(q) == [F(r) for r in expected], q
+
+    check()
 
 
 def test_rational_roots_time_is_bounded_by_bit_length():

@@ -276,6 +276,20 @@ MUTANTS = (
         (f"{TEST_KERNELS}::test_char_poly_and_nilpotency_match_fraction_oracle",),
     ),
     Mutant(
+        "char-poly-closed-form-minor-sign",
+        LINALG,
+        "a * e - b1 * d + a * i",
+        "a * e + b1 * d + a * i",
+        (f"{TEST_KERNELS}::test_char_poly_and_nilpotency_match_fraction_oracle",),
+    ),
+    Mutant(
+        "int-roots-quadratic-without-the-square-test",
+        LINALG,
+        "if s * s == disc:",
+        "if True:",
+        ("tests/test_linalg.py::test_int_roots_match_the_roots_they_are_built_from",),
+    ),
+    Mutant(
         "rref-floor-division",
         LINALG,
         "return [tuple(Fraction(a, row[c]) for a in row) for row, c in zip(rows, pivots)]",
