@@ -29,11 +29,9 @@ from .linalg import (
     frac,
     nullspace_basis,
     quotient_basis,
-    rref,
     solve,
     sqrt_fraction,
     unit_vec,
-    vec_is_zero,
     vec_scale,
     vec_sub,
 )
@@ -118,13 +116,10 @@ class Subspace:
 
     @classmethod
     def from_spanning(cls, ambient_dim: int, vectors: Sequence[Vec]) -> "Subspace":
-        """Canonical subspace: reduced-echelon basis of the span."""
-        vecs = [v for v in vectors if not vec_is_zero(v)]
-        if not vecs:
-            return cls(ambient_dim, ())
-        red, _ = rref(QMatrix.from_rows(vecs))
-        basis = tuple(row for row in red.rows if not vec_is_zero(row))
-        return cls(ambient_dim, basis)
+        """Canonical subspace: reduced-echelon basis of the span, from
+        ``_int_span`` of the vectors, each cleared to ints on its own
+        (scaling a vector keeps the span)."""
+        return _int_span(ambient_dim, [_cleared([v])[1][0] for v in vectors])
 
     @property
     def dim(self) -> int:
@@ -571,8 +566,8 @@ def _mult_blocks(rows: Sequence[Sequence[int]], n: int) -> tuple[list[list[int]]
 
 def _int_span(n: int, vectors: Sequence[Sequence[int]]) -> Subspace:
     """The canonical ``Subspace`` of the span of integer vectors of length
-    n: the reduced-echelon rows of one ``_int_rref``, as in
-    ``Subspace.from_spanning`` (the reduced echelon form is unique)."""
+    n: the reduced-echelon rows of one ``_int_rref`` (the reduced echelon
+    form is unique)."""
     return Subspace(n, tuple(_echelon_rows(*_int_rref([list(v) for v in vectors]))))
 
 
@@ -634,18 +629,17 @@ def _refine(
 
 def _joint_eigenvectors(
     n: int, ops: Sequence[tuple[int, list[list[int]]]], spectrum: Callable[[int], list[Fraction]]
-) -> set[tuple[int, ...]]:
-    """The reduced-echelon basis vectors of the nonzero joint eigenspaces of
-    the cleared n x n operators ``ops``, each as its primitive integer
-    multiple with a positive pivot entry, which stands for it one to one.
-    The rows of ``_int_rref`` are primitive: ``_refine``'s bases are, and
-    each reduced row is divided by its gcd.  With no operators the one
-    joint eigenspace is the whole space."""
-    found: set[tuple[int, ...]] = set()
-    for basis in _refine(ops, spectrum, 0, [[int(i == j) for j in range(n)] for i in range(n)]):
-        rows, pivots = _int_rref(basis)
-        found.update(tuple(row) if row[c] > 0 else tuple(-x for x in row) for row, c in zip(rows, pivots))
-    return found
+) -> list[list[int]]:
+    """Integer multiples of the reduced-echelon basis vectors of the nonzero
+    joint eigenspaces of the cleared n x n operators ``ops``: the
+    ``_int_rref`` rows of each basis that ``_refine`` yields.  No vector can
+    repeat: distinct joint eigenspaces meet only in 0.  With no operators
+    the one joint eigenspace is the whole space."""
+    return [
+        row
+        for basis in _refine(ops, spectrum, 0, [[int(i == j) for j in range(n)] for i in range(n)])
+        for row in _int_rref(basis)[0]
+    ]
 
 
 def find_ideals_dim_le3(a: Algebra) -> list[Subspace]:

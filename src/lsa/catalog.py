@@ -644,23 +644,19 @@ FINGERPRINT: tuple[tuple[str, Callable[[Algebra, _Spans], object]], ...] = (
 )
 
 
-def fingerprint(a: Algebra, **known) -> tuple:
+def fingerprint(a: Algebra) -> tuple:
     """Isomorphism-invariant tuple; differing fingerprints certify
-    non-isomorphism, equal fingerprints certify nothing.
-
-    ``known`` gives components already decided for ``a``, by label (as
-    ``lie_tag=...``), which are then taken as given instead of recomputed."""
+    non-isomorphism, equal fingerprints certify nothing."""
     if a.dim != 3:
         raise ValueError("fingerprint is defined for dimension 3")
-    unknown = set(known) - {label for label, _ in FINGERPRINT}
-    if unknown:
-        raise TypeError(f"not a fingerprint component: {sorted(unknown)}")
-    return _fingerprint(a, _spans(a), known)
+    return _fingerprint(a, _spans(a), {})
 
 
 def _fingerprint(a: Algebra, s: _Spans, known: Mapping[str, object]) -> tuple:
-    """``fingerprint(a, **known)`` from a's ``_Spans``, which
-    ``verify_catalog`` reads off the table that already cleared ``a``."""
+    """``fingerprint(a)`` from a's ``_Spans``, which ``verify_catalog``
+    reads off the table that already cleared ``a``; ``known`` gives
+    components already decided for ``a``, by label (as ``lie_tag``), which
+    are taken as given instead of recomputed."""
     return tuple(known[label] if label in known else invariant(a, s) for label, invariant in FINGERPRINT)
 
 

@@ -664,34 +664,71 @@ def test_an_overflow_at_one_grid_corner_is_refused():
 
 
 def test_newton_evaluates_only_the_images_of_solved_starts(monkeypatch):
-    """The first evaluation takes the starts' images only; the Jacobians
-    follow for the targets a start does not solve, and the iterates stay
-    those of the one-target oracle."""
-    counts = []
+    """Solved starts cost one batch of their N images and nothing more.  A
+    start that misses is then iterated alone: it evaluates only the 7-point
+    stencils of its own iterates, the evaluations and iterates of the
+    one-target oracle, in target order."""
+    calls = []
 
-    def counted(fam, p):
-        counts.append(int(np.prod(np.shape(p)[:-1])))
+    def recorded(fam, p):
+        calls.append(np.array(p, dtype=float))
         return orbit_map(fam, p)
 
-    monkeypatch.setattr(lsa.affine, "orbit_map", counted)
+    monkeypatch.setattr(lsa.affine, "orbit_map", recorded)
     for name, params in FAMILY_CASES:
         fam = build_family(name, **params)
         targets = np.random.default_rng(59).uniform(-3, 3, (20, 3))
-        counts.clear()
+        calls.clear()
         _, _, oks = newton_invert_orbit(fam, targets, start=_recover_starts(fam, targets))
-        assert oks.all() and counts == [20], (name, counts)
+        assert oks.all() and [c.shape for c in calls] == [(20, 3)], name
     # the fold batch: two starts solve their targets, three do not
     fam = translation_family("fold", lambda a, b, c: (a * a, b, c))
     starts = np.array([(1.0, 0.0, 0.0), (1.0, 2.0, 0.5), (0.0, 0.0, 0.0), (0.5, 0.5, 0.5), (-1.5, 0.0, 1.0)])
     targets = np.array([(2.0, 1.0, -1.0), (1.0, 2.0, 0.5), (1.0, 0.0, 0.0), (-2.0, 1.0, 1.0), (2.25, 0.0, 1.0)])
-    counts.clear()
+    calls.clear()
     xs, errs, oks = newton_invert_orbit(fam, targets, start=starts)
-    assert counts[:2] == [5, 7 * 3]
-    monkeypatch.undo()
-    expected = [newton_invert_orbit_reference(fam, t, start=s) for t, s in zip(targets, starts)]
+    batched = list(calls)
+    expected, oracle_calls = [], []
+    for target, start in zip(targets, starts):
+        calls.clear()
+        expected.append(newton_invert_orbit_reference(fam, target, start=start))
+        oracle_calls.append(list(calls))
     assert [(tuple(x), float(e), bool(o)) for x, e, o in zip(xs, errs, oks)] == expected
     assert oks.tolist() == [True, True, False, False, True]
     assert np.array_equal(xs[[1, 4]], starts[[1, 4]])  # solved at the start
+    misses = [c for i in (0, 2, 3) for c in oracle_calls[i]]
+    assert np.array_equal(batched[0], starts) and len(batched) == 1 + len(misses) > 4
+    assert all(b.shape == (7, 1, 3) and np.array_equal(b, m) for b, m in zip(batched[1:], misses))
+
+
+@pytest.mark.parametrize("iters", [1, 2, 3])
+def test_newton_out_of_iterations_reports_the_residual_of_its_last_point(monkeypatch, iters):
+    """a^2 = 2 from a = 1 needs four steps: with fewer, the residual is
+    that of the last accepted point, not of the one before."""
+    monkeypatch.setattr(lsa.affine, "NEWTON_ITERS", iters)
+    fam = translation_family("fold", lambda a, b, c: (a * a, b, c))
+    target, start = (2.0, 1.0, -1.0), (1.0, 0.0, 0.0)
+    x, err, ok = newton_invert_orbit(fam, target, start=start)
+    assert (x, err, ok) == newton_invert_orbit_reference(fam, target, start=start, iters=iters)
+    assert not ok and x != start
+    assert err == float(np.max(np.abs(orbit_map(fam, x) - target)))
+
+
+@pytest.mark.parametrize("seed", (0, 7, 11))
+def test_verify_family_on_the_defaults_builds_no_newton_jacobian(monkeypatch, seed):
+    """The traffic the per-target Newton rests on: on the eleven defaults,
+    drawn as ``lsa affine-verify`` draws them, every closed-form start
+    solves its target, so no Jacobian is built."""
+
+    def refused(fam, points):
+        raise AssertionError(f"{fam.name}: Newton built a Jacobian")
+
+    monkeypatch.setattr(lsa.affine, "_orbit_jacobians", refused)
+    rng = random.Random(seed)
+    for name, spec in FAMILIES.items():
+        fam = build_family(name, **spec.defaults)
+        report = verify_family(fam, make_lsa(spec.catalog_name, **spec.defaults), rng)
+        assert report["ok"] and report["newton_failures"] == 0, name
 
 
 # --- tangent algebra ------------------------------------------------------

@@ -23,6 +23,8 @@ from lsa.algebra import (
 )
 from lsa.catalog import (
     _ALL,
+    _fingerprint,
+    _spans,
     ENTRIES,
     ENTRY_NAMES,
     FINGERPRINT,
@@ -380,9 +382,7 @@ def test_fingerprint_takes_the_entry_verdicts_as_given():
         a = entry.make(entry.default_params[0])
         sample = verify_entry(entry, entry.default_params[:1])["samples"][0]
         known = {"lie_tag": sample["lie_tag"], "flags_NDS": tuple(sample["flags_computed"].values())}
-        assert fingerprint(a, **known) == fingerprint(a), entry.name
-    with pytest.raises(TypeError, match="not a fingerprint component"):
-        fingerprint(make_lsa("N30"), lie=sample["lie_tag"])
+        assert _fingerprint(a, _spans(a), known) == fingerprint(a), entry.name
 
 
 def _count_restrictions_and_quotients(monkeypatch):

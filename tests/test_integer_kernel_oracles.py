@@ -194,7 +194,9 @@ def conjugated_nilpotents(draw):
 @SETTINGS
 @given(st.one_of(matrices(), rank_deficient()))
 def test_rref_matches_fraction_oracle(m):
-    assert rref(m) == fraction_rref(m)
+    red, pivots = fraction_rref(m)
+    assert rref(m) == (red, pivots)
+    assert Subspace.from_spanning(m.ncols, m.rows) == Subspace(m.ncols, red.rows[: len(pivots)])
 
 
 @SETTINGS

@@ -135,11 +135,25 @@ MUTANTS = (
         (f"{TEST_AFFINE}::test_grid_axes_equal_the_flat_meshgrid",),
     ),
     Mutant(
-        "newton-first-jacobians-at-every-start",
+        "newton-iterates-only-the-first-miss",
         AFFINE,
-        "jac = _orbit_jacobians(fam, x[live])[1] if jac is None else jac[~done]",
-        "jac = _orbit_jacobians(fam, x)[1] if jac is None else jac[~done]",
-        (f"{TEST_AFFINE}::test_newton_evaluates_only_the_images_of_solved_starts",),
+        "for i in np.flatnonzero(~(err < NEWTON_TOL)):",
+        "for i in np.flatnonzero(~(err < NEWTON_TOL))[:1]:",
+        (f"{TEST_AFFINE}::test_newton_batch_isolates_its_failures",),
+    ),
+    Mutant(
+        "newton-step-accepted-without-a-lower-residual",
+        AFFINE,
+        "if float(np.max(np.abs(trial_image[0] - target))) < err:",
+        "if True:",
+        (f"{TEST_AFFINE}::test_newton_batch_isolates_its_failures",),
+    ),
+    Mutant(
+        "newton-residual-not-recomputed-after-the-last-iteration",
+        AFFINE,
+        "return x, float(np.max(np.abs(image[0] - target)))",
+        "return x, err",
+        (f"{TEST_AFFINE}::test_newton_out_of_iterations_reports_the_residual_of_its_last_point",),
     ),
     Mutant(
         "verify-family-tangent-rows-shifted-by-one",
@@ -154,7 +168,10 @@ MUTANTS = (
         AFFINE,
         "_transitivity_report(fam, targets, starts, start[1])",
         "_transitivity_report(fam, targets, starts, np.resize(first[1], start[1].shape))",
-        (f"{TEST_BATCH}::test_verify_family_equals_the_public_checks[defaults]",),
+        # the start images only pick the targets Newton iterates, and an
+        # iterated target evaluates its own start again: the report stays,
+        # but every default target now builds Jacobians
+        (f"{TEST_AFFINE}::test_verify_family_on_the_defaults_builds_no_newton_jacobian",),
     ),
     Mutant(
         "tangent-check-without-the-left-symmetry-refusal",
