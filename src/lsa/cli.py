@@ -289,8 +289,8 @@ def cmd_affine_verify(args) -> int:
             print(
                 f"{rep['family']:<4} -> {rep['catalog_entry']:<8} "
                 f"closure<{rep['max_closure_residual']:.2e} "
-                f"|J|>{rep['jacobian_min_abs_det']:.2e} "
-                f"newton_fail={rep['newton_failures']} "
+                f"|det L|>{rep['jacobian_min_abs_det']:.2e} "
+                f"inverse_fail={rep['newton_failures']} "
                 f"tangent<{rep['tangent_bracket_residual']:.2e} "
                 + ("ok" if rep["ok"] else "FAIL")
             )
@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, with_file=False)
     p.add_argument("--family", required=True, choices=FAMILY_NAMES)
     p.add_argument("--params", nargs="*", help="family parameters, e.g. mu=1/2")
-    p.add_argument("--at", nargs="*", action="extend", help="evaluation points 'a,b,c'")
+    p.add_argument("--at", nargs="*", action="extend", help="translations 'a,b,c' of the printed elements")
     return parser
 
 

@@ -1,5 +1,6 @@
 """``verify_family`` evaluates every independent sample point of a family in
-one batch and hands each check its rows.  Its report must be the one the
+one batch, and the points that depend on it in a second, and hands each
+check its rows.  Its report must be the one the
 public checks give, each evaluating its own points with the same rng; that
 rests on a family's evaluation being elementwise, so a row of a stack
 equals its point evaluated alone, bit for bit."""
@@ -35,8 +36,9 @@ def draws(param, count):
 
 
 def a30_half():
-    """A30 whose ``recover`` breaks down for a <= 0: those targets start at
-    the origin and Newton takes steps, closure and the grid fail."""
+    """A30 whose ``recover`` breaks down for a <= 0: closure fails at the
+    composites there, and the translation-chart checks, which do not read
+    ``recover``, pass."""
 
     def recover(x, lin, t):
         a, b, c = FAMILIES["A30"].recover(x, lin, t)
@@ -50,7 +52,7 @@ def case(name, params):
 
 
 # the eleven defaults; E3 at every zeta ZETA.sample can draw; 10 draws of
-# mu and of t; and a family on which Newton iterates
+# mu and of t; and a family whose closure fails
 CASES = {
     "defaults": [case(name, FAMILIES[name].defaults) for name in FAMILY_NAMES],
     "E3-zeta": [case("E3", {"zeta": z}) for z in sorted({Fraction(p, q) for p in range(1, 9) for q in range(1, 5)})],

@@ -8,9 +8,11 @@ left-symmetric sample's tag and ideals off the one table it clears
 (``_commutator_brackets``, ``_lie_tag``, ``_ideals``).  The oracles below
 are the earlier ``Fraction`` forms: the antisymmetry test through
 ``vec_scale(-1, ...)``, a Jacobi scan through ``multiply``, the trace row
-and ad_x as rational matrices; the center and the annihilators as ``nullspace_basis``
-of the stacked rational L and R matrices, P, W and the squares as
-``Subspace.from_spanning`` of rational products, the square-form signature
+and ad_x as rational matrices; the center and the annihilators as the
+``Fraction`` Gauss-Jordan nullspace (``fraction_nullspace``) of the stacked
+rational L and R matrices, P, W and the squares as the pivot rows of
+``fraction_rref`` of rational products (``fraction_span``): none of them
+runs the integer elimination ``_int_rref`` under test, the square-form signature
 by a solve of the rational symmetrized products, the induced-action ratio
 of ``fingerprint_oracles``; and the witness as
 ``conjugated(b, eta).c == a.c``.  Old and new must agree exactly, messages,
@@ -27,6 +29,7 @@ from fractions import Fraction
 import pytest
 
 from fingerprint_oracles import oracle_induced_action_ratio
+from test_integer_kernel_oracles import fraction_nullspace, fraction_rref
 from lsa.algebra import (
     Algebra,
     LieTag,
@@ -65,7 +68,6 @@ from lsa.catalog import (
 from lsa.extensions import build_extension, verify_iso_witness
 from lsa.linalg import (
     QMatrix,
-    nullspace_basis,
     random_invertible,
     solve,
     symmetric_signature,
@@ -127,7 +129,7 @@ def oracle_identify(lie: Algebra) -> LieTag:
         raise ValueError("Milnor normal form requires dimension 3")
     row = oracle_trace_row(lie)
     if all(t == 0 for t in row):
-        reason = "unimodular" if product_span(lie).dim < 3 else "not solvable"
+        reason = "unimodular" if oracle_product_span(lie).dim < 3 else "not solvable"
         return LieTag("not_in_scope", reason=f"Lie algebra is {reason}")
     i, t = next((i, t) for i, t in enumerate(row) if t != 0)
     ad = left_mult(lie, unit_vec(3, i))
@@ -142,14 +144,27 @@ def oracle_is_unimodular(lie: Algebra) -> bool:
     return all(t == 0 for t in oracle_trace_row(lie))
 
 
+def fraction_span(n: int, vectors) -> Subspace:
+    """The span of ``vectors`` in its reduced-echelon basis: the pivot rows
+    of ``fraction_rref``, the ``Fraction`` Gauss-Jordan."""
+    if not vectors:
+        return Subspace(n, ())
+    red, pivots = fraction_rref(QMatrix([list(v) for v in vectors]))
+    return Subspace(n, tuple(tuple(row) for row in red.rows[: len(pivots)]))
+
+
+def oracle_product_span(a: Algebra) -> Subspace:
+    return fraction_span(a.dim, [v for plane in a.c for v in plane])
+
+
 def oracle_center(a: Algebra) -> Subspace:
     lefts, rights = _basis_mults(a)
-    return Subspace.from_spanning(a.dim, nullspace_basis(vstack([*lefts, *rights])))
+    return fraction_span(a.dim, fraction_nullspace(vstack([*lefts, *rights])))
 
 
 def oracle_annihilators(a: Algebra) -> tuple[int, int]:
     lefts, rights = _basis_mults(a)
-    return tuple(len(nullspace_basis(vstack(mats))) for mats in (rights, lefts))
+    return tuple(len(fraction_nullspace(vstack(mats))) for mats in (rights, lefts))
 
 
 def oracle_symmetrized(a: Algebra) -> list:
@@ -173,13 +188,13 @@ def oracle_square_form_signature(a: Algebra, p: Subspace, w: Subspace):
 def oracle_fingerprint(a: Algebra, lie_tag=None) -> tuple:
     """The fingerprint with the given ``lie_tag``, or with the oracle's tag
     of the commutators if none is given."""
-    p = product_span(a)
-    w = Subspace.from_spanning(a.dim, _two_sided_products(a, p.basis))
+    p = oracle_product_span(a)
+    w = fraction_span(a.dim, _two_sided_products(a, p.basis))
     return (
         str(oracle_identify(lie_algebra_of(a))) if lie_tag is None else lie_tag,
         oracle_center(a).dim,
         p.dim,
-        Subspace.from_spanning(a.dim, oracle_symmetrized(a)).dim,
+        fraction_span(a.dim, oracle_symmetrized(a)).dim,
         w.dim,
         oracle_annihilators(a),
         ndsflags(a),
@@ -393,10 +408,10 @@ def test_ranks_match_fraction_oracle(a):
     component of 3D input but the Lie tag (whose commutators need not be a
     Lie algebra here; see the Lie tests), equal their ``Fraction`` forms."""
     s = _spans(a)
-    p = product_span(a)
+    p = oracle_product_span(a)
     assert center(a) == oracle_center(a)
-    assert s.p == p
-    assert s.w == Subspace.from_spanning(a.dim, _two_sided_products(a, p.basis))
+    assert s.p == product_span(a) == p
+    assert s.w == fraction_span(a.dim, _two_sided_products(a, p.basis))
     if a.dim == 3:
         assert _fingerprint(a, s, {"lie_tag": "given"}) == oracle_fingerprint(a, lie_tag="given")
 

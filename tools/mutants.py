@@ -59,59 +59,132 @@ LINALG = "src/lsa/linalg.py"
 TEST_AFFINE = "tests/test_affine.py"
 TEST_BATCH = "tests/test_affine_batch.py"
 TEST_CLEARED = "tests/test_cleared_tensor_oracles.py"
+TEST_EXACT = "tests/test_affine_exact.py"
 TEST_KERNELS = "tests/test_integer_kernel_oracles.py"
 TEST_OPERATOR_BASIS = "tests/test_operator_basis_oracles.py"
 TEST_PRIMITIVES = "tests/test_primitive_oracles.py"
+# every L entry a mutant breaks must fail the acceptance criterion of the affine harness
+CRITERION_8 = "tests/test_acceptance.py::test_criterion_8_affine_harness"
 
 MUTANTS = (
     Mutant(
-        "c31-recover-phi-sign",
+        "c3t-linear-t-minus-one-read-as-t",
         AFFINE,
-        "return a, b, (t[2] - b * x.phi(a)) / x.f(a)",
-        "return a, b, (t[2] + b * x.phi(a)) / x.f(a)",
-        (f"{TEST_AFFINE}::test_closed_form_start_needs_no_newton_step[C31-]",),
+        "((t - 1) * p1, t * p0 * e, e)",
+        "(t * p1, t * p0 * e, e)",
+        (CRITERION_8,),
     ),
     Mutant(
-        "e3-recover-denominator",
+        "e3-one-sin-sign-flipped",
         AFFINE,
-        "denom = big_f * big_f + big_h * big_h",
-        "denom = big_f * big_f + 2 * big_h * big_h",
-        (f"{TEST_AFFINE}::test_closed_form_start_needs_no_newton_step[E3-1]",),
+        "(0, e * cz, -e * sz)",
+        "(0, e * cz, e * sz)",
+        (CRITERION_8,),
     ),
     Mutant(
-        "a31-translation-without-half",
+        "a32-exponent-without-half",
         AFFINE,
-        "(a, b * x.f(a), c + x.half * a * a)",
-        "(a, b * x.f(a), c + a * a)",
-        ("tests/test_affine_exact.py::test_closure_residual_vanishes_exactly[A31]",),
+        "x.exp(p0 - sign * x.half * p2 * p2)",
+        "x.exp(p0 - sign * p2 * p2)",
+        (CRITERION_8,),
     ),
     Mutant(
         "b31-linear-entry-doubled",
         AFFINE,
-        "(2, 1): a * ea}, (a, b * fa, (a * b + c) * fa)",
-        "(2, 1): 2 * a * ea}, (a, b * fa, (a * b + c) * fa)",
+        "(p1, p0 * e, e)",
+        "(p1, 2 * p0 * e, e)",
+        (f"{TEST_EXACT}::test_tangent_generators_and_brackets_exactly[B31]",),
+    ),
+    Mutant(
+        "d31-exponent-without-mu",
+        AFFINE,
+        "x.exp(mu * p0)",
+        "x.exp(p0)",
         (f"{TEST_AFFINE}::test_tangent_all_families",),
+    ),
+    Mutant(
+        "d32-coupling-without-its-exponential",
+        AFFINE,
+        "p2 * eh)",
+        "p2)",
+        (f"{TEST_EXACT}::test_closure_residual_vanishes_exactly[D32]",),
     ),
     Mutant(
         "numpy-namespace-half",
         AFFINE,
-        "phi=special_phi, half=0.5,",
-        "phi=special_phi, half=0.5 + 1e-9,",
-        ("tests/test_affine_exact.py::test_namespaces_agree_through_the_same_formulas",),
+        "g=special_g, half=0.5)",
+        "g=special_g, half=0.5 + 1e-9)",
+        (f"{TEST_EXACT}::test_namespaces_agree_through_the_same_formulas",),
     ),
     Mutant(
-        "grid-inverse-bound-loosened",
+        "translation-chart-recover-swaps-coordinates",
         AFFINE,
-        "axis=1) < NEWTON_TOL))  # also NaN",
-        "axis=1) < 10 * NEWTON_TOL))  # also NaN",
+        "return translation[0], translation[1], translation[2]",
+        "return translation[0], translation[2], translation[1]",
+        (f"{TEST_AFFINE}::test_closure_all_families_sampled",),
+    ),
+    Mutant(
+        "distances-keep-nan",
+        AFFINE,
+        "return np.where(np.isnan(d), np.inf, d)",
+        "return d",
+        (f"{TEST_AFFINE}::test_closure_edge_cases_equal_the_per_pair_reference",),
+    ),
+    Mutant(
+        "orbit-inverse-bound-loosened",
+        AFFINE,
+        "ok = err < NEWTON_TOL",
+        "ok = err < 10 * NEWTON_TOL",
         (f"{TEST_AFFINE}::test_the_grid_refuses_a_recover_that_misses_by_more_than_newton_tol",),
     ),
     Mutant(
-        "closure-keeps-nan-residuals",
+        "orbit-check-compares-the-target-with-itself",
         AFFINE,
-        "resids = np.where(np.isnan(resids), np.inf, resids).tolist()",
-        "resids = resids.tolist()",
-        (f"{TEST_AFFINE}::test_closure_edge_cases_equal_the_per_pair_reference",),
+        "np.any(translation != targets, axis=1)",
+        "np.any(targets != targets, axis=1)",
+        (f"{TEST_AFFINE}::test_non_injective_family_witness_equals_the_oracle",),
+    ),
+    Mutant(
+        "min-det-takes-the-maximum",
+        AFFINE,
+        "first = int(np.argmin(dets))",
+        "first = int(np.argmax(dets))",
+        (f"{TEST_AFFINE}::test_orbit_map_a30_jacobian_analytic",),
+    ),
+    Mutant(
+        "inverse-translation-without-its-sign",
+        AFFINE,
+        "return det, -moved / det[..., None]",
+        "return det, moved / det[..., None]",
+        (CRITERION_8,),
+    ),
+    Mutant(
+        "adjugate-columns-swapped",
+        AFFINE,
+        "np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)",
+        "np.cross(r1, r2), np.cross(r0, r1), np.cross(r2, r0)",
+        (CRITERION_8,),
+    ),
+    Mutant(
+        "transitivity-ok-ignores-the-inverse-residual",
+        AFFINE,
+        "and self.orbit_is_identity and self.inverse_failures == 0",
+        "and self.orbit_is_identity",
+        (f"{TEST_AFFINE}::test_the_inverse_check_refuses_a_residual_above_its_tolerance",),
+    ),
+    Mutant(
+        "transitivity-ok-ignores-the-orbit-check",
+        AFFINE,
+        "return self.min_abs_det > 1e-8 and self.orbit_is_identity and",
+        "return self.min_abs_det > 1e-8 and",
+        (f"{TEST_AFFINE}::test_the_orbit_check_is_exact",),
+    ),
+    Mutant(
+        "verify-family-inverse-rows-from-the-closure-rows",
+        AFFINE,
+        "(back_linear[n:], back_translation[n:])",
+        "(back_linear[:-n], back_translation[:-n])",
+        (f"{TEST_BATCH}::test_verify_family_equals_the_public_checks[defaults]",),
     ),
     Mutant(
         "legacy-d32-recover-reads-the-wrong-diagonal",
@@ -121,57 +194,12 @@ MUTANTS = (
         (f"{TEST_AFFINE}::test_recover_inverts_the_maps_on_the_grid",),
     ),
     Mutant(
-        "grid-axes-b-and-c-swapped",
-        AFFINE,
-        "enumerate([(1, -1, 1, 1), (1, 1, -1, 1), (1, 1, 1, -1)])",
-        "enumerate([(1, -1, 1, 1), (1, 1, 1, -1), (1, 1, -1, 1)])",
-        (f"{TEST_AFFINE}::test_grid_axes_equal_the_flat_meshgrid",),
-    ),
-    Mutant(
-        "grid-axis-c-unshifted",
-        AFFINE,
-        "(DIFF_STEP * _STENCIL)[:, k].reshape(-1, 1, 1, 1)",
-        "(DIFF_STEP * _STENCIL)[:, k].reshape(-1, 1, 1, 1) * (k < 2)",
-        (f"{TEST_AFFINE}::test_grid_axes_equal_the_flat_meshgrid",),
-    ),
-    Mutant(
-        "newton-iterates-only-the-first-miss",
-        AFFINE,
-        "for i in np.flatnonzero(~(err < NEWTON_TOL)):",
-        "for i in np.flatnonzero(~(err < NEWTON_TOL))[:1]:",
-        (f"{TEST_AFFINE}::test_newton_batch_isolates_its_failures",),
-    ),
-    Mutant(
-        "newton-step-accepted-without-a-lower-residual",
-        AFFINE,
-        "if float(np.max(np.abs(trial_image[0] - target))) < err:",
-        "if True:",
-        (f"{TEST_AFFINE}::test_newton_batch_isolates_its_failures",),
-    ),
-    Mutant(
-        "newton-residual-not-recomputed-after-the-last-iteration",
-        AFFINE,
-        "return x, float(np.max(np.abs(image[0] - target)))",
-        "return x, err",
-        (f"{TEST_AFFINE}::test_newton_out_of_iterations_reports_the_residual_of_its_last_point",),
-    ),
-    Mutant(
         "verify-family-tangent-rows-shifted-by-one",
         AFFINE,
         "tangent = _tangent_report(fam, algebra, *curve)",
         "tangent = _tangent_report(fam, algebra, maps.linear[rows[1] + 1 : rows[2] + 1], "
         "maps.translation[rows[1] + 1 : rows[2] + 1])",
         (f"{TEST_BATCH}::test_verify_family_equals_the_public_checks[defaults]",),
-    ),
-    Mutant(
-        "verify-family-newton-images-from-the-pair-rows",
-        AFFINE,
-        "_transitivity_report(fam, targets, starts, start[1])",
-        "_transitivity_report(fam, targets, starts, np.resize(first[1], start[1].shape))",
-        # the start images only pick the targets Newton iterates, and an
-        # iterated target evaluates its own start again: the report stays,
-        # but every default target now builds Jacobians
-        (f"{TEST_AFFINE}::test_verify_family_on_the_defaults_builds_no_newton_jacobian",),
     ),
     Mutant(
         "tangent-check-without-the-left-symmetry-refusal",
@@ -237,13 +265,6 @@ MUTANTS = (
         (f"{TEST_KERNELS}::test_annihilators_give_the_operator_spans",),
     ),
     Mutant(
-        "a31-translation-without-half-passes-verify-family",
-        AFFINE,
-        "(a, b * x.f(a), c + x.half * a * a)",
-        "(a, b * x.f(a), c + a * a)",
-        (f"{TEST_AFFINE}::test_a_recover_that_does_not_invert_its_maps_fails_the_family",),
-    ),
-    Mutant(
         "verify-family-ignores-closure",
         AFFINE,
         '"ok": closure.ok and transitivity.ok and',
@@ -305,6 +326,13 @@ MUTANTS = (
         "if s * s == disc:",
         "if True:",
         ("tests/test_linalg.py::test_int_roots_match_the_roots_they_are_built_from",),
+    ),
+    Mutant(
+        "int-rref-leaves-tall-inputs-unreduced",
+        LINALG,
+        "        for i in range(nrows):\n            factor = rows[i][c]",
+        "        for i in (range(r + 1, nrows) if nrows > len(prow) else range(nrows)):\n            factor = rows[i][c]",
+        (f"{TEST_CLEARED}::test_ranks_match_fraction_oracle",),
     ),
     Mutant(
         "rref-floor-division",
