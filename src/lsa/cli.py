@@ -264,14 +264,9 @@ def cmd_affine_verify(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     rng = random.Random(args.seed)
-    reports = []
-    ok = True
-    for name, spec in aff.FAMILIES.items():
-        fam = aff.build_family(name, **spec.defaults)
-        algebra = make_lsa(spec.catalog_name, **spec.defaults)
-        rep = aff.verify_family(fam, algebra, rng, closure_samples=args.samples)
-        reports.append(rep)
-        ok = ok and rep["ok"]
+    algebras = [make_lsa(spec.catalog_name, **spec.defaults) for spec in aff.FAMILIES.values()]
+    reports = aff.verify_families(aff.default_families(), algebras, rng, closure_samples=args.samples)
+    ok = all(rep["ok"] for rep in reports)
     legacy = aff.legacy_d32_family()
     legacy_closure = aff.check_closure(
         legacy, aff.sample_parameter_pairs(random.Random(args.seed), 10)

@@ -1,11 +1,11 @@
 """Reference values for the affine layer's tests: the special functions f
 and g by name, their values at zero, their two branches, the closed forms in
 extended precision, the defining series of phi (which the transcribed
-charts read), a matrix exponential, and the one-at-a-time forms of the
-checks: the orbit inverse and the transitivity check target by target, the
-closure check pair by pair, and the tangent check over all 9 bracket pairs;
-and ``verify_family``'s report composed from separate checks, each
-evaluating its own points.
+charts read), a matrix exponential, the adjugate by ``np.cross``, and the
+one-at-a-time forms of the checks: the orbit inverse and the transitivity
+check target by target, the closure check pair by pair, and the tangent
+check over all 9 bracket pairs; and ``verify_family``'s report composed
+from separate checks, each evaluating its own points.
 """
 import math
 import random
@@ -97,6 +97,17 @@ def newton_invert_orbit_reference(fam, target):
         x = np.array(fam.spec.recover(NUMPY, np.full((3, 3), np.nan), np.asarray(target, float), **fam.params))
     err = float(np.max(np.abs(fam.evaluate(*x)[1] - np.asarray(target, float))))
     return tuple(x), err, err < NEWTON_TOL
+
+
+def cross_inverse_translations(linear, translation):
+    """``_inverse_translations`` with the columns of the adjugate formed by
+    ``np.cross`` of the rows."""
+    r0, r1, r2 = np.moveaxis(linear, -2, 0)
+    adj = np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=-1)
+    det = r0[..., 0] * adj[..., 0, 0] + r0[..., 1] * adj[..., 1, 0] + r0[..., 2] * adj[..., 2, 0]
+    moved = adj[..., 0] * translation[..., :1] + adj[..., 1] * translation[..., 1:2] + adj[..., 2] * translation[..., 2:]
+    with np.errstate(all="ignore"):
+        return det, -moved / det[..., None]
 
 
 def check_simply_transitive_reference(fam, n_targets=20, rng=None) -> TransitivityReport:

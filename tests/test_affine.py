@@ -29,8 +29,10 @@ from lsa.affine import (
     sample_parameter_pairs,
     special_f,
     special_g,
+    verify_families,
     verify_family,
 )
+from lsa.affine import _inverse_translations
 from lsa.catalog import MU, T, make_lsa
 from lsa.linalg import QMatrix
 
@@ -41,6 +43,7 @@ from affine_reference import (
     check_closure_reference,
     check_simply_transitive_reference,
     closed_reference,
+    cross_inverse_translations,
     expm4,
     newton_invert_orbit_reference,
     phi_partial_sum,
@@ -346,24 +349,30 @@ def test_closure_edge_cases_equal_the_per_pair_reference():
 
 
 class Replay:
-    """An rng whose ``uniform`` returns the given values in turn, so that a
-    check samples exactly the targets a test chooses."""
+    """An rng whose draws on [-3, 3], the targets' range, are the given
+    values in turn, so that a check samples exactly the targets a test
+    chooses: ``random`` returns (v + 3) / 6, which the sampler's
+    -3 + 6 r maps back to v for each value a test gives (checked here; a
+    draw on [-3, 3] is a multiple of 2^-51 from -3 up, so 0.3 is none)."""
 
     def __init__(self, values):
-        self.values = iter(values)
+        values = [float(v) for v in values]
+        units = [(v + 3) / 6 for v in values]
+        assert [-3 + 6 * r for r in units] == values
+        self.units = iter(units)
 
-    def uniform(self, lo, hi):
-        return float(next(self.values))
+    def random(self):
+        return next(self.units)
 
 
 def test_orbit_map_a30_jacobian_analytic():
     """In the translation chart the orbit map is the identity, and g(p)
     acts by x -> L(p) x + p, whose Jacobian is L(p): for A30, det e^a."""
     fam = build_family("A30")
-    points = np.array([(0.0, 0.0, 0.0), (1.0, 2.0, -1.0), (-1.5, 0.3, 0.7)])
+    points = np.array([(0.0, 0.0, 0.0), (1.0, 2.0, -1.0), (-1.5, 0.25, 0.75)])
     assert np.array_equal(orbit_map(fam, points), points)
     report = check_simply_transitive(fam, n_targets=3, rng=Replay(points.ravel()))
-    assert abs(report.min_abs_det - math.exp(-1.5)) < 1e-15 and report.min_det_point == (-1.5, 0.3, 0.7)
+    assert abs(report.min_abs_det - math.exp(-1.5)) < 1e-15 and report.min_det_point == (-1.5, 0.25, 0.75)
 
 
 def test_transitivity_at_origin_all():
@@ -447,6 +456,33 @@ def translation_family(name, translation, recover=lambda t: np.full_like(t, np.n
     return GroupFamily(
         name, FamilySpec("zero", lambda x, a, b, c: (IDENTITY, translation(a, b, c)), lambda x, lin, t: recover(t)), {}
     )
+
+
+@pytest.mark.parametrize("shape", [(7,), (11, 20)])
+def test_inverse_translations_equal_the_cross_product_adjugate(shape):
+    """The nine cofactors, written out, give the bits of the adjugate whose
+    columns ``np.cross`` forms, on random stacks with rows of zero
+    determinant, NaN and inf; and each map of a stack its bits alone."""
+    rng = np.random.default_rng(len(shape))
+    linear = rng.normal(size=shape + (3, 3)) * rng.choice([1e-3, 1.0, 1e3], size=shape + (3, 3))
+    translation = rng.normal(size=shape + (3,))
+    flat_linear, flat_translation = linear.reshape(-1, 3, 3), translation.reshape(-1, 3)
+    flat_linear[0, 2] = flat_linear[0, 1]  # two equal rows: a zero first column of adj L, det exactly 0
+    flat_linear[1, :, 1] = 0.0  # a zero column
+    flat_linear[2, 1, 2] = np.nan
+    flat_linear[3, 0, 0] = np.inf
+    flat_linear[4, 2, 1] = -np.inf
+    flat_translation[5, 1] = np.nan
+    flat_translation[6, 0] = np.inf
+    with np.errstate(all="ignore"):
+        det, inverse = _inverse_translations(linear, translation)
+        expected_det, expected_inverse = cross_inverse_translations(linear, translation)
+        alone = [_inverse_translations(m, t) for m, t in zip(flat_linear[:7], flat_translation[:7])]
+    assert det.shape == shape and inverse.shape == shape + (3,)
+    assert det.tobytes() == expected_det.tobytes() and inverse.tobytes() == expected_inverse.tobytes()
+    for k, (d, q) in enumerate(alone):
+        assert d.tobytes() == det.reshape(-1)[k].tobytes() and q.tobytes() == inverse.reshape(-1, 3)[k].tobytes()
+    assert det.reshape(-1)[:2].tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("seed", (0, 7, 11))
@@ -613,6 +649,19 @@ def test_a_formula_that_ignores_an_input_gets_the_full_stack():
     report = check_simply_transitive(fam, rng=random.Random(3))
     assert report == check_simply_transitive_reference(fam, rng=random.Random(3))
     assert not report.orbit_is_identity and report.orbit_witness[1][2] == 1.0
+
+
+def test_a_map_that_overflows_at_a_sample_is_refused_anywhere_in_a_stack():
+    """A family whose translation overflows at a sampled point is refused
+    with ``AffineMap3``'s error, alone and between passing families."""
+    bad = (translation_family("overflow", lambda a, b, c: (a, b, np.exp(400 * a))), make_lsa("N30"))
+    good = (build_family("A30"), make_lsa("N30"))
+    for cases in ([bad], [good, bad, good]):
+        fams, algebras = zip(*cases)
+        with pytest.raises(ValueError, match="^affine map has a non-finite entry$"):
+            verify_families(fams, algebras, random.Random(0), closure_samples=5)
+    with pytest.raises(ValueError, match="^affine map has a non-finite entry$"):
+        verify_family(*bad, random.Random(0), closure_samples=5)
 
 
 def test_an_overflow_at_one_grid_corner_is_refused():

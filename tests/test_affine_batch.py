@@ -1,9 +1,11 @@
-"""``verify_family`` evaluates every independent sample point of a family in
-one batch, and the points that depend on it in a second, and hands each
-check its rows.  Its report must be the one the
-public checks give, each evaluating its own points with the same rng; that
-rests on a family's evaluation being elementwise, so a row of a stack
-equals its point evaluated alone, bit for bit."""
+"""``verify_families`` checks any number of families in one stacked pass:
+each family evaluates every independent sample point in one batch, and the
+points that depend on it in a second, and the checks run on the stack of
+all families' rows.  Each report must be the one the public checks give,
+each evaluating its own points with the same rng, and the one
+``verify_family`` gives for the family alone; that rests on a family's
+evaluation being elementwise, so a row of a stack equals its point
+evaluated alone, bit for bit."""
 import random
 from fractions import Fraction
 
@@ -15,11 +17,13 @@ from lsa.affine import (
     FAMILY_NAMES,
     FamilySpec,
     GroupFamily,
+    _uniform,
     build_family,
     check_closure,
     check_simply_transitive,
     check_tangent_algebra,
     legacy_d32_family,
+    verify_families,
     verify_family,
 )
 from lsa.catalog import MU, T, make_lsa
@@ -75,7 +79,7 @@ def test_verify_family_equals_the_public_checks(group):
 
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 # both branches of the special functions, their threshold, and exact zeros
 coordinate = st.one_of(
@@ -106,3 +110,39 @@ def test_a_stack_evaluates_each_part_as_alone(fam, parts):
         assert linear[rows].reshape(alone_linear.shape).tobytes() == alone_linear.tobytes(), (fam.name, p)
         assert translation[rows].reshape(alone_translation.shape).tobytes() == alone_translation.tobytes(), (fam.name, p)
         start = rows.stop
+
+
+# every (family, algebra) of ``CASES``, A30-half last
+ALL_CASES = [pair for group in CASES.values() for pair in group]
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    st.lists(st.sampled_from(ALL_CASES), min_size=1, max_size=6),
+    st.sampled_from([1, 5, 50]),
+    st.integers(0, 2**32 - 1),
+)
+@example([ALL_CASES[-1], *CASES["defaults"], ALL_CASES[-1]], 5, 0)
+def test_verify_families_equals_verify_family_in_turn(cases, samples, seed):
+    """Any families, in any order and with repeats, give in one stacked
+    pass the reports of ``verify_family`` called on each in turn with one
+    shared rng, and leave the rng where those calls leave it."""
+    rng, turn_rng = random.Random(seed), random.Random(seed)
+    stacked = verify_families([fam for fam, _ in cases], [algebra for _, algebra in cases], rng, samples)
+    in_turn = [verify_family(fam, algebra, turn_rng, samples) for fam, algebra in cases]
+    assert dumps_sorted(stacked) == dumps_sorted(in_turn)
+    assert rng.getstate() == turn_rng.getstate()
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 2**64), st.integers(0, 200), st.sampled_from([(-2.0, 2.0), (-3, 3)]))
+def test_uniform_draws_are_rng_uniform(seed, count, bounds):
+    """The sampler's draws are ``rng.uniform``'s, bit for bit, on both
+    ranges the harness draws from, and it leaves the rng in the same
+    state."""
+    lo, hi = bounds
+    rng, reference = random.Random(seed), random.Random(seed)
+    draws = _uniform(rng, lo, hi, count)
+    expected = [reference.uniform(lo, hi) for _ in range(count)]
+    assert [x.hex() for x in draws] == [x.hex() for x in expected]
+    assert rng.getstate() == reference.getstate()

@@ -755,10 +755,9 @@ def test_affine_verify_command(capsys):
 
 @pytest.mark.parametrize("seed", ["0", "7", "13"])
 def test_affine_verify_bytes_equal_the_one_at_a_time_checks(seed, monkeypatch, capsys):
-    """The batched family checks print the bytes of their one-at-a-time
-    oracles, run in the same rng order; the legacy D32 note's closure check
-    too.  The digest itself (4a367e8a8910 at seed 7) depends on numpy and
-    libm, so it is not pinned here."""
+    """The stacked family checks print the bytes of their one-at-a-time
+    oracles, run family by family in the same rng order; the legacy D32
+    note's closure check too.  The digests are pinned below."""
     from lsa import affine
 
     from affine_reference import check_closure_reference, verify_family_reference
@@ -767,15 +766,42 @@ def test_affine_verify_bytes_equal_the_one_at_a_time_checks(seed, monkeypatch, c
     batched = capsys.readouterr().out
     families = []
 
-    def reference(fam, *args, **kwargs):
-        families.append(fam.name)
-        return verify_family_reference(fam, *args, **kwargs)
+    def reference(fams, algebras, rng, closure_samples=50):
+        reports = []
+        for fam, algebra in zip(fams, algebras, strict=True):
+            families.append(fam.name)
+            reports.append(verify_family_reference(fam, algebra, rng, closure_samples))
+        return reports
 
-    monkeypatch.setattr(affine, "verify_family", reference)
+    monkeypatch.setattr(affine, "verify_families", reference)
     monkeypatch.setattr(affine, "check_closure", check_closure_reference)
     assert main(["affine-verify", "--json", "--seed", seed]) == 0
     assert capsys.readouterr().out == batched
     assert len(families) == 11 and families == list(affine.FAMILY_NAMES)
+
+
+@pytest.mark.parametrize(
+    "runs, digest",
+    [
+        ([["--json", "--seed", str(seed)] for seed in range(40)], "5dd67363d357"),
+        ([["--seed", "7"]], "067c863c6127"),
+        ([["--json", "--seed", "7"]], "4a367e8a8910"),
+        ([["--json", "--seed", "7", "--samples", "1"]], "53915dbaac11"),
+        ([["--json", "--seed", "7", "--samples", "7"]], "4650e17c62cf"),
+    ],
+    ids=["json-seeds-0-39", "text-seed-7", "json-seed-7", "json-seed-7-samples-1", "json-seed-7-samples-7"],
+)
+def test_affine_verify_bytes_are_pinned(capsys, runs, digest):
+    """The first 12 hex digits of the SHA-256 of ``affine-verify`` stdout,
+    concatenated over the runs.  The report is floating point, so these
+    bytes are those of one numpy, libm and BLAS (numpy 2.4.6 with OpenBLAS
+    0.3.31 on x86-64); where another toolchain moves them, the
+    one-at-a-time test above tells whether the code did too."""
+    outputs = []
+    for argv in runs:
+        assert main(["affine-verify", *argv]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(outputs).encode()).hexdigest()[:12] == digest
 
 
 def test_main_builds_the_parser_once(n30_file, monkeypatch, capsys):

@@ -161,8 +161,10 @@ MUTANTS = (
     Mutant(
         "adjugate-columns-swapped",
         AFFINE,
-        "np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)",
-        "np.cross(r1, r2), np.cross(r0, r1), np.cross(r2, r0)",
+        "    x1, y1, z1 = h * c - i * b, i * a - g * c, g * b - h * a\n"
+        "    x2, y2, z2 = b * f - c * e, c * d - a * f, a * e - b * d\n",
+        "    x1, y1, z1 = b * f - c * e, c * d - a * f, a * e - b * d\n"
+        "    x2, y2, z2 = h * c - i * b, i * a - g * c, g * b - h * a\n",
         (CRITERION_8,),
     ),
     Mutant(
@@ -182,8 +184,22 @@ MUTANTS = (
     Mutant(
         "verify-family-inverse-rows-from-the-closure-rows",
         AFFINE,
-        "(back_linear[n:], back_translation[n:])",
-        "(back_linear[:-n], back_translation[:-n])",
+        "_inverse_residuals(*at, back_linear[:, n:], back_translation[:, n:])",
+        "_inverse_residuals(*at, back_linear[:, :-n], back_translation[:, :-n])",
+        (f"{TEST_BATCH}::test_verify_family_equals_the_public_checks[defaults]",),
+    ),
+    Mutant(
+        "verify-families-closure-reads-the-next-familys-rows",
+        AFFINE,
+        "closure = _closure_report(fam, pairs[f], closure_resids[f])",
+        "closure = _closure_report(fam, pairs[f], closure_resids[(f + 1) % count])",
+        (f"{TEST_BATCH}::test_verify_families_equals_verify_family_in_turn",),
+    ),
+    Mutant(
+        "verify-families-targets-drawn-before-pairs",
+        AFFINE,
+        "        draws += _uniform(rng, -2.0, 2.0, 6 * n)\n        draws += _uniform(rng, -3, 3, 3 * _N_TARGETS)\n",
+        "        draws += _uniform(rng, -3, 3, 3 * _N_TARGETS)\n        draws += _uniform(rng, -2.0, 2.0, 6 * n)\n",
         (f"{TEST_BATCH}::test_verify_family_equals_the_public_checks[defaults]",),
     ),
     Mutant(
@@ -196,16 +212,16 @@ MUTANTS = (
     Mutant(
         "verify-family-tangent-rows-shifted-by-one",
         AFFINE,
-        "tangent = _tangent_report(fam, algebra, *curve)",
-        "tangent = _tangent_report(fam, algebra, maps.linear[rows[1] + 1 : rows[2] + 1], "
-        "maps.translation[rows[1] + 1 : rows[2] + 1])",
+        "tangent = _tangent_report(fam, algebra, curve[0][f], curve[1][f])",
+        "tangent = _tangent_report(fam, algebra, maps.linear[f, rows[1] + 1 : rows[2] + 1], "
+        "maps.translation[f, rows[1] + 1 : rows[2] + 1])",
         (f"{TEST_BATCH}::test_verify_family_equals_the_public_checks[defaults]",),
     ),
     Mutant(
         "tangent-check-without-the-left-symmetry-refusal",
         AFFINE,
-        "    _require_3d_lsa(algebra)\n",
-        "    if algebra.dim != 3:\n        _require_3d_lsa(algebra)\n",
+        "    table = _require_3d_lsa(algebra)\n",
+        "    table = _require_3d_lsa(algebra) if algebra.dim != 3 else TripleTable(algebra)\n",
         (f"{TEST_AFFINE}::test_tangent_check_refuses_what_affine_rep_refuses",),
     ),
     Mutant(
