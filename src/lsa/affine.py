@@ -53,37 +53,29 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, TripleTable, _basis, _basis_mults
+from .algebra import Algebra, _basis, _basis_mults, check_left_symmetric
 from .catalog import ENTRIES, ParameterError, validate_params
 from .linalg import QMatrix, Vec, frac
 
 SERIES_THRESHOLD = 0.25
 SERIES_EPS = 1e-18
-SERIES_CHUNK = 16  # terms per cumulative product
 
 
 def _series(x, first, ratio) -> np.ndarray:
     """Entrywise sum of the terms t_0 = first, t_n = t_{n-1} ratio(x, n),
-    stopping each entry before its first term below SERIES_EPS.
-
-    A chunk of terms is one cumulative product, and the running total is
-    accumulated in term order (``sum`` would pair terms up), so every entry
-    gets the value of its own term-by-term loop whatever else is in the
-    batch.
-    """
+    stopping each entry before its first term below SERIES_EPS: the
+    term-by-term loop, run on each entry in turn, so every entry gets the
+    value of its own scalar loop whatever else is in the batch."""
     x = np.asarray(x, dtype=float)
-    steps = np.arange(1, SERIES_CHUNK + 1).reshape((-1,) + (1,) * x.ndim)
-    total = np.zeros(x.shape)
-    term = total + first
-    live = True
-    while True:
-        terms = np.concatenate([term[None], ratio(x, steps)]).cumprod(axis=0)
-        alive = np.logical_and.accumulate(np.abs(terms) >= SERIES_EPS, axis=0) & live
-        total = np.add.accumulate(np.concatenate([total[None], np.where(alive[:-1], terms[:-1], 0.0)]))[-1]
-        term, live = terms[-1], alive[-1]
-        if not live.any():
-            return total
-        steps = steps + SERIES_CHUNK
+    sums = []
+    for xi in x.ravel().tolist():
+        total, term, n = 0.0, first, 0
+        while abs(term) >= SERIES_EPS:
+            total += term
+            n += 1
+            term *= ratio(xi, n)
+        sums.append(total)
+    return np.array(sums).reshape(x.shape)
 
 
 def series_f(x):
@@ -188,19 +180,15 @@ class AffRep:
         return out
 
 
-def _require_3d_lsa(a: Algebra) -> TripleTable:
+def _require_3d_lsa(a: Algebra) -> None:
     """Refuse an algebra whose affine representation is not defined: one
-    not of dimension 3, or not left-symmetric.  Otherwise return the table
-    that the left-symmetry scan read, whose cleared tensor holds the
-    structure constants as integers d c."""
+    not of dimension 3, or not left-symmetric."""
     if a.dim != 3:
         raise ValueError("affine representation is defined for dimension 3")
-    table = TripleTable(a)
-    if not table.first_failure("left_symmetric").ok:
+    if not check_left_symmetric(a).ok:
         raise ValueError(
             "affine representation is not a homomorphism; input is not left-symmetric"
         )
-    return table
 
 
 def affine_rep(a: Algebra) -> AffRep:
@@ -645,12 +633,11 @@ def check_tangent_algebra(fam: GroupFamily, algebra: Algebra) -> TangentReport:
 def _tangent_report(fam: GroupFamily, algebra: Algebra, linear: np.ndarray, translation: np.ndarray) -> TangentReport:
     """The tangent verdict on the maps (6,) at ``_CURVE_POINTS``.
 
-    The constants are read off the cleared table of the left-symmetry
-    scan, c = x / d with integers x and d: int true division is correctly
-    rounded, so x / d is float(c) and (x_ijk - x_jik) / d is
-    float(c[i][j][k] - c[j][i][k])."""
-    table = _require_3d_lsa(algebra)
-    d, c = table.d, table.c
+    The constants are read off the algebra's table, c = x / d with integers
+    x and d: int true division is correctly rounded, so x / d is float(c)
+    and (x_ijk - x_jik) / d is float(c[i][j][k] - c[j][i][k])."""
+    _require_3d_lsa(algebra)
+    d, c = algebra.table.d, algebra.table.c
     xs = np.zeros((3, 4, 4))
     xs[:, :3, :3] = (linear[:3] - linear[3:]) / (2 * DIFF_STEP)
     xs[:, :3, 3] = (translation[:3] - translation[3:]) / (2 * DIFF_STEP)

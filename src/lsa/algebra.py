@@ -3,6 +3,8 @@
 An ``Algebra`` stores a tensor c with e_i * e_j = sum_k c[i][j][k] e_k
 (0-based internally; all user-facing indices are 1-based).  The same type
 carries left-symmetric products and Lie brackets (antisymmetric constants).
+Each algebra clears its tensor to integers once, into its ``table``, which
+the predicates below read and which keeps what they decide.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .linalg import (
     FractionLike,
@@ -93,6 +95,14 @@ class Algebra:
                 entries[(i, j, k)] = frac(coeff)
                 entries[(j, i, k)] = -frac(coeff)
         return cls.from_entries(dim, entries, name, params)
+
+    @functools.cached_property
+    def table(self) -> TripleTable:
+        """The algebra's one ``TripleTable``, built on first use and kept
+        for the life of the algebra (outside the fields: equality and the
+        hash are unchanged).  An algebra that lives for the process, such
+        as a ``catalog`` fixture, keeps its table for the process too."""
+        return TripleTable(self)
 
     def entry(self, i: int, j: int, k: int) -> Fraction:
         """1-based structure constant."""
@@ -344,19 +354,22 @@ def _total(entries: Sequence[tuple[int, ...]], indices: Sequence[int], zero: tup
 
 
 class TripleTable:
-    """T1 and T2 (see ``IDENTITIES``) of one algebra, each filled whole the
-    first time a scan reads it and kept for the life of the table, so that
-    any number of identity scans of the algebra share their products.  An
-    identity is scanned by its ``_plan``: N, D, S and Jacobi read T1 only,
-    so they never fill T2.
+    """What one algebra's predicates share: its integer tensor, T1 and T2
+    (see ``IDENTITIES``), the first failure of each identity scanned, and
+    the Lie tag of its commutators (``_commutator_tag``).  Each algebra has
+    one, built by ``Algebra.table`` on first use; T1 and T2 are each filled
+    whole the first time a scan reads them, and every verdict is kept once
+    decided, so asking an algebra again costs nothing.  An identity is
+    scanned by its ``_plan``: N, D, S and Jacobi read T1 only, so they
+    never fill T2.
 
     The entries are those of the integer tensor d c, d the least common
-    denominator of the structure constants, which the table keeps as ``c``
-    (with ``dim``, so that ``_first_asymmetry`` and ``_trace_row`` read it
-    as they read an ``Algebra``).  Both sides of every identity are
-    homogeneous of degree 2 in the structure constants, so scaling c by d
-    scales both by d^2: the failing triples are the same, and the witness
-    sides are the integer ones divided by d^2.
+    denominator of the structure constants, which the table keeps as
+    ``c`` (planes of rows d e_i*e_j) and ``rows`` (the same rows, flat).
+    Both sides of every identity are homogeneous of degree 2 in the
+    structure constants, so scaling c by d scales both by d^2: the failing
+    triples are the same, and the witness sides are the integer ones
+    divided by d^2.
     """
 
     def __init__(self, a: Algebra):
@@ -364,10 +377,13 @@ class TripleTable:
         d, rows = _cleared(v for plane in a.c for v in plane)
         self.dim = n
         self.d = d
+        self.rows = rows
         self.c = [rows[i * n : (i + 1) * n] for i in range(n)]
         # T1's entries, then T2's once a scan reads it, flat at
         # tensor n^3 + (i n + j) n + k
         self._entries: list[tuple[int, ...]] = []
+        self._first: dict[str, IdentityCheck] = {}
+        self.tag: LieTag | None = None
 
     def _tensor(self, tensor: int) -> list[tuple[int, ...]]:
         """The entries of T1 or T2, flat at (i n + j) n + k, in one pass.
@@ -408,7 +424,12 @@ class TripleTable:
         )
 
     def first_failure(self, identity: str) -> IdentityCheck:
-        return next(self.failures(identity), IdentityCheck(True))
+        """The first failure of ``identity``, scanned on the first call and
+        kept by identity."""
+        check = self._first.get(identity)
+        if check is None:
+            check = self._first[identity] = next(self.failures(identity), IdentityCheck(True))
+        return check
 
 
 def failures(a: Algebra, identity: str) -> Iterator[IdentityCheck]:
@@ -417,18 +438,13 @@ def failures(a: Algebra, identity: str) -> Iterator[IdentityCheck]:
     Bilinearity makes the basis check complete; a skipped triple fails
     exactly when its swap, which is kept, does (see ``IDENTITIES``).
     """
-    return TripleTable(a).failures(identity)
+    return a.table.failures(identity)
 
 
 def first_failure(a: Algebra, identity: str) -> IdentityCheck:
-    """First basis triple, in product order, where ``identity`` fails."""
-    return TripleTable(a).first_failure(identity)
-
-
-def first_failures(a: Algebra, identities: Iterable[str]) -> dict[str, IdentityCheck]:
-    """``first_failure`` of each of ``identities``, from one ``TripleTable``."""
-    table = TripleTable(a)
-    return {identity: table.first_failure(identity) for identity in identities}
+    """First basis triple, in product order, where ``identity`` fails;
+    scanned once per algebra (``TripleTable.first_failure``)."""
+    return a.table.first_failure(identity)
 
 
 def check_left_symmetric(a: Algebra) -> IdentityCheck:
@@ -441,68 +457,75 @@ def lie_algebra_of(a: Algebra) -> Algebra:
     a left-symmetric algebra form a Lie algebra (the Jacobi sum is the
     alternating sum of the associators (x*y)*z - x*(y*z) over the orders of
     x, y, z, and left symmetry cancels it in pairs).  ``_require_lie``
-    refuses other input where the brackets are read.  The audit reads the
-    brackets of a left-symmetric sample off its own table instead
-    (``_commutator_brackets``); this builds them only for other input."""
+    refuses other input where the brackets are read.  ``_commutator_tag``
+    reads the brackets of a left-symmetric algebra off its own table
+    instead; it builds them only for other input."""
     brackets = tuple(tuple(vec_sub(a.c[i][j], a.c[j][i]) for j in range(a.dim)) for i in range(a.dim))
     return Algebra(a.dim, brackets, name=f"Lie({a.name})" if a.name else "", params=a.params)
 
 
-def _first_asymmetry(a: Algebra | TripleTable) -> tuple[int, int] | None:
+def _first_asymmetry(a: Algebra) -> tuple[int, int] | None:
     """The first 1-based pair (i, j), i <= j, with e_i*e_j != -e_j*e_i, i.e.
-    with e_i*e_j + e_j*e_i != 0; read off a table, on the cleared tensor."""
-    n, c = a.dim, a.c
+    with e_i*e_j + e_j*e_i != 0, read off the table's cleared tensor."""
+    n, c = a.dim, a.table.c
     return next(
         ((i + 1, j + 1) for i in range(n) for j in range(i, n) if any(x + y for x, y in zip(c[i][j], c[j][i]))),
         None,
     )
 
 
-def _lie_defect(table: TripleTable) -> str | None:
-    """Why the algebra of ``table`` is not a Lie algebra, naming the first
-    basis pair where antisymmetry fails or triple where Jacobi does; None
-    if it is one."""
-    pair = _first_asymmetry(table)
+def _lie_defect(a: Algebra) -> str | None:
+    """Why ``a`` is not a Lie algebra, naming the first basis pair where
+    antisymmetry fails or triple where Jacobi does; None if it is one."""
+    pair = _first_asymmetry(a)
     if pair is not None:
         return f"antisymmetry fails at basis pair {pair}"
-    bad = table.first_failure("jacobi")
+    bad = first_failure(a, "jacobi")
     if not bad.ok:
         return f"the Jacobi identity fails at basis triple {bad.witness}"
     return None
 
 
 def is_lie_algebra(a: Algebra) -> bool:
-    return _lie_defect(TripleTable(a)) is None
+    return _lie_defect(a) is None
 
 
-def _require_lie(a: Algebra) -> TripleTable:
+def _require_lie(a: Algebra) -> None:
     """Refuse a non-Lie ``a`` before its brackets are read, with its
-    ``_lie_defect``; otherwise return the table, whose cleared tensor the
-    caller reads its traces off.  It cannot fail on the commutators of a
+    ``_lie_defect``.  It cannot fail on the commutators of a
     left-symmetric algebra."""
-    table = TripleTable(a)
-    defect = _lie_defect(table)
+    defect = _lie_defect(a)
     if defect is not None:
         raise ValueError(f"not a Lie algebra: {defect}")
-    return table
 
 
-def _commutator_brackets(a: Algebra, table: TripleTable, left_symmetric: bool) -> list:
+def _commutator_brackets(a: Algebra) -> list:
     """A positive multiple of the commutator tensor, b[i][j] = d' [e_i, e_j]
-    with [x, y] = x*y - y*x, as ints; ``table`` is a's own and
-    ``left_symmetric`` its verdict.
+    with [x, y] = x*y - y*x, as ints.
 
     The commutators of a left-symmetric algebra form a Lie algebra (see
-    ``lie_algebra_of``), so there they are read off the table's cleared
-    tensor, d (c[i][j] - c[j][i]), with no scan.  Otherwise they may fail
-    Jacobi: they are built and scanned by ``_require_lie``, which raises its
-    ``ValueError`` with the failing triple.  Every reader of the brackets
-    (the tag, the trace row, the rank) is scale-free, so d' does not
-    matter."""
-    if not left_symmetric:
-        return _require_lie(lie_algebra_of(a)).c
-    n, c = table.dim, table.c
+    ``lie_algebra_of``), so there they are read off a's table, d (c[i][j] -
+    c[j][i]), with no scan.  Otherwise they may fail Jacobi: they are built
+    and scanned by ``_require_lie``, which raises its ``ValueError`` with the
+    failing triple.  Every reader of the brackets (the tag, the trace row,
+    the rank) is scale-free, so d' does not matter."""
+    if not first_failure(a, "left_symmetric").ok:
+        lie = lie_algebra_of(a)
+        _require_lie(lie)
+        return lie.table.c
+    n, c = a.dim, a.table.c
     return [[tuple(x - y for x, y in zip(c[i][j], c[j][i])) for j in range(n)] for i in range(n)]
+
+
+def _commutator_tag(a: Algebra) -> LieTag:
+    """The tag of the commutator algebra of a 3D algebra ``a``,
+    ``identify_lie_algebra(lie_algebra_of(a))``: ``_lie_tag`` of
+    ``_commutator_brackets``, kept by a's table once decided.  Commutators
+    that are not a Lie algebra are refused again on every call."""
+    table = a.table
+    if table.tag is None:
+        table.tag = _lie_tag(_commutator_brackets(a))
+    return table.tag
 
 
 def is_complete(a: Algebra) -> bool:
@@ -518,19 +541,19 @@ def is_complete(a: Algebra) -> bool:
     return check_left_symmetric(a).ok and _complete_by_traces(a)
 
 
-def _complete_by_traces(a: Algebra | TripleTable) -> bool:
+def _complete_by_traces(a: Algebra) -> bool:
     """Completeness of a left-symmetric algebra, by Helmstetter's and
     Segal's theorem: a left-symmetric algebra is complete (every R_x
     nilpotent) iff tr R_x = 0 for every x.  tr R_x is linear in x, so this
-    is tr R_ei = sum_j c[j][i][j] = 0 for every i; read off a
-    ``TripleTable``, d tr R_ei = 0 on its cleared tensor.
+    is tr R_ei = sum_j c[j][i][j] = 0 for every i, read as d tr R_ei = 0 on
+    the table's cleared tensor.
 
     The theorem holds only for left-symmetric input: e1*e1 = e1,
     e2*e1 = -e2 has tr R_x = 0 for every x, but R_e1 = diag(1, -1) is not
     nilpotent.  ``is_complete`` scans left symmetry first.
     """
-    n = a.dim
-    return all(sum(a.c[j][i][j] for j in range(n)) == 0 for i in range(n))
+    n, c = a.dim, a.table.c
+    return all(sum(c[j][i][j] for j in range(n)) == 0 for i in range(n))
 
 
 def is_novikov(a: Algebra) -> bool:
@@ -540,18 +563,13 @@ def is_novikov(a: Algebra) -> bool:
 
 def flag_witnesses(a: Algebra) -> dict[str, tuple[int, int, int] | str]:
     """For each of N/D/S, the first failing basis triple (1-based) or
-    ALL_PASS, from one ``TripleTable``."""
-    return witnesses_of(first_failures(a, "NDS"))
-
-
-def witnesses_of(checks: Mapping[str, IdentityCheck]) -> dict[str, tuple[int, int, int] | str]:
-    """Each check's failing basis triple, or ALL_PASS."""
-    return {name: check.witness or ALL_PASS for name, check in checks.items()}
+    ALL_PASS."""
+    return {identity: first_failure(a, identity).witness or ALL_PASS for identity in "NDS"}
 
 
 def ndsflags(a: Algebra) -> tuple[bool, bool, bool]:
-    """The N/D/S flags, from one ``TripleTable``."""
-    return tuple(check.ok for check in first_failures(a, "NDS").values())
+    """The N/D/S flags."""
+    return tuple(first_failure(a, identity).ok for identity in "NDS")
 
 
 def _mult_blocks(rows: Sequence[Sequence[int]], n: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -573,8 +591,8 @@ def _int_span(n: int, vectors: Sequence[Sequence[int]]) -> Subspace:
 
 def center(a: Algebra) -> Subspace:
     """{x : x*e_j = e_j*x = 0 for all j}: the kernel of the stacked integer
-    L and R blocks of one cleared tensor (``_mult_blocks``)."""
-    lefts, rights = _mult_blocks(_cleared(v for plane in a.c for v in plane)[1], a.dim)
+    L and R blocks of the table's cleared tensor (``_mult_blocks``)."""
+    lefts, rights = _mult_blocks(a.table.rows, a.dim)
     return _int_span(a.dim, _int_nullspace(lefts + rights, a.dim))
 
 
@@ -655,45 +673,33 @@ def find_ideals_dim_le3(a: Algebra) -> list[Subspace]:
       vanishes on it for each operator M.
 
     The joint eigenspaces come from ``_refine`` on a basis of the span of
-    the operators, read off one integer tensor d c (``_cleared`` once, then
-    ``_ideals``, which the catalog audit calls on the tensor its table
-    already holds): the columns of d L_ei and d R_ei are its rows d e_i*e_j
-    and d e_j*e_i.  A joint eigenvector of a spanning set is one of every
-    linear combination, so the nonzero joint eigenspaces of the basis are
-    those of all 2n operators.  An operator's spectrum is the integer roots
-    (``_int_roots``) of the closed-form characteristic polynomial of d M
-    (``_int_char_poly``) divided by d: that polynomial is monic with integer
-    coefficients, so its rational roots are integers.  It is computed only
-    when a branch of dimension >= 2 reaches it, and at most once: the
-    transposes share it (char_poly(M^T) = char_poly(M)).  An operator
-    without a rational eigenvalue thus leaves no joint eigenspace, and the
-    answer is empty.  Multidimensional joint eigenspaces are reported
-    through their reduced-echelon basis vectors.  Irrational
-    eigendata is out of reach by design, so an empty answer means "no
-    rational ideal found", never "simple".
+    the operators, read off the table's integer tensor d c: the columns of
+    d L_ei and d R_ei are its rows d e_i*e_j and d e_j*e_i.  Only a basis of
+    that span is searched: the pivot columns of one ``_int_rref`` of the
+    n^2 x 2n matrix whose columns are the operators' entries.  A joint
+    eigenvector of a spanning set is one of every linear combination, so
+    the nonzero joint eigenspaces of the basis are those of all 2n
+    operators; each dropped operator is a combination of the kept ones
+    before it, and zero, repeated and proportional operators cost no
+    spectrum, kernel or line test.  An operator's spectrum is the integer
+    roots (``_int_roots``) of the closed-form characteristic polynomial of
+    d M (``_int_char_poly``) divided by d: that polynomial is monic with
+    integer coefficients, so its rational roots are integers.  It is
+    computed only when a branch of dimension >= 2 reaches it, and at most
+    once: the transposes share it (char_poly(M^T) = char_poly(M)).  An
+    operator without a rational eigenvalue thus leaves no joint eigenspace,
+    and the answer is empty.  The joint eigenvectors stay integer until the
+    ``Subspace`` of each line, and of each plane ker(w^T), is built;
+    multidimensional joint eigenspaces are reported through their
+    reduced-echelon basis vectors.  Irrational eigendata is out of reach by
+    design, so an empty answer means "no rational ideal found", never
+    "simple".
     """
     if a.dim > 3:
         raise ValueError("ideal search is implemented for dim <= 3 only")
     if a.dim <= 1:
         return []
-    n = a.dim
-    d, rows = _cleared(v for plane in a.c for v in plane)
-    return _ideals(d, [rows[i * n : (i + 1) * n] for i in range(n)])
-
-
-def _ideals(d: int, c: Sequence[Sequence[Sequence[int]]]) -> list[Subspace]:
-    """``find_ideals_dim_le3`` of an algebra of dimension 2 or 3 given
-    cleared, c[i][j] = d e_i*e_j with d > 0, as a ``TripleTable`` keeps it.
-
-    Only a basis of the span of the 2n operators d L_ei, d R_ei is searched:
-    the pivot columns of one ``_int_rref`` of the n^2 x 2n matrix whose
-    columns are the operators' entries.  Each dropped operator is a
-    combination of the kept ones before it, so it has no joint eigenspace
-    of its own to split, and zero, repeated and proportional operators cost
-    no spectrum, kernel or line test.  The joint eigenvectors stay integer
-    until the ``Subspace`` of each line, and of each plane ker(w^T), is
-    built."""
-    n = len(c)
+    n, d, c = a.dim, a.table.d, a.table.c
     # the columns of d L_ei and of d R_ei
     columns = [list(c[i]) for i in range(n)]
     columns += [[c[j][i] for j in range(n)] for i in range(n)]
@@ -718,7 +724,8 @@ def _ideals(d: int, c: Sequence[Sequence[Sequence[int]]]) -> list[Subspace]:
 
 
 def is_unimodular(lie: Algebra) -> bool:
-    return not any(_trace_row(_require_lie(lie).c))
+    _require_lie(lie)
+    return not any(_trace_row(lie.table.c))
 
 
 def derived_subspace(lie: Algebra, w: Subspace) -> Subspace:
@@ -741,12 +748,11 @@ def is_solvable(lie: Algebra) -> bool:
     return True
 
 
-def _require_3d_lie(lie: Algebra) -> TripleTable:
+def _require_3d_lie(lie: Algebra) -> None:
     """``_require_lie``, then refuse a dimension other than 3."""
-    table = _require_lie(lie)
+    _require_lie(lie)
     if lie.dim != 3:
         raise ValueError("Milnor normal form requires dimension 3")
-    return table
 
 
 def _nonzero_trace_row(b: Sequence[Sequence[Sequence[int]]]) -> list[int]:
@@ -774,7 +780,8 @@ def milnor_normal_form(lie: Algebra) -> MilnorForm:
     tr ad_ei != 0, scaled by 2 / tr ad_ei; the echelon basis of U makes the
     construction deterministic.
     """
-    table = _require_3d_lie(lie)
+    _require_3d_lie(lie)
+    table = lie.table
     trace_row = _nonzero_trace_row(table.c)
     # U is abelian: for u in U, ad_u maps g into [g, g], which lies in U
     # (tr ad_[x,y] = 0), so tr(ad_u | U) = tr ad_u = 0; a unimodular 2D Lie
@@ -791,11 +798,11 @@ def milnor_normal_form(lie: Algebra) -> MilnorForm:
 
 def identify_lie_algebra(lie: Algebra) -> LieTag:
     """The isomorphism class of a 3D Lie algebra: ``_require_lie``, which
-    scans antisymmetry and Jacobi, and the tag of the integer brackets it
-    cleared, ``_lie_tag``.  The catalog audit calls ``_lie_tag`` directly
-    on the brackets of a left-symmetric sample (``_commutator_brackets``),
-    so both take one path."""
-    return _lie_tag(_require_3d_lie(lie).c)
+    scans antisymmetry and Jacobi, and ``_lie_tag`` of the integer brackets
+    of its table.  ``_commutator_tag`` takes the same path on the brackets
+    of a left-symmetric algebra, which need no scan."""
+    _require_3d_lie(lie)
+    return _lie_tag(lie.table.c)
 
 
 def _lie_tag(b: Sequence[Sequence[Sequence[int]]]) -> LieTag:

@@ -25,23 +25,19 @@ from .algebra import (
     Algebra,
     LieTag,
     Subspace,
-    TripleTable,
     _combination,
     _commutator_brackets,
-    _complete_by_traces,
-    _ideals,
+    _commutator_tag,
     _int_span,
-    _lie_tag,
     _mult_blocks,
     _trace_row,
     check_left_symmetric,
-    identify_lie_algebra,
+    find_ideals_dim_le3,
+    flag_witnesses,
     is_complete,
-    lie_algebra_of,
     ndsflags,
     quotient_algebra,
     restriction_to_ideal,
-    witnesses_of,
 )
 from .extensions import (
     BimoduleAction,
@@ -54,7 +50,6 @@ from .extensions import (
 )
 from .linalg import (
     QMatrix,
-    _cleared,
     _echelon_rows,
     _int_rank,
     _int_rref,
@@ -251,7 +246,8 @@ def catalog_lie_algebras() -> list[Algebra]:
 
 
 # Small algebras that the reconstruction cases extend, built once: an
-# ``Algebra`` is immutable.
+# ``Algebra`` is immutable.  Each keeps its table (``Algebra.table``) for the
+# process, as it keeps its tensor.
 _FIXTURES: dict[str, Algebra] = {
     "A1_inv": Algebra.from_entries(3, {(1, 2, 2): 1, (1, 3, 3): -1, (2, 3, 1): 1, (3, 2, 1): 1}, "A1_inv"),
     "r2_zero": Algebra.from_entries(2, {}, "r2_zero"),
@@ -498,11 +494,11 @@ def reconstruction_cases(rng: random.Random | None = None) -> list[Reconstructio
 
 
 class _Spans(NamedTuple):
-    """What ``fingerprint`` reads off one cleared tensor of an algebra, its
-    ``TripleTable``'s where it has one: ``rows[i n + j]`` = d e_i*e_j with d
-    the least common denominator, the integer blocks of the stacked L_ei
-    and R_ei (``_mult_blocks``), the product span P, P's echelon basis
-    times one common pivot D > 0 as ints, its pivot columns and
+    """What ``fingerprint`` reads off the cleared tensor of an algebra's
+    table: ``rows[i n + j]`` = d e_i*e_j with d the least common
+    denominator, the integer blocks of the stacked L_ei and R_ei
+    (``_mult_blocks``), the product span P, P's echelon basis times one
+    common pivot D > 0 as ints, its pivot columns and
     W = P*A + A*P.  Scaling by d > 0 keeps every span, rank and kernel."""
 
     rows: list[list[int]]
@@ -514,18 +510,14 @@ class _Spans(NamedTuple):
     w: Subspace
 
 
-def _spans(a: Algebra | TripleTable) -> _Spans:
-    """The ``_Spans`` of an algebra, read off its table's tensor if given
-    one, else off one clear: P is the span of the rows, from one
-    ``_int_rref``, and W the span of every e_i*w and w*e_i, w in the
-    integer basis of P that it leaves.  Each of those basis rows is a
-    multiple of a reduced-echelon row; scaled to the lcm D of their pivots,
-    they are D times P's echelon basis, with no second clear."""
-    n = a.dim
-    if isinstance(a, TripleTable):
-        rows = [v for plane in a.c for v in plane]
-    else:
-        rows = _cleared(v for plane in a.c for v in plane)[1]
+def _spans(a: Algebra) -> _Spans:
+    """The ``_Spans`` of an algebra, read off its table's rows: P is the
+    span of the rows, from one ``_int_rref``, and W the span of every e_i*w
+    and w*e_i, w in the integer basis of P that it leaves.  Each of those
+    basis rows is a multiple of a reduced-echelon row; scaled to the lcm D
+    of their pivots, they are D times P's echelon basis, with no second
+    clear."""
+    n, rows = a.dim, a.table.rows
     p_rows, pivots = _int_rref([list(row) for row in rows])
     # e_i*w = sum_k w_k e_i*e_k and w*e_i = sum_k w_k e_k*e_i
     factors = [rows[i * n : (i + 1) * n] for i in range(n)] + [rows[i::n] for i in range(n)]
@@ -563,7 +555,7 @@ def _square_form_signature(a: Algebra, s: _Spans) -> tuple[int, int, int] | None
     p, w = s.p, s.w
     if p.dim != 2 or w.dim != 1:
         return None
-    row = _trace_row(a.c)
+    row = _trace_row(a.table.c)
     tr_w, *tr_p = (sum(t * x for t, x in zip(row, v)) for v in (*w.basis, *p.basis))
     if tr_w != 0 or not any(tr_p):
         return None
@@ -625,14 +617,16 @@ def _induced_action_ratio(a: Algebra, s: _Spans) -> str | None:
 
 # The fingerprint's components in order, each with the label that names it
 # in the distinctness evidence.  Each is a function of the algebra and of
-# its ``_Spans``, which is computed once per algebra; the rank components
-# are ranks of integer matrices from the one cleared tensor (the center is
-# the kernel of the stacked L and R blocks, as in ``center``).
-# Invariants from other modules are called through their module-level names,
-# so rebinding those names (as the perfbench tracer does) reaches these
-# calls too.
+# its ``_Spans``, which is computed once per fingerprint; the rank
+# components are ranks of integer matrices from the table's cleared tensor
+# (the center is the kernel of the stacked L and R blocks, as in
+# ``center``).  The Lie tag and the N/D/S flags are the ones the table keeps
+# once decided, so an algebra that ``verify_entry`` audited is not decided
+# again.  Invariants from other modules are called through their
+# module-level names, so rebinding those names (as the perfbench tracer
+# does) reaches these calls too.
 FINGERPRINT: tuple[tuple[str, Callable[[Algebra, _Spans], object]], ...] = (
-    ("lie_tag", lambda a, s: str(identify_lie_algebra(lie_algebra_of(a)))),
+    ("lie_tag", lambda a, s: str(_commutator_tag(a))),
     ("dim_center", lambda a, s: a.dim - _int_rank(s.lefts + s.rights)),
     ("dim_products", lambda a, s: s.p.dim),
     ("dim_squares", lambda a, s: _int_rank(_symmetrized_products(s.rows, a.dim))),
@@ -646,18 +640,12 @@ FINGERPRINT: tuple[tuple[str, Callable[[Algebra, _Spans], object]], ...] = (
 
 def fingerprint(a: Algebra) -> tuple:
     """Isomorphism-invariant tuple; differing fingerprints certify
-    non-isomorphism, equal fingerprints certify nothing."""
+    non-isomorphism, equal fingerprints certify nothing.  The components
+    are read off a's table (``FINGERPRINT``)."""
     if a.dim != 3:
         raise ValueError("fingerprint is defined for dimension 3")
-    return _fingerprint(a, _spans(a), {})
-
-
-def _fingerprint(a: Algebra, s: _Spans, known: Mapping[str, object]) -> tuple:
-    """``fingerprint(a)`` from a's ``_Spans``, which ``verify_catalog``
-    reads off the table that already cleared ``a``; ``known`` gives
-    components already decided for ``a``, by label (as ``lie_tag``), which
-    are taken as given instead of recomputed."""
-    return tuple(known[label] if label in known else invariant(a, s) for label, invariant in FINGERPRINT)
+    s = _spans(a)
+    return tuple(invariant(a, s) for _, invariant in FINGERPRINT)
 
 
 # ---------------------------------------------------------------------------
@@ -669,58 +657,42 @@ def _params_str(params: Mapping[str, Fraction]) -> dict[str, str]:
     return {k: str(v) for k, v in sorted(params.items())}
 
 
-def verify_entry(entry: CatalogEntry, param_samples: Sequence[Mapping[str, Fraction]]) -> dict:
-    """All checks for one catalog entry at every parameter sample; see
-    ``_verify_entry``."""
-    return _verify_entry(entry, param_samples)[0]
+def verify_entry(entry: CatalogEntry, algebras: Sequence[Algebra]) -> dict:
+    """All checks for one catalog entry at every sample, each an algebra
+    that ``entry.make`` built, with its parameters in ``a.params``.
 
-
-def _verify_entry(
-    entry: CatalogEntry, param_samples: Sequence[Mapping[str, Fraction]]
-) -> tuple[dict, tuple[Algebra, TripleTable] | None]:
-    """``verify_entry``'s report, and the algebra of the first sample with
-    its table (None without samples), which ``verify_catalog``
-    fingerprints.
-
-    Each sample is cleared once, into one ``TripleTable`` (d and the
-    integer tensor d c), and every verdict is read off it:
+    Every verdict is asked of the sample through the public predicates,
+    which read its one table (``Algebra.table``) and keep what they decide:
 
     - left symmetry and the N/D/S flags are scans of the table;
     - completeness is defined for left-symmetric algebras only, so a
       sample is complete iff it is left-symmetric and d tr R_ei = 0 on the
-      table's tensor (``_complete_by_traces``, Helmstetter and Segal);
-    - the Lie tag is ``_lie_tag`` of the integer brackets d (c_ij - c_ji)
-      (``_commutator_brackets``).  The commutators of a left-symmetric
-      algebra form a Lie algebra, so they need no Jacobi scan and no
-      ``lie_algebra_of``; those of a sample that fails left symmetry are
-      scanned, and if they fail Jacobi the tag is that error, with its
-      triple, and the sample a hard failure;
-    - the ideals come from the table's (d, d c) (``_ideals``).
+      table's tensor (``is_complete``, Helmstetter and Segal);
+    - the Lie tag is that of the commutators (``_commutator_tag``): those
+      of a left-symmetric algebra form a Lie algebra, so they are read off
+      the table with no Jacobi scan; those of a sample that fails left
+      symmetry are scanned, and if they fail Jacobi the tag is that error,
+      with its triple, and the sample a hard failure;
+    - the ideals are ``find_ideals_dim_le3``'s.
 
     Ideals and quotients of a complete algebra are complete, so
     ``completeness_propagation`` is decided ideal by ideal, by
     ``is_complete``, only on an incomplete sample."""
     samples_report = []
     hard_failures: list[str] = []
-    first = None
-    for params in param_samples:
-        a = entry.make(params)
-        table = TripleTable(a)
-        if first is None:
-            first = a, table
-        ls = table.first_failure("left_symmetric")
-        checks = {identity: table.first_failure(identity) for identity in "NDS"}
-        complete = ls.ok and _complete_by_traces(table)
+    for a in algebras:
+        params = dict(a.params)
+        ls = check_left_symmetric(a)
+        complete = is_complete(a)
         try:
-            tag = _lie_tag(_commutator_brackets(a, table, ls.ok))
+            tag = _commutator_tag(a)
         except ValueError as err:  # commutators that fail Jacobi
             tag = str(err)
         claimed_tag = entry.claimed_tag(params)
         tag_ok = tag == claimed_tag
-        witnesses = witnesses_of(checks)
-        flags = tuple(check.ok for check in checks.values())
+        flags = ndsflags(a)
         flags_ok = flags == entry.claimed_flags
-        ideals = _ideals(table.d, table.c)
+        ideals = find_ideals_dim_le3(a)
         # I and A/I of a complete A are complete: each nilpotent R_y maps the
         # ideal I into I, so it stays nilpotent on I and on A/I.
         propagation_ok = complete or all(
@@ -737,19 +709,18 @@ def _verify_entry(
             "flags_computed": dict(zip("NDS", flags)),
             "flags_claimed": dict(zip("NDS", entry.claimed_flags)),
             "flags_match": flags_ok,
-            "flag_witnesses": {k: str(v) for k, v in witnesses.items()},
+            "flag_witnesses": {k: str(v) for k, v in flag_witnesses(a).items()},
             "ideals_found": len(ideals),
             "completeness_propagation": propagation_ok,
         }
         samples_report.append(sample)
         if not (ls.ok and complete and tag_ok and ideals and propagation_ok):
             hard_failures.append(f"{entry.name} at {_params_str(params)}")
-    report = {
+    return {
         "name": entry.name,
         "samples": samples_report,
         "hard_failures": hard_failures,
     }
-    return report, first
 
 
 def _distinctness_evidence(fp1: tuple, fp2: tuple) -> str | None:
@@ -765,10 +736,9 @@ def verify_catalog(seed: int = 0, random_samples: int = 5) -> dict:
     Runs every per-entry check at defaults plus seeded random parameters,
     certifies pairwise distinctness by fingerprint, and rebuilds every entry
     through the extension machinery with verified isomorphism witnesses.
-    What the entry checks decided about an algebra (the Lie tag and N/D/S
-    flags of each default, D32's left symmetry) is read off their report,
-    not decided again, and each entry's first default is fingerprinted as
-    the algebra they built, off the table they cleared it into.
+    Each sample is made once; each entry's first default is fingerprinted
+    as the algebra the entry checks asked, so its table, Lie tag and N/D/S
+    flags are not decided again.
     """
     rng = random.Random(seed)
     entries = catalog_lsas()
@@ -779,15 +749,11 @@ def verify_catalog(seed: int = 0, random_samples: int = 5) -> dict:
         if entry.param is not None:
             for _ in range(random_samples):
                 samples.append(entry.sample_params(rng))
-        entry_report, (first_default, first_table) = _verify_entry(entry, samples)
+        algebras = [entry.make(params) for params in samples]
+        entry_report = verify_entry(entry, algebras)
         report["entries"][entry.name] = entry_report
         report["hard_failures"].extend(entry_report["hard_failures"])
-        first = entry_report["samples"][0]
-        fingerprints[entry.name] = _fingerprint(
-            first_default,
-            _spans(first_table),
-            {"lie_tag": first["lie_tag"], "flags_NDS": tuple(first["flags_computed"].values())},
-        )
+        fingerprints[entry.name] = fingerprint(algebras[0])
     distinct = {}
     all_distinct = True
     names = [e.name for e in entries]
@@ -831,12 +797,10 @@ def verify_catalog(seed: int = 0, random_samples: int = 5) -> dict:
     report["reconstructions"] = recon_report
 
     a1 = _FIXTURES["A1_inv"]
-    a1_table = TripleTable(a1)
-    a1_ls = a1_table.first_failure("left_symmetric").ok
     report["a1_inverse_fixture"] = {
-        "left_symmetric": a1_ls,
-        "lie_unimodular": not any(_trace_row(_commutator_brackets(a1, a1_table, a1_ls))),
-        "rational_ideals_found": len(_ideals(a1_table.d, a1_table.c)),
+        "left_symmetric": check_left_symmetric(a1).ok,
+        "lie_unimodular": not any(_trace_row(_commutator_brackets(a1))),
+        "rational_ideals_found": len(find_ideals_dim_le3(a1)),
     }
 
     rejected = d32_rejected_variant()

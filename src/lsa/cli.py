@@ -17,12 +17,12 @@ from fractions import Fraction
 
 from .algebra import (
     NotInScopeError,
-    _complete_by_traces,
     _tag_of_form,
     check_left_symmetric,
     find_ideals_dim_le3,
-    first_failures,
+    first_failure,
     identify_lie_algebra,
+    is_complete,
     lie_algebra_of,
     milnor_normal_form,
 )
@@ -101,11 +101,9 @@ def _frac_str(s: str) -> Fraction:
 
 def cmd_check(args) -> int:
     a = _load_algebra(args.file, "check")
-    checks = first_failures(a, ("left_symmetric", *"NDS"))
-    ls = checks["left_symmetric"]
-    # completeness is defined for left-symmetric algebras only
-    complete = ls.ok and _complete_by_traces(a)
-    n, d, s = (checks[flag].ok for flag in "NDS")
+    ls = check_left_symmetric(a)
+    complete = is_complete(a)
+    n, d, s = (first_failure(a, flag).ok for flag in "NDS")
     if args.json:
         print(
             dumps_sorted(

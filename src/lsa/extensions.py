@@ -23,7 +23,6 @@ from typing import Sequence
 from .algebra import (
     Algebra,
     Subspace,
-    TripleTable,
     _basis,
     _basis_mults,
     _combination,
@@ -31,6 +30,7 @@ from .algebra import (
     _lie_defect,
     _product,
     failures,
+    first_failure,
 )
 from .linalg import (
     QMatrix,
@@ -401,10 +401,10 @@ def verify_iso_witness(a: Algebra, b: Algebra, eta: QMatrix) -> bool:
     iff b, written in the basis f_i = eta(e_i), has a's structure constants
     (f_i .b f_j = eta(e_i .a e_j) is exactly that statement).
 
-    Decided on integers, with no inverse and no solve: eta, a and b are
-    cleared once each to E = e eta, A = da a.c and B = db b.c.  eta is
-    invertible iff E has n pivots, and the identity at (e_i, e_j), with
-    eta(e_i) = E[:, i] / e, reads
+    Decided on integers, with no inverse and no solve: eta is cleared to
+    E = e eta, and a and b are read off their tables, A = da a.c and
+    B = db b.c.  eta is invertible iff E has n pivots, and the identity at
+    (e_i, e_j), with eta(e_i) = E[:, i] / e, reads
     da sum_{p,q} E[p][i] E[q][j] B[p][q] = e db E A[i][j].
     """
     if a.dim != b.dim:
@@ -415,8 +415,8 @@ def verify_iso_witness(a: Algebra, b: Algebra, eta: QMatrix) -> bool:
     e, rows = _cleared(eta.rows)
     if _int_rank(rows) < n:
         return False
-    da, ca = _cleared(v for plane in a.c for v in plane)
-    db, cb = _cleared(v for plane in b.c for v in plane)
+    da, ca = a.table.d, a.table.rows
+    db, cb = b.table.d, b.table.rows
     cols = list(zip(*rows))  # cols[i] = E[:, i], e times eta(e_i)
     scale = e * db
     for i in range(n):
@@ -542,18 +542,17 @@ def build_lie_extension(d: LieExtensionData) -> Algebra:
     """
     g_base, a_ker, phi, omega = d.g_base, d.a_kernel, d.phi, d.omega
     for label, algebra in (("base", g_base), ("kernel", a_ker)):
-        defect = _lie_defect(TripleTable(algebra))
+        defect = _lie_defect(algebra)
         if defect is not None:
             raise ValueError(f"{label} is not a Lie algebra: {defect}")
     n = g_base.dim
     action = BimoduleAction(g_base, a_ker.dim, phi, tuple(-p for p in phi))
     data = ExtensionData(g_base, a_ker, action, Cocycle2.from_rows(omega))
     ext = replace(_extended_algebra(data), name="lie-ext")
-    table = TripleTable(ext)
-    pair = _first_asymmetry(table)
+    pair = _first_asymmetry(ext)
     if pair is not None:
         raise CompatibilityError(f"omega is not alternating at {pair}")
-    bad = table.first_failure("jacobi")
+    bad = first_failure(ext, "jacobi")
     if not bad.ok:
         what = COMPATIBILITY_OF_BLOCKS[_blocks(bad.witness, n)].format(i=bad.witness[0])
         raise CompatibilityError(f"{what} at basis triple {bad.witness} of the extension")

@@ -81,7 +81,7 @@ def test_criterion_2_flags_audit():
     mismatches = []
     witnessed = 0
     for entry in catalog_lsas():
-        rep = verify_entry(entry, _all_samples(entry, rng, 2))
+        rep = verify_entry(entry, [entry.make(params) for params in _all_samples(entry, rng, 2)])
         for sample in rep["samples"]:
             assert set(sample["flag_witnesses"]) == {"N", "D", "S"}
             for flag in "NDS":

@@ -23,8 +23,6 @@ from lsa.algebra import (
 )
 from lsa.catalog import (
     _ALL,
-    _fingerprint,
-    _spans,
     ENTRIES,
     ENTRY_NAMES,
     FINGERPRINT,
@@ -183,7 +181,7 @@ def test_entry_lie_tags_match_table():
 
 def test_verify_entry_n30():
     entry = next(e for e in catalog_lsas() if e.name == "N30")
-    report = verify_entry(entry, [{}])
+    report = verify_entry(entry, [entry.make()])
     sample = report["samples"][0]
     assert sample["left_symmetric"] and sample["complete"]
     assert sample["flags_computed"] == {"N": True, "D": True, "S": True}
@@ -193,14 +191,14 @@ def test_verify_entry_n30():
 
 def test_verify_entry_e31_zeta_one():
     entry = next(e for e in catalog_lsas() if e.name == "E31zeta")
-    report = verify_entry(entry, [{"zeta": F(1)}])
+    report = verify_entry(entry, [entry.make({"zeta": F(1)})])
     assert report["samples"][0]["lie_tag"] == "G35(zeta=1)"
     assert report["samples"][0]["lie_match"]
 
 
 def test_verify_entry_c3t_flags():
     entry = next(e for e in catalog_lsas() if e.name == "C3t")
-    report = verify_entry(entry, [{"t": F(2)}])
+    report = verify_entry(entry, [entry.make({"t": F(2)})])
     sample = report["samples"][0]
     assert sample["flags_computed"] == {"N": False, "D": True, "S": False}
     assert sample["flags_match"]
@@ -377,12 +375,33 @@ def test_fingerprint_invariance_all_entries():
             assert fingerprint(conjugated(a, p)) == fp, entry.name
 
 
-def test_fingerprint_takes_the_entry_verdicts_as_given():
+def test_fingerprint_takes_the_entry_verdicts_as_given(monkeypatch):
+    """The fingerprint of a default that ``verify_entry`` audited equals
+    that of a fresh equal algebra, and reads its Lie tag and N/D/S flags
+    off the table the audit left: no identity scan and no tag again."""
+    import lsa.algebra
+
+    decided = []
+    scans = lsa.algebra.TripleTable.failures
+    brackets = lsa.algebra._commutator_brackets
+
+    def scanning(table, identity):
+        decided.append(identity)
+        return scans(table, identity)
+
+    def tagging(a):
+        decided.append("lie_tag")
+        return brackets(a)
+
     for entry in catalog_lsas():
         a = entry.make(entry.default_params[0])
-        sample = verify_entry(entry, entry.default_params[:1])["samples"][0]
-        known = {"lie_tag": sample["lie_tag"], "flags_NDS": tuple(sample["flags_computed"].values())}
-        assert _fingerprint(a, _spans(a), known) == fingerprint(a), entry.name
+        expected = fingerprint(entry.make(entry.default_params[0]))
+        verify_entry(entry, [a])
+        with monkeypatch.context() as patch:
+            patch.setattr(lsa.algebra.TripleTable, "failures", scanning)
+            patch.setattr(lsa.algebra, "_commutator_brackets", tagging)
+            assert fingerprint(a) == expected, entry.name
+        assert decided == [], entry.name
 
 
 def _count_restrictions_and_quotients(monkeypatch):
@@ -402,7 +421,8 @@ def _count_restrictions_and_quotients(monkeypatch):
 
 def test_complete_entry_propagates_completeness_by_theorem(monkeypatch):
     built = _count_restrictions_and_quotients(monkeypatch)
-    report = verify_entry(ENTRIES["D31mu"], [{"mu": F(1, 2)}, {"mu": F(-1, 3)}])
+    entry = ENTRIES["D31mu"]
+    report = verify_entry(entry, [entry.make({"mu": F(1, 2)}), entry.make({"mu": F(-1, 3)})])
     for sample in report["samples"]:
         assert sample["complete"] and sample["completeness_propagation"]
         assert sample["ideals_found"] >= 1
@@ -418,7 +438,7 @@ def test_incomplete_entry_checks_propagation_ideal_by_ideal(monkeypatch):
         for ideal in find_ideals_dim_le3(a)
     )
     built = _count_restrictions_and_quotients(monkeypatch)
-    sample = verify_entry(entry, [{}])["samples"][0]
+    sample = verify_entry(entry, [a])["samples"][0]
     assert sample["complete"] is False
     assert sample["ideals_found"] == 4
     assert sample["completeness_propagation"] is False
@@ -430,7 +450,7 @@ def test_flag_mismatch_is_audited_not_fatal():
     # deliberately wrong claimed flags surface as a mismatch with witnesses,
     # never as a hard failure
     wrong = replace(ENTRIES["N30"], claimed_flags=(False, True, True))
-    report = verify_entry(wrong, [{}])
+    report = verify_entry(wrong, [wrong.make()])
     sample = report["samples"][0]
     assert not sample["flags_match"]
     assert sample["flags_computed"]["N"] is True
@@ -438,36 +458,11 @@ def test_flag_mismatch_is_audited_not_fatal():
     assert not report["hard_failures"]
 
 
-def test_an_audit_decides_each_algebra_once(monkeypatch):
-    """Per ``verify_catalog(seed=11, random_samples=5)``: each entry sample
-    is cleared into exactly one triple table, and its Lie tag and ideals
-    are read off that table, with no ``lie_algebra_of``, no second table, no
-    Jacobi scan and no ``find_ideals_dim_le3``; the default fingerprints
-    take the Lie tag and N/D/S flags that ``verify_entry`` decided and are
-    computed by ``_fingerprint`` from the table it built, C3t at t = 2
-    reuses its default fingerprint, the A1 fixture is read off one
-    table of its own, and no fixture algebra is built.  Each catalog
-    algebra is made once: each sample, each reconstruction target and C3t
-    at t = 3, with no second make of a default for its fingerprint."""
+def _record_tables(monkeypatch):
+    """Every ``TripleTable`` built from here on, with the algebra it
+    cleared, and every identity scan of each, by table."""
     import lsa.algebra
-    import lsa.catalog
 
-    calls = Counter()
-    for module, name in (
-        (lsa.catalog, "identify_lie_algebra"),
-        (lsa.catalog, "fingerprint"),
-        (lsa.catalog, "_fingerprint"),
-        (lsa.algebra, "find_ideals_dim_le3"),
-        (lsa.algebra, "lie_algebra_of"),
-        (lsa.catalog, "lie_algebra_of"),
-    ):
-        original = getattr(module, name)
-
-        def counting(*args, _original=original, _name=name, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counting)
     tables = {}  # table -> the algebra it cleared
     init = lsa.algebra.TripleTable.__init__
 
@@ -476,15 +471,57 @@ def test_an_audit_decides_each_algebra_once(monkeypatch):
         init(table, a)
 
     monkeypatch.setattr(lsa.algebra.TripleTable, "__init__", clearing)
-    jacobi_scans = []
+    scans = Counter()
     failures = lsa.algebra.TripleTable.failures
 
     def scanning(table, identity):
-        if identity == "jacobi":
-            jacobi_scans.append(tables[table])
+        scans[table, identity] += 1
         return failures(table, identity)
 
     monkeypatch.setattr(lsa.algebra.TripleTable, "failures", scanning)
+    return tables, scans
+
+
+def test_an_audit_decides_each_algebra_once(monkeypatch):
+    """Per ``verify_catalog(seed=11, random_samples=5)``: each algebra gets
+    at most one triple table, each table scans each identity at most once,
+    and each algebra's commutators are read at most once, so its Lie tag is
+    decided once: the 27 samples, C3t at t = 3 and the A1 fixture, all
+    left-symmetric, with no ``lie_algebra_of``, no Lie algebra built and no
+    Jacobi scan.  The audit asks the public names: ``verify_entry`` once per
+    entry, ``fingerprint`` for the eleven defaults and C3t at t = 3, and
+    ``find_ideals_dim_le3`` for each sample and the fixture.  Each catalog
+    algebra is made once: each sample, each reconstruction target and C3t
+    at t = 3, with no second make of a default for its fingerprint, and no
+    fixture algebra is built."""
+    import lsa.algebra
+    import lsa.catalog
+
+    calls = Counter()
+    for module, name in (
+        (lsa.algebra, "identify_lie_algebra"),
+        (lsa.algebra, "lie_algebra_of"),
+        (lsa.catalog, "fingerprint"),
+        (lsa.catalog, "verify_entry"),
+        (lsa.catalog, "find_ideals_dim_le3"),
+    ):
+        original = getattr(module, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    tables, scans = _record_tables(monkeypatch)
+    tagged = []
+    brackets = lsa.algebra._commutator_brackets
+
+    def reading(a):
+        tagged.append(a)
+        return brackets(a)
+
+    monkeypatch.setattr(lsa.algebra, "_commutator_brackets", reading)
+    monkeypatch.setattr(lsa.catalog, "_commutator_brackets", reading)
     built = []
     post_init = Algebra.__post_init__
 
@@ -507,18 +544,21 @@ def test_an_audit_decides_each_algebra_once(monkeypatch):
     report = verify_catalog(seed=11, random_samples=5)
     audit_built, audit_made = list(built), list(made)  # not what the checks below build
     assert report["ok"]
-    # the one fingerprint that is not a default, C3t at t = 3, computes its
-    # own Lie tag, through the commutators and their one Jacobi scan; the
-    # 27 samples and the A1 fixture compute none of these
+    assert calls == {"verify_entry": 11, "fingerprint": 12, "find_ideals_dim_le3": 28}
+    # at most one table per algebra object, one scan per table and identity
+    cleared = list(tables.values())
+    assert len({id(a) for a in cleared}) == len(cleared)
+    assert set(scans.values()) == {1}
+    assert not any(identity == "jacobi" for _, identity in scans)
+    assert len({id(a) for a in tagged}) == len(tagged)
     c3t_3 = make_lsa("C3t", t=3)
-    assert calls == {"identify_lie_algebra": 1, "fingerprint": 1, "_fingerprint": 12, "lie_algebra_of": 1}
-    assert jacobi_scans == [lie_algebra_of(c3t_3)]
     samples = Counter(
         ENTRIES[name].make({k: F(v) for k, v in sample["params"].items()})
         for name, entry_report in report["entries"].items()
         for sample in entry_report["samples"]
     )
     assert sum(samples.values()) == 27
+    assert Counter(tagged) == samples + Counter([c3t_3, fixtures()["A1_inv"]])
     targets = [key(r["target"], r["target_params"]) for r in report["reconstructions"]]
     assert len(targets) == 24
     sampled = [
@@ -527,45 +567,33 @@ def test_an_audit_decides_each_algebra_once(monkeypatch):
         for sample in entry_report["samples"]
     ]
     assert Counter(audit_made) == Counter(sampled + targets + [key("C3t", {"t": 3})])
-    # the fingerprint of C3t at t = 3 reads its N/D/S flags off a table of its own
-    cleared = Counter(tables.values())
-    assert Counter({a: k for a, k in cleared.items() if a.name in ENTRIES}) == samples + Counter([c3t_3])
-    assert cleared[fixtures()["A1_inv"]] == 1
     assert not set(audit_built) & set(fixtures())
-    assert [name for name in audit_built if name.startswith("Lie(")] == ["Lie(C3t)"]
+    assert not [name for name in audit_built if name.startswith("Lie(")]
 
 
 def test_an_audit_clears_no_default_again_for_its_fingerprint(monkeypatch):
-    """Per ``verify_catalog`` op, the fingerprints clear one tensor: that of
-    C3t at t = 3, which no entry check built.  The spans of the eleven
-    defaults, and P's integer basis in each, are read off the tables the
-    entry checks cleared them into."""
+    """Per ``verify_catalog`` op, the twelve fingerprints build one triple
+    table: that of C3t at t = 3, which no entry check asked.  The eleven
+    defaults are fingerprinted off the tables their entry checks built."""
     import lsa.catalog
-    import lsa.extensions
-    import lsa.linalg
 
-    clears = Counter()
-    cleared = lsa.linalg._cleared
-    for module in (lsa.linalg, lsa.algebra, lsa.catalog, lsa.extensions):
-
-        def counting(rows, _module=module.__name__):
-            clears[_module] += 1
-            return cleared(rows)
-
-        monkeypatch.setattr(module, "_cleared", counting)
-    spans_of = []
-    spans = lsa.catalog._spans
+    tables, _ = _record_tables(monkeypatch)
+    built_by = []
+    original = lsa.catalog.fingerprint
 
     def recording(a):
-        spans_of.append(type(a).__name__)
-        return spans(a)
+        before = len(tables)
+        found = original(a)
+        built_by.append((a.name, a.params, len(tables) - before))
+        return found
 
-    monkeypatch.setattr(lsa.catalog, "_spans", recording)
+    monkeypatch.setattr(lsa.catalog, "fingerprint", recording)
     ops = 3
     for seed in range(ops):
         assert verify_catalog(seed=seed, random_samples=5)["ok"]
-    assert Counter(spans_of) == {"TripleTable": 11 * ops, "Algebra": ops}
-    assert clears["lsa.catalog"] == ops, clears
+    assert len(built_by) == 12 * ops
+    assert [(name, k) for name, _, k in built_by if k] == [("C3t", 1)] * ops
+    assert all(params == (("t", 3),) for name, params, k in built_by if k)
 
 
 def test_a_sample_whose_commutators_fail_jacobi_is_audited():
@@ -575,7 +603,7 @@ def test_a_sample_whose_commutators_fail_jacobi_is_audited():
     entry = CatalogEntry("Z", "G31", (True,) * 3, {(1, 2, 3): 1, (2, 3, 1): 1, (1, 3, 3): 1})
     with pytest.raises(ValueError, match=r"Jacobi identity fails at basis triple \(1, 2, 3\)"):
         identify_lie_algebra(lie_algebra_of(entry.make()))
-    report = verify_entry(entry, [{}])
+    report = verify_entry(entry, [entry.make()])
     sample = report["samples"][0]
     assert not sample["left_symmetric"]
     assert sample["lie_tag"] == "not a Lie algebra: the Jacobi identity fails at basis triple (1, 2, 3)"
@@ -584,9 +612,9 @@ def test_a_sample_whose_commutators_fail_jacobi_is_audited():
 
 
 def test_an_audit_decides_completeness_by_traces(monkeypatch):
-    """Every audited sample is left-symmetric and complete: its completeness
-    is read off its table's right traces, and no ideal or quotient is
-    decided again by ``is_complete``."""
+    """Every audited sample is left-symmetric and complete: ``is_complete``
+    asks each sample once, reading its table's right traces, and no ideal
+    or quotient is built or decided again."""
     import lsa.catalog
 
     calls = []
@@ -597,15 +625,22 @@ def test_an_audit_decides_completeness_by_traces(monkeypatch):
         return original(a)
 
     monkeypatch.setattr(lsa.catalog, "is_complete", counting)
+    built = _count_restrictions_and_quotients(monkeypatch)
     report = verify_catalog(seed=11, random_samples=5)
     assert report["ok"]
-    assert calls == []
+    samples = [
+        (name, sample["params"])
+        for name, entry_report in report["entries"].items()
+        for sample in entry_report["samples"]
+    ]
+    assert [(a.name, {k: str(v) for k, v in a.params}) for a in calls] == samples
+    assert built == []
 
 
 def test_the_ideal_search_reads_spectra_off_integer_kernels(monkeypatch):
     """Each spectrum of an audit's ideal search is the integer roots of the
-    closed-form characteristic polynomial of d M: ``_ideals`` calls no
-    ``rational_roots`` (the ``Fraction`` path) and at most one
+    closed-form characteristic polynomial of d M: ``find_ideals_dim_le3``
+    calls no ``rational_roots`` (the ``Fraction`` path) and at most one
     ``_int_char_poly`` per kept operator, one of the independent d L_ei,
     d R_ei."""
     import lsa.algebra
@@ -626,18 +661,18 @@ def test_the_ideal_search_reads_spectra_off_integer_kernels(monkeypatch):
     monkeypatch.setattr(lsa.linalg, "rational_roots", roots)
     monkeypatch.setattr(lsa.algebra, "rational_roots", roots, raising=False)
     searches = []
-    original = lsa.catalog._ideals
+    original = lsa.catalog.find_ideals_dim_le3
 
-    def ideals(d, c):
+    def ideals(a):
         before = counts.copy()
-        found = original(d, c)
-        n = len(c)
+        found = original(a)
+        n, c = a.dim, a.table.c
         operators = [[x for v in c[i] for x in v] for i in range(n)]
         operators += [[x for j in range(n) for x in c[j][i]] for i in range(n)]
         searches.append((counts - before, _int_rank(operators)))
         return found
 
-    monkeypatch.setattr(lsa.catalog, "_ideals", ideals)
+    monkeypatch.setattr(lsa.catalog, "find_ideals_dim_le3", ideals)
     assert verify_catalog(seed=11, random_samples=5)["ok"]
     assert len(searches) == 28
     assert all(used["rational_roots"] == 0 for used, _ in searches)
@@ -648,14 +683,14 @@ def test_the_ideal_search_reads_spectra_off_integer_kernels(monkeypatch):
 def test_verify_entry_decides_completeness_of_left_symmetric_samples_only():
     # left-symmetric and incomplete, ideals included
     incomplete = CatalogEntry("X", "G31", _ALL, {(1, 1, 1): 1, (1, 2, 2): 1})
-    sample = verify_entry(incomplete, [{}])["samples"][0]
+    sample = verify_entry(incomplete, [incomplete.make()])["samples"][0]
     assert sample["left_symmetric"] and not sample["complete"]
     assert not sample["completeness_propagation"]
     # e1.e1 = e1, e2.e1 = -e2: not left-symmetric, so not complete, though
     # every tr R_x = 0
     off = CatalogEntry("Y", "G31", _ALL, {(1, 1, 1): 1, (2, 1, 2): -1})
     assert _complete_by_traces(off.make())
-    report = verify_entry(off, [{}])
+    report = verify_entry(off, [off.make()])
     sample = report["samples"][0]
     assert not sample["left_symmetric"] and sample["complete"] is False
     assert report["hard_failures"] == ["Y at {}"]

@@ -4,9 +4,9 @@
 the fingerprint's rank components (with ``center``) and
 ``verify_iso_witness`` clear their structure constants, and the witness
 matrix, to integers once and decide on ints; the catalog audit reads a
-left-symmetric sample's tag and ideals off the one table it clears
-(``_commutator_brackets``, ``_lie_tag``, ``_ideals``).  The oracles below
-are the earlier ``Fraction`` forms: the antisymmetry test through
+left-symmetric sample's tag off its table's integer brackets
+(``_commutator_tag``).  The oracles below are the earlier ``Fraction``
+forms: the antisymmetry test through
 ``vec_scale(-1, ...)``, a Jacobi scan through ``multiply``, the trace row
 and ad_x as rational matrices; the center and the annihilators as the
 ``Fraction`` Gauss-Jordan nullspace (``fraction_nullspace``) of the stacked
@@ -30,23 +30,24 @@ import pytest
 
 from fingerprint_oracles import oracle_induced_action_ratio
 from test_integer_kernel_oracles import fraction_nullspace, fraction_rref
+from test_subspace_oracles import oracle_product_ideals
 from lsa.algebra import (
     Algebra,
     LieTag,
     NotInScopeError,
     Subspace,
-    TripleTable,
     _basis_mults,
-    _commutator_brackets,
-    _ideals,
+    _commutator_tag,
     _lie_defect,
-    _lie_tag,
     _tag_of_form,
     _two_sided_products,
     center,
+    check_left_symmetric,
     conjugated,
     find_ideals_dim_le3,
+    first_failure,
     identify_lie_algebra,
+    is_complete,
     is_unimodular,
     left_mult,
     lie_algebra_of,
@@ -55,8 +56,8 @@ from lsa.algebra import (
     product_span,
 )
 from lsa.catalog import (
+    FINGERPRINT,
     LIE_FAMILIES,
-    _fingerprint,
     _spans,
     catalog_lsas,
     fingerprint,
@@ -309,7 +310,7 @@ def any_inputs():
 
 
 def assert_lie_checks_match(a: Algebra) -> None:
-    assert _lie_defect(TripleTable(a)) == oracle_lie_defect(a)
+    assert _lie_defect(a) == oracle_lie_defect(a)
     assert outcome(identify_lie_algebra, a) == outcome(oracle_identify, a)
     assert outcome(is_unimodular, a) == outcome(oracle_is_unimodular, a)
 
@@ -372,14 +373,13 @@ def left_symmetric_in_fresh_bases(draw):
 def test_the_audit_tag_and_ideals_read_off_one_table_match_the_oracles(a):
     """A left-symmetric sample's tag, read off the integer brackets of its
     own table, is that of its commutator algebra as ``identify_lie_algebra``
-    and the ``Fraction`` oracle decide it; the ideals found from the table's
-    (d, d c) are ``find_ideals_dim_le3``'s."""
-    table = TripleTable(a)
-    assert table.first_failure("left_symmetric").ok
+    and the ``Fraction`` oracle decide it; the ideals then found off the same
+    table are the product enumeration's."""
+    assert check_left_symmetric(a).ok
     lie = lie_algebra_of(a)
-    tag = outcome(_lie_tag, _commutator_brackets(a, table, True))
+    tag = outcome(_commutator_tag, a)
     assert tag == outcome(identify_lie_algebra, lie) == outcome(oracle_identify, lie)
-    assert _ideals(table.d, table.c) == find_ideals_dim_le3(a)
+    assert find_ideals_dim_le3(a) == oracle_product_ideals(a)
 
 
 def test_the_one_table_inputs_reach_every_left_symmetric_verdict():
@@ -391,11 +391,52 @@ def test_the_one_table_inputs_reach_every_left_symmetric_verdict():
     verdicts = set()
     for k, a in enumerate(algebras):
         a = in_fresh_basis(a, k)
-        table = TripleTable(a)
-        tag = _lie_tag(_commutator_brackets(a, table, True))
+        tag = _commutator_tag(a)
         assert tag == oracle_identify(lie_algebra_of(a))
         verdicts.add(tag.reason or tag.kind)
     assert verdicts == {"G31", "G32", "G33", "G34", "G35", "Lie algebra is unimodular"}
+
+
+# --- one table per algebra ----------------------------------------------------
+
+
+# What an algebra's table remembers, asked through the public names and the
+# commutator tag: each answer must not depend on what was asked before.
+QUESTIONS = {
+    "check_left_symmetric": check_left_symmetric,
+    **{
+        f"first_failure {identity}": lambda a, identity=identity: first_failure(a, identity)
+        for identity in ("N", "D", "S", "jacobi")
+    },
+    "is_complete": is_complete,
+    "find_ideals_dim_le3": find_ideals_dim_le3,
+    "fingerprint": fingerprint,
+    # the tag is defined for 3D input, as the fingerprint is
+    "commutator tag": lambda a: _commutator_tag(a) if a.dim == 3 else None,
+}
+
+
+def fresh_copy(a: Algebra) -> Algebra:
+    return Algebra(a.dim, a.c, a.name, a.params)
+
+
+@SETTINGS
+@given(
+    st.one_of(left_symmetric_in_fresh_bases(), rational_algebras(), broken_lie_algebras()),
+    st.permutations([*QUESTIONS, *QUESTIONS]),
+)
+def test_one_table_answers_in_any_order(a, order):
+    """One algebra, asked every question twice in a random order, answers
+    each as a fresh equal algebra asked only that question does.  Inputs
+    are left-symmetric, not left-symmetric, and with commutators that fail
+    Jacobi, in dimensions 2 to 4, so the tag, the fingerprint and the ideal
+    search also refuse: a refusal is raised again on every call, never kept
+    as an answer.  The table is the algebra's own: kept across the
+    questions, and not an equal algebra's."""
+    for name in order:
+        assert outcome(QUESTIONS[name], a) == outcome(QUESTIONS[name], fresh_copy(a)), name
+    assert a.table is a.table
+    assert a.table is not fresh_copy(a).table
 
 
 # --- fingerprint ranks ----------------------------------------------------------
@@ -413,7 +454,8 @@ def test_ranks_match_fraction_oracle(a):
     assert s.p == product_span(a) == p
     assert s.w == fraction_span(a.dim, _two_sided_products(a, p.basis))
     if a.dim == 3:
-        assert _fingerprint(a, s, {"lie_tag": "given"}) == oracle_fingerprint(a, lie_tag="given")
+        ranks = tuple(invariant(a, s) for _, invariant in FINGERPRINT[1:])
+        assert ("given", *ranks) == oracle_fingerprint(a, lie_tag="given")
 
 
 # --- isomorphism witnesses --------------------------------------------------------

@@ -280,23 +280,37 @@ def test_identify_command(n30_file, capsys):
 def test_check_reads_traces_of_left_symmetric_input_only(tmp_path, monkeypatch, capsys, name, code, verdict):
     """A left-symmetric input is complete iff its right traces vanish; an
     input that is not left-symmetric is not a complete left-symmetric
-    algebra, and its traces are not read."""
+    algebra, and its traces are not read.  The input gets one triple table,
+    which scans left symmetry and N/D/S once each, though ``is_complete``
+    asks left symmetry again."""
     algebras = {**fixtures(), "idem": Algebra.from_entries(1, {(1, 1, 1): 1})}
     a = algebras[name] if name in algebras else make_lsa(name)
     path = tmp_path / "a.json"
     path.write_text(dumps_sorted(algebra_to_dict(a)))
+    import lsa.algebra
+
     calls = []
-    original = cli._complete_by_traces
+    original = lsa.algebra._complete_by_traces
 
     def counting(a):
         calls.append(a)
         return original(a)
 
-    monkeypatch.setattr(cli, "_complete_by_traces", counting)
+    monkeypatch.setattr(lsa.algebra, "_complete_by_traces", counting)
+    scans = []
+    failures = lsa.algebra.TripleTable.failures
+
+    def scanning(table, identity):
+        scans.append((table, identity))
+        return failures(table, identity)
+
+    monkeypatch.setattr(lsa.algebra.TripleTable, "failures", scanning)
     assert main(["check", str(path)]) == code
     out = capsys.readouterr().out
     assert out.startswith(verdict + ";")
     assert len(calls) == out.startswith("left-symmetric: yes")
+    assert len({table for table, _ in scans}) == 1
+    assert sorted(identity for _, identity in scans) == ["D", "N", "S", "left_symmetric"]
 
 
 def test_identify_builds_one_milnor_form(n30_file, monkeypatch, capsys):

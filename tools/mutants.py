@@ -220,8 +220,8 @@ MUTANTS = (
     Mutant(
         "tangent-check-without-the-left-symmetry-refusal",
         AFFINE,
-        "    table = _require_3d_lsa(algebra)\n",
-        "    table = _require_3d_lsa(algebra) if algebra.dim != 3 else TripleTable(algebra)\n",
+        "    _require_3d_lsa(algebra)\n    d, c = algebra.table.d, algebra.table.c\n",
+        "    if algebra.dim != 3:\n        _require_3d_lsa(algebra)\n    d, c = algebra.table.d, algebra.table.c\n",
         (f"{TEST_AFFINE}::test_tangent_check_refuses_what_affine_rep_refuses",),
     ),
     Mutant(
@@ -248,7 +248,7 @@ MUTANTS = (
     Mutant(
         "completeness-traces-always-true",
         ALGEBRA,
-        "return all(sum(a.c[j][i][j] for j in range(n)) == 0 for i in range(n))",
+        "return all(sum(c[j][i][j] for j in range(n)) == 0 for i in range(n))",
         "return True",
         ("tests/test_algebra.py::test_is_complete_agrees_with_segal_trace_criterion",),
     ),
@@ -262,8 +262,8 @@ MUTANTS = (
     Mutant(
         "check-reads-traces-off-left-symmetry",
         CLI,
-        "complete = ls.ok and _complete_by_traces(a)",
-        "complete = _complete_by_traces(a)",
+        "complete = is_complete(a)",
+        "complete = all(sum(a.table.c[j][i][j] for j in range(a.dim)) == 0 for i in range(a.dim))",
         ("tests/test_cli.py::test_check_refuses_completeness_off_left_symmetry_at_the_largest_dimension",),
     ),
     Mutant(
@@ -402,7 +402,8 @@ MUTANTS = (
     Mutant(
         "audit-tag-without-the-left-symmetry-gate",
         ALGEBRA,
-        "    if not left_symmetric:\n        return _require_lie(lie_algebra_of(a)).c\n",
+        '    if not first_failure(a, "left_symmetric").ok:\n        lie = lie_algebra_of(a)\n'
+        "        _require_lie(lie)\n        return lie.table.c\n",
         "",
         ("tests/test_catalog.py::test_a_sample_whose_commutators_fail_jacobi_is_audited",),
     ),
@@ -416,16 +417,30 @@ MUTANTS = (
     Mutant(
         "completeness-reads-left-traces",
         ALGEBRA,
-        "return all(sum(a.c[j][i][j] for j in range(n)) == 0 for i in range(n))",
-        "return all(sum(a.c[i][j][j] for j in range(n)) == 0 for i in range(n))",
+        "return all(sum(c[j][i][j] for j in range(n)) == 0 for i in range(n))",
+        "return all(sum(c[i][j][j] for j in range(n)) == 0 for i in range(n))",
         ("tests/test_catalog.py::test_verify_entry_n30",),
     ),
     Mutant(
-        "a1-fixture-scans-its-commutators-on-a-second-table",
+        "a1-fixture-reads-its-commutators-off-a-copy",
         CATALOG,
-        "_commutator_brackets(a1, a1_table, a1_ls)",
-        "_commutator_brackets(a1, a1_table, False)",
+        "_commutator_brackets(a1)",
+        "_commutator_brackets(Algebra(a1.dim, a1.c, a1.name))",
         ("tests/test_catalog.py::test_an_audit_decides_each_algebra_once",),
+    ),
+    Mutant(
+        "first-failure-memo-ignores-its-identity",
+        ALGEBRA,
+        "check = self._first.get(identity)",
+        "check = next(iter(self._first.values()), None)",
+        (f"{TEST_CLEARED}::test_one_table_answers_in_any_order",),
+    ),
+    Mutant(
+        "one-table-shared-by-the-algebras-of-a-dimension",
+        ALGEBRA,
+        "        return TripleTable(self)\n",
+        '        return globals().setdefault("_TABLES", {}).setdefault(self.dim, TripleTable(self))\n',
+        (f"{TEST_CLEARED}::test_one_table_answers_in_any_order",),
     ),
     Mutant(
         "unimodular-reason-from-a-rank-of-two",
