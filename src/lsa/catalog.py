@@ -736,20 +736,29 @@ def verify_catalog(seed: int = 0, random_samples: int = 5) -> dict:
     Runs every per-entry check at defaults plus seeded random parameters,
     certifies pairwise distinctness by fingerprint, and rebuilds every entry
     through the extension machinery with verified isomorphism witnesses.
-    Each sample is made once; each entry's first default is fingerprinted
-    as the algebra the entry checks asked, so its table, Lie tag and N/D/S
-    flags are not decided again.
+    Each catalog algebra is made once per call, keyed by (name, params):
+    a repeated sample, C3t at t = 3 and a reconstruction target that was
+    sampled are the algebra the entry checks asked, so its table, Lie tag
+    and N/D/S flags are not decided again.
     """
     rng = random.Random(seed)
     entries = catalog_lsas()
     report: dict = {"seed": seed, "entries": {}, "hard_failures": []}
+    made: dict[tuple, Algebra] = {}
+
+    def algebra(entry: CatalogEntry, params: Mapping[str, Fraction]) -> Algebra:
+        key = (entry.name, tuple(sorted((k, frac(v)) for k, v in params.items())))
+        if key not in made:
+            made[key] = entry.make(params)
+        return made[key]
+
     fingerprints = {}
     for entry in entries:
         samples: list[dict] = list(entry.default_params)
         if entry.param is not None:
             for _ in range(random_samples):
                 samples.append(entry.sample_params(rng))
-        algebras = [entry.make(params) for params in samples]
+        algebras = [algebra(entry, params) for params in samples]
         entry_report = verify_entry(entry, algebras)
         report["entries"][entry.name] = entry_report
         report["hard_failures"].extend(entry_report["hard_failures"])
@@ -768,7 +777,7 @@ def verify_catalog(seed: int = 0, random_samples: int = 5) -> dict:
             distinct[key] = ev
     # the one-parameter C family: sampled parameter pairs stay non-isomorphic;
     # t = 2 is C3t's default, fingerprinted above
-    ev = _distinctness_evidence(fingerprints["C3t"], fingerprint(make_lsa("C3t", t=F(3))))
+    ev = _distinctness_evidence(fingerprints["C3t"], fingerprint(algebra(ENTRIES["C3t"], {"t": F(3)})))
     distinct[f"C3t(t=2)|C3t(t=3)"] = ev or "NOT SEPARATED"
     if ev is None:
         report["hard_failures"].append("C3t parameter values not separated")
@@ -781,7 +790,7 @@ def verify_catalog(seed: int = 0, random_samples: int = 5) -> dict:
         except ExtensionError:
             built = None
         kim_ok = built is not None
-        target = make_lsa(case.target, **case.target_params)
+        target = algebra(ENTRIES[case.target], case.target_params)
         witness_ok = kim_ok and verify_iso_witness(built, target, case.witness)
         recon_report.append(
             {

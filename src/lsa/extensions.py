@@ -10,12 +10,20 @@ is left-symmetric exactly when five conditions hold, and each condition is
 the left-symmetry identity on the basis triples of one block pattern (see
 ``CONDITION_OF_BLOCKS``), so the product is built once and scanned by the
 identity engine of ``lsa.algebra``.  Lie extensions are read off the Jacobi
-identity of the extended bracket the same way.  The coboundary operators
-delta1/delta2 give a second cohomology classifying extensions up to
-equivalence; everything is flattened to exact rational linear algebra.
+identity of the extended bracket the same way.
+
+The coboundary operators delta1/delta2 give a second cohomology classifying
+extensions up to equivalence.  Each is one integer matrix on flattened
+cochains (``_delta1_rows``, ``_delta2_rows``), written entry by entry in
+one pass: every entry is a signed sum of structure constants of K and of
+lambda and rho, cleared over one denominator.  ``delta1``, ``delta2``,
+``h2`` and ``cocycles_cohomologous`` all read these matrices, so each
+coboundary has one definition; ``h2`` is one integer kernel (Z2) and one
+echelon span (B2).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -23,10 +31,10 @@ from typing import Sequence
 from .algebra import (
     Algebra,
     Subspace,
-    _basis,
     _basis_mults,
     _combination,
     _first_asymmetry,
+    _int_span,
     _lie_defect,
     _product,
     failures,
@@ -36,13 +44,14 @@ from .linalg import (
     QMatrix,
     Vec,
     _cleared,
+    _free_scaled,
+    _int_nullspace,
     _int_rank,
     nullspace_basis,
     quotient_basis,
     random_fraction,
     random_invertible,
     solve,
-    unit_vec,
     vec_add,
     vec_is_zero,
     vec_sub,
@@ -168,46 +177,104 @@ class KimReport:
         return tuple(i + 1 for i, v in enumerate(self.verdicts) if not v)
 
 
-def delta1(action: BimoduleAction, h: QMatrix) -> Cocycle2:
-    """delta1 h (x, y) = rho_y(h(x)) + lambda_x(h(y)) - h(x.y)."""
-    k = action.k
-    if h.shape != (action.v_dim, k.dim):
-        raise ValueError("h must be a v_dim x k_dim matrix (map K -> V)")
+def _cleared_action(action: BimoduleAction) -> tuple[int, list, list, list]:
+    """(d, c, lam, rho): K's structure constants and the action matrices as
+    ints over one positive denominator d, c[i][j][p] = d (e_i.e_j)_p and
+    lam[i][m][n] = d lambda_{e_i}[m][n] (rho likewise).  c is K's table
+    rescaled, so a K that a check already asked is not cleared again."""
+    table, k_dim, v_dim = action.k.table, action.k.dim, action.v_dim
+    da, mats = _cleared(row for m in (*action.lam, *action.rho) for row in m.rows)
+    d = math.lcm(table.d, da)
+    sk, sa = d // table.d, d // da
+    c = [[[x * sk for x in row] for row in plane] for plane in table.c]
+    mats = [[x * sa for x in row] for row in mats]
+    lam = [mats[i * v_dim: (i + 1) * v_dim] for i in range(k_dim)]
+    rho = [mats[(k_dim + i) * v_dim: (k_dim + i + 1) * v_dim] for i in range(k_dim)]
+    return d, c, lam, rho
+
+
+def _delta1_rows(action: BimoduleAction) -> tuple[int, list[list[int]]]:
+    """(d, rows): delta1 as the integer matrix rows / d from flattened maps
+    h (entry i*v_dim + n is h(e_i)_n) to flattened cocycles (row
+    (i*k_dim + j)*v_dim + m is delta1 h (e_i, e_j)_m).  Each entry is a sum
+    of structure constants, read off
+
+        delta1 h (x, y) = rho_y(h(x)) + lambda_x(h(y)) - h(x.y).
+    """
+    k_dim, v_dim = action.k.dim, action.v_dim
+    d, c, lam, rho = _cleared_action(action)
     rows = []
-    for i in range(k.dim):
-        row = []
-        for j in range(k.dim):
-            hx = h.col(i)
-            hy = h.col(j)
-            val = vec_add(action.rho[j].apply(hx), action.lam[i].apply(hy))
-            val = vec_sub(val, h.apply(k.c[i][j]))
-            row.append(val)
-        rows.append(tuple(row))
-    return Cocycle2(tuple(rows))
+    for i in range(k_dim):
+        for j in range(k_dim):
+            for m in range(v_dim):
+                row = [0] * (k_dim * v_dim)
+                for n in range(v_dim):
+                    row[i * v_dim + n] += rho[j][m][n]
+                    row[j * v_dim + n] += lam[i][m][n]
+                for p, x in enumerate(c[i][j]):
+                    row[p * v_dim + m] -= x
+                rows.append(row)
+    return d, rows
+
+
+def _delta2_rows(action: BimoduleAction) -> tuple[int, list[list[int]]]:
+    """(d, rows): delta2 as the integer matrix rows / d from flattened
+    cocycles (entry (i*k_dim + j)*v_dim + n is g(e_i, e_j)_n) to flattened
+    triples (row ((i*k_dim + j)*k_dim + l)*v_dim + m is
+    delta2 g (e_i, e_j, e_l)_m).  Each entry is a sum of structure
+    constants, read off
+
+        delta2 g (x, y, z) = g(x, y.z) - g(y, x.z) + lambda_x(g(y, z))
+                             - lambda_y(g(x, z)) - g([x, y], z)
+                             - rho_z(g(x, y) - g(y, x)).
+    """
+    k_dim, v_dim = action.k.dim, action.v_dim
+    d, c, lam, rho = _cleared_action(action)
+    rows = []
+    for i in range(k_dim):
+        for j in range(k_dim):
+            bracket = [x - y for x, y in zip(c[i][j], c[j][i])]
+            for l in range(k_dim):
+                for m in range(v_dim):
+                    row = [0] * (k_dim * k_dim * v_dim)
+                    for p in range(k_dim):
+                        row[(i * k_dim + p) * v_dim + m] += c[j][l][p]
+                        row[(j * k_dim + p) * v_dim + m] -= c[i][l][p]
+                        row[(p * k_dim + l) * v_dim + m] -= bracket[p]
+                    for n in range(v_dim):
+                        row[(j * k_dim + l) * v_dim + n] += lam[i][m][n]
+                        row[(i * k_dim + l) * v_dim + n] -= lam[j][m][n]
+                        row[(i * k_dim + j) * v_dim + n] -= rho[l][m][n]
+                        row[(j * k_dim + i) * v_dim + n] += rho[l][m][n]
+                    rows.append(row)
+    return d, rows
+
+
+def _apply_rows(d: int, rows: list[list[int]], x: Vec) -> Vec:
+    """(rows / d) x."""
+    return tuple(Fraction(sum(a * b for a, b in zip(row, x)), d) for row in rows)
+
+
+def delta1(action: BimoduleAction, h: QMatrix) -> Cocycle2:
+    """delta1 h (x, y) = rho_y(h(x)) + lambda_x(h(y)) - h(x.y): the matrix
+    of ``_delta1_rows`` applied to h's columns, flattened."""
+    k_dim, v_dim = action.k.dim, action.v_dim
+    if h.shape != (v_dim, k_dim):
+        raise ValueError("h must be a v_dim x k_dim matrix (map K -> V)")
+    flat = tuple(x for col in zip(*h.rows) for x in col)
+    return _unflatten_cocycle(_apply_rows(*_delta1_rows(action), flat), k_dim, v_dim)
 
 
 def delta2(action: BimoduleAction, g: Cocycle2) -> tuple[tuple[tuple[Vec, ...], ...], ...]:
-    """delta2 g (x, y, z) on basis triples, indexed [i][j][k]."""
-    k = action.k
-    e = _basis(k)
-    out = []
-    for i in range(k.dim):
-        plane = []
-        for j in range(k.dim):
-            row = []
-            for l in range(k.dim):
-                val = g.of(e[i], k.c[j][l])
-                val = vec_sub(val, g.of(e[j], k.c[i][l]))
-                val = vec_add(val, action.lam[i].apply(g.values[j][l]))
-                val = vec_sub(val, action.lam[j].apply(g.values[i][l]))
-                bracket = vec_sub(k.c[i][j], k.c[j][i])
-                val = vec_sub(val, g.of(bracket, e[l]))
-                omega = vec_sub(g.values[i][j], g.values[j][i])
-                val = vec_sub(val, action.rho[l].apply(omega))
-                row.append(val)
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return tuple(out)
+    """delta2 g (x, y, z) on basis triples, indexed [i][j][l]: the matrix of
+    ``_delta2_rows`` applied to g's flattened values."""
+    k_dim, v_dim = action.k.dim, action.v_dim
+    flat = _apply_rows(*_delta2_rows(action), _flatten(g.values))
+    cells = [flat[t: t + v_dim] for t in range(0, len(flat), v_dim)]
+    return tuple(
+        tuple(tuple(cells[(i * k_dim + j) * k_dim: (i * k_dim + j + 1) * k_dim]) for j in range(k_dim))
+        for i in range(k_dim)
+    )
 
 
 def delta2_is_zero(action: BimoduleAction, g: Cocycle2) -> bool:
@@ -314,19 +381,6 @@ def _unflatten_cocycle(flat: Vec, k_dim: int, v_dim: int) -> Cocycle2:
     return Cocycle2(tuple(rows))
 
 
-def _delta1_columns(action: BimoduleAction) -> list[Vec]:
-    """delta1 as a matrix on flattened maps: column i*v_dim + m is the
-    flattened delta1 of the map K -> V sending e_i to e_m and the rest to 0."""
-    k_dim, v_dim = action.k.dim, action.v_dim
-    cols = []
-    for i in range(k_dim):
-        for m in range(v_dim):
-            h_rows = [[Fraction(0)] * k_dim for _ in range(v_dim)]
-            h_rows[m][i] = Fraction(1)
-            cols.append(_flatten(delta1(action, QMatrix(h_rows)).values))
-    return cols
-
-
 @dataclass(frozen=True)
 class H2Result:
     dim_h2: int
@@ -339,19 +393,17 @@ class H2Result:
 def h2(action: BimoduleAction) -> H2Result:
     """Second cohomology for (lambda, rho): Z2 = ker delta2, B2 = im delta1.
 
-    Cocycles flatten to vectors indexed (i*k_dim + j)*v_dim + m, so both
-    spaces reduce to one exact kernel and one echelon basis of the span of
-    delta1's columns.  Data with B2 not inside Z2 is refused with
-    ``ValueError``.
+    Cocycles flatten to vectors indexed (i*k_dim + j)*v_dim + m, so Z2 is
+    one integer kernel of ``_delta2_rows`` and B2 one echelon basis of the
+    span of ``_delta1_rows``' columns.  Both bases are canonical (scaled to
+    1 at the free columns, reduced echelon), so they do not depend on the
+    denominator the matrices were cleared with.  Data with B2 not inside Z2
+    is refused with ``ValueError``.
     """
     k_dim, v_dim = action.k.dim, action.v_dim
     n2 = k_dim * k_dim * v_dim
-    d2_matrix = QMatrix.from_cols(
-        [_flatten(delta2(action, _unflatten_cocycle(unit_vec(n2, i), k_dim, v_dim))) for i in range(n2)]
-    )
-    z2 = nullspace_basis(d2_matrix)
-
-    b2 = list(Subspace.from_spanning(n2, _delta1_columns(action)).basis)
+    z2 = _free_scaled(_int_nullspace(_delta2_rows(action)[1], n2))
+    b2 = list(_int_span(n2, list(zip(*_delta1_rows(action)[1]))).basis)
     try:
         reps = quotient_basis(z2, b2)
     except ValueError:
@@ -446,8 +498,11 @@ def act_on_cocycle(k: Algebra, v: Algebra, mu: QMatrix, eta: QMatrix, g: Cocycle
 
 
 def cocycles_cohomologous(action: BimoduleAction, g1: Cocycle2, g2: Cocycle2) -> QMatrix | None:
-    """Solve g1 - g2 = delta1 h exactly; returns h or None."""
-    sols = solve(QMatrix.from_cols(_delta1_columns(action)), [_flatten((g1 - g2).values)])
+    """Solve g1 - g2 = delta1 h exactly; returns h or None.  The system is
+    ``_delta1_rows`` with the right-hand side scaled by its d, which leaves
+    the reduced echelon form, and so the solution, unchanged."""
+    d, rows = _delta1_rows(action)
+    sols = solve(QMatrix(rows), [tuple(d * x for x in _flatten((g1 - g2).values))])
     if sols is None:
         return None
     v_dim = action.v_dim

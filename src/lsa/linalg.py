@@ -289,12 +289,19 @@ def rank(m: QMatrix) -> int:
 
 def nullspace_basis(m: QMatrix) -> list[Vec]:
     """Basis of {v : m v = 0}; one vector per free column of the RREF,
-    ``_int_nullspace``'s vector scaled to 1 there (its last nonzero entry)."""
-    basis = []
-    for v in _int_nullspace([_cleared([row])[1][0] for row in m.rows], m.ncols):
+    ``_int_nullspace``'s vector scaled to 1 there."""
+    return _free_scaled(_int_nullspace([_cleared([row])[1][0] for row in m.rows], m.ncols))
+
+
+def _free_scaled(basis: Sequence[Sequence[int]]) -> list[Vec]:
+    """``_int_nullspace``'s vectors as rationals, each scaled to 1 at its
+    free column (its last nonzero entry).  The kernel does not depend on how
+    the rows were scaled, so neither does this basis."""
+    out = []
+    for v in basis:
         free = next(x for x in reversed(v) if x)
-        basis.append(tuple(Fraction(x, free) for x in v))
-    return basis
+        out.append(tuple(Fraction(x, free) for x in v))
+    return out
 
 
 def solve(m: QMatrix, bs: Sequence[Vec]) -> list[Vec] | None:

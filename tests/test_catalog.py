@@ -486,14 +486,14 @@ def test_an_audit_decides_each_algebra_once(monkeypatch):
     """Per ``verify_catalog(seed=11, random_samples=5)``: each algebra gets
     at most one triple table, each table scans each identity at most once,
     and each algebra's commutators are read at most once, so its Lie tag is
-    decided once: the 27 samples, C3t at t = 3 and the A1 fixture, all
-    left-symmetric, with no ``lie_algebra_of``, no Lie algebra built and no
-    Jacobi scan.  The audit asks the public names: ``verify_entry`` once per
-    entry, ``fingerprint`` for the eleven defaults and C3t at t = 3, and
-    ``find_ideals_dim_le3`` for each sample and the fixture.  Each catalog
-    algebra is made once: each sample, each reconstruction target and C3t
-    at t = 3, with no second make of a default for its fingerprint, and no
-    fixture algebra is built."""
+    decided once: the distinct ones of the 27 samples, C3t at t = 3 and the
+    A1 fixture, all left-symmetric, with no ``lie_algebra_of``, no Lie
+    algebra built and no Jacobi scan.  The audit asks the public names:
+    ``verify_entry`` once per entry, ``fingerprint`` for the eleven defaults
+    and C3t at t = 3, and ``find_ideals_dim_le3`` for each sample and the
+    fixture.  No (name, params) is made twice: a repeated sample, a
+    sampled reconstruction target and a default's fingerprint reuse the
+    algebra already made, and no fixture algebra is built."""
     import lsa.algebra
     import lsa.catalog
 
@@ -558,7 +558,7 @@ def test_an_audit_decides_each_algebra_once(monkeypatch):
         for sample in entry_report["samples"]
     )
     assert sum(samples.values()) == 27
-    assert Counter(tagged) == samples + Counter([c3t_3, fixtures()["A1_inv"]])
+    assert Counter(tagged) == Counter(set(samples) | {c3t_3, fixtures()["A1_inv"]})
     targets = [key(r["target"], r["target_params"]) for r in report["reconstructions"]]
     assert len(targets) == 24
     sampled = [
@@ -566,15 +566,20 @@ def test_an_audit_decides_each_algebra_once(monkeypatch):
         for name, entry_report in report["entries"].items()
         for sample in entry_report["samples"]
     ]
-    assert Counter(audit_made) == Counter(sampled + targets + [key("C3t", {"t": 3})])
+    # each (name, params) is made once: a repeated sample, C3t at t = 3 and
+    # a sampled target are the algebra the entry checks asked
+    assert Counter(audit_made) == Counter(set(sampled + targets + [key("C3t", {"t": 3})]))
+    assert len(set(sampled)) < len(sampled) and set(targets) & set(sampled)
     assert not set(audit_built) & set(fixtures())
     assert not [name for name in audit_built if name.startswith("Lie(")]
 
 
 def test_an_audit_clears_no_default_again_for_its_fingerprint(monkeypatch):
-    """Per ``verify_catalog`` op, the twelve fingerprints build one triple
-    table: that of C3t at t = 3, which no entry check asked.  The eleven
-    defaults are fingerprinted off the tables their entry checks built."""
+    """Per ``verify_catalog`` op, the twelve fingerprints build at most one
+    triple table: that of C3t at t = 3 when no entry check asked it (it is
+    a sample at seeds 1 and 2, not at 0).  The eleven defaults, and a
+    sampled C3t at t = 3, are fingerprinted off the tables their entry
+    checks built."""
     import lsa.catalog
 
     tables, _ = _record_tables(monkeypatch)
@@ -588,11 +593,14 @@ def test_an_audit_clears_no_default_again_for_its_fingerprint(monkeypatch):
         return found
 
     monkeypatch.setattr(lsa.catalog, "fingerprint", recording)
-    ops = 3
+    ops, sampled = 3, []
     for seed in range(ops):
-        assert verify_catalog(seed=seed, random_samples=5)["ok"]
+        report = verify_catalog(seed=seed, random_samples=5)
+        assert report["ok"]
+        sampled.append({"t": "3"} in [sample["params"] for sample in report["entries"]["C3t"]["samples"]])
+    assert sampled == [False, True, True]
     assert len(built_by) == 12 * ops
-    assert [(name, k) for name, _, k in built_by if k] == [("C3t", 1)] * ops
+    assert [(name, k) for name, _, k in built_by if k] == [("C3t", 1)]
     assert all(params == (("t", 3),) for name, params, k in built_by if k)
 
 

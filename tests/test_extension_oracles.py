@@ -8,6 +8,13 @@ loops over basis tuples, and the two must agree on every reconstruction
 path and on single-entry perturbations of its data.  ``is_central_extension``
 reads the V rows and columns of the extended tensor; its oracle asks, for
 each V basis vector, whether it lies in the center of the extension.
+
+delta1 and delta2 are matrices written entry by entry from the structure
+constants (``_delta1_rows``, ``_delta2_rows``).  Their oracles are the
+coboundary formulas expanded by hand, one ``QMatrix.apply`` per term, and
+``oracle_h2`` assembles both matrices from them one unit cochain at a time;
+matrices, ``h2`` and ``cocycles_cohomologous`` must agree with them on
+random actions, bimodules or not, over left-symmetric and other K.
 """
 import itertools
 import random
@@ -15,8 +22,8 @@ from fractions import Fraction
 
 import pytest
 
-from lsa.algebra import Algebra, center, left_mult, lie_algebra_of, multiply, right_mult
-from lsa.catalog import reconstruction_cases
+from lsa.algebra import Algebra, Subspace, center, left_mult, lie_algebra_of, multiply, right_mult
+from lsa.catalog import catalog_lsas, fixtures, reconstruction_cases
 from lsa.extensions import (
     CONDITION_OF_BLOCKS,
     BimoduleAction,
@@ -25,18 +32,27 @@ from lsa.extensions import (
     ExtensionData,
     ExtensionError,
     LieExtensionData,
+    _delta1_rows,
+    _delta2_rows,
+    _unflatten_cocycle,
     build_extension,
     build_lie_extension,
     check_kim_conditions,
+    cocycles_cohomologous,
+    delta1,
     delta2,
     delta2_is_zero,
+    h2,
     is_central_extension,
     trivial_action,
 )
 from lsa.linalg import (
     QMatrix,
+    nullspace_basis,
+    quotient_basis,
     random_fraction,
     rank,
+    solve,
     unit_vec,
     vec,
     vec_add,
@@ -55,6 +71,100 @@ def combination(mats, x, size):
         if xi != 0:
             out = out + mats[i].scale(xi)
     return out
+
+
+def oracle_delta1(action, h):
+    """delta1 h (x, y) = rho_y(h(x)) + lambda_x(h(y)) - h(x.y), term by term."""
+    k = action.k
+    rows = []
+    for i in range(k.dim):
+        row = []
+        for j in range(k.dim):
+            val = vec_add(action.rho[j].apply(h.col(i)), action.lam[i].apply(h.col(j)))
+            row.append(vec_sub(val, h.apply(k.c[i][j])))
+        rows.append(tuple(row))
+    return Cocycle2(tuple(rows))
+
+
+def oracle_delta2(action, g):
+    """delta2 g (x, y, z) on basis triples, indexed [i][j][l], term by term."""
+    k = action.k
+    e = [unit_vec(k.dim, i) for i in range(k.dim)]
+    out = []
+    for i in range(k.dim):
+        plane = []
+        for j in range(k.dim):
+            row = []
+            for l in range(k.dim):
+                val = g.of(e[i], k.c[j][l])
+                val = vec_sub(val, g.of(e[j], k.c[i][l]))
+                val = vec_add(val, action.lam[i].apply(g.values[j][l]))
+                val = vec_sub(val, action.lam[j].apply(g.values[i][l]))
+                bracket = vec_sub(k.c[i][j], k.c[j][i])
+                val = vec_sub(val, g.of(bracket, e[l]))
+                omega = vec_sub(g.values[i][j], g.values[j][i])
+                val = vec_sub(val, action.rho[l].apply(omega))
+                row.append(val)
+            plane.append(tuple(row))
+        out.append(tuple(plane))
+    return tuple(out)
+
+
+def flat(nested):
+    """The scalars of a cocycle's values or of delta2's output, row-major."""
+    out = []
+    for part in nested:
+        out.extend(flat(part) if isinstance(part, tuple) else [part])
+    return tuple(out)
+
+
+def unit_map(action, i, n):
+    """The map K -> V sending e_i to e_n and the other basis vectors to 0."""
+    rows = [[Fraction(0)] * action.k.dim for _ in range(action.v_dim)]
+    rows[n][i] = Fraction(1)
+    return QMatrix(rows)
+
+
+def oracle_delta1_columns(action):
+    """delta1 of each unit map, flattened: the columns of its matrix."""
+    return [
+        flat(oracle_delta1(action, unit_map(action, i, n)).values)
+        for i in range(action.k.dim) for n in range(action.v_dim)
+    ]
+
+
+def oracle_delta2_columns(action):
+    """delta2 of each unit cocycle, flattened: the columns of its matrix."""
+    k_dim, v_dim = action.k.dim, action.v_dim
+    n2 = k_dim * k_dim * v_dim
+    return [flat(oracle_delta2(action, _unflatten_cocycle(unit_vec(n2, t), k_dim, v_dim))) for t in range(n2)]
+
+
+def oracle_h2(action, d1_columns=None, d2_columns=None):
+    """(dim Z2, dim B2, dim H2, representatives, B2 basis) from the
+    unit-cochain loops (or from their columns, where already made);
+    ``ValueError`` where B2 is not inside Z2."""
+    k_dim, v_dim = action.k.dim, action.v_dim
+    n2 = k_dim * k_dim * v_dim
+    z2 = nullspace_basis(QMatrix.from_cols(d2_columns or oracle_delta2_columns(action)))
+    b2 = list(Subspace.from_spanning(n2, d1_columns or oracle_delta1_columns(action)).basis)
+    reps = quotient_basis(z2, b2)
+    return (
+        len(z2),
+        len(b2),
+        len(z2) - len(b2),
+        tuple(_unflatten_cocycle(r, k_dim, v_dim).values for r in reps),
+        tuple(_unflatten_cocycle(b, k_dim, v_dim).values for b in b2),
+    )
+
+
+def oracle_cohomologous(action, g1, g2, d1_columns=None):
+    """Solve g1 - g2 = delta1 h on the oracle's columns; h or None."""
+    sols = solve(QMatrix.from_cols(d1_columns or oracle_delta1_columns(action)), [flat((g1 - g2).values)])
+    if sols is None:
+        return None
+    v_dim = action.v_dim
+    return QMatrix.from_cols([sols[0][i: i + v_dim] for i in range(0, len(sols[0]), v_dim)])
 
 
 def oracle_kim(d):
@@ -95,7 +205,7 @@ def oracle_kim(d):
         for i in kr for j in kr
     )
     # 5: delta2 g = 0 on every basis triple
-    d2 = delta2(action, g)
+    d2 = oracle_delta2(action, g)
     c5 = all(vec_is_zero(d2[i][j][l]) for i, j, l in itertools.product(kr, repeat=3))
     simplified = None
     if all(vec_is_zero(mv(a, b)) for a in ev for b in ev):
@@ -341,3 +451,91 @@ def test_lie_refusal_names_the_failing_identity(d, message):
     with pytest.raises(CompatibilityError) as err:
         build_lie_extension(d)
     assert str(err.value) == message + " of the extension"
+
+
+def left_symmetric_bases():
+    """Left-symmetric K of dims 1-3: zero products, the 1D idempotent, the
+    2D fixtures and the catalog defaults."""
+    out = [Algebra.from_entries(n, {}) for n in (1, 2, 3)]
+    out.append(Algebra.from_entries(1, {(1, 1, 1): 1}))
+    out += [a for a in fixtures().values() if a.dim == 2]
+    return out + [entry.make() for entry in catalog_lsas() if entry.param is None]
+
+
+def test_coboundary_matrices_equal_the_hand_expanded_oracles():
+    """Entry by entry, ``_delta1_rows`` / d and ``_delta2_rows`` / d are the
+    matrices of the hand-expanded coboundaries; ``delta1`` and ``delta2``
+    agree with them on random cochains, ``h2`` agrees with ``oracle_h2`` in
+    dimensions, representatives and B2 basis or refuses where it does, and
+    ``cocycles_cohomologous`` gives the oracle's answer.  K is
+    left-symmetric or random, of dims 1-3, V of dims 1-3, and the actions
+    random (mostly not bimodules), trivial, or a reconstruction path's."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import Phase, given, settings, strategies as st
+
+    rationals = st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+    paths = [case.data.action for case in reconstruction_cases(random.Random(0))]
+    bases = left_symmetric_bases()
+
+    def matrices(draw, count, nrows, ncols):
+        return tuple(
+            QMatrix([[draw(rationals) for _ in range(ncols)] for _ in range(nrows)]) for _ in range(count)
+        )
+
+    @st.composite
+    def actions(draw):
+        kind = draw(st.sampled_from(["random", "trivial", "path"]))
+        if kind == "path":
+            return draw(st.sampled_from(paths))
+        if draw(st.booleans()):
+            k = draw(st.sampled_from(bases))
+        else:
+            n = draw(st.integers(1, 3))
+            k = Algebra(n, tuple(tuple(tuple(draw(rationals) for _ in range(n)) for _ in range(n)) for _ in range(n)))
+        v_dim = draw(st.integers(1, 3))
+        if kind == "trivial":
+            return trivial_action(k, v_dim)
+        return BimoduleAction(k, v_dim, matrices(draw, k.dim, v_dim, v_dim), matrices(draw, k.dim, v_dim, v_dim))
+
+    def cocycles(draw, k_dim, v_dim):
+        return Cocycle2(tuple(
+            tuple(tuple(draw(rationals) for _ in range(v_dim)) for _ in range(k_dim)) for _ in range(k_dim)
+        ))
+
+    outcomes = set()
+
+    # no shrink phase: a failing example is reported as drawn
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(st.data())
+    def check(data):
+        action = data.draw(actions())
+        k_dim, v_dim = action.k.dim, action.v_dim
+        d1_columns, d2_columns = oracle_delta1_columns(action), oracle_delta2_columns(action)
+        for (d, rows), columns in ((_delta1_rows(action), d1_columns), (_delta2_rows(action), d2_columns)):
+            assert d > 0 and all(type(x) is int for row in rows for x in row)
+            assert [[Fraction(x, d) for x in row] for row in rows] == [list(r) for r in zip(*columns)]
+        h = matrices(data.draw, 1, v_dim, k_dim)[0]
+        g1, g2 = cocycles(data.draw, k_dim, v_dim), cocycles(data.draw, k_dim, v_dim)
+        assert delta1(action, h) == oracle_delta1(action, h)
+        assert delta2(action, g1) == oracle_delta2(action, g1)
+        try:
+            res = h2(action)
+        except ValueError as err:
+            assert str(err).startswith("delta2 . delta1 != 0")
+            with pytest.raises(ValueError):
+                oracle_h2(action, d1_columns, d2_columns)
+            outcomes.add("refused")
+        else:
+            assert (res.dim_z2, res.dim_b2, res.dim_h2) + (
+                tuple(r.values for r in res.representatives), tuple(b.values for b in res.b2_basis)
+            ) == oracle_h2(action, d1_columns, d2_columns)
+            outcomes.add("h2")
+        if data.draw(st.booleans()):  # cohomologous by construction
+            g1 = g2 + oracle_delta1(action, h)
+        found = cocycles_cohomologous(action, g1, g2)
+        assert found == oracle_cohomologous(action, g1, g2, d1_columns)
+        outcomes.add("cohomologous" if found is not None else "not cohomologous")
+
+    check()
+    assert outcomes == {"h2", "refused", "cohomologous", "not cohomologous"}

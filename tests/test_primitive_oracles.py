@@ -6,8 +6,9 @@ the first asymmetric pair and the recovery of mu from det D are each
 computed in one place.  The oracles below are the earlier per-caller forms:
 traces of ``left_mult`` matrices, the per-vector span of P*A + A*P, the
 restriction through full ``left_mult``/``right_mult`` matrices (shared,
-in ``fingerprint_oracles``), the
-unit-cocycle loop of ``h2``, the antisymmetry loop, the separate exact and
+in ``fingerprint_oracles``), ``h2`` assembled from the hand-expanded
+coboundaries one unit cochain at a time (shared, in
+``test_extension_oracles``), the antisymmetry loop, the separate exact and
 float mu loops, and the loop body of ``Cocycle2.of``; the Lie tag read off
 two traces of one ad_ei has the tag of the full Milnor form as its oracle.
 Old and new must agree on seeded random algebras, on catalog entries and Lie
@@ -20,6 +21,7 @@ from fractions import Fraction
 import pytest
 
 from fingerprint_oracles import oracle_induced_action_ratio
+from test_extension_oracles import oracle_h2
 from lsa.algebra import (
     Algebra,
     LieTag,
@@ -56,17 +58,13 @@ from lsa.extensions import (
     CompatibilityError,
     LieExtensionData,
     _flatten,
-    _unflatten_cocycle,
     build_lie_extension,
-    delta1,
     delta2,
     delta2_is_zero,
     h2,
 )
 from lsa.linalg import (
     QMatrix,
-    nullspace_basis,
-    quotient_basis,
     random_fraction,
     random_invertible,
     random_matrix,
@@ -201,40 +199,6 @@ def oracle_flatten_cocycle(g):
         for cell in row:
             out.extend(cell)
     return tuple(out)
-
-
-def oracle_h2(action):
-    """(dim Z2, dim B2, dim H2, representatives, B2 basis) from the
-    unit-cocycle loop."""
-    k_dim, v_dim = action.k.dim, action.v_dim
-    n2 = k_dim * k_dim * v_dim
-    d2_cols = []
-    for flat_idx in range(n2):
-        unit = [F(0)] * n2
-        unit[flat_idx] = F(1)
-        image = delta2(action, _unflatten_cocycle(tuple(unit), k_dim, v_dim))
-        col = []
-        for plane in image:
-            for row in plane:
-                for cell in row:
-                    col.extend(cell)
-        d2_cols.append(tuple(col))
-    z2 = nullspace_basis(QMatrix.from_cols(d2_cols))
-    d1_cols = []
-    for i in range(k_dim):
-        for m in range(v_dim):
-            h_rows = [[F(0)] * k_dim for _ in range(v_dim)]
-            h_rows[m][i] = F(1)
-            d1_cols.append(oracle_flatten_cocycle(delta1(action, QMatrix(h_rows))))
-    b2 = list(Subspace.from_spanning(n2, d1_cols).basis)
-    reps = quotient_basis(z2, b2)
-    return (
-        len(z2),
-        len(b2),
-        len(z2) - len(b2),
-        tuple(_unflatten_cocycle(r, k_dim, v_dim).values for r in reps),
-        tuple(_unflatten_cocycle(b, k_dim, v_dim).values for b in b2),
-    )
 
 
 def outcome(fn, *args):

@@ -6,8 +6,8 @@ import json
 from collections import Counter
 from pathlib import Path
 
-from lsa.catalog import make_lsa
-from lsa.jsonio import algebra_to_dict
+from lsa.catalog import case1_n2_central, make_lsa
+from lsa.jsonio import algebra_to_dict, extension_to_dict
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -88,3 +88,27 @@ def test_the_audit_and_check_reach_the_traced_names(tmp_path, capsys):
     assert audit["algebra.check_left_symmetric"] > 0
     assert check["cli.cmd_check"] == 1
     assert check["algebra.is_complete"] == check["algebra.check_left_symmetric"] - 1 == 1
+
+
+def test_h2_and_extend_reach_the_traced_names(tmp_path, capsys):
+    """One ``h2`` and one ``extend`` request record the ``extensions.h2``
+    and ``extensions.build_extension`` spans, so the benchmark's metrics of
+    those names keep seeing the requests' work."""
+    path = tmp_path / "ext.json"
+    path.write_text(json.dumps(extension_to_dict(case1_n2_central(3).data)))
+    tracing = load_tracing()
+    tr = tracing.Tracer()
+    restore = tracing.install(tr)
+    try:
+        for command in ("h2", "extend"):
+            tr.begin_op()
+            assert tracing.cli.main([command, str(path), "--json"]) == 0
+            tr.end_op()
+    finally:
+        restore()
+    spans = tr.arrays()
+    h2_op, extend_op = (
+        Counter(tr.names[nid] for nid, op in zip(spans["name"], spans["op"]) if op == k) for k in (0, 1)
+    )
+    assert h2_op["cli.cmd_h2"] == h2_op["extensions.h2"] == 1
+    assert extend_op["cli.cmd_extend"] == extend_op["extensions.build_extension"] == 1

@@ -65,6 +65,7 @@ TEST_OPERATOR_BASIS = "tests/test_operator_basis_oracles.py"
 TEST_PRIMITIVES = "tests/test_primitive_oracles.py"
 # every L entry a mutant breaks must fail the acceptance criterion of the affine harness
 CRITERION_8 = "tests/test_acceptance.py::test_criterion_8_affine_harness"
+COBOUNDARY_ORACLES = "tests/test_extension_oracles.py::test_coboundary_matrices_equal_the_hand_expanded_oracles"
 
 MUTANTS = (
     Mutant(
@@ -462,6 +463,36 @@ MUTANTS = (
         'CONDITION_OF_BLOCKS = {"KVV": 1, "VVK": 2,',
         'CONDITION_OF_BLOCKS = {"KVV": 2, "VVK": 1,',
         ("tests/test_extension_oracles.py::test_kim_conditions_agree_with_the_separate_loops",),
+    ),
+    Mutant(
+        "delta2-rho-term-sign-flipped",
+        EXTENSIONS,
+        "row[(i * k_dim + j) * v_dim + n] -= rho[l][m][n]\n"
+        "                        row[(j * k_dim + i) * v_dim + n] += rho[l][m][n]",
+        "row[(i * k_dim + j) * v_dim + n] += rho[l][m][n]\n"
+        "                        row[(j * k_dim + i) * v_dim + n] -= rho[l][m][n]",
+        (COBOUNDARY_ORACLES,),
+    ),
+    Mutant(
+        "delta2-lambda-read-transposed",
+        EXTENSIONS,
+        "row[(j * k_dim + l) * v_dim + n] += lam[i][m][n]",
+        "row[(j * k_dim + l) * v_dim + n] += lam[i][n][m]",
+        (COBOUNDARY_ORACLES,),
+    ),
+    Mutant(
+        "delta2-bracket-term-not-antisymmetrized",
+        EXTENSIONS,
+        "bracket = [x - y for x, y in zip(c[i][j], c[j][i])]",
+        "bracket = c[i][j]",
+        (COBOUNDARY_ORACLES,),
+    ),
+    Mutant(
+        "delta1-h-of-product-reads-the-opposite-product",
+        EXTENSIONS,
+        "for p, x in enumerate(c[i][j]):",
+        "for p, x in enumerate(c[j][i]):",
+        (COBOUNDARY_ORACLES,),
     ),
 )
 
