@@ -53,7 +53,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, _basis, _basis_mults, check_left_symmetric
+from .algebra import Algebra, _basis, check_left_symmetric
 from .catalog import ENTRIES, ParameterError, validate_params
 from .linalg import QMatrix, Vec, frac
 
@@ -192,11 +192,12 @@ def _require_3d_lsa(a: Algebra) -> None:
 
 
 def affine_rep(a: Algebra) -> AffRep:
-    """Generators (L_{e_i}, e_i).  The map is a homomorphism exactly when
+    """Generators (L_{e_i}, e_i), the columns of L_{e_i} read off the
+    tensor's rows c[i][j] = e_i*e_j.  The map is a homomorphism exactly when
     [L_x, L_y] = L_[x,y], which is left symmetry; the translation parts
     satisfy L_x y - L_y x = [x, y] by definition."""
     _require_3d_lsa(a)
-    return AffRep(tuple(zip(_basis_mults(a)[0], _basis(a))))
+    return AffRep(tuple((QMatrix.from_cols(a.c[i]), e) for i, e in enumerate(_basis(a))))
 
 
 # ---------------------------------------------------------------------------
@@ -442,12 +443,15 @@ class ClosureReport:
     family: str
     samples: int
     max_residual: float
-    newton_fallbacks: int  # the pairs that fail, under the name the benchmark reads
     failures: list[tuple]
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    @property
+    def newton_fallbacks(self) -> int:  # the failing pairs, under the name the benchmark reads
+        return len(self.failures)
 
 
 def check_closure(fam: GroupFamily, sample_pairs: Sequence[tuple]) -> ClosureReport:
@@ -472,7 +476,7 @@ def _closure_report(fam: GroupFamily, sample_pairs: Sequence[tuple], resids: np.
     (N, 2, 3)), given the residual (N,) of each composite."""
     resids = resids.tolist()
     failures = [(*sample_pairs[k], r) for k, r in enumerate(resids) if not r < CLOSURE_TOL]
-    return ClosureReport(fam.name, len(sample_pairs), max(resids, default=0.0), len(failures), failures)
+    return ClosureReport(fam.name, len(sample_pairs), max(resids, default=0.0), failures)
 
 
 @dataclass

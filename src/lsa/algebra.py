@@ -29,12 +29,10 @@ from .linalg import (
     _int_rref,
     _primitive,
     frac,
-    nullspace_basis,
     quotient_basis,
     solve,
     sqrt_fraction,
     unit_vec,
-    vec_scale,
     vec_sub,
 )
 
@@ -232,30 +230,6 @@ def _trace_row(c: Sequence[Sequence[Sequence]]) -> list:
     are the integers d tr L_ei."""
     n = len(c)
     return [sum(c[i][j][j] for j in range(n)) for i in range(n)]
-
-
-def _two_sided_products(a: Algebra, vectors: Sequence[Vec]) -> list[Vec]:
-    """e_i*w and w*e_i for every w in ``vectors`` and every basis vector e_i."""
-    e = _basis(a)
-    return [p for w in vectors for x in e for p in (multiply(a, x, w), multiply(a, w, x))]
-
-
-def _restricted(images: Sequence[Vec], basis: Sequence[Vec]) -> QMatrix:
-    """The matrix, in a reduced-echelon ``basis``, of the map basis[j] ->
-    images[j] into span(basis): the coordinates of a vector of the span are
-    its entries at the basis's pivot columns."""
-    pivots = [next(k for k, x in enumerate(b) if x != 0) for b in basis]
-    return QMatrix([[image[k] for image in images] for k in pivots])
-
-
-def _basis_mults(a: Algebra) -> tuple[list[QMatrix], list[QMatrix]]:
-    """(L_e1..L_en, R_e1..R_en), read off the tensor: the columns of L_ei
-    and R_ei are its rows c[i][j] = e_i*e_j and c[j][i] = e_j*e_i."""
-    n = a.dim
-    return (
-        [QMatrix.from_cols(a.c[i]) for i in range(n)],
-        [QMatrix.from_cols([a.c[j][i] for j in range(n)]) for i in range(n)],
-    )
 
 
 # The trilinear identities, checked on basis triples t = (i, j, k) by
@@ -596,12 +570,27 @@ def center(a: Algebra) -> Subspace:
     return _int_span(a.dim, _int_nullspace(lefts + rights, a.dim))
 
 
+def _two_sided(rows: Sequence[Sequence[int]], n: int, vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """For each integer vector w of ``vectors``, d e_1*w, ..., d e_n*w and
+    then d w*e_1, ..., d w*e_n, from the cleared tensor rows[i n + j] =
+    d e_i*e_j: e_i*w = sum_k w_k e_i*e_k and w*e_i = sum_k w_k e_k*e_i."""
+    factors = [rows[i * n : (i + 1) * n] for i in range(n)] + [rows[i::n] for i in range(n)]
+    return [_combination(w, side, n) for w in vectors for side in factors]
+
+
+def _int_product(rows: Sequence[Sequence[int]], n: int, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
+    """d u*v = sum_i u_i d e_i*v for integer vectors u and v, the d e_i*v read
+    off ``_two_sided``."""
+    return _combination(u, _two_sided(rows, n, [v])[:n], n)
+
+
 def is_two_sided_ideal(a: Algebra, w: Subspace) -> bool:
-    """W is an ideal iff W's basis with every e_i*w and w*e_i still spans a
-    space of dimension dim W: one echelon form."""
+    """W is an ideal iff W's cleared basis with its ``_two_sided`` products
+    still has rank dim W."""
     if w.ambient_dim != a.dim:
         raise ValueError("subspace ambient dimension mismatch")
-    return Subspace.from_spanning(a.dim, [*w.basis, *_two_sided_products(a, w.basis)]).dim == w.dim
+    basis = _cleared(w.basis)[1]
+    return _int_rank(basis + _two_sided(a.table.rows, a.dim, basis)) == w.dim
 
 
 def _maps_into_line(dm: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
@@ -729,12 +718,9 @@ def is_unimodular(lie: Algebra) -> bool:
 
 
 def derived_subspace(lie: Algebra, w: Subspace) -> Subspace:
-    products = [
-        multiply(lie, u, v)
-        for u in w.basis
-        for v in w.basis
-    ]
-    return Subspace.from_spanning(lie.dim, products)
+    """The span of every u*v, u and v in W's cleared basis."""
+    basis = _cleared(w.basis)[1]
+    return _int_span(lie.dim, [_int_product(lie.table.rows, lie.dim, u, v) for u in basis for v in basis])
 
 
 def is_solvable(lie: Algebra) -> bool:
@@ -778,7 +764,10 @@ def milnor_normal_form(lie: Algebra) -> MilnorForm:
 
     e1 is the first standard basis vector outside U, i.e. the first e_i with
     tr ad_ei != 0, scaled by 2 / tr ad_ei; the echelon basis of U makes the
-    construction deterministic.
+    construction deterministic.  On the table's integer brackets, with
+    tr = d tr ad_ei and B = d ad_ei as in ``_lie_tag``, ad_e1 u = (2 / tr) B u,
+    and its coordinates in the echelon basis (u1, u2) are its entries at U's
+    pivot columns.
     """
     _require_3d_lie(lie)
     table = lie.table
@@ -786,11 +775,14 @@ def milnor_normal_form(lie: Algebra) -> MilnorForm:
     # U is abelian: for u in U, ad_u maps g into [g, g], which lies in U
     # (tr ad_[x,y] = 0), so tr(ad_u | U) = tr ad_u = 0; a unimodular 2D Lie
     # algebra is abelian; the row is d times the trace row, with the same kernel
-    u1, u2 = Subspace.from_spanning(3, nullspace_basis(QMatrix([trace_row]))).basis
+    u1, u2 = _int_span(3, _int_nullspace([list(trace_row)], 3)).basis
     i, tr = next((i, t) for i, t in enumerate(trace_row) if t != 0)
-    e1 = vec_scale(Fraction(2 * table.d, tr), _basis(lie)[i])
+    e1 = tuple(Fraction(2 * table.d * (k == i), tr) for k in range(3))
     # [e1, U] lies in [g, g], and [g, g] lies in U, so D exists
-    d = _restricted([multiply(lie, e1, u) for u in (u1, u2)], [u1, u2])
+    b = list(zip(*table.c[i]))
+    images = [[Fraction(2, tr) * sum(x * y for x, y in zip(row, u)) for row in b] for u in (u1, u2)]
+    pivots = [next(k for k, x in enumerate(u) if x) for u in (u1, u2)]
+    d = QMatrix([[image[k] for image in images] for k in pivots])
     assert d.trace() == 2
     det_d = d.rows[0][0] * d.rows[1][1] - d.rows[0][1] * d.rows[1][0]
     return MilnorForm(d, (e1, u1, u2), det_d)
@@ -901,5 +893,5 @@ def quotient_algebra(a: Algebra, w: Subspace) -> Algebra:
 
 
 def product_span(a: Algebra) -> Subspace:
-    """Span of all products x*y, i.e. of the tensor's rows e_i*e_j."""
-    return Subspace.from_spanning(a.dim, [v for plane in a.c for v in plane])
+    """Span of all products x*y, i.e. of the table's cleared rows d e_i*e_j."""
+    return _int_span(a.dim, a.table.rows)

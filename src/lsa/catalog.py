@@ -25,12 +25,13 @@ from .algebra import (
     Algebra,
     LieTag,
     Subspace,
-    _combination,
     _commutator_brackets,
     _commutator_tag,
+    _int_product,
     _int_span,
     _mult_blocks,
     _trace_row,
+    _two_sided,
     check_left_symmetric,
     find_ideals_dim_le3,
     flag_witnesses,
@@ -512,20 +513,19 @@ class _Spans(NamedTuple):
 
 def _spans(a: Algebra) -> _Spans:
     """The ``_Spans`` of an algebra, read off its table's rows: P is the
-    span of the rows, from one ``_int_rref``, and W the span of every e_i*w
-    and w*e_i, w in the integer basis of P that it leaves.  Each of those
-    basis rows is a multiple of a reduced-echelon row; scaled to the lcm D
-    of their pivots, they are D times P's echelon basis, with no second
-    clear."""
+    span of the rows, from one ``_int_rref`` (``product_span``'s span), and
+    W the span of every e_i*w and w*e_i, w in the integer basis of P that
+    it leaves: the ``_two_sided`` products that ``is_two_sided_ideal``
+    reads too.  Each of those basis rows is a multiple of a reduced-echelon
+    row; scaled to the lcm D of their pivots, they are D times P's echelon
+    basis, with no second clear."""
     n, rows = a.dim, a.table.rows
     p_rows, pivots = _int_rref([list(row) for row in rows])
-    # e_i*w = sum_k w_k e_i*e_k and w*e_i = sum_k w_k e_k*e_i
-    factors = [rows[i * n : (i + 1) * n] for i in range(n)] + [rows[i::n] for i in range(n)]
-    products = [_combination(w, vectors, n) for w in p_rows for vectors in factors]
     p = Subspace(n, tuple(_echelon_rows(p_rows, pivots)))
     common = math.lcm(*(row[k] for row, k in zip(p_rows, pivots)))
     basis = [[x * (common // row[k]) for x in row] for row, k in zip(p_rows, pivots)]
-    return _Spans(rows, *_mult_blocks(rows, n), p, basis, pivots, _int_span(n, products))
+    w = _int_span(n, _two_sided(rows, n, p_rows))
+    return _Spans(rows, *_mult_blocks(rows, n), p, basis, pivots, w)
 
 
 def _annihilator_dims(a: Algebra, s: _Spans) -> tuple[int, int]:
@@ -587,22 +587,15 @@ def _induced_action_ratio(a: Algebra, s: _Spans) -> str | None:
     if p.dim != 2 or n - p.dim != 1:
         return None
     rows, basis = s.rows, s.basis
-    # P acts trivially on P: u*v = sum_i u_i e_i*v vanishes for u, v in P,
-    # with e_i*v = sum_k v_k e_i*e_k
-    if any(
-        any(_combination(u, [_combination(v, rows[i * n : (i + 1) * n], n) for i in range(n)], n))
-        for u in basis
-        for v in basis
-    ):
+    # P acts trivially on P: u*v vanishes for u, v in P
+    if any(any(_int_product(rows, n, u, v)) for u in basis for v in basis):
         return None
     # P's echelon basis is zero at the one column q without a pivot, so e_q
-    # has zero coordinates in P: it lies outside P and lifts the generator;
-    # e_q*u = sum_k u_k e_q*e_k and u*e_q = sum_k u_k e_k*e_q
+    # has zero coordinates in P: it lies outside P and lifts the generator
     q = next(k for k in range(n) if k not in s.pivots)
     # P holds every product, so e_q*P and P*e_q stay in P and both restrict
-    factors = (rows[q * n : (q + 1) * n], rows[q::n])
-    images = [[_combination(u, side, n) for u in basis] for side in factors]
-    lb, rb = ([[image[k] for image in side] for k in s.pivots] for side in images)
+    products = [_two_sided(rows, n, [u]) for u in basis]
+    lb, rb = ([[p[side + q][k] for p in products] for k in s.pivots] for side in (0, n))
     # 2 (Lb - (tr Lb / 2) I) and 2 Rb, the same multiple of both
     tr = lb[0][0] + lb[1][1]
     flat1 = [2 * x - tr * (k == m) for k, row in enumerate(lb) for m, x in enumerate(row)]

@@ -31,11 +31,11 @@ from typing import Sequence
 from .algebra import (
     Algebra,
     Subspace,
-    _basis_mults,
     _combination,
     _first_asymmetry,
     _int_span,
     _lie_defect,
+    _mult_blocks,
     _product,
     failures,
     first_failure,
@@ -47,7 +47,6 @@ from .linalg import (
     _free_scaled,
     _int_nullspace,
     _int_rank,
-    nullspace_basis,
     quotient_basis,
     random_fraction,
     random_invertible,
@@ -55,7 +54,6 @@ from .linalg import (
     vec_add,
     vec_is_zero,
     vec_sub,
-    vstack,
     zero_vec,
 )
 
@@ -193,16 +191,18 @@ def _cleared_action(action: BimoduleAction) -> tuple[int, list, list, list]:
     return d, c, lam, rho
 
 
-def _delta1_rows(action: BimoduleAction) -> tuple[int, list[list[int]]]:
+def _delta1_rows(action: BimoduleAction, cleared: tuple | None = None) -> tuple[int, list[list[int]]]:
     """(d, rows): delta1 as the integer matrix rows / d from flattened maps
     h (entry i*v_dim + n is h(e_i)_n) to flattened cocycles (row
     (i*k_dim + j)*v_dim + m is delta1 h (e_i, e_j)_m).  Each entry is a sum
     of structure constants, read off
 
         delta1 h (x, y) = rho_y(h(x)) + lambda_x(h(y)) - h(x.y).
+
+    ``h2`` passes ``cleared``, the ``_cleared_action`` it shares with delta2.
     """
     k_dim, v_dim = action.k.dim, action.v_dim
-    d, c, lam, rho = _cleared_action(action)
+    d, c, lam, rho = cleared or _cleared_action(action)
     rows = []
     for i in range(k_dim):
         for j in range(k_dim):
@@ -217,7 +217,7 @@ def _delta1_rows(action: BimoduleAction) -> tuple[int, list[list[int]]]:
     return d, rows
 
 
-def _delta2_rows(action: BimoduleAction) -> tuple[int, list[list[int]]]:
+def _delta2_rows(action: BimoduleAction, cleared: tuple | None = None) -> tuple[int, list[list[int]]]:
     """(d, rows): delta2 as the integer matrix rows / d from flattened
     cocycles (entry (i*k_dim + j)*v_dim + n is g(e_i, e_j)_n) to flattened
     triples (row ((i*k_dim + j)*k_dim + l)*v_dim + m is
@@ -229,7 +229,7 @@ def _delta2_rows(action: BimoduleAction) -> tuple[int, list[list[int]]]:
                              - rho_z(g(x, y) - g(y, x)).
     """
     k_dim, v_dim = action.k.dim, action.v_dim
-    d, c, lam, rho = _cleared_action(action)
+    d, c, lam, rho = cleared or _cleared_action(action)
     rows = []
     for i in range(k_dim):
         for j in range(k_dim):
@@ -402,8 +402,9 @@ def h2(action: BimoduleAction) -> H2Result:
     """
     k_dim, v_dim = action.k.dim, action.v_dim
     n2 = k_dim * k_dim * v_dim
-    z2 = _free_scaled(_int_nullspace(_delta2_rows(action)[1], n2))
-    b2 = list(_int_span(n2, list(zip(*_delta1_rows(action)[1]))).basis)
+    cleared = _cleared_action(action)
+    z2 = _free_scaled(_int_nullspace(_delta2_rows(action, cleared)[1], n2))
+    b2 = list(_int_span(n2, list(zip(*_delta1_rows(action, cleared)[1]))).basis)
     try:
         reps = quotient_basis(z2, b2)
     except ValueError:
@@ -421,16 +422,14 @@ def h2(action: BimoduleAction) -> H2Result:
 
 
 def i_g(d: ExtensionData) -> Subspace:
-    """I_[g] = {x in K : x.y = y.x = 0 and g(x, y) = g(y, x) = 0 for all y}."""
-    k, g = d.k, d.g
-    lefts, rights = _basis_mults(k)
-    blocks = []
-    for j in range(k.dim):
-        blocks.append(rights[j])
-        blocks.append(lefts[j])
-        blocks.append(QMatrix.from_cols([g.values[i][j] for i in range(k.dim)]))
-        blocks.append(QMatrix.from_cols([g.values[j][i] for i in range(k.dim)]))
-    return Subspace.from_spanning(k.dim, nullspace_basis(vstack(blocks)))
+    """I_[g] = {x in K : x.y = y.x = 0 and g(x, y) = g(y, x) = 0 for all y}:
+    ``center``'s integer kernel of K's ``_mult_blocks``, with the cleared
+    rows (j, m) of g(x, e_j) and of g(e_j, x) stacked under them."""
+    k, g, n = d.k, d.g, d.k.dim
+    rows = [[g.values[i][j][m] for i in range(n)] for j in range(n) for m in range(g.v_dim)]
+    rows += [[g.values[j][i][m] for i in range(n)] for j in range(n) for m in range(g.v_dim)]
+    lefts, rights = _mult_blocks(k.table.rows, n)
+    return _int_span(n, _int_nullspace(lefts + rights + _cleared(rows)[1], n))
 
 
 def is_exact_extension(d: ExtensionData) -> bool:

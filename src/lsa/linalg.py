@@ -284,7 +284,8 @@ def _primitive(v: list[int]) -> list[int]:
 
 
 def rank(m: QMatrix) -> int:
-    return len(rref(m)[1])
+    """The pivot count of ``_int_rref`` of m's rows, each cleared on its own."""
+    return _int_rank(_cleared([row])[1][0] for row in m.rows)
 
 
 def nullspace_basis(m: QMatrix) -> list[Vec]:
@@ -337,10 +338,14 @@ def quotient_basis(ambient: Sequence[Vec], sub: Sequence[Vec]) -> list[Vec]:
     the vectors before it, i.e. the pivot columns of [sub | ambient] past
     ``sub``.  Raises ValueError if span(sub) is not contained in
     span(ambient), i.e. if [ambient | sub] has a pivot past ``ambient``.
+    Both are pivots of ``_int_rref`` of the rows of [ambient | sub], each
+    cleared on its own, with the columns rotated for [sub | ambient].
     """
-    if any(c >= len(ambient) for c in rref(QMatrix.from_cols([*ambient, *sub]))[1]):
+    n = len(ambient)
+    rows = [_cleared([row])[1][0] for row in zip(*ambient, *sub)]
+    if any(c >= n for c in _int_rref([list(row) for row in rows])[1]):
         raise ValueError("sub is not contained in the ambient span")
-    pivots = rref(QMatrix.from_cols([*sub, *ambient]))[1]
+    pivots = _int_rref([row[n:] + row[:n] for row in rows])[1]
     return [ambient[c - len(sub)] for c in pivots if c >= len(sub)]
 
 

@@ -157,7 +157,7 @@ def check_closure_reference(fam, sample_pairs) -> ClosureReport:
         max_residual = max(max_residual, resid)
         if not (resid < CLOSURE_TOL):
             failures.append((p1, p2, resid))
-    return ClosureReport(fam.name, len(sample_pairs), max_residual, len(failures), failures)
+    return ClosureReport(fam.name, len(sample_pairs), max_residual, failures)
 
 
 def tangent_reference(fam, algebra) -> TangentReport:

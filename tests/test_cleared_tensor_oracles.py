@@ -30,17 +30,16 @@ import pytest
 
 from fingerprint_oracles import oracle_induced_action_ratio
 from test_integer_kernel_oracles import fraction_nullspace, fraction_rref
+from test_primitive_oracles import fraction_basis_mults, fraction_two_sided_products
 from test_subspace_oracles import oracle_product_ideals
 from lsa.algebra import (
     Algebra,
     LieTag,
     NotInScopeError,
     Subspace,
-    _basis_mults,
     _commutator_tag,
     _lie_defect,
     _tag_of_form,
-    _two_sided_products,
     center,
     check_left_symmetric,
     conjugated,
@@ -159,12 +158,12 @@ def oracle_product_span(a: Algebra) -> Subspace:
 
 
 def oracle_center(a: Algebra) -> Subspace:
-    lefts, rights = _basis_mults(a)
+    lefts, rights = fraction_basis_mults(a)
     return fraction_span(a.dim, fraction_nullspace(vstack([*lefts, *rights])))
 
 
 def oracle_annihilators(a: Algebra) -> tuple[int, int]:
-    lefts, rights = _basis_mults(a)
+    lefts, rights = fraction_basis_mults(a)
     return tuple(len(fraction_nullspace(vstack(mats))) for mats in (rights, lefts))
 
 
@@ -190,7 +189,7 @@ def oracle_fingerprint(a: Algebra, lie_tag=None) -> tuple:
     """The fingerprint with the given ``lie_tag``, or with the oracle's tag
     of the commutators if none is given."""
     p = oracle_product_span(a)
-    w = fraction_span(a.dim, _two_sided_products(a, p.basis))
+    w = fraction_span(a.dim, fraction_two_sided_products(a, p.basis))
     return (
         str(oracle_identify(lie_algebra_of(a))) if lie_tag is None else lie_tag,
         oracle_center(a).dim,
@@ -452,7 +451,7 @@ def test_ranks_match_fraction_oracle(a):
     p = oracle_product_span(a)
     assert center(a) == oracle_center(a)
     assert s.p == product_span(a) == p
-    assert s.w == fraction_span(a.dim, _two_sided_products(a, p.basis))
+    assert s.w == fraction_span(a.dim, fraction_two_sided_products(a, p.basis))
     if a.dim == 3:
         ranks = tuple(invariant(a, s) for _, invariant in FINGERPRINT[1:])
         assert ("given", *ranks) == oracle_fingerprint(a, lie_tag="given")

@@ -736,7 +736,24 @@ def test_ideals_json_bytes_are_pinned(tmp_path, capsys):
     assert hashlib.sha256("".join(outputs).encode()).hexdigest()[:12] == IDEALS_JSON_DIGEST
 
 
-@pytest.mark.parametrize("command, digest", [("h2", "06630973dd2e"), ("extend", "c29b3d36252c")])
+@pytest.mark.parametrize("command, digest", [("identify", "24ba4ca5a262"), ("lie", "deeb3d2091b9")])
+def test_identify_and_lie_json_bytes_are_pinned(tmp_path, capsys, command, digest):
+    """``identify --json`` and ``lie --json`` on the inputs of the ideals
+    digest: the Milnor form's D, det D and adapted basis, the brackets and
+    the tags are exact, and the 2D inputs and the inputs that are neither
+    left-symmetric nor Lie are refused, so the exit codes, stdout and stderr
+    concatenated are the same bytes on every host."""
+    outputs = []
+    for pos, a in enumerate(file_command_inputs(seed=14, rounds=2) + degenerate_inputs(seed=14)):
+        path = tmp_path / f"a{pos}.json"
+        path.write_text(json.dumps(algebra_to_dict(a)))
+        code = main([command, str(path), "--json"])
+        captured = capsys.readouterr()
+        outputs.append(f"{code}\n{captured.out}{captured.err.replace(str(path), 'FILE')}")
+    assert hashlib.sha256("".join(outputs).encode()).hexdigest()[:12] == digest
+
+
+@pytest.mark.parametrize("command, digest", [("h2","06630973dd2e"), ("extend", "c29b3d36252c")])
 def test_extension_json_bytes_are_pinned(tmp_path, capsys, command, digest):
     """``h2 --json`` and ``extend --json`` on all 24 reconstruction paths at
     seeds 0-9, each path written with ``extension_to_dict``: dimensions,

@@ -14,6 +14,13 @@ two traces of one ad_ei has the tag of the full Milnor form as its oracle.
 Old and new must agree on seeded random algebras, on catalog entries and Lie
 families in random rational bases, and on random cocycles, non-ideals,
 non-Lie inputs and irrational mu included.
+
+The exact jobs that run on the table's integers (the two-sided products of
+a subspace and the ideal test, products of pairs and the derived series,
+the product span, the Milnor form's D, the L_ei of ``affine_rep``,
+``i_g``, ``rank`` and ``quotient_basis``) keep their former ``Fraction``
+forms here (``fraction_*``) as oracles, and one derandomized hypothesis
+test compares each routine with its oracle.
 """
 import random
 from fractions import Fraction
@@ -29,10 +36,11 @@ from lsa.algebra import (
     NotInScopeError,
     Subspace,
     _first_asymmetry,
-    _restricted,
+    _nonzero_trace_row,
+    _require_3d_lie,
     _tag_of_form,
     _trace_row,
-    _two_sided_products,
+    _two_sided,
     conjugated,
     identify_lie_algebra,
     is_lie_algebra,
@@ -40,7 +48,6 @@ from lsa.algebra import (
     left_mult,
     milnor_normal_form,
     multiply,
-    product_span,
     right_mult,
 )
 from lsa.catalog import (
@@ -65,13 +72,17 @@ from lsa.extensions import (
 )
 from lsa.linalg import (
     QMatrix,
+    _cleared,
+    nullspace_basis,
     random_fraction,
     random_invertible,
     random_matrix,
+    rref,
     sqrt_fraction,
     unit_vec,
     vec_add,
     vec_scale,
+    vstack,
     zero_vec,
 )
 
@@ -119,6 +130,88 @@ def sample_algebras(seed):
     out += list(lie_families_in_random_bases(rng))
     out += list(fixtures().values())
     return out
+
+
+# --- oracles: the earlier Fraction forms of the integer routines ----------
+
+
+def fraction_basis_mults(a):
+    """(L_e1..L_en, R_e1..R_en), read off the tensor: the columns of L_ei
+    and R_ei are its rows c[i][j] = e_i*e_j and c[j][i] = e_j*e_i."""
+    n = a.dim
+    return (
+        [QMatrix.from_cols(a.c[i]) for i in range(n)],
+        [QMatrix.from_cols([a.c[j][i] for j in range(n)]) for i in range(n)],
+    )
+
+
+def fraction_two_sided_products(a, vectors):
+    """e_i*w and w*e_i for every w in ``vectors`` and every basis vector e_i."""
+    e = [unit_vec(a.dim, i) for i in range(a.dim)]
+    return [p for w in vectors for x in e for p in (multiply(a, x, w), multiply(a, w, x))]
+
+
+def fraction_is_two_sided_ideal(a, w):
+    if w.ambient_dim != a.dim:
+        raise ValueError("subspace ambient dimension mismatch")
+    return Subspace.from_spanning(a.dim, [*w.basis, *fraction_two_sided_products(a, w.basis)]).dim == w.dim
+
+
+def fraction_restricted(images, basis):
+    """The matrix, in a reduced-echelon ``basis``, of the map basis[j] ->
+    images[j] into span(basis): the coordinates of a vector of the span are
+    its entries at the basis's pivot columns."""
+    pivots = [next(k for k, x in enumerate(b) if x != 0) for b in basis]
+    return QMatrix([[image[k] for image in images] for k in pivots])
+
+
+def fraction_milnor_normal_form(lie):
+    """U from the rational nullspace of the trace row, D by
+    ``fraction_restricted`` of the products e1*u."""
+    _require_3d_lie(lie)
+    table = lie.table
+    trace_row = _nonzero_trace_row(table.c)
+    u1, u2 = Subspace.from_spanning(3, nullspace_basis(QMatrix([trace_row]))).basis
+    i, tr = next((i, t) for i, t in enumerate(trace_row) if t != 0)
+    e1 = vec_scale(Fraction(2 * table.d, tr), unit_vec(3, i))
+    d = fraction_restricted([multiply(lie, e1, u) for u in (u1, u2)], [u1, u2])
+    det_d = d.rows[0][0] * d.rows[1][1] - d.rows[0][1] * d.rows[1][0]
+    return MilnorForm(d, (e1, u1, u2), det_d)
+
+
+def fraction_i_g(d):
+    """I_[g] as the rational nullspace of the stacked R_ej, L_ej and the
+    matrices of g(., e_j) and g(e_j, .)."""
+    k, g = d.k, d.g
+    lefts, rights = fraction_basis_mults(k)
+    blocks = []
+    for j in range(k.dim):
+        blocks.append(rights[j])
+        blocks.append(lefts[j])
+        blocks.append(QMatrix.from_cols([g.values[i][j] for i in range(k.dim)]))
+        blocks.append(QMatrix.from_cols([g.values[j][i] for i in range(k.dim)]))
+    return Subspace.from_spanning(k.dim, nullspace_basis(vstack(blocks)))
+
+
+def fraction_derived_subspace(lie, w):
+    return Subspace.from_spanning(lie.dim, [multiply(lie, u, v) for u in w.basis for v in w.basis])
+
+
+def fraction_product_span(a):
+    return Subspace.from_spanning(a.dim, [v for plane in a.c for v in plane])
+
+
+def fraction_rank(m):
+    return len(rref(m)[1])
+
+
+def fraction_quotient_basis(ambient, sub):
+    """The pivots of [ambient | sub] and of [sub | ambient], read off the
+    rational echelon form of ``rref``."""
+    if any(c >= len(ambient) for c in rref(QMatrix.from_cols([*ambient, *sub]))[1]):
+        raise ValueError("sub is not contained in the ambient span")
+    pivots = rref(QMatrix.from_cols([*sub, *ambient]))[1]
+    return [ambient[c - len(sub)] for c in pivots if c >= len(sub)]
 
 
 # --- oracles: the earlier per-caller forms --------------------------------
@@ -225,17 +318,29 @@ def test_trace_row_equals_traces_of_left_multiplications(seed):
 # --- two-sided products ---------------------------------------------------
 
 
+def two_sided_as_fractions(a, vectors):
+    """``_two_sided`` of each vector, cleared on its own, divided back by
+    the table's d and the vector's denominator, in the oracle's order:
+    e_i*w and w*e_i for each i in turn."""
+    n, out = a.dim, []
+    for w in vectors:
+        dw, (wi,) = _cleared([w])
+        products = [tuple(Fraction(x, a.table.d * dw) for x in p) for p in _two_sided(a.table.rows, n, [wi])]
+        out += [p for i in range(n) for p in (products[i], products[n + i])]
+    return out
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_two_sided_products_list_every_product_in_order(seed):
     rng = random.Random(2000 + seed)
     for a in sample_algebras(seed):
-        p = product_span(a)
-        assert _two_sided_products(a, p.basis) == oracle_two_sided_products(a, p.basis)
-        assert Subspace.from_spanning(a.dim, _two_sided_products(a, p.basis)) == oracle_pa_ap_span(a, p)
+        p = fraction_product_span(a)
+        assert two_sided_as_fractions(a, p.basis) == oracle_two_sided_products(a, p.basis)
+        assert Subspace.from_spanning(a.dim, two_sided_as_fractions(a, p.basis)) == oracle_pa_ap_span(a, p)
         # a random subspace, usually not an ideal
         w = Subspace.from_spanning(a.dim, [random_vector(rng, a.dim) for _ in range(rng.randint(1, a.dim))])
-        assert _two_sided_products(a, w.basis) == oracle_two_sided_products(a, w.basis)
-        assert Subspace.from_spanning(a.dim, _two_sided_products(a, w.basis)) == oracle_pa_ap_span(a, w)
+        assert two_sided_as_fractions(a, w.basis) == oracle_two_sided_products(a, w.basis)
+        assert Subspace.from_spanning(a.dim, two_sided_as_fractions(a, w.basis)) == oracle_pa_ap_span(a, w)
 
 
 # --- operator on an invariant subspace ------------------------------------
@@ -243,7 +348,18 @@ def test_two_sided_products_list_every_product_in_order(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_restricted_matrix_maps_the_basis_to_the_images(seed):
+    """The Milnor form's D, read at U's pivot columns on integers, is the
+    matrix of ad_e1 on U in the basis (u1, u2): it maps the basis to the
+    images e1*u, as ``fraction_restricted`` of those images does, and
+    ``fraction_restricted`` does so on random invariant subspaces too."""
     rng = random.Random(3000 + seed)
+    for lie in lie_families_in_random_bases(rng):
+        form = milnor_normal_form(lie)
+        e1, u1, u2 = form.adapted_basis
+        images = [multiply(lie, e1, u) for u in (u1, u2)]
+        d = form.d
+        assert d == fraction_restricted(images, [u1, u2])
+        assert QMatrix.from_cols([u1, u2]) @ d == QMatrix.from_cols(images)
     for n in (2, 3, 4):
         for m in range(1, n + 1):
             basis = list(Subspace.from_spanning(n, [random_vector(rng, n) for _ in range(m)]).basis)
@@ -251,7 +367,7 @@ def test_restricted_matrix_maps_the_basis_to_the_images(seed):
                 continue
             inside = QMatrix.from_cols(basis) @ random_matrix(rng, len(basis), len(basis))
             images = [inside.col(j) for j in range(len(basis))]
-            restricted = _restricted(images, basis)
+            restricted = fraction_restricted(images, basis)
             assert restricted.shape == (len(basis), len(basis))
             assert QMatrix.from_cols(basis) @ restricted == QMatrix.from_cols(images)
 
@@ -271,7 +387,7 @@ def test_induced_action_ratio_equals_the_full_matrix_restriction(seed):
     rng = random.Random(5000 + seed)
     algebras = list(catalog_in_random_bases(rng)) + [random_algebra(rng, 3, 0.3) for _ in range(6)]
     for a in algebras:
-        assert _induced_action_ratio(a, _spans(a)) == oracle_induced_action_ratio(a, product_span(a))
+        assert _induced_action_ratio(a, _spans(a)) == oracle_induced_action_ratio(a, fraction_product_span(a))
 
 
 # --- identity bookkeeping -------------------------------------------------
@@ -453,3 +569,149 @@ def test_tag_from_traces_refuses_what_the_milnor_form_refuses():
         with pytest.raises(ValueError) as form_err:
             milnor_normal_form(a)
         assert str(trace_err.value) == str(form_err.value)
+
+
+# --- the integer routines against their Fraction forms ----------------------
+
+
+def test_integer_routines_equal_their_fraction_forms():
+    """Each exact job that runs on the table's integers equals its former
+    ``Fraction`` form: ``_two_sided`` and ``is_two_sided_ideal`` on ideals
+    and on subspaces that are not, ``_int_product`` and
+    ``derived_subspace``, ``product_span``, ``milnor_normal_form`` (values
+    and refusals), the L_ei of ``affine_rep``, ``i_g`` with K of dims 1-3,
+    V of dims 1-2 and random g, and ``rank`` and ``quotient_basis`` with
+    dependent ambient vectors and ``sub`` inside span(ambient) or not (the
+    same ``ValueError``).  Algebras are random of dims 1-4 (mostly neither
+    left-symmetric nor Lie), catalog entries and fixtures, Lie families and
+    unimodular or simple Lie algebras, in random rational bases; every
+    outcome below is reached."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import Phase, given, settings, strategies as st
+
+    from lsa.affine import affine_rep
+    from lsa.algebra import (
+        _int_product,
+        check_left_symmetric,
+        derived_subspace,
+        find_ideals_dim_le3,
+        is_two_sided_ideal,
+        product_span,
+    )
+    from lsa.extensions import ExtensionData, i_g, trivial_action
+    from lsa.linalg import quotient_basis, rank
+
+    rationals = st.one_of(st.just(F(0)), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+    entries = list(catalog_lsas())
+    others = [*fixtures().values(), *(Algebra.from_entries(n, {}) for n in (1, 2, 3))]
+    lies = [*LIE_FAMILIES, *UNIMODULAR]
+
+    def vectors(draw, count, n):
+        return [tuple(draw(rationals) for _ in range(n)) for _ in range(count)]
+
+    @st.composite
+    def algebras(draw, dims=(1, 2, 3, 4)):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        kind = draw(st.sampled_from(["random", "catalog", "other", "lie"]))
+        if kind == "random":
+            n = draw(st.sampled_from(dims))
+            idx = st.integers(1, n)
+            a = Algebra.from_entries(n, draw(st.dictionaries(st.tuples(idx, idx, idx), rationals, max_size=6)))
+        elif kind == "catalog":
+            entry = draw(st.sampled_from(entries))
+            a = entry.make(entry.sample_params(rng))
+        elif kind == "other":
+            a = draw(st.sampled_from([b for b in others if b.dim in dims]))
+        else:
+            name = draw(st.sampled_from(lies))
+            if name in UNIMODULAR:
+                a = Algebra.from_brackets(3, UNIMODULAR[name])
+            else:
+                param = LIE_FAMILIES[name].param
+                a = make_lie(name, **({} if param is None else {param.name: param.sample(rng)}))
+        if a.dim not in dims:
+            a = Algebra.from_entries(draw(st.sampled_from(dims)), {})
+        return conjugated(a, random_invertible(rng, a.dim)) if draw(st.booleans()) else a
+
+    def subspaces(draw, a):
+        n = a.dim
+        ideals = [product_span(a), Subspace(n, ()), Subspace.from_spanning(n, [unit_vec(n, i) for i in range(n)])]
+        if n <= 3:
+            ideals += find_ideals_dim_le3(a)
+        if draw(st.booleans()):
+            return draw(st.sampled_from(ideals))
+        return Subspace.from_spanning(n, vectors(draw, draw(st.integers(1, n)), n))
+
+    def result(fn, *args):
+        """fn(*args), or the type and message of what it raises."""
+        try:
+            return fn(*args)
+        except (ValueError, NotInScopeError) as err:
+            return type(err).__name__, str(err)
+
+    outcomes = set()
+
+    # no shrink phase: a failing example is reported as drawn
+    @settings(max_examples=120, deadline=None, database=None, derandomize=True,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(st.data())
+    def check(data):
+        draw = data.draw
+        a = draw(algebras())
+        n = a.dim
+        w = subspaces(draw, a)
+        assert two_sided_as_fractions(a, w.basis) == oracle_two_sided_products(a, w.basis)
+        ideal = is_two_sided_ideal(a, w)
+        assert ideal == fraction_is_two_sided_ideal(a, w)
+        outcomes.add("ideal" if ideal else "not an ideal")
+        u, v = vectors(draw, 2, n)
+        du, (ui,) = _cleared([u])
+        dv, (vi,) = _cleared([v])
+        product = _int_product(a.table.rows, n, ui, vi)
+        assert tuple(Fraction(x, a.table.d * du * dv) for x in product) == multiply(a, u, v)
+        assert derived_subspace(a, w) == fraction_derived_subspace(a, w)
+        assert product_span(a) == fraction_product_span(a)
+        form = result(milnor_normal_form, a)
+        assert form == result(fraction_milnor_normal_form, a)
+        outcomes.add("milnor form" if isinstance(form, MilnorForm) else form[0])
+        if n == 3 and check_left_symmetric(a).ok:
+            assert [m for m, _ in affine_rep(a).generators] == fraction_basis_mults(a)[0]
+            outcomes.add("affine_rep")
+        # I_[g]: K of dims 1-3, V of dims 1-2, g random and often sparse
+        k = draw(algebras(dims=(1, 2, 3)))
+        v_dim = draw(st.integers(1, 2))
+        zero = st.just(F(0))
+        cells = st.one_of(zero, zero, rationals) if draw(st.booleans()) else rationals
+        g = Cocycle2(tuple(
+            tuple(tuple(draw(cells) for _ in range(v_dim)) for _ in range(k.dim)) for _ in range(k.dim)
+        ))
+        ext = ExtensionData(k, Algebra.from_entries(v_dim, {}), trivial_action(k, v_dim), g)
+        found = i_g(ext)
+        assert found == fraction_i_g(ext)
+        outcomes.add("I_g = 0" if found.dim == 0 else "I_g != 0")
+        # quotient_basis and rank: ambient with dependent vectors, sub
+        # inside span(ambient) or with an arbitrary vector mixed in
+        m = draw(st.integers(1, 4))
+        ambient = vectors(draw, draw(st.integers(0, 4)), m)
+        for _ in range(draw(st.integers(0, 2))):
+            # a combination of the first and last vectors, zero if there are none
+            x, y = draw(rationals), draw(rationals)
+            first, last = (ambient[0], ambient[-1]) if ambient else ((F(0),) * m,) * 2
+            ambient.insert(draw(st.integers(0, len(ambient))), tuple(x * p + y * q for p, q in zip(first, last)))
+        sub = [
+            tuple(sum((draw(st.integers(-1, 1)) * b[i] for b in ambient), F(0)) for i in range(m))
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+        if draw(st.booleans()):
+            sub.insert(draw(st.integers(0, len(sub))), tuple(vectors(draw, 1, m)[0]))
+        quotient = result(quotient_basis, ambient, sub)
+        assert quotient == result(fraction_quotient_basis, ambient, sub)
+        outcomes.add("quotient" if isinstance(quotient, list) else "not contained")
+        if ambient:
+            assert rank(QMatrix(ambient)) == fraction_rank(QMatrix(ambient))
+
+    check()
+    assert outcomes == {
+        "ideal", "not an ideal", "milnor form", "ValueError", "NotInScopeError", "affine_rep",
+        "I_g = 0", "I_g != 0", "quotient", "not contained",
+    }

@@ -65,6 +65,7 @@ TEST_OPERATOR_BASIS = "tests/test_operator_basis_oracles.py"
 TEST_PRIMITIVES = "tests/test_primitive_oracles.py"
 # every L entry a mutant breaks must fail the acceptance criterion of the affine harness
 CRITERION_8 = "tests/test_acceptance.py::test_criterion_8_affine_harness"
+INTEGER_ROUTINES = f"{TEST_PRIMITIVES}::test_integer_routines_equal_their_fraction_forms"
 COBOUNDARY_ORACLES = "tests/test_extension_oracles.py::test_coboundary_matrices_equal_the_hand_expanded_oracles"
 
 MUTANTS = (
@@ -396,9 +397,37 @@ MUTANTS = (
     Mutant(
         "restricted-reads-the-pivots-reversed",
         ALGEBRA,
-        "return QMatrix([[image[k] for image in images] for k in pivots])",
-        "return QMatrix([[image[k] for image in images] for k in reversed(pivots)])",
+        "d = QMatrix([[image[k] for image in images] for k in pivots])",
+        "d = QMatrix([[image[k] for image in images] for k in reversed(pivots)])",
         (f"{TEST_PRIMITIVES}::test_milnor_d_is_ad_e1_on_the_trace_kernel",),
+    ),
+    Mutant(
+        "c3t-admits-t-equal-to-one",
+        CATALOG,
+        'T = Param("t", "t != 1", lambda t: t != 1,',
+        'T = Param("t", "t != 1", lambda t: t != 0,',
+        ("tests/test_catalog_parameters.py::test_c3t_false_flags_fail_for_every_admissible_t",),
+    ),
+    Mutant(
+        "two-sided-products-read-the-left-factor-for-both-sides",
+        ALGEBRA,
+        "+ [rows[i::n] for i in range(n)]",
+        "+ [rows[i * n : (i + 1) * n] for i in range(n)]",
+        (INTEGER_ROUTINES,),
+    ),
+    Mutant(
+        "i-g-drops-the-g-of-e-j-x-rows",
+        EXTENSIONS,
+        "    rows += [[g.values[j][i][m] for i in range(n)] for j in range(n) for m in range(g.v_dim)]\n",
+        "",
+        (INTEGER_ROUTINES,),
+    ),
+    Mutant(
+        "quotient-basis-containment-test-reversed",
+        LINALG,
+        "if any(c >= n for c in _int_rref(",
+        "if any(c < n for c in _int_rref(",
+        (INTEGER_ROUTINES,),
     ),
     Mutant(
         "audit-tag-without-the-left-symmetry-gate",
