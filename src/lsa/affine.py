@@ -98,10 +98,6 @@ def _branched(series: Callable, closed: Callable, doc: str) -> Callable:
     def fn(x):
         x = np.asarray(x, dtype=float)
         small = np.abs(x) < SERIES_THRESHOLD
-        if not small.any():
-            return closed(x)[()]
-        if small.all():
-            return series(x)[()]
         out = np.empty(x.shape)
         out[small] = series(x[small])
         out[~small] = closed(x[~small])

@@ -46,7 +46,6 @@ from .extensions import (
     ExtensionData,
     ExtensionError,
     build_extension,
-    trivial_action,
     verify_iso_witness,
 )
 from .linalg import (
@@ -266,8 +265,11 @@ def fixtures() -> dict[str, Algebra]:
 
 # ---------------------------------------------------------------------------
 # Extension data that rebuilds each catalog entry, with explicit isomorphism
-# witnesses onto the stored forms.  Witness columns are the target
-# coordinates of the extension basis (base block first, then the kernel).
+# witnesses onto the stored forms.  Every path is one ``_path`` call: the
+# fixtures K and V, lambda and rho as one matrix (rows) per basis vector of
+# K, g as rows of the vectors g(e_i, e_j), the target, and the witness by its
+# columns, the target coordinates of the extension basis (base block first,
+# then the kernel).
 # ---------------------------------------------------------------------------
 
 
@@ -280,23 +282,16 @@ class ReconstructionCase:
     witness: QMatrix
 
 
-def _cocycle_1d_base(e_vec: Sequence) -> Cocycle2:
-    return Cocycle2((((tuple(frac(x) for x in e_vec)),),))
+_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def _cocycle_2d_scalar(rows: Sequence[Sequence]) -> Cocycle2:
-    return Cocycle2(
-        tuple(tuple((frac(x),) for x in row) for row in rows)
-    )
-
-
-def _scalar_action(k: Algebra, lams: Sequence, rhos: Sequence) -> BimoduleAction:
-    return BimoduleAction(
-        k,
-        1,
-        tuple(QMatrix([[frac(x)]]) for x in lams),
-        tuple(QMatrix([[frac(x)]]) for x in rhos),
-    )
+def _path(label, k, v, lam, rho, g, target, witness, target_params) -> ReconstructionCase:
+    """One reconstruction path, each entry coerced once with ``frac``."""
+    k, v = _FIXTURES[k], _FIXTURES[v]
+    action = BimoduleAction(k, v.dim, tuple(map(QMatrix, lam)), tuple(map(QMatrix, rho)))
+    cocycle = Cocycle2(tuple(tuple(tuple(map(frac, cell)) for cell in row) for row in g))
+    data = ExtensionData(k, v, action, cocycle)
+    return ReconstructionCase(label, target, target_params, data, QMatrix.from_cols(witness))
 
 
 def case1_r2_trivial(alpha, s) -> ReconstructionCase:
@@ -304,63 +299,45 @@ def case1_r2_trivial(alpha, s) -> ReconstructionCase:
     alpha, s = frac(alpha), frac(s)
     if alpha == 0:
         raise ParameterError("case requires alpha != 0")
-    k = _FIXTURES["r2_zero"]
-    v = _FIXTURES["R0"]
-    data = ExtensionData(
-        k, v, _scalar_action(k, [alpha, 0], [0, 0]), _cocycle_2d_scalar([[0, s], [0, 0]])
-    )
-    t = s / alpha
-    witness = QMatrix.from_cols([(alpha, 0, 0), (0, t, 1), (0, 1, 0)])
-    return ReconstructionCase("case1/trivial-R2", "N30", {}, data, witness)
+    witness = [(alpha, 0, 0), (0, s / alpha, 1), (0, 1, 0)]
+    return _path("case1/trivial-R2", "r2_zero", "R0", [[[alpha]], [[0]]], [[[0]], [[0]]],
+                 [[[0], [s]], [[0], [0]]], "N30", witness, {})
 
 
 def case1_n2_central(t) -> ReconstructionCase:
     """Central 1D extension of the nonabelian 2D algebra; N30 or N31."""
     t = frac(t)
-    k = _FIXTURES["N2"]
-    v = _FIXTURES["R0"]
-    data = ExtensionData(k, v, trivial_action(k, 1), _cocycle_2d_scalar([[t, 0], [0, 0]]))
+    zero, g = [[[0]], [[0]]], [[[t], [0]], [[0], [0]]]
     if t == 0:
-        return ReconstructionCase("case1/N2-central", "N30", {}, data, QMatrix.identity(3))
-    witness = QMatrix.diag([1, 1, 1 / t])
-    return ReconstructionCase("case1/N2-central", "N31", {}, data, witness)
+        return _path("case1/N2-central", "N2", "R0", zero, zero, g, "N30", _IDENTITY, {})
+    witness = [(1, 0, 0), (0, 1, 0), (0, 0, 1 / t)]
+    return _path("case1/N2-central", "N2", "R0", zero, zero, g, "N31", witness, {})
 
 
 def case1_n2_identity(t) -> ReconstructionCase:
     """Nontrivial action with symmetric cocycle; B30 or B31."""
     t = frac(t)
-    k = _FIXTURES["N2"]
-    v = _FIXTURES["R0"]
-    data = ExtensionData(
-        k, v, _scalar_action(k, [1, 0], [0, 0]), _cocycle_2d_scalar([[0, t], [t, 0]])
-    )
+    lam, rho, g = [[[1]], [[0]]], [[[0]], [[0]]], [[[0], [t]], [[t], [0]]]
     if t == 0:
-        return ReconstructionCase("case1/N2-identity", "B30", {}, data, QMatrix.identity(3))
-    return ReconstructionCase("case1/N2-identity", "B31", {}, data, QMatrix.diag([1, 1, 1 / t]))
+        return _path("case1/N2-identity", "N2", "R0", lam, rho, g, "B30", _IDENTITY, {})
+    witness = [(1, 0, 0), (0, 1, 0), (0, 0, 1 / t)]
+    return _path("case1/N2-identity", "N2", "R0", lam, rho, g, "B31", witness, {})
 
 
 def case1_n2_jordan(t) -> ReconstructionCase:
     """Cocycle with antisymmetric part 1; C31 or C3t."""
     t = frac(t)
-    k = _FIXTURES["N2"]
-    v = _FIXTURES["R0"]
-    data = ExtensionData(
-        k, v, _scalar_action(k, [1, 0], [0, 0]), _cocycle_2d_scalar([[0, t], [t - 1, 0]])
-    )
+    lam, rho, g = [[[1]], [[0]]], [[[0]], [[0]]], [[[0], [t]], [[t - 1], [0]]]
     if t == 1:
-        return ReconstructionCase("case1/N2-jordan", "C31", {}, data, QMatrix.identity(3))
-    return ReconstructionCase("case1/N2-jordan", "C3t", {"t": t}, data, QMatrix.identity(3))
+        return _path("case1/N2-jordan", "N2", "R0", lam, rho, g, "C31", _IDENTITY, {})
+    return _path("case1/N2-jordan", "N2", "R0", lam, rho, g, "C3t", _IDENTITY, {"t": t})
 
 
 def case1_n2_diag(mu) -> ReconstructionCase:
     """Scaled action, vanishing cohomology; D31(mu)."""
     mu = frac(mu)
-    k = _FIXTURES["N2"]
-    v = _FIXTURES["R0"]
-    data = ExtensionData(
-        k, v, _scalar_action(k, [mu, 0], [0, 0]), Cocycle2.zero(2, 1)
-    )
-    return ReconstructionCase("case1/N2-diag", "D31mu", {"mu": mu}, data, QMatrix.identity(3))
+    return _path("case1/N2-diag", "N2", "R0", [[[mu]], [[0]]], [[[0]], [[0]]],
+                 [[[0], [0]], [[0], [0]]], "D31mu", _IDENTITY, {"mu": mu})
 
 
 def case2_n2_kernel(b, dd, s, sign=1) -> ReconstructionCase:
@@ -369,83 +346,63 @@ def case2_n2_kernel(b, dd, s, sign=1) -> ReconstructionCase:
     t = sign * s^2 keeps the rescaling witness rational.
     """
     b, dd, s = frac(b), frac(dd), frac(s)
-    t = sign * s * s
-    k = _FIXTURES["R0"]
-    v = _FIXTURES["N2"]
-    action = BimoduleAction(
-        k, 2, (QMatrix([[0, 0], [0, dd]]),), (QMatrix([[0, 0], [-b, 0]]),)
-    )
-    data = ExtensionData(k, v, action, _cocycle_1d_base((t, -b * dd)))
+    lam, rho, g = [[[0, 0], [0, dd]]], [[[0, 0], [-b, 0]]], [[(sign * s * s, -b * dd)]]
     if s == 0:
-        witness = QMatrix.from_cols([(dd, -b, 1), (1, 0, 0), (0, 1, 0)])
-        return ReconstructionCase("case2/N2-kernel", "N30", {}, data, witness)
-    witness = QMatrix.from_cols([(dd, -b, s), (1, 0, 0), (0, 1, 0)])
+        witness = [(dd, -b, 1), (1, 0, 0), (0, 1, 0)]
+        return _path("case2/N2-kernel", "R0", "N2", lam, rho, g, "N30", witness, {})
+    witness = [(dd, -b, s), (1, 0, 0), (0, 1, 0)]
     target = "N32" if sign > 0 else "N33"
-    return ReconstructionCase("case2/N2-kernel", target, {}, data, witness)
-
-
-def _case3_data(k: Algebra, v: Algebra, lam_rows, rho_rows, e_vec) -> ExtensionData:
-    action = BimoduleAction(k, 2, (QMatrix(lam_rows),), (QMatrix(rho_rows),))
-    return ExtensionData(k, v, action, _cocycle_1d_base(e_vec))
+    return _path("case2/N2-kernel", "R0", "N2", lam, rho, g, target, witness, {})
 
 
 def case3_trivial_diag10(s, t) -> ReconstructionCase:
     """Abelian 2D kernel, projector action; N30 or N31."""
     s, t = frac(s), frac(t)
-    k, v = _FIXTURES["R0"], _FIXTURES["r2_zero"]
-    data = _case3_data(k, v, [[1, 0], [0, 0]], [[0, 0], [0, 0]], (s, t))
+    lam, rho, g = [[[1, 0], [0, 0]]], [[[0, 0], [0, 0]]], [[(s, t)]]
     if t == 0:
-        witness = QMatrix.from_cols([(1, s, 0), (0, 1, 0), (0, 0, 1)])
-        return ReconstructionCase("case3/diag10", "N30", {}, data, witness)
-    witness = QMatrix.from_cols([(1, s, 0), (0, 1, 0), (0, 0, 1 / t)])
-    return ReconstructionCase("case3/diag10", "N31", {}, data, witness)
+        witness = [(1, s, 0), (0, 1, 0), (0, 0, 1)]
+        return _path("case3/diag10", "R0", "r2_zero", lam, rho, g, "N30", witness, {})
+    witness = [(1, s, 0), (0, 1, 0), (0, 0, 1 / t)]
+    return _path("case3/diag10", "R0", "r2_zero", lam, rho, g, "N31", witness, {})
 
 
 def case3_trivial_identity(alpha) -> ReconstructionCase:
     """Unipotent-coupled identity action; B30 or B31."""
     a = frac(alpha)
-    k, v = _FIXTURES["R0"], _FIXTURES["r2_zero"]
-    data = _case3_data(k, v, [[1, a], [0, 1]], [[0, a], [0, 0]], (a * a, a))
+    lam, rho, g = [[[1, a], [0, 1]]], [[[0, a], [0, 0]]], [[(a * a, a)]]
     if a == 0:
-        return ReconstructionCase("case3/identity", "B30", {}, data, QMatrix.identity(3))
-    witness = QMatrix.from_cols([(1, a, -a), (0, 0, 1 / a), (0, 1, 0)])
-    return ReconstructionCase("case3/identity", "B31", {}, data, witness)
+        return _path("case3/identity", "R0", "r2_zero", lam, rho, g, "B30", _IDENTITY, {})
+    witness = [(1, a, -a), (0, 0, 1 / a), (0, 1, 0)]
+    return _path("case3/identity", "R0", "r2_zero", lam, rho, g, "B31", witness, {})
 
 
 def case3_trivial_jordan(alpha) -> ReconstructionCase:
     """Jordan-block action; C31 or C3t with t = alpha + 1."""
     a = frac(alpha)
-    k, v = _FIXTURES["R0"], _FIXTURES["r2_zero"]
-    data = _case3_data(k, v, [[1, a + 1], [0, 1]], [[0, a], [0, 0]], (a, a))
-    witness = QMatrix.from_cols([(1, a, -2 * a * a), (0, 0, 1), (0, 1, 0)])
+    lam, rho, g = [[[1, a + 1], [0, 1]]], [[[0, a], [0, 0]]], [[(a, a)]]
+    witness = [(1, a, -2 * a * a), (0, 0, 1), (0, 1, 0)]
     if a == 0:
-        return ReconstructionCase("case3/jordan", "C31", {}, data, witness)
-    return ReconstructionCase("case3/jordan", "C3t", {"t": a + 1}, data, witness)
+        return _path("case3/jordan", "R0", "r2_zero", lam, rho, g, "C31", witness, {})
+    return _path("case3/jordan", "R0", "r2_zero", lam, rho, g, "C3t", witness, {"t": a + 1})
 
 
 def case3_trivial_diagmu(mu) -> ReconstructionCase:
     mu = frac(mu)
-    k, v = _FIXTURES["R0"], _FIXTURES["r2_zero"]
-    data = _case3_data(k, v, [[1, 0], [0, mu]], [[0, 0], [0, 0]], (1, mu))
-    witness = QMatrix.from_cols([(1, 1, 1), (0, 1, 0), (0, 0, 1)])
-    return ReconstructionCase("case3/diagmu", "D31mu", {"mu": mu}, data, witness)
+    return _path("case3/diagmu", "R0", "r2_zero", [[[1, 0], [0, mu]]], [[[0, 0], [0, 0]]],
+                 [[(1, mu)]], "D31mu", [(1, 1, 1), (0, 1, 0), (0, 0, 1)], {"mu": mu})
 
 
 def case3_trivial_rotation(zeta) -> ReconstructionCase:
     z = frac(zeta)
-    k, v = _FIXTURES["R0"], _FIXTURES["r2_zero"]
-    data = _case3_data(k, v, [[1, -z], [z, 1]], [[0, 0], [0, 0]], (2 * z, z * z - 1))
-    witness = QMatrix.from_cols([(1, z, -1), (0, 1, 0), (0, 0, 1)])
-    return ReconstructionCase("case3/rotation", "E31zeta", {"zeta": z}, data, witness)
+    return _path("case3/rotation", "R0", "r2_zero", [[[1, -z], [z, 1]]], [[[0, 0], [0, 0]]],
+                 [[(2 * z, z * z - 1)]], "E31zeta", [(1, z, -1), (0, 1, 0), (0, 0, 1)], {"zeta": z})
 
 
 def case3_square_kernel(alpha, t) -> ReconstructionCase:
     """Kernel with e2*e2 = e1; the only surviving action scale is 1/2; D32."""
     a, t = frac(alpha), frac(t)
-    k, v = _FIXTURES["R0"], _FIXTURES["r2_square"]
-    data = _case3_data(k, v, [[1, a], [0, F(1, 2)]], [[0, a], [0, 0]], (t, a / 2))
-    witness = QMatrix.from_cols([(1, -(a * a - t), a), (0, 1, 0), (0, 0, 1)])
-    return ReconstructionCase("case3/square", "D32", {}, data, witness)
+    return _path("case3/square", "R0", "r2_square", [[[1, a], [0, F(1, 2)]]], [[[0, a], [0, 0]]],
+                 [[(t, a / 2)]], "D32", [(1, -(a * a - t), a), (0, 1, 0), (0, 0, 1)], {})
 
 
 def reconstruction_cases(rng: random.Random | None = None) -> list[ReconstructionCase]:

@@ -119,10 +119,7 @@ class QMatrix:
 
     @classmethod
     def from_cols(cls, cols: Sequence[Vec]) -> "QMatrix":
-        if not cols:
-            return cls([])
-        n = len(cols[0])
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(n)])
+        return cls(zip(*cols, strict=True))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Vec]) -> "QMatrix":

@@ -25,6 +25,7 @@ from lsa.algebra import (
     restriction_to_ideal,
 )
 from lsa.catalog import (
+    ENTRIES,
     catalog_lsas,
     fixtures,
     make_lie,
@@ -136,7 +137,7 @@ def test_criterion_4_extension_round_trips():
         assert verify_iso_witness(ext, target, case.witness), (case.label, case.target)
         targets_seen.add(case.target)
         count += 1
-    required = {"N31", "N32", "N33", "B30", "B31", "C31", "C3t", "D31mu", "D32", "E31zeta"}
+    required = set(ENTRIES)
     assert required <= targets_seen
     report(4, True, f"{count} extension paths rebuild all of {sorted(required)} with exact witnesses")
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from collections import Counter
 from dataclasses import replace
@@ -43,6 +45,7 @@ from lsa.catalog import (
     verify_entry,
 )
 from lsa.extensions import build_extension, check_kim_conditions, verify_iso_witness
+from lsa.jsonio import extension_to_dict, matrix_to_rows
 from lsa.linalg import _int_rank, random_invertible, unit_vec, vec
 
 F = Fraction
@@ -219,6 +222,21 @@ def test_all_reconstruction_paths():
 def test_reconstruction_targets_cover_catalog():
     targets = {c.target for c in reconstruction_cases(random.Random(0))}
     assert targets == set(ENTRY_NAMES)
+
+
+def test_reconstruction_paths_are_pinned():
+    """Every path of ``reconstruction_cases`` at seeds 0-9, byte for byte:
+    its label, target, target parameters, extension data and witness rows.
+    ``witness_ok`` alone would pass any other valid isomorphism."""
+    records = []
+    for seed in range(10):
+        for case in reconstruction_cases(random.Random(seed)):
+            params = {k: [v.numerator, v.denominator] for k, v in case.target_params.items()}
+            records.append(
+                [case.label, case.target, params, extension_to_dict(case.data), matrix_to_rows(case.witness)]
+            )
+    assert len(records) == 240
+    assert hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()[:12] == "933d8bfae025"
 
 
 def test_n3t_scaling_witness():

@@ -18,17 +18,22 @@ at 2.  So:
   its two sides at one fixed witness triple has a coordinate, a nonzero
   polynomial of degree <= 2 interpolated from 3 points, with no admissible
   rational root (``rational_roots``; parameters are rational).  C3t's N
-  fails at (1, 1, 2) and its S at (1, 2, 1).
+  fails at (1, 1, 2) and its S at (1, 2, 1);
+- C3t's members are pairwise non-isomorphic: on P = span(e2, e3), lifted
+  by e1, the induced operators Lb and Rb have affine entries, so
+  t Rb = (t - 1)(Lb - I) holds identically once it holds for their
+  interpolants; the fingerprint's induced-action ratio is then (t - 1)/t,
+  'inf' at t = 0, and t -> (t - 1)/t is injective.
 
-The claims that stay sampled are listed in the README: the Lie tag, the
-ideals and the distinctness of C3t's members.
+The claims that stay sampled are listed in the README: the Lie tag and the
+ideals.
 """
 from fractions import Fraction
 
 import pytest
 
 from lsa.algebra import check_left_symmetric, first_failure, multiply, right_mult
-from lsa.catalog import ENTRIES
+from lsa.catalog import ENTRIES, _induced_action_ratio, _spans
 from lsa.linalg import QMatrix, rational_roots, solve, unit_vec
 
 F = Fraction
@@ -120,3 +125,45 @@ def test_c3t_false_flags_fail_for_every_admissible_t(flag):
     assert not any(entry.param.admissible(t) for t in common), common
     for t in points:
         assert not first_failure(at("C3t", t), flag).ok
+
+
+def _lift_operators(a):
+    """Lb and Rb, as rows: e1*x and x*e1 on P = span(e2, e3), in that basis."""
+    left = [multiply(a, E[0], E[j]) for j in (1, 2)]
+    right = [multiply(a, E[j], E[0]) for j in (1, 2)]
+    return [[[col[r] for col in cols] for r in (1, 2)] for cols in (left, right)]
+
+
+def test_c3t_members_are_pairwise_distinct_for_every_t():
+    """The induced-action ratio of C3t is (t - 1)/t for t != 0 and 'inf' at
+    t = 0, for every t; t -> (t - 1)/t is injective and never 'inf', so
+    C3t(t) and C3t(t') are not isomorphic for t != t'."""
+    products, points = ENTRIES["C3t"].products, POINTS["C3t"]
+    # for every t, P = span(e2, e3) holds every product (no e1 component,
+    # e1*e3 = e3, e1*e2 - t e1*e3 = e2) and P*P = 0 (no product of e2, e3)
+    assert all(k != 1 for _, _, k in products) and products[1, 3, 3] == 1
+    assert all(1 in (i, j) for i, j, _ in products)
+    values = [_lift_operators(at("C3t", t)) for t in points]
+    lb, rb = (
+        [[interpolate(points, [v[side][r][c] for v in values]) for c in range(2)] for r in range(2)]
+        for side in range(2)
+    )
+    # affine entries, highest coefficient first: Lb = [[1, 0], [t, 1]],
+    # Rb = [[0, 0], [t - 1, 0]]
+    assert lb == [[[0, 0, 1], [0, 0, 0]], [[0, 1, 0], [0, 0, 1]]]
+    assert rb == [[[0, 0, 0], [0, 0, 0]], [[0, 1, -1], [0, 0, 0]]]
+    # t Rb = (t - 1)(Lb - I) as polynomials: with Rb = r1 t + r0 and
+    # Lb - I = l1 t + l0, compare the coefficients of t^2, t and 1
+    for r in range(2):
+        for c in range(2):
+            (_, r1, r0), (_, l1, l0) = rb[r][c], lb[r][c]
+            l0 -= r == c
+            assert [r1, r0, 0] == [l1, l0 - l1, -l0]
+    # tr Lb = 2, so the fingerprint's Lb - (tr Lb / 2) I is Lb - I, whose
+    # entry t is nonzero for t != 0; at t = 0 it vanishes and Rb does not
+    assert [x + y for x, y in zip(lb[0][0], lb[1][1])] == [0, 0, 2]
+    assert lb[1][0] == [0, 1, 0] and rb[1][0][2] != 0
+    # (t - 1)/t = 1 - 1/t, so equal finite ratios give equal t
+    for t in (F(0), *points, F(5, 7), F(-3)):
+        a = at("C3t", t)
+        assert _induced_action_ratio(a, _spans(a)) == ("inf" if t == 0 else str((t - 1) / t)), t

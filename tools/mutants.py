@@ -66,6 +66,9 @@ TEST_PRIMITIVES = "tests/test_primitive_oracles.py"
 # every L entry a mutant breaks must fail the acceptance criterion of the affine harness
 CRITERION_8 = "tests/test_acceptance.py::test_criterion_8_affine_harness"
 INTEGER_ROUTINES = f"{TEST_PRIMITIVES}::test_integer_routines_equal_their_fraction_forms"
+# the pinned bytes of every reconstruction path, and the paths rebuilding every entry
+PATH_PIN = "tests/test_catalog.py::test_reconstruction_paths_are_pinned"
+CRITERION_4 = "tests/test_acceptance.py::test_criterion_4_extension_round_trips"
 COBOUNDARY_ORACLES = "tests/test_extension_oracles.py::test_coboundary_matrices_equal_the_hand_expanded_oracles"
 
 MUTANTS = (
@@ -407,6 +410,27 @@ MUTANTS = (
         'T = Param("t", "t != 1", lambda t: t != 1,',
         'T = Param("t", "t != 1", lambda t: t != 0,',
         ("tests/test_catalog_parameters.py::test_c3t_false_flags_fail_for_every_admissible_t",),
+    ),
+    Mutant(
+        "parameter-constant-gains-a-square-term",
+        CATALOG,
+        "F(c[0]) + c[1] * p if",
+        "F(c[0]) + c[1] * p * p if",
+        ("tests/test_catalog_parameters.py",),
+    ),
+    Mutant(
+        "reconstruction-path-swaps-lambda-and-rho",
+        CATALOG,
+        "tuple(map(QMatrix, lam)), tuple(map(QMatrix, rho))",
+        "tuple(map(QMatrix, rho)), tuple(map(QMatrix, lam))",
+        (PATH_PIN, CRITERION_4),
+    ),
+    Mutant(
+        "reconstruction-path-reads-the-witness-as-rows",
+        CATALOG,
+        "QMatrix.from_cols(witness)",
+        "QMatrix(witness)",
+        (PATH_PIN, CRITERION_4),
     ),
     Mutant(
         "two-sided-products-read-the-left-factor-for-both-sides",
