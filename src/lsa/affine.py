@@ -690,8 +690,9 @@ def verify_families(
     """``verify_family``'s report of each of the families (a non-empty
     sequence, each with its algebra), in one stacked pass.
 
-    The rng draws, family by family, the closure pairs, then the 20
-    transitivity targets, as ``check_closure`` and
+    The rng draws, family by family, the closure pairs
+    (``sample_parameter_pairs``), then the 20 transitivity targets
+    (``_sample_targets``), as ``check_closure`` and
     ``check_simply_transitive`` would in turn.  Each family evaluates in
     one batch its pairs' first points, their second points, the tangent
     curve points, its targets and the origin, and in a second the
@@ -702,9 +703,8 @@ def verify_families(
     n, count = closure_samples, len(fams)
     draws = []
     for _ in fams:
-        draws += _uniform(rng, -2.0, 2.0, 6 * n)
-        draws += _uniform(rng, -3, 3, 3 * _N_TARGETS)
-    samples = np.array(draws).reshape(count, 2 * n + _N_TARGETS, 3)
+        draws += [np.array(sample_parameter_pairs(rng, n)).reshape(-1, 3), _sample_targets(rng, _N_TARGETS)]
+    samples = np.concatenate(draws).reshape(count, 2 * n + _N_TARGETS, 3)
     pairs, targets = samples[:, : 2 * n].reshape(count, n, 2, 3), samples[:, 2 * n :]
     curve_points = np.broadcast_to(_CURVE_POINTS, (count,) + _CURVE_POINTS.shape)
     points = np.concatenate([pairs[:, :, 0], pairs[:, :, 1], curve_points, targets, np.zeros((count, 1, 3))], axis=1)

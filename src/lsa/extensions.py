@@ -14,9 +14,10 @@ identity of the extended bracket the same way.
 
 The coboundary operators delta1/delta2 give a second cohomology classifying
 extensions up to equivalence.  Each is one integer matrix on flattened
-cochains (``_delta1_rows``, ``_delta2_rows``), written entry by entry in
-one pass: every entry is a signed sum of structure constants of K and of
-lambda and rho, cleared over one denominator.  ``delta1``, ``delta2``,
+cochains (``_delta1_rows``, ``_delta2_rows``; a 2-cochain is laid out as
+``Cocycle2.flat``), written entry by entry in one pass: every entry is a
+signed sum of structure constants of K and of lambda and rho, cleared over
+one denominator.  ``delta1``, ``delta2``,
 ``h2`` and ``cocycles_cohomologous`` all read these matrices, so each
 coboundary has one definition; ``h2`` is one integer kernel (Z2) and one
 echelon span (B2).
@@ -24,6 +25,7 @@ echelon span (B2).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -51,9 +53,7 @@ from .linalg import (
     random_fraction,
     random_invertible,
     solve,
-    vec_add,
     vec_is_zero,
-    vec_sub,
     zero_vec,
 )
 
@@ -93,20 +93,36 @@ def trivial_action(k: Algebra, v_dim: int) -> BimoduleAction:
 
 @dataclass(frozen=True)
 class Cocycle2:
-    """Bilinear map K x K -> V as values[i][j] = g(e_i, e_j)."""
+    """Bilinear map K x K -> V as values[i][j] = g(e_i, e_j).
+
+    ``flat`` and ``from_flat`` are the one layout of 2-cochains that every
+    coboundary matrix uses: entry (i*k_dim + j)*v_dim + m is g(e_i, e_j)_m.
+    """
 
     values: tuple[tuple[Vec, ...], ...]
 
     @classmethod
     def zero(cls, k_dim: int, v_dim: int) -> "Cocycle2":
-        row = tuple(zero_vec(v_dim) for _ in range(k_dim))
-        return cls(tuple(row for _ in range(k_dim)))
+        return cls.from_flat(zero_vec(k_dim * k_dim * v_dim), k_dim, v_dim)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Sequence]]) -> "Cocycle2":
         return cls(
             tuple(tuple(tuple(Fraction(x) for x in cell) for cell in row) for row in rows)
         )
+
+    @classmethod
+    def from_flat(cls, flat: Sequence[Fraction], k_dim: int, v_dim: int) -> "Cocycle2":
+        """The cocycle whose ``flat`` is ``flat``; each cell is sliced by its
+        (i, j), so k_dim = 0 or v_dim = 0 gives the empty cochain's shape."""
+        return cls(tuple(
+            tuple(tuple(flat[(i * k_dim + j) * v_dim: (i * k_dim + j + 1) * v_dim]) for j in range(k_dim))
+            for i in range(k_dim)
+        ))
+
+    @property
+    def flat(self) -> Vec:
+        return tuple(x for row in self.values for cell in row for x in cell)
 
     @property
     def k_dim(self) -> int:
@@ -120,23 +136,18 @@ class Cocycle2:
         return _product(self.values, x, y, Fraction(0))
 
     def is_zero(self) -> bool:
-        return all(vec_is_zero(cell) for row in self.values for cell in row)
+        return vec_is_zero(self.flat)
+
+    def _combine(self, other: "Cocycle2", op) -> "Cocycle2":
+        if (self.k_dim, self.v_dim) != (other.k_dim, other.v_dim):
+            raise ValueError("cocycles of different shapes")
+        return Cocycle2.from_flat(tuple(map(op, self.flat, other.flat)), self.k_dim, self.v_dim)
 
     def __add__(self, other: "Cocycle2") -> "Cocycle2":
-        return Cocycle2(
-            tuple(
-                tuple(vec_add(a, b) for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.values, other.values)
-            )
-        )
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "Cocycle2") -> "Cocycle2":
-        return Cocycle2(
-            tuple(
-                tuple(vec_sub(a, b) for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.values, other.values)
-            )
-        )
+        return self._combine(other, operator.sub)
 
 
 @dataclass(frozen=True)
@@ -175,11 +186,12 @@ class KimReport:
         return tuple(i + 1 for i, v in enumerate(self.verdicts) if not v)
 
 
-def _cleared_action(action: BimoduleAction) -> tuple[int, list, list, list]:
-    """(d, c, lam, rho): K's structure constants and the action matrices as
-    ints over one positive denominator d, c[i][j][p] = d (e_i.e_j)_p and
-    lam[i][m][n] = d lambda_{e_i}[m][n] (rho likewise).  c is K's table
-    rescaled, so a K that a check already asked is not cleared again."""
+def _cleared_action(action: BimoduleAction) -> tuple[int, int, int, list, list, list]:
+    """(k_dim, v_dim, d, c, lam, rho): the action's dimensions, and K's
+    structure constants and the action matrices as ints over one positive
+    denominator d, c[i][j][p] = d (e_i.e_j)_p and lam[i][m][n] =
+    d lambda_{e_i}[m][n] (rho likewise).  c is K's table rescaled, so a K
+    that a check already asked is not cleared again."""
     table, k_dim, v_dim = action.k.table, action.k.dim, action.v_dim
     da, mats = _cleared(row for m in (*action.lam, *action.rho) for row in m.rows)
     d = math.lcm(table.d, da)
@@ -188,21 +200,21 @@ def _cleared_action(action: BimoduleAction) -> tuple[int, list, list, list]:
     mats = [[x * sa for x in row] for row in mats]
     lam = [mats[i * v_dim: (i + 1) * v_dim] for i in range(k_dim)]
     rho = [mats[(k_dim + i) * v_dim: (k_dim + i + 1) * v_dim] for i in range(k_dim)]
-    return d, c, lam, rho
+    return k_dim, v_dim, d, c, lam, rho
 
 
-def _delta1_rows(action: BimoduleAction, cleared: tuple | None = None) -> tuple[int, list[list[int]]]:
+def _delta1_rows(cleared: tuple) -> tuple[int, list[list[int]]]:
     """(d, rows): delta1 as the integer matrix rows / d from flattened maps
-    h (entry i*v_dim + n is h(e_i)_n) to flattened cocycles (row
-    (i*k_dim + j)*v_dim + m is delta1 h (e_i, e_j)_m).  Each entry is a sum
-    of structure constants, read off
+    h (entry i*v_dim + n is h(e_i)_n) to flattened cocycles
+    (``Cocycle2.flat``: row (i*k_dim + j)*v_dim + m is
+    delta1 h (e_i, e_j)_m).  Each entry is a sum of structure constants,
+    read off
 
-        delta1 h (x, y) = rho_y(h(x)) + lambda_x(h(y)) - h(x.y).
+        delta1 h (x, y) = rho_y(h(x)) + lambda_x(h(y)) - h(x.y)
 
-    ``h2`` passes ``cleared``, the ``_cleared_action`` it shares with delta2.
+    from ``cleared``, the action's ``_cleared_action``.
     """
-    k_dim, v_dim = action.k.dim, action.v_dim
-    d, c, lam, rho = cleared or _cleared_action(action)
+    k_dim, v_dim, d, c, lam, rho = cleared
     rows = []
     for i in range(k_dim):
         for j in range(k_dim):
@@ -217,19 +229,20 @@ def _delta1_rows(action: BimoduleAction, cleared: tuple | None = None) -> tuple[
     return d, rows
 
 
-def _delta2_rows(action: BimoduleAction, cleared: tuple | None = None) -> tuple[int, list[list[int]]]:
+def _delta2_rows(cleared: tuple) -> tuple[int, list[list[int]]]:
     """(d, rows): delta2 as the integer matrix rows / d from flattened
-    cocycles (entry (i*k_dim + j)*v_dim + n is g(e_i, e_j)_n) to flattened
-    triples (row ((i*k_dim + j)*k_dim + l)*v_dim + m is
-    delta2 g (e_i, e_j, e_l)_m).  Each entry is a sum of structure
-    constants, read off
+    cocycles (``Cocycle2.flat``) to flattened triples (row
+    ((i*k_dim + j)*k_dim + l)*v_dim + m is delta2 g (e_i, e_j, e_l)_m).
+    Each entry is a sum of structure constants, read off
 
         delta2 g (x, y, z) = g(x, y.z) - g(y, x.z) + lambda_x(g(y, z))
                              - lambda_y(g(x, z)) - g([x, y], z)
-                             - rho_z(g(x, y) - g(y, x)).
+                             - rho_z(g(x, y) - g(y, x))
+
+    from ``cleared``, the action's ``_cleared_action``.  The rows of one i
+    are a 2-cochain in (j, l), laid out as ``Cocycle2.flat``.
     """
-    k_dim, v_dim = action.k.dim, action.v_dim
-    d, c, lam, rho = cleared or _cleared_action(action)
+    k_dim, v_dim, d, c, lam, rho = cleared
     rows = []
     for i in range(k_dim):
         for j in range(k_dim):
@@ -262,23 +275,21 @@ def delta1(action: BimoduleAction, h: QMatrix) -> Cocycle2:
     if h.shape != (v_dim, k_dim):
         raise ValueError("h must be a v_dim x k_dim matrix (map K -> V)")
     flat = tuple(x for col in zip(*h.rows) for x in col)
-    return _unflatten_cocycle(_apply_rows(*_delta1_rows(action), flat), k_dim, v_dim)
+    return Cocycle2.from_flat(_apply_rows(*_delta1_rows(_cleared_action(action)), flat), k_dim, v_dim)
 
 
 def delta2(action: BimoduleAction, g: Cocycle2) -> tuple[tuple[tuple[Vec, ...], ...], ...]:
     """delta2 g (x, y, z) on basis triples, indexed [i][j][l]: the matrix of
-    ``_delta2_rows`` applied to g's flattened values."""
+    ``_delta2_rows`` applied to ``g.flat``, read one i-slice (a 2-cochain in
+    (j, l)) per basis vector of K."""
     k_dim, v_dim = action.k.dim, action.v_dim
-    flat = _apply_rows(*_delta2_rows(action), _flatten(g.values))
-    cells = [flat[t: t + v_dim] for t in range(0, len(flat), v_dim)]
-    return tuple(
-        tuple(tuple(cells[(i * k_dim + j) * k_dim: (i * k_dim + j + 1) * k_dim]) for j in range(k_dim))
-        for i in range(k_dim)
-    )
+    flat = _apply_rows(*_delta2_rows(_cleared_action(action)), g.flat)
+    n2 = k_dim * k_dim * v_dim
+    return tuple(Cocycle2.from_flat(flat[i * n2: (i + 1) * n2], k_dim, v_dim).values for i in range(k_dim))
 
 
 def delta2_is_zero(action: BimoduleAction, g: Cocycle2) -> bool:
-    return vec_is_zero(_flatten(delta2(action, g)))
+    return vec_is_zero(_apply_rows(*_delta2_rows(_cleared_action(action)), g.flat))
 
 
 # Block pattern of a basis triple of the extended algebra (K or V in each
@@ -362,25 +373,6 @@ def build_extension(d: ExtensionData) -> Algebra:
     return ext
 
 
-def _flatten(nested: tuple) -> Vec:
-    """The scalars of nested tuples of vectors (a cocycle's values, delta2's
-    output), in row-major order."""
-    if not isinstance(nested, tuple):
-        return (nested,)
-    return tuple(x for part in nested for x in _flatten(part))
-
-
-def _unflatten_cocycle(flat: Vec, k_dim: int, v_dim: int) -> Cocycle2:
-    rows = []
-    for i in range(k_dim):
-        row = []
-        for j in range(k_dim):
-            base = (i * k_dim + j) * v_dim
-            row.append(tuple(flat[base: base + v_dim]))
-        rows.append(tuple(row))
-    return Cocycle2(tuple(rows))
-
-
 @dataclass(frozen=True)
 class H2Result:
     dim_h2: int
@@ -393,9 +385,9 @@ class H2Result:
 def h2(action: BimoduleAction) -> H2Result:
     """Second cohomology for (lambda, rho): Z2 = ker delta2, B2 = im delta1.
 
-    Cocycles flatten to vectors indexed (i*k_dim + j)*v_dim + m, so Z2 is
-    one integer kernel of ``_delta2_rows`` and B2 one echelon basis of the
-    span of ``_delta1_rows``' columns.  Both bases are canonical (scaled to
+    Cocycles are their ``flat`` vectors, so Z2 is one integer kernel of
+    ``_delta2_rows`` and B2 one echelon basis of the span of
+    ``_delta1_rows``' columns.  Both bases are canonical (scaled to
     1 at the free columns, reduced echelon), so they do not depend on the
     denominator the matrices were cleared with.  Data with B2 not inside Z2
     is refused with ``ValueError``.
@@ -403,8 +395,8 @@ def h2(action: BimoduleAction) -> H2Result:
     k_dim, v_dim = action.k.dim, action.v_dim
     n2 = k_dim * k_dim * v_dim
     cleared = _cleared_action(action)
-    z2 = _free_scaled(_int_nullspace(_delta2_rows(action, cleared)[1], n2))
-    b2 = list(_int_span(n2, list(zip(*_delta1_rows(action, cleared)[1]))).basis)
+    z2 = _free_scaled(_int_nullspace(_delta2_rows(cleared)[1], n2))
+    b2 = list(_int_span(n2, list(zip(*_delta1_rows(cleared)[1]))).basis)
     try:
         reps = quotient_basis(z2, b2)
     except ValueError:
@@ -416,8 +408,8 @@ def h2(action: BimoduleAction) -> H2Result:
         dim_h2=len(z2) - len(b2),
         dim_z2=len(z2),
         dim_b2=len(b2),
-        representatives=tuple(_unflatten_cocycle(r, k_dim, v_dim) for r in reps),
-        b2_basis=tuple(_unflatten_cocycle(b, k_dim, v_dim) for b in b2),
+        representatives=tuple(Cocycle2.from_flat(r, k_dim, v_dim) for r in reps),
+        b2_basis=tuple(Cocycle2.from_flat(b, k_dim, v_dim) for b in b2),
     )
 
 
@@ -500,8 +492,8 @@ def cocycles_cohomologous(action: BimoduleAction, g1: Cocycle2, g2: Cocycle2) ->
     """Solve g1 - g2 = delta1 h exactly; returns h or None.  The system is
     ``_delta1_rows`` with the right-hand side scaled by its d, which leaves
     the reduced echelon form, and so the solution, unchanged."""
-    d, rows = _delta1_rows(action)
-    sols = solve(QMatrix(rows), [tuple(d * x for x in _flatten((g1 - g2).values))])
+    d, rows = _delta1_rows(_cleared_action(action))
+    sols = solve(QMatrix(rows), [tuple(d * x for x in (g1 - g2).flat)])
     if sols is None:
         return None
     v_dim = action.v_dim

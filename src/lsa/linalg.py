@@ -23,8 +23,9 @@ FractionLike = Fraction | int | str
 
 
 def frac(value: FractionLike) -> Fraction:
-    """Coerce ints, strings like ``"3/2"``, and Fractions to Fraction."""
-    if isinstance(value, Fraction):
+    """Coerce ints, strings like ``"3/2"`` and Fractions to plain Fraction;
+    the exact type test spares ints ``Fraction``'s ABC instance check."""
+    if type(value) is Fraction:
         return value
     return Fraction(value)
 

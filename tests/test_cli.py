@@ -14,7 +14,14 @@ import pytest
 
 from ideal_inputs import degenerate_inputs, file_command_inputs
 from lsa.algebra import Algebra, conjugated, right_mult
-from lsa.catalog import case1_n2_central, case3_square_kernel, fixtures, make_lsa, reconstruction_cases
+from lsa.catalog import (
+    case1_n2_central,
+    case1_n2_identity,
+    case3_square_kernel,
+    fixtures,
+    make_lsa,
+    reconstruction_cases,
+)
 from lsa import cli, jsonio
 from lsa.cli import CHECK_MAX_DIM, MAX_DIM, main
 from lsa.jsonio import (
@@ -132,6 +139,31 @@ def test_malformed_input_exit_2(tmp_path, capsys, data):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, data, message",
+    [
+        ("check FILE", {"dim": 0, "products": []}, "'dim' must be positive"),
+        ("check FILE", {"dim": -2, "products": []}, "'dim' must be positive"),
+        ("check FILE", {"dim": 2, "products": [{"i": 1, "j": 1, "k": 1, "num": 1}, 5]},
+         "products[1] must be an object"),
+        ("h2 FILE", {key: GOOD_EXT[key] for key in ("V", "lambda", "rho", "g")}, "extension data requires 'K'"),
+        ("h2 FILE", dict(GOOD_EXT, rho=GOOD_EXT["rho"][:1]), "lambda/rho must list one matrix per K basis vector"),
+        ("extend FILE", dict(GOOD_EXT, g=[GOOD_EXT["g"][0][:1], GOOD_EXT["g"][1]]), "g[0] must list k_dim vectors"),
+        ("extend FILE", dict(GOOD_EXT, g=[GOOD_EXT["g"][0], [GOOD_EXT["g"][1][0], []]]),
+         "g[1][1] must be a vector of length v_dim"),
+        ("extend FILE", {key: GOOD_EXT[key] for key in ("K", "V", "lambda", "rho")}, "extension data requires 'g'"),
+        ("affine-sample --family D31 --params mu", None, "--params expects name=value, got 'mu'"),
+    ],
+)
+def test_input_refusals_exit_2_with_their_message(tmp_path, capsys, argv, data, message):
+    path = tmp_path / "in.json"
+    if data is not None:
+        path.write_text(json.dumps(data))
+    assert main([str(path) if arg == "FILE" else arg for arg in argv.split()]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 FILE_COMMANDS = ("check", "lie", "identify", "ideals", "h2", "extend")
 
 
@@ -162,6 +194,17 @@ def test_h2_command(ext_file, capsys):
     assert main(["h2", ext_file, "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert (data["dim_Z2"], data["dim_B2"], data["dim_H2"]) == (2, 1, 1)
+
+
+def test_h2_text_mode(tmp_path, capsys):
+    path = tmp_path / "ext.json"
+    path.write_text(dumps_sorted(extension_to_dict(case1_n2_identity(2).data)))
+    assert main(["h2", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "dim Z2 = 3, dim B2 = 1, dim H2 = 2\n"
+        "representative 1: g(e1,e2) = (1)\n"
+        "representative 2: g(e2,e1) = (1)\n"
+    )
 
 
 def test_h2_refuses_data_whose_coboundaries_are_not_cocycles(tmp_path, capsys):
@@ -263,6 +306,25 @@ def test_ideals_command(n30_file, capsys):
     assert main(["ideals", n30_file, "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["count"] >= 3
+
+
+def test_ideals_text_mode(n30_file, idem_file, capsys):
+    assert main(["ideals", n30_file]) == 0
+    assert capsys.readouterr().out == (
+        "dim 1: span{(0, 0, 1)}\n"
+        "dim 1: span{(0, 1, 0)}\n"
+        "dim 2: span{(0, 1, 0); (0, 0, 1)}\n"
+        "dim 2: span{(1, 0, 0); (0, 1, 0)}\n"
+    )
+    assert main(["ideals", idem_file]) == 0
+    assert capsys.readouterr().out == "no rational ideal found\n"
+
+
+def test_lie_text_mode_on_an_abelian_algebra(tmp_path, capsys):
+    path = tmp_path / "zero3.json"
+    path.write_text(json.dumps({"dim": 3, "products": []}))
+    assert main(["lie", str(path)]) == 0
+    assert capsys.readouterr().out == "abelian\nlie algebra: not_in_scope(Lie algebra is unimodular)\n"
 
 
 def test_identify_command(n30_file, capsys):
@@ -710,6 +772,27 @@ def test_catalog_verify_exit_and_determinism(capsys):
     assert first == second
     report = json.loads(first)
     assert report["ok"]
+
+
+def test_catalog_verify_text_mode(capsys):
+    assert main(["catalog-verify", "--seed", "7"]) == 0
+    assert capsys.readouterr().out == (
+        "B30: 1 sample(s) ok\n"
+        "B31: 1 sample(s) ok\n"
+        "C31: 1 sample(s) ok\n"
+        "C3t: 6 sample(s) ok\n"
+        "D31mu: 7 sample(s) ok\n"
+        "D32: 1 sample(s) ok\n"
+        "E31zeta: 6 sample(s) ok\n"
+        "N30: 1 sample(s) ok\n"
+        "N31: 1 sample(s) ok\n"
+        "N32: 1 sample(s) ok\n"
+        "N33: 1 sample(s) ok\n"
+        "distinctness: ok\n"
+        "reconstructions: ok (24 paths)\n"
+        "discrepancy notes: 2\n"
+        "catalog verification: PASS\n"
+    )
 
 
 @pytest.mark.parametrize("seed, digest", [(7, "c0478e59d6a6"), (0, "f434590588a3")])

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -423,6 +424,33 @@ def test_cocycles_cohomologous_solver():
     assert (delta1(action, h) + g2).values == g1.values
     # E11 is not a coboundary for the trivial action
     assert cocycles_cohomologous(action, cocycle_scalar([[1, 0], [0, 0]]), Cocycle2.zero(2, 1)) is None
+
+
+@pytest.mark.parametrize("k_dim, v_dim", [(0, 0), (0, 2), (2, 0), (1, 1), (2, 3), (3, 2)])
+def test_cocycle_flat_layout(k_dim, v_dim):
+    """Entry (i*k_dim + j)*v_dim + m of ``flat`` is g(e_i, e_j)_m, and
+    ``from_flat`` reads it back, empty K or V included."""
+    flat = tuple(F(t) for t in range(k_dim * k_dim * v_dim))
+    g = Cocycle2.from_flat(flat, k_dim, v_dim)
+    assert len(g.values) == k_dim and all(len(row) == k_dim for row in g.values)
+    for i, j, m in itertools.product(range(k_dim), range(k_dim), range(v_dim)):
+        assert g.values[i][j][m] == (i * k_dim + j) * v_dim + m
+    assert g.flat == flat and (g.k_dim, g.v_dim) == (k_dim, v_dim if k_dim else 0)
+    assert Cocycle2.zero(k_dim, v_dim) == Cocycle2.from_flat((F(0),) * len(flat), k_dim, v_dim)
+    assert (g - g).is_zero() and (g + g).flat == tuple(2 * x for x in flat)
+
+
+def test_cocycles_of_different_shapes_do_not_combine():
+    """+ and - refuse cocycles of different shapes; they do not truncate
+    to the smaller one."""
+    big = Cocycle2.from_rows([[[1], [2]], [[3], [4]]])
+    for a, b in ((big, Cocycle2.from_rows([[[10]]])), (Cocycle2.zero(1, 2), Cocycle2.zero(1, 1))):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="different shapes"):
+                x + y
+            with pytest.raises(ValueError, match="different shapes"):
+                x - y
+    assert (big + big).values == (((2,), (4,)), ((6,), (8,)))
 
 
 # --- automorphism groups --------------------------------------------------

@@ -10,6 +10,7 @@ from lsa.linalg import (
     _int_roots,
     char_poly,
     det,
+    frac,
     inverse,
     is_nilpotent,
     nullspace_basis,
@@ -297,6 +298,20 @@ def test_rational_roots_time_is_bounded_by_bit_length():
     assert rational_roots([1, -(big + 1), big]) == [F(1), F(big)]
     assert rational_roots([F(1, big), F(-3), F(2 * big)]) == [F(big), F(2 * big)]
     assert time.perf_counter() - start < 1.0
+
+
+def test_frac_returns_plain_fractions():
+    """A plain ``Fraction`` passes through; ints, strings and ``Fraction``
+    subclasses become equal plain ``Fraction`` values."""
+
+    class Sub(Fraction):
+        pass
+
+    x = F(3, 2)
+    assert frac(x) is x
+    for value, expected in ((3, F(3)), ("-3/2", F(-3, 2)), (Sub(5, 4), F(5, 4)), (True, F(1))):
+        out = frac(value)
+        assert type(out) is Fraction and out == expected
 
 
 def test_sqrt_fraction():

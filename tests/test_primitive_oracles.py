@@ -1,7 +1,7 @@
 """Oracles for the algebra primitives that each have one routine.
 
 The trace row, the two-sided product list, the operator on an invariant
-subspace, the bilinear evaluator of a cocycle, the nested-vector flattener,
+subspace, the bilinear evaluator of a cocycle, its flat layout,
 the first asymmetric pair and the recovery of mu from det D are each
 computed in one place.  The oracles below are the earlier per-caller forms:
 traces of ``left_mult`` matrices, the per-vector span of P*A + A*P, the
@@ -64,7 +64,6 @@ from lsa.extensions import (
     Cocycle2,
     CompatibilityError,
     LieExtensionData,
-    _flatten,
     build_lie_extension,
     delta2,
     delta2_is_zero,
@@ -450,7 +449,7 @@ def test_tag_of_form_equals_the_separate_exact_and_float_loops():
             ("G32", True), ("G33", True)} <= kinds
 
 
-# --- bilinear maps and the flattener --------------------------------------
+# --- bilinear maps and their flat layout ----------------------------------
 
 
 def random_cocycle(rng, k_dim, v_dim):
@@ -470,7 +469,8 @@ def test_cocycle_evaluation_equals_the_loop(seed):
                 value = g.of(x, y)
                 assert value == oracle_cocycle_of(g, x, y)
                 assert all(type(v) is Fraction for v in value)
-            assert _flatten(g.values) == oracle_flatten_cocycle(g)
+            assert g.flat == oracle_flatten_cocycle(g)
+            assert Cocycle2.from_flat(g.flat, k_dim, v_dim) == g
 
 
 def actions(seed):
@@ -502,7 +502,6 @@ def test_h2_equals_the_unit_cocycle_loop(seed):
         g = random_cocycle(rng, action.k.dim, action.v_dim)
         image = delta2(action, g)
         flat = [x for plane in image for row in plane for cell in row for x in cell]
-        assert _flatten(image) == tuple(flat)
         assert delta2_is_zero(action, g) == all(x == 0 for x in flat)
         for rep in res.representatives:
             assert delta2_is_zero(action, rep)

@@ -70,6 +70,7 @@ INTEGER_ROUTINES = f"{TEST_PRIMITIVES}::test_integer_routines_equal_their_fracti
 PATH_PIN = "tests/test_catalog.py::test_reconstruction_paths_are_pinned"
 CRITERION_4 = "tests/test_acceptance.py::test_criterion_4_extension_round_trips"
 COBOUNDARY_ORACLES = "tests/test_extension_oracles.py::test_coboundary_matrices_equal_the_hand_expanded_oracles"
+EXTENSION_PIN = "tests/test_cli.py::test_extension_json_bytes_are_pinned"
 
 MUTANTS = (
     Mutant(
@@ -203,8 +204,8 @@ MUTANTS = (
     Mutant(
         "verify-families-targets-drawn-before-pairs",
         AFFINE,
-        "        draws += _uniform(rng, -2.0, 2.0, 6 * n)\n        draws += _uniform(rng, -3, 3, 3 * _N_TARGETS)\n",
-        "        draws += _uniform(rng, -3, 3, 3 * _N_TARGETS)\n        draws += _uniform(rng, -2.0, 2.0, 6 * n)\n",
+        "draws += [np.array(sample_parameter_pairs(rng, n)).reshape(-1, 3), _sample_targets(rng, _N_TARGETS)]",
+        "draws += [_sample_targets(rng, _N_TARGETS), np.array(sample_parameter_pairs(rng, n)).reshape(-1, 3)]",
         (f"{TEST_BATCH}::test_verify_family_equals_the_public_checks[defaults]",),
     ),
     Mutant(
@@ -546,6 +547,21 @@ MUTANTS = (
         "for p, x in enumerate(c[i][j]):",
         "for p, x in enumerate(c[j][i]):",
         (COBOUNDARY_ORACLES,),
+    ),
+    Mutant(
+        "cocycle-from-flat-transposes-cells",
+        EXTENSIONS,
+        "flat[(i * k_dim + j) * v_dim: (i * k_dim + j + 1) * v_dim]",
+        "flat[(j * k_dim + i) * v_dim: (j * k_dim + i + 1) * v_dim]",
+        (EXTENSION_PIN, COBOUNDARY_ORACLES),
+    ),
+    Mutant(
+        "cocycle-sum-drops-the-shape-refusal",
+        EXTENSIONS,
+        "        if (self.k_dim, self.v_dim) != (other.k_dim, other.v_dim):\n"
+        '            raise ValueError("cocycles of different shapes")\n',
+        "",
+        ("tests/test_extensions.py::test_cocycles_of_different_shapes_do_not_combine",),
     ),
 )
 
