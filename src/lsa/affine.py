@@ -32,8 +32,9 @@ depends on nothing computed before it (both points of every closure pair,
 the six tangent curve points, the targets and the origin), then the
 recovered composites and inverse points.  The batches of all families are
 stacked to (F, N, 3, 3) and (F, N, 3), and the composition, the adjugate,
-the inverse products and the residuals run once on the stack; only the
-verdicts and the tangent check's bracket solves are per family.  Every
+the inverse products, the residuals and the tangent check's generators,
+commutators and bracket residuals run once on the stack; only the
+bracket solves, one ``lstsq`` per family and pair, are per family.  Every
 step is elementwise, a max or a product of one slice of the stack, so a
 family's report equals that of its points evaluated alone, bit for bit.
 
@@ -623,28 +624,38 @@ def check_tangent_algebra(fam: GroupFamily, algebra: Algebra) -> TangentReport:
     generator of e_i) and compare with the affine representation
     X -> (L_X, X) and the algebra's bracket constants.  The generators are
     read off the tensor: entry (k, j) of L_ei is float(c[i][j][k]), the
-    float that ``AffRep.homogeneous_float`` gives, and the translation part
-    is e_i.  Like ``affine_rep``, the check refuses an algebra that is not
-    3D or not left-symmetric."""
+    float that ``AffRep.homogeneous_float`` gives, and the translation
+    part is e_i.  Like ``affine_rep``, the check refuses an algebra that is
+    not 3D or not left-symmetric.  It is the one-family case of the stacked
+    ``_tangent_reports`` that ``verify_families`` runs."""
     curve = fam.elements(*_CURVE_POINTS.T)
-    return _tangent_report(fam, algebra, curve.linear, curve.translation)
+    return _tangent_reports([fam], [algebra], curve.linear[None], curve.translation[None])[0]
 
 
-def _tangent_report(fam: GroupFamily, algebra: Algebra, linear: np.ndarray, translation: np.ndarray) -> TangentReport:
-    """The tangent verdict on the maps (6,) at ``_CURVE_POINTS``.
+def _tangent_reports(
+    fams: Sequence[GroupFamily], algebras: Sequence[Algebra], linear: np.ndarray, translation: np.ndarray
+) -> list[TangentReport]:
+    """The tangent verdict of each family on its maps at ``_CURVE_POINTS``,
+    linear (F, 6, 3, 3) and translation (F, 6, 3), in one stacked pass:
+    every algebra is refused or accepted first, and only the bracket solves
+    are per family and pair.
 
-    The constants are read off the algebra's table, c = x / d with integers
-    x and d: int true division is correctly rounded, so x / d is float(c)
-    and (x_ijk - x_jik) / d is float(c[i][j][k] - c[j][i][k])."""
-    _require_3d_lsa(algebra)
-    d, c = algebra.table.d, algebra.table.c
-    xs = np.zeros((3, 4, 4))
-    xs[:, :3, :3] = (linear[:3] - linear[3:]) / (2 * DIFF_STEP)
-    xs[:, :3, 3] = (translation[:3] - translation[3:]) / (2 * DIFF_STEP)
-    rep = np.zeros((3, 4, 4))
-    rep[:, :3, :3] = np.array([[[x / d for x in v] for v in plane] for plane in c]).transpose(0, 2, 1)  # rep[i][k][j] = c[i][j][k]
-    rep[:, :3, 3] = _EYE
-    gen_err = float(np.max(np.abs(xs - rep)))
+    The constants are read off each algebra's table, c = x / d with
+    integers x and d: int true division is correctly rounded, so x / d is
+    float(c) and (x_ijk - x_jik) / d is float(c[i][j][k] - c[j][i][k])."""
+    for algebra in algebras:
+        _require_3d_lsa(algebra)
+    tables = [algebra.table for algebra in algebras]
+    count = len(tables)
+    xs = np.zeros((count, 3, 4, 4))
+    xs[..., :3, :3] = (linear[:, :3] - linear[:, 3:]) / (2 * DIFF_STEP)
+    xs[..., :3, 3] = (translation[:, :3] - translation[:, 3:]) / (2 * DIFF_STEP)
+    rep = np.zeros((count, 3, 4, 4))
+    # rep[f][i][k][j] = c[i][j][k]; a table's rows are flat at i n + j
+    constants = np.array([[[x / t.d for x in v] for v in t.rows] for t in tables])
+    rep[..., :3, :3] = constants.reshape(count, 3, 3, 3).transpose(0, 1, 3, 2)
+    rep[..., :3, 3] = _EYE
+    gen_errs = np.max(np.abs(xs - rep), axis=(1, 2, 3)).tolist()
     # left symmetry is checked, and the commutator algebra of a
     # left-symmetric algebra is a Lie algebra: its constants are read off
     # the tensor, c_ij^k = c[i][j][k] - c[j][i][k], with no Jacobi scan.
@@ -654,21 +665,28 @@ def _tangent_report(fam: GroupFamily, algebra: Algebra, linear: np.ndarray, tran
     # and constant error of (i, j); the pair (i, i) has comm = 0, hence
     # coefficients and errors 0.  Neither can raise a maximum, and ``worst``
     # moves only on a strict rise, so the report equals the 9-pair loop's.
-    basis = np.stack([x.reshape(-1) for x in xs], axis=1)  # 16 x 3
-    left, right = xs[[i for i, _ in _PAIRS]], xs[[j for _, j in _PAIRS]]
-    comms = (left @ right - right @ left).reshape(3, -1)
-    max_resid = 0.0
-    max_const_err = 0.0
-    worst = None
-    for (i, j), comm in zip(_PAIRS, comms):
-        coeffs, *_ = np.linalg.lstsq(basis, comm, rcond=None)
-        resid = float(np.max(np.abs(basis @ coeffs - comm)))
-        const_err = max(abs(coeffs[k] - (c[i][j][k] - c[j][i][k]) / d) for k in range(3))
-        if max(resid, const_err) > max(max_resid, max_const_err):
-            worst = (i + 1, j + 1)
-        max_resid = max(max_resid, resid)
-        max_const_err = max(max_const_err, const_err)
-    return TangentReport(fam.name, gen_err, max_resid, max_const_err, worst)
+    # Each basis is C-ordered (16, 3), as one family's stack of its
+    # generators is, so the residual products run the same kernel.
+    basis = np.ascontiguousarray(xs.reshape(count, 3, 16).transpose(0, 2, 1))
+    left, right = xs[:, [i for i, _ in _PAIRS]], xs[:, [j for _, j in _PAIRS]]
+    comms = (left @ right - right @ left).reshape(count, 3, 16)
+    coeffs = np.array([[np.linalg.lstsq(b, comm, rcond=None)[0] for comm in cs] for b, cs in zip(basis, comms)])
+    resids = np.max(np.abs((basis[:, None] @ coeffs[..., None])[..., 0] - comms), axis=-1).tolist()
+    exact = [[[(t.c[i][j][k] - t.c[j][i][k]) / t.d for k in range(3)] for i, j in _PAIRS] for t in tables]
+    const_errs = np.abs(coeffs - exact).tolist()
+    reports = []
+    for fam, gen_err, pair_resids, pair_errs in zip(fams, gen_errs, resids, const_errs, strict=True):
+        max_resid = 0.0
+        max_const_err = 0.0
+        worst = None
+        for (i, j), resid, errs in zip(_PAIRS, pair_resids, pair_errs):
+            const_err = max(errs)
+            if max(resid, const_err) > max(max_resid, max_const_err):
+                worst = (i + 1, j + 1)
+            max_resid = max(max_resid, resid)
+            max_const_err = max(max_const_err, const_err)
+        reports.append(TangentReport(fam.name, gen_err, max_resid, max_const_err, worst))
+    return reports
 
 
 def sample_parameter_pairs(rng, count: int):
@@ -722,11 +740,11 @@ def verify_families(
     closure_resids = _distances(back_linear[:, :n], back_translation[:, :n], composite.linear, composite.translation)
     inverse_resids = _inverse_residuals(*at, back_linear[:, n:], back_translation[:, n:])
     identity_exact = np.all(origin[0][:, 0] == _EYE, axis=(1, 2)) & ~np.any(origin[1][:, 0], axis=1)
+    tangents = _tangent_reports(fams, algebras, *curve)
     reports = []
-    for f, (fam, algebra) in enumerate(zip(fams, algebras, strict=True)):
+    for f, (fam, tangent) in enumerate(zip(fams, tangents)):
         closure = _closure_report(fam, pairs[f], closure_resids[f])
         transitivity = _transitivity_report(fam, targets[f], at[1][f], det[f], inverse_resids[f])
-        tangent = _tangent_report(fam, algebra, curve[0][f], curve[1][f])
         identity = bool(identity_exact[f])
         reports.append({
             "family": fam.name,

@@ -278,10 +278,18 @@ def delta1(action: BimoduleAction, h: QMatrix) -> Cocycle2:
     return Cocycle2.from_flat(_apply_rows(*_delta1_rows(_cleared_action(action)), flat), k_dim, v_dim)
 
 
+def _require_cocycle_shape(action: BimoduleAction, g: Cocycle2) -> None:
+    """Refuse a 2-cochain that is not K x K -> V for the action's K and V:
+    ``_apply_rows`` would silently truncate it."""
+    if (g.k_dim, g.v_dim) != (action.k.dim, action.v_dim):
+        raise ValueError("cocycle shape does not match the action")
+
+
 def delta2(action: BimoduleAction, g: Cocycle2) -> tuple[tuple[tuple[Vec, ...], ...], ...]:
     """delta2 g (x, y, z) on basis triples, indexed [i][j][l]: the matrix of
     ``_delta2_rows`` applied to ``g.flat``, read one i-slice (a 2-cochain in
     (j, l)) per basis vector of K."""
+    _require_cocycle_shape(action, g)
     k_dim, v_dim = action.k.dim, action.v_dim
     flat = _apply_rows(*_delta2_rows(_cleared_action(action)), g.flat)
     n2 = k_dim * k_dim * v_dim
@@ -289,6 +297,7 @@ def delta2(action: BimoduleAction, g: Cocycle2) -> tuple[tuple[tuple[Vec, ...], 
 
 
 def delta2_is_zero(action: BimoduleAction, g: Cocycle2) -> bool:
+    _require_cocycle_shape(action, g)
     return vec_is_zero(_apply_rows(*_delta2_rows(_cleared_action(action)), g.flat))
 
 

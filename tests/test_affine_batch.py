@@ -17,6 +17,8 @@ from lsa.affine import (
     FAMILY_NAMES,
     FamilySpec,
     GroupFamily,
+    _CURVE_POINTS,
+    _tangent_reports,
     _uniform,
     build_family,
     check_closure,
@@ -26,10 +28,11 @@ from lsa.affine import (
     verify_families,
     verify_family,
 )
-from lsa.catalog import MU, T, make_lsa
+from lsa.algebra import Algebra
+from lsa.catalog import MU, T, d32_rejected_variant, make_lsa
 from lsa.jsonio import dumps_sorted
 
-from affine_reference import family_report
+from affine_reference import family_report, tangent_reference
 
 PUBLIC_CHECKS = (check_closure, check_simply_transitive, check_tangent_algebra)
 
@@ -76,6 +79,36 @@ def test_verify_family_equals_the_public_checks(group):
                 assert dumps_sorted(batched) == dumps_sorted(separate), (fam.name, fam.params, samples, seed)
     if group == "A30-half":
         assert not batched["ok"] and batched["newton_failures"] == 0
+
+
+@pytest.mark.parametrize("group", ["defaults", "D31-mu", "C3t-t"])
+def test_stacked_tangent_reports_equal_the_nine_pair_loop(group):
+    """The stacked tangent pass gives each family of a stack the report of
+    the independent 9-pair loop, float for float."""
+    fams, algebras = zip(*CASES[group])
+    curves = [fam.elements(*_CURVE_POINTS.T) for fam in fams]
+    linear, translation = np.stack([m.linear for m in curves]), np.stack([m.translation for m in curves])
+    for report, fam, algebra in zip(_tangent_reports(fams, algebras, linear, translation), fams, algebras, strict=True):
+        expected = tangent_reference(fam, algebra)
+        assert report == expected, fam.params
+        assert report.worst_pair == expected.worst_pair is not None
+        fields = ("max_generator_error", "max_bracket_residual", "max_constant_error")
+        assert [float(getattr(report, k)).hex() for k in fields] == [float(getattr(expected, k)).hex() for k in fields]
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("bad", ["not-left-symmetric", "2d"])
+def test_verify_families_refuses_as_the_tangent_check_does(bad, where):
+    """An algebra the tangent check refuses, anywhere in a stack of the
+    eleven defaults, makes ``verify_families`` raise that check's error."""
+    algebra = d32_rejected_variant() if bad == "not-left-symmetric" else Algebra.from_entries(2, {(1, 2, 2): 1})
+    with pytest.raises(ValueError) as alone:
+        check_tangent_algebra(build_family("D32"), algebra)
+    cases = list(CASES["defaults"])
+    cases.insert({"first": 0, "middle": len(cases) // 2, "last": len(cases)}[where], (build_family("D32"), algebra))
+    with pytest.raises(ValueError) as stacked:
+        verify_families([fam for fam, _ in cases], [a for _, a in cases], random.Random(0), 5)
+    assert str(stacked.value) == str(alone.value)
 
 
 pytest.importorskip("hypothesis")

@@ -182,6 +182,17 @@ def test_delta2_hand_expansion():
     assert delta2_is_zero(action, cocycle_scalar([[0, 1], [0, 0]]))
 
 
+def test_delta2_refuses_a_cocycle_of_another_shape():
+    """delta2 and delta2_is_zero refuse a cochain that is not K x K -> V
+    for the action; they do not truncate it to the action's shape."""
+    action = trivial_action(n2(), 1)
+    for g in (Cocycle2.from_rows([[[1]]]), Cocycle2.zero(2, 2), Cocycle2.zero(3, 1)):
+        with pytest.raises(ValueError, match="cocycle shape does not match the action"):
+            delta2(action, g)
+        with pytest.raises(ValueError, match="cocycle shape does not match the action"):
+            delta2_is_zero(action, g)
+
+
 def test_delta2_delta1_is_zero_random():
     rng = random.Random(42)
     actions = [

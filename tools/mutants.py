@@ -218,17 +218,24 @@ MUTANTS = (
     Mutant(
         "verify-family-tangent-rows-shifted-by-one",
         AFFINE,
-        "tangent = _tangent_report(fam, algebra, curve[0][f], curve[1][f])",
-        "tangent = _tangent_report(fam, algebra, maps.linear[f, rows[1] + 1 : rows[2] + 1], "
-        "maps.translation[f, rows[1] + 1 : rows[2] + 1])",
+        "tangents = _tangent_reports(fams, algebras, *curve)",
+        "tangents = _tangent_reports(fams, algebras, maps.linear[:, rows[1] + 1 : rows[2] + 1], "
+        "maps.translation[:, rows[1] + 1 : rows[2] + 1])",
         (f"{TEST_BATCH}::test_verify_family_equals_the_public_checks[defaults]",),
     ),
     Mutant(
         "tangent-check-without-the-left-symmetry-refusal",
         AFFINE,
-        "    _require_3d_lsa(algebra)\n    d, c = algebra.table.d, algebra.table.c\n",
-        "    if algebra.dim != 3:\n        _require_3d_lsa(algebra)\n    d, c = algebra.table.d, algebra.table.c\n",
+        "    for algebra in algebras:\n        _require_3d_lsa(algebra)\n",
+        "    for algebra in algebras:\n        if algebra.dim != 3:\n            _require_3d_lsa(algebra)\n",
         (f"{TEST_AFFINE}::test_tangent_check_refuses_what_affine_rep_refuses",),
+    ),
+    Mutant(
+        "verify-families-tangent-reads-the-next-familys-constants",
+        AFFINE,
+        "for i, j in _PAIRS] for t in tables]",
+        "for i, j in _PAIRS] for t in tables[1:] + tables[:1]]",
+        (f"{TEST_BATCH}::test_verify_families_equals_verify_family_in_turn",),
     ),
     Mutant(
         "ideal-operator-uncleared",
@@ -562,6 +569,14 @@ MUTANTS = (
         '            raise ValueError("cocycles of different shapes")\n',
         "",
         ("tests/test_extensions.py::test_cocycles_of_different_shapes_do_not_combine",),
+    ),
+    Mutant(
+        "coboundary-drops-the-cocycle-shape-refusal",
+        EXTENSIONS,
+        "    if (g.k_dim, g.v_dim) != (action.k.dim, action.v_dim):\n"
+        '        raise ValueError("cocycle shape does not match the action")\n',
+        "",
+        ("tests/test_extensions.py::test_delta2_refuses_a_cocycle_of_another_shape",),
     ),
 )
 
