@@ -635,18 +635,31 @@ def _refine(
 
 
 def _joint_eigenvectors(
-    n: int, ops: Sequence[tuple[int, list[list[int]]]], spectrum: Callable[[int], list[Fraction]]
+    n: int, ops: Sequence[tuple[int, list[list[int]]]], spectra: Sequence[list[Fraction]]
 ) -> list[list[int]]:
     """Integer multiples of the reduced-echelon basis vectors of the nonzero
-    joint eigenspaces of the cleared n x n operators ``ops``: the
-    ``_int_rref`` rows of each basis that ``_refine`` yields.  No vector can
-    repeat: distinct joint eigenspaces meet only in 0.  With no operators
-    the one joint eigenspace is the whole space."""
-    return [
-        row
-        for basis in _refine(ops, spectrum, 0, [[int(i == j) for j in range(n)] for i in range(n)])
-        for row in _int_rref(basis)[0]
-    ]
+    joint eigenspaces of the cleared n x n operators ``ops``, whose spectra
+    are ``spectra``: the ``_int_rref`` rows of each basis that ``_refine``
+    yields.  No vector can repeat: distinct joint eigenspaces meet only in 0.
+
+    An operator whose spectrum is one lam = p/q cannot split a joint
+    eigenspace: every joint eigenvector lies in ker(M - lam).  The rows
+    q d M - p d I of all such operators are stacked, and one
+    ``_int_nullspace`` of the stack is their joint eigenspace: the identity
+    basis when none is stacked, and no vector when they share none.
+    ``_refine`` then splits it through the other operators only."""
+    stack: list[list[int]] = []
+    multi: list[tuple[int, list[list[int]]]] = []
+    multi_spectra: list[list[Fraction]] = []
+    for (d, dm), s in zip(ops, spectra):
+        if len(s) == 1:
+            p, q = s[0].numerator, s[0].denominator
+            stack += [[q * x - p * d * (i == j) for j, x in enumerate(row)] for i, row in enumerate(dm)]
+        else:
+            multi.append((d, dm))
+            multi_spectra.append(s)
+    basis = _int_nullspace(stack, n)
+    return [row for b in _refine(multi, multi_spectra.__getitem__, 0, basis) for row in _int_rref(b)[0]]
 
 
 def find_ideals_dim_le3(a: Algebra) -> list[Subspace]:
@@ -661,24 +674,26 @@ def find_ideals_dim_le3(a: Algebra) -> list[Subspace]:
       ker(w^T) = {y : w.y = 0} is an ideal: w.(M y) = (M^T w).y = lam w.y
       vanishes on it for each operator M.
 
-    The joint eigenspaces come from ``_refine`` on a basis of the span of
-    the operators, read off the table's integer tensor d c: the columns of
-    d L_ei and d R_ei are its rows d e_i*e_j and d e_j*e_i.  Only a basis of
-    that span is searched: the pivot columns of one ``_int_rref`` of the
-    n^2 x 2n matrix whose columns are the operators' entries.  A joint
-    eigenvector of a spanning set is one of every linear combination, so
-    the nonzero joint eigenspaces of the basis are those of all 2n
+    The joint eigenspaces come from ``_joint_eigenvectors`` on a basis of
+    the span of the operators, read off the table's integer tensor d c: the
+    columns of d L_ei and d R_ei are its rows d e_i*e_j and d e_j*e_i.  Only
+    a basis of that span is searched: the pivot columns of one ``_int_rref``
+    of the n^2 x 2n matrix whose columns are the operators' entries.  A
+    joint eigenvector of a spanning set is one of every linear combination,
+    so the nonzero joint eigenspaces of the basis are those of all 2n
     operators; each dropped operator is a combination of the kept ones
     before it, and zero, repeated and proportional operators cost no
     spectrum, kernel or line test.  An operator's spectrum is the integer
     roots (``_int_roots``) of the closed-form characteristic polynomial of
     d M (``_int_char_poly``) divided by d: that polynomial is monic with
-    integer coefficients, so its rational roots are integers.  It is
-    computed only when a branch of dimension >= 2 reaches it, and at most
-    once: the transposes share it (char_poly(M^T) = char_poly(M)).  An
-    operator without a rational eigenvalue thus leaves no joint eigenspace,
-    and the answer is empty.  The joint eigenvectors stay integer until the
-    ``Subspace`` of each line, and of each plane ker(w^T), is built;
+    integer coefficients, so its rational roots are integers.  Every kept
+    operator's spectrum is computed once, up front, and the transposes share
+    it (char_poly(M^T) = char_poly(M)).  An operator without a rational
+    eigenvalue leaves no joint eigenspace, so then the answer is empty at
+    once.  Otherwise the operators with one eigenvalue are intersected in
+    one stacked kernel and only the others are refined
+    (``_joint_eigenvectors``).  The joint eigenvectors stay integer until
+    the ``Subspace`` of each line, and of each plane ker(w^T), is built;
     multidimensional joint eigenspaces are reported through their
     reduced-echelon basis vectors.  Irrational eigendata is out of reach by
     design, so an empty answer means "no rational ideal found", never
@@ -695,18 +710,14 @@ def find_ideals_dim_le3(a: Algebra) -> list[Subspace]:
     flat = [[x for col in cols for x in col] for cols in columns]
     columns = [columns[k] for k in _int_rref([list(r) for r in zip(*flat)])[1]]
     ops = [(d, [list(r) for r in zip(*cols)]) for cols in columns]
-    spectra: dict[int, list[Fraction]] = {}
-
-    def spectrum(k: int) -> list[Fraction]:
-        if k not in spectra:
-            spectra[k] = [Fraction(r, d) for r in _int_roots(_int_char_poly(ops[k][1]))]
-        return spectra[k]
-
-    found = [_int_span(n, [v]) for v in _joint_eigenvectors(n, ops, spectrum)]
+    spectra = [[Fraction(r, d) for r in _int_roots(_int_char_poly(dm))] for _, dm in ops]
+    if not all(spectra):
+        return []
+    found = [_int_span(n, [v]) for v in _joint_eigenvectors(n, ops, spectra)]
     if n == 3:
         found += [
             _int_span(3, _int_nullspace([list(w)], 3))
-            for w in _joint_eigenvectors(3, [(d, cols) for cols in columns], spectrum)
+            for w in _joint_eigenvectors(3, [(d, cols) for cols in columns], spectra)
         ]
     found.sort(key=lambda s: (s.dim, s.basis))
     return found

@@ -132,6 +132,12 @@ class Cocycle2:
     def v_dim(self) -> int:
         return len(self.values[0][0]) if self.values and self.values[0] else 0
 
+    def has_shape(self, k_dim: int, v_dim: int) -> bool:
+        """True iff this is a cochain K x K -> V with dim K = k_dim and
+        dim V = v_dim.  Over k_dim = 0 the empty cochain is the one cochain
+        for every V, so its ``v_dim`` (read off no cell) is not compared."""
+        return self.k_dim == k_dim and (k_dim == 0 or self.v_dim == v_dim)
+
     def of(self, x: Vec, y: Vec) -> Vec:
         return _product(self.values, x, y, Fraction(0))
 
@@ -162,7 +168,7 @@ class ExtensionData:
             raise ValueError("action shapes do not match K and V")
         if self.action.k.c != self.k.c:
             raise ValueError("the action is over a different product on K")
-        if self.g.k_dim != self.k.dim or self.g.v_dim != self.v.dim:
+        if not self.g.has_shape(self.k.dim, self.v.dim):
             raise ValueError("cocycle shape does not match K and V")
 
 
@@ -281,7 +287,7 @@ def delta1(action: BimoduleAction, h: QMatrix) -> Cocycle2:
 def _require_cocycle_shape(action: BimoduleAction, g: Cocycle2) -> None:
     """Refuse a 2-cochain that is not K x K -> V for the action's K and V:
     ``_apply_rows`` would silently truncate it."""
-    if (g.k_dim, g.v_dim) != (action.k.dim, action.v_dim):
+    if not g.has_shape(action.k.dim, action.v_dim):
         raise ValueError("cocycle shape does not match the action")
 
 

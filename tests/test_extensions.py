@@ -193,6 +193,25 @@ def test_delta2_refuses_a_cocycle_of_another_shape():
             delta2_is_zero(action, g)
 
 
+def test_the_empty_cochain_over_a_zero_dimensional_k_fits_every_v():
+    """Over K = 0 the empty cochain is the one 2-cochain K x K -> V for
+    every V: delta2 accepts it as the cocycle that ``h2`` counts, and
+    ``ExtensionData`` builds V itself from it.  Cochains of any other shape
+    are still refused there."""
+    k0 = Algebra.from_entries(0, {})
+    for v_dim in (1, 2):
+        action, v = trivial_action(k0, v_dim), Algebra.from_entries(v_dim, {})
+        g = Cocycle2.zero(0, v_dim)
+        assert h2(action).dim_z2 == 0
+        assert delta2_is_zero(action, g) and delta2(action, g) == ()
+        assert build_extension(ExtensionData(k0, v, action, g)).c == v.c
+        for other in (Cocycle2.zero(1, v_dim), Cocycle2.from_rows([[[0] * (v_dim + 1)]])):
+            with pytest.raises(ValueError, match="cocycle shape does not match the action"):
+                delta2_is_zero(action, other)
+            with pytest.raises(ValueError, match="cocycle shape does not match K and V"):
+                ExtensionData(k0, v, action, other)
+
+
 def test_delta2_delta1_is_zero_random():
     rng = random.Random(42)
     actions = [

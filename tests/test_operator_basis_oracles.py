@@ -1,8 +1,8 @@
 """Oracle for the ideal search on a basis of the operator span.
 
-``_ideals`` refines the joint eigenspaces of the independent operators
-among d L_e1, ..., d L_en, d R_e1, ..., d R_en only, the pivot columns of
-one elimination, and keeps its joint eigenvectors as integer vectors until
+``find_ideals_dim_le3`` refines the joint eigenspaces of the independent
+operators among d L_e1, ..., d L_en, d R_e1, ..., d R_en only, the pivot
+columns of one elimination, and keeps its joint eigenvectors as integer vectors until
 each ``Subspace`` is built.  ``all_operator_ideals`` is the search it
 replaced: every one of the 2n operators refined in turn, the eigenvectors
 turned into ``Fraction`` rows at once and each plane built through
@@ -11,14 +11,21 @@ same list on random rational algebras of dimension 2 and 3, the zero
 algebras (no operator is kept), algebras with zero, repeated or
 proportional operators, and one whose dropped operator has no rational
 eigenvalue.
+
+The search first intersects the eigenspaces of every kept operator with a
+single rational eigenvalue in one stacked kernel and refines only through
+the others; ``stack_cases`` names which branches of that step an input
+reaches, so that the oracles are compared on each of them.
 """
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from ideal_inputs import DEPENDENT, degenerate_inputs, dependent_inputs, file_command_inputs, fresh_basis, operators
+from test_subspace_oracles import oracle_ideals
 from lsa.algebra import Algebra, Subspace, _refine, find_ideals_dim_le3
 from lsa.linalg import (
     QMatrix,
@@ -30,6 +37,8 @@ from lsa.linalg import (
     nullspace_basis,
     rank,
     rational_roots,
+    rref,
+    vstack,
 )
 
 pytest.importorskip("hypothesis")
@@ -119,3 +128,65 @@ def test_the_inputs_reach_every_span_rank():
     assert mats[3] == mats[1] - mats[2]
     assert not rational_roots(char_poly(mats[3]))
     assert all(rational_roots(char_poly(m)) for m in mats[:3])
+
+
+def stack_cases(a: Algebra) -> set[str]:
+    """The branches of the stacked first step that the line pass of
+    ``find_ideals_dim_le3(a)`` takes, read off the rational kept operators
+    (the pivot columns among L_e1, ..., R_en) and their spectra:
+    ``no_rational_root`` (the answer is empty at once), else one of
+    ``all_single`` (nothing left to refine), ``none_single`` (the identity
+    basis) and ``mix``; with it ``irrational_pair`` for a kept 3 x 3
+    operator with one simple rational root and two irrational ones, and
+    ``empty_stack`` when the single-eigenvalue operators share no
+    eigenvector."""
+    n, mats = a.dim, operators(a)
+    kept = [mats[k] for k in rref(QMatrix([[x for row in m.rows for x in row] for m in mats]).transpose())[1]]
+    spectra = [rational_roots(char_poly(m)) for m in kept]
+    if not all(spectra):
+        return {"no_rational_root"}
+    single = [(m, s[0]) for m, s in zip(kept, spectra) if len(s) == 1]
+    cases = {"all_single" if len(single) == len(kept) > 0 else "mix" if single else "none_single"}
+    for m, lam in single if n == 3 else ():
+        # char_poly(m) / (y - lam), the quadratic cofactor
+        _, c1, c2, _ = char_poly(m)
+        if not rational_roots([1, c1 + lam, c2 + lam * (c1 + lam)]):
+            cases.add("irrational_pair")
+    if single and not nullspace_basis(vstack([m - QMatrix.identity(n).scale(lam) for m, lam in single])):
+        cases.add("empty_stack")
+    return cases
+
+
+def test_the_stack_reaches_every_case_and_equals_both_oracles():
+    """On the degenerate and dependent inputs and 600 seeded sparse
+    algebras, each in its stored basis and a random one, the search equals
+    ``all_operator_ideals`` (every operator refined from the identity) on
+    every input and ``oracle_ideals`` (the product enumeration, each
+    candidate re-checked) on the first three inputs of each case.  Every
+    case of ``stack_cases`` is reached in 2D and 3D, in stored and random
+    bases (``irrational_pair`` needs a cubic: 3D only).  In 2D, kept
+    operators that are single with distinct eigenlines need a special
+    basis, so a random basis reaches ``empty_stack`` there only about once
+    in 500 draws; these 600 draws reach it once."""
+    rng = random.Random(2)
+    fixed = degenerate_inputs(seed=2) + dependent_inputs(seed=2)
+    inputs = [("stored" if k % 2 == 0 else "random", a) for k, a in enumerate(fixed)]
+    for i in range(600):
+        n = 2 if i % 3 else 3
+        entries = {
+            tuple(rng.randint(1, n) for _ in range(3)): rng.choice((-1, 1, 2)) for _ in range(rng.randint(1, 3))
+        }
+        a = Algebra.from_entries(n, entries)
+        inputs += [("stored", a), ("random", fresh_basis(a, rng))]
+    reached = Counter()
+    for kind, a in inputs:
+        found = find_ideals_dim_le3(a)
+        assert found == all_operator_ideals(a), (kind, a.nonzero_products())
+        cells = [(a.dim, kind, case) for case in stack_cases(a)]
+        if any(reached[cell] < 3 for cell in cells):
+            assert found == oracle_ideals(a), (kind, a.nonzero_products())
+        reached.update(cells)
+    cases = ("all_single", "none_single", "mix", "empty_stack", "no_rational_root")
+    expected = {(n, kind, case) for n in (2, 3) for kind in ("stored", "random") for case in cases}
+    expected |= {(3, kind, "irrational_pair") for kind in ("stored", "random")}
+    assert set(reached) == expected, sorted(expected - set(reached))

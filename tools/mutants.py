@@ -254,9 +254,23 @@ MUTANTS = (
     Mutant(
         "ideal-search-dimension-read-off-the-first-operator",
         ALGEBRA,
-        "_refine(ops, spectrum, 0, [[int(i == j) for j in range(n)] for i in range(n)])",
-        "_refine(ops, spectrum, 0, [[int(i == j) for j in range(len(ops[0][1]))] for i in range(len(ops[0][1]))])",
+        "basis = _int_nullspace(stack, n)",
+        "basis = _int_nullspace(stack, len(ops[0][1]))",
         (f"{TEST_OPERATOR_BASIS}::test_the_inputs_reach_every_span_rank",),
+    ),
+    Mutant(
+        "ideal-stack-drops-the-eigenvalue-shift",
+        ALGEBRA,
+        "stack += [[q * x - p * d * (i == j) for j, x in enumerate(row)] for i, row in enumerate(dm)]",
+        "stack += [[q * x for j, x in enumerate(row)] for i, row in enumerate(dm)]",
+        (f"{TEST_OPERATOR_BASIS}::test_the_stack_reaches_every_case_and_equals_both_oracles",),
+    ),
+    Mutant(
+        "ideal-stack-takes-every-operator-as-single",
+        ALGEBRA,
+        "if len(s) == 1:",
+        "if len(s) >= 1:",
+        (f"{TEST_OPERATOR_BASIS}::test_the_stack_reaches_every_case_and_equals_both_oracles",),
     ),
     Mutant(
         "completeness-traces-always-true",
@@ -573,10 +587,17 @@ MUTANTS = (
     Mutant(
         "coboundary-drops-the-cocycle-shape-refusal",
         EXTENSIONS,
-        "    if (g.k_dim, g.v_dim) != (action.k.dim, action.v_dim):\n"
+        "    if not g.has_shape(action.k.dim, action.v_dim):\n"
         '        raise ValueError("cocycle shape does not match the action")\n',
         "",
         ("tests/test_extensions.py::test_delta2_refuses_a_cocycle_of_another_shape",),
+    ),
+    Mutant(
+        "cocycle-shape-reads-v-off-the-empty-cochain",
+        EXTENSIONS,
+        "return self.k_dim == k_dim and (k_dim == 0 or self.v_dim == v_dim)",
+        "return self.k_dim == k_dim and self.v_dim == v_dim",
+        ("tests/test_extensions.py::test_the_empty_cochain_over_a_zero_dimensional_k_fits_every_v",),
     ),
 )
 
